@@ -19,6 +19,7 @@ Sites and bonds are labelled 1-based: bond b couples sites b and b+1.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, replace
 
@@ -29,6 +30,7 @@ from .errors import (
     CouplingSignWarning,
     InvalidN,
     NegativeAlpha,
+    NonFiniteParameter,
     ZeroCoupling,
 )
 
@@ -96,11 +98,14 @@ class TridiagonalHamiltonian:
 def validate_spec(spec: ChainSpec) -> ChainSpec:
     """Check all ChainSpec invariants and return the spec unchanged.
 
-    Raises InvalidN, BadBond, NegativeAlpha or ZeroCoupling.  J > 0 is
-    accepted but flagged with a CouplingSignWarning.
+    Raises InvalidN, NonFiniteParameter, BadBond, NegativeAlpha or
+    ZeroCoupling.  J > 0 is accepted but flagged with a CouplingSignWarning.
     """
     if spec.n_sites < 2:
         raise InvalidN(f"n_sites must be >= 2, got {spec.n_sites}")
+    for name, value in (("exchange_j", spec.exchange_j), ("field_h", spec.field_h)):
+        if not math.isfinite(value):
+            raise NonFiniteParameter(f"{name} must be finite, got {value}")
     if spec.exchange_j == 0.0:
         raise ZeroCoupling("exchange_j must be nonzero")
     seen: set[int] = set()
@@ -112,6 +117,8 @@ def validate_spec(spec: ChainSpec) -> ChainSpec:
         if bond in seen:
             raise BadBond(f"duplicate impurity bond {bond}")
         seen.add(bond)
+        if not math.isfinite(alpha):
+            raise NonFiniteParameter(f"impurity strength must be finite, got {alpha} on bond {bond}")
         if alpha < 0.0:
             raise NegativeAlpha(f"impurity strength must be >= 0, got {alpha} on bond {bond}")
     if spec.exchange_j > 0.0:

@@ -124,6 +124,8 @@ def _parse_range(text: str, flag: str) -> np.ndarray:
         lo, hi, step = (float(part) for part in parts)
     except ValueError:
         raise UsageError(f"{flag} expects numeric lo:hi:step, got {text!r}") from None
+    if not np.all(np.isfinite([lo, hi, step])):
+        raise UsageError(f"{flag} expects finite lo:hi:step, got {text!r}")
     if step <= 0.0:
         raise UsageError(f"{flag} step must be positive, got {step}")
     if hi < lo:
@@ -277,6 +279,10 @@ def assemble_config(args) -> RunConfig:
             args.j if args.j is not None else -1.0,
             args.h if args.h is not None else 0.0,
         )
+        try:
+            validate_spec(template)
+        except XXChainError as error:
+            raise UsageError(f"{type(error).__name__}: {error}") from error
         alphas = (
             _parse_range(args.alpha_range, "--alpha-range")
             if args.alpha_range is not None

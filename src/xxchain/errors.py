@@ -21,6 +21,10 @@ class ZeroCoupling(XXChainError):
     """Exchange coupling J must be nonzero."""
 
 
+class NonFiniteParameter(XXChainError):
+    """Exchange coupling, field and impurity strengths must be finite numbers."""
+
+
 class ConvergenceFailure(XXChainError):
     """Eigensolver did not meet the residual or orthonormality contract."""
 

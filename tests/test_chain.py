@@ -15,6 +15,7 @@ from xxchain.errors import (
     CouplingSignWarning,
     InvalidN,
     NegativeAlpha,
+    NonFiniteParameter,
     ZeroCoupling,
 )
 from xxchain.spectral import eigendecompose
@@ -48,6 +49,22 @@ def test_validate_rejects_negative_alpha():
 def test_validate_rejects_zero_coupling():
     with pytest.raises(ZeroCoupling):
         validate_spec(ChainSpec(4, exchange_j=0.0))
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        ChainSpec(4, exchange_j=float("nan")),
+        ChainSpec(4, exchange_j=float("-inf")),
+        ChainSpec(4, field_h=float("inf")),
+        ChainSpec(4, field_h=float("nan")),
+        ChainSpec(4, impurities=((1, float("nan")),)),
+        ChainSpec(4, impurities=((1, 0.4), (3, float("inf")))),
+    ],
+)
+def test_validate_rejects_non_finite_parameters(spec):
+    with pytest.raises(NonFiniteParameter):
+        validate_spec(spec)
 
 
 def test_positive_j_warns_but_passes():

@@ -243,3 +243,44 @@ def test_numbers_use_twelve_significant_digits(capsys):
     )
     assert code == 0
     assert "0.333333333333," in out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eigenvector", "--n", "20", "--alpha", "nan", "--state", "1"],
+        ["evolve", "--n", "20", "--j", "nan", "--t-max", "1"],
+        ["evolve", "--n", "20", "--h", "inf", "--t-max", "1"],
+        ["spectrum", "--n", "20", "--h=-inf", "--alpha", "0.5"],
+        ["optimize", "--n", "20", "--j", "nan"],
+        ["scaling", "--n-list", "8", "--h", "nan"],
+    ],
+)
+def test_non_finite_chain_parameters_exit_two(argv, capsys):
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert "NonFiniteParameter" in err
+
+
+def test_non_finite_config_impurity_exits_two(tmp_path, capsys):
+    config = tmp_path / "chain.cfg"
+    config.write_text("n_sites = 20\nimpurities = 1:nan\n")
+    code, _, err = run_cli(["evolve", "--config", str(config), "--t-max", "1"], capsys)
+    assert code == 2
+    assert "NonFiniteParameter" in err
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["evolve", "--n", "20", "--t-range", "0:nan:0.1"], "--t-range"),
+        (["evolve", "--n", "20", "--t-max", "inf"], "--t-max"),
+        (["evolve", "--n", "20", "--t-max", "1", "--dt", "nan"], "--dt"),
+        (["spectrum", "--n", "20", "--alpha-range", "0:inf:0.1"], "--alpha-range"),
+    ],
+)
+def test_non_finite_ranges_exit_two(argv, flag, capsys):
+    code, _, err = run_cli(argv, capsys)
+    assert code == 2
+    assert flag in err and "finite" in err

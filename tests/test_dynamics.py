@@ -9,9 +9,11 @@ from xxchain.dynamics import (
     concurrence_AN,
     fidelity,
     propagate,
+    receiver_pair_density,
     time_series,
     transfer_amplitude,
 )
+from xxchain.measures import wootters_concurrence
 from xxchain.spectral import eigendecompose
 
 
@@ -97,6 +99,18 @@ def test_fidelity_is_squared_amplitude_and_concurrence_root():
     c_values = concurrence_AN(dec, times)
     assert np.max(np.abs(c_values**2 - f_values)) <= 1e-9
     assert np.all((f_values >= 0.0) & (f_values <= 1.0))
+
+
+def test_concurrence_closed_form_matches_wootters():
+    # production returns |f_N|; the Wootters procedure on the (ancilla, N)
+    # pair density is the independent route
+    dec = eigendecompose(build_hamiltonian(mirror_impurities(60, 0.45)))
+    times = np.arange(0.0, 60.0, 0.05)
+    amplitudes = np.array([transfer_amplitude(dec, float(t)) for t in times])
+    wootters = np.array([wootters_concurrence(receiver_pair_density(f)) for f in amplitudes])
+    assert np.max(np.abs(concurrence_AN(dec, times) - wootters)) <= 1e-10
+    assert abs(concurrence_AN(dec, float(times[550])) - wootters[550]) <= 1e-10
+    assert np.max(wootters) > 0.8  # the grid covers the transfer peak
 
 
 def test_concurrence_starts_at_zero():

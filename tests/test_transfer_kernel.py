@@ -1,0 +1,143 @@
+"""The factored f_N(t) kernel against the per-sample reference.
+
+transfer_amplitude evaluates evenly spaced grids as one matrix product of
+coarse-anchor and fine-offset phase tables.  Every check here recomputes
+f_N(t_k) = sum_j exp(-i E_j t_k) psi_1^(j) psi_N^(j) one sample at a time and
+requires agreement to 1e-12, far above the ~1e-15 roundoff of either form.
+"""
+
+import math
+import warnings
+from unittest import mock
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from xxchain import dynamics
+from xxchain.chain import ChainSpec, build_hamiltonian, mirror_impurities
+from xxchain.cli import _parse_range
+from xxchain.dynamics import FACTORED_MIN_PHASES, transfer_amplitude
+from xxchain.protocols import REFOCUS_T_STEP, default_alpha_grid, optimize_alpha, refocus_window
+from xxchain.spectral import eigendecompose
+
+TOL = 1e-12
+
+
+def per_sample_amplitude(dec, times):
+    """Reference: one exponential per (time, level), no factoring."""
+    weights = dec.vectors[:, 0] * dec.vectors[:, -1]
+    return np.exp(-1j * np.outer(np.ravel(times), dec.energies)) @ weights
+
+
+def spy_factored():
+    return mock.patch.object(dynamics, "_factored_amplitude", wraps=dynamics._factored_amplitude)
+
+
+def decompose(spec):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # J > 0 sign warning; same physics
+        return eigendecompose(build_hamiltonian(spec))
+
+
+@st.composite
+def chains(draw):
+    n = draw(st.integers(2, 64))
+    bonds = draw(st.sets(st.integers(1, n - 1), max_size=min(4, n - 1)))
+    impurities = tuple((bond, draw(st.floats(0.0, 2.0))) for bond in sorted(bonds))
+    exchange_j = draw(st.sampled_from((-1.0, 1.0))) * draw(st.floats(0.5, 1.5))
+    field_h = draw(st.sampled_from((-1.0, 1.0))) * draw(st.floats(0.1, 2.0))
+    return ChainSpec(n, exchange_j, field_h, impurities)
+
+
+def check_grid(dec, times):
+    """Compare with the reference; report whether the factored path ran."""
+    with spy_factored() as spy:
+        values = transfer_amplitude(dec, times)
+    assert values.shape == times.shape
+    assert np.max(np.abs(values - per_sample_amplitude(dec, times))) <= TOL
+    return spy.called
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    spec=chains(),
+    lo=st.floats(-50.0, 150.0),
+    step=st.floats(1e-3, 1.0),
+    count=st.integers(1, 400),
+)
+def test_factored_grid_matches_per_sample_reference(spec, lo, step, count):
+    dec = decompose(spec)
+    times = lo + step * np.arange(count)
+    factored = check_grid(dec, times)
+    assert factored == (count >= 6 and count * spec.n_sites >= FACTORED_MIN_PHASES)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    spec=chains(),
+    lo=st.decimals(-20, 100, places=3),
+    step=st.decimals("0.001", "0.5", places=3),
+    count=st.integers(1, 300),
+)
+def test_cli_grids_match_per_sample_reference(spec, lo, step, count):
+    hi = lo + step * (count - 1)
+    times = _parse_range(f"{lo}:{hi}:{step}", "--t-range")
+    assert times.size == count
+    factored = check_grid(decompose(spec), times)
+    assert factored == (count >= 6 and count * spec.n_sites >= FACTORED_MIN_PHASES)
+
+
+def test_both_sides_of_the_crossover_are_exercised():
+    dec = decompose(mirror_impurities(40, 0.5, field_h=0.3))
+    below = math.ceil(FACTORED_MIN_PHASES / 40) - 1
+    assert not check_grid(dec, 2.0 + 0.1 * np.arange(below))
+    assert check_grid(dec, 2.0 + 0.1 * np.arange(below + 1))
+
+
+def test_scalar_time_takes_the_per_sample_path():
+    dec = decompose(ChainSpec(48, 1.0, -0.7, ((1, 0.3), (47, 0.3))))
+    with spy_factored() as spy:
+        value = transfer_amplitude(dec, 37.25)
+    assert isinstance(value, complex)
+    assert value == per_sample_amplitude(dec, [37.25])[0]
+    assert not spy.called
+
+
+def test_uneven_and_multidimensional_grids_take_the_per_sample_path():
+    dec = decompose(mirror_impurities(64, 0.4, field_h=-1.2))
+    rng = np.random.default_rng(11)
+    uneven = np.sort(rng.uniform(0.0, 80.0, size=500))
+    nudged = 0.1 * np.arange(500)
+    nudged[250] += 1e-9
+    for times in (uneven, nudged, (0.1 * np.arange(600)).reshape(20, 30)):
+        with spy_factored() as spy:
+            values = transfer_amplitude(dec, times)
+        assert not spy.called
+        assert values.shape == times.shape
+        assert np.array_equal(values.ravel(), per_sample_amplitude(dec, times))
+
+
+def reference_optimize(n_sites):
+    """Refocus-window scan through the per-sample kernel."""
+    lo, hi = refocus_window(n_sites)
+    times = lo + REFOCUS_T_STEP * np.arange(int(math.floor((hi - lo) / REFOCUS_T_STEP + 1e-9)) + 1)
+    peaks = []
+    for alpha in default_alpha_grid():
+        dec = eigendecompose(build_hamiltonian(mirror_impurities(n_sites, float(alpha))))
+        values = np.minimum(np.abs(per_sample_amplitude(dec, times)) ** 2, 1.0)
+        k = int(np.argmax(values))
+        peaks.append((float(alpha), float(times[k]), float(values[k])))
+    return peaks
+
+
+def test_optimize_alpha_keeps_its_answer():
+    for n_sites in (50, 100):
+        report = optimize_alpha(n_sites)
+        peaks = reference_optimize(n_sites)
+        alpha, t_tr, f_max = peaks[int(np.argmax([peak[2] for peak in peaks]))]
+        assert (report.alpha_opt, report.t_tr) == (alpha, t_tr)
+        assert abs(report.f_max - f_max) <= TOL
+        for trace, (alpha, t_peak, f_peak) in zip(report.per_alpha, peaks):
+            assert (trace.alpha, trace.t_refocus) == (alpha, t_peak)
+            assert abs(trace.f_peak - f_peak) <= TOL
