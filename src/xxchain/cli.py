@@ -30,7 +30,7 @@ from .chain import (
 )
 from .dynamics import SeriesKind, time_series
 from .errors import XXChainError
-from .measures import c12_sweep, ipr_of_rows
+from .measures import c12_sweep, ipr_sweep
 from .oracle import oracle_check
 from .protocols import (
     default_alpha_grid,
@@ -310,12 +310,7 @@ def _cmd_spectrum(cfg: RunConfig) -> int:
 
 def _cmd_ipr_sweep(cfg: RunConfig) -> int:
     lo, hi = cfg.states
-    rows = []
-    for alpha in cfg.alphas:
-        dec = eigendecompose(build_hamiltonian(with_alpha(cfg.template, float(alpha))))
-        values = ipr_of_rows(dec.vectors)
-        for j in range(lo, hi + 1):
-            rows.append((float(alpha), j, float(values[j - 1])))
+    rows = ipr_sweep(cfg.template, cfg.alphas, range(lo, hi + 1))
     _emit_rows(rows, ["alpha", "j", "value"], cfg)
     return 0
 

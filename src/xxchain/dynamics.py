@@ -22,10 +22,15 @@ about 2 sqrt(len(t)) N complex exponentials instead of len(t) N, and leaves
 the O(len(t) N) remainder to BLAS.  The split is exact algebra for any
 spectrum (no field, parity or chirality assumption); in floating point the
 phases E_j T_a and E_j tau_b carry the same rounding as E_j t_k, so the two
-evaluations agree to a few 1e-15.  Scalar, multi-dimensional and unevenly
-spaced t, grids with fewer than 6 samples and grids whose len(t) N falls
-below FACTORED_MIN_PHASES take the per-sample exponentials exp(-i E_j t_k)
-directly: there the two factor tables cost more than they save.
+evaluations agree to a few 1e-15.  Propagator.amplitude_matrix, which needs
+every site and not only f_N, builds its (len(t) x N) phase table from the
+same two tables, exp(-i E_j t_k) = exp(-i E_j T_a) exp(-i E_j tau_b): one
+complex multiply per entry in place of one exponential.  Scalar,
+multi-dimensional and unevenly spaced t, grids with fewer than 6 samples and
+grids whose len(t) N falls below FACTORED_MIN_PHASES take the per-sample
+exponentials exp(-i E_j t_k) directly: there the two factor tables cost more
+than they save.  Both kernels need every eigenpair, so a decomposition that
+holds only a range of states is refused with IncompleteBasis.
 """
 
 from __future__ import annotations
@@ -36,10 +41,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import IncompleteBasis
 from .measures import AmplitudeVector, ipr_of_rows
 from .spectral import SpectralDecomposition
 
-# Smallest len(t) * N for which transfer_amplitude factors an even grid.
+# Smallest len(t) * N for which transfer_amplitude (and amplitude_matrix)
+# factors an even grid.
 # Measured with one BLAS thread on a 2-vCPU x86-64 VM, the factored kernel
 # breaks even at about 0.8-1k phase evaluations for N <= 8, 1.2-2k for
 # N = 16-200 and 2.4-3.2k for N = 400-1000.  Grids of fewer than 6 samples
@@ -84,6 +91,7 @@ class Propagator:
     """Evolves a single-site initial excitation under a fixed decomposition."""
 
     def __init__(self, dec: SpectralDecomposition, init_site: int = 1):
+        _require_complete(dec)
         if not 1 <= init_site <= dec.n_sites:
             raise ValueError(f"init_site must be in 1..{dec.n_sites}, got {init_site}")
         self.dec = dec
@@ -97,15 +105,35 @@ class Propagator:
         return AmplitudeVector(amps, time_tag=float(t))
 
     def amplitude_matrix(self, times) -> np.ndarray:
-        """Site amplitudes for every time: shape (len(times), N)."""
+        """Site amplitudes for every time: shape (len(times), N).
+
+        On an even grid the phase table is the product of the coarse-anchor
+        and fine-offset tables of transfer_amplitude, one multiply per entry.
+        """
         times = np.asarray(times, dtype=float)
-        phases = np.exp(-1j * np.outer(times, self.dec.energies))
-        return (phases * self._weights) @ self.dec.vectors
+        energies = self.dec.energies
+        step = _factored_step(times, energies.size)
+        if step is None:
+            phases = np.exp(-1j * np.outer(times, energies)) * self._weights
+        else:
+            coarse, fine = _phase_tables(energies, times, step)
+            coarse *= self._weights
+            phases = (coarse[:, None, :] * fine[None, :, :]).reshape(-1, energies.size)
+            phases = phases[: times.size]
+        return phases @ self.dec.vectors
 
 
 def propagate(dec: SpectralDecomposition, t: float, init_site: int = 1) -> AmplitudeVector:
     """State at time t when the excitation starts as a delta on init_site."""
     return Propagator(dec, init_site).amplitudes(t)
+
+
+def _require_complete(dec: SpectralDecomposition) -> None:
+    if dec.first_state != 1 or dec.energies.size != dec.n_sites:
+        raise IncompleteBasis(
+            f"time evolution needs all {dec.n_sites} eigenstates, the decomposition holds "
+            f"states {dec.first_state}..{dec.first_state + dec.energies.size - 1}"
+        )
 
 
 def _even_step(times: np.ndarray):
@@ -119,23 +147,35 @@ def _even_step(times: np.ndarray):
     return None
 
 
+def _factored_step(times: np.ndarray, n_levels: int):
+    """Step of a grid worth factoring over n_levels energies, else None."""
+    if times.ndim == 1 and times.size >= 6 and times.size * n_levels >= FACTORED_MIN_PHASES:
+        return _even_step(times)
+    return None
+
+
+def _phase_tables(energies, times, step):
+    """Coarse-anchor and fine-offset tables exp(-i E T_a), exp(-i E tau_b)."""
+    n_fine = math.isqrt(times.size - 1) + 1
+    coarse = np.exp(-1j * np.outer(times[::n_fine], energies))
+    fine = np.exp(-1j * np.outer(step * np.arange(n_fine), energies))
+    return coarse, fine
+
+
 def _factored_amplitude(energies, weights, times, step) -> np.ndarray:
     """f_N on an even grid as (coarse anchors * weights) @ fine offsets."""
-    count = times.size
-    n_fine = math.isqrt(count - 1) + 1
-    coarse = np.exp(-1j * np.outer(times[::n_fine], energies)) * weights
-    fine = np.exp(-1j * np.outer(step * np.arange(n_fine), energies))
-    return (coarse @ fine.T).ravel()[:count]
+    coarse, fine = _phase_tables(energies, times, step)
+    return ((coarse * weights) @ fine.T).ravel()[: times.size]
 
 
 def transfer_amplitude(dec: SpectralDecomposition, t):
     """End-to-end amplitude f_N(t) = <N| exp(-i H t) |1>; scalar or array t."""
+    _require_complete(dec)
     weights = dec.vectors[:, 0] * dec.vectors[:, -1]
     times = np.asarray(t, dtype=float)
-    if times.ndim == 1 and times.size >= 6 and times.size * dec.n_sites >= FACTORED_MIN_PHASES:
-        step = _even_step(times)
-        if step is not None:
-            return _factored_amplitude(dec.energies, weights, times, step)
+    step = _factored_step(times, dec.n_sites)
+    if step is not None:
+        return _factored_amplitude(dec.energies, weights, times, step)
     flat = np.exp(-1j * np.outer(times.ravel(), dec.energies)) @ weights
     if times.ndim == 0:
         return complex(flat[0])

@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 from scipy.optimize import minimize_scalar
 
 from .chain import ChainSpec, build_hamiltonian, with_alpha
@@ -181,18 +180,15 @@ def c12_from_energy_derivative(spec: ChainSpec, state_index: int) -> float:
     return abs(denergy_dalpha(spec, state_index) / spec.exchange_j)
 
 
+def _c12_of_rows(states: np.ndarray) -> np.ndarray:
+    """First-bond concurrence 2 |psi_1 psi_2| of every row of real eigenvectors."""
+    return 2.0 * np.abs(states[:, 0] * states[:, 1])
+
+
 def eigenstate_c12(spec: ChainSpec, state_index: int) -> float:
-    """C_12 of one selected eigenstate, 2 |psi_1 psi_2|, without a full solve."""
-    hamiltonian = build_hamiltonian(spec)
-    if not 1 <= state_index <= hamiltonian.n_sites:
-        raise ValueError(f"state_index must be in 1..{hamiltonian.n_sites}, got {state_index}")
-    _, columns = eigh_tridiagonal(
-        hamiltonian.diag,
-        hamiltonian.offdiag,
-        select="i",
-        select_range=(state_index - 1, state_index - 1),
-    )
-    return float(2.0 * abs(columns[0, 0] * columns[1, 0]))
+    """C_12 of one eigenstate, 2 |psi_1 psi_2|, solving for that state only."""
+    dec = eigendecompose(build_hamiltonian(spec), (state_index, state_index))
+    return float(_c12_of_rows(dec.vectors)[0])
 
 
 def ipr_of_rows(states: np.ndarray) -> np.ndarray:
@@ -202,32 +198,36 @@ def ipr_of_rows(states: np.ndarray) -> np.ndarray:
     return totals * totals / np.sum(probabilities * probabilities, axis=1)
 
 
+def _state_sweep(template, alphas, state_indices, values_of_rows):
+    """Rows (alpha, j, value) of a per-eigenvector observable over an alpha grid.
+
+    Each alpha solves only the states min(indices)..max(indices).
+    """
+    rows = []
+    indices = [int(j) for j in state_indices]
+    if not indices:
+        return rows
+    states = (min(indices), max(indices))
+    for alpha in alphas:
+        dec = eigendecompose(build_hamiltonian(with_alpha(template, float(alpha))), states)
+        values = values_of_rows(dec.vectors)
+        for j in indices:
+            rows.append((float(alpha), j, float(values[j - dec.first_state])))
+    return rows
+
+
 def ipr_sweep(
     template: ChainSpec, alphas, state_indices
 ) -> list[tuple[float, int, float]]:
     """Rows (alpha, j, L_IPR) for the requested 1-based eigenstate indices."""
-    rows = []
-    indices = [int(j) for j in state_indices]
-    for alpha in alphas:
-        dec = eigendecompose(build_hamiltonian(with_alpha(template, float(alpha))))
-        values = ipr_of_rows(dec.vectors)
-        for j in indices:
-            rows.append((float(alpha), j, float(values[j - 1])))
-    return rows
+    return _state_sweep(template, alphas, state_indices, ipr_of_rows)
 
 
 def c12_sweep(
     template: ChainSpec, alphas, state_indices
 ) -> list[tuple[float, int, float]]:
     """Rows (alpha, j, C_12) for the requested 1-based eigenstate indices."""
-    rows = []
-    indices = [int(j) for j in state_indices]
-    for alpha in alphas:
-        dec = eigendecompose(build_hamiltonian(with_alpha(template, float(alpha))))
-        for j in indices:
-            vector = dec.vectors[j - 1]
-            rows.append((float(alpha), j, float(2.0 * abs(vector[0] * vector[1]))))
-    return rows
+    return _state_sweep(template, alphas, state_indices, _c12_of_rows)
 
 
 def sweep_alpha_grid(step: float = 0.005, upper: float = 2.0) -> np.ndarray:

@@ -1,9 +1,12 @@
-"""The factored f_N(t) kernel against the per-sample reference.
+"""The factored phase kernels against the per-sample reference.
 
 transfer_amplitude evaluates evenly spaced grids as one matrix product of
-coarse-anchor and fine-offset phase tables.  Every check here recomputes
-f_N(t_k) = sum_j exp(-i E_j t_k) psi_1^(j) psi_N^(j) one sample at a time and
-requires agreement to 1e-12, far above the ~1e-15 roundoff of either form.
+coarse-anchor and fine-offset phase tables, and Propagator.amplitude_matrix
+builds its phase table as the product of the same two tables.  Every check
+here recomputes f_N(t_k) = sum_j exp(-i E_j t_k) psi_1^(j) psi_N^(j), or the
+site amplitudes sum_j exp(-i E_j t_k) psi_1^(j) psi_n^(j), one sample at a
+time and requires agreement to 1e-12, far above the ~1e-15 roundoff of
+either form.
 """
 
 import math
@@ -17,7 +20,7 @@ from hypothesis import strategies as st
 from xxchain import dynamics
 from xxchain.chain import ChainSpec, build_hamiltonian, mirror_impurities
 from xxchain.cli import _parse_range
-from xxchain.dynamics import FACTORED_MIN_PHASES, transfer_amplitude
+from xxchain.dynamics import FACTORED_MIN_PHASES, Propagator, transfer_amplitude
 from xxchain.protocols import REFOCUS_T_STEP, default_alpha_grid, optimize_alpha, refocus_window
 from xxchain.spectral import eigendecompose
 
@@ -28,6 +31,12 @@ def per_sample_amplitude(dec, times):
     """Reference: one exponential per (time, level), no factoring."""
     weights = dec.vectors[:, 0] * dec.vectors[:, -1]
     return np.exp(-1j * np.outer(np.ravel(times), dec.energies)) @ weights
+
+
+def per_sample_site_amplitudes(dec, times, init_site=1):
+    """Reference: amplitudes from a delta on init_site, one exponential per (time, level)."""
+    phases = np.exp(-1j * np.outer(np.ravel(times), dec.energies))
+    return (phases * dec.vectors[:, init_site - 1]) @ dec.vectors
 
 
 def spy_factored():
@@ -86,6 +95,35 @@ def test_cli_grids_match_per_sample_reference(spec, lo, step, count):
     assert times.size == count
     factored = check_grid(decompose(spec), times)
     assert factored == (count >= 6 and count * spec.n_sites >= FACTORED_MIN_PHASES)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    spec=chains(),
+    lo=st.floats(-50.0, 150.0),
+    step=st.floats(1e-3, 1.0),
+    count=st.integers(1, 300),
+    site=st.floats(0.0, 1.0),
+)
+def test_amplitude_matrix_matches_per_sample_reference(spec, lo, step, count, site):
+    dec = decompose(spec)
+    times = lo + step * np.arange(count)
+    init_site = 1 + int(site * (spec.n_sites - 1))
+    with mock.patch.object(dynamics, "_phase_tables", wraps=dynamics._phase_tables) as spy:
+        values = Propagator(dec, init_site).amplitude_matrix(times)
+    assert values.shape == (count, spec.n_sites)
+    assert np.max(np.abs(values - per_sample_site_amplitudes(dec, times, init_site))) <= TOL
+    assert spy.called == (count >= 6 and count * spec.n_sites >= FACTORED_MIN_PHASES)
+
+
+def test_amplitude_matrix_uneven_grid_takes_the_per_sample_path():
+    dec = decompose(mirror_impurities(64, 0.4, field_h=-1.2))
+    nudged = 0.1 * np.arange(500)
+    nudged[250] += 1e-9
+    with mock.patch.object(dynamics, "_phase_tables", wraps=dynamics._phase_tables) as spy:
+        values = Propagator(dec, 1).amplitude_matrix(nudged)
+    assert not spy.called
+    assert np.array_equal(values, per_sample_site_amplitudes(dec, nudged))
 
 
 def test_both_sides_of_the_crossover_are_exercised():
