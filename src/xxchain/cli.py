@@ -1,10 +1,10 @@
 """Command-line front end: deterministic CSV/JSON emission for every study.
 
-Flags (plus an optional key=value config file) are assembled into a single
-validated RunConfig, then each subcommand maps onto one library call and
-writes either CSV rows or a JSON report.  All numeric output uses 12
-significant digits and runs are byte-identical on rerun (there is no
-randomness anywhere in the package).
+Each subcommand handler validates its own flags (plus an optional key=value
+config file) before any solve, then makes one library call and writes either
+CSV rows or a JSON report.  All numeric output uses 12 significant digits and
+runs are byte-identical on rerun (there is no randomness anywhere in the
+package).
 
 Exit codes: 0 success, 2 usage or chain-parameter error, 1 computation error.
 """
@@ -15,7 +15,6 @@ import argparse
 import dataclasses
 import json
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,19 +25,18 @@ from .chain import (
     mirror_impurities,
     single_impurity,
     validate_spec,
-    with_alpha,
 )
 from .dynamics import SeriesKind, time_series
 from .errors import XXChainError
 from .measures import c12_sweep, ipr_sweep
-from .oracle import oracle_check
+from .oracle import MAX_SITES, oracle_check
 from .protocols import (
     default_alpha_grid,
     fidelity_landscape,
     optimize_alpha,
     scaling_sweep,
 )
-from .spectral import classify_band, eigendecompose
+from .spectral import classify_band, eigendecompose, sweep
 
 
 class UsageError(Exception):
@@ -51,23 +49,6 @@ _KIND_FLAGS = {
     "amplitude": SeriesKind.TRANSFER_AMPLITUDE,
     "concurrence": SeriesKind.CONCURRENCE_AN,
 }
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """One fully-validated run: chain parameters, grids, output routing."""
-
-    subcommand: str
-    template: ChainSpec | None = None
-    alphas: np.ndarray | None = None
-    times: np.ndarray | None = None
-    states: tuple[int, int] | None = None
-    kind: SeriesKind | None = None
-    state_index: int | None = None
-    n_list: tuple[int, ...] | None = None
-    n_max: int | None = None
-    out: str | None = None
-    fmt: str = "csv"
 
 
 def _fmt(value) -> str:
@@ -197,205 +178,167 @@ def _sweep_alphas(args) -> np.ndarray:
     if args.alpha_range is not None and args.alpha is not None:
         raise UsageError("use either --alpha or --alpha-range, not both")
     if args.alpha_range is not None:
-        return _parse_range(args.alpha_range, "--alpha-range")
+        return _nonnegative(_parse_range(args.alpha_range, "--alpha-range"))
     if args.alpha is not None:
         return np.array([float(args.alpha)])
     raise UsageError("--alpha or --alpha-range is required")
 
 
-def assemble_config(args) -> RunConfig:
-    """Validate flags and build the RunConfig for one subcommand run."""
-    command = args.command
-    out = getattr(args, "out", None)
-    fmt = getattr(args, "format", "csv")
-
-    if command in ("spectrum", "ipr-sweep", "concurrence-sweep"):
-        template = _chain_template(args, sweep_default_impurity=True)
-        states = None
-        if command != "spectrum":
-            default = (1, template.n_sites)
-            if command == "concurrence-sweep":
-                default = (2, max(template.n_sites // 2, 2))
-            states = (
-                _parse_states(args.states, template.n_sites) if args.states else default
-            )
-        return RunConfig(
-            subcommand=command, template=template, alphas=_sweep_alphas(args),
-            states=states, out=out, fmt=fmt,
-        )
-
-    if command == "eigenvector":
-        template = _chain_template(args, sweep_default_impurity=False)
-        if not 1 <= args.state <= template.n_sites:
-            raise UsageError(f"--state must be in 1..{template.n_sites}, got {args.state}")
-        return RunConfig(
-            subcommand=command, template=template, state_index=args.state, out=out, fmt=fmt
-        )
-
-    if command == "evolve":
-        template = _chain_template(args, sweep_default_impurity=False)
-        if args.t_range is not None and args.t_max is not None:
-            raise UsageError("use either --t-range or --t-max, not both")
-        if args.t_range is not None:
-            times = _parse_range(args.t_range, "--t-range")
-        elif args.t_max is not None:
-            if args.t_max < 0:
-                raise UsageError("--t-max must be non-negative")
-            times = _parse_range(f"0:{args.t_max}:{args.dt}", "--t-max/--dt")
-        else:
-            raise UsageError("--t-range or --t-max is required")
-        return RunConfig(
-            subcommand=command, template=template, times=times,
-            kind=_KIND_FLAGS[args.kind], out=out, fmt=fmt,
-        )
-
-    if command == "landscape":
-        template = _chain_template(args, sweep_default_impurity=False)
-        if args.alpha_range is None or args.t_range is None:
-            raise UsageError("landscape requires --alpha-range and --t-range")
-        return RunConfig(
-            subcommand=command, template=template,
-            alphas=_parse_range(args.alpha_range, "--alpha-range"),
-            times=_parse_range(args.t_range, "--t-range"), out=out, fmt=fmt,
-        )
-
-    if command == "optimize":
-        template = _chain_template(args, sweep_default_impurity=False)
-        alphas = (
-            _parse_range(args.alpha_range, "--alpha-range")
-            if args.alpha_range is not None
-            else default_alpha_grid()
-        )
-        return RunConfig(subcommand=command, template=template, alphas=alphas, out=out, fmt=fmt)
-
-    if command == "scaling":
-        n_list = _parse_n_list(args.n_list)
-        for n in n_list:
-            if n % 2 != 0:
-                raise UsageError(f"--n-list lengths must be even, got {n}")
-        # carrier for the shared couplings; lengths come from n_list
-        template = ChainSpec(
-            n_list[0],
-            args.j if args.j is not None else -1.0,
-            args.h if args.h is not None else 0.0,
-        )
-        try:
-            validate_spec(template)
-        except XXChainError as error:
-            raise UsageError(f"{type(error).__name__}: {error}") from error
-        alphas = (
-            _parse_range(args.alpha_range, "--alpha-range")
-            if args.alpha_range is not None
-            else default_alpha_grid()
-        )
-        return RunConfig(
-            subcommand=command, template=template, alphas=alphas, n_list=n_list,
-            out=out, fmt=fmt,
-        )
-
-    return RunConfig(subcommand=command, n_max=args.n_max, out=out)
+def _nonnegative(alphas: np.ndarray) -> np.ndarray:
+    if alphas[0] < 0.0:
+        raise UsageError(f"NegativeAlpha: --alpha-range entries must be >= 0, got {alphas[0]}")
+    return alphas
 
 
-def _cmd_spectrum(cfg: RunConfig) -> int:
+def _optimize_alphas(args) -> np.ndarray:
+    if args.alpha_range is None:
+        return default_alpha_grid()
+    alphas = _parse_range(args.alpha_range, "--alpha-range")
+    if alphas[0] <= 0.0:
+        raise UsageError(f"ValueError: --alpha-range entries must be positive, got {alphas[0]}")
+    return alphas
+
+
+def _require_json(args) -> None:
+    if args.format == "csv":
+        raise UsageError("reports are emitted as JSON; drop --format csv")
+
+
+def _cmd_spectrum(args) -> int:
+    template = _chain_template(args, sweep_default_impurity=True)
     rows = []
-    for alpha in cfg.alphas:
-        spec = with_alpha(cfg.template, float(alpha))
-        dec = eigendecompose(build_hamiltonian(spec))
-        labels = classify_band(dec, spec.exchange_j).labels
+    for alpha, dec in sweep(template, _sweep_alphas(args)):
+        labels = classify_band(dec, template.exchange_j).labels
         for j in range(dec.n_sites):
-            rows.append((float(alpha), j + 1, float(dec.energies[j]), labels[j].value))
-    _emit_rows(rows, ["alpha", "j", "energy", "label"], cfg)
+            rows.append((alpha, j + 1, float(dec.energies[j]), labels[j].value))
+    _emit_rows(rows, ["alpha", "j", "energy", "label"], args)
     return 0
 
 
-def _cmd_ipr_sweep(cfg: RunConfig) -> int:
-    lo, hi = cfg.states
-    rows = ipr_sweep(cfg.template, cfg.alphas, range(lo, hi + 1))
-    _emit_rows(rows, ["alpha", "j", "value"], cfg)
+def _per_state_sweep(args, observable, default_states) -> int:
+    template = _chain_template(args, sweep_default_impurity=True)
+    n = template.n_sites
+    lo, hi = _parse_states(args.states, n) if args.states else default_states(n)
+    rows = observable(template, _sweep_alphas(args), range(lo, hi + 1))
+    _emit_rows(rows, ["alpha", "j", "value"], args)
     return 0
 
 
-def _cmd_concurrence_sweep(cfg: RunConfig) -> int:
-    lo, hi = cfg.states
-    rows = c12_sweep(cfg.template, cfg.alphas, range(lo, hi + 1))
-    _emit_rows(rows, ["alpha", "j", "value"], cfg)
-    return 0
+def _cmd_ipr_sweep(args) -> int:
+    return _per_state_sweep(args, ipr_sweep, lambda n: (1, n))
 
 
-def _cmd_eigenvector(cfg: RunConfig) -> int:
-    dec = eigendecompose(build_hamiltonian(cfg.template))
-    vector = dec.vectors[cfg.state_index - 1]
+def _cmd_concurrence_sweep(args) -> int:
+    return _per_state_sweep(args, c12_sweep, lambda n: (2, max(n // 2, 2)))
+
+
+def _cmd_eigenvector(args) -> int:
+    template = _chain_template(args, sweep_default_impurity=False)
+    if not 1 <= args.state <= template.n_sites:
+        raise UsageError(f"--state must be in 1..{template.n_sites}, got {args.state}")
+    dec = eigendecompose(build_hamiltonian(template))
+    vector = dec.vectors[args.state - 1]
     rows = [(site + 1, float(vector[site])) for site in range(dec.n_sites)]
-    _emit_rows(rows, ["site", "amplitude"], cfg)
+    _emit_rows(rows, ["site", "amplitude"], args)
     return 0
 
 
-def _cmd_evolve(cfg: RunConfig) -> int:
-    series = time_series(eigendecompose(build_hamiltonian(cfg.template)), cfg.kind, cfg.times)
-    if cfg.kind is SeriesKind.TRANSFER_AMPLITUDE:
+def _cmd_evolve(args) -> int:
+    template = _chain_template(args, sweep_default_impurity=False)
+    if args.t_range is not None and args.t_max is not None:
+        raise UsageError("use either --t-range or --t-max, not both")
+    if args.t_range is not None:
+        times = _parse_range(args.t_range, "--t-range")
+    elif args.t_max is not None:
+        if args.t_max < 0:
+            raise UsageError("--t-max must be non-negative")
+        times = _parse_range(f"0:{args.t_max}:{args.dt}", "--t-max/--dt")
+    else:
+        raise UsageError("--t-range or --t-max is required")
+    kind = _KIND_FLAGS[args.kind]
+    series = time_series(eigendecompose(build_hamiltonian(template)), kind, times)
+    if kind is SeriesKind.TRANSFER_AMPLITUDE:
         rows = [(t, float(v.real), float(v.imag)) for t, v in zip(series.times, series.values)]
-        _emit_rows(rows, ["t", "re", "im"], cfg)
+        _emit_rows(rows, ["t", "re", "im"], args)
     else:
         rows = list(zip(series.times, series.values))
-        _emit_rows(rows, ["t", "value"], cfg)
+        _emit_rows(rows, ["t", "value"], args)
     return 0
 
 
-def _cmd_landscape(cfg: RunConfig) -> int:
+def _cmd_landscape(args) -> int:
+    template = _chain_template(args, sweep_default_impurity=False)
+    if args.alpha_range is None or args.t_range is None:
+        raise UsageError("landscape requires --alpha-range and --t-range")
+    alphas = _parse_range(args.alpha_range, "--alpha-range")
+    times = _parse_range(args.t_range, "--t-range")
     grid = fidelity_landscape(
-        cfg.template.n_sites, cfg.alphas, cfg.times,
-        exchange_j=cfg.template.exchange_j, field_h=cfg.template.field_h,
+        template.n_sites, _nonnegative(alphas), times,
+        exchange_j=template.exchange_j, field_h=template.field_h,
     )
     rows = []
     for row, alpha in enumerate(grid.alphas):
         for col, t in enumerate(grid.times):
             rows.append((float(alpha), float(t), float(grid.fidelities[row, col])))
-    _emit_rows(rows, ["alpha", "t", "fidelity"], cfg)
+    _emit_rows(rows, ["alpha", "t", "fidelity"], args)
     return 0
 
 
-def _cmd_optimize(cfg: RunConfig) -> int:
+def _cmd_optimize(args) -> int:
+    template = _chain_template(args, sweep_default_impurity=False)
+    alphas = _optimize_alphas(args)
+    _require_json(args)
     report = optimize_alpha(
-        cfg.template.n_sites, cfg.alphas,
-        exchange_j=cfg.template.exchange_j, field_h=cfg.template.field_h,
+        template.n_sites, alphas, exchange_j=template.exchange_j, field_h=template.field_h
     )
-    _emit_report(report, cfg)
+    emit_json(report, args.out)
     return 0
 
 
-def _cmd_scaling(cfg: RunConfig) -> int:
+def _cmd_scaling(args) -> int:
+    n_list = _parse_n_list(args.n_list)
+    for n in n_list:
+        if n % 2 != 0:
+            raise UsageError(f"--n-list lengths must be even, got {n}")
+    # carrier for the shared couplings; lengths come from n_list
+    template = ChainSpec(
+        n_list[0],
+        args.j if args.j is not None else -1.0,
+        args.h if args.h is not None else 0.0,
+    )
+    try:
+        validate_spec(template)
+    except XXChainError as error:
+        raise UsageError(f"{type(error).__name__}: {error}") from error
+    alphas = _optimize_alphas(args)
+    _require_json(args)
     result = scaling_sweep(
-        cfg.n_list, cfg.alphas,
-        exchange_j=cfg.template.exchange_j, field_h=cfg.template.field_h,
+        n_list, alphas, exchange_j=template.exchange_j, field_h=template.field_h
     )
-    _emit_report(result, cfg)
+    emit_json(result, args.out)
     return 0
 
 
-def _cmd_oracle_check(cfg: RunConfig) -> int:
-    results = oracle_check(n_values=range(2, cfg.n_max + 1))
+def _cmd_oracle_check(args) -> int:
+    if not 2 <= args.n_max <= MAX_SITES:
+        raise UsageError(f"--n-max must be in 2..{MAX_SITES}, got {args.n_max}")
+    results = oracle_check(n_values=range(2, args.n_max + 1))
     lines = ["  n  block_dev       amplitude_dev   concurrence_dev  status"]
     for item in results:
         lines.append(
             f"{item.n_sites:>3}  {_fmt(item.block_dev):<15} {_fmt(item.amplitude_dev):<15} "
             f"{_fmt(item.concurrence_dev):<16} {'pass' if item.passed else 'FAIL'}"
         )
-    _write_text("\n".join(lines) + "\n", cfg.out)
+    _write_text("\n".join(lines) + "\n", args.out)
     return 0 if all(item.passed for item in results) else 1
 
 
-def _emit_rows(rows, schema, cfg: RunConfig) -> None:
-    if cfg.fmt == "json":
+def _emit_rows(rows, schema, args) -> None:
+    if args.format == "json":
         payload = [dict(zip(schema, row)) for row in rows]
-        emit_json(payload, cfg.out)
+        emit_json(payload, args.out)
     else:
-        emit_csv(rows, schema, cfg.out)
-
-
-def _emit_report(report, cfg: RunConfig) -> None:
-    if cfg.fmt == "csv":
-        raise UsageError("reports are emitted as JSON; drop --format csv")
-    emit_json(report, cfg.out)
+        emit_csv(rows, schema, args.out)
 
 
 _HANDLERS = {
@@ -487,7 +430,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output_flags(p, "json")
 
     p = sub.add_parser("oracle-check", help="sector vs full-Hilbert-space equivalence table")
-    p.add_argument("--n-max", type=int, default=8, help="largest chain length to check (default 8)")
+    p.add_argument(
+        "--n-max", type=int, default=8, help=f"largest chain length to check, 2..{MAX_SITES} (default 8)"
+    )
     p.add_argument("--out", default=None, help="output path (default: stdout)")
     return parser
 
@@ -499,12 +444,7 @@ def main(argv=None) -> int:
     except SystemExit as exit_info:
         return int(exit_info.code or 0)
     try:
-        cfg = assemble_config(args)
-    except UsageError as error:
-        print(f"error: {type(error).__name__}: {error}", file=sys.stderr)
-        return 2
-    try:
-        return _HANDLERS[cfg.subcommand](cfg)
+        return _HANDLERS[args.command](args)
     except UsageError as error:
         print(f"error: {type(error).__name__}: {error}", file=sys.stderr)
         return 2

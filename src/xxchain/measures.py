@@ -28,7 +28,7 @@ from .errors import (
     NotDensityMatrix,
     NotNormalized,
 )
-from .spectral import denergy_dalpha, eigendecompose
+from .spectral import denergy_dalpha, eigendecompose, sweep
 
 NORM_TOL = 1e-9
 DENSITY_TOL = 1e-10
@@ -49,9 +49,7 @@ class AmplitudeVector:
         amps = np.array(self.amps, dtype=complex)
         if amps.ndim != 1:
             raise ValueError("amplitudes must form a 1-d vector")
-        norm_sq = float(np.sum(np.abs(amps) ** 2))
-        if abs(norm_sq - 1.0) > NORM_TOL:
-            raise NotNormalized(f"|psi|^2 = {norm_sq!r}, expected 1 within {NORM_TOL}")
+        _require_normalized(amps)
         amps.setflags(write=False)
         object.__setattr__(self, "amps", amps)
 
@@ -113,9 +111,7 @@ def _check_density(matrix: np.ndarray) -> None:
 def ipr(state) -> float:
     """Inverse participation ratio of a normalized state; lies in [1, N]."""
     amps = _require_normalized(_amplitudes(state))
-    probabilities = np.abs(amps) ** 2
-    total = probabilities.sum()
-    return float(total * total / np.sum(probabilities * probabilities))
+    return float(ipr_of_rows(amps[None, :])[0])
 
 
 def reduced_density_two_sites(state, site_i: int, site_j: int) -> TwoQubitDensity:
@@ -207,12 +203,10 @@ def _state_sweep(template, alphas, state_indices, values_of_rows):
     indices = [int(j) for j in state_indices]
     if not indices:
         return rows
-    states = (min(indices), max(indices))
-    for alpha in alphas:
-        dec = eigendecompose(build_hamiltonian(with_alpha(template, float(alpha))), states)
+    for alpha, dec in sweep(template, alphas, (min(indices), max(indices))):
         values = values_of_rows(dec.vectors)
         for j in indices:
-            rows.append((float(alpha), j, float(values[j - dec.first_state])))
+            rows.append((alpha, j, float(values[j - dec.first_state])))
     return rows
 
 
@@ -279,7 +273,7 @@ def c12_peak(
     alphas = alphas[keep]
     if alphas.size < 3:
         raise ValueError("need at least three alpha samples above the exclusion cut")
-    curve = np.array([eigenstate_c12(with_alpha(template, a), state_index) for a in alphas])
+    curve = np.array([value for _, _, value in c12_sweep(template, alphas, [state_index])])
 
     best = int(np.argmax(curve))
     maxima = _local_maxima(curve)

@@ -17,10 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import mirror_impurities, build_hamiltonian
+from .chain import mirror_impurities
 from .dynamics import SeriesKind, TimeSeries, fidelity
 from .errors import NoMinimumInWindow
-from .spectral import eigendecompose
+from .spectral import sweep
 
 REFOCUS_T_STEP = 0.1
 
@@ -101,11 +101,13 @@ def fidelity_landscape(
     times = np.asarray(times, dtype=float)
     if alphas.size == 0 or times.size == 0:
         raise ValueError("alpha and time grids must be nonempty")
+    template = mirror_impurities(n_sites, 1.0, exchange_j=exchange_j, field_h=field_h)
     grid = np.empty((alphas.size, times.size))
-    for row, alpha in enumerate(alphas):
-        spec = mirror_impurities(n_sites, float(alpha), exchange_j=exchange_j, field_h=field_h)
-        dec = eigendecompose(build_hamiltonian(spec))
-        grid[row] = fidelity(dec, times)
+    # next() drops each decomposition before the next one is solved (an
+    # enumerate loop keeps it alive), which offsets the grid's peak memory.
+    steps = sweep(template, alphas)
+    for row in range(alphas.size):
+        grid[row] = fidelity(next(steps)[1], times)
     return Landscape(alphas=alphas, times=times, fidelities=grid)
 
 
@@ -164,14 +166,13 @@ def optimize_alpha(
     lo, hi = refocus_window(n_sites)
     times = lo + t_step * np.arange(int(math.floor((hi - lo) / t_step + 1e-9)) + 1)
 
-    traces = []
-    for alpha in alphas:
-        spec = mirror_impurities(n_sites, float(alpha), exchange_j=exchange_j, field_h=field_h)
-        dec = eigendecompose(build_hamiltonian(spec))
-        values = fidelity(dec, times)
-        k = int(np.argmax(values))
-        traces.append(AlphaTrace(alpha=float(alpha), t_refocus=float(times[k]), f_peak=float(values[k])))
-
+    grid = fidelity_landscape(
+        n_sites, alphas, times, exchange_j=exchange_j, field_h=field_h
+    ).fidelities
+    traces = [
+        AlphaTrace(alpha=float(alpha), t_refocus=float(times[k]), f_peak=float(values[k]))
+        for alpha, values, k in zip(alphas, grid, np.argmax(grid, axis=1))
+    ]
     winner = traces[int(np.argmax([trace.f_peak for trace in traces]))]
     return TransferReport(
         n_sites=int(n_sites),

@@ -29,7 +29,7 @@ import enum
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgError, eigh_tridiagonal, eigvalsh_tridiagonal
+from scipy.linalg import LinAlgError, eigh_tridiagonal
 
 from .chain import ChainSpec, TridiagonalHamiltonian, build_hamiltonian, with_alpha
 from .errors import ConvergenceFailure, NoBracket, TooSmallN, WrongConfiguration
@@ -162,13 +162,21 @@ def classify_band(dec: SpectralDecomposition, exchange_j: float) -> BandClassifi
     return BandClassification(labels=tuple(labels), band_edge=edge)
 
 
+def sweep(template: ChainSpec, alphas, states: tuple[int, int] | None = None):
+    """Yield (alpha, eigendecompose(...)) for each impurity strength in turn.
+
+    Every impurity bond of the template takes the strength alpha; states is
+    passed to eigendecompose.  One decomposition is computed per step, so a
+    caller that keeps none holds one at a time.
+    """
+    for alpha in alphas:
+        alpha = float(alpha)
+        yield alpha, eigendecompose(build_hamiltonian(with_alpha(template, alpha)), states)
+
+
 def lowest_energy(spec: ChainSpec) -> float:
-    """Smallest sector eigenvalue, without computing eigenvectors."""
-    hamiltonian = build_hamiltonian(spec)
-    value = eigvalsh_tridiagonal(
-        hamiltonian.diag, hamiltonian.offdiag, select="i", select_range=(0, 0)
-    )
-    return float(value[0])
+    """Smallest sector eigenvalue: state 1 of eigendecompose, residual-checked."""
+    return float(eigendecompose(build_hamiltonian(spec), (1, 1)).energies[0])
 
 
 def estimate_alpha_c(

@@ -1,8 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import xxchain
+from xxchain import cli
 from xxchain.cli import emit_csv, main
 
 
@@ -284,3 +290,75 @@ def test_non_finite_ranges_exit_two(argv, flag, capsys):
     code, _, err = run_cli(argv, capsys)
     assert code == 2
     assert flag in err and "finite" in err
+
+
+@pytest.mark.parametrize(
+    "argv, needle",
+    [
+        (["ipr-sweep", "--n", "8", "--alpha", "0.5", "--states", "0:3"], "--states"),
+        (["ipr-sweep", "--n", "8", "--alpha", "0.5", "--states", "1:9"], "--states"),
+        (["concurrence-sweep", "--n", "8", "--alpha", "0.5", "--states", "a:b"], "--states"),
+        (["evolve", "--n", "8", "--t-range", "0:1:0.5", "--t-max", "1"], "--t-range"),
+        (["evolve", "--n", "8", "--t-max", "-1"], "--t-max"),
+        (["landscape", "--n", "12", "--alpha-range", "0.2:1:0.2"], "landscape"),
+        (["landscape", "--n", "12", "--t-range", "0:1:0.5"], "landscape"),
+        (["scaling", "--n-list", "a"], "--n-list"),
+        (["scaling", "--n-list", ","], "--n-list"),
+        (["eigenvector", "--n", "20", "--alpha", "-1", "--state", "1"], "NegativeAlpha"),
+        (["evolve", "--n", "20", "--j", "0", "--t-max", "1"], "ZeroCoupling"),
+    ],
+)
+def test_usage_errors_exit_two_before_output(argv, needle, capsys):
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2
+    assert needle in err
+    assert out == ""
+
+
+@pytest.fixture
+def no_solve(monkeypatch):
+    """Make every library call a handler could reach fail the test."""
+
+    def never(*args, **kwargs):
+        raise AssertionError("flag validation should have failed before this call")
+
+    for name in ("sweep", "ipr_sweep", "c12_sweep", "fidelity_landscape", "optimize_alpha",
+                 "scaling_sweep", "oracle_check"):
+        monkeypatch.setattr(cli, name, never)
+
+
+@pytest.mark.parametrize(
+    "argv, needle",
+    [
+        (["optimize", "--n", "20", "--format", "csv"], "--format csv"),
+        (["scaling", "--n-list", "50,100,200,400", "--format", "csv"], "--format csv"),
+        (["oracle-check", "--n-max", "13"], "--n-max"),
+        (["oracle-check", "--n-max", "1"], "--n-max"),
+        (["spectrum", "--n", "8", "--alpha-range=-1:1:0.5"], "NegativeAlpha"),
+        (["ipr-sweep", "--n", "8", "--alpha-range=-1:1:0.5"], "NegativeAlpha"),
+        (["concurrence-sweep", "--n", "8", "--alpha-range=-1:1:0.5"], "NegativeAlpha"),
+        (["landscape", "--n", "8", "--alpha-range=-1:1:0.5", "--t-range", "0:1:0.5"],
+         "NegativeAlpha"),
+        (["optimize", "--n", "20", "--alpha-range", "0:0.5:0.1"], "ValueError"),
+        (["scaling", "--n-list", "10", "--alpha-range=-0.2:0.4:0.1"], "ValueError"),
+    ],
+)
+def test_late_checked_inputs_exit_two_before_solving(argv, needle, no_solve, capsys):
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2
+    assert needle in err
+    assert out == ""
+
+
+def test_module_entry_point_matches_main(capsys):
+    argv = ["spectrum", "--n", "6", "--alpha", "0.5"]
+    src = str(Path(xxchain.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "xxchain", *argv],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    code, out, _ = run_cli(argv, capsys)
+    assert proc.returncode == code == 0
+    assert proc.stdout == out

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from xxchain.chain import ChainSpec, build_hamiltonian, single_impurity
+from xxchain import measures
+from xxchain.chain import ChainSpec, build_hamiltonian, single_impurity, with_alpha
 from xxchain.errors import (
     BadSite,
     BadSitePair,
@@ -242,3 +243,24 @@ def test_two_qubit_density_validate_passes_for_reduced_matrices():
     rho = reduced_density_two_sites(state, 1, 2)
     assert rho.validate() is rho
     assert rho.sites == (1, 2)
+
+
+def test_c12_peak_grid_curve_is_the_per_state_solve(monkeypatch):
+    template = single_impurity(120, 1.0)
+    alphas = np.arange(0, 201, 4) / 100.0
+    state = 59
+    sweep_rows = measures.c12_sweep
+    curves = []
+
+    def recorded(*args):
+        rows = sweep_rows(*args)
+        curves.append([value for _, _, value in rows])
+        return rows
+
+    monkeypatch.setattr(measures, "c12_sweep", recorded)
+    peak = c12_peak(template, state, alphas, refine=False)
+    kept = alphas[alphas >= 0.02]
+    expected = [eigenstate_c12(with_alpha(template, alpha), state) for alpha in kept]
+    assert curves == [expected]
+    best = int(np.argmax(expected))
+    assert (peak.alpha, peak.height) == (float(kept[best]), expected[best])

@@ -151,3 +151,17 @@ def test_scaling_single_length_has_no_slope():
 def test_scaling_rejects_odd_lengths():
     with pytest.raises(ValueError):
         scaling_sweep([21], [0.5])
+
+
+@pytest.mark.parametrize("n, exchange_j, field_h", [(20, -1.0, 0.0), (31, -1.3, 0.2), (50, -1.0, 0.0)])
+def test_optimize_alpha_matches_a_per_alpha_loop(n, exchange_j, field_h):
+    lo, hi = refocus_window(n)
+    times = lo + 0.1 * np.arange(int(np.floor((hi - lo) / 0.1 + 1e-9)) + 1)
+    expected = []
+    for alpha in np.arange(30, 101) / 100.0:
+        spec = mirror_impurities(n, alpha, exchange_j=exchange_j, field_h=field_h)
+        values = fidelity(eigendecompose(build_hamiltonian(spec)), times)
+        k = int(np.argmax(values))
+        expected.append((float(alpha), float(times[k]), float(values[k])))
+    report = optimize_alpha(n, exchange_j=exchange_j, field_h=field_h)
+    assert [(t.alpha, t.t_refocus, t.f_peak) for t in report.per_alpha] == expected

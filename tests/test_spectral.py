@@ -1,8 +1,17 @@
+import inspect
+
 import numpy as np
 import pytest
 from scipy.linalg import eigvalsh_tridiagonal
 
-from xxchain.chain import ChainSpec, build_hamiltonian, mirror_impurities, single_impurity
+from xxchain import spectral
+from xxchain.chain import (
+    ChainSpec,
+    build_hamiltonian,
+    mirror_impurities,
+    single_impurity,
+    with_alpha,
+)
 from xxchain.errors import NoBracket, TooSmallN, WrongConfiguration
 from xxchain.spectral import (
     BandLabel,
@@ -11,6 +20,7 @@ from xxchain.spectral import (
     denergy_dalpha,
     eigendecompose,
     estimate_alpha_c,
+    sweep,
 )
 
 SQRT2 = np.sqrt(2.0)
@@ -153,3 +163,28 @@ def test_denergy_requires_single_bond_one_impurity():
         denergy_dalpha(mirror_impurities(40, 0.4), 1)
     with pytest.raises(WrongConfiguration):
         denergy_dalpha(ChainSpec(40, impurities=((2, 0.5),)), 1)
+
+
+@pytest.mark.parametrize("states", [None, (2, 3)])
+def test_sweep_is_lazy_and_matches_direct_solves(states, monkeypatch):
+    template = mirror_impurities(40, 1.0, exchange_j=-0.8, field_h=0.3)
+    alphas = np.array([0.0, 0.7, 1.6])
+    direct = spectral.eigendecompose
+    requested = []
+
+    def counted(hamiltonian, states=None):
+        requested.append(states)
+        return direct(hamiltonian, states)
+
+    monkeypatch.setattr(spectral, "eigendecompose", counted)
+    steps = sweep(template, alphas, states)
+    assert inspect.isgenerator(steps)
+    assert requested == []
+    for count, (alpha, dec) in enumerate(steps, start=1):
+        assert requested == [states] * count
+        assert type(alpha) is float and alpha == alphas[count - 1]
+        expected = direct(build_hamiltonian(with_alpha(template, alpha)), states)
+        assert np.array_equal(dec.energies, expected.energies)
+        assert np.array_equal(dec.vectors, expected.vectors)
+        assert dec.first_state == expected.first_state
+    assert len(requested) == alphas.size
