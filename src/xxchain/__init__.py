@@ -58,10 +58,12 @@ from .spectral import (
     BandClassification,
     BandLabel,
     SpectralDecomposition,
+    TransferSpectrum,
     classify_band,
     denergy_dalpha,
     eigendecompose,
     estimate_alpha_c,
+    transfer_spectrum,
 )
 
 __version__ = "0.1.0"
@@ -78,6 +80,7 @@ __all__ = [
     "SpectralDecomposition",
     "TimeSeries",
     "TransferReport",
+    "TransferSpectrum",
     "TridiagonalHamiltonian",
     "TwoQubitDensity",
     "build_hamiltonian",
@@ -107,6 +110,7 @@ __all__ = [
     "single_impurity",
     "time_series",
     "transfer_amplitude",
+    "transfer_spectrum",
     "validate_spec",
     "with_alpha",
     "wootters_concurrence",

@@ -300,21 +300,16 @@ def _cmd_scaling(args) -> int:
     for n in n_list:
         if n % 2 != 0:
             raise UsageError(f"--n-list lengths must be even, got {n}")
-    # carrier for the shared couplings; lengths come from n_list
-    template = ChainSpec(
-        n_list[0],
-        args.j if args.j is not None else -1.0,
-        args.h if args.h is not None else 0.0,
-    )
+    exchange_j = args.j if args.j is not None else -1.0
+    field_h = args.h if args.h is not None else 0.0
     try:
-        validate_spec(template)
+        for n in n_list:
+            validate_spec(mirror_impurities(n, 1.0, exchange_j=exchange_j, field_h=field_h))
     except XXChainError as error:
         raise UsageError(f"{type(error).__name__}: {error}") from error
     alphas = _optimize_alphas(args)
     _require_json(args)
-    result = scaling_sweep(
-        n_list, alphas, exchange_j=template.exchange_j, field_h=template.field_h
-    )
+    result = scaling_sweep(n_list, alphas, exchange_j=exchange_j, field_h=field_h)
     emit_json(result, args.out)
     return 0
 

@@ -29,8 +29,15 @@ complex multiply per entry in place of one exponential.  Scalar,
 multi-dimensional and unevenly spaced t, grids with fewer than 6 samples and
 grids whose len(t) N falls below FACTORED_MIN_PHASES take the per-sample
 exponentials exp(-i E_j t_k) directly: there the two factor tables cost more
-than they save.  Both kernels need every eigenpair, so a decomposition that
-holds only a range of states is refused with IncompleteBasis.
+than they save.
+
+transfer_amplitude, fidelity and concurrence_AN read only the energies E_j
+and the weights w_j, so they take either a full SpectralDecomposition (w_j
+from its first and last eigenvector components) or the TransferSpectrum of
+spectral.transfer_spectrum, which gets them from the two reflection-parity
+blocks of a mirror chain; the kernel is the same for both.  Both kernels
+need every eigenpair, so a decomposition that holds only a range of states
+is refused with IncompleteBasis.
 """
 
 from __future__ import annotations
@@ -43,7 +50,7 @@ import numpy as np
 
 from .errors import IncompleteBasis
 from .measures import AmplitudeVector, ipr_of_rows
-from .spectral import SpectralDecomposition
+from .spectral import SpectralDecomposition, TransferSpectrum
 
 # Smallest len(t) * N for which transfer_amplitude (and amplitude_matrix)
 # factors an even grid.
@@ -168,23 +175,24 @@ def _factored_amplitude(energies, weights, times, step) -> np.ndarray:
     return ((coarse * weights) @ fine.T).ravel()[: times.size]
 
 
-def transfer_amplitude(dec: SpectralDecomposition, t):
+def transfer_amplitude(spectrum: SpectralDecomposition | TransferSpectrum, t):
     """End-to-end amplitude f_N(t) = <N| exp(-i H t) |1>; scalar or array t."""
-    _require_complete(dec)
-    weights = dec.vectors[:, 0] * dec.vectors[:, -1]
+    if isinstance(spectrum, SpectralDecomposition):
+        _require_complete(spectrum)
+    energies, weights = spectrum.energies, spectrum.transfer_weights
     times = np.asarray(t, dtype=float)
-    step = _factored_step(times, dec.n_sites)
+    step = _factored_step(times, energies.size)
     if step is not None:
-        return _factored_amplitude(dec.energies, weights, times, step)
-    flat = np.exp(-1j * np.outer(times.ravel(), dec.energies)) @ weights
+        return _factored_amplitude(energies, weights, times, step)
+    flat = np.exp(-1j * np.outer(times.ravel(), energies)) @ weights
     if times.ndim == 0:
         return complex(flat[0])
     return flat.reshape(times.shape)
 
 
-def fidelity(dec: SpectralDecomposition, t):
+def fidelity(spectrum: SpectralDecomposition | TransferSpectrum, t):
     """Transfer fidelity F(t) = |f_N(t)|^2, clipped into [0, 1]."""
-    amplitude = transfer_amplitude(dec, t)
+    amplitude = transfer_amplitude(spectrum, t)
     value = np.minimum(np.abs(amplitude) ** 2, 1.0)
     if np.ndim(t) == 0:
         return float(value)
@@ -209,13 +217,13 @@ def receiver_pair_density(amplitude: complex) -> np.ndarray:
     return rho
 
 
-def concurrence_AN(dec: SpectralDecomposition, t):
+def concurrence_AN(spectrum: SpectralDecomposition | TransferSpectrum, t):
     """Concurrence between the ancilla and site N: |f_N(t)|, clipped to 1.
 
     This is the closed form of the Wootters concurrence of
     receiver_pair_density(f_N(t)); the tests check the two against each other.
     """
-    value = np.minimum(np.abs(transfer_amplitude(dec, t)), 1.0)
+    value = np.minimum(np.abs(transfer_amplitude(spectrum, t)), 1.0)
     if np.ndim(t) == 0:
         return float(value)
     return value

@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .chain import ChainSpec, build_hamiltonian, with_alpha
 from .errors import (
@@ -286,6 +285,10 @@ def c12_peak(
         lo = alphas[max(best - 1, 0)]
         hi = alphas[min(best + 1, alphas.size - 1)]
         if hi > lo:
+            # imported here, the only user: loading scipy.optimize is about a
+            # third of the time `import xxchain.cli` takes
+            from scipy.optimize import minimize_scalar
+
             result = minimize_scalar(
                 lambda a: -eigenstate_c12(with_alpha(template, float(a)), state_index),
                 bounds=(float(lo), float(hi)),

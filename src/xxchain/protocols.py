@@ -20,7 +20,7 @@ import numpy as np
 from .chain import mirror_impurities
 from .dynamics import SeriesKind, TimeSeries, fidelity
 from .errors import NoMinimumInWindow
-from .spectral import sweep
+from .spectral import sweep, transfer_spectrum
 
 REFOCUS_T_STEP = 0.1
 
@@ -96,16 +96,19 @@ class ScalingResult:
 def fidelity_landscape(
     n_sites: int, alphas, times, *, exchange_j: float = -1.0, field_h: float = 0.0
 ) -> Landscape:
-    """Tabulate F(alpha, t) for the mirror-impurity chain."""
+    """Tabulate F(alpha, t) for the mirror-impurity chain.
+
+    Each alpha is solved by spectral.transfer_spectrum, as two parity blocks.
+    """
     alphas = np.asarray(alphas, dtype=float)
     times = np.asarray(times, dtype=float)
     if alphas.size == 0 or times.size == 0:
         raise ValueError("alpha and time grids must be nonempty")
     template = mirror_impurities(n_sites, 1.0, exchange_j=exchange_j, field_h=field_h)
     grid = np.empty((alphas.size, times.size))
-    # next() drops each decomposition before the next one is solved (an
-    # enumerate loop keeps it alive), which offsets the grid's peak memory.
-    steps = sweep(template, alphas)
+    # next() drops each spectrum before the next one is solved (an enumerate
+    # loop keeps it alive), which offsets the grid's peak memory.
+    steps = sweep(template, alphas, solve=transfer_spectrum)
     for row in range(alphas.size):
         grid[row] = fidelity(next(steps)[1], times)
     return Landscape(alphas=alphas, times=times, fidelities=grid)

@@ -350,6 +350,29 @@ def test_late_checked_inputs_exit_two_before_solving(argv, needle, no_solve, cap
     assert out == ""
 
 
+@pytest.mark.parametrize("n_list", ["8,2", "8,-4", "-4", "8,10,2"])
+def test_every_scaling_length_is_checked_before_solving(n_list, no_solve, capsys):
+    code, out, err = run_cli(["scaling", "--n-list", n_list, "--alpha-range", "0.4:0.5:0.1"], capsys)
+    assert code == 2
+    assert "UsageError: BadBond" in err
+    assert out == ""
+
+
+def test_importing_the_cli_loads_no_optimizer():
+    src = str(Path(xxchain.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    probe = (
+        "import sys, xxchain.cli; "
+        "print(sorted(m for m in ('scipy.optimize', 'scipy.sparse.linalg') if m in sys.modules))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_module_entry_point_matches_main(capsys):
     argv = ["spectrum", "--n", "6", "--alpha", "0.5"]
     src = str(Path(xxchain.__file__).resolve().parents[1])

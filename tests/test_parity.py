@@ -1,0 +1,162 @@
+"""The reflection-parity route of spectral.transfer_spectrum.
+
+A palindromic chain is solved as two half-size blocks and yields only the
+energies and the transfer weights psi_1 psi_N.  The checks compare f_N(t)
+against the full eigendecomposition rather than per-state weights: above
+alpha = sqrt(2) the two bound-state pairs are degenerate to 1e-10 or better,
+and the full solve returns an arbitrary mix of each pair, whose weights
+differ from the parity weights while the sum over the pair does not.
+"""
+
+import math
+import warnings
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.linalg import LinAlgError, eigh_tridiagonal
+
+from xxchain import dynamics, spectral
+from xxchain.chain import (
+    ChainSpec,
+    TridiagonalHamiltonian,
+    build_hamiltonian,
+    mirror_impurities,
+    single_impurity,
+)
+from xxchain.dynamics import FACTORED_MIN_PHASES, transfer_amplitude
+from xxchain.errors import ConvergenceFailure
+from xxchain.spectral import TransferSpectrum, eigendecompose, transfer_spectrum
+
+TOL = 1e-12
+
+
+def hamiltonian_of(spec):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # J > 0 sign warning; same physics
+        return build_hamiltonian(spec)
+
+
+@st.composite
+def palindromic_chains(draw):
+    """Chains whose impurity bonds come in mirror pairs b, N - b."""
+    n = draw(st.integers(2, 120))
+    bonds = draw(st.sets(st.integers(1, n - 1), min_size=1, max_size=min(3, n - 1)))
+    impurities = {}
+    for bond in sorted(bonds):
+        alpha = draw(st.floats(0.0, 3.0))
+        impurities[bond] = impurities[n - bond] = alpha
+    exchange_j = draw(st.sampled_from((-1.0, 1.0))) * draw(st.floats(0.5, 1.5))
+    field_h = draw(st.sampled_from((-1.0, 1.0))) * draw(st.floats(0.1, 2.0))
+    return ChainSpec(n, exchange_j, field_h, tuple(impurities.items()))
+
+
+def amplitude(spectrum, times):
+    """f_N(times) and whether the factored kernel evaluated it."""
+    with mock.patch.object(
+        dynamics, "_factored_amplitude", wraps=dynamics._factored_amplitude
+    ) as spy:
+        values = transfer_amplitude(spectrum, times)
+    return values, spy.called
+
+
+@settings(max_examples=150, deadline=None)
+@given(spec=palindromic_chains(), lo=st.floats(0.0, 100.0), step=st.floats(1e-3, 0.5))
+def test_parity_amplitude_matches_the_full_solve(spec, lo, step):
+    hamiltonian = hamiltonian_of(spec)
+    parity = transfer_spectrum(hamiltonian)
+    full = eigendecompose(hamiltonian)
+    assert isinstance(parity, TransferSpectrum) and parity.n_sites == spec.n_sites
+
+    scale = np.max(np.abs(full.energies)) + 1.0
+    assert np.max(np.abs(parity.energies - full.energies)) <= TOL * scale
+
+    # one grid just below the factoring threshold, one at or above it
+    below = max(1, (FACTORED_MIN_PHASES - 1) // spec.n_sites)
+    above = max(6, -(-FACTORED_MIN_PHASES // spec.n_sites))
+    for count, factored in ((below, False), (above, True)):
+        times = lo + step * np.arange(count)
+        values, used_factored = amplitude(parity, times)
+        reference, _ = amplitude(full, times)
+        assert used_factored == factored
+        assert np.max(np.abs(values - reference)) <= TOL
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        single_impurity(40, 0.7),
+        single_impurity(41, 2.0, exchange_j=0.7, field_h=0.3),
+        ChainSpec(9, -1.0, 0.2, ((1, 0.5), (7, 0.5))),
+        ChainSpec(10, -1.3, 0.0, ((1, 0.4), (9, 0.41))),
+    ],
+)
+def test_non_palindromic_chains_take_eigendecompose(spec):
+    hamiltonian = hamiltonian_of(spec)
+    with mock.patch.object(spectral, "eigendecompose", wraps=eigendecompose) as spy:
+        result = transfer_spectrum(hamiltonian)
+    spy.assert_called_once_with(hamiltonian)
+    full = eigendecompose(hamiltonian)
+    assert np.array_equal(result.energies, full.energies)
+    assert np.array_equal(result.transfer_weights, full.vectors[:, 0] * full.vectors[:, -1])
+    assert result.residual_bound == full.residual_bound
+
+
+@pytest.mark.parametrize("n", [30, 31])
+def test_palindromic_chains_solve_two_half_blocks(n):
+    hamiltonian = build_hamiltonian(mirror_impurities(n, 0.5, field_h=0.3))
+    with mock.patch.object(spectral, "eigendecompose", wraps=eigendecompose) as full, \
+            mock.patch.object(spectral, "eigh_tridiagonal", wraps=eigh_tridiagonal) as solver:
+        transfer_spectrum(hamiltonian)
+    assert not full.called
+    assert [call.args[0].size for call in solver.call_args_list] == [(n + 1) // 2, n // 2]
+
+
+def test_block_residual_over_the_bound_is_a_convergence_failure():
+    hamiltonian = build_hamiltonian(mirror_impurities(200, 0.4))
+
+    def noisy(*args, **kwargs):
+        energies, columns = eigh_tridiagonal(*args, **kwargs)
+        return energies, columns + 1e-7
+
+    with mock.patch.object(spectral, "eigh_tridiagonal", side_effect=noisy):
+        with pytest.raises(ConvergenceFailure):
+            transfer_spectrum(hamiltonian)
+
+
+def test_block_solver_error_is_a_convergence_failure():
+    hamiltonian = build_hamiltonian(mirror_impurities(200, 0.4))
+    with mock.patch.object(spectral, "eigh_tridiagonal", side_effect=LinAlgError("no convergence")):
+        with pytest.raises(ConvergenceFailure):
+            transfer_spectrum(hamiltonian)
+
+
+@pytest.mark.parametrize("exchange_j, field_h", [(-1.0, 0.0), (-0.6, 0.4), (0.7, -1.1)])
+def test_two_sites_are_two_one_by_one_blocks(exchange_j, field_h):
+    # H = [[h, c], [c, h]]: E = h + c (even, w = +1/2) and h - c (odd, w = -1/2)
+    coupling = 0.8 * exchange_j
+    result = transfer_spectrum(TridiagonalHamiltonian([field_h, field_h], [coupling]))
+    order = np.argsort([field_h + coupling, field_h - coupling])
+    assert np.allclose(result.energies, np.array([field_h + coupling, field_h - coupling])[order],
+                       rtol=0.0, atol=1e-15)
+    assert np.allclose(result.transfer_weights, np.array([0.5, -0.5])[order], rtol=0.0, atol=1e-15)
+    times = np.linspace(0.0, 20.0, 41)
+    exact = -1j * np.exp(-1j * field_h * times) * np.sin(coupling * times)
+    assert np.max(np.abs(transfer_amplitude(result, times) - exact)) <= TOL
+
+
+@pytest.mark.parametrize("exchange_j, field_h", [(-1.0, 0.0), (-0.6, 0.4), (0.7, -1.1)])
+def test_three_sites_join_the_middle_by_sqrt2(exchange_j, field_h):
+    # E = h -+ sqrt(2)|c| (even, w = +1/4 each) and h (odd, w = -1/2)
+    coupling = 1.3 * exchange_j
+    result = transfer_spectrum(hamiltonian_of(mirror_impurities(3, 1.3, exchange_j=exchange_j,
+                                                                field_h=field_h)))
+    split = math.sqrt(2.0) * abs(coupling)
+    assert np.allclose(result.energies, [field_h - split, field_h, field_h + split],
+                       rtol=0.0, atol=1e-15)
+    assert np.allclose(result.transfer_weights, [0.25, -0.5, 0.25], rtol=0.0, atol=1e-15)
+    times = np.linspace(0.0, 20.0, 41)
+    exact = 0.5 * np.exp(-1j * field_h * times) * (np.cos(split * times) - 1.0)
+    assert np.max(np.abs(transfer_amplitude(result, times) - exact)) <= TOL

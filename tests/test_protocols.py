@@ -11,7 +11,7 @@ from xxchain.protocols import (
     refocus_window,
     scaling_sweep,
 )
-from xxchain.spectral import eigendecompose
+from xxchain.spectral import eigendecompose, transfer_spectrum
 
 
 def test_refocus_window_brackets_half_chain():
@@ -157,11 +157,21 @@ def test_scaling_rejects_odd_lengths():
 def test_optimize_alpha_matches_a_per_alpha_loop(n, exchange_j, field_h):
     lo, hi = refocus_window(n)
     times = lo + 0.1 * np.arange(int(np.floor((hi - lo) / 0.1 + 1e-9)) + 1)
-    expected = []
-    for alpha in np.arange(30, 101) / 100.0:
-        spec = mirror_impurities(n, alpha, exchange_j=exchange_j, field_h=field_h)
-        values = fidelity(eigendecompose(build_hamiltonian(spec)), times)
-        k = int(np.argmax(values))
-        expected.append((float(alpha), float(times[k]), float(values[k])))
+
+    def per_alpha_loop(solve):
+        rows = []
+        for alpha in np.arange(30, 101) / 100.0:
+            spec = mirror_impurities(n, alpha, exchange_j=exchange_j, field_h=field_h)
+            values = fidelity(solve(build_hamiltonian(spec)), times)
+            k = int(np.argmax(values))
+            rows.append((float(alpha), float(times[k]), float(values[k])))
+        return rows
+
     report = optimize_alpha(n, exchange_j=exchange_j, field_h=field_h)
-    assert [(t.alpha, t.t_refocus, t.f_peak) for t in report.per_alpha] == expected
+    got = [(t.alpha, t.t_refocus, t.f_peak) for t in report.per_alpha]
+    # one alpha loop: bit-identical to a loop over the same parity solve
+    assert got == per_alpha_loop(transfer_spectrum)
+    # and within 1e-12 of the full-eigenvector route, at the same peak times
+    full = per_alpha_loop(eigendecompose)
+    assert [row[:2] for row in got] == [row[:2] for row in full]
+    assert np.allclose([row[2] for row in got], [row[2] for row in full], rtol=0.0, atol=1e-12)
