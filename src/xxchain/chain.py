@@ -88,11 +88,15 @@ class TridiagonalHamiltonian:
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
         """Apply the tridiagonal matrix to a (possibly complex) vector."""
-        v = np.asarray(v)
-        out = self.diag * v
-        out[:-1] += self.offdiag * v[1:]
-        out[1:] += self.offdiag * v[:-1]
-        return out
+        return _tridiagonal_matvec(self.diag, self.offdiag, np.asarray(v))
+
+
+def _tridiagonal_matvec(diag: np.ndarray, offdiag: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Apply the tridiagonal matrix along the last axis of v (one vector or rows)."""
+    out = v * diag
+    out[..., :-1] += v[..., 1:] * offdiag
+    out[..., 1:] += v[..., :-1] * offdiag
+    return out
 
 
 def validate_spec(spec: ChainSpec) -> ChainSpec:

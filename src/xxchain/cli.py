@@ -140,35 +140,38 @@ def _parse_n_list(text: str) -> tuple[int, ...]:
     return values
 
 
-def _chain_template(args, *, sweep_default_impurity: bool) -> ChainSpec:
-    """Assemble the chain parameters from config file and flags; flags win.
+def _chain_template(args, layout, n_sites=None) -> ChainSpec:
+    """Assemble and validate the chain from flags and config file; flags win.
 
-    Parameter problems surface as UsageError (exit 2) with the underlying
-    error class named in the message.
+    layout is the command's default impurity maker (None: uniform chain).
+    --alpha and --mirror replace it; a command without them refuses a config
+    impurity list.  n_sites overrides --n.  Parameter errors become
+    UsageError (exit 2) naming the underlying error class.
     """
     try:
         base = load_chain_config(args.config) if getattr(args, "config", None) else None
     except (OSError, ValueError) as error:
         raise UsageError(f"--config: {error}") from error
-    n = args.n if args.n is not None else (base.n_sites if base else None)
-    if n is None:
+    if n_sites is None:
+        n_sites = args.n if args.n is not None else (base.n_sites if base else None)
+    if n_sites is None:
         raise UsageError("--n is required (or a --config file providing n_sites)")
     exchange_j = args.j if args.j is not None else (base.exchange_j if base else -1.0)
     field_h = args.h if args.h is not None else (base.field_h if base else 0.0)
 
     alpha = getattr(args, "alpha", None)
-    mirror = bool(getattr(args, "mirror", False))
+    if getattr(args, "mirror", False) or alpha is not None:
+        layout = mirror_impurities if args.mirror else single_impurity
+    elif base is not None and base.impurities:
+        if not hasattr(args, "alpha"):
+            raise UsageError(f"--config: {args.command} fixes the impurity layout; drop 'impurities'")
+        layout = None
     try:
-        if mirror or alpha is not None:
-            strength = alpha if alpha is not None else 1.0
-            maker = mirror_impurities if mirror else single_impurity
-            spec = maker(n, strength, exchange_j=exchange_j, field_h=field_h)
-        elif base is not None and base.impurities:
-            spec = ChainSpec(n, exchange_j, field_h, base.impurities)
-        elif sweep_default_impurity:
-            spec = single_impurity(n, 1.0, exchange_j=exchange_j, field_h=field_h)
+        if layout is not None:
+            strength = 1.0 if alpha is None else alpha
+            spec = layout(n_sites, strength, exchange_j=exchange_j, field_h=field_h)
         else:
-            spec = ChainSpec(n, exchange_j, field_h)
+            spec = ChainSpec(n_sites, exchange_j, field_h, base.impurities if base else ())
         return validate_spec(spec)
     except XXChainError as error:
         raise UsageError(f"{type(error).__name__}: {error}") from error
@@ -205,7 +208,7 @@ def _require_json(args) -> None:
 
 
 def _cmd_spectrum(args) -> int:
-    template = _chain_template(args, sweep_default_impurity=True)
+    template = _chain_template(args, single_impurity)
     rows = []
     for alpha, dec in sweep(template, _sweep_alphas(args)):
         labels = classify_band(dec, template.exchange_j).labels
@@ -216,7 +219,7 @@ def _cmd_spectrum(args) -> int:
 
 
 def _per_state_sweep(args, observable, default_states) -> int:
-    template = _chain_template(args, sweep_default_impurity=True)
+    template = _chain_template(args, single_impurity)
     n = template.n_sites
     lo, hi = _parse_states(args.states, n) if args.states else default_states(n)
     rows = observable(template, _sweep_alphas(args), range(lo, hi + 1))
@@ -233,7 +236,7 @@ def _cmd_concurrence_sweep(args) -> int:
 
 
 def _cmd_eigenvector(args) -> int:
-    template = _chain_template(args, sweep_default_impurity=False)
+    template = _chain_template(args, None)
     if not 1 <= args.state <= template.n_sites:
         raise UsageError(f"--state must be in 1..{template.n_sites}, got {args.state}")
     dec = eigendecompose(build_hamiltonian(template))
@@ -244,7 +247,7 @@ def _cmd_eigenvector(args) -> int:
 
 
 def _cmd_evolve(args) -> int:
-    template = _chain_template(args, sweep_default_impurity=False)
+    template = _chain_template(args, None)
     if args.t_range is not None and args.t_max is not None:
         raise UsageError("use either --t-range or --t-max, not both")
     if args.t_range is not None:
@@ -267,7 +270,7 @@ def _cmd_evolve(args) -> int:
 
 
 def _cmd_landscape(args) -> int:
-    template = _chain_template(args, sweep_default_impurity=False)
+    template = _chain_template(args, mirror_impurities)
     if args.alpha_range is None or args.t_range is None:
         raise UsageError("landscape requires --alpha-range and --t-range")
     alphas = _parse_range(args.alpha_range, "--alpha-range")
@@ -285,7 +288,7 @@ def _cmd_landscape(args) -> int:
 
 
 def _cmd_optimize(args) -> int:
-    template = _chain_template(args, sweep_default_impurity=False)
+    template = _chain_template(args, mirror_impurities)
     alphas = _optimize_alphas(args)
     _require_json(args)
     report = optimize_alpha(
@@ -296,20 +299,13 @@ def _cmd_optimize(args) -> int:
 
 
 def _cmd_scaling(args) -> int:
-    n_list = _parse_n_list(args.n_list)
-    for n in n_list:
-        if n % 2 != 0:
-            raise UsageError(f"--n-list lengths must be even, got {n}")
-    exchange_j = args.j if args.j is not None else -1.0
-    field_h = args.h if args.h is not None else 0.0
-    try:
-        for n in n_list:
-            validate_spec(mirror_impurities(n, 1.0, exchange_j=exchange_j, field_h=field_h))
-    except XXChainError as error:
-        raise UsageError(f"{type(error).__name__}: {error}") from error
+    templates = [_chain_template(args, mirror_impurities, n) for n in _parse_n_list(args.n_list)]
     alphas = _optimize_alphas(args)
     _require_json(args)
-    result = scaling_sweep(n_list, alphas, exchange_j=exchange_j, field_h=field_h)
+    result = scaling_sweep(
+        [template.n_sites for template in templates], alphas,
+        exchange_j=templates[0].exchange_j, field_h=templates[0].field_h,
+    )
     emit_json(result, args.out)
     return 0
 
@@ -417,7 +413,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output_flags(p, "json")
 
     p = sub.add_parser("scaling", help="optimize several chain lengths and fit t_tr vs N")
-    p.add_argument("--n-list", required=True, help="comma-separated even chain lengths")
+    p.add_argument("--n-list", required=True, help="comma-separated chain lengths")
     p.add_argument("--j", type=float, default=None)
     p.add_argument("--h", type=float, default=None)
     p.add_argument("--alpha-range", default=None, help="alpha grid lo:hi:step (default 0.3:1.0:0.01)")

@@ -72,11 +72,6 @@ class TwoQubitDensity:
         object.__setattr__(self, "matrix", matrix)
         object.__setattr__(self, "sites", (int(self.sites[0]), int(self.sites[1])))
 
-    def validate(self) -> "TwoQubitDensity":
-        """Check hermiticity, unit trace and positivity; raise NotDensityMatrix."""
-        _check_density(self.matrix)
-        return self
-
 
 def _amplitudes(state) -> np.ndarray:
     if isinstance(state, AmplitudeVector):

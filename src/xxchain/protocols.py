@@ -190,17 +190,14 @@ def optimize_alpha(
 def scaling_sweep(n_list, alpha_grid=None, **kwargs) -> ScalingResult:
     """Optimize every chain length and fit t_tr vs N by least squares.
 
-    Lengths must be even (the spectrum-symmetry bookkeeping assumes it).  The
-    slope is reported as absent when fewer than two lengths are given.
+    The fit is reported as absent unless at least two distinct lengths are
+    given.
     """
     lengths = [int(n) for n in n_list]
     if not lengths:
         raise ValueError("n_list must be nonempty")
-    for n in lengths:
-        if n % 2 != 0:
-            raise ValueError(f"chain lengths must be even, got {n}")
     reports = tuple(optimize_alpha(n, alpha_grid, **kwargs) for n in lengths)
-    if len(reports) < 2:
+    if len(set(lengths)) < 2:
         return ScalingResult(reports=reports, t_tr_slope=None, t_tr_intercept=None, t_tr_correlation=None)
     ns = np.array([report.n_sites for report in reports], dtype=float)
     t_trs = np.array([report.t_tr for report in reports])

@@ -53,7 +53,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import LinAlgError, eigh_tridiagonal
 
-from .chain import ChainSpec, TridiagonalHamiltonian, build_hamiltonian, with_alpha
+from .chain import ChainSpec, TridiagonalHamiltonian, _tridiagonal_matvec, build_hamiltonian, with_alpha
 from .errors import ConvergenceFailure, NoBracket, TooSmallN, WrongConfiguration
 
 # Leading coefficients smaller than this are skipped by the sign convention.
@@ -137,19 +137,6 @@ class BandClassification:
     labels: tuple[BandLabel, ...]
     band_edge: float
 
-    def count(self, label: BandLabel) -> int:
-        return sum(1 for item in self.labels if item is label)
-
-
-def _tridiagonal_matvec_rows(
-    diag: np.ndarray, offdiag: np.ndarray, states: np.ndarray
-) -> np.ndarray:
-    """Apply the tridiagonal matrix to every row of a (n_states, N) array."""
-    out = states * diag
-    out[:, :-1] += states[:, 1:] * offdiag
-    out[:, 1:] += states[:, :-1] * offdiag
-    return out
-
 
 def eigendecompose(
     hamiltonian: TridiagonalHamiltonian, states: tuple[int, int] | None = None
@@ -199,7 +186,7 @@ def _eigh_rows(diag, offdiag, **select):
 
 def _checked_residual(diag, offdiag, energies, vectors) -> float:
     """max_j ||H v_j - E_j v_j||; ConvergenceFailure above RESIDUAL_TOL * (max|E| + 1)."""
-    residual = _tridiagonal_matvec_rows(diag, offdiag, vectors)
+    residual = _tridiagonal_matvec(diag, offdiag, vectors)
     residual -= energies[:, None] * vectors
     residual_bound = float(np.sqrt(np.max(np.sum(residual * residual, axis=1))))
     scale = float(np.max(np.abs(energies))) + 1.0

@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 
 import xxchain
-from xxchain import cli
+from xxchain import cli, spectral
 from xxchain.cli import emit_csv, main
+from xxchain.errors import ConvergenceFailure
 
 
 def run_cli(argv, capsys):
@@ -181,10 +182,10 @@ def test_scaling_json_single_length(tmp_path):
     assert len(payload["reports"]) == 1
 
 
-def test_scaling_rejects_odd_lengths(capsys):
-    code, _, err = run_cli(["scaling", "--n-list", "21", "--alpha-range", "0.5:0.5:0.1"], capsys)
-    assert code == 2
-    assert "even" in err
+def test_scaling_accepts_odd_lengths(capsys):
+    code, out, _ = run_cli(["scaling", "--n-list", "9,10", "--alpha-range", "0.3:0.5:0.1"], capsys)
+    assert code == 0
+    assert [report["n_sites"] for report in json.loads(out)["reports"]] == [9, 10]
 
 
 def test_config_file_with_flag_override(tmp_path, capsys):
@@ -215,12 +216,15 @@ def test_config_file_errors_are_usage_errors(tmp_path, capsys):
     assert "mystery" in err
 
 
-def test_computation_error_exits_one(capsys):
-    # a two-site chain cannot host mirror impurities; the failure happens
-    # inside the protocol run, not during flag parsing
-    code, _, err = run_cli(["optimize", "--n", "2", "--alpha-range", "0.4:0.5:0.1"], capsys)
+def test_computation_error_exits_one(monkeypatch, capsys):
+    # the flags are valid; the failure happens inside the solve
+    def diverge(*args, **kwargs):
+        raise ConvergenceFailure("eigensolver did not converge")
+
+    monkeypatch.setattr(spectral, "_eigh_rows", diverge)
+    code, _, err = run_cli(["optimize", "--n", "20", "--alpha-range", "0.4:0.5:0.1"], capsys)
     assert code == 1
-    assert "BadBond" in err
+    assert "ConvergenceFailure" in err
 
 
 def test_oracle_check_table(capsys):
@@ -341,9 +345,19 @@ def no_solve(monkeypatch):
          "NegativeAlpha"),
         (["optimize", "--n", "20", "--alpha-range", "0:0.5:0.1"], "ValueError"),
         (["scaling", "--n-list", "10", "--alpha-range=-0.2:0.4:0.1"], "ValueError"),
+        (["optimize", "--n", "2"], "UsageError: BadBond"),
+        (["landscape", "--n", "2", "--alpha-range", "0.2:1:0.2", "--t-range", "0:1:0.5"],
+         "UsageError: BadBond"),
+        (["optimize", "--config", "CONFIG"], "impurities"),
+        (["landscape", "--config", "CONFIG", "--alpha-range", "0.2:1:0.2", "--t-range", "0:1:0.5"],
+         "impurities"),
     ],
 )
-def test_late_checked_inputs_exit_two_before_solving(argv, needle, no_solve, capsys):
+def test_late_checked_inputs_exit_two_before_solving(argv, needle, no_solve, tmp_path, capsys):
+    # a config impurity list cannot replace the fixed mirror layout of a transfer command
+    config = tmp_path / "chain.cfg"
+    config.write_text("n_sites = 12\nimpurities = 5:0.3\n")
+    argv = [str(config) if arg == "CONFIG" else arg for arg in argv]
     code, out, err = run_cli(argv, capsys)
     assert code == 2
     assert needle in err

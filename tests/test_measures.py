@@ -237,11 +237,11 @@ def test_c12_peaks_are_single_and_ordered():
     assert peaks[0].height < peaks[1].height < peaks[2].height
 
 
-def test_two_qubit_density_validate_passes_for_reduced_matrices():
+def test_reduced_density_passes_the_density_check():
     state = np.zeros(6)
     state[1] = 1.0
     rho = reduced_density_two_sites(state, 1, 2)
-    assert rho.validate() is rho
+    measures._check_density(rho.matrix)
     assert rho.sites == (1, 2)
 
 

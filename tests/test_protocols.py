@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -148,9 +150,21 @@ def test_scaling_single_length_has_no_slope():
     assert result.t_tr_correlation is None
 
 
-def test_scaling_rejects_odd_lengths():
-    with pytest.raises(ValueError):
-        scaling_sweep([21], [0.5])
+def test_scaling_sweep_accepts_odd_lengths():
+    grid = [0.4, 0.5, 0.6]
+    result = scaling_sweep([21, 30], grid)
+    assert result.reports == (optimize_alpha(21, grid), optimize_alpha(30, grid))
+    assert result.t_tr_slope is not None
+
+
+def test_scaling_repeated_lengths_have_no_fit():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = scaling_sweep([20, 20], [0.5])
+    assert len(result.reports) == 2
+    assert result.t_tr_slope is None
+    assert result.t_tr_intercept is None
+    assert result.t_tr_correlation is None
 
 
 @pytest.mark.parametrize("n, exchange_j, field_h", [(20, -1.0, 0.0), (31, -1.3, 0.2), (50, -1.0, 0.0)])

@@ -87,7 +87,7 @@ def test_isolated_pair_at_strong_impurity():
     cls = classify_band(dec, -1.0)
     assert cls.labels[0] is BandLabel.ISOLATED_BELOW
     assert cls.labels[-1] is BandLabel.ISOLATED_ABOVE
-    assert cls.count(BandLabel.IN_BAND) == 38
+    assert cls.labels.count(BandLabel.IN_BAND) == 38
 
 
 def test_bound_state_tail_decays_monotonically():
@@ -100,7 +100,7 @@ def test_homogeneous_and_weak_impurity_all_in_band():
     for alpha in (None, 1.0):
         spec = ChainSpec(40) if alpha is None else single_impurity(40, alpha)
         cls = classify_band(eigendecompose(build_hamiltonian(spec)), -1.0)
-        assert cls.count(BandLabel.IN_BAND) == 40
+        assert cls.labels.count(BandLabel.IN_BAND) == 40
 
 
 def test_classification_boundary_tolerance():
