@@ -69,5 +69,9 @@ class TooLarge(XXChainError):
     """Full-Hilbert-space oracle limited to small qubit counts."""
 
 
+class ExcitationLeak(XXChainError):
+    """Full-space Hamiltonian has an element between different excitation numbers."""
+
+
 class CouplingSignWarning(UserWarning):
     """J > 0 accepted: the one-excitation physics maps onto J < 0 by parity."""

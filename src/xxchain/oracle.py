@@ -1,10 +1,16 @@
 """Brute-force full-Hilbert-space reference simulator for small chains.
 
 Everything here works on the full 2^N space (2^(N+1) with the ancilla) and is
-written to be obviously correct rather than fast: operators are assembled
-from Kronecker products of Pauli matrices and evolved by dense
-diagonalization.  It exists to validate the one-excitation-sector machinery
-end to end, so nothing in this module reuses the sector code paths.
+written to be obviously correct rather than fast.  Each chain's Hamiltonian is
+assembled once, from sparse Kronecker products of Pauli matrices, into a dense
+2^N x 2^N matrix.  Before it is diagonalized, every nonzero element is checked
+to join two basis states with the same number of excitations; an element
+between different excitation numbers raises ExcitationLeak, so conservation
+is checked rather than assumed.  The matrix is then diagonalized one
+excitation-number block at a time (the largest block at N = 10 is
+C(10, 5) = 252) and states are evolved block by block.  It exists to validate
+the one-excitation-sector machinery end to end, so nothing in this module
+reuses the sector code paths.
 
 Basis conventions (fixed so dumps are comparable):
   * qubit 1 is the most significant bit of the basis index; the ancilla,
@@ -24,11 +30,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
 from .chain import ChainSpec, bond_couplings, validate_spec
-from .errors import NotNormalized, TooLarge
+from .errors import ExcitationLeak, NotNormalized, TooLarge
 from .measures import TwoQubitDensity, wootters_concurrence
 
 MAX_SITES = 12
@@ -62,34 +69,32 @@ class FullState:
         object.__setattr__(self, "amps", amps)
 
 
-def _embed_pair(block: np.ndarray, left_qubit: int, n_qubits: int) -> np.ndarray:
-    """Embed a two-qubit operator acting on qubits (k, k+1), 0-based k."""
-    left = np.eye(2 ** left_qubit)
-    right = np.eye(2 ** (n_qubits - left_qubit - 2))
-    return np.kron(np.kron(left, block), right)
+def _embed(op: np.ndarray, qubit: int, n_qubits: int):
+    """Sparse embedding of a one- or two-qubit operator whose first qubit is qubit (0-based)."""
+    from scipy import sparse
 
-
-def _embed_single(op: np.ndarray, qubit: int, n_qubits: int) -> np.ndarray:
-    left = np.eye(2 ** qubit)
-    right = np.eye(2 ** (n_qubits - qubit - 1))
-    return np.kron(np.kron(left, op), right)
+    left = sparse.identity(2 ** qubit, format="csr")
+    right = sparse.identity(2 ** n_qubits // (2 ** qubit * op.shape[0]), format="csr")
+    return sparse.kron(sparse.kron(left, op, format="csr"), right, format="csr")
 
 
 def full_hamiltonian(spec: ChainSpec) -> np.ndarray:
     """Dense 2^N x 2^N Hamiltonian assembled from Pauli two-site terms."""
+    from scipy import sparse
+
     validate_spec(spec)
     n = spec.n_sites
     if n > MAX_SITES:
         raise TooLarge(f"full Hamiltonian limited to {MAX_SITES} sites, got {n}")
     dim = 2 ** n
-    matrix = np.zeros((dim, dim))
+    matrix = sparse.csr_matrix((dim, dim))
     for bond, coupling in enumerate(bond_couplings(spec)):
-        matrix += 0.5 * coupling * _embed_pair(_FLIP_FLOP, bond, n)
+        matrix = matrix + 0.5 * coupling * _embed(_FLIP_FLOP, bond, n)
     if spec.field_h != 0.0:
         for qubit in range(n):
-            matrix -= spec.field_h * _embed_single(_SZ, qubit, n)
-        matrix += spec.field_h * (n - 1) * np.eye(dim)
-    return matrix
+            matrix = matrix - spec.field_h * _embed(_SZ, qubit, n)
+        matrix = matrix + spec.field_h * (n - 1) * sparse.identity(dim, format="csr")
+    return matrix.toarray()
 
 
 def one_excitation_indices(n_sites: int) -> np.ndarray:
@@ -103,27 +108,71 @@ def sector_block(matrix: np.ndarray, n_sites: int) -> np.ndarray:
     return matrix[np.ix_(indices, indices)]
 
 
+def _excitation_numbers(n_qubits: int) -> np.ndarray:
+    """Number of down spins (set bits) of every basis index."""
+    indices = np.arange(2 ** n_qubits)
+    counts = np.zeros(2 ** n_qubits, dtype=int)
+    for bit in range(n_qubits):
+        counts += (indices >> bit) & 1
+    return counts
+
+
+class _BlockSpectrum(NamedTuple):
+    """A full-space Hamiltonian diagonalized one excitation number at a time."""
+
+    sector: np.ndarray  # the one-excitation block, ordered by site
+    blocks: tuple  # (basis indices, energies, vectors) for 0..N excitations
+
+
 @lru_cache(maxsize=8)
-def _full_eigh(spec: ChainSpec) -> tuple[np.ndarray, np.ndarray]:
+def _full_eigh(spec: ChainSpec) -> _BlockSpectrum:
+    """Check that full_hamiltonian(spec) conserves excitations, then eigh each block."""
     matrix = full_hamiltonian(spec)
-    energies, vectors = np.linalg.eigh(matrix)
-    energies.setflags(write=False)
-    vectors.setflags(write=False)
-    return energies, vectors
+    counts = _excitation_numbers(spec.n_sites)
+    rows, cols = np.nonzero(matrix)
+    leaks = np.flatnonzero(counts[rows] != counts[cols])
+    if leaks.size:
+        row, col = rows[leaks[0]], cols[leaks[0]]
+        raise ExcitationLeak(
+            f"H[{row}, {col}] = {matrix[row, col]!r} joins {counts[row]} and "
+            f"{counts[col]} excitations ({leaks.size} such elements)"
+        )
+    blocks = []
+    for number in range(spec.n_sites + 1):
+        indices = np.flatnonzero(counts == number)
+        energies, vectors = np.linalg.eigh(matrix[np.ix_(indices, indices)])
+        for array in (indices, energies, vectors):
+            array.setflags(write=False)
+        blocks.append((indices, energies, vectors))
+    sector = sector_block(matrix, spec.n_sites)
+    sector.setflags(write=False)
+    return _BlockSpectrum(sector=sector, blocks=tuple(blocks))
+
+
+def _evolve_columns(spec: ChainSpec, columns: np.ndarray, t: float) -> np.ndarray:
+    """exp(-i H t) on each column of a complex (2^N, k) array, block by block.
+
+    The eigenvectors are real, so each product runs as one real GEMM on the
+    interleaved real and imaginary parts (the complex array viewed as float).
+    """
+    out = np.empty_like(columns)
+    for indices, energies, vectors in _full_eigh(spec).blocks:
+        coefficients = (vectors.T @ columns[indices].view(float)).view(complex)
+        coefficients *= np.exp(-1j * energies * float(t))[:, None]
+        out[indices] = (vectors @ coefficients.view(float)).view(complex)
+    return out
 
 
 def full_evolve(spec: ChainSpec, initial: FullState, t: float) -> FullState:
-    """Evolve a full-space state by exp(-i H t) via dense diagonalization."""
+    """Evolve a full-space state by exp(-i H t), one excitation-number block at a time."""
     if spec.n_sites > MAX_SITES:
         raise TooLarge(f"full evolution limited to {MAX_SITES} sites, got {spec.n_sites}")
     if initial.n_qubits != spec.n_sites:
         raise ValueError(
             f"state has {initial.n_qubits} qubits but the chain has {spec.n_sites} sites"
         )
-    energies, vectors = _full_eigh(spec)
-    coefficients = vectors.conj().T @ initial.amps
-    amps = vectors @ (np.exp(-1j * energies * float(t)) * coefficients)
-    return FullState(amps=amps, n_qubits=spec.n_sites)
+    amps = _evolve_columns(spec, initial.amps.reshape(-1, 1), t)
+    return FullState(amps=amps.reshape(-1), n_qubits=spec.n_sites)
 
 
 def site_state(spec: ChainSpec, site: int) -> FullState:
@@ -153,14 +202,9 @@ def ancilla_evolve(spec: ChainSpec, t: float) -> FullState:
     n = spec.n_sites
     if n + 1 > MAX_QUBITS:
         raise TooLarge(f"ancilla evolution limited to {MAX_QUBITS} qubits, got {n + 1}")
-    initial = bell_pair_state(n)
-    energies, vectors = _full_eigh(spec)
-    phases = np.exp(-1j * energies * float(t))
-    amps = initial.amps.reshape(2, 2 ** n)
-    evolved = np.empty_like(amps)
-    for branch in range(2):
-        evolved[branch] = vectors @ (phases * (vectors.conj().T @ amps[branch]))
-    return FullState(amps=evolved.reshape(-1), n_qubits=n + 1)
+    amps = bell_pair_state(n).amps.reshape(2, 2 ** n)
+    evolved = _evolve_columns(spec, np.ascontiguousarray(amps.T), t)
+    return FullState(amps=evolved.T.reshape(-1), n_qubits=n + 1)
 
 
 def partial_trace_pair(state: FullState, qubit_a: int, qubit_b: int) -> np.ndarray:
@@ -184,12 +228,8 @@ def oracle_concurrence(state: FullState, qubit_a: int, qubit_b: int) -> float:
 
 def sz_sector_probabilities(state: FullState) -> np.ndarray:
     """Total probability in each excitation-number sector (0..n_qubits)."""
-    n = state.n_qubits
-    indices = np.arange(2 ** n)
-    counts = np.zeros(2 ** n, dtype=int)
-    for bit in range(n):
-        counts += (indices >> bit) & 1
-    return np.bincount(counts, weights=np.abs(state.amps) ** 2, minlength=n + 1)
+    counts = _excitation_numbers(state.n_qubits)
+    return np.bincount(counts, weights=np.abs(state.amps) ** 2, minlength=state.n_qubits + 1)
 
 
 @dataclass(frozen=True)
@@ -232,7 +272,7 @@ def oracle_check(
         for alpha in alphas:
             spec = single_impurity(int(n), float(alpha))
             sector = build_hamiltonian(spec)
-            block = sector_block(full_hamiltonian(spec), spec.n_sites)
+            block = _full_eigh(spec).sector
             block_dev = max(block_dev, float(np.max(np.abs(block - sector.to_dense()))))
 
             dec = eigendecompose(sector)

@@ -378,7 +378,8 @@ def test_importing_the_cli_loads_no_optimizer():
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     probe = (
         "import sys, xxchain.cli; "
-        "print(sorted(m for m in ('scipy.optimize', 'scipy.sparse.linalg') if m in sys.modules))"
+        "print(sorted(m for m in ('scipy.optimize', 'scipy.sparse', 'scipy.sparse.linalg') "
+        "if m in sys.modules))"
     )
     proc = subprocess.run(
         [sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=120

@@ -1,9 +1,22 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.linalg import expm
 
-from xxchain.chain import ChainSpec, build_hamiltonian, single_impurity
+from xxchain import oracle
+from xxchain.chain import (
+    ChainSpec,
+    bond_couplings,
+    build_hamiltonian,
+    mirror_impurities,
+    single_impurity,
+)
+from xxchain.cli import main
 from xxchain.dynamics import propagate, transfer_amplitude
-from xxchain.errors import NotNormalized, TooLarge
+from xxchain.errors import ExcitationLeak, NotNormalized, TooLarge
 from xxchain.measures import nn_concurrence_closed_form
 from xxchain.oracle import (
     FullState,
@@ -134,3 +147,133 @@ def test_oracle_check_passes_for_small_chains():
     results = oracle_check(n_values=(2, 4, 6), times=(1.0, 5.0))
     assert all(result.passed for result in results)
     assert all(result.block_dev <= 1e-12 for result in results)
+
+
+def kronecker_reference(spec):
+    """The dense Pauli assembly written out with numpy.kron, term by term."""
+    n = spec.n_sites
+    sx = np.array([[0.0, 1.0], [1.0, 0.0]])
+    sy = np.array([[0.0, -1.0j], [1.0j, 0.0]])
+    sz = np.array([[1.0, 0.0], [0.0, -1.0]])
+    flip_flop = (np.kron(sx, sx) + np.kron(sy, sy)).real
+
+    def embed(op, qubit):
+        width = op.shape[0].bit_length() - 1
+        return np.kron(np.kron(np.eye(2**qubit), op), np.eye(2 ** (n - qubit - width)))
+
+    matrix = np.zeros((2**n, 2**n))
+    for bond, coupling in enumerate(bond_couplings(spec)):
+        matrix += 0.5 * coupling * embed(flip_flop, bond)
+    if spec.field_h != 0.0:
+        for qubit in range(n):
+            matrix -= spec.field_h * embed(sz, qubit)
+        matrix += spec.field_h * (n - 1) * np.eye(2**n)
+    return matrix
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        ChainSpec(2, -1.0, 0.0, ((1, 0.4),)),
+        single_impurity(5, 3.0),
+        ChainSpec(6, 0.7, -0.3, ((1, 0.4), (3, 0.0), (5, 1.3))),
+        mirror_impurities(6, 0.45, exchange_j=1.2, field_h=0.25),
+    ],
+)
+def test_full_hamiltonian_equals_the_kronecker_reference(spec):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # J > 0 sign warning; same matrix
+        matrix = full_hamiltonian(spec)
+    assert matrix.dtype == np.float64
+    assert np.array_equal(matrix, kronecker_reference(spec))
+
+
+@st.composite
+def oracle_chains(draw):
+    """Random or mirror impurity layouts, either J sign, nonzero field."""
+    n = draw(st.integers(2, 8))
+    exchange_j = draw(st.sampled_from((-1.0, 1.0))) * draw(st.floats(0.5, 1.5))
+    field_h = draw(st.sampled_from((-1.0, 1.0))) * draw(st.floats(0.1, 2.0))
+    if n >= 3 and draw(st.booleans()):
+        alpha = draw(st.floats(0.0, 3.0))
+        return mirror_impurities(n, alpha, exchange_j=exchange_j, field_h=field_h)
+    bonds = draw(st.sets(st.integers(1, n - 1), min_size=1, max_size=n - 1))
+    impurities = tuple((bond, draw(st.floats(0.0, 3.0))) for bond in sorted(bonds))
+    return ChainSpec(n, exchange_j, field_h, impurities)
+
+
+@settings(max_examples=60, deadline=None)
+@given(spec=oracle_chains(), t=st.floats(0.1, 20.0))
+def test_full_space_agrees_with_the_sector_on_random_chains(spec, t):
+    n = spec.n_sites
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # J > 0 sign warning; same physics
+        sector = build_hamiltonian(spec)
+        block = sector_block(full_hamiltonian(spec), n)
+        forward = full_evolve(spec, site_state(spec, 1), t)
+        backward = full_evolve(spec, site_state(spec, 1), -t)
+        ancilla = ancilla_evolve(spec, t)
+    dec = eigendecompose(sector)
+    indices = one_excitation_indices(n)
+    assert np.max(np.abs(block - sector.to_dense())) <= 1e-12
+    assert np.max(np.abs(forward.amps[indices] - propagate(dec, t).amps)) <= 1e-12
+    f_n = forward.amps[indices[-1]]
+    assert abs(oracle_concurrence(ancilla, 1, n + 1) - abs(f_n)) <= 1e-12
+    assert abs(transfer_amplitude(dec, t) - f_n) <= 1e-12
+    for state in (forward, backward, ancilla):
+        assert abs(np.sum(np.abs(state.amps) ** 2) - 1.0) <= 1e-12
+    assert abs(f_n) <= 1.0 + 1e-12
+    assert abs(backward.amps[indices[-1]] - np.conj(f_n)) <= 1e-12
+    # +-E pairing: each block's hopping part is bipartite; its diagonal is h (2k - 1)
+    for number, (_, energies, _) in enumerate(oracle._full_eigh(spec).blocks):
+        hopping = energies - spec.field_h * (2 * number - 1)
+        assert np.max(np.abs(hopping + hopping[::-1])) <= 1e-12
+    if all(dict(spec.impurities).get(n - bond) == alpha for bond, alpha in spec.impurities):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            return_amp = full_evolve(spec, site_state(spec, n), t).amps[indices[-1]]
+        assert abs(return_amp - forward.amps[indices[0]]) <= 1e-12  # mirror parity
+
+
+@pytest.mark.parametrize("n", [2, 4, 6])
+def test_full_evolve_matches_dense_expm(n):
+    spec = ChainSpec(n, -1.0, 0.3, tuple({1: 0.4, n - 1: 1.7}.items()))
+    rng = np.random.default_rng(n)
+    amps = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+    initial = FullState(amps / np.linalg.norm(amps), n)  # every excitation number populated
+    matrix = full_hamiltonian(spec)
+    for t in (0.7, 5.0, 13.0):
+        reference = expm(-1j * matrix * t) @ initial.amps
+        assert np.max(np.abs(full_evolve(spec, initial, t).amps - reference)) <= 1e-12
+
+
+@pytest.fixture
+def leaky_hamiltonian(monkeypatch):
+    """full_hamiltonian with one element between the 1- and 2-excitation blocks."""
+    assembled = oracle.full_hamiltonian
+
+    def leaky(spec):
+        matrix = assembled(spec)
+        matrix[1, 3] = matrix[3, 1] = 1e-3  # |...0001> and |...0011>
+        return matrix
+
+    oracle._full_eigh.cache_clear()
+    monkeypatch.setattr(oracle, "full_hamiltonian", leaky)
+    yield
+    oracle._full_eigh.cache_clear()
+
+
+def test_an_element_between_excitation_numbers_raises(leaky_hamiltonian, capsys):
+    spec = single_impurity(4, 0.4)
+    with pytest.raises(ExcitationLeak, match="joins 1 and 2 excitations"):
+        full_evolve(spec, site_state(spec, 1), 1.0)
+    assert main(["oracle-check", "--n-max", "3"]) == 1
+    assert "ExcitationLeak" in capsys.readouterr().err
+
+
+def test_oracle_check_at_lengths_eleven_and_twelve():
+    results = oracle_check(n_values=(11, 12), alphas=(0.4,), times=(5.0,))
+    assert [result.n_sites for result in results] == [11, 12]
+    for result in results:
+        assert result.passed
+        assert max(result.block_dev, result.amplitude_dev, result.concurrence_dev) <= 1e-13
