@@ -259,7 +259,7 @@ def _cmd_evolve(args) -> int:
     else:
         raise UsageError("--t-range or --t-max is required")
     kind = _KIND_FLAGS[args.kind]
-    series = time_series(eigendecompose(build_hamiltonian(template)), kind, times)
+    series = time_series(build_hamiltonian(template), kind, times)
     if kind is SeriesKind.TRANSFER_AMPLITUDE:
         rows = [(t, float(v.real), float(v.imag)) for t, v in zip(series.times, series.values)]
         _emit_rows(rows, ["t", "re", "im"], args)
@@ -439,8 +439,10 @@ def main(argv=None) -> int:
     except UsageError as error:
         print(f"error: {type(error).__name__}: {error}", file=sys.stderr)
         return 2
-    except (XXChainError, ValueError, OSError) as error:
-        print(f"error: {type(error).__name__}: {error}", file=sys.stderr)
+    except (XXChainError, ValueError, OSError, MemoryError) as error:
+        # numpy raises a private MemoryError subclass; print the public name
+        name = "MemoryError" if isinstance(error, MemoryError) else type(error).__name__
+        print(f"error: {name}: {error}", file=sys.stderr)
         return 1
 
 

@@ -32,12 +32,12 @@ exponentials exp(-i E_j t_k) directly: there the two factor tables cost more
 than they save.
 
 transfer_amplitude, fidelity and concurrence_AN read only the energies E_j
-and the weights w_j, so they take either a full SpectralDecomposition (w_j
-from its first and last eigenvector components) or the TransferSpectrum of
-spectral.transfer_spectrum, which gets them from the two reflection-parity
-blocks of a mirror chain; the kernel is the same for both.  Both kernels
-need every eigenpair, so a decomposition that holds only a range of states
-is refused with IncompleteBasis.
+and the weights w_j, so they take the TransferSpectrum of
+spectral.transfer_spectrum, which solves a mirror chain as two parity blocks.
+time_series picks the solve per observable: transfer_spectrum for the three
+f_N kinds, so a given matrix has one f_N(t) whoever asks, and eigendecompose
+for the running IPR, whose Propagator needs every site and every eigenpair
+(a decomposition of a range of states is refused with IncompleteBasis).
 """
 
 from __future__ import annotations
@@ -48,9 +48,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .chain import TridiagonalHamiltonian
 from .errors import IncompleteBasis
 from .measures import AmplitudeVector, ipr_of_rows
-from .spectral import SpectralDecomposition, TransferSpectrum
+from .spectral import SpectralDecomposition, TransferSpectrum, eigendecompose, transfer_spectrum
 
 # Smallest len(t) * N for which transfer_amplitude (and amplitude_matrix)
 # factors an even grid.
@@ -98,7 +99,11 @@ class Propagator:
     """Evolves a single-site initial excitation under a fixed decomposition."""
 
     def __init__(self, dec: SpectralDecomposition, init_site: int = 1):
-        _require_complete(dec)
+        if dec.first_state != 1 or dec.energies.size != dec.n_sites:
+            raise IncompleteBasis(
+                f"time evolution needs all {dec.n_sites} eigenstates, the decomposition holds "
+                f"states {dec.first_state}..{dec.first_state + dec.energies.size - 1}"
+            )
         if not 1 <= init_site <= dec.n_sites:
             raise ValueError(f"init_site must be in 1..{dec.n_sites}, got {init_site}")
         self.dec = dec
@@ -135,14 +140,6 @@ def propagate(dec: SpectralDecomposition, t: float, init_site: int = 1) -> Ampli
     return Propagator(dec, init_site).amplitudes(t)
 
 
-def _require_complete(dec: SpectralDecomposition) -> None:
-    if dec.first_state != 1 or dec.energies.size != dec.n_sites:
-        raise IncompleteBasis(
-            f"time evolution needs all {dec.n_sites} eigenstates, the decomposition holds "
-            f"states {dec.first_state}..{dec.first_state + dec.energies.size - 1}"
-        )
-
-
 def _even_step(times: np.ndarray):
     """Step dt of a 1-d grid equal to t_0 + k dt to rounding, else None."""
     count = times.size
@@ -175,10 +172,8 @@ def _factored_amplitude(energies, weights, times, step) -> np.ndarray:
     return ((coarse * weights) @ fine.T).ravel()[: times.size]
 
 
-def transfer_amplitude(spectrum: SpectralDecomposition | TransferSpectrum, t):
+def transfer_amplitude(spectrum: TransferSpectrum, t):
     """End-to-end amplitude f_N(t) = <N| exp(-i H t) |1>; scalar or array t."""
-    if isinstance(spectrum, SpectralDecomposition):
-        _require_complete(spectrum)
     energies, weights = spectrum.energies, spectrum.transfer_weights
     times = np.asarray(t, dtype=float)
     step = _factored_step(times, energies.size)
@@ -190,7 +185,7 @@ def transfer_amplitude(spectrum: SpectralDecomposition | TransferSpectrum, t):
     return flat.reshape(times.shape)
 
 
-def fidelity(spectrum: SpectralDecomposition | TransferSpectrum, t):
+def fidelity(spectrum: TransferSpectrum, t):
     """Transfer fidelity F(t) = |f_N(t)|^2, clipped into [0, 1]."""
     amplitude = transfer_amplitude(spectrum, t)
     value = np.minimum(np.abs(amplitude) ** 2, 1.0)
@@ -217,7 +212,7 @@ def receiver_pair_density(amplitude: complex) -> np.ndarray:
     return rho
 
 
-def concurrence_AN(spectrum: SpectralDecomposition | TransferSpectrum, t):
+def concurrence_AN(spectrum: TransferSpectrum, t):
     """Concurrence between the ancilla and site N: |f_N(t)|, clipped to 1.
 
     This is the closed form of the Wootters concurrence of
@@ -229,17 +224,16 @@ def concurrence_AN(spectrum: SpectralDecomposition | TransferSpectrum, t):
     return value
 
 
-def time_series(dec: SpectralDecomposition, kind: SeriesKind, t_grid) -> TimeSeries:
-    """Evaluate one observable on a whole time grid."""
+def time_series(hamiltonian: TridiagonalHamiltonian, kind: SeriesKind, t_grid) -> TimeSeries:
+    """Evaluate one observable from site 1 on a whole time grid; the solve follows the kind."""
     times = np.asarray(t_grid, dtype=float)
     kind = SeriesKind(kind)
     if kind is SeriesKind.IPR:
-        states = Propagator(dec, 1).amplitude_matrix(times)
-        values = ipr_of_rows(states)
+        values = ipr_of_rows(Propagator(eigendecompose(hamiltonian), 1).amplitude_matrix(times))
     elif kind is SeriesKind.FIDELITY:
-        values = np.asarray(fidelity(dec, times), dtype=float)
+        values = fidelity(transfer_spectrum(hamiltonian), times)
     elif kind is SeriesKind.TRANSFER_AMPLITUDE:
-        values = np.asarray(transfer_amplitude(dec, times))
+        values = transfer_amplitude(transfer_spectrum(hamiltonian), times)
     else:
-        values = np.asarray(concurrence_AN(dec, times), dtype=float)
+        values = concurrence_AN(transfer_spectrum(hamiltonian), times)
     return TimeSeries(times=times, values=values, kind=kind)

@@ -158,6 +158,10 @@ def optimize_alpha(
     t_step and its maximum recorded; the winning alpha (first grid point on
     ties) defines alpha_opt, t_tr and f_max.  The landscape is multimodal, so
     the search is exhaustive rather than gradient-based.
+
+    The argmax runs over the closed window, so a fidelity still rising at
+    0.75 N is reported as an unmarked edge "peak": on the grid 0.3..0.5,
+    N = 8, 9 and 10 all give t_tr = 0.75 N and a t_tr fit of slope 0.75.
     """
     if alpha_grid is None:
         alpha_grid = default_alpha_grid()

@@ -22,8 +22,9 @@ N/16 at N = 24-800 (one state: 0.18 ms against 2.2 ms at N = 200, 0.49 ms
 against 43 ms at N = 800); at N/12 mid-band mirror ranges already lose by up
 to 17%, at N/6 by up to 2.2x.
 
-Transfer studies need only f_N(t) = sum_j exp(-i E_j t) psi_1^(j) psi_N^(j),
-and every mirror chain is palindromic: diag and offdiag equal their own
+Every f_N(t) = sum_j exp(-i E_j t) psi_1^(j) psi_N^(j) in the package
+(evolve, the landscape, the optimizer, the oracle check) reads the energies
+and weights of transfer_spectrum, and every mirror chain is palindromic: diag and offdiag equal their own
 reverses, so H commutes with the reflection n -> N+1-n.  transfer_spectrum
 tests for that (exact array equality) and then solves the two parity blocks
 in the basis (|n> +- |N+1-n>)/sqrt(2), n = 1..floor(N/2):
@@ -42,7 +43,8 @@ each block's residual equals the full one and gets the same check as
 eigendecompose.  Measured per solve against eigendecompose, residual checks
 kept in both (timeit best of 5, 1 BLAS thread, 2-vCPU x86-64 VM): no faster
 at N <= 100, 1.35 against 2.01 ms at N = 200 (1.5x), 5.1 against 9.3 ms at
-N = 400 (1.8x).  Any other matrix takes eigendecompose.
+N = 400 (1.8x).  Any other matrix takes eigendecompose, and its weights are
+psi_1 psi_N read off the first and last eigenvector components.
 """
 
 from __future__ import annotations
@@ -101,18 +103,13 @@ class SpectralDecomposition:
         """Chain length N, also when only some states are held."""
         return self.vectors.shape[1]
 
-    @property
-    def transfer_weights(self) -> np.ndarray:
-        """psi_1^(j) psi_N^(j) of every held state, the weights of f_N(t)."""
-        return self.vectors[:, 0] * self.vectors[:, -1]
-
 
 @dataclass(frozen=True)
 class TransferSpectrum:
     """Ascending energies E_j with their transfer weights psi_1^(j) psi_N^(j).
 
     This is all that f_N(t) = sum_j exp(-i E_j t) psi_1^(j) psi_N^(j) needs;
-    transfer_spectrum computes it without the eigenvectors of H.
+    transfer_spectrum computes it, for a mirror chain without eigenvectors of H.
     """
 
     energies: np.ndarray
@@ -223,7 +220,7 @@ def transfer_spectrum(hamiltonian: TridiagonalHamiltonian) -> TransferSpectrum:
         and np.array_equal(hamiltonian.offdiag, hamiltonian.offdiag[::-1])
     ):
         dec = eigendecompose(hamiltonian)
-        return TransferSpectrum(dec.energies, dec.transfer_weights, dec.residual_bound)
+        return TransferSpectrum(dec.energies, dec.vectors[:, 0] * dec.vectors[:, -1], dec.residual_bound)
     energies, weights, bounds = [], [], []
     for diag, offdiag, sign in _parity_blocks(hamiltonian):
         block_energies, vectors = _eigh_rows(diag, offdiag)

@@ -35,6 +35,7 @@ from xxchain.spectral import (
     denergy_dalpha,
     eigendecompose,
     estimate_alpha_c,
+    transfer_spectrum,
 )
 
 SQRT2 = np.sqrt(2.0)
@@ -250,9 +251,9 @@ def test_criterion_6_concurrence_sweep_structure():
 
 def test_criterion_7_entanglement_transfer_mirror():
     with report("criterion 7 (entanglement transfer, mirror chain)"):
-        dec = eigendecompose(build_hamiltonian(mirror_impurities(200, 0.4)))
+        spectrum = transfer_spectrum(build_hamiltonian(mirror_impurities(200, 0.4)))
         times = np.arange(0.0, 150.05, 0.05)
-        values = concurrence_AN(dec, times)
+        values = concurrence_AN(spectrum, times)
         peak = int(np.argmax(values))
         assert 0.85 <= values[peak] <= 0.95, f"C_max = {values[peak]:.4f}"
         assert 90.0 <= times[peak] <= 115.0, f"t at C_max = {times[peak]:.2f}"
@@ -265,9 +266,9 @@ def test_criterion_7_entanglement_transfer_uniform():
     # the direct path, so the peak is about twice that.
     n = 200
     with report("criterion 7 (entanglement transfer, uniform chain, against its analytic-mode sum)"):
-        dec = eigendecompose(build_hamiltonian(ChainSpec(n)))
+        spectrum = transfer_spectrum(build_hamiltonian(ChainSpec(n)))
         times = np.arange(0.0, 300.05, 0.05)
-        values = concurrence_AN(dec, times)
+        values = concurrence_AN(spectrum, times)
         reference = np.abs(uniform_chain_amplitude(n, times))
         deviation = float(np.max(np.abs(values - reference)))
         k = int(np.argmax(values))
@@ -388,7 +389,7 @@ def test_criterion_11_universal_invariants(landscape_31):
         # F = C^2 on every grid point of the N=31 landscape protocol
         worst = 0.0
         for row, alpha in enumerate(landscape_31.alphas):
-            dec = eigendecompose(build_hamiltonian(mirror_impurities(31, float(alpha))))
-            c_row = concurrence_AN(dec, landscape_31.times)
+            spectrum = transfer_spectrum(build_hamiltonian(mirror_impurities(31, float(alpha))))
+            c_row = concurrence_AN(spectrum, landscape_31.times)
             worst = max(worst, float(np.max(np.abs(c_row**2 - landscape_31.fidelities[row]))))
         assert worst <= 1e-9, f"max |C^2 - F| = {worst:.3e}"

@@ -132,6 +132,24 @@ def test_evolve_fidelity_with_mirror_impurities(capsys):
     assert all(0.0 <= float(row[1]) <= 1.0 for row in rows)
 
 
+def test_evolve_fidelity_prints_the_landscape_column(capsys):
+    # both subcommands read f_N from transfer_spectrum, so the mirror chain's
+    # F(t) is the same number, printed the same way, whichever one asks
+    code, evolved, _ = run_cli(
+        ["evolve", "--n", "31", "--alpha", "0.4", "--mirror", "--kind", "fidelity",
+         "--t-range", "0:40:0.1"], capsys
+    )
+    assert code == 0
+    code, landscape, _ = run_cli(
+        ["landscape", "--n", "31", "--alpha-range", "0.4:0.4:0.1", "--t-range", "0:40:0.1"], capsys
+    )
+    assert code == 0
+    evolve_f = [line.split(",")[1] for line in evolved.splitlines()[1:]]
+    landscape_f = [line.split(",")[2] for line in landscape.splitlines()[1:]]
+    assert len(evolve_f) == 401
+    assert evolve_f == landscape_f
+
+
 def test_landscape_csv(tmp_path):
     out = tmp_path / "land.csv"
     code = main(
@@ -225,6 +243,21 @@ def test_computation_error_exits_one(monkeypatch, capsys):
     code, _, err = run_cli(["optimize", "--n", "20", "--alpha-range", "0.4:0.5:0.1"], capsys)
     assert code == 1
     assert "ConvergenceFailure" in err
+
+
+def test_memory_error_is_one_line_and_exits_one(monkeypatch, capsys):
+    # numpy raises a private MemoryError subclass; the message names the public class
+    class _ArrayMemoryError(MemoryError):
+        pass
+
+    def exhausted(args):
+        raise _ArrayMemoryError("Unable to allocate 7.11 PiB for an array")
+
+    monkeypatch.setitem(cli._HANDLERS, "evolve", exhausted)
+    code, out, err = run_cli(["evolve", "--n", "8", "--t-range", "0:1e15:1"], capsys)
+    assert code == 1
+    assert out == ""
+    assert err == "error: MemoryError: Unable to allocate 7.11 PiB for an array\n"
 
 
 def test_oracle_check_table(capsys):

@@ -1,6 +1,9 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 
+from xxchain import dynamics
 from xxchain.chain import ChainSpec, build_hamiltonian, mirror_impurities, single_impurity
 from xxchain.dynamics import (
     Propagator,
@@ -14,7 +17,7 @@ from xxchain.dynamics import (
     transfer_amplitude,
 )
 from xxchain.measures import wootters_concurrence
-from xxchain.spectral import eigendecompose
+from xxchain.spectral import eigendecompose, transfer_spectrum
 
 
 def _rk4_evolve(hamiltonian, t_final, dt=1e-3):
@@ -76,27 +79,29 @@ def test_spectral_propagation_matches_rk4_oracle():
 
 
 def test_transfer_amplitude_basics():
-    dec = eigendecompose(build_hamiltonian(ChainSpec(8)))
-    assert transfer_amplitude(dec, 0.0) == pytest.approx(0.0)
-    dec2 = eigendecompose(build_hamiltonian(ChainSpec(2)))
-    assert abs(transfer_amplitude(dec2, np.pi / 2.0)) == pytest.approx(1.0)
+    spectrum = transfer_spectrum(build_hamiltonian(ChainSpec(8)))
+    assert transfer_amplitude(spectrum, 0.0) == pytest.approx(0.0)
+    spectrum2 = transfer_spectrum(build_hamiltonian(ChainSpec(2)))
+    assert abs(transfer_amplitude(spectrum2, np.pi / 2.0)) == pytest.approx(1.0)
 
 
 def test_transfer_amplitude_mirror_symmetry():
-    dec = eigendecompose(build_hamiltonian(mirror_impurities(30, 0.5)))
+    ham = build_hamiltonian(mirror_impurities(30, 0.5))
+    dec = eigendecompose(ham)
+    spectrum = transfer_spectrum(ham)
     for t in (3.0, 11.0, 17.5):
-        from_left = abs(transfer_amplitude(dec, t))
+        from_left = abs(transfer_amplitude(spectrum, t))
         from_right = abs(propagate(dec, t, init_site=30).amps[0])
         assert from_left == pytest.approx(from_right, abs=1e-12)
 
 
 def test_fidelity_is_squared_amplitude_and_concurrence_root():
-    dec = eigendecompose(build_hamiltonian(mirror_impurities(40, 0.4)))
+    spectrum = transfer_spectrum(build_hamiltonian(mirror_impurities(40, 0.4)))
     times = np.arange(0.0, 40.0, 0.5)
-    f_values = fidelity(dec, times)
-    amp_values = transfer_amplitude(dec, times)
+    f_values = fidelity(spectrum, times)
+    amp_values = transfer_amplitude(spectrum, times)
     assert np.max(np.abs(f_values - np.abs(amp_values) ** 2)) <= 1e-12
-    c_values = concurrence_AN(dec, times)
+    c_values = concurrence_AN(spectrum, times)
     assert np.max(np.abs(c_values**2 - f_values)) <= 1e-9
     assert np.all((f_values >= 0.0) & (f_values <= 1.0))
 
@@ -104,51 +109,51 @@ def test_fidelity_is_squared_amplitude_and_concurrence_root():
 def test_concurrence_closed_form_matches_wootters():
     # production returns |f_N|; the Wootters procedure on the (ancilla, N)
     # pair density is the independent route
-    dec = eigendecompose(build_hamiltonian(mirror_impurities(60, 0.45)))
+    spectrum = transfer_spectrum(build_hamiltonian(mirror_impurities(60, 0.45)))
     times = np.arange(0.0, 60.0, 0.05)
-    amplitudes = np.array([transfer_amplitude(dec, float(t)) for t in times])
+    amplitudes = np.array([transfer_amplitude(spectrum, float(t)) for t in times])
     wootters = np.array([wootters_concurrence(receiver_pair_density(f)) for f in amplitudes])
-    assert np.max(np.abs(concurrence_AN(dec, times) - wootters)) <= 1e-10
-    assert abs(concurrence_AN(dec, float(times[550])) - wootters[550]) <= 1e-10
+    assert np.max(np.abs(concurrence_AN(spectrum, times) - wootters)) <= 1e-10
+    assert abs(concurrence_AN(spectrum, float(times[550])) - wootters[550]) <= 1e-10
     assert np.max(wootters) > 0.8  # the grid covers the transfer peak
 
 
 def test_concurrence_starts_at_zero():
-    dec = eigendecompose(build_hamiltonian(ChainSpec(10)))
-    assert concurrence_AN(dec, 0.0) == pytest.approx(0.0)
+    spectrum = transfer_spectrum(build_hamiltonian(ChainSpec(10)))
+    assert concurrence_AN(spectrum, 0.0) == pytest.approx(0.0)
 
 
 def test_uniform_chain_transfer_peak():
     # Exact open-XX value, cross-validated against RK4 and Krylov propagation;
     # see the ledger note on the smaller end-to-end value quoted from the
     # Heisenberg-chain literature.
-    dec = eigendecompose(build_hamiltonian(ChainSpec(200)))
+    spectrum = transfer_spectrum(build_hamiltonian(ChainSpec(200)))
     times = np.arange(0.0, 300.05, 0.05)
-    values = concurrence_AN(dec, times)
+    values = concurrence_AN(spectrum, times)
     peak = int(np.argmax(values))
     assert values[peak] == pytest.approx(0.438, abs=0.01)
     assert times[peak] == pytest.approx(102.75, abs=0.5)
 
 
 def test_mirror_chain_entanglement_transfer():
-    dec = eigendecompose(build_hamiltonian(mirror_impurities(200, 0.4)))
+    spectrum = transfer_spectrum(build_hamiltonian(mirror_impurities(200, 0.4)))
     times = np.arange(0.0, 150.05, 0.05)
-    values = concurrence_AN(dec, times)
+    values = concurrence_AN(spectrum, times)
     peak = int(np.argmax(values))
     assert 0.85 <= values[peak] <= 0.95
     assert 90.0 <= times[peak] <= 115.0
 
 
 def test_ipr_series_strong_impurity_stays_localized():
-    dec = eigendecompose(build_hamiltonian(single_impurity(200, 3.0)))
-    series = time_series(dec, SeriesKind.IPR, np.arange(0.0, 500.1, 0.1))
+    ham = build_hamiltonian(single_impurity(200, 3.0))
+    series = time_series(ham, SeriesKind.IPR, np.arange(0.0, 500.1, 0.1))
     assert float(np.max(series.values)) < 5.0
 
 
 def test_ipr_series_weak_impurity_refocuses_near_half_chain():
-    dec = eigendecompose(build_hamiltonian(single_impurity(200, 0.4)))
+    ham = build_hamiltonian(single_impurity(200, 0.4))
     times = np.arange(0.0, 150.05, 0.1)
-    series = time_series(dec, SeriesKind.IPR, times)
+    series = time_series(ham, SeriesKind.IPR, times)
     window = (times >= 90.0) & (times <= 110.0)
     k = int(np.argmin(series.values[window]))
     assert series.values[window][k] < 10.0
@@ -158,9 +163,9 @@ def test_refocus_time_grows_as_coupling_weakens():
     # first deep IPR local minimum (below half the series median) over a long
     # horizon; the refocus arrives later for weaker impurity coupling
     def first_deep_minimum(alpha):
-        dec = eigendecompose(build_hamiltonian(single_impurity(200, alpha)))
+        ham = build_hamiltonian(single_impurity(200, alpha))
         times = np.arange(0.0, 600.05, 0.1)
-        values = time_series(dec, SeriesKind.IPR, times).values
+        values = time_series(ham, SeriesKind.IPR, times).values
         threshold = 0.5 * float(np.median(values))
         for k in range(1, times.size - 1):
             if values[k] <= values[k - 1] and values[k] <= values[k + 1] and values[k] < threshold:
@@ -174,26 +179,42 @@ def test_refocus_time_grows_as_coupling_weakens():
 
 
 def test_time_series_kinds_and_shapes():
-    dec = eigendecompose(build_hamiltonian(mirror_impurities(20, 0.5)))
+    ham = build_hamiltonian(mirror_impurities(20, 0.5))
     grid = np.arange(0.0, 10.0, 0.5)
     for kind in SeriesKind:
-        series = time_series(dec, kind, grid)
+        series = time_series(ham, kind, grid)
         assert series.kind is kind
         assert series.values.shape == grid.shape
-    amplitude = time_series(dec, SeriesKind.TRANSFER_AMPLITUDE, grid)
+    amplitude = time_series(ham, SeriesKind.TRANSFER_AMPLITUDE, grid)
     assert np.iscomplexobj(amplitude.values)
 
 
+@pytest.mark.parametrize("kind", list(SeriesKind))
+def test_time_series_picks_the_solve_by_observable(kind):
+    # the f_N observables read the parity blocks of a palindromic chain; only
+    # the running IPR, which needs every site, takes the full eigenvectors
+    ham = build_hamiltonian(mirror_impurities(40, 0.5))
+    with mock.patch.object(dynamics, "eigendecompose", wraps=eigendecompose) as full, \
+            mock.patch.object(dynamics, "transfer_spectrum", wraps=transfer_spectrum) as parity:
+        time_series(ham, kind, np.arange(0.0, 10.0, 0.5))
+    if kind is SeriesKind.IPR:
+        full.assert_called_once_with(ham)
+        assert not parity.called
+    else:
+        parity.assert_called_once_with(ham)
+        assert not full.called
+
+
 def test_fidelity_series_on_single_point_grid():
-    dec = eigendecompose(build_hamiltonian(ChainSpec(12)))
-    series = time_series(dec, SeriesKind.FIDELITY, [0.0])
+    ham = build_hamiltonian(ChainSpec(12))
+    series = time_series(ham, SeriesKind.FIDELITY, [0.0])
     assert series.values[0] == pytest.approx(0.0, abs=1e-15)
 
 
 def test_time_series_rejects_bad_grids():
-    dec = eigendecompose(build_hamiltonian(ChainSpec(5)))
+    ham = build_hamiltonian(ChainSpec(5))
     with pytest.raises(ValueError):
-        time_series(dec, SeriesKind.IPR, [0.0, 1.0, 1.0])
+        time_series(ham, SeriesKind.IPR, [0.0, 1.0, 1.0])
     with pytest.raises(ValueError):
         TimeSeries(times=np.array([1.0, 0.5]), values=np.array([0.0, 0.0]), kind=SeriesKind.IPR)
     with pytest.raises(ValueError):

@@ -1,4 +1,5 @@
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from xxchain import oracle
+from xxchain import oracle, spectral
 from xxchain.chain import (
     ChainSpec,
     bond_couplings,
@@ -31,7 +32,7 @@ from xxchain.oracle import (
     site_state,
     sz_sector_probabilities,
 )
-from xxchain.spectral import eigendecompose
+from xxchain.spectral import eigendecompose, transfer_spectrum
 
 
 def test_two_site_full_hamiltonian_explicit():
@@ -94,11 +95,11 @@ def test_sector_propagation_matches_full_space():
 
 def test_ancilla_protocol_concurrence_equals_transfer_amplitude():
     spec = single_impurity(6, 0.4)
-    dec = eigendecompose(build_hamiltonian(spec))
+    spectrum = transfer_spectrum(build_hamiltonian(spec))
     for t in (1.0, 3.5, 9.0):
         state = ancilla_evolve(spec, t)
         traced = oracle_concurrence(state, 1, 7)
-        assert traced == pytest.approx(abs(transfer_amplitude(dec, t)), abs=1e-8)
+        assert traced == pytest.approx(abs(transfer_amplitude(spectrum, t)), abs=1e-8)
 
 
 def test_bell_pair_state_layout():
@@ -219,7 +220,7 @@ def test_full_space_agrees_with_the_sector_on_random_chains(spec, t):
     assert np.max(np.abs(forward.amps[indices] - propagate(dec, t).amps)) <= 1e-12
     f_n = forward.amps[indices[-1]]
     assert abs(oracle_concurrence(ancilla, 1, n + 1) - abs(f_n)) <= 1e-12
-    assert abs(transfer_amplitude(dec, t) - f_n) <= 1e-12
+    assert abs(transfer_amplitude(transfer_spectrum(sector), t) - f_n) <= 1e-12
     for state in (forward, backward, ancilla):
         assert abs(np.sum(np.abs(state.amps) ** 2) - 1.0) <= 1e-12
     assert abs(f_n) <= 1.0 + 1e-12
@@ -277,3 +278,14 @@ def test_oracle_check_at_lengths_eleven_and_twelve():
     for result in results:
         assert result.passed
         assert max(result.block_dev, result.amplitude_dev, result.concurrence_dev) <= 1e-13
+
+
+def test_oracle_check_covers_the_parity_route():
+    # alpha = 1 makes the single-impurity chain uniform, hence palindromic,
+    # so its C_A,N reference comes from the two reflection-parity blocks
+    with mock.patch.object(spectral, "_parity_blocks", wraps=spectral._parity_blocks) as spy:
+        results = oracle_check(n_values=[6])
+    assert spy.called
+    assert [result.n_sites for result in results] == [6]
+    assert results[0].passed
+    assert max(results[0].block_dev, results[0].amplitude_dev, results[0].concurrence_dev) <= 1e-13

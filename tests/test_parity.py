@@ -30,6 +30,8 @@ from xxchain.dynamics import FACTORED_MIN_PHASES, transfer_amplitude
 from xxchain.errors import ConvergenceFailure
 from xxchain.spectral import TransferSpectrum, eigendecompose, transfer_spectrum
 
+from routes import full_route
+
 TOL = 1e-12
 
 
@@ -79,7 +81,7 @@ def test_parity_amplitude_matches_the_full_solve(spec, lo, step):
     for count, factored in ((below, False), (above, True)):
         times = lo + step * np.arange(count)
         values, used_factored = amplitude(parity, times)
-        reference, _ = amplitude(full, times)
+        reference, _ = amplitude(full_route(full), times)
         assert used_factored == factored
         assert np.max(np.abs(values - reference)) <= TOL
 

@@ -15,6 +15,8 @@ from xxchain.protocols import (
 )
 from xxchain.spectral import eigendecompose, transfer_spectrum
 
+from routes import full_route
+
 
 def test_refocus_window_brackets_half_chain():
     lo, hi = refocus_window(200)
@@ -47,9 +49,9 @@ def test_detect_refocus_validates_inputs():
 
 
 def test_detect_refocus_on_weak_impurity_chain():
-    dec = eigendecompose(build_hamiltonian(single_impurity(200, 0.4)))
+    ham = build_hamiltonian(single_impurity(200, 0.4))
     times = np.arange(0.0, 160.05, 0.1)
-    series = time_series(dec, SeriesKind.IPR, times)
+    series = time_series(ham, SeriesKind.IPR, times)
     t_ipr = detect_refocus_time(series, refocus_window(200))
     assert 90.0 <= t_ipr <= 110.0
 
@@ -62,7 +64,7 @@ def test_landscape_shape_and_edges():
     assert np.all(land.fidelities[:, 0] <= 1e-25)
     assert np.all((land.fidelities >= 0.0) & (land.fidelities <= 1.0))
     # the alpha = 1 row reproduces the homogeneous-chain fidelity trace
-    uniform = eigendecompose(build_hamiltonian(ChainSpec(24)))
+    uniform = transfer_spectrum(build_hamiltonian(ChainSpec(24)))
     assert np.allclose(land.fidelities[1], fidelity(uniform, times), atol=1e-12)
 
 
@@ -89,9 +91,9 @@ def test_optimize_on_degenerate_grid_matches_dynamics():
     assert report.per_alpha == (report.per_alpha[0],)
     lo, hi = refocus_window(200)
     assert lo <= report.t_tr <= hi
-    dec = eigendecompose(build_hamiltonian(mirror_impurities(200, 0.4)))
+    spectrum = transfer_spectrum(build_hamiltonian(mirror_impurities(200, 0.4)))
     times = lo + 0.1 * np.arange(int((hi - lo) / 0.1) + 1)
-    values = fidelity(dec, times)
+    values = fidelity(spectrum, times)
     assert report.f_max == pytest.approx(float(np.max(values)), abs=1e-12)
     assert report.t_tr == pytest.approx(float(times[np.argmax(values)]), abs=1e-12)
     assert report.c_max**2 == pytest.approx(report.f_max, abs=1e-9)
@@ -126,9 +128,9 @@ def test_first_fidelity_maximum_coincides_with_ipr_minimum():
     window = refocus_window(200)
     times = window[0] + 0.1 * np.arange(int((window[1] - window[0]) / 0.1) + 1)
     for alpha in (0.3, 0.5, 0.7, 1.0):
-        dec = eigendecompose(build_hamiltonian(mirror_impurities(200, alpha)))
-        t_ipr = detect_refocus_time(time_series(dec, SeriesKind.IPR, times), window)
-        values = fidelity(dec, times)
+        ham = build_hamiltonian(mirror_impurities(200, alpha))
+        t_ipr = detect_refocus_time(time_series(ham, SeriesKind.IPR, times), window)
+        values = fidelity(transfer_spectrum(ham), times)
         t_fid = float(times[np.argmax(values)])
         assert abs(t_fid - t_ipr) <= 2.0
 
@@ -186,6 +188,6 @@ def test_optimize_alpha_matches_a_per_alpha_loop(n, exchange_j, field_h):
     # one alpha loop: bit-identical to a loop over the same parity solve
     assert got == per_alpha_loop(transfer_spectrum)
     # and within 1e-12 of the full-eigenvector route, at the same peak times
-    full = per_alpha_loop(eigendecompose)
+    full = per_alpha_loop(lambda hamiltonian: full_route(eigendecompose(hamiltonian)))
     assert [row[:2] for row in got] == [row[:2] for row in full]
     assert np.allclose([row[2] for row in got], [row[2] for row in full], rtol=0.0, atol=1e-12)

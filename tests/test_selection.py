@@ -19,10 +19,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import LinAlgError, eigh_tridiagonal
 
-from xxchain import dynamics, spectral
+from xxchain import spectral
 from xxchain.chain import ChainSpec, build_hamiltonian, mirror_impurities, single_impurity
 from xxchain.cli import main
-from xxchain.dynamics import Propagator, fidelity, time_series, transfer_amplitude
+from xxchain.dynamics import Propagator
 from xxchain.errors import ConvergenceFailure, IncompleteBasis
 from xxchain.measures import c12_sweep, eigenstate_c12, ipr_of_rows, ipr_sweep
 from xxchain.spectral import (
@@ -234,14 +234,3 @@ def test_propagator_needs_a_complete_basis(states):
     dec = eigendecompose(build_hamiltonian(mirror_impurities(40, 0.5)), states)
     with pytest.raises(IncompleteBasis):
         Propagator(dec, 1)
-    with pytest.raises(IncompleteBasis):
-        time_series(dec, dynamics.SeriesKind.IPR, np.arange(0.0, 5.0, 0.5))
-
-
-@pytest.mark.parametrize("states", [(2, 40), (1, 39), (1, 1)])
-def test_transfer_amplitude_needs_a_complete_basis(states):
-    dec = eigendecompose(build_hamiltonian(mirror_impurities(40, 0.5)), states)
-    with pytest.raises(IncompleteBasis):
-        transfer_amplitude(dec, 3.0)
-    with pytest.raises(IncompleteBasis):
-        fidelity(dec, np.arange(0.0, 50.0, 0.1))

@@ -22,15 +22,16 @@ from xxchain.chain import ChainSpec, build_hamiltonian, mirror_impurities
 from xxchain.cli import _parse_range
 from xxchain.dynamics import FACTORED_MIN_PHASES, Propagator, transfer_amplitude
 from xxchain.protocols import REFOCUS_T_STEP, default_alpha_grid, optimize_alpha, refocus_window
-from xxchain.spectral import eigendecompose
+from xxchain.spectral import eigendecompose, transfer_spectrum
+
+from routes import full_route
 
 TOL = 1e-12
 
 
-def per_sample_amplitude(dec, times):
+def per_sample_amplitude(spectrum, times):
     """Reference: one exponential per (time, level), no factoring."""
-    weights = dec.vectors[:, 0] * dec.vectors[:, -1]
-    return np.exp(-1j * np.outer(np.ravel(times), dec.energies)) @ weights
+    return np.exp(-1j * np.outer(np.ravel(times), spectrum.energies)) @ spectrum.transfer_weights
 
 
 def per_sample_site_amplitudes(dec, times, init_site=1):
@@ -43,10 +44,18 @@ def spy_factored():
     return mock.patch.object(dynamics, "_factored_amplitude", wraps=dynamics._factored_amplitude)
 
 
-def decompose(spec):
+def hamiltonian_of(spec):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # J > 0 sign warning; same physics
-        return eigendecompose(build_hamiltonian(spec))
+        return build_hamiltonian(spec)
+
+
+def decompose(spec):
+    return eigendecompose(hamiltonian_of(spec))
+
+
+def transfer(spec):
+    return transfer_spectrum(hamiltonian_of(spec))
 
 
 @st.composite
@@ -59,12 +68,12 @@ def chains(draw):
     return ChainSpec(n, exchange_j, field_h, impurities)
 
 
-def check_grid(dec, times):
+def check_grid(spectrum, times):
     """Compare with the reference; report whether the factored path ran."""
     with spy_factored() as spy:
-        values = transfer_amplitude(dec, times)
+        values = transfer_amplitude(spectrum, times)
     assert values.shape == times.shape
-    assert np.max(np.abs(values - per_sample_amplitude(dec, times))) <= TOL
+    assert np.max(np.abs(values - per_sample_amplitude(spectrum, times))) <= TOL
     return spy.called
 
 
@@ -76,9 +85,9 @@ def check_grid(dec, times):
     count=st.integers(1, 400),
 )
 def test_factored_grid_matches_per_sample_reference(spec, lo, step, count):
-    dec = decompose(spec)
+    spectrum = transfer(spec)
     times = lo + step * np.arange(count)
-    factored = check_grid(dec, times)
+    factored = check_grid(spectrum, times)
     assert factored == (count >= 6 and count * spec.n_sites >= FACTORED_MIN_PHASES)
 
 
@@ -93,7 +102,7 @@ def test_cli_grids_match_per_sample_reference(spec, lo, step, count):
     hi = lo + step * (count - 1)
     times = _parse_range(f"{lo}:{hi}:{step}", "--t-range")
     assert times.size == count
-    factored = check_grid(decompose(spec), times)
+    factored = check_grid(transfer(spec), times)
     assert factored == (count >= 6 and count * spec.n_sites >= FACTORED_MIN_PHASES)
 
 
@@ -127,33 +136,33 @@ def test_amplitude_matrix_uneven_grid_takes_the_per_sample_path():
 
 
 def test_both_sides_of_the_crossover_are_exercised():
-    dec = decompose(mirror_impurities(40, 0.5, field_h=0.3))
+    spectrum = transfer(mirror_impurities(40, 0.5, field_h=0.3))
     below = math.ceil(FACTORED_MIN_PHASES / 40) - 1
-    assert not check_grid(dec, 2.0 + 0.1 * np.arange(below))
-    assert check_grid(dec, 2.0 + 0.1 * np.arange(below + 1))
+    assert not check_grid(spectrum, 2.0 + 0.1 * np.arange(below))
+    assert check_grid(spectrum, 2.0 + 0.1 * np.arange(below + 1))
 
 
 def test_scalar_time_takes_the_per_sample_path():
-    dec = decompose(ChainSpec(48, 1.0, -0.7, ((1, 0.3), (47, 0.3))))
+    spectrum = transfer(ChainSpec(48, 1.0, -0.7, ((1, 0.3), (47, 0.3))))
     with spy_factored() as spy:
-        value = transfer_amplitude(dec, 37.25)
+        value = transfer_amplitude(spectrum, 37.25)
     assert isinstance(value, complex)
-    assert value == per_sample_amplitude(dec, [37.25])[0]
+    assert value == per_sample_amplitude(spectrum, [37.25])[0]
     assert not spy.called
 
 
 def test_uneven_and_multidimensional_grids_take_the_per_sample_path():
-    dec = decompose(mirror_impurities(64, 0.4, field_h=-1.2))
+    spectrum = transfer(mirror_impurities(64, 0.4, field_h=-1.2))
     rng = np.random.default_rng(11)
     uneven = np.sort(rng.uniform(0.0, 80.0, size=500))
     nudged = 0.1 * np.arange(500)
     nudged[250] += 1e-9
     for times in (uneven, nudged, (0.1 * np.arange(600)).reshape(20, 30)):
         with spy_factored() as spy:
-            values = transfer_amplitude(dec, times)
+            values = transfer_amplitude(spectrum, times)
         assert not spy.called
         assert values.shape == times.shape
-        assert np.array_equal(values.ravel(), per_sample_amplitude(dec, times))
+        assert np.array_equal(values.ravel(), per_sample_amplitude(spectrum, times))
 
 
 def reference_optimize(n_sites):
@@ -163,7 +172,7 @@ def reference_optimize(n_sites):
     peaks = []
     for alpha in default_alpha_grid():
         dec = eigendecompose(build_hamiltonian(mirror_impurities(n_sites, float(alpha))))
-        values = np.minimum(np.abs(per_sample_amplitude(dec, times)) ** 2, 1.0)
+        values = np.minimum(np.abs(per_sample_amplitude(full_route(dec), times)) ** 2, 1.0)
         k = int(np.argmax(values))
         peaks.append((float(alpha), float(times[k]), float(values[k])))
     return peaks
