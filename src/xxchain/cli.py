@@ -68,6 +68,8 @@ def _round12(value: float) -> float:
 def _json_ready(obj):
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         return {field.name: _json_ready(getattr(obj, field.name)) for field in dataclasses.fields(obj)}
+    if isinstance(obj, dict):
+        return {key: _json_ready(value) for key, value in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_json_ready(item) for item in obj]
     if isinstance(obj, (float, np.floating)):
@@ -275,10 +277,7 @@ def _cmd_landscape(args) -> int:
         raise UsageError("landscape requires --alpha-range and --t-range")
     alphas = _parse_range(args.alpha_range, "--alpha-range")
     times = _parse_range(args.t_range, "--t-range")
-    grid = fidelity_landscape(
-        template.n_sites, _nonnegative(alphas), times,
-        exchange_j=template.exchange_j, field_h=template.field_h,
-    )
+    grid = fidelity_landscape(template, _nonnegative(alphas), times)
     rows = []
     for row, alpha in enumerate(grid.alphas):
         for col, t in enumerate(grid.times):
@@ -291,10 +290,7 @@ def _cmd_optimize(args) -> int:
     template = _chain_template(args, mirror_impurities)
     alphas = _optimize_alphas(args)
     _require_json(args)
-    report = optimize_alpha(
-        template.n_sites, alphas, exchange_j=template.exchange_j, field_h=template.field_h
-    )
-    emit_json(report, args.out)
+    emit_json(optimize_alpha(template, alphas), args.out)
     return 0
 
 
@@ -302,18 +298,14 @@ def _cmd_scaling(args) -> int:
     templates = [_chain_template(args, mirror_impurities, n) for n in _parse_n_list(args.n_list)]
     alphas = _optimize_alphas(args)
     _require_json(args)
-    result = scaling_sweep(
-        [template.n_sites for template in templates], alphas,
-        exchange_j=templates[0].exchange_j, field_h=templates[0].field_h,
-    )
-    emit_json(result, args.out)
+    emit_json(scaling_sweep(templates, alphas), args.out)
     return 0
 
 
 def _cmd_oracle_check(args) -> int:
     if not 2 <= args.n_max <= MAX_SITES:
         raise UsageError(f"--n-max must be in 2..{MAX_SITES}, got {args.n_max}")
-    results = oracle_check(n_values=range(2, args.n_max + 1))
+    results = oracle_check([single_impurity(n, 1.0) for n in range(2, args.n_max + 1)])
     lines = ["  n  block_dev       amplitude_dev   concurrence_dev  status"]
     for item in results:
         lines.append(

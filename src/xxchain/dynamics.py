@@ -111,11 +111,6 @@ class Propagator:
         # weight of eigenstate j in the initial delta state
         self._weights = dec.vectors[:, init_site - 1].copy()
 
-    def amplitudes(self, t: float) -> AmplitudeVector:
-        phases = np.exp(-1j * self.dec.energies * float(t))
-        amps = (phases * self._weights) @ self.dec.vectors
-        return AmplitudeVector(amps, time_tag=float(t))
-
     def amplitude_matrix(self, times) -> np.ndarray:
         """Site amplitudes for every time: shape (len(times), N).
 
@@ -137,7 +132,8 @@ class Propagator:
 
 def propagate(dec: SpectralDecomposition, t: float, init_site: int = 1) -> AmplitudeVector:
     """State at time t when the excitation starts as a delta on init_site."""
-    return Propagator(dec, init_site).amplitudes(t)
+    t = float(t)
+    return AmplitudeVector(Propagator(dec, init_site).amplitude_matrix([t])[0], time_tag=t)
 
 
 def _even_step(times: np.ndarray):

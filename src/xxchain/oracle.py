@@ -10,7 +10,8 @@ is checked rather than assumed.  The matrix is then diagonalized one
 excitation-number block at a time (the largest block at N = 10 is
 C(10, 5) = 252) and states are evolved block by block.  It exists to validate
 the one-excitation-sector machinery end to end, so nothing in this module
-reuses the sector code paths.
+reuses the sector code paths.  oracle_check runs on the given chains, any
+layout, J and h; the CLI passes single-impurity chains.
 
 Basis conventions (fixed so dumps are comparable):
   * qubit 1 is the most significant bit of the basis index; the ancilla,
@@ -234,7 +235,7 @@ def sz_sector_probabilities(state: FullState) -> np.ndarray:
 
 @dataclass(frozen=True)
 class OracleCheckResult:
-    """Sector-versus-full-space deviations for one chain length."""
+    """Sector-versus-full-space deviations for one chain template."""
 
     n_sites: int
     block_dev: float
@@ -249,29 +250,30 @@ CONCURRENCE_TOL = 1e-8
 
 
 def oracle_check(
-    n_values=range(2, 9),
+    templates,
     alphas=(0.4, 1.0, 3.0),
     times=(1.0, 5.0, 20.0),
 ) -> list[OracleCheckResult]:
-    """Cross-validate the sector machinery against the full space.
+    """Cross-validate the sector machinery against the full space on the given chains.
 
-    For every (N, alpha): the one-excitation block of the full Hamiltonian is
-    compared with the sector matrix, sector propagation from |1> is compared
-    per amplitude with full-space evolution, and the traced (ancilla, N)
-    concurrence is compared with concurrence_AN of transfer_spectrum, whose
-    parity solve the palindromic chains (alpha = 1, N = 2) exercise.
+    For every template and alpha, with every impurity bond of the template at
+    alpha: the one-excitation block of the full Hamiltonian is compared with
+    the sector matrix, sector propagation from |1> is compared per amplitude
+    with full-space evolution, and the traced (ancilla, N) concurrence is
+    compared with concurrence_AN of transfer_spectrum, whose parity solve the
+    palindromic chains exercise.  One result per template.
     """
-    from .chain import build_hamiltonian, single_impurity
+    from .chain import build_hamiltonian, with_alpha
     from .dynamics import concurrence_AN, propagate
     from .spectral import eigendecompose, transfer_spectrum
 
     results = []
-    for n in n_values:
+    for template in templates:
         block_dev = 0.0
         amplitude_dev = 0.0
         concurrence_dev = 0.0
         for alpha in alphas:
-            spec = single_impurity(int(n), float(alpha))
+            spec = with_alpha(template, float(alpha))
             sector = build_hamiltonian(spec)
             block = _full_eigh(spec).sector
             block_dev = max(block_dev, float(np.max(np.abs(block - sector.to_dense()))))
@@ -295,7 +297,7 @@ def oracle_check(
         )
         results.append(
             OracleCheckResult(
-                n_sites=int(n),
+                n_sites=template.n_sites,
                 block_dev=block_dev,
                 amplitude_dev=amplitude_dev,
                 concurrence_dev=concurrence_dev,

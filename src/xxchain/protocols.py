@@ -1,11 +1,14 @@
-"""Transfer experiments on the mirror-impurity chain.
+"""Transfer experiments on the given chain; the CLI passes the mirror layout.
 
-The excitation is injected at site 1 and read out at site N; both edge bonds
-carry the same rescaled coupling.  The wavefront crosses the chain at the
-maximal group velocity 2|J| sites per unit time, so the arrival shows up near
-t ~ N/2 as a local minimum of the running IPR and, at the same time, as the
-first prominent fidelity maximum.  The protocol layer scans the impurity
-strength on a grid, records the fidelity peak inside the refocus window
+The excitation is injected at site 1 and read out at site N.  Every protocol
+takes a ChainSpec template, and each grid alpha replaces the strength of
+every impurity bond of the template (chain.with_alpha), so the caller picks
+the layout, J and h.  On the paper's mirror layout both edge bonds carry the
+same rescaled coupling.  The wavefront crosses the chain at the maximal group
+velocity 2|J| sites per unit time, so the arrival shows up near t ~ N/2 as a
+local minimum of the running IPR and, at the same time, as the first
+prominent fidelity maximum.  The protocol layer scans the impurity strength
+on a grid, records the fidelity peak inside the refocus window
 [0.25 N, 0.75 N], and reports the strength that transfers best together with
 its transfer time.
 """
@@ -17,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import mirror_impurities
+from .chain import ChainSpec
 from .dynamics import SeriesKind, TimeSeries, fidelity
 from .errors import NoMinimumInWindow
 from .spectral import sweep, transfer_spectrum
@@ -93,18 +96,16 @@ class ScalingResult:
     t_tr_correlation: float | None
 
 
-def fidelity_landscape(
-    n_sites: int, alphas, times, *, exchange_j: float = -1.0, field_h: float = 0.0
-) -> Landscape:
-    """Tabulate F(alpha, t) for the mirror-impurity chain.
+def fidelity_landscape(template: ChainSpec, alphas, times) -> Landscape:
+    """Tabulate F(alpha, t) with every impurity bond of the template at alpha.
 
-    Each alpha is solved by spectral.transfer_spectrum, as two parity blocks.
+    Each alpha is solved by spectral.transfer_spectrum, as two parity blocks
+    when the chain is a mirror chain.
     """
     alphas = np.asarray(alphas, dtype=float)
     times = np.asarray(times, dtype=float)
     if alphas.size == 0 or times.size == 0:
         raise ValueError("alpha and time grids must be nonempty")
-    template = mirror_impurities(n_sites, 1.0, exchange_j=exchange_j, field_h=field_h)
     grid = np.empty((alphas.size, times.size))
     # next() drops each spectrum before the next one is solved (an enumerate
     # loop keeps it alive), which offsets the grid's peak memory.
@@ -145,12 +146,7 @@ def detect_refocus_time(series: TimeSeries, window: tuple[float, float]) -> floa
 
 
 def optimize_alpha(
-    n_sites: int,
-    alpha_grid=None,
-    *,
-    exchange_j: float = -1.0,
-    field_h: float = 0.0,
-    t_step: float = REFOCUS_T_STEP,
+    template: ChainSpec, alpha_grid=None, *, t_step: float = REFOCUS_T_STEP
 ) -> TransferReport:
     """Grid search for the impurity strength with the best refocus-window peak.
 
@@ -170,19 +166,17 @@ def optimize_alpha(
         raise ValueError("alpha grid must be nonempty")
     if np.any(alphas <= 0.0):
         raise ValueError("alpha grid entries must be positive")
-    lo, hi = refocus_window(n_sites)
+    lo, hi = refocus_window(template.n_sites)
     times = lo + t_step * np.arange(int(math.floor((hi - lo) / t_step + 1e-9)) + 1)
 
-    grid = fidelity_landscape(
-        n_sites, alphas, times, exchange_j=exchange_j, field_h=field_h
-    ).fidelities
+    grid = fidelity_landscape(template, alphas, times).fidelities
     traces = [
         AlphaTrace(alpha=float(alpha), t_refocus=float(times[k]), f_peak=float(values[k]))
         for alpha, values, k in zip(alphas, grid, np.argmax(grid, axis=1))
     ]
     winner = traces[int(np.argmax([trace.f_peak for trace in traces]))]
     return TransferReport(
-        n_sites=int(n_sites),
+        n_sites=template.n_sites,
         alpha_opt=winner.alpha,
         t_tr=winner.t_refocus,
         f_max=winner.f_peak,
@@ -191,17 +185,16 @@ def optimize_alpha(
     )
 
 
-def scaling_sweep(n_list, alpha_grid=None, **kwargs) -> ScalingResult:
-    """Optimize every chain length and fit t_tr vs N by least squares.
+def scaling_sweep(templates, alpha_grid=None) -> ScalingResult:
+    """Optimize every template and fit t_tr vs N by least squares.
 
     The fit is reported as absent unless at least two distinct lengths are
     given.
     """
-    lengths = [int(n) for n in n_list]
-    if not lengths:
-        raise ValueError("n_list must be nonempty")
-    reports = tuple(optimize_alpha(n, alpha_grid, **kwargs) for n in lengths)
-    if len(set(lengths)) < 2:
+    reports = tuple(optimize_alpha(template, alpha_grid) for template in templates)
+    if not reports:
+        raise ValueError("templates must be nonempty")
+    if len({report.n_sites for report in reports}) < 2:
         return ScalingResult(reports=reports, t_tr_slope=None, t_tr_intercept=None, t_tr_correlation=None)
     ns = np.array([report.n_sites for report in reports], dtype=float)
     t_trs = np.array([report.t_tr for report in reports])

@@ -55,12 +55,14 @@ def report(label):
 
 @pytest.fixture(scope="module")
 def scaling_result():
-    return scaling_sweep([50, 100, 200, 400])
+    return scaling_sweep([mirror_impurities(n, 1.0) for n in (50, 100, 200, 400)])
 
 
 @pytest.fixture(scope="module")
 def landscape_31():
-    return fidelity_landscape(31, np.arange(5, 76) * 0.02, np.arange(0, 401) * 0.1)
+    return fidelity_landscape(
+        mirror_impurities(31, 1.0), np.arange(5, 76) * 0.02, np.arange(0, 401) * 0.1
+    )
 
 
 # Independent references.  None of them calls the production solve path.
@@ -359,7 +361,7 @@ def test_criterion_9_scaling_transfer_time(scaling_result):
 
 def test_criterion_10_oracle_equivalence():
     with report("criterion 10 (sector equals full Hilbert space, N=2..8)"):
-        results = oracle_check()
+        results = oracle_check([single_impurity(n, 1.0) for n in range(2, 9)])
         for item in results:
             assert item.block_dev <= 1e-12, f"N={item.n_sites}: block dev {item.block_dev:.2e}"
             assert item.amplitude_dev <= 1e-8, (

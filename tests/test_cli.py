@@ -291,6 +291,24 @@ def test_numbers_use_twelve_significant_digits(capsys):
 @pytest.mark.parametrize(
     "argv",
     [
+        ["ipr-sweep", "--n", "6", "--alpha", "0.3", "--states", "1:2"],
+        ["evolve", "--n", "8", "--alpha", "0.4", "--kind", "ipr", "--t-range", "0:3:0.7"],
+        ["evolve", "--n", "8", "--alpha", "0.4", "--kind", "amplitude", "--t-range", "0:3:0.7"],
+    ],
+)
+def test_json_rows_keep_the_csv_digits(argv, capsys):
+    code, csv_out, _ = run_cli(argv, capsys)
+    assert code == 0
+    code, json_out, _ = run_cli(argv + ["--format", "json"], capsys)
+    assert code == 0
+    header, *lines = csv_out.splitlines()
+    expected = [dict(zip(header.split(","), map(float, line.split(",")))) for line in lines]
+    assert json.loads(json_out) == expected
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
         ["eigenvector", "--n", "20", "--alpha", "nan", "--state", "1"],
         ["evolve", "--n", "20", "--j", "nan", "--t-max", "1"],
         ["evolve", "--n", "20", "--h", "inf", "--t-max", "1"],

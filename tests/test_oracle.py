@@ -14,6 +14,7 @@ from xxchain.chain import (
     build_hamiltonian,
     mirror_impurities,
     single_impurity,
+    with_alpha,
 )
 from xxchain.cli import main
 from xxchain.dynamics import propagate, transfer_amplitude
@@ -145,7 +146,7 @@ def test_full_state_validation():
 
 
 def test_oracle_check_passes_for_small_chains():
-    results = oracle_check(n_values=(2, 4, 6), times=(1.0, 5.0))
+    results = oracle_check([single_impurity(n, 1.0) for n in (2, 4, 6)], times=(1.0, 5.0))
     assert all(result.passed for result in results)
     assert all(result.block_dev <= 1e-12 for result in results)
 
@@ -273,18 +274,38 @@ def test_an_element_between_excitation_numbers_raises(leaky_hamiltonian, capsys)
 
 
 def test_oracle_check_at_lengths_eleven_and_twelve():
-    results = oracle_check(n_values=(11, 12), alphas=(0.4,), times=(5.0,))
+    results = oracle_check([single_impurity(n, 1.0) for n in (11, 12)], alphas=(0.4,), times=(5.0,))
     assert [result.n_sites for result in results] == [11, 12]
     for result in results:
         assert result.passed
         assert max(result.block_dev, result.amplitude_dev, result.concurrence_dev) <= 1e-13
 
 
+@pytest.mark.parametrize(
+    "template",
+    [
+        mirror_impurities(7, 1.0, exchange_j=-0.7, field_h=0.3),
+        ChainSpec(6, -1.3, -0.4, ((3, 1.0),)),
+        mirror_impurities(8, 1.0, field_h=0.5),
+    ],
+)
+def test_oracle_check_runs_on_any_layout(template):
+    # layouts, J and h that oracle-check on the command line never sends
+    with mock.patch.object(oracle, "site_state", wraps=oracle.site_state) as spy:
+        (result,) = oracle_check([template])
+    assert [call.args[0] for call in spy.call_args_list] == [
+        with_alpha(template, alpha) for alpha in (0.4, 1.0, 3.0)
+    ]
+    assert result.n_sites == template.n_sites
+    assert result.passed
+    assert max(result.block_dev, result.amplitude_dev, result.concurrence_dev) <= 1e-12
+
+
 def test_oracle_check_covers_the_parity_route():
     # alpha = 1 makes the single-impurity chain uniform, hence palindromic,
     # so its C_A,N reference comes from the two reflection-parity blocks
     with mock.patch.object(spectral, "_parity_blocks", wraps=spectral._parity_blocks) as spy:
-        results = oracle_check(n_values=[6])
+        results = oracle_check([single_impurity(6, 1.0)])
     assert spy.called
     assert [result.n_sites for result in results] == [6]
     assert results[0].passed

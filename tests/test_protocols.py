@@ -59,7 +59,7 @@ def test_detect_refocus_on_weak_impurity_chain():
 def test_landscape_shape_and_edges():
     alphas = np.array([0.4, 1.0])
     times = np.arange(0.0, 20.1, 0.5)
-    land = fidelity_landscape(24, alphas, times)
+    land = fidelity_landscape(mirror_impurities(24, 1.0), alphas, times)
     assert land.fidelities.shape == (2, times.size)
     assert np.all(land.fidelities[:, 0] <= 1e-25)
     assert np.all((land.fidelities >= 0.0) & (land.fidelities <= 1.0))
@@ -70,15 +70,17 @@ def test_landscape_shape_and_edges():
 
 def test_landscape_rejects_empty_grids():
     with pytest.raises(ValueError):
-        fidelity_landscape(24, [], [0.0, 1.0])
+        fidelity_landscape(mirror_impurities(24, 1.0), [], [0.0, 1.0])
     with pytest.raises(ValueError):
-        fidelity_landscape(24, [0.5], [])
+        fidelity_landscape(mirror_impurities(24, 1.0), [0.5], [])
 
 
 def test_landscape_peak_for_n31():
     # computed location of the global maximum; the acceptance module holds
     # the literal spec window for the arrival time
-    land = fidelity_landscape(31, np.arange(5, 76) * 0.02, np.arange(0, 401) * 0.1)
+    land = fidelity_landscape(
+        mirror_impurities(31, 1.0), np.arange(5, 76) * 0.02, np.arange(0, 401) * 0.1
+    )
     alpha, t_peak, value = land.peak()
     assert 0.5 <= alpha <= 0.7
     assert value > 2.0 / 3.0
@@ -86,7 +88,7 @@ def test_landscape_peak_for_n31():
 
 
 def test_optimize_on_degenerate_grid_matches_dynamics():
-    report = optimize_alpha(200, [0.4])
+    report = optimize_alpha(mirror_impurities(200, 1.0), [0.4])
     assert report.alpha_opt == 0.4
     assert report.per_alpha == (report.per_alpha[0],)
     lo, hi = refocus_window(200)
@@ -100,7 +102,7 @@ def test_optimize_on_degenerate_grid_matches_dynamics():
 
 
 def test_optimize_n31():
-    report = optimize_alpha(31)
+    report = optimize_alpha(mirror_impurities(31, 1.0))
     assert 0.5 <= report.alpha_opt <= 0.7
     assert report.f_max > 2.0 / 3.0
     lo, hi = refocus_window(31)
@@ -112,16 +114,16 @@ def test_optimize_n31():
 
 
 def test_optimize_peak_height_is_smooth_in_alpha():
-    report = optimize_alpha(31)
+    report = optimize_alpha(mirror_impurities(31, 1.0))
     values = [trace.f_peak for trace in report.per_alpha if 0.35 <= trace.alpha <= 1.0]
     assert np.max(np.abs(np.diff(values))) < 0.05
 
 
 def test_optimize_rejects_bad_grids():
     with pytest.raises(ValueError):
-        optimize_alpha(31, [])
+        optimize_alpha(mirror_impurities(31, 1.0), [])
     with pytest.raises(ValueError):
-        optimize_alpha(31, [0.0, 0.5])
+        optimize_alpha(mirror_impurities(31, 1.0), [0.0, 0.5])
 
 
 def test_first_fidelity_maximum_coincides_with_ipr_minimum():
@@ -136,7 +138,7 @@ def test_first_fidelity_maximum_coincides_with_ipr_minimum():
 
 
 def test_scaling_sweep_small_lengths():
-    result = scaling_sweep([40, 80], np.arange(0.4, 0.75, 0.05))
+    result = scaling_sweep([mirror_impurities(n, 1.0) for n in (40, 80)], np.arange(0.4, 0.75, 0.05))
     assert len(result.reports) == 2
     assert result.t_tr_slope is not None
     assert 0.3 <= result.t_tr_slope <= 0.7
@@ -146,7 +148,7 @@ def test_scaling_sweep_small_lengths():
 
 
 def test_scaling_single_length_has_no_slope():
-    result = scaling_sweep([20], [0.5])
+    result = scaling_sweep([mirror_impurities(20, 1.0)], [0.5])
     assert result.t_tr_slope is None
     assert result.t_tr_intercept is None
     assert result.t_tr_correlation is None
@@ -154,15 +156,16 @@ def test_scaling_single_length_has_no_slope():
 
 def test_scaling_sweep_accepts_odd_lengths():
     grid = [0.4, 0.5, 0.6]
-    result = scaling_sweep([21, 30], grid)
-    assert result.reports == (optimize_alpha(21, grid), optimize_alpha(30, grid))
+    templates = [mirror_impurities(n, 1.0) for n in (21, 30)]
+    result = scaling_sweep(templates, grid)
+    assert result.reports == tuple(optimize_alpha(template, grid) for template in templates)
     assert result.t_tr_slope is not None
 
 
 def test_scaling_repeated_lengths_have_no_fit():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        result = scaling_sweep([20, 20], [0.5])
+        result = scaling_sweep([mirror_impurities(20, 1.0)] * 2, [0.5])
     assert len(result.reports) == 2
     assert result.t_tr_slope is None
     assert result.t_tr_intercept is None
@@ -183,7 +186,7 @@ def test_optimize_alpha_matches_a_per_alpha_loop(n, exchange_j, field_h):
             rows.append((float(alpha), float(times[k]), float(values[k])))
         return rows
 
-    report = optimize_alpha(n, exchange_j=exchange_j, field_h=field_h)
+    report = optimize_alpha(mirror_impurities(n, 1.0, exchange_j=exchange_j, field_h=field_h))
     got = [(t.alpha, t.t_refocus, t.f_peak) for t in report.per_alpha]
     # one alpha loop: bit-identical to a loop over the same parity solve
     assert got == per_alpha_loop(transfer_spectrum)

@@ -180,7 +180,7 @@ def reference_optimize(n_sites):
 
 def test_optimize_alpha_keeps_its_answer():
     for n_sites in (50, 100):
-        report = optimize_alpha(n_sites)
+        report = optimize_alpha(mirror_impurities(n_sites, 1.0))
         peaks = reference_optimize(n_sites)
         alpha, t_tr, f_max = peaks[int(np.argmax([peak[2] for peak in peaks]))]
         assert (report.alpha_opt, report.t_tr) == (alpha, t_tr)
