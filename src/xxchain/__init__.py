@@ -55,7 +55,6 @@ from .protocols import (
     scaling_sweep,
 )
 from .spectral import (
-    BandClassification,
     BandLabel,
     SpectralDecomposition,
     TransferSpectrum,
@@ -70,7 +69,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AmplitudeVector",
-    "BandClassification",
     "BandLabel",
     "ChainSpec",
     "FullState",

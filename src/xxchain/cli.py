@@ -212,8 +212,8 @@ def _require_json(args) -> None:
 def _cmd_spectrum(args) -> int:
     template = _chain_template(args, single_impurity)
     rows = []
-    for alpha, dec in sweep(template, _sweep_alphas(args)):
-        labels = classify_band(dec, template.exchange_j).labels
+    for alpha, dec in sweep(template, _sweep_alphas(args), eigendecompose):
+        labels = classify_band(dec, template)
         for j in range(dec.n_sites):
             rows.append((alpha, j + 1, float(dec.energies[j]), labels[j].value))
     _emit_rows(rows, ["alpha", "j", "energy", "label"], args)

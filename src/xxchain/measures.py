@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import ChainSpec, build_hamiltonian, with_alpha
+from .chain import ChainSpec
 from .errors import (
     BadSite,
     BadSitePair,
@@ -31,6 +31,10 @@ from .spectral import denergy_dalpha, eigendecompose, sweep
 
 NORM_TOL = 1e-9
 DENSITY_TOL = 1e-10
+# c12_peak skips alpha below this cut, and calls its maximum dominant above
+# this multiple of the next-largest local maximum.
+C12_EXCLUDE_BELOW = 0.02
+C12_DOMINANCE = 3.0
 
 _SY = np.array([[0.0, -1.0j], [1.0j, 0.0]])
 # sigma_y otimes sigma_y is real in the computational basis.
@@ -175,12 +179,6 @@ def _c12_of_rows(states: np.ndarray) -> np.ndarray:
     return 2.0 * np.abs(states[:, 0] * states[:, 1])
 
 
-def eigenstate_c12(spec: ChainSpec, state_index: int) -> float:
-    """C_12 of one eigenstate, 2 |psi_1 psi_2|, solving for that state only."""
-    dec = eigendecompose(build_hamiltonian(spec), (state_index, state_index))
-    return float(_c12_of_rows(dec.vectors)[0])
-
-
 def ipr_of_rows(states: np.ndarray) -> np.ndarray:
     """IPR of every row of an array of normalized amplitude vectors."""
     probabilities = np.abs(states) ** 2
@@ -197,7 +195,8 @@ def _state_sweep(template, alphas, state_indices, values_of_rows):
     indices = [int(j) for j in state_indices]
     if not indices:
         return rows
-    for alpha, dec in sweep(template, alphas, (min(indices), max(indices))):
+    lo, hi = min(indices), max(indices)
+    for alpha, dec in sweep(template, alphas, lambda ham: eigendecompose(ham, (lo, hi))):
         values = values_of_rows(dec.vectors)
         for j in indices:
             rows.append((alpha, j, float(values[j - dec.first_state])))
@@ -218,10 +217,9 @@ def c12_sweep(
     return _state_sweep(template, alphas, state_indices, _c12_of_rows)
 
 
-def sweep_alpha_grid(step: float = 0.005, upper: float = 2.0) -> np.ndarray:
-    """Default impurity-strength grid for localization/concurrence sweeps."""
-    count = int(round(upper / step)) + 1
-    return step * np.arange(count)
+def sweep_alpha_grid() -> np.ndarray:
+    """Default impurity-strength grid of c12_peak: 0 .. 2, step 0.005."""
+    return 0.005 * np.arange(401)
 
 
 @dataclass(frozen=True)
@@ -248,22 +246,20 @@ def c12_peak(
     state_index: int,
     alphas=None,
     *,
-    exclude_below: float = 0.02,
-    dominance: float = 3.0,
     refine: bool = True,
 ) -> ConcurrencePeak:
     """Largest maximum of C_12(E_j, alpha) over an alpha grid.
 
-    The region alpha < exclude_below is skipped (site 1 decouples at alpha=0
-    and the resulting degeneracy makes C_12 ill-defined there).  The maximum
-    counts as dominant when it exceeds `dominance` times the next-largest
-    local maximum of the same curve.  With refine=True the grid maximum is
-    polished by bounded scalar minimization between its neighbors.
+    The region alpha < C12_EXCLUDE_BELOW is skipped (site 1 decouples at
+    alpha=0 and the resulting degeneracy makes C_12 ill-defined there).  The
+    maximum counts as dominant when it exceeds C12_DOMINANCE times the
+    next-largest local maximum of the same curve.  With refine=True the grid
+    maximum is polished by bounded scalar minimization between its neighbors.
     """
     if alphas is None:
         alphas = sweep_alpha_grid()
     alphas = np.asarray(alphas, dtype=float)
-    keep = alphas >= exclude_below
+    keep = alphas >= C12_EXCLUDE_BELOW
     alphas = alphas[keep]
     if alphas.size < 3:
         raise ValueError("need at least three alpha samples above the exclusion cut")
@@ -272,7 +268,7 @@ def c12_peak(
     best = int(np.argmax(curve))
     maxima = _local_maxima(curve)
     others = [curve[k] for k in maxima if k != best]
-    dominant = not others or curve[best] > dominance * max(others)
+    dominant = not others or curve[best] > C12_DOMINANCE * max(others)
 
     alpha_peak = float(alphas[best])
     height = float(curve[best])
@@ -285,7 +281,7 @@ def c12_peak(
             from scipy.optimize import minimize_scalar
 
             result = minimize_scalar(
-                lambda a: -eigenstate_c12(with_alpha(template, float(a)), state_index),
+                lambda a: -c12_sweep(template, [a], [state_index])[0][2],
                 bounds=(float(lo), float(hi)),
                 method="bounded",
                 options={"xatol": 1e-6},

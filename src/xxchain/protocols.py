@@ -109,7 +109,7 @@ def fidelity_landscape(template: ChainSpec, alphas, times) -> Landscape:
     grid = np.empty((alphas.size, times.size))
     # next() drops each spectrum before the next one is solved (an enumerate
     # loop keeps it alive), which offsets the grid's peak memory.
-    steps = sweep(template, alphas, solve=transfer_spectrum)
+    steps = sweep(template, alphas, transfer_spectrum)
     for row in range(alphas.size):
         grid[row] = fidelity(next(steps)[1], times)
     return Landscape(alphas=alphas, times=times, fidelities=grid)
@@ -145,15 +145,13 @@ def detect_refocus_time(series: TimeSeries, window: tuple[float, float]) -> floa
     return float(times[best_k])
 
 
-def optimize_alpha(
-    template: ChainSpec, alpha_grid=None, *, t_step: float = REFOCUS_T_STEP
-) -> TransferReport:
+def optimize_alpha(template: ChainSpec, alpha_grid=None) -> TransferReport:
     """Grid search for the impurity strength with the best refocus-window peak.
 
     For every alpha the fidelity is scanned over the refocus window with step
-    t_step and its maximum recorded; the winning alpha (first grid point on
-    ties) defines alpha_opt, t_tr and f_max.  The landscape is multimodal, so
-    the search is exhaustive rather than gradient-based.
+    REFOCUS_T_STEP and its maximum recorded; the winning alpha (first grid
+    point on ties) defines alpha_opt, t_tr and f_max.  The landscape is
+    multimodal, so the search is exhaustive rather than gradient-based.
 
     The argmax runs over the closed window, so a fidelity still rising at
     0.75 N is reported as an unmarked edge "peak": on the grid 0.3..0.5,
@@ -167,7 +165,8 @@ def optimize_alpha(
     if np.any(alphas <= 0.0):
         raise ValueError("alpha grid entries must be positive")
     lo, hi = refocus_window(template.n_sites)
-    times = lo + t_step * np.arange(int(math.floor((hi - lo) / t_step + 1e-9)) + 1)
+    count = int(math.floor((hi - lo) / REFOCUS_T_STEP + 1e-9)) + 1
+    times = lo + REFOCUS_T_STEP * np.arange(count)
 
     grid = fidelity_landscape(template, alphas, times).fidelities
     traces = [

@@ -1,11 +1,13 @@
 """Exact diagonalization of the sector Hamiltonian and spectrum analysis.
 
-The homogeneous-chain magnon energies fill the band |E| <= 2|J|.  A strong
-enough edge impurity splits one level below and one above the band; the
-critical strength where the lowest level exits the band is found here by
-bisection on the lowest eigenvalue.  The derivative of an eigenvalue with
-respect to the impurity strength follows from the Hellmann-Feynman theorem
-and only needs the eigenvector's first two components:
+The homogeneous-chain magnon energies fill the band h - 2|J| <= E <= h + 2|J|
+(a uniform field h shifts every level by h).  A strong enough edge impurity
+splits one level below and one above the band; classify_band is the one
+band rule, and the critical strength where the lowest level exits the band
+is found here by bisection on that rule's label for state 1.  The derivative
+of an eigenvalue with respect to the impurity strength follows from the
+Hellmann-Feynman theorem and only needs the eigenvector's first two
+components:
 
     dE_j / dalpha = 2 J psi_1 psi_2
 
@@ -62,7 +64,7 @@ from .errors import ConvergenceFailure, NoBracket, TooSmallN, WrongConfiguration
 SIGN_EPS = 1e-12
 # Residual contract: max_j ||H v_j - E_j v_j|| <= RESIDUAL_TOL * (max|E| + 1).
 RESIDUAL_TOL = 1e-10
-# Band boundary tolerance: energies this close to +-2|J| count as in-band.
+# Band boundary tolerance: energies this close to h +- 2|J| count as in-band.
 BAND_EDGE_TOL = 1e-9
 # eigendecompose selects a range of k states when k * SELECT_SITES_PER_STATE
 # <= N and solves fully otherwise; measured crossover in the module docstring.
@@ -125,14 +127,6 @@ class TransferSpectrum:
     @property
     def n_sites(self) -> int:
         return self.energies.size
-
-
-@dataclass(frozen=True)
-class BandClassification:
-    """Per-state band labels relative to the infinite-chain band edge 2|J|."""
-
-    labels: tuple[BandLabel, ...]
-    band_edge: float
 
 
 def eigendecompose(
@@ -232,44 +226,39 @@ def transfer_spectrum(hamiltonian: TridiagonalHamiltonian) -> TransferSpectrum:
     return TransferSpectrum(energies[order], np.concatenate(weights)[order], max(bounds))
 
 
-def classify_band(dec: SpectralDecomposition, exchange_j: float) -> BandClassification:
-    """Label each state as in-band or isolated below/above the band."""
-    edge = 2.0 * abs(exchange_j)
+def classify_band(dec: SpectralDecomposition, spec: ChainSpec) -> tuple[BandLabel, ...]:
+    """Label each state against the band h - 2|J| <= E <= h + 2|J| of the spec."""
+    edge = 2.0 * abs(spec.exchange_j)
     labels = []
-    for energy in dec.energies:
+    for energy in dec.energies - spec.field_h:
         if energy < -edge - BAND_EDGE_TOL:
             labels.append(BandLabel.ISOLATED_BELOW)
         elif energy > edge + BAND_EDGE_TOL:
             labels.append(BandLabel.ISOLATED_ABOVE)
         else:
             labels.append(BandLabel.IN_BAND)
-    return BandClassification(labels=tuple(labels), band_edge=edge)
+    return tuple(labels)
 
 
-def sweep(template: ChainSpec, alphas, states: tuple[int, int] | None = None, *, solve=None):
-    """Yield (alpha, spectrum) for each impurity strength in turn.
+def sweep(template: ChainSpec, alphas, solve):
+    """Yield (alpha, solve(H)) for each impurity strength in turn.
 
-    Every impurity bond of the template takes the strength alpha.  The
-    spectrum is solve(H) when a solve function is given (transfer_spectrum,
-    say), else eigendecompose(H, states).  One spectrum is computed per step,
-    so a caller that keeps none holds one at a time.
+    Every impurity bond of the template takes the strength alpha, and
+    solve maps the Hamiltonian to a spectrum: eigendecompose, a state range
+    of it, or transfer_spectrum.  One spectrum is computed per step, so a
+    caller that keeps none holds one at a time.
     """
     for alpha in alphas:
         alpha = float(alpha)
-        hamiltonian = build_hamiltonian(with_alpha(template, alpha))
-        yield alpha, eigendecompose(hamiltonian, states) if solve is None else solve(hamiltonian)
-
-
-def lowest_energy(spec: ChainSpec) -> float:
-    """Smallest sector eigenvalue: state 1 of eigendecompose, residual-checked."""
-    return float(eigendecompose(build_hamiltonian(spec), (1, 1)).energies[0])
+        yield alpha, solve(build_hamiltonian(with_alpha(template, alpha)))
 
 
 def estimate_alpha_c(
     template: ChainSpec, alpha_range: tuple[float, float] = (1.0, 2.0), tol: float = 1e-4
 ) -> float:
-    """Bisect for the smallest impurity strength at which E_1 < -2|J|.
+    """Bisect for the smallest impurity strength at which state 1 leaves the band.
 
+    State 1 has left once classify_band labels it isolated below h - 2|J|.
     The swept strength is applied to every impurity bond of the template.
     Raises TooSmallN for chains shorter than 10 sites and NoBracket when the
     interval does not straddle the exit point (or E_1 fails to decrease
@@ -283,16 +272,15 @@ def estimate_alpha_c(
     if tol <= 0.0:
         raise ValueError(f"tol must be positive, got {tol}")
 
-    edge = 2.0 * abs(template.exchange_j)
     samples: list[tuple[float, float]] = []
 
     def exited(alpha: float) -> bool:
-        energy = lowest_energy(with_alpha(template, alpha))
-        samples.append((alpha, energy))
-        return energy < -edge
+        dec = eigendecompose(build_hamiltonian(with_alpha(template, alpha)), (1, 1))
+        samples.append((alpha, float(dec.energies[0])))
+        return classify_band(dec, template)[0] is BandLabel.ISOLATED_BELOW
 
     if exited(lo):
-        raise NoBracket(f"E_1 already below -2|J| at alpha={lo}")
+        raise NoBracket(f"E_1 already below h - 2|J| at alpha={lo}")
     if not exited(hi):
         raise NoBracket(f"E_1 still inside the band at alpha={hi}")
 

@@ -165,8 +165,9 @@ def test_criterion_2_critical_point():
 
 def test_criterion_3_isolated_state_regime():
     with report("criterion 3 (isolated pair and exponential tail at alpha=3)"):
-        dec = eigendecompose(build_hamiltonian(single_impurity(40, 3.0)))
-        labels = classify_band(dec, -1.0).labels
+        spec = single_impurity(40, 3.0)
+        dec = eigendecompose(build_hamiltonian(spec))
+        labels = classify_band(dec, spec)
         outside = [lab for lab in labels if lab is not BandLabel.IN_BAND]
         assert len(outside) == 2, f"expected 2 isolated states, found {len(outside)}"
         assert labels[0] is BandLabel.ISOLATED_BELOW and labels[-1] is BandLabel.ISOLATED_ABOVE

@@ -38,6 +38,27 @@ def test_spectrum_reruns_are_byte_identical(tmp_path):
     assert first.read_bytes() == second.read_bytes()
 
 
+def test_spectrum_labels_are_relative_to_the_field(capsys):
+    code, out, _ = run_cli(["spectrum", "--n", "10", "--alpha", "0.5", "--h", "3"], capsys)
+    assert code == 0
+    assert [line.split(",")[3] for line in out.splitlines()[1:]] == ["in_band"] * 10
+
+
+def test_spectrum_solves_through_the_cli_binding_once_per_alpha(monkeypatch, tmp_path):
+    # bench/spans.py times each solve by rebinding the module attribute
+    solve = cli.eigendecompose
+    calls = []
+
+    def spy(hamiltonian, *args):
+        calls.append(args)
+        return solve(hamiltonian, *args)
+
+    monkeypatch.setattr(cli, "eigendecompose", spy)
+    out = tmp_path / "spectrum.csv"
+    assert main(["spectrum", "--n", "8", "--alpha-range", "0:1:0.25", "--out", str(out)]) == 0
+    assert calls == [()] * 5
+
+
 def test_spectrum_rejects_short_chain(capsys):
     code, _, err = run_cli(["spectrum", "--n", "1", "--alpha", "0.5"], capsys)
     assert code == 2

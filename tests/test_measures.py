@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from xxchain import measures
-from xxchain.chain import ChainSpec, build_hamiltonian, single_impurity, with_alpha
+from xxchain.chain import ChainSpec, build_hamiltonian, single_impurity
 from xxchain.errors import (
     BadSite,
     BadSitePair,
@@ -13,7 +13,7 @@ from xxchain.measures import (
     AmplitudeVector,
     c12_from_energy_derivative,
     c12_peak,
-    eigenstate_c12,
+    c12_sweep,
     ipr,
     ipr_of_rows,
     nn_concurrence_closed_form,
@@ -224,7 +224,7 @@ def test_eigenstate_c12_matches_full_decomposition():
     spec = single_impurity(60, 0.8)
     dec = eigendecompose(build_hamiltonian(spec))
     for j in (1, 17, 30):
-        assert eigenstate_c12(spec, j) == pytest.approx(
+        assert c12_sweep(spec, [0.8], [j])[0][2] == pytest.approx(
             nn_concurrence_closed_form(dec.vectors[j - 1], 1), abs=1e-12
         )
 
@@ -260,7 +260,7 @@ def test_c12_peak_grid_curve_is_the_per_state_solve(monkeypatch):
     monkeypatch.setattr(measures, "c12_sweep", recorded)
     peak = c12_peak(template, state, alphas, refine=False)
     kept = alphas[alphas >= 0.02]
-    expected = [eigenstate_c12(with_alpha(template, alpha), state) for alpha in kept]
+    expected = [c12_sweep(template, [alpha], [state])[0][2] for alpha in kept]
     assert curves == [expected]
     best = int(np.argmax(expected))
     assert (peak.alpha, peak.height) == (float(kept[best]), expected[best])

@@ -24,7 +24,7 @@ from xxchain.chain import ChainSpec, build_hamiltonian, mirror_impurities, singl
 from xxchain.cli import main
 from xxchain.dynamics import Propagator
 from xxchain.errors import ConvergenceFailure, IncompleteBasis
-from xxchain.measures import c12_sweep, eigenstate_c12, ipr_of_rows, ipr_sweep
+from xxchain.measures import c12_peak, c12_sweep, ipr_of_rows, ipr_sweep
 from xxchain.spectral import (
     RESIDUAL_TOL,
     SELECT_SITES_PER_STATE,
@@ -196,14 +196,18 @@ def test_ipr_sweep_matches_full_solve():
         assert value == ipr_of_rows(full.vectors)[j - 1]
 
 
-def test_eigenstate_c12_solves_one_state():
-    spec = single_impurity(60, 0.8)
+def test_c12_peak_refine_solves_one_state():
+    template = single_impurity(60, 0.8)
+    alphas = np.linspace(0.1, 2.0, 20)
     with spy_solver() as spy:
-        eigenstate_c12(spec, 17)
-    assert selected(spy)
-    assert spy.call_args.kwargs["select_range"] == (16, 16)
+        c12_peak(template, 17, alphas)
+    calls = spy.call_args_list
+    assert len(calls) > alphas.size  # the refine step ran after the grid
+    assert {(call.kwargs.get("select"), call.kwargs.get("select_range")) for call in calls} == {
+        ("i", (16, 16))
+    }
     with pytest.raises(ValueError):
-        eigenstate_c12(spec, 61)
+        c12_peak(template, 61, alphas)
 
 
 def test_concurrence_sweep_cli_matches_full_solve(tmp_path):

@@ -1,7 +1,11 @@
 import inspect
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import eigvalsh_tridiagonal
 
 from xxchain import spectral
@@ -79,15 +83,16 @@ def test_trace_preserved():
 
 
 def test_isolated_pair_at_strong_impurity():
-    dec = eigendecompose(build_hamiltonian(single_impurity(40, 3.0)))
+    spec = single_impurity(40, 3.0)
+    dec = eigendecompose(build_hamiltonian(spec))
     assert dec.energies[0] < -2.0
     assert dec.energies[-1] > 2.0
     # isolated level tracks -alpha within 20 percent
     assert abs(dec.energies[0] + 3.0) / 3.0 < 0.2
-    cls = classify_band(dec, -1.0)
-    assert cls.labels[0] is BandLabel.ISOLATED_BELOW
-    assert cls.labels[-1] is BandLabel.ISOLATED_ABOVE
-    assert cls.labels.count(BandLabel.IN_BAND) == 38
+    labels = classify_band(dec, spec)
+    assert labels[0] is BandLabel.ISOLATED_BELOW
+    assert labels[-1] is BandLabel.ISOLATED_ABOVE
+    assert labels.count(BandLabel.IN_BAND) == 38
 
 
 def test_bound_state_tail_decays_monotonically():
@@ -99,14 +104,14 @@ def test_bound_state_tail_decays_monotonically():
 def test_homogeneous_and_weak_impurity_all_in_band():
     for alpha in (None, 1.0):
         spec = ChainSpec(40) if alpha is None else single_impurity(40, alpha)
-        cls = classify_band(eigendecompose(build_hamiltonian(spec)), -1.0)
-        assert cls.labels.count(BandLabel.IN_BAND) == 40
+        labels = classify_band(eigendecompose(build_hamiltonian(spec)), spec)
+        assert labels.count(BandLabel.IN_BAND) == 40
 
 
 def test_classification_boundary_tolerance():
     energies = np.array([-2.0 - 1e-10, 0.0, 2.0 + 1e-10, 2.0 + 1e-8])
     dec = SpectralDecomposition(energies=energies, vectors=np.eye(4), residual_bound=0.0)
-    labels = classify_band(dec, -1.0).labels
+    labels = classify_band(dec, ChainSpec(4))
     assert labels[0] is BandLabel.IN_BAND
     assert labels[2] is BandLabel.IN_BAND
     assert labels[3] is BandLabel.ISOLATED_ABOVE
@@ -120,6 +125,46 @@ def test_alpha_c_estimates():
     assert 1.35 <= value_40 <= 1.50
     assert 1.35 <= value_400 <= 1.50
     assert abs(value_400 - SQRT2) < abs(value_40 - SQRT2)
+
+
+@pytest.mark.parametrize("exchange_j, field_h", [(-1.0, 0.0), (-0.7, 0.4), (1.3, -0.2)])
+@pytest.mark.parametrize("n", [10, 40, 200])
+def test_alpha_c_matches_the_linear_band_edge_mode(n, exchange_j, field_h):
+    # At alpha_c state 1 sits on the band edge E = h - 2|J|.  For J < 0 the
+    # rows 3..N read psi_{n-1} + psi_{n+1} = 2 psi_n with psi_{N+1} = 0, so
+    # the mode is linear, psi_n = N + 1 - n for n >= 2 (J > 0 maps onto this
+    # under psi_n -> (-1)^n psi_n).  Row 2, alpha psi_1 + psi_3 = 2 psi_2,
+    # gives alpha psi_1 = N; row 1 gives alpha psi_2 = 2 psi_1.  Together
+    # alpha_c^2 = 2N / (N - 1), exactly, at every N.
+    tol = 1e-4
+    template = single_impurity(n, 1.0, exchange_j=exchange_j, field_h=field_h)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # J > 0 sign warning; same physics
+        value = estimate_alpha_c(template, tol=tol)
+    assert abs(value - np.sqrt(2.0 * n / (n - 1))) <= tol
+
+
+@st.composite
+def band_chains(draw):
+    """Single or mirror impurity chains at h = 0, either J sign."""
+    n = draw(st.integers(3, 60))
+    layout = draw(st.sampled_from((single_impurity, mirror_impurities)))
+    exchange_j = draw(st.sampled_from((-1.0, 1.0))) * draw(st.floats(0.5, 1.5))
+    return layout(n, draw(st.floats(0.0, 3.0)), exchange_j=exchange_j)
+
+
+@settings(max_examples=40, deadline=None)
+@given(spec=band_chains(), field_h=st.floats(-3.0, 3.0))
+def test_band_rule_moves_with_the_field(spec, field_h):
+    shifted = replace(spec, field_h=field_h)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # J > 0 sign warning; same physics
+        labels = classify_band(eigendecompose(build_hamiltonian(spec)), spec)
+        assert classify_band(eigendecompose(build_hamiltonian(shifted)), shifted) == labels
+        if spec.n_sites >= 10:
+            tol = 1e-4
+            alpha_c = estimate_alpha_c(spec, tol=tol)
+            assert abs(estimate_alpha_c(shifted, tol=tol) - alpha_c) <= tol
 
 
 def test_alpha_c_requires_a_bracket():
@@ -177,7 +222,7 @@ def test_sweep_is_lazy_and_matches_direct_solves(states, monkeypatch):
         return direct(hamiltonian, states)
 
     monkeypatch.setattr(spectral, "eigendecompose", counted)
-    steps = sweep(template, alphas, states)
+    steps = sweep(template, alphas, lambda ham: spectral.eigendecompose(ham, states))
     assert inspect.isgenerator(steps)
     assert requested == []
     for count, (alpha, dec) in enumerate(steps, start=1):
