@@ -25,13 +25,10 @@ from .dynamics import (
     TimeSeries,
     concurrence_AN,
     fidelity,
-    propagate,
     time_series,
     transfer_amplitude,
 )
 from .measures import (
-    AmplitudeVector,
-    TwoQubitDensity,
     c12_from_energy_derivative,
     ipr,
     nn_concurrence_closed_form,
@@ -68,7 +65,6 @@ from .spectral import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AmplitudeVector",
     "BandLabel",
     "ChainSpec",
     "FullState",
@@ -80,7 +76,6 @@ __all__ = [
     "TransferReport",
     "TransferSpectrum",
     "TridiagonalHamiltonian",
-    "TwoQubitDensity",
     "build_hamiltonian",
     "c12_from_energy_derivative",
     "classify_band",
@@ -101,7 +96,6 @@ __all__ = [
     "oracle_check",
     "oracle_concurrence",
     "parse_chain_config",
-    "propagate",
     "reduced_density_two_sites",
     "refocus_window",
     "scaling_sweep",

@@ -33,6 +33,7 @@ from .oracle import MAX_SITES, oracle_check
 from .protocols import (
     default_alpha_grid,
     fidelity_landscape,
+    inclusive_grid,
     optimize_alpha,
     scaling_sweep,
 )
@@ -41,14 +42,6 @@ from .spectral import classify_band, eigendecompose, sweep
 
 class UsageError(Exception):
     """Bad flag combination or malformed flag value."""
-
-
-_KIND_FLAGS = {
-    "ipr": SeriesKind.IPR,
-    "fidelity": SeriesKind.FIDELITY,
-    "amplitude": SeriesKind.TRANSFER_AMPLITUDE,
-    "concurrence": SeriesKind.CONCURRENCE_AN,
-}
 
 
 def _fmt(value) -> str:
@@ -113,8 +106,7 @@ def _parse_range(text: str, flag: str) -> np.ndarray:
         raise UsageError(f"{flag} step must be positive, got {step}")
     if hi < lo:
         raise UsageError(f"{flag} needs hi >= lo, got {text!r}")
-    count = int(np.floor((hi - lo) / step + 1e-9)) + 1
-    return lo + step * np.arange(count)
+    return inclusive_grid(lo, hi, step)
 
 
 def _parse_states(text: str, n_sites: int) -> tuple[int, int]:
@@ -260,7 +252,7 @@ def _cmd_evolve(args) -> int:
         times = _parse_range(f"0:{args.t_max}:{args.dt}", "--t-max/--dt")
     else:
         raise UsageError("--t-range or --t-max is required")
-    kind = _KIND_FLAGS[args.kind]
+    kind = SeriesKind(args.kind)
     series = time_series(build_hamiltonian(template), kind, times)
     if kind is SeriesKind.TRANSFER_AMPLITUDE:
         rows = [(t, float(v.real), float(v.imag)) for t, v in zip(series.times, series.values)]
@@ -385,7 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("evolve", help="time series of IPR, fidelity, amplitude or concurrence")
     _add_chain_flags(p)
-    p.add_argument("--kind", choices=sorted(_KIND_FLAGS), default="fidelity")
+    p.add_argument("--kind", choices=sorted(k.value for k in SeriesKind), default="fidelity")
     p.add_argument("--t-range", default=None, help="time grid lo:hi:step")
     p.add_argument("--t-max", type=float, default=None, help="evolve over [0, t-max]")
     p.add_argument("--dt", type=float, default=0.05, help="time step for --t-max (default 0.05)")

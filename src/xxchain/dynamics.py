@@ -50,7 +50,7 @@ import numpy as np
 
 from .chain import TridiagonalHamiltonian
 from .errors import IncompleteBasis
-from .measures import AmplitudeVector, ipr_of_rows
+from .measures import ipr_of_rows
 from .spectral import SpectralDecomposition, TransferSpectrum, eigendecompose, transfer_spectrum
 
 # Smallest len(t) * N for which transfer_amplitude (and amplitude_matrix)
@@ -65,11 +65,12 @@ FACTORED_MIN_PHASES = 2048
 _EVEN_GRID_ULPS = 8
 
 
+# The values are the names `evolve --kind` accepts.
 class SeriesKind(enum.Enum):
     IPR = "ipr"
     FIDELITY = "fidelity"
-    TRANSFER_AMPLITUDE = "transfer_amplitude"
-    CONCURRENCE_AN = "concurrence_an"
+    TRANSFER_AMPLITUDE = "amplitude"
+    CONCURRENCE_AN = "concurrence"
 
 
 @dataclass(frozen=True)
@@ -96,7 +97,11 @@ class TimeSeries:
 
 
 class Propagator:
-    """Evolves a single-site initial excitation under a fixed decomposition."""
+    """Evolves a single-site initial excitation under a fixed decomposition.
+
+    amplitude_matrix is the one route to site amplitudes: the state at a
+    single time t is the plain array amplitude_matrix([t])[0].
+    """
 
     def __init__(self, dec: SpectralDecomposition, init_site: int = 1):
         if dec.first_state != 1 or dec.energies.size != dec.n_sites:
@@ -107,7 +112,6 @@ class Propagator:
         if not 1 <= init_site <= dec.n_sites:
             raise ValueError(f"init_site must be in 1..{dec.n_sites}, got {init_site}")
         self.dec = dec
-        self.init_site = int(init_site)
         # weight of eigenstate j in the initial delta state
         self._weights = dec.vectors[:, init_site - 1].copy()
 
@@ -128,12 +132,6 @@ class Propagator:
             phases = (coarse[:, None, :] * fine[None, :, :]).reshape(-1, energies.size)
             phases = phases[: times.size]
         return phases @ self.dec.vectors
-
-
-def propagate(dec: SpectralDecomposition, t: float, init_site: int = 1) -> AmplitudeVector:
-    """State at time t when the excitation starts as a delta on init_site."""
-    t = float(t)
-    return AmplitudeVector(Propagator(dec, init_site).amplitude_matrix([t])[0], time_tag=t)
 
 
 def _even_step(times: np.ndarray):

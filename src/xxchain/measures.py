@@ -10,8 +10,10 @@ their reduced density matrix; for a one-excitation state the nearest-neighbor
 reduced matrix has the closed form C = 2 |psi_{i+1} psi_i|, and for the first
 bond it also equals |(1/J) dE_j/dalpha| via the Hellmann-Feynman theorem.
 
-Two-qubit matrices live in the basis {|uu>, |ud>, |du>, |dd>} where u is spin
-up and d is the (excited) down spin.
+States are plain arrays: a one-excitation state is its 1-d vector of N site
+amplitudes, whose unit norm ipr and reduced_density_two_sites check
+(NORM_TOL).  Two-qubit states are 4x4 density matrices in the basis
+{|uu>, |ud>, |du>, |dd>}, where u is spin up and d is the (excited) down spin.
 """
 
 from __future__ import annotations
@@ -41,45 +43,7 @@ _SY = np.array([[0.0, -1.0j], [1.0j, 0.0]])
 _YY = np.kron(_SY, _SY).real
 
 
-@dataclass(frozen=True)
-class AmplitudeVector:
-    """N complex site amplitudes of a one-excitation state, unit norm."""
-
-    amps: np.ndarray
-    time_tag: float | None = None
-
-    def __post_init__(self):
-        amps = np.array(self.amps, dtype=complex)
-        if amps.ndim != 1:
-            raise ValueError("amplitudes must form a 1-d vector")
-        _require_normalized(amps)
-        amps.setflags(write=False)
-        object.__setattr__(self, "amps", amps)
-
-    @property
-    def n_sites(self) -> int:
-        return self.amps.size
-
-
-@dataclass(frozen=True)
-class TwoQubitDensity:
-    """4x4 density matrix of a site pair, basis {|uu>, |ud>, |du>, |dd>}."""
-
-    matrix: np.ndarray
-    sites: tuple[int, int]
-
-    def __post_init__(self):
-        matrix = np.array(self.matrix, dtype=complex)
-        if matrix.shape != (4, 4):
-            raise ValueError(f"expected a 4x4 matrix, got shape {matrix.shape}")
-        matrix.setflags(write=False)
-        object.__setattr__(self, "matrix", matrix)
-        object.__setattr__(self, "sites", (int(self.sites[0]), int(self.sites[1])))
-
-
 def _amplitudes(state) -> np.ndarray:
-    if isinstance(state, AmplitudeVector):
-        return state.amps
     amps = np.asarray(state, dtype=complex)
     if amps.ndim != 1:
         raise ValueError("amplitudes must form a 1-d vector")
@@ -112,8 +76,8 @@ def ipr(state) -> float:
     return float(ipr_of_rows(amps[None, :])[0])
 
 
-def reduced_density_two_sites(state, site_i: int, site_j: int) -> TwoQubitDensity:
-    """Two-site reduced density matrix of a one-excitation state.
+def reduced_density_two_sites(state, site_i: int, site_j: int) -> np.ndarray:
+    """4x4 two-site reduced density matrix of a one-excitation state.
 
     Tracing out the other N-2 spins leaves populations
     (1 - |psi_i|^2 - |psi_j|^2, |psi_j|^2, |psi_i|^2, 0) and the single
@@ -133,7 +97,7 @@ def reduced_density_two_sites(state, site_i: int, site_j: int) -> TwoQubitDensit
     matrix[2, 2] = pop_i
     matrix[1, 2] = amp_j * np.conj(amp_i)
     matrix[2, 1] = amp_i * np.conj(amp_j)
-    return TwoQubitDensity(matrix=matrix, sites=(site_i, site_j))
+    return matrix
 
 
 def _sqrtm_psd(matrix: np.ndarray) -> np.ndarray:
@@ -153,7 +117,7 @@ def wootters_concurrence(rho) -> float:
     is exact for the same spectrum but does not lose half the significant
     digits on the zero modes the way sqrt-of-eigenvalue does.
     """
-    matrix = rho.matrix if isinstance(rho, TwoQubitDensity) else np.asarray(rho, dtype=complex)
+    matrix = np.asarray(rho, dtype=complex)
     _check_density(matrix)
     root = _sqrtm_psd(matrix)
     lam = np.linalg.svd(root @ _YY @ root.conj(), compute_uv=False)

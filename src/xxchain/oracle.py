@@ -37,7 +37,7 @@ import numpy as np
 
 from .chain import ChainSpec, bond_couplings, validate_spec
 from .errors import ExcitationLeak, NotNormalized, TooLarge
-from .measures import TwoQubitDensity, wootters_concurrence
+from .measures import wootters_concurrence
 
 MAX_SITES = 12
 MAX_QUBITS = 13  # chain plus ancilla
@@ -223,8 +223,7 @@ def oracle_concurrence(state: FullState, qubit_a: int, qubit_b: int) -> float:
     """Wootters concurrence of two named qubits of a full-space pure state."""
     if state.n_qubits > MAX_QUBITS:
         raise TooLarge(f"oracle concurrence limited to {MAX_QUBITS} qubits, got {state.n_qubits}")
-    rho = partial_trace_pair(state, qubit_a, qubit_b)
-    return wootters_concurrence(TwoQubitDensity(matrix=rho, sites=(qubit_a, qubit_b)))
+    return wootters_concurrence(partial_trace_pair(state, qubit_a, qubit_b))
 
 
 def sz_sector_probabilities(state: FullState) -> np.ndarray:
@@ -264,7 +263,7 @@ def oracle_check(
     palindromic chains exercise.  One result per template.
     """
     from .chain import build_hamiltonian, with_alpha
-    from .dynamics import concurrence_AN, propagate
+    from .dynamics import Propagator, concurrence_AN
     from .spectral import eigendecompose, transfer_spectrum
 
     results = []
@@ -278,13 +277,13 @@ def oracle_check(
             block = _full_eigh(spec).sector
             block_dev = max(block_dev, float(np.max(np.abs(block - sector.to_dense()))))
 
-            dec = eigendecompose(sector)
+            propagator = Propagator(eigendecompose(sector))
             spectrum = transfer_spectrum(sector)
             indices = one_excitation_indices(spec.n_sites)
             start = site_state(spec, 1)
             for t in times:
                 full = full_evolve(spec, start, float(t))
-                sector_amps = propagate(dec, float(t)).amps
+                sector_amps = propagator.amplitude_matrix([float(t)])[0]
                 amplitude_dev = max(
                     amplitude_dev, float(np.max(np.abs(full.amps[indices] - sector_amps)))
                 )

@@ -33,6 +33,12 @@ def refocus_window(n_sites: int) -> tuple[float, float]:
     return 0.25 * n_sites, 0.75 * n_sites
 
 
+def inclusive_grid(lo: float, hi: float, step: float) -> np.ndarray:
+    """Points lo + k step up to hi; a point within 1e-9 steps past hi is kept."""
+    count = math.floor((hi - lo) / step + 1e-9) + 1
+    return lo + step * np.arange(count)
+
+
 def default_alpha_grid() -> np.ndarray:
     """Impurity-strength grid 0.30 .. 1.00, step 0.01."""
     return np.arange(30, 101) / 100.0
@@ -164,9 +170,7 @@ def optimize_alpha(template: ChainSpec, alpha_grid=None) -> TransferReport:
         raise ValueError("alpha grid must be nonempty")
     if np.any(alphas <= 0.0):
         raise ValueError("alpha grid entries must be positive")
-    lo, hi = refocus_window(template.n_sites)
-    count = int(math.floor((hi - lo) / REFOCUS_T_STEP + 1e-9)) + 1
-    times = lo + REFOCUS_T_STEP * np.arange(count)
+    times = inclusive_grid(*refocus_window(template.n_sites), REFOCUS_T_STEP)
 
     grid = fidelity_landscape(template, alphas, times).fidelities
     traces = [

@@ -269,8 +269,8 @@ def estimate_alpha_c(
     lo, hi = float(alpha_range[0]), float(alpha_range[1])
     if not lo < hi:
         raise ValueError(f"alpha_range must satisfy lo < hi, got {alpha_range}")
-    if tol <= 0.0:
-        raise ValueError(f"tol must be positive, got {tol}")
+    if not 0.0 < tol < np.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
 
     samples: list[tuple[float, float]] = []
 

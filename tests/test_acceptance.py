@@ -360,6 +360,25 @@ def test_criterion_9_scaling_transfer_time(scaling_result):
         )
 
 
+def test_scaling_alpha_opt_follows_the_n_to_minus_one_sixth_law(scaling_result):
+    # Banchi et al., NJP 13, 123006 (2011): the optimal mirror-impurity
+    # strength of the XX chain is alpha_opt ~ 1.03 N^(-1/6); the 0.01-step
+    # grid optimum lies +0.011 to +0.014 above it at N = 50..400.
+    with report("paper regime (alpha_opt within 0.02 of 1.03 N^(-1/6))"):
+        for rep in scaling_result.reports:
+            law = 1.03 * rep.n_sites ** (-1.0 / 6.0)
+            assert abs(rep.alpha_opt - law) <= 0.02, (
+                f"N={rep.n_sites}: alpha_opt = {rep.alpha_opt}, 1.03 N^(-1/6) = {law:.4f}"
+            )
+
+
+def test_scaling_transfer_time_per_site_falls_with_n(scaling_result):
+    # the arrival approaches the ballistic N / (2|J|) from above as N grows
+    with report("paper regime (t_tr / N falls strictly with N)"):
+        ratios = [rep.t_tr / rep.n_sites for rep in scaling_result.reports]
+        assert all(later < earlier for earlier, later in zip(ratios, ratios[1:])), ratios
+
+
 def test_criterion_10_oracle_equivalence():
     with report("criterion 10 (sector equals full Hilbert space, N=2..8)"):
         results = oracle_check([single_impurity(n, 1.0) for n in range(2, 9)])

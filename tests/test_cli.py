@@ -10,6 +10,7 @@ import pytest
 import xxchain
 from xxchain import cli, spectral
 from xxchain.cli import emit_csv, main
+from xxchain.dynamics import SeriesKind
 from xxchain.errors import ConvergenceFailure
 
 
@@ -17,6 +18,15 @@ def run_cli(argv, capsys):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("kind", list(SeriesKind))
+def test_evolve_kind_names_are_the_series_kinds(kind, capsys):
+    argv = ["evolve", "--n", "8", "--alpha", "0.5", "--t-range", "0:2:0.5", "--kind", kind.value]
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0
+    header = "t,re,im" if kind is SeriesKind.TRANSFER_AMPLITUDE else "t,value"
+    assert out.splitlines()[0] == header and len(out.splitlines()) == 6
 
 
 def test_spectrum_csv_grid(tmp_path, capsys):

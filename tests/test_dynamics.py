@@ -11,12 +11,11 @@ from xxchain.dynamics import (
     TimeSeries,
     concurrence_AN,
     fidelity,
-    propagate,
     receiver_pair_density,
     time_series,
     transfer_amplitude,
 )
-from xxchain.measures import wootters_concurrence
+from xxchain.measures import NORM_TOL, wootters_concurrence
 from xxchain.spectral import eigendecompose, transfer_spectrum
 
 
@@ -38,34 +37,48 @@ def _rk4_evolve(hamiltonian, t_final, dt=1e-3):
     return psi
 
 
+def _state_at(dec, t, init_site=1):
+    return Propagator(dec, init_site).amplitude_matrix([t])[0]
+
+
 def test_zero_time_is_identity():
     dec = eigendecompose(build_hamiltonian(ChainSpec(9)))
-    state = propagate(dec, 0.0, init_site=4)
+    state = _state_at(dec, 0.0, init_site=4)
     expected = np.zeros(9)
     expected[3] = 1.0
-    assert np.allclose(state.amps, expected, atol=1e-12)
-    assert state.time_tag == 0.0
+    assert np.allclose(state, expected, atol=1e-12)
 
 
 def test_two_site_rabi_oscillation():
     dec = eigendecompose(build_hamiltonian(ChainSpec(2)))
     for t in (0.3, 1.0, 2.2):
-        state = propagate(dec, t)
-        assert abs(state.amps[1]) == pytest.approx(abs(np.sin(t)), abs=1e-12)
+        state = _state_at(dec, t)
+        assert abs(state[1]) == pytest.approx(abs(np.sin(t)), abs=1e-12)
 
 
 def test_unitarity_over_random_times():
     dec = eigendecompose(build_hamiltonian(single_impurity(50, 0.4)))
     rng = np.random.default_rng(3)
     for t in rng.uniform(0.0, 400.0, size=25):
-        amps = propagate(dec, float(t)).amps
+        amps = _state_at(dec, float(t))
         assert abs(np.sum(np.abs(amps) ** 2) - 1.0) <= 1e-9
+
+
+@pytest.mark.parametrize(
+    "times",
+    [np.arange(0.0, 400.0, 0.1), np.random.default_rng(5).uniform(0.0, 400.0, size=40)],
+    ids=["even", "uneven"],
+)
+def test_every_amplitude_row_has_unit_norm(times):
+    dec = eigendecompose(build_hamiltonian(single_impurity(50, 0.4)))
+    rows = Propagator(dec).amplitude_matrix(times)
+    assert np.max(np.abs(np.sum(np.abs(rows) ** 2, axis=1) - 1.0)) <= NORM_TOL
 
 
 def test_negative_time_reverses_evolution():
     dec = eigendecompose(build_hamiltonian(single_impurity(12, 0.6)))
-    forward = propagate(dec, 2.7).amps
-    backward = propagate(dec, -2.7).amps
+    forward = _state_at(dec, 2.7)
+    backward = _state_at(dec, -2.7)
     assert np.allclose(backward, forward.conj(), atol=1e-12)
 
 
@@ -74,7 +87,7 @@ def test_spectral_propagation_matches_rk4_oracle():
     dec = eigendecompose(ham)
     for t in (1.0, 5.0):
         oracle = _rk4_evolve(ham, t)
-        spectral = propagate(dec, t).amps
+        spectral = _state_at(dec, t)
         assert np.max(np.abs(oracle - spectral)) <= 1e-6
 
 
@@ -91,7 +104,7 @@ def test_transfer_amplitude_mirror_symmetry():
     spectrum = transfer_spectrum(ham)
     for t in (3.0, 11.0, 17.5):
         from_left = abs(transfer_amplitude(spectrum, t))
-        from_right = abs(propagate(dec, t, init_site=30).amps[0])
+        from_right = abs(_state_at(dec, t, init_site=30)[0])
         assert from_left == pytest.approx(from_right, abs=1e-12)
 
 

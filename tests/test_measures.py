@@ -10,7 +10,6 @@ from xxchain.errors import (
     NotNormalized,
 )
 from xxchain.measures import (
-    AmplitudeVector,
     c12_from_energy_derivative,
     c12_peak,
     c12_sweep,
@@ -51,8 +50,6 @@ def test_ipr_extremes():
 def test_ipr_rejects_unnormalized_state():
     with pytest.raises(NotNormalized):
         ipr(np.array([1.0, 1.0]))
-    with pytest.raises(NotNormalized):
-        AmplitudeVector(np.array([1.0, 1.0]))
 
 
 def test_homogeneous_eigenstate_ipr_against_analytic_sum():
@@ -109,7 +106,7 @@ def test_reduced_density_of_nearest_neighbor_eigenstate_pair():
     dec = eigendecompose(build_hamiltonian(single_impurity(12, 1.4)))
     vector = dec.vectors[2]
     for site in (1, 5, 11):
-        rho = reduced_density_two_sites(vector, site, site + 1).matrix
+        rho = reduced_density_two_sites(vector, site, site + 1)
         assert rho[1, 2] == pytest.approx(vector[site] * vector[site - 1])
         assert rho[1, 1] == pytest.approx(vector[site] ** 2)
         assert rho[2, 2] == pytest.approx(vector[site - 1] ** 2)
@@ -119,14 +116,14 @@ def test_reduced_density_of_nearest_neighbor_eigenstate_pair():
 def test_reduced_density_delta_state():
     delta = np.zeros(6)
     delta[0] = 1.0
-    rho = reduced_density_two_sites(delta, 2, 3).matrix
+    rho = reduced_density_two_sites(delta, 2, 3)
     assert np.allclose(rho, np.diag([1.0, 0.0, 0.0, 0.0]))
 
 
 def test_reduced_density_two_site_superposition():
     state = np.zeros(6)
     state[:2] = 1.0 / np.sqrt(2.0)
-    rho = reduced_density_two_sites(state, 1, 2).matrix
+    rho = reduced_density_two_sites(state, 1, 2)
     assert np.allclose(np.diag(rho), [0.0, 0.5, 0.5, 0.0])
     assert rho[1, 2] == pytest.approx(0.5)
 
@@ -150,7 +147,7 @@ def test_wootters_bell_and_product_states():
 def test_wootters_agrees_with_eigenvalue_route():
     rng = np.random.default_rng(11)
     dec = eigendecompose(build_hamiltonian(single_impurity(10, 0.7)))
-    candidates = [reduced_density_two_sites(dec.vectors[j], 1, 2).matrix for j in range(10)]
+    candidates = [reduced_density_two_sites(dec.vectors[j], 1, 2) for j in range(10)]
     # a couple of generic mixed states as well
     for _ in range(5):
         psi = rng.normal(size=4) + 1j * rng.normal(size=4)
@@ -241,8 +238,7 @@ def test_reduced_density_passes_the_density_check():
     state = np.zeros(6)
     state[1] = 1.0
     rho = reduced_density_two_sites(state, 1, 2)
-    measures._check_density(rho.matrix)
-    assert rho.sites == (1, 2)
+    measures._check_density(rho)
 
 
 def test_c12_peak_grid_curve_is_the_per_state_solve(monkeypatch):

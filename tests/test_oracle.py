@@ -17,7 +17,7 @@ from xxchain.chain import (
     with_alpha,
 )
 from xxchain.cli import main
-from xxchain.dynamics import propagate, transfer_amplitude
+from xxchain.dynamics import Propagator, transfer_amplitude
 from xxchain.errors import ExcitationLeak, NotNormalized, TooLarge
 from xxchain.measures import nn_concurrence_closed_form
 from xxchain.oracle import (
@@ -91,7 +91,7 @@ def test_sector_propagation_matches_full_space():
     indices = one_excitation_indices(8)
     for t in (1.0, 5.0, 20.0):
         full = full_evolve(spec, site_state(spec, 1), t)
-        assert np.max(np.abs(full.amps[indices] - propagate(dec, t).amps)) <= 1e-8
+        assert np.max(np.abs(full.amps[indices] - Propagator(dec).amplitude_matrix([t])[0])) <= 1e-8
 
 
 def test_ancilla_protocol_concurrence_equals_transfer_amplitude():
@@ -218,7 +218,7 @@ def test_full_space_agrees_with_the_sector_on_random_chains(spec, t):
     dec = eigendecompose(sector)
     indices = one_excitation_indices(n)
     assert np.max(np.abs(block - sector.to_dense())) <= 1e-12
-    assert np.max(np.abs(forward.amps[indices] - propagate(dec, t).amps)) <= 1e-12
+    assert np.max(np.abs(forward.amps[indices] - Propagator(dec).amplitude_matrix([t])[0])) <= 1e-12
     f_n = forward.amps[indices[-1]]
     assert abs(oracle_concurrence(ancilla, 1, n + 1) - abs(f_n)) <= 1e-12
     assert abs(transfer_amplitude(transfer_spectrum(sector), t) - f_n) <= 1e-12

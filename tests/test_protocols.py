@@ -9,6 +9,7 @@ from xxchain.errors import NoMinimumInWindow
 from xxchain.protocols import (
     detect_refocus_time,
     fidelity_landscape,
+    inclusive_grid,
     optimize_alpha,
     refocus_window,
     scaling_sweep,
@@ -23,6 +24,13 @@ def test_refocus_window_brackets_half_chain():
     assert lo == 50.0 and hi == 150.0
     lo31, hi31 = refocus_window(31)
     assert lo31 < 15.5 < hi31
+
+
+def test_inclusive_grid_keeps_hi_within_rounding():
+    assert inclusive_grid(0.0, 0.3, 0.1).size == 4  # 0.3 / 0.1 = 2.9999999999999996
+    assert inclusive_grid(0.0, 0.35, 0.1).size == 4
+    grid = inclusive_grid(50.0, 150.0, 0.1)
+    assert grid.size == 1001 and np.array_equal(grid, 50.0 + 0.1 * np.arange(1001))
 
 
 def test_detect_refocus_on_synthetic_parabola():

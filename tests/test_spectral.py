@@ -167,6 +167,13 @@ def test_band_rule_moves_with_the_field(spec, field_h):
             assert abs(estimate_alpha_c(shifted, tol=tol) - alpha_c) <= tol
 
 
+@pytest.mark.parametrize("tol", [float("nan"), float("inf")])
+def test_alpha_c_rejects_a_non_finite_tol(tol):
+    # a non-finite tol skips the bisection and returns the bracket midpoint
+    with pytest.raises(ValueError, match="tol"):
+        estimate_alpha_c(single_impurity(40, 1.0), tol=tol)
+
+
 def test_alpha_c_requires_a_bracket():
     with pytest.raises(NoBracket):
         estimate_alpha_c(single_impurity(200, 1.0), (0.1, 0.5), 1e-4)
