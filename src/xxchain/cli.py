@@ -44,14 +44,19 @@ class UsageError(Exception):
     """Bad flag combination or malformed flag value."""
 
 
+def _conversion(value) -> str:
+    """printf conversion of a non-bool value: %d for ints, %.12g for floats, %s else."""
+    if isinstance(value, (int, np.integer)):
+        return "%d"
+    if isinstance(value, (float, np.floating)):
+        return "%.12g"
+    return "%s"
+
+
 def _fmt(value) -> str:
     if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return format(float(value), ".12g")
-    return str(value)
+    return _conversion(value) % value
 
 
 def _round12(value: float) -> float:
@@ -73,10 +78,19 @@ def _json_ready(obj):
 
 
 def emit_csv(rows, schema, out_path=None) -> None:
-    """Write header + rows, newline-terminated, locale-independent."""
+    """Write header + rows, newline-terminated, locale-independent.
+
+    rows are tuples whose column types are those of the first row: one row
+    format is built from them (_conversion), and bool columns print
+    true/false.
+    """
     lines = [",".join(schema)]
-    for row in rows:
-        lines.append(",".join(_fmt(value) for value in row))
+    if rows:
+        flags = [isinstance(value, (bool, np.bool_)) for value in rows[0]]
+        if any(flags):
+            rows = [tuple(_fmt(v) if flag else v for v, flag in zip(row, flags)) for row in rows]
+        row_format = ",".join(_conversion(value) for value in rows[0])
+        lines.extend(row_format % row for row in rows)
     _write_text("\n".join(lines) + "\n", out_path)
 
 

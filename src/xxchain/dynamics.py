@@ -49,7 +49,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chain import TridiagonalHamiltonian
-from .errors import IncompleteBasis
+from .errors import BadSite, IncompleteBasis
 from .measures import ipr_of_rows
 from .spectral import SpectralDecomposition, TransferSpectrum, eigendecompose, transfer_spectrum
 
@@ -110,7 +110,7 @@ class Propagator:
                 f"states {dec.first_state}..{dec.first_state + dec.energies.size - 1}"
             )
         if not 1 <= init_site <= dec.n_sites:
-            raise ValueError(f"init_site must be in 1..{dec.n_sites}, got {init_site}")
+            raise BadSite(f"init_site must be in 1..{dec.n_sites}, got {init_site}")
         self.dec = dec
         # weight of eigenstate j in the initial delta state
         self._weights = dec.vectors[:, init_site - 1].copy()

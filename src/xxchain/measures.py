@@ -11,9 +11,10 @@ reduced matrix has the closed form C = 2 |psi_{i+1} psi_i|, and for the first
 bond it also equals |(1/J) dE_j/dalpha| via the Hellmann-Feynman theorem.
 
 States are plain arrays: a one-excitation state is its 1-d vector of N site
-amplitudes, whose unit norm ipr and reduced_density_two_sites check
-(NORM_TOL).  Two-qubit states are 4x4 density matrices in the basis
-{|uu>, |ud>, |du>, |dd>}, where u is spin up and d is the (excited) down spin.
+amplitudes, whose unit norm ipr, reduced_density_two_sites and
+nn_concurrence_closed_form check (NORM_TOL).  Two-qubit states are 4x4
+density matrices in the basis {|uu>, |ud>, |du>, |dd>}, where u is spin up
+and d is the (excited) down spin.
 """
 
 from __future__ import annotations
@@ -126,8 +127,8 @@ def wootters_concurrence(rho) -> float:
 
 
 def nn_concurrence_closed_form(eigvec, site: int) -> float:
-    """Nearest-neighbor concurrence 2 |psi_{site+1} psi_site| of an eigenstate."""
-    amps = _amplitudes(eigvec)
+    """Nearest-neighbor concurrence 2 |psi_{site+1} psi_site| of a unit eigenstate."""
+    amps = _require_normalized(_amplitudes(eigvec))
     if not 1 <= site <= amps.size - 1:
         raise BadSite(f"site must be in 1..{amps.size - 1}, got {site}")
     return float(2.0 * abs(amps[site] * amps[site - 1]))

@@ -41,21 +41,58 @@ in the basis (|n> +- |N+1-n>)/sqrt(2), n = 1..floor(N/2):
 An even block eigenvector phi has psi_1 = psi_N = phi_1/sqrt(2), an odd one
 psi_1 = -psi_N = phi_1/sqrt(2), so the transfer weight is +phi_1^2/2 for
 even and -phi_1^2/2 for odd states.  The change of basis is orthogonal, so
-each block's residual equals the full one and gets the same check as
-eigendecompose.  Measured per solve against eigendecompose, residual checks
-kept in both (timeit best of 5, 1 BLAS thread, 2-vCPU x86-64 VM): no faster
-at N <= 100, 1.35 against 2.01 ms at N = 200 (1.5x), 5.1 against 9.3 ms at
-N = 400 (1.8x).  Any other matrix takes eigendecompose, and its weights are
-psi_1 psi_N read off the first and last eigenvector components.
+each block's residual equals the full one.  Any other matrix takes
+eigendecompose, and its weights are psi_1 psi_N read off the first and last
+eigenvector components.
+
+The impurity strength enters each block only through its border
+b = offdiag[0], so a block is site 1 (diagonal d_1) bordering the
+alpha-independent bulk block[1:, 1:] (the edge-bond secular equation of
+Wojcik et al., PRA 72, 034303 (2005); the bordered eigenproblem of Gu and
+Eisenstat, SIAM J. Matrix Anal. Appl. 16, 172 (1995)).  With the bulk modes
+mu_k and their first components z_k, every block energy E is a root of
+
+    g(E) = E - d_1 - b^2 sum_k z_k^2 / (E - mu_k),
+
+and the first component of its unit eigenvector is
+
+    phi_1^2 = 1 / (1 + b^2 sum_k z_k^2 / (E - mu_k)^2) = 1 / g'(E).
+
+transfer_spectrum solves each bulk once with eigenvectors (eigh_tridiagonal
+and the residual check of eigendecompose) and keeps mu_k, z_k^2 and the
+bulk residual in a two-entry cache keyed on the bulk's bytes, which holds
+one chain's two parity bulks for all the alphas of a sweep.  Per alpha a
+block then takes its eigenvalues only (LAPACK dsterf), one Newton step
+E <- E - g(E) phi_1^2, and phi_1^2 and g at the stepped energies.  The
+bordered result is kept only if
+
+    the E_j and the mu_k interlace strictly,
+    |sum_j phi_1^2 - 1| <= COMPLETENESS_TOL, and
+    max_j phi_1 |g(E_j)| + sqrt(m) (bulk residual) <= RESIDUAL_TOL (max|E| + 1),
+
+where the left side of the last line bounds ||H v_j - E_j v_j|| for the unit
+vectors v_j that the bulk modes imply (m bulk sites); it is the block's
+residual_bound.  A block with border 0 (alpha = 0), or one that fails a
+check, is solved with its eigenvectors under the residual check instead.
+Checks fail where bulk modes barely touch site 1: often on chains with
+vanishing or strong inner couplings, and on mirror chains with N = 3-800,
+alpha = 0.001-10 and three (J, h) only at N = 800, alpha = 0.001.  A solver
+failure raises ConvergenceFailure.  Measured
+per transfer_spectrum call on mirror chains at alpha = 0.5, against the
+eigenvector solve of both blocks (timeit best of 7, 1 BLAS thread, 2-vCPU
+x86-64 VM): 0.50 against 0.90 ms at N = 100, 1.01 against 2.25 ms at
+N = 200, 2.87 against 6.83 ms at N = 400.  f_N(t) agrees with the full
+eigendecomposition to 2e-13 for N = 31-400, alpha = 0.005-3 and three (J, h).
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgError, eigh_tridiagonal
+from scipy.linalg import LinAlgError, eigh_tridiagonal, eigvalsh_tridiagonal
 
 from .chain import ChainSpec, TridiagonalHamiltonian, _tridiagonal_matvec, build_hamiltonian, with_alpha
 from .errors import ConvergenceFailure, NoBracket, TooSmallN, WrongConfiguration
@@ -64,6 +101,9 @@ from .errors import ConvergenceFailure, NoBracket, TooSmallN, WrongConfiguration
 SIGN_EPS = 1e-12
 # Residual contract: max_j ||H v_j - E_j v_j|| <= RESIDUAL_TOL * (max|E| + 1).
 RESIDUAL_TOL = 1e-10
+# A bordered parity-block solve is kept only if its weights phi_1^2 sum to 1
+# within this; otherwise the block takes the eigenvector solve.
+COMPLETENESS_TOL = 1e-10
 # Band boundary tolerance: energies this close to h +- 2|J| count as in-band.
 BAND_EDGE_TOL = 1e-9
 # eigendecompose selects a range of k states when k * SELECT_SITES_PER_STATE
@@ -202,12 +242,80 @@ def _parity_blocks(hamiltonian: TridiagonalHamiltonian):
     return (even, inner, 1.0), (odd, inner, -1.0)
 
 
+@functools.lru_cache(maxsize=2)
+def _bulk_modes(diag_bytes: bytes, offdiag_bytes: bytes):
+    """Modes mu_k, squared first components z_k^2 and checked residual of a bulk.
+
+    Keyed on the bytes of the bulk's diag and offdiag: two entries hold one
+    mirror chain's two parity bulks, which every alpha of a sweep shares.
+    """
+    diag, offdiag = np.frombuffer(diag_bytes), np.frombuffer(offdiag_bytes)
+    modes, vectors = _eigh_rows(diag, offdiag)
+    bound = _checked_residual(diag, offdiag, modes, vectors)
+    first = vectors[:, 0] ** 2
+    modes.setflags(write=False)
+    first.setflags(write=False)
+    return modes, first, bound
+
+
+def _secular(energies, site, border2, modes, first):
+    """phi_1^2 and g(E) = E - d_1 - b^2 sum_k z_k^2 / (E - mu_k) at each energy."""
+    inverse = energies[:, None] - modes
+    np.reciprocal(inverse, out=inverse)
+    total = inverse @ first
+    inverse *= inverse
+    return 1.0 / (1.0 + border2 * (inverse @ first)), energies - site - border2 * total
+
+
+def _bordered_block(diag, offdiag):
+    """(energies, phi_1^2, residual bound) of a block from its bulk modes, or None.
+
+    None means a check failed (module docstring) and the block needs its
+    eigenvectors.  Raises ConvergenceFailure if a solver fails.
+    """
+    modes, first, bulk_bound = _bulk_modes(diag[1:].tobytes(), offdiag[1:].tobytes())
+    try:
+        energies = eigvalsh_tridiagonal(diag, offdiag, lapack_driver="sterf")
+    except LinAlgError as exc:
+        raise ConvergenceFailure(f"tridiagonal eigenvalue solver failed: {exc}") from exc
+    border2 = offdiag[0] * offdiag[0]
+    with np.errstate(all="ignore"):  # a level on a mode fails the checks below
+        weights, secular = _secular(energies, diag[0], border2, modes, first)
+        energies = energies - secular * weights
+        weights, secular = _secular(energies, diag[0], border2, modes, first)
+        bound = float(np.max(np.sqrt(weights) * np.abs(secular))) + modes.size ** 0.5 * bulk_bound
+    if (
+        np.all(energies[:-1] < modes)
+        and np.all(modes < energies[1:])
+        and abs(float(np.sum(weights)) - 1.0) <= COMPLETENESS_TOL
+        and bound <= RESIDUAL_TOL * (float(np.max(np.abs(energies))) + 1.0)
+    ):
+        return energies, weights, bound
+    return None
+
+
+def _block_spectrum(diag, offdiag):
+    """(energies, phi_1^2, residual bound) of one parity block.
+
+    A block with a nonzero border offdiag[0] is solved bordered; one without,
+    or one whose bordered solve fails a check, takes its eigenvectors.
+    """
+    if offdiag.size and offdiag[0] != 0.0:
+        bordered = _bordered_block(diag, offdiag)
+        if bordered is not None:
+            return bordered
+    energies, vectors = _eigh_rows(diag, offdiag)
+    return energies, vectors[:, 0] ** 2, _checked_residual(diag, offdiag, energies, vectors)
+
+
 def transfer_spectrum(hamiltonian: TridiagonalHamiltonian) -> TransferSpectrum:
     """Energies and transfer weights psi_1 psi_N of every state.
 
-    A palindromic matrix is solved as its two reflection-parity blocks
-    (module docstring); any other matrix through eigendecompose.  Raises
-    ConvergenceFailure like eigendecompose, block by block.
+    A palindromic matrix is solved as its two reflection-parity blocks, each
+    from its cached bulk modes where the checks allow (module docstring); any
+    other matrix through eigendecompose.  Raises ConvergenceFailure if a
+    solver fails or a block solved with eigenvectors misses the residual
+    bound.
     """
     if not (
         np.array_equal(hamiltonian.diag, hamiltonian.diag[::-1])
@@ -217,10 +325,10 @@ def transfer_spectrum(hamiltonian: TridiagonalHamiltonian) -> TransferSpectrum:
         return TransferSpectrum(dec.energies, dec.vectors[:, 0] * dec.vectors[:, -1], dec.residual_bound)
     energies, weights, bounds = [], [], []
     for diag, offdiag, sign in _parity_blocks(hamiltonian):
-        block_energies, vectors = _eigh_rows(diag, offdiag)
-        bounds.append(_checked_residual(diag, offdiag, block_energies, vectors))
+        block_energies, first, bound = _block_spectrum(diag, offdiag)
         energies.append(block_energies)
-        weights.append(0.5 * sign * vectors[:, 0] ** 2)
+        weights.append(0.5 * sign * first)
+        bounds.append(bound)
     energies = np.concatenate(energies)
     order = np.argsort(energies, kind="stable")
     return TransferSpectrum(energies[order], np.concatenate(weights)[order], max(bounds))

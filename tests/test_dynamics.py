@@ -15,6 +15,7 @@ from xxchain.dynamics import (
     time_series,
     transfer_amplitude,
 )
+from xxchain.errors import BadSite
 from xxchain.measures import NORM_TOL, wootters_concurrence
 from xxchain.spectral import eigendecompose, transfer_spectrum
 
@@ -236,7 +237,7 @@ def test_time_series_rejects_bad_grids():
 
 def test_propagator_rejects_bad_site():
     dec = eigendecompose(build_hamiltonian(ChainSpec(5)))
-    with pytest.raises(ValueError):
+    with pytest.raises(BadSite):
         Propagator(dec, 0)
-    with pytest.raises(ValueError):
+    with pytest.raises(BadSite):
         Propagator(dec, 6)

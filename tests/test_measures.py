@@ -178,6 +178,11 @@ def test_closed_form_basics():
         nn_concurrence_closed_form(state, 8)
 
 
+def test_closed_form_rejects_unnormalized_state():
+    with pytest.raises(NotNormalized):
+        nn_concurrence_closed_form(np.array([1.0, 1.0, 0.0]), 1)
+
+
 def test_closed_form_matches_wootters_to_contract():
     dec = eigendecompose(build_hamiltonian(single_impurity(40, 1.3)))
     worst = 0.0

@@ -1,7 +1,11 @@
 """The reflection-parity route of spectral.transfer_spectrum.
 
 A palindromic chain is solved as two half-size blocks and yields only the
-energies and the transfer weights psi_1 psi_N.  The checks compare f_N(t)
+energies and the transfer weights psi_1 psi_N.  A block with a nonzero
+border is solved from the cached modes of its bulk and its own eigenvalues;
+a block without one, or one that fails the bordered checks, takes its
+eigenvectors.  Tests that mock a solver clear the bulk cache first
+(fresh_bulk_cache), so that the mock is reached.  The checks compare f_N(t)
 against the full eigendecomposition rather than per-state weights: above
 alpha = sqrt(2) the two bound-state pairs are degenerate to 1e-10 or better,
 and the full solve returns an arbitrary mix of each pair, whose weights
@@ -16,7 +20,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.linalg import LinAlgError, eigh_tridiagonal
+from scipy.linalg import LinAlgError, eigh_tridiagonal, eigvalsh_tridiagonal
 
 from xxchain import dynamics, spectral
 from xxchain.chain import (
@@ -28,11 +32,19 @@ from xxchain.chain import (
 )
 from xxchain.dynamics import FACTORED_MIN_PHASES, transfer_amplitude
 from xxchain.errors import ConvergenceFailure
-from xxchain.spectral import TransferSpectrum, eigendecompose, transfer_spectrum
+from xxchain.protocols import fidelity_landscape, inclusive_grid
+from xxchain.spectral import TransferSpectrum, eigendecompose, sweep, transfer_spectrum
 
 from routes import full_route
 
 TOL = 1e-12
+
+
+@pytest.fixture
+def fresh_bulk_cache():
+    spectral._bulk_modes.cache_clear()
+    yield
+    spectral._bulk_modes.cache_clear()
 
 
 def hamiltonian_of(spec):
@@ -106,17 +118,78 @@ def test_non_palindromic_chains_take_eigendecompose(spec):
     assert result.residual_bound == full.residual_bound
 
 
+def solver_spies():
+    """Spies on the vector solve (bulks and fallbacks) and the eigenvalue-only solve."""
+    return (mock.patch.object(spectral, "_eigh_rows", wraps=spectral._eigh_rows),
+            mock.patch.object(spectral, "eigvalsh_tridiagonal", wraps=eigvalsh_tridiagonal))
+
+
+def sizes(spy):
+    return [call.args[0].size for call in spy.call_args_list]
+
+
+def assert_full_route_amplitude(result, hamiltonian, times):
+    reference = full_route(eigendecompose(hamiltonian))
+    assert np.max(np.abs(transfer_amplitude(result, times) - transfer_amplitude(reference, times))) <= TOL
+
+
 @pytest.mark.parametrize("n", [30, 31])
-def test_palindromic_chains_solve_two_half_blocks(n):
+def test_palindromic_chains_solve_two_half_blocks(n, fresh_bulk_cache):
     hamiltonian = build_hamiltonian(mirror_impurities(n, 0.5, field_h=0.3))
+    vectors, values = solver_spies()
     with mock.patch.object(spectral, "eigendecompose", wraps=eigendecompose) as full, \
-            mock.patch.object(spectral, "eigh_tridiagonal", wraps=eigh_tridiagonal) as solver:
+            vectors as bulk, values as energies:
         transfer_spectrum(hamiltonian)
     assert not full.called
-    assert [call.args[0].size for call in solver.call_args_list] == [(n + 1) // 2, n // 2]
+    # one eigenvalue-only solve per block, eigenvectors of its bulk only
+    assert sizes(energies) == [(n + 1) // 2, n // 2]
+    assert sizes(bulk) == [(n + 1) // 2 - 1, n // 2 - 1]
 
 
-def test_block_residual_over_the_bound_is_a_convergence_failure():
+@pytest.mark.parametrize("n", [31, 200, 400])
+@pytest.mark.parametrize("exchange_j, field_h", [(-1.0, 0.0), (-0.7, 0.4), (1.3, -0.2)])
+def test_bordered_amplitude_matches_the_full_solve(n, exchange_j, field_h):
+    times = np.arange(0.0, 0.75 * n, 0.25)
+    for alpha in (0.005, 0.05, 0.3, 0.7, 1.0, 1.5, 2.0, 3.0):
+        hamiltonian = hamiltonian_of(mirror_impurities(n, alpha, exchange_j=exchange_j,
+                                                       field_h=field_h))
+        assert_full_route_amplitude(transfer_spectrum(hamiltonian), hamiltonian, times)
+
+
+@pytest.mark.parametrize("n", [30, 31])
+def test_zero_border_blocks_take_their_eigenvectors(n, fresh_bulk_cache):
+    hamiltonian = build_hamiltonian(mirror_impurities(n, 0.0, field_h=0.3))
+    vectors, values = solver_spies()
+    with vectors as solve, values as energies:
+        result = transfer_spectrum(hamiltonian)
+    assert not energies.called
+    assert sizes(solve) == [(n + 1) // 2, n // 2]
+    assert_full_route_amplitude(result, hamiltonian, np.arange(0.0, 40.0, 0.1))
+
+
+def repeated_lowest_level(*args, **kwargs):
+    energies = eigvalsh_tridiagonal(*args, **kwargs)
+    energies[1] = energies[0]
+    return energies
+
+
+@pytest.mark.parametrize("failure", ["completeness", "interlacing"])
+def test_failed_bordered_check_falls_back_to_eigenvectors(failure, fresh_bulk_cache):
+    n = 200
+    hamiltonian = build_hamiltonian(mirror_impurities(n, 0.4))
+    if failure == "completeness":
+        broken = mock.patch.object(spectral, "COMPLETENESS_TOL", -1.0)
+    else:
+        broken = mock.patch.object(spectral, "eigvalsh_tridiagonal", side_effect=repeated_lowest_level)
+    vectors, _ = solver_spies()
+    with broken, vectors as solve:
+        result = transfer_spectrum(hamiltonian)
+    # each block: the bulk modes, then the fallback's eigenvectors of the block
+    assert sizes(solve) == [n // 2 - 1, n // 2, n // 2 - 1, n // 2]
+    assert_full_route_amplitude(result, hamiltonian, np.arange(0.0, 150.0, 0.05))
+
+
+def test_block_residual_over_the_bound_is_a_convergence_failure(fresh_bulk_cache):
     hamiltonian = build_hamiltonian(mirror_impurities(200, 0.4))
 
     def noisy(*args, **kwargs):
@@ -128,11 +201,45 @@ def test_block_residual_over_the_bound_is_a_convergence_failure():
             transfer_spectrum(hamiltonian)
 
 
-def test_block_solver_error_is_a_convergence_failure():
+def test_block_solver_error_is_a_convergence_failure(fresh_bulk_cache):
     hamiltonian = build_hamiltonian(mirror_impurities(200, 0.4))
     with mock.patch.object(spectral, "eigh_tridiagonal", side_effect=LinAlgError("no convergence")):
         with pytest.raises(ConvergenceFailure):
             transfer_spectrum(hamiltonian)
+
+
+def test_eigenvalue_solver_error_is_a_convergence_failure(fresh_bulk_cache):
+    hamiltonian = build_hamiltonian(mirror_impurities(200, 0.4))
+    with mock.patch.object(spectral, "eigvalsh_tridiagonal", side_effect=LinAlgError("no convergence")):
+        with pytest.raises(ConvergenceFailure):
+            transfer_spectrum(hamiltonian)
+
+
+@pytest.mark.parametrize("n", [31, 200])
+def test_landscape_solves_each_parity_bulk_once(n, fresh_bulk_cache):
+    alphas = inclusive_grid(0.3, 1.0, 0.01)
+    assert alphas.size == 71
+    vectors, values = solver_spies()
+    with vectors as solve, values as energies:
+        fidelity_landscape(mirror_impurities(n, 1.0), alphas, np.arange(0.0, 10.0, 0.5))
+    assert sizes(solve) == [(n + 1) // 2 - 1, n // 2 - 1]
+    assert energies.call_count == 2 * alphas.size
+
+
+def test_canonical_transfer_grid_takes_no_fallback(fresh_bulk_cache):
+    alphas = inclusive_grid(0.3, 1.0, 0.01)
+    bordered, results = spectral._bordered_block, []
+
+    def recorded(diag, offdiag):
+        results.append(bordered(diag, offdiag))
+        return results[-1]
+
+    with mock.patch.object(spectral, "_bordered_block", side_effect=recorded):
+        for n in (50, 100, 200, 400):
+            for _ in sweep(mirror_impurities(n, 1.0), alphas, transfer_spectrum):
+                pass
+    assert len(results) == 2 * 4 * alphas.size
+    assert all(result is not None for result in results)
 
 
 @pytest.mark.parametrize("exchange_j, field_h", [(-1.0, 0.0), (-0.6, 0.4), (0.7, -1.1)])
