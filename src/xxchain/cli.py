@@ -45,18 +45,12 @@ class UsageError(Exception):
 
 
 def _conversion(value) -> str:
-    """printf conversion of a non-bool value: %d for ints, %.12g for floats, %s else."""
+    """printf conversion of a value: %d for ints, %.12g for floats, %s else."""
     if isinstance(value, (int, np.integer)):
         return "%d"
     if isinstance(value, (float, np.floating)):
         return "%.12g"
     return "%s"
-
-
-def _fmt(value) -> str:
-    if isinstance(value, (bool, np.bool_)):
-        return "true" if value else "false"
-    return _conversion(value) % value
 
 
 def _round12(value: float) -> float:
@@ -81,14 +75,10 @@ def emit_csv(rows, schema, out_path=None) -> None:
     """Write header + rows, newline-terminated, locale-independent.
 
     rows are tuples whose column types are those of the first row: one row
-    format is built from them (_conversion), and bool columns print
-    true/false.
+    format is built from them (_conversion).
     """
     lines = [",".join(schema)]
     if rows:
-        flags = [isinstance(value, (bool, np.bool_)) for value in rows[0]]
-        if any(flags):
-            rows = [tuple(_fmt(v) if flag else v for v, flag in zip(row, flags)) for row in rows]
         row_format = ",".join(_conversion(value) for value in rows[0])
         lines.extend(row_format % row for row in rows)
     _write_text("\n".join(lines) + "\n", out_path)
@@ -315,8 +305,9 @@ def _cmd_oracle_check(args) -> int:
     lines = ["  n  block_dev       amplitude_dev   concurrence_dev  status"]
     for item in results:
         lines.append(
-            f"{item.n_sites:>3}  {_fmt(item.block_dev):<15} {_fmt(item.amplitude_dev):<15} "
-            f"{_fmt(item.concurrence_dev):<16} {'pass' if item.passed else 'FAIL'}"
+            "%3d  %-15.12g %-15.12g %-16.12g %s"
+            % (item.n_sites, item.block_dev, item.amplitude_dev, item.concurrence_dev,
+               "pass" if item.passed else "FAIL")
         )
     _write_text("\n".join(lines) + "\n", args.out)
     return 0 if all(item.passed for item in results) else 1

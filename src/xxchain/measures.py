@@ -206,20 +206,14 @@ def _local_maxima(values: np.ndarray) -> list[int]:
     return picks
 
 
-def c12_peak(
-    template: ChainSpec,
-    state_index: int,
-    alphas=None,
-    *,
-    refine: bool = True,
-) -> ConcurrencePeak:
+def c12_peak(template: ChainSpec, state_index: int, alphas=None) -> ConcurrencePeak:
     """Largest maximum of C_12(E_j, alpha) over an alpha grid.
 
     The region alpha < C12_EXCLUDE_BELOW is skipped (site 1 decouples at
     alpha=0 and the resulting degeneracy makes C_12 ill-defined there).  The
     maximum counts as dominant when it exceeds C12_DOMINANCE times the
-    next-largest local maximum of the same curve.  With refine=True the grid
-    maximum is polished by bounded scalar minimization between its neighbors.
+    next-largest local maximum of the same curve.  The grid maximum is then
+    polished by bounded scalar minimization between its neighbors.
     """
     if alphas is None:
         alphas = sweep_alpha_grid()
@@ -237,21 +231,20 @@ def c12_peak(
 
     alpha_peak = float(alphas[best])
     height = float(curve[best])
-    if refine:
-        lo = alphas[max(best - 1, 0)]
-        hi = alphas[min(best + 1, alphas.size - 1)]
-        if hi > lo:
-            # imported here, the only user: loading scipy.optimize is about a
-            # third of the time `import xxchain.cli` takes
-            from scipy.optimize import minimize_scalar
+    lo = alphas[max(best - 1, 0)]
+    hi = alphas[min(best + 1, alphas.size - 1)]
+    if hi > lo:
+        # imported here, the only user: loading scipy.optimize is about a
+        # third of the time `import xxchain.cli` takes
+        from scipy.optimize import minimize_scalar
 
-            result = minimize_scalar(
-                lambda a: -c12_sweep(template, [a], [state_index])[0][2],
-                bounds=(float(lo), float(hi)),
-                method="bounded",
-                options={"xatol": 1e-6},
-            )
-            if -result.fun >= height:
-                alpha_peak = float(result.x)
-                height = float(-result.fun)
+        result = minimize_scalar(
+            lambda a: -c12_sweep(template, [a], [state_index])[0][2],
+            bounds=(float(lo), float(hi)),
+            method="bounded",
+            options={"xatol": 1e-6},
+        )
+        if -result.fun >= height:
+            alpha_peak = float(result.x)
+            height = float(-result.fun)
     return ConcurrencePeak(alpha=alpha_peak, height=height, dominant=dominant)

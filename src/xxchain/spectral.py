@@ -72,17 +72,21 @@ bordered result is kept only if
 
 where the left side of the last line bounds ||H v_j - E_j v_j|| for the unit
 vectors v_j that the bulk modes imply (m bulk sites); it is the block's
-residual_bound.  A block with border 0 (alpha = 0), or one that fails a
-check, is solved with its eigenvectors under the residual check instead.
+residual_bound.  A one-site block (N = 2, the odd block of N = 3) is exact:
+E = d_1, phi_1^2 = 1, bound 0.  A chain that is not palindromic, has a
+block with border 0 (alpha = 0, site 1 decoupled) or has a block that fails
+a check takes eigendecompose instead, so transfer_spectrum has two routes.
 Checks fail where bulk modes barely touch site 1: often on chains with
 vanishing or strong inner couplings, and on mirror chains with N = 3-800,
-alpha = 0.001-10 and three (J, h) only at N = 800, alpha = 0.001.  A solver
-failure raises ConvergenceFailure.  Measured
-per transfer_spectrum call on mirror chains at alpha = 0.5, against the
-eigenvector solve of both blocks (timeit best of 7, 1 BLAS thread, 2-vCPU
-x86-64 VM): 0.50 against 0.90 ms at N = 100, 1.01 against 2.25 ms at
-N = 200, 2.87 against 6.83 ms at N = 400.  f_N(t) agrees with the full
-eigendecomposition to 2e-13 for N = 31-400, alpha = 0.005-3 and three (J, h).
+alpha = 0.001-10 and three (J, h) only at N = 800, alpha = 0.001; there,
+and at alpha = 0 for N = 200-800, eigendecompose costs 1.1-1.6 times the
+eigenvector solve of both blocks.  A solver failure raises
+ConvergenceFailure.  Measured per transfer_spectrum call on mirror chains
+at alpha = 0.5, against the eigenvector solve of both blocks (timeit best
+of 7, 1 BLAS thread, 2-vCPU x86-64 VM): 0.50 against 0.90 ms at N = 100,
+1.01 against 2.25 ms at N = 200, 2.87 against 6.83 ms at N = 400.  f_N(t)
+agrees with the full eigendecomposition to 2e-13 for N = 31-400,
+alpha = 0.005-3 and three (J, h).
 """
 
 from __future__ import annotations
@@ -102,7 +106,7 @@ SIGN_EPS = 1e-12
 # Residual contract: max_j ||H v_j - E_j v_j|| <= RESIDUAL_TOL * (max|E| + 1).
 RESIDUAL_TOL = 1e-10
 # A bordered parity-block solve is kept only if its weights phi_1^2 sum to 1
-# within this; otherwise the block takes the eigenvector solve.
+# within this; otherwise the whole chain takes eigendecompose.
 COMPLETENESS_TOL = 1e-10
 # Band boundary tolerance: energies this close to h +- 2|J| count as in-band.
 BAND_EDGE_TOL = 1e-9
@@ -270,9 +274,15 @@ def _secular(energies, site, border2, modes, first):
 def _bordered_block(diag, offdiag):
     """(energies, phi_1^2, residual bound) of a block from its bulk modes, or None.
 
-    None means a check failed (module docstring) and the block needs its
-    eigenvectors.  Raises ConvergenceFailure if a solver fails.
+    A one-site block is its own mode (E = d_1, phi_1^2 = 1, bound 0) and
+    calls no solver.  None means the border is 0 or a check failed (module
+    docstring); the bulk is not solved for a zero border.  Raises
+    ConvergenceFailure if a solver fails.
     """
+    if not offdiag.size:
+        return diag, np.ones(1), 0.0
+    if offdiag[0] == 0.0:
+        return None
     modes, first, bulk_bound = _bulk_modes(diag[1:].tobytes(), offdiag[1:].tobytes())
     try:
         energies = eigvalsh_tridiagonal(diag, offdiag, lapack_driver="sterf")
@@ -294,44 +304,29 @@ def _bordered_block(diag, offdiag):
     return None
 
 
-def _block_spectrum(diag, offdiag):
-    """(energies, phi_1^2, residual bound) of one parity block.
-
-    A block with a nonzero border offdiag[0] is solved bordered; one without,
-    or one whose bordered solve fails a check, takes its eigenvectors.
-    """
-    if offdiag.size and offdiag[0] != 0.0:
-        bordered = _bordered_block(diag, offdiag)
-        if bordered is not None:
-            return bordered
-    energies, vectors = _eigh_rows(diag, offdiag)
-    return energies, vectors[:, 0] ** 2, _checked_residual(diag, offdiag, energies, vectors)
-
-
 def transfer_spectrum(hamiltonian: TridiagonalHamiltonian) -> TransferSpectrum:
     """Energies and transfer weights psi_1 psi_N of every state.
 
-    A palindromic matrix is solved as its two reflection-parity blocks, each
-    from its cached bulk modes where the checks allow (module docstring); any
-    other matrix through eigendecompose.  Raises ConvergenceFailure if a
-    solver fails or a block solved with eigenvectors misses the residual
-    bound.
+    A palindromic matrix whose two reflection-parity blocks both pass the
+    bordered solve (module docstring) is assembled from those blocks; every
+    other matrix takes eigendecompose.  Raises ConvergenceFailure if a solver
+    fails or eigendecompose misses its residual bound.
     """
-    if not (
-        np.array_equal(hamiltonian.diag, hamiltonian.diag[::-1])
-        and np.array_equal(hamiltonian.offdiag, hamiltonian.offdiag[::-1])
-    ):
-        dec = eigendecompose(hamiltonian)
-        return TransferSpectrum(dec.energies, dec.vectors[:, 0] * dec.vectors[:, -1], dec.residual_bound)
-    energies, weights, bounds = [], [], []
-    for diag, offdiag, sign in _parity_blocks(hamiltonian):
-        block_energies, first, bound = _block_spectrum(diag, offdiag)
-        energies.append(block_energies)
-        weights.append(0.5 * sign * first)
-        bounds.append(bound)
-    energies = np.concatenate(energies)
-    order = np.argsort(energies, kind="stable")
-    return TransferSpectrum(energies[order], np.concatenate(weights)[order], max(bounds))
+    diag, offdiag = hamiltonian.diag, hamiltonian.offdiag
+    if np.array_equal(diag, diag[::-1]) and np.array_equal(offdiag, offdiag[::-1]):
+        blocks = []
+        for block_diag, block_offdiag, sign in _parity_blocks(hamiltonian):
+            block = _bordered_block(block_diag, block_offdiag)
+            if block is None:
+                break
+            blocks.append((block[0], 0.5 * sign * block[1], block[2]))
+        else:
+            energies, weights, bounds = zip(*blocks)
+            energies = np.concatenate(energies)
+            order = np.argsort(energies, kind="stable")
+            return TransferSpectrum(energies[order], np.concatenate(weights)[order], max(bounds))
+    dec = eigendecompose(hamiltonian)
+    return TransferSpectrum(dec.energies, dec.vectors[:, 0] * dec.vectors[:, -1], dec.residual_bound)
 
 
 def classify_band(dec: SpectralDecomposition, spec: ChainSpec) -> tuple[BandLabel, ...]:

@@ -259,9 +259,9 @@ def test_c12_peak_grid_curve_is_the_per_state_solve(monkeypatch):
         return rows
 
     monkeypatch.setattr(measures, "c12_sweep", recorded)
-    peak = c12_peak(template, state, alphas, refine=False)
+    peak = c12_peak(template, state, alphas)
     kept = alphas[alphas >= 0.02]
     expected = [c12_sweep(template, [alpha], [state])[0][2] for alpha in kept]
-    assert curves == [expected]
-    best = int(np.argmax(expected))
-    assert (peak.alpha, peak.height) == (float(kept[best]), expected[best])
+    # the first call is the grid curve; the refinement calls follow it
+    assert curves[0] == expected and len(curves) > 1
+    assert peak.height >= max(expected)

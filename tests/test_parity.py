@@ -1,17 +1,18 @@
 """The reflection-parity route of spectral.transfer_spectrum.
 
 A palindromic chain is solved as two half-size blocks and yields only the
-energies and the transfer weights psi_1 psi_N.  A block with a nonzero
-border is solved from the cached modes of its bulk and its own eigenvalues;
-a block without one, or one that fails the bordered checks, takes its
-eigenvectors.  Tests that mock a solver clear the bulk cache first
-(fresh_bulk_cache), so that the mock is reached.  The checks compare f_N(t)
+energies and the transfer weights psi_1 psi_N.  Each block is solved from
+the cached modes of its bulk and its own eigenvalues, and a one-site block
+is exact.  If either block has border 0 or fails the bordered checks, the
+whole chain takes eigendecompose instead.  Tests that mock a solver clear
+the bulk cache first (fresh_bulk_cache), so that the mock is reached.  The checks compare f_N(t)
 against the full eigendecomposition rather than per-state weights: above
 alpha = sqrt(2) the two bound-state pairs are degenerate to 1e-10 or better,
 and the full solve returns an arbitrary mix of each pair, whose weights
 differ from the parity weights while the sum over the pair does not.
 """
 
+import contextlib
 import math
 import warnings
 from unittest import mock
@@ -109,7 +110,7 @@ def test_parity_amplitude_matches_the_full_solve(spec, lo, step):
 )
 def test_non_palindromic_chains_take_eigendecompose(spec):
     hamiltonian = hamiltonian_of(spec)
-    with mock.patch.object(spectral, "eigendecompose", wraps=eigendecompose) as spy:
+    with full_solve_spy() as spy:
         result = transfer_spectrum(hamiltonian)
     spy.assert_called_once_with(hamiltonian)
     full = eigendecompose(hamiltonian)
@@ -119,9 +120,13 @@ def test_non_palindromic_chains_take_eigendecompose(spec):
 
 
 def solver_spies():
-    """Spies on the vector solve (bulks and fallbacks) and the eigenvalue-only solve."""
+    """Spies on the vector solve (bulks and eigendecompose) and the eigenvalue-only solve."""
     return (mock.patch.object(spectral, "_eigh_rows", wraps=spectral._eigh_rows),
             mock.patch.object(spectral, "eigvalsh_tridiagonal", wraps=eigvalsh_tridiagonal))
+
+
+def full_solve_spy():
+    return mock.patch.object(spectral, "eigendecompose", wraps=eigendecompose)
 
 
 def sizes(spy):
@@ -137,8 +142,7 @@ def assert_full_route_amplitude(result, hamiltonian, times):
 def test_palindromic_chains_solve_two_half_blocks(n, fresh_bulk_cache):
     hamiltonian = build_hamiltonian(mirror_impurities(n, 0.5, field_h=0.3))
     vectors, values = solver_spies()
-    with mock.patch.object(spectral, "eigendecompose", wraps=eigendecompose) as full, \
-            vectors as bulk, values as energies:
+    with full_solve_spy() as full, vectors as bulk, values as energies:
         transfer_spectrum(hamiltonian)
     assert not full.called
     # one eigenvalue-only solve per block, eigenvectors of its bulk only
@@ -158,13 +162,16 @@ def test_bordered_amplitude_matches_the_full_solve(n, exchange_j, field_h):
 
 @pytest.mark.parametrize("n", [30, 31])
 def test_zero_border_blocks_take_their_eigenvectors(n, fresh_bulk_cache):
+    # alpha = 0 decouples site 1: the whole chain takes eigendecompose, and
+    # no block or bulk is solved on its own
     hamiltonian = build_hamiltonian(mirror_impurities(n, 0.0, field_h=0.3))
     vectors, values = solver_spies()
-    with vectors as solve, values as energies:
+    with full_solve_spy() as full, vectors as solve, values as energies:
         result = transfer_spectrum(hamiltonian)
+    full.assert_called_once_with(hamiltonian)
     assert not energies.called
-    assert sizes(solve) == [(n + 1) // 2, n // 2]
-    assert_full_route_amplitude(result, hamiltonian, np.arange(0.0, 40.0, 0.1))
+    assert sizes(solve) == [n]
+    assert np.all(transfer_amplitude(result, np.arange(0.0, 40.0, 0.1)) == 0.0)
 
 
 def repeated_lowest_level(*args, **kwargs):
@@ -175,18 +182,30 @@ def repeated_lowest_level(*args, **kwargs):
 
 @pytest.mark.parametrize("failure", ["completeness", "interlacing"])
 def test_failed_bordered_check_falls_back_to_eigenvectors(failure, fresh_bulk_cache):
-    n = 200
-    hamiltonian = build_hamiltonian(mirror_impurities(n, 0.4))
-    if failure == "completeness":
-        broken = mock.patch.object(spectral, "COMPLETENESS_TOL", -1.0)
-    else:
-        broken = mock.patch.object(spectral, "eigvalsh_tridiagonal", side_effect=repeated_lowest_level)
-    vectors, _ = solver_spies()
-    with broken, vectors as solve:
-        result = transfer_spectrum(hamiltonian)
-    # each block: the bulk modes, then the fallback's eigenvectors of the block
-    assert sizes(solve) == [n // 2 - 1, n // 2, n // 2 - 1, n // 2]
-    assert_full_route_amplitude(result, hamiltonian, np.arange(0.0, 150.0, 0.05))
+    # a failed check on either block alone sends the whole chain to one
+    # eigendecompose call; a failed even block ends the block loop
+    hamiltonian = build_hamiltonian(mirror_impurities(200, 0.4))
+
+    def broken():
+        if failure == "completeness":
+            return mock.patch.object(spectral, "COMPLETENESS_TOL", -1.0)
+        return mock.patch.object(spectral, "eigvalsh_tridiagonal", side_effect=repeated_lowest_level)
+
+    bordered = spectral._bordered_block
+    for failing in (0, 1):
+        results = []
+
+        def block(diag, offdiag):
+            with broken() if len(results) == failing else contextlib.nullcontext():
+                results.append(bordered(diag, offdiag))
+            return results[-1]
+
+        with mock.patch.object(spectral, "_bordered_block", side_effect=block), \
+                full_solve_spy() as full:
+            result = transfer_spectrum(hamiltonian)
+        full.assert_called_once_with(hamiltonian)
+        assert [solved is None for solved in results] == [False] * failing + [True]
+        assert_full_route_amplitude(result, hamiltonian, np.arange(0.0, 150.0, 0.05))
 
 
 def test_block_residual_over_the_bound_is_a_convergence_failure(fresh_bulk_cache):
@@ -243,10 +262,14 @@ def test_canonical_transfer_grid_takes_no_fallback(fresh_bulk_cache):
 
 
 @pytest.mark.parametrize("exchange_j, field_h", [(-1.0, 0.0), (-0.6, 0.4), (0.7, -1.1)])
-def test_two_sites_are_two_one_by_one_blocks(exchange_j, field_h):
+def test_two_sites_are_two_one_by_one_blocks(exchange_j, field_h, fresh_bulk_cache):
     # H = [[h, c], [c, h]]: E = h + c (even, w = +1/2) and h - c (odd, w = -1/2)
     coupling = 0.8 * exchange_j
-    result = transfer_spectrum(TridiagonalHamiltonian([field_h, field_h], [coupling]))
+    vectors, values = solver_spies()
+    with full_solve_spy() as full, vectors as solve, values as energies:
+        result = transfer_spectrum(TridiagonalHamiltonian([field_h, field_h], [coupling]))
+    # both blocks are one site: no solver runs
+    assert not (full.called or solve.called or energies.called)
     order = np.argsort([field_h + coupling, field_h - coupling])
     assert np.allclose(result.energies, np.array([field_h + coupling, field_h - coupling])[order],
                        rtol=0.0, atol=1e-15)
@@ -257,11 +280,16 @@ def test_two_sites_are_two_one_by_one_blocks(exchange_j, field_h):
 
 
 @pytest.mark.parametrize("exchange_j, field_h", [(-1.0, 0.0), (-0.6, 0.4), (0.7, -1.1)])
-def test_three_sites_join_the_middle_by_sqrt2(exchange_j, field_h):
+def test_three_sites_join_the_middle_by_sqrt2(exchange_j, field_h, fresh_bulk_cache):
     # E = h -+ sqrt(2)|c| (even, w = +1/4 each) and h (odd, w = -1/2)
     coupling = 1.3 * exchange_j
-    result = transfer_spectrum(hamiltonian_of(mirror_impurities(3, 1.3, exchange_j=exchange_j,
-                                                                field_h=field_h)))
+    hamiltonian = hamiltonian_of(mirror_impurities(3, 1.3, exchange_j=exchange_j, field_h=field_h))
+    vectors, values = solver_spies()
+    with full_solve_spy() as full, vectors as solve, values as energies:
+        result = transfer_spectrum(hamiltonian)
+    # the two-site even block solves its one-site bulk; the odd block is one site
+    assert not full.called
+    assert sizes(solve) == [1] and sizes(energies) == [2]
     split = math.sqrt(2.0) * abs(coupling)
     assert np.allclose(result.energies, [field_h - split, field_h, field_h + split],
                        rtol=0.0, atol=1e-15)
