@@ -66,6 +66,8 @@ def _json_ready(obj):
         return [_json_ready(item) for item in obj]
     if isinstance(obj, (float, np.floating)):
         return _round12(obj)
+    if isinstance(obj, bool):
+        return obj
     if isinstance(obj, (int, np.integer)):
         return int(obj)
     return obj

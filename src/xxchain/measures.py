@@ -10,6 +10,12 @@ their reduced density matrix; for a one-excitation state the nearest-neighbor
 reduced matrix has the closed form C = 2 |psi_{i+1} psi_i|, and for the first
 bond it also equals |(1/J) dE_j/dalpha| via the Hellmann-Feynman theorem.
 
+c12_sweep reads the first-bond concurrence from the eigenvectors of the
+requested states, except for a wide state range on a chain whose only
+impurity is bond 1: there spectral.bordered_c12 gives C_12 of every state
+from the energies and the cached modes of the alpha-independent bulk
+H[2:, 2:], without eigenvectors (spectral module docstring).
+
 States are plain arrays: a one-excitation state is its 1-d vector of N site
 amplitudes, whose unit norm ipr, reduced_density_two_sites and
 nn_concurrence_closed_form check (NORM_TOL).  Two-qubit states are 4x4
@@ -30,7 +36,13 @@ from .errors import (
     NotDensityMatrix,
     NotNormalized,
 )
-from .spectral import denergy_dalpha, eigendecompose, sweep
+from .spectral import (
+    SELECT_SITES_PER_STATE,
+    bordered_c12,
+    denergy_dalpha,
+    eigendecompose,
+    sweep,
+)
 
 NORM_TOL = 1e-9
 DENSITY_TOL = 1e-10
@@ -151,35 +163,63 @@ def ipr_of_rows(states: np.ndarray) -> np.ndarray:
     return totals * totals / np.sum(probabilities * probabilities, axis=1)
 
 
-def _state_sweep(template, alphas, state_indices, values_of_rows):
-    """Rows (alpha, j, value) of a per-eigenvector observable over an alpha grid.
+def _state_sweep(template, alphas, state_indices, values_of):
+    """Rows (alpha, j, value) of a per-eigenstate observable over an alpha grid.
 
-    Each alpha solves only the states min(indices)..max(indices).
+    values_of(H, lo, hi) returns the values of the states
+    lo = min(indices) .. hi = max(indices) in order.
     """
     rows = []
     indices = [int(j) for j in state_indices]
     if not indices:
         return rows
     lo, hi = min(indices), max(indices)
-    for alpha, dec in sweep(template, alphas, lambda ham: eigendecompose(ham, (lo, hi))):
-        values = values_of_rows(dec.vectors)
+    for alpha, values in sweep(template, alphas, lambda ham: values_of(ham, lo, hi)):
         for j in indices:
-            rows.append((alpha, j, float(values[j - dec.first_state])))
+            rows.append((alpha, j, float(values[j - lo])))
     return rows
+
+
+def _selected_rows(values_of_rows):
+    """values_of for _state_sweep: values_of_rows of the eigenvectors lo..hi."""
+    return lambda ham, lo, hi: values_of_rows(eigendecompose(ham, (lo, hi)).vectors)
+
+
+def _bordered_c12(ham, lo, hi):
+    """C_12 of states lo..hi from spectral.bordered_c12, else from eigenvectors."""
+    values = bordered_c12(ham)
+    if values is None:
+        return _c12_of_rows(eigendecompose(ham, (lo, hi)).vectors)
+    return values[lo - 1 : hi]
 
 
 def ipr_sweep(
     template: ChainSpec, alphas, state_indices
 ) -> list[tuple[float, int, float]]:
     """Rows (alpha, j, L_IPR) for the requested 1-based eigenstate indices."""
-    return _state_sweep(template, alphas, state_indices, ipr_of_rows)
+    return _state_sweep(template, alphas, state_indices, _selected_rows(ipr_of_rows))
 
 
 def c12_sweep(
     template: ChainSpec, alphas, state_indices
 ) -> list[tuple[float, int, float]]:
-    """Rows (alpha, j, C_12) for the requested 1-based eigenstate indices."""
-    return _state_sweep(template, alphas, state_indices, _c12_of_rows)
+    """Rows (alpha, j, C_12) for the requested 1-based eigenstate indices.
+
+    The route follows from the states lo..hi and the layout.  A wide range,
+    (hi - lo + 1) * SELECT_SITES_PER_STATE > N, on a template whose only
+    impurity bond is bond 1 reads C_12 of every state from
+    spectral.bordered_c12: the bulk H[2:, 2:] does not move with alpha, so
+    it is solved once for the sweep.  An alpha that route refuses (alpha = 0,
+    a failed check, a solver failure), a narrow range and any other layout
+    solve the eigenvectors lo..hi with eigendecompose.
+    """
+    indices = [int(j) for j in state_indices]
+    wide = bool(indices) and (
+        (max(indices) - min(indices) + 1) * SELECT_SITES_PER_STATE > template.n_sites
+    )
+    if wide and all(bond == 1 for bond, _ in template.impurities):
+        return _state_sweep(template, alphas, indices, _bordered_c12)
+    return _state_sweep(template, alphas, indices, _selected_rows(_c12_of_rows))
 
 
 def sweep_alpha_grid() -> np.ndarray:

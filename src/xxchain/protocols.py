@@ -73,11 +73,17 @@ class Landscape:
 
 @dataclass(frozen=True)
 class AlphaTrace:
-    """Refocus-window fidelity peak for one impurity strength."""
+    """Refocus-window fidelity peak for one impurity strength.
+
+    at_window_edge is true when the peak sits on the first or last time of
+    the window grid, where the fidelity may still be rising or falling: the
+    maximum is then not interior.
+    """
 
     alpha: float
     t_refocus: float
     f_peak: float
+    at_window_edge: bool
 
 
 @dataclass(frozen=True)
@@ -160,8 +166,9 @@ def optimize_alpha(template: ChainSpec, alpha_grid=None) -> TransferReport:
     multimodal, so the search is exhaustive rather than gradient-based.
 
     The argmax runs over the closed window, so a fidelity still rising at
-    0.75 N is reported as an unmarked edge "peak": on the grid 0.3..0.5,
-    N = 8, 9 and 10 all give t_tr = 0.75 N and a t_tr fit of slope 0.75.
+    0.75 N gives an edge "peak", which its trace marks (at_window_edge): on
+    the grid 0.3..0.5, N = 8, 9 and 10 all give t_tr = 0.75 N and a t_tr fit
+    of slope 0.75, and every winning trace is marked.
     """
     if alpha_grid is None:
         alpha_grid = default_alpha_grid()
@@ -173,9 +180,11 @@ def optimize_alpha(template: ChainSpec, alpha_grid=None) -> TransferReport:
     times = inclusive_grid(*refocus_window(template.n_sites), REFOCUS_T_STEP)
 
     grid = fidelity_landscape(template, alphas, times).fidelities
+    last = times.size - 1
     traces = [
-        AlphaTrace(alpha=float(alpha), t_refocus=float(times[k]), f_peak=float(values[k]))
-        for alpha, values, k in zip(alphas, grid, np.argmax(grid, axis=1))
+        AlphaTrace(alpha=float(alpha), t_refocus=float(times[k]), f_peak=float(values[k]),
+                   at_window_edge=k in (0, last))
+        for alpha, values, k in zip(alphas, grid, np.argmax(grid, axis=1).tolist())
     ]
     winner = traces[int(np.argmax([trace.f_peak for trace in traces]))]
     return TransferReport(

@@ -87,6 +87,51 @@ of 7, 1 BLAS thread, 2-vCPU x86-64 VM): 0.50 against 0.90 ms at N = 100,
 1.01 against 2.25 ms at N = 200, 2.87 against 6.83 ms at N = 400.  f_N(t)
 agrees with the full eigendecomposition to 2e-13 for N = 31-400,
 alpha = 0.005-3 and three (J, h).
+
+The same bordered solve gives the first-bond concurrence C_12 of every state
+of a whole chain whose only impurity is bond 1 (bordered_c12): site 1
+borders the bulk H[2:, 2:], which does not move with alpha, so the cache
+holds that one bulk for a whole sweep.  Row 1 of H psi = E psi gives
+psi_2 = (E - d_1) psi_1 / b = b S_1 psi_1 with S_1 = sum_k z_k^2 / (E - mu_k),
+so
+
+    C_12 = 2 |psi_1 psi_2| = 2 psi_1^2 |b S_1|,   psi_1^2 = 1 / g'(E).
+
+One plain Newton step is not enough here: g' and S_1 are ruled by the mode
+nearest E, and E - mu_k keeps only the absolute accuracy eps |E| of E, all
+of the difference for a level within ~1e-12 of its mode (small alpha, band
+edges); on the band-edge states C_12 then misses 40-digit secular roots by
+5.6e-6 relative at N = 60, alpha = 5e-4 and by 2.1e-3 at N = 400,
+alpha = 0.00069.  bordered_c12 therefore refines each dsterf energy in
+offset form (R.-C. Li, LAPACK Working Note 89, as in dlaed4): tau = E - p
+with p the nearest mode, the pole differences mu_k - p formed once, and
+Newton steps on
+
+    g(tau) = (p - d_1) + tau - b^2 sum_k z_k^2 / (tau - (mu_k - p))
+
+until every step is within OFFSET_STEP_TOL units of round-off, which takes
+two evaluations for most alphas and up to 8 at N = 800, alpha < 1e-3, where
+dsterf leaves a level next to its mode with little of tau right (3,072
+chains, N = 3-800, alpha = 5e-4-10, four (J, h)); the cap is
+OFFSET_STEPS_MAX.  Interlacing,
+completeness and the residual bound are checked as for a parity block, on
+the refined values.  measures.c12_sweep takes this route for a wide state
+range, (hi - lo + 1) * SELECT_SITES_PER_STATE > N, on a template without
+impurity bonds other than bond 1; a zero border (alpha = 0), a refinement
+that does not converge, a failed check or a solver failure sends that
+alpha to eigendecompose.  A narrow range keeps the selection solve (one
+state at N = 200: 0.25 ms per alpha), and a mirror chain keeps
+eigendecompose, because its bulk moves with alpha and the cache would miss
+at every step.  Measured per alpha at alpha = 0.7, bulk cached (timeit best
+of 5, two runs, 1 BLAS thread, 2-vCPU x86-64 VM), bordered_c12 against
+eigendecompose: 0.61-0.66 against 1.1-1.2 ms at N = 100, 1.7 against
+3.9-4.4 ms at N = 200, 6.7-7.5 against 15-16 ms at N = 400, 24-27 against
+60-71 ms at N = 800; dsterf is about 1.05 ms of the 1.7 ms at N = 200,
+and the usual two offset evaluations about 0.4 ms.  On 40-digit roots
+of the secular equation (band-edge states, N = 40-800, alpha = 5e-4-1.41)
+bordered_c12 is within 1.1e-11 relative and eigendecompose within 3e-11;
+at N <= 300 and alpha < 1e-3 bordered_c12 stays within 1e-12 where
+eigendecompose is off by up to 6.5e-11.
 """
 
 from __future__ import annotations
@@ -113,6 +158,13 @@ BAND_EDGE_TOL = 1e-9
 # eigendecompose selects a range of k states when k * SELECT_SITES_PER_STATE
 # <= N and solves fully otherwise; measured crossover in the module docstring.
 SELECT_SITES_PER_STATE = 16
+# The offset-form Newton steps of bordered_c12 stop once every step is at
+# most OFFSET_STEP_TOL eps (|tau| + (|p - d_1| + |tau|) / g'), a few units of
+# round-off in tau; a level still moving after OFFSET_STEPS_MAX evaluations
+# sends the chain to eigendecompose.
+OFFSET_STEP_TOL = 4.0
+OFFSET_STEPS_MAX = 12
+_EPS = float(np.finfo(float).eps)
 
 
 class BandLabel(enum.Enum):
@@ -251,7 +303,8 @@ def _bulk_modes(diag_bytes: bytes, offdiag_bytes: bytes):
     """Modes mu_k, squared first components z_k^2 and checked residual of a bulk.
 
     Keyed on the bytes of the bulk's diag and offdiag: two entries hold one
-    mirror chain's two parity bulks, which every alpha of a sweep shares.
+    mirror chain's two parity bulks, or the one bulk H[2:, 2:] of a bond-1
+    chain for bordered_c12, which every alpha of a sweep shares.
     """
     diag, offdiag = np.frombuffer(diag_bytes), np.frombuffer(offdiag_bytes)
     modes, vectors = _eigh_rows(diag, offdiag)
@@ -271,13 +324,59 @@ def _secular(energies, site, border2, modes, first):
     return 1.0 / (1.0 + border2 * (inverse @ first)), energies - site - border2 * total
 
 
-def _bordered_block(diag, offdiag):
-    """(energies, phi_1^2, residual bound) of a block from its bulk modes, or None.
+def _newton_step(energies, site, border, modes, first):
+    """(E, phi_1^2, g, phi_1^2) after one Newton step E <- E - g(E) phi_1^2."""
+    border2 = border * border
+    weights, secular = _secular(energies, site, border2, modes, first)
+    energies = energies - secular * weights
+    weights, secular = _secular(energies, site, border2, modes, first)
+    return energies, weights, secular, weights
 
-    A one-site block is its own mode (E = d_1, phi_1^2 = 1, bound 0) and
-    calls no solver.  None means the border is 0 or a check failed (module
-    docstring); the bulk is not solved for a zero border.  Raises
-    ConvergenceFailure if a solver fails.
+
+def _offset_c12(energies, site, border, modes, first):
+    """(E, psi_1^2, g, C_12) from Newton steps in offset form, or None.
+
+    tau = E - p with p the mode nearest E, and the pole differences mu_k - p
+    are formed once, so a level next to its pole keeps the digits of tau
+    (module docstring).  Everything is evaluated at the last tau, where the
+    next step would stay within the round-off bound of OFFSET_STEP_TOL;
+    None if some step is still larger after OFFSET_STEPS_MAX evaluations.
+    """
+    above = np.minimum(np.searchsorted(modes, energies), modes.size - 1)
+    below = np.maximum(above - 1, 0)
+    poles = modes[np.where(energies - modes[below] < modes[above] - energies, below, above)]
+    shifts = modes - poles[:, None]
+    offsets = poles - site
+    tau = energies - poles
+    border2 = border * border
+    inverse = np.empty_like(shifts)
+    for _ in range(OFFSET_STEPS_MAX):
+        np.subtract(tau[:, None], shifts, out=inverse)
+        np.reciprocal(inverse, out=inverse)
+        total = inverse @ first
+        inverse *= inverse
+        slope = 1.0 + border2 * (inverse @ first)
+        secular = offsets + tau - border2 * total
+        step = secular / slope
+        size = np.abs(tau)
+        if np.all(np.abs(step) <= OFFSET_STEP_TOL * _EPS * (size + (np.abs(offsets) + size) / slope)):
+            weights = 1.0 / slope
+            return poles + tau, weights, secular, 2.0 * weights * np.abs(border * total)
+        tau = tau - step
+    return None
+
+
+def _bordered_block(diag, offdiag, refine=_newton_step):
+    """(energies, values, residual bound) of a block from its bulk modes, or None.
+
+    The dsterf energies are refined by refine(E, d_1, b, mu, z^2), which
+    returns (E, phi_1^2, g(E), values) or None; values are phi_1^2 for
+    transfer_spectrum (_newton_step) and C_12 for bordered_c12
+    (_offset_c12).  A one-site block is its own mode (E = d_1,
+    phi_1^2 = 1, bound 0) and calls no solver.  None means the border is 0,
+    the refinement gave up or a check failed (module docstring); the bulk
+    is not solved for a zero border.  Raises ConvergenceFailure if a solver
+    fails.
     """
     if not offdiag.size:
         return diag, np.ones(1), 0.0
@@ -288,11 +387,11 @@ def _bordered_block(diag, offdiag):
         energies = eigvalsh_tridiagonal(diag, offdiag, lapack_driver="sterf")
     except LinAlgError as exc:
         raise ConvergenceFailure(f"tridiagonal eigenvalue solver failed: {exc}") from exc
-    border2 = offdiag[0] * offdiag[0]
     with np.errstate(all="ignore"):  # a level on a mode fails the checks below
-        weights, secular = _secular(energies, diag[0], border2, modes, first)
-        energies = energies - secular * weights
-        weights, secular = _secular(energies, diag[0], border2, modes, first)
+        refined = refine(energies, diag[0], offdiag[0], modes, first)
+        if refined is None:
+            return None
+        energies, weights, secular, values = refined
         bound = float(np.max(np.sqrt(weights) * np.abs(secular))) + modes.size ** 0.5 * bulk_bound
     if (
         np.all(energies[:-1] < modes)
@@ -300,8 +399,24 @@ def _bordered_block(diag, offdiag):
         and abs(float(np.sum(weights)) - 1.0) <= COMPLETENESS_TOL
         and bound <= RESIDUAL_TOL * (float(np.max(np.abs(energies))) + 1.0)
     ):
-        return energies, weights, bound
+        return energies, values, bound
     return None
+
+
+def bordered_c12(hamiltonian: TridiagonalHamiltonian) -> np.ndarray | None:
+    """First-bond concurrence 2 |psi_1 psi_2| of every state, without eigenvectors.
+
+    Site 1 borders the bulk H[2:, 2:], whose modes come from the cache of
+    _bulk_modes, and C_12 = 2 psi_1^2 |b S_1| with S_1 = sum_k
+    z_k^2 / (E - mu_k) (module docstring).  Returns None, for the caller to
+    take eigendecompose, when the border is 0, the offset refinement does
+    not converge, a check fails or a solver fails.
+    """
+    try:
+        block = _bordered_block(hamiltonian.diag, hamiltonian.offdiag, _offset_c12)
+    except ConvergenceFailure:
+        return None
+    return None if block is None else block[1]
 
 
 def transfer_spectrum(hamiltonian: TridiagonalHamiltonian) -> TransferSpectrum:

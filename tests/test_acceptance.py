@@ -379,6 +379,14 @@ def test_scaling_transfer_time_per_site_falls_with_n(scaling_result):
         assert all(later < earlier for earlier, later in zip(ratios, ratios[1:])), ratios
 
 
+def test_scaling_peaks_are_interior(scaling_result):
+    # no per-alpha refocus peak of N = 50..400 sits on an edge of [0.25 N, 0.75 N]
+    with report("paper regime (every refocus peak lies inside the window)"):
+        edges = [(rep.n_sites, trace.alpha) for rep in scaling_result.reports
+                 for trace in rep.per_alpha if trace.at_window_edge]
+        assert not edges, edges
+
+
 def test_criterion_10_oracle_equivalence():
     with report("criterion 10 (sector equals full Hilbert space, N=2..8)"):
         results = oracle_check([single_impurity(n, 1.0) for n in range(2, 9)])

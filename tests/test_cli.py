@@ -210,7 +210,7 @@ def test_optimize_json_report(tmp_path):
     assert report["alpha_opt"] in (0.4, 0.5, 0.6)
     assert report["c_max"] == pytest.approx(np.sqrt(report["f_max"]), abs=1e-9)
     assert len(report["per_alpha"]) == 3
-    assert set(report["per_alpha"][0]) == {"alpha", "t_refocus", "f_peak"}
+    assert set(report["per_alpha"][0]) == {"alpha", "t_refocus", "f_peak", "at_window_edge"}
 
 
 def test_optimize_default_grid_n31(tmp_path):
@@ -235,6 +235,16 @@ def test_scaling_accepts_odd_lengths(capsys):
     code, out, _ = run_cli(["scaling", "--n-list", "9,10", "--alpha-range", "0.3:0.5:0.1"], capsys)
     assert code == 0
     assert [report["n_sites"] for report in json.loads(out)["reports"]] == [9, 10]
+
+
+def test_scaling_marks_window_edge_peaks(capsys):
+    # short chains still gain fidelity at 0.75 N: every winner is an edge peak
+    code, out, _ = run_cli(["scaling", "--n-list", "8,9,10", "--alpha-range", "0.3:0.5:0.1"], capsys)
+    assert code == 0
+    for report in json.loads(out)["reports"]:
+        assert report["t_tr"] == 0.75 * report["n_sites"]
+        winners = [t for t in report["per_alpha"] if t["alpha"] == report["alpha_opt"]]
+        assert len(winners) == 1 and winners[0]["at_window_edge"] is True
 
 
 def test_config_file_with_flag_override(tmp_path, capsys):
