@@ -52,19 +52,37 @@ Wojcik et al., PRA 72, 034303 (2005); the bordered eigenproblem of Gu and
 Eisenstat, SIAM J. Matrix Anal. Appl. 16, 172 (1995)).  With the bulk modes
 mu_k and their first components z_k, every block energy E is a root of
 
-    g(E) = E - d_1 - b^2 sum_k z_k^2 / (E - mu_k),
+    g(E) = E - d_1 - b^2 S_1,   S_1 = sum_k z_k^2 / (E - mu_k),
 
 and the first component of its unit eigenvector is
 
     phi_1^2 = 1 / (1 + b^2 sum_k z_k^2 / (E - mu_k)^2) = 1 / g'(E).
 
-transfer_spectrum solves each bulk once with eigenvectors (eigh_tridiagonal
-and the residual check of eigendecompose) and keeps mu_k, z_k^2 and the
-bulk residual in a two-entry cache keyed on the bulk's bytes, which holds
-one chain's two parity bulks for all the alphas of a sweep.  Per alpha a
-block then takes its eigenvalues only (LAPACK dsterf), one Newton step
-E <- E - g(E) phi_1^2, and phi_1^2 and g at the stepped energies.  The
-bordered result is kept only if
+Each bulk is solved once with eigenvectors (eigh_tridiagonal and the
+residual check of eigendecompose), and mu_k, z_k^2 and the bulk residual
+are kept in a two-entry cache keyed on the bulk's bytes, which holds one
+mirror chain's two parity bulks, or the one bulk of a bond-1 chain, for all
+the alphas of a sweep.  Per alpha a block takes its eigenvalues only (LAPACK
+dsterf) and refines them.  g' and S_1 are ruled by the mode nearest E, and
+E - mu_k formed from a stepped E keeps only the absolute accuracy eps |E|,
+all of the difference for a level within ~1e-12 of its mode (small alpha,
+band edges, tiny inner bonds): one plain Newton step missed f_N by 4e-11 on
+an N = 3 mirror chain at alpha = 1e-6, and C_12 of band-edge states by
+2.1e-3 relative at N = 400, alpha = 0.00069.  The refinement therefore
+works in offset form (R.-C. Li, LAPACK Working Note 89, as in dlaed4): the
+differences E - mu_k are formed once from the dsterf energies, exact
+(Sterbenz) wherever a level is close to a mode, tau = E - p with p the
+nearer of the two modes that bracket E is carried beside them, and each
+Newton step on
+
+    g(tau) = (p - d_1) + tau - b^2 sum_k z_k^2 / (E - mu_k)
+
+is subtracted from tau and from every difference, until every step is
+within OFFSET_STEP_TOL units of round-off.  That takes two evaluations for
+most alphas and up to 6 at N = 400-800, alpha < 1e-3, where dsterf leaves a
+level next to its mode with little of tau right; the cap is
+OFFSET_STEPS_MAX.  phi_1^2, g and S_1 are read at the last tau, and the
+block is kept only if
 
     the E_j and the mu_k interlace strictly,
     |sum_j phi_1^2 - 1| <= COMPLETENESS_TOL, and
@@ -72,66 +90,44 @@ bordered result is kept only if
 
 where the left side of the last line bounds ||H v_j - E_j v_j|| for the unit
 vectors v_j that the bulk modes imply (m bulk sites); it is the block's
-residual_bound.  A one-site block (N = 2, the odd block of N = 3) is exact:
-E = d_1, phi_1^2 = 1, bound 0.  A chain that is not palindromic, has a
-block with border 0 (alpha = 0, site 1 decoupled) or has a block that fails
-a check takes eigendecompose instead, so transfer_spectrum has two routes.
-Checks fail where bulk modes barely touch site 1: often on chains with
-vanishing or strong inner couplings, and on mirror chains with N = 3-800,
-alpha = 0.001-10 and three (J, h) only at N = 800, alpha = 0.001; there,
-and at alpha = 0 for N = 200-800, eigendecompose costs 1.1-1.6 times the
-eigenvector solve of both blocks.  A solver failure raises
-ConvergenceFailure.  Measured per transfer_spectrum call on mirror chains
-at alpha = 0.5, against the eigenvector solve of both blocks (timeit best
-of 7, 1 BLAS thread, 2-vCPU x86-64 VM): 0.50 against 0.90 ms at N = 100,
-1.01 against 2.25 ms at N = 200, 2.87 against 6.83 ms at N = 400.  f_N(t)
+residual_bound.  That bound does not see a level that has lost digits next
+to a mode which barely touches site 1: on chains with a mirror pair of
+impurity bonds at alpha = 1e-3 to 3e-9 (N = 3-60), every chain whose f_N
+missed by more than 1e-12 (up to 1.3e-8; all with inner bonds) had a
+residual bound below 2.2e-14, but missed completeness by at least 838 eps,
+where the blocks of the canonical studies and of mirror and bond-1 chains up
+to N = 800 stay within 6 eps.  A one-site block (N = 2, the odd block of
+N = 3) is exact: E = d_1, phi_1^2 = 1, S_1 = 0, bound 0.  A zero border
+(alpha = 0, site 1 decoupled), a refinement that does not converge or a
+failed check refuses the block; a solver failure raises ConvergenceFailure.
+
+transfer_spectrum reads the weights +-phi_1^2/2 of the two parity blocks.
+A chain that is not palindromic or has a refused block takes
+eigendecompose instead, so transfer_spectrum has two routes; no mirror
+chain with N = 3-800, alpha = 0.001-10 and three (J, h) is refused.  f_N(t)
 agrees with the full eigendecomposition to 2e-13 for N = 31-400,
 alpha = 0.005-3 and three (J, h).
 
-The same bordered solve gives the first-bond concurrence C_12 of every state
-of a whole chain whose only impurity is bond 1 (bordered_c12): site 1
-borders the bulk H[2:, 2:], which does not move with alpha, so the cache
-holds that one bulk for a whole sweep.  Row 1 of H psi = E psi gives
-psi_2 = (E - d_1) psi_1 / b = b S_1 psi_1 with S_1 = sum_k z_k^2 / (E - mu_k),
-so
+The same refinement gives the first-bond concurrence C_12 of every state of
+a whole chain whose only impurity is bond 1 (bordered_c12): site 1 borders
+the bulk H[2:, 2:], which does not move with alpha.  Row 1 of H psi = E psi
+gives psi_2 = (E - d_1) psi_1 / b = b S_1 psi_1, so
 
-    C_12 = 2 |psi_1 psi_2| = 2 psi_1^2 |b S_1|,   psi_1^2 = 1 / g'(E).
+    C_12 = 2 |psi_1 psi_2| = 2 psi_1^2 |b S_1|.
 
-One plain Newton step is not enough here: g' and S_1 are ruled by the mode
-nearest E, and E - mu_k keeps only the absolute accuracy eps |E| of E, all
-of the difference for a level within ~1e-12 of its mode (small alpha, band
-edges); on the band-edge states C_12 then misses 40-digit secular roots by
-5.6e-6 relative at N = 60, alpha = 5e-4 and by 2.1e-3 at N = 400,
-alpha = 0.00069.  bordered_c12 therefore refines each dsterf energy in
-offset form (R.-C. Li, LAPACK Working Note 89, as in dlaed4): tau = E - p
-with p the nearest mode, the pole differences mu_k - p formed once, and
-Newton steps on
-
-    g(tau) = (p - d_1) + tau - b^2 sum_k z_k^2 / (tau - (mu_k - p))
-
-until every step is within OFFSET_STEP_TOL units of round-off, which takes
-two evaluations for most alphas and up to 8 at N = 800, alpha < 1e-3, where
-dsterf leaves a level next to its mode with little of tau right (3,072
-chains, N = 3-800, alpha = 5e-4-10, four (J, h)); the cap is
-OFFSET_STEPS_MAX.  Interlacing,
-completeness and the residual bound are checked as for a parity block, on
-the refined values.  measures.c12_sweep takes this route for a wide state
-range, (hi - lo + 1) * SELECT_SITES_PER_STATE > N, on a template without
-impurity bonds other than bond 1; a zero border (alpha = 0), a refinement
-that does not converge, a failed check or a solver failure sends that
+measures.c12_sweep takes this route for a wide state range,
+(hi - lo + 1) * SELECT_SITES_PER_STATE > N, on a template without impurity
+bonds other than bond 1; a refused block or a solver failure sends that
 alpha to eigendecompose.  A narrow range keeps the selection solve (one
 state at N = 200: 0.25 ms per alpha), and a mirror chain keeps
 eigendecompose, because its bulk moves with alpha and the cache would miss
 at every step.  Measured per alpha at alpha = 0.7, bulk cached (timeit best
-of 5, two runs, 1 BLAS thread, 2-vCPU x86-64 VM), bordered_c12 against
-eigendecompose: 0.61-0.66 against 1.1-1.2 ms at N = 100, 1.7 against
-3.9-4.4 ms at N = 200, 6.7-7.5 against 15-16 ms at N = 400, 24-27 against
-60-71 ms at N = 800; dsterf is about 1.05 ms of the 1.7 ms at N = 200,
-and the usual two offset evaluations about 0.4 ms.  On 40-digit roots
-of the secular equation (band-edge states, N = 40-800, alpha = 5e-4-1.41)
-bordered_c12 is within 1.1e-11 relative and eigendecompose within 3e-11;
-at N <= 300 and alpha < 1e-3 bordered_c12 stays within 1e-12 where
-eigendecompose is off by up to 6.5e-11.
+of 5, five runs, 1 BLAS thread, 2-vCPU x86-64 VM), bordered_c12 against
+eigendecompose: 0.46-0.64 against 1.1-1.2 ms at N = 100, 1.3-1.8 against
+3.9-4.4 ms at N = 200, 7.0-8.3 against 15-16 ms at N = 400, 26-30 against
+60-71 ms at N = 800.  On 40-digit roots of the secular equation (band-edge
+states, N = 40-800, alpha = 5e-4-1.41) bordered_c12 is within 4e-12
+relative for N <= 400 and 1.4e-11 at N = 800, eigendecompose within 2.4e-11.
 """
 
 from __future__ import annotations
@@ -150,21 +146,25 @@ from .errors import ConvergenceFailure, NoBracket, TooSmallN, WrongConfiguration
 SIGN_EPS = 1e-12
 # Residual contract: max_j ||H v_j - E_j v_j|| <= RESIDUAL_TOL * (max|E| + 1).
 RESIDUAL_TOL = 1e-10
-# A bordered parity-block solve is kept only if its weights phi_1^2 sum to 1
-# within this; otherwise the whole chain takes eigendecompose.
-COMPLETENESS_TOL = 1e-10
+_EPS = float(np.finfo(float).eps)
+# A bordered block is kept only if its weights phi_1^2 sum to 1 within this.
+# The weights are positive and each is 1 / g' with g' a sum of m positive
+# terms, so rounding moves their sum by about sqrt(m) eps (at most 6 eps
+# measured up to N = 800); 64 eps = 2 sqrt(1024) eps allows blocks of up to
+# 1,024 sites.  A level that has lost digits next to a mode misses by
+# hundreds of eps (module docstring).
+COMPLETENESS_TOL = 64 * _EPS
 # Band boundary tolerance: energies this close to h +- 2|J| count as in-band.
 BAND_EDGE_TOL = 1e-9
 # eigendecompose selects a range of k states when k * SELECT_SITES_PER_STATE
 # <= N and solves fully otherwise; measured crossover in the module docstring.
 SELECT_SITES_PER_STATE = 16
-# The offset-form Newton steps of bordered_c12 stop once every step is at
+# The offset-form Newton steps of a bordered block stop once every step is at
 # most OFFSET_STEP_TOL eps (|tau| + (|p - d_1| + |tau|) / g'), a few units of
 # round-off in tau; a level still moving after OFFSET_STEPS_MAX evaluations
-# sends the chain to eigendecompose.
+# refuses the block.
 OFFSET_STEP_TOL = 4.0
 OFFSET_STEPS_MAX = 12
-_EPS = float(np.finfo(float).eps)
 
 
 class BandLabel(enum.Enum):
@@ -315,71 +315,54 @@ def _bulk_modes(diag_bytes: bytes, offdiag_bytes: bytes):
     return modes, first, bound
 
 
-def _secular(energies, site, border2, modes, first):
-    """phi_1^2 and g(E) = E - d_1 - b^2 sum_k z_k^2 / (E - mu_k) at each energy."""
-    inverse = energies[:, None] - modes
-    np.reciprocal(inverse, out=inverse)
-    total = inverse @ first
-    inverse *= inverse
-    return 1.0 / (1.0 + border2 * (inverse @ first)), energies - site - border2 * total
+def _refine(energies, site, border, modes, first):
+    """(E, phi_1^2, g(E), S_1) from Newton steps in offset form, or None.
 
-
-def _newton_step(energies, site, border, modes, first):
-    """(E, phi_1^2, g, phi_1^2) after one Newton step E <- E - g(E) phi_1^2."""
-    border2 = border * border
-    weights, secular = _secular(energies, site, border2, modes, first)
-    energies = energies - secular * weights
-    weights, secular = _secular(energies, site, border2, modes, first)
-    return energies, weights, secular, weights
-
-
-def _offset_c12(energies, site, border, modes, first):
-    """(E, psi_1^2, g, C_12) from Newton steps in offset form, or None.
-
-    tau = E - p with p the mode nearest E, and the pole differences mu_k - p
-    are formed once, so a level next to its pole keeps the digits of tau
-    (module docstring).  Everything is evaluated at the last tau, where the
-    next step would stay within the round-off bound of OFFSET_STEP_TOL;
-    None if some step is still larger after OFFSET_STEPS_MAX evaluations.
+    p is the nearer of the two modes that bracket E in interlacing order.
+    The differences E - mu_k are formed once and every step is subtracted
+    from them and from tau = E - p, so a level next to its mode keeps the
+    digits of tau (module docstring).  Everything is evaluated at the last
+    tau, where the next step would stay within the round-off bound of
+    OFFSET_STEP_TOL; None if some step is still larger after
+    OFFSET_STEPS_MAX evaluations.
     """
-    above = np.minimum(np.searchsorted(modes, energies), modes.size - 1)
-    below = np.maximum(above - 1, 0)
-    poles = modes[np.where(energies - modes[below] < modes[above] - energies, below, above)]
-    shifts = modes - poles[:, None]
+    lower = np.concatenate(([-np.inf], modes))
+    upper = np.concatenate((modes, [np.inf]))
+    poles = np.where(energies - lower < upper - energies, lower, upper)
     offsets = poles - site
+    spread = np.abs(offsets)
     tau = energies - poles
+    gaps = energies[:, None] - modes
     border2 = border * border
-    inverse = np.empty_like(shifts)
+    weighted = border2 * first
+    inverse = np.empty_like(gaps)
     for _ in range(OFFSET_STEPS_MAX):
-        np.subtract(tau[:, None], shifts, out=inverse)
-        np.reciprocal(inverse, out=inverse)
-        total = inverse @ first
+        np.reciprocal(gaps, out=inverse)
+        total = inverse @ weighted
         inverse *= inverse
-        slope = 1.0 + border2 * (inverse @ first)
-        secular = offsets + tau - border2 * total
+        slope = 1.0 + inverse @ weighted
+        secular = offsets + tau - total
         step = secular / slope
         size = np.abs(tau)
-        if np.all(np.abs(step) <= OFFSET_STEP_TOL * _EPS * (size + (np.abs(offsets) + size) / slope)):
-            weights = 1.0 / slope
-            return poles + tau, weights, secular, 2.0 * weights * np.abs(border * total)
-        tau = tau - step
+        if (np.abs(step) <= OFFSET_STEP_TOL * _EPS * (size + (spread + size) / slope)).all():
+            return poles + tau, 1.0 / slope, secular, total / border2
+        tau -= step
+        gaps -= step[:, None]
     return None
 
 
-def _bordered_block(diag, offdiag, refine=_newton_step):
-    """(energies, values, residual bound) of a block from its bulk modes, or None.
+def _bordered_block(diag, offdiag):
+    """(E, phi_1^2, S_1, residual bound) of a block from its bulk modes, or None.
 
-    The dsterf energies are refined by refine(E, d_1, b, mu, z^2), which
-    returns (E, phi_1^2, g(E), values) or None; values are phi_1^2 for
-    transfer_spectrum (_newton_step) and C_12 for bordered_c12
-    (_offset_c12).  A one-site block is its own mode (E = d_1,
-    phi_1^2 = 1, bound 0) and calls no solver.  None means the border is 0,
-    the refinement gave up or a check failed (module docstring); the bulk
-    is not solved for a zero border.  Raises ConvergenceFailure if a solver
-    fails.
+    The dsterf energies are refined by _refine, and S_1 = sum_k
+    z_k^2 / (E - mu_k) at the refined energies.  A one-site block is its own
+    mode (E = d_1, phi_1^2 = 1, S_1 = 0, bound 0) and calls no solver.  None
+    means the border is 0, the refinement gave up or a check failed (module
+    docstring); the bulk is not solved for a zero border.  Raises
+    ConvergenceFailure if a solver fails.
     """
     if not offdiag.size:
-        return diag, np.ones(1), 0.0
+        return diag, np.ones(1), np.zeros(1), 0.0
     if offdiag[0] == 0.0:
         return None
     modes, first, bulk_bound = _bulk_modes(diag[1:].tobytes(), offdiag[1:].tobytes())
@@ -388,10 +371,10 @@ def _bordered_block(diag, offdiag, refine=_newton_step):
     except LinAlgError as exc:
         raise ConvergenceFailure(f"tridiagonal eigenvalue solver failed: {exc}") from exc
     with np.errstate(all="ignore"):  # a level on a mode fails the checks below
-        refined = refine(energies, diag[0], offdiag[0], modes, first)
+        refined = _refine(energies, diag[0], offdiag[0], modes, first)
         if refined is None:
             return None
-        energies, weights, secular, values = refined
+        energies, weights, secular, sums = refined
         bound = float(np.max(np.sqrt(weights) * np.abs(secular))) + modes.size ** 0.5 * bulk_bound
     if (
         np.all(energies[:-1] < modes)
@@ -399,7 +382,7 @@ def _bordered_block(diag, offdiag, refine=_newton_step):
         and abs(float(np.sum(weights)) - 1.0) <= COMPLETENESS_TOL
         and bound <= RESIDUAL_TOL * (float(np.max(np.abs(energies))) + 1.0)
     ):
-        return energies, values, bound
+        return energies, weights, sums, bound
     return None
 
 
@@ -409,14 +392,17 @@ def bordered_c12(hamiltonian: TridiagonalHamiltonian) -> np.ndarray | None:
     Site 1 borders the bulk H[2:, 2:], whose modes come from the cache of
     _bulk_modes, and C_12 = 2 psi_1^2 |b S_1| with S_1 = sum_k
     z_k^2 / (E - mu_k) (module docstring).  Returns None, for the caller to
-    take eigendecompose, when the border is 0, the offset refinement does
+    take eigendecompose, when the border is 0, the refinement does
     not converge, a check fails or a solver fails.
     """
     try:
-        block = _bordered_block(hamiltonian.diag, hamiltonian.offdiag, _offset_c12)
+        block = _bordered_block(hamiltonian.diag, hamiltonian.offdiag)
     except ConvergenceFailure:
         return None
-    return None if block is None else block[1]
+    if block is None:
+        return None
+    _, weights, sums, _ = block
+    return 2.0 * weights * np.abs(hamiltonian.offdiag[0] * sums)
 
 
 def transfer_spectrum(hamiltonian: TridiagonalHamiltonian) -> TransferSpectrum:
@@ -434,7 +420,7 @@ def transfer_spectrum(hamiltonian: TridiagonalHamiltonian) -> TransferSpectrum:
             block = _bordered_block(block_diag, block_offdiag)
             if block is None:
                 break
-            blocks.append((block[0], 0.5 * sign * block[1], block[2]))
+            blocks.append((block[0], 0.5 * sign * block[1], block[3]))
         else:
             energies, weights, bounds = zip(*blocks)
             energies = np.concatenate(energies)

@@ -19,7 +19,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import LinAlgError, eigh_tridiagonal, eigvalsh_tridiagonal
 
@@ -79,6 +79,9 @@ def amplitude(spectrum, times):
 
 @settings(max_examples=150, deadline=None)
 @given(spec=palindromic_chains(), lo=st.floats(0.0, 100.0), step=st.floats(1e-3, 0.5))
+# tiny inner bonds: block levels sit next to bulk modes that barely touch
+# site 1, and the completeness check must refuse those blocks
+@example(spec=ChainSpec(60, -1.0, 0.3, ((20, 1e-6), (40, 1e-6))), lo=0.0, step=0.5)
 def test_parity_amplitude_matches_the_full_solve(spec, lo, step):
     hamiltonian = hamiltonian_of(spec)
     parity = transfer_spectrum(hamiltonian)
@@ -281,19 +284,24 @@ def test_two_sites_are_two_one_by_one_blocks(exchange_j, field_h, fresh_bulk_cac
 
 @pytest.mark.parametrize("exchange_j, field_h", [(-1.0, 0.0), (-0.6, 0.4), (0.7, -1.1)])
 def test_three_sites_join_the_middle_by_sqrt2(exchange_j, field_h, fresh_bulk_cache):
-    # E = h -+ sqrt(2)|c| (even, w = +1/4 each) and h (odd, w = -1/2)
-    coupling = 1.3 * exchange_j
-    hamiltonian = hamiltonian_of(mirror_impurities(3, 1.3, exchange_j=exchange_j, field_h=field_h))
-    vectors, values = solver_spies()
-    with full_solve_spy() as full, vectors as solve, values as energies:
-        result = transfer_spectrum(hamiltonian)
-    # the two-site even block solves its one-site bulk; the odd block is one site
-    assert not full.called
-    assert sizes(solve) == [1] and sizes(energies) == [2]
-    split = math.sqrt(2.0) * abs(coupling)
-    assert np.allclose(result.energies, [field_h - split, field_h, field_h + split],
-                       rtol=0.0, atol=1e-15)
-    assert np.allclose(result.transfer_weights, [0.25, -0.5, 0.25], rtol=0.0, atol=1e-15)
-    times = np.linspace(0.0, 20.0, 41)
-    exact = 0.5 * np.exp(-1j * field_h * times) * (np.cos(split * times) - 1.0)
-    assert np.max(np.abs(transfer_amplitude(result, times) - exact)) <= TOL
+    # E = h -+ sqrt(2)|c| (even, w = +1/4 each) and h (odd, w = -1/2); at
+    # alpha = 1e-6 the even levels sit next to the bulk mode h, and the
+    # refinement must still give their weights to round-off
+    for alpha in (1.3, 1e-6):
+        spectral._bulk_modes.cache_clear()
+        coupling = alpha * exchange_j
+        hamiltonian = hamiltonian_of(mirror_impurities(3, alpha, exchange_j=exchange_j,
+                                                       field_h=field_h))
+        vectors, values = solver_spies()
+        with full_solve_spy() as full, vectors as solve, values as energies:
+            result = transfer_spectrum(hamiltonian)
+        # the two-site even block solves its one-site bulk; the odd block is one site
+        assert not full.called
+        assert sizes(solve) == [1] and sizes(energies) == [2]
+        split = math.sqrt(2.0) * abs(coupling)
+        assert np.allclose(result.energies, [field_h - split, field_h, field_h + split],
+                           rtol=0.0, atol=1e-15)
+        assert np.allclose(result.transfer_weights, [0.25, -0.5, 0.25], rtol=0.0, atol=1e-15)
+        times = np.linspace(0.0, 20.0, 41)
+        exact = 0.5 * np.exp(-1j * field_h * times) * (np.cos(split * times) - 1.0)
+        assert np.max(np.abs(transfer_amplitude(result, times) - exact)) <= TOL
