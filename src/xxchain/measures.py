@@ -10,11 +10,11 @@ their reduced density matrix; for a one-excitation state the nearest-neighbor
 reduced matrix has the closed form C = 2 |psi_{i+1} psi_i|, and for the first
 bond it also equals |(1/J) dE_j/dalpha| via the Hellmann-Feynman theorem.
 
-c12_sweep reads the first-bond concurrence from the eigenvectors of the
-requested states, except for a wide state range on a chain whose only
-impurity is bond 1: there spectral.bordered_c12 gives C_12 of every state
-from the energies and the cached modes of the alpha-independent bulk
-H[2:, 2:], without eigenvectors (spectral module docstring).
+c12_sweep reads the first-bond concurrence from spectral.first_bond_c12,
+which picks the route from the matrix and the state range: a wide range on
+a uniform bulk H[2:, 2:] (every bond-1 chain) needs no eigenvectors, any
+other input reads the eigenvectors of the requested states (spectral module
+docstring).
 
 States are plain arrays: a one-excitation state is its 1-d vector of N site
 amplitudes, whose unit norm ipr, reduced_density_two_sites and
@@ -36,13 +36,7 @@ from .errors import (
     NotDensityMatrix,
     NotNormalized,
 )
-from .spectral import (
-    SELECT_SITES_PER_STATE,
-    bordered_c12,
-    denergy_dalpha,
-    eigendecompose,
-    sweep,
-)
+from .spectral import denergy_dalpha, eigendecompose, first_bond_c12, sweep
 
 NORM_TOL = 1e-9
 DENSITY_TOL = 1e-10
@@ -151,11 +145,6 @@ def c12_from_energy_derivative(spec: ChainSpec, state_index: int) -> float:
     return abs(denergy_dalpha(spec, state_index) / spec.exchange_j)
 
 
-def _c12_of_rows(states: np.ndarray) -> np.ndarray:
-    """First-bond concurrence 2 |psi_1 psi_2| of every row of real eigenvectors."""
-    return 2.0 * np.abs(states[:, 0] * states[:, 1])
-
-
 def ipr_of_rows(states: np.ndarray) -> np.ndarray:
     """IPR of every row of an array of normalized amplitude vectors."""
     probabilities = np.abs(states) ** 2
@@ -166,7 +155,7 @@ def ipr_of_rows(states: np.ndarray) -> np.ndarray:
 def _state_sweep(template, alphas, state_indices, values_of):
     """Rows (alpha, j, value) of a per-eigenstate observable over an alpha grid.
 
-    values_of(H, lo, hi) returns the values of the states
+    values_of(H, (lo, hi)) returns the values of the states
     lo = min(indices) .. hi = max(indices) in order.
     """
     rows = []
@@ -174,30 +163,20 @@ def _state_sweep(template, alphas, state_indices, values_of):
     if not indices:
         return rows
     lo, hi = min(indices), max(indices)
-    for alpha, values in sweep(template, alphas, lambda ham: values_of(ham, lo, hi)):
+    for alpha, values in sweep(template, alphas, lambda ham: values_of(ham, (lo, hi))):
         for j in indices:
             rows.append((alpha, j, float(values[j - lo])))
     return rows
-
-
-def _selected_rows(values_of_rows):
-    """values_of for _state_sweep: values_of_rows of the eigenvectors lo..hi."""
-    return lambda ham, lo, hi: values_of_rows(eigendecompose(ham, (lo, hi)).vectors)
-
-
-def _bordered_c12(ham, lo, hi):
-    """C_12 of states lo..hi from spectral.bordered_c12, else from eigenvectors."""
-    values = bordered_c12(ham)
-    if values is None:
-        return _c12_of_rows(eigendecompose(ham, (lo, hi)).vectors)
-    return values[lo - 1 : hi]
 
 
 def ipr_sweep(
     template: ChainSpec, alphas, state_indices
 ) -> list[tuple[float, int, float]]:
     """Rows (alpha, j, L_IPR) for the requested 1-based eigenstate indices."""
-    return _state_sweep(template, alphas, state_indices, _selected_rows(ipr_of_rows))
+    return _state_sweep(
+        template, alphas, state_indices,
+        lambda ham, states: ipr_of_rows(eigendecompose(ham, states).vectors),
+    )
 
 
 def c12_sweep(
@@ -205,21 +184,14 @@ def c12_sweep(
 ) -> list[tuple[float, int, float]]:
     """Rows (alpha, j, C_12) for the requested 1-based eigenstate indices.
 
-    The route follows from the states lo..hi and the layout.  A wide range,
-    (hi - lo + 1) * SELECT_SITES_PER_STATE > N, on a template whose only
-    impurity bond is bond 1 reads C_12 of every state from
-    spectral.bordered_c12: the bulk H[2:, 2:] does not move with alpha, so
-    it is solved once for the sweep.  An alpha that route refuses (alpha = 0,
-    a failed check, a solver failure), a narrow range and any other layout
-    solve the eigenvectors lo..hi with eigendecompose.
+    spectral.first_bond_c12 picks the route per alpha from the matrix and
+    the states lo..hi: a wide range on a uniform bulk H[2:, 2:], which a
+    bond-1 template keeps at every alpha, reads C_12 without eigenvectors
+    from bulk modes solved once for the sweep; a narrow range, a bulk that
+    is not uniform and an alpha the bordered solve refuses (alpha = 0, a
+    failed check or solve) take the eigenvectors lo..hi.
     """
-    indices = [int(j) for j in state_indices]
-    wide = bool(indices) and (
-        (max(indices) - min(indices) + 1) * SELECT_SITES_PER_STATE > template.n_sites
-    )
-    if wide and all(bond == 1 for bond, _ in template.impurities):
-        return _state_sweep(template, alphas, indices, _bordered_c12)
-    return _state_sweep(template, alphas, indices, _selected_rows(_c12_of_rows))
+    return _state_sweep(template, alphas, state_indices, first_bond_c12)
 
 
 def sweep_alpha_grid() -> np.ndarray:
@@ -237,13 +209,10 @@ class ConcurrencePeak:
 
 
 def _local_maxima(values: np.ndarray) -> list[int]:
-    picks = []
-    for k in range(1, values.size - 1):
-        if values[k] >= values[k - 1] and values[k] >= values[k + 1] and (
-            values[k] > values[k - 1] or values[k] > values[k + 1]
-        ):
-            picks.append(k)
-    return picks
+    """Interior indices k with values[k] at least both neighbours and above one."""
+    left, mid, right = values[:-2], values[1:-1], values[2:]
+    peak = (mid >= left) & (mid >= right) & ((mid > left) | (mid > right))
+    return (np.flatnonzero(peak) + 1).tolist()
 
 
 def c12_peak(template: ChainSpec, state_index: int, alphas=None) -> ConcurrencePeak:

@@ -23,6 +23,7 @@ import numpy as np
 from .chain import ChainSpec
 from .dynamics import SeriesKind, TimeSeries, fidelity
 from .errors import NoMinimumInWindow
+from .measures import _local_maxima
 from .spectral import sweep, transfer_spectrum
 
 REFOCUS_T_STEP = 0.1
@@ -144,17 +145,10 @@ def detect_refocus_time(series: TimeSeries, window: tuple[float, float]) -> floa
         raise ValueError(
             f"series [{times[0]}, {times[-1]}] does not cover the window [{lo}, {hi}]"
         )
-    best_k = -1
-    for k in range(1, times.size - 1):
-        if not lo <= times[k] <= hi:
-            continue
-        left, mid, right = values[k - 1], values[k], values[k + 1]
-        if mid <= left and mid <= right and (mid < left or mid < right):
-            if best_k < 0 or mid < values[best_k]:
-                best_k = k
-    if best_k < 0:
+    minima = [k for k in _local_maxima(-values) if lo <= times[k] <= hi]
+    if not minima:
         raise NoMinimumInWindow(f"no IPR local minimum inside [{lo}, {hi}]")
-    return float(times[best_k])
+    return float(times[min(minima, key=values.__getitem__)])
 
 
 def optimize_alpha(template: ChainSpec, alpha_grid=None) -> TransferReport:

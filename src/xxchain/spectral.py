@@ -61,8 +61,8 @@ and the first component of its unit eigenvector is
 Each bulk is solved once with eigenvectors (eigh_tridiagonal and the
 residual check of eigendecompose), and mu_k, z_k^2 and the bulk residual
 are kept in a two-entry cache keyed on the bulk's bytes, which holds one
-mirror chain's two parity bulks, or the one bulk of a bond-1 chain, for all
-the alphas of a sweep.  Per alpha a block takes its eigenvalues only (LAPACK
+mirror chain's two parity bulks, or the one uniform bulk that
+first_bond_c12 reads, for all the alphas of a sweep.  Per alpha a block takes its eigenvalues only (LAPACK
 dsterf) and refines them.  g' and S_1 are ruled by the mode nearest E, and
 E - mu_k formed from a stepped E keeps only the absolute accuracy eps |E|,
 all of the difference for a level within ~1e-12 of its mode (small alpha,
@@ -98,8 +98,10 @@ residual bound below 2.2e-14, but missed completeness by at least 838 eps,
 where the blocks of the canonical studies and of mirror and bond-1 chains up
 to N = 800 stay within 6 eps.  A one-site block (N = 2, the odd block of
 N = 3) is exact: E = d_1, phi_1^2 = 1, S_1 = 0, bound 0.  A zero border
-(alpha = 0, site 1 decoupled), a refinement that does not converge or a
-failed check refuses the block; a solver failure raises ConvergenceFailure.
+(alpha = 0, site 1 decoupled), a failed bulk or eigenvalue solve, a
+refinement that does not converge or a failed check refuses the block, and
+its caller takes eigendecompose, which raises ConvergenceFailure if it
+fails too.
 
 transfer_spectrum reads the weights +-phi_1^2/2 of the two parity blocks.
 A chain that is not palindromic or has a refused block takes
@@ -108,26 +110,27 @@ chain with N = 3-800, alpha = 0.001-10 and three (J, h) is refused.  f_N(t)
 agrees with the full eigendecomposition to 2e-13 for N = 31-400,
 alpha = 0.005-3 and three (J, h).
 
-The same refinement gives the first-bond concurrence C_12 of every state of
-a whole chain whose only impurity is bond 1 (bordered_c12): site 1 borders
-the bulk H[2:, 2:], which does not move with alpha.  Row 1 of H psi = E psi
-gives psi_2 = (E - d_1) psi_1 / b = b S_1 psi_1, so
+The same refinement gives the first-bond concurrence C_12 of every state
+(first_bond_c12): site 1 borders the bulk H[2:, 2:].  Row 1 of
+H psi = E psi gives psi_2 = (E - d_1) psi_1 / b = b S_1 psi_1, so
 
     C_12 = 2 |psi_1 psi_2| = 2 psi_1^2 |b S_1|.
 
-measures.c12_sweep takes this route for a wide state range,
-(hi - lo + 1) * SELECT_SITES_PER_STATE > N, on a template without impurity
-bonds other than bond 1; a refused block or a solver failure sends that
-alpha to eigendecompose.  A narrow range keeps the selection solve (one
-state at N = 200: 0.25 ms per alpha), and a mirror chain keeps
-eigendecompose, because its bulk moves with alpha and the cache would miss
-at every step.  Measured per alpha at alpha = 0.7, bulk cached (timeit best
-of 5, five runs, 1 BLAS thread, 2-vCPU x86-64 VM), bordered_c12 against
-eigendecompose: 0.46-0.64 against 1.1-1.2 ms at N = 100, 1.3-1.8 against
-3.9-4.4 ms at N = 200, 7.0-8.3 against 15-16 ms at N = 400, 26-30 against
-60-71 ms at N = 800.  On 40-digit roots of the secular equation (band-edge
-states, N = 40-800, alpha = 5e-4-1.41) bordered_c12 is within 4e-12
-relative for N <= 400 and 1.4e-11 at N = 800, eigendecompose within 2.4e-11.
+Like transfer_spectrum, first_bond_c12 picks its route from its inputs: a
+wide range of states lo..hi, (hi - lo + 1) * SELECT_SITES_PER_STATE > N,
+on a matrix whose bulk is uniform (one diagonal value, one coupling) takes
+this route; a uniform bulk is one a sweep does not move, which holds for
+every bond-1 chain at every alpha and for the mirror chain at alpha = 1.  A
+narrow range, a bulk that is not uniform (whose cache entry would miss at
+every alpha of a sweep) and a refused block take eigendecompose(H, (lo, hi))
+and 2 |psi_1 psi_2|.  Measured per alpha at alpha = 0.7, bulk cached
+(timeit best of 5, five runs, 1 BLAS thread, 2-vCPU x86-64 VM), the
+bordered route against eigendecompose: 0.46-0.64 against 1.1-1.2 ms at
+N = 100, 1.3-1.8 against 3.9-4.4 ms at N = 200, 7.0-8.3 against 15-16 ms
+at N = 400, 26-30 against 60-71 ms at N = 800.  On 40-digit roots of the
+secular equation (band-edge states, N = 40-800, alpha = 5e-4-1.41) the
+bordered route is within 4e-12 relative for N <= 400 and 1.4e-11 at
+N = 800, eigendecompose within 2.4e-11.
 """
 
 from __future__ import annotations
@@ -238,9 +241,7 @@ def eigendecompose(
     RESIDUAL_TOL * (max|E| + 1), max over the returned energies.
     """
     n = hamiltonian.n_sites
-    lo, hi = (1, n) if states is None else (int(states[0]), int(states[1]))
-    if not 1 <= lo <= hi <= n:
-        raise ValueError(f"states must satisfy 1 <= lo <= hi <= {n}, got {states}")
+    lo, hi = _state_range(n, states)
     diag, offdiag = hamiltonian.diag, hamiltonian.offdiag
     if (hi - lo + 1) * SELECT_SITES_PER_STATE <= n:
         energies, vectors = _eigh_rows(diag, offdiag, select="i", select_range=(lo - 1, hi - 1))
@@ -260,6 +261,14 @@ def eigendecompose(
         residual_bound=_checked_residual(diag, offdiag, energies, vectors),
         first_state=lo,
     )
+
+
+def _state_range(n: int, states: tuple[int, int] | None) -> tuple[int, int]:
+    """1-based (lo, hi) of a state range; None is all n states, ValueError outside 1..n."""
+    lo, hi = (1, n) if states is None else (int(states[0]), int(states[1]))
+    if not 1 <= lo <= hi <= n:
+        raise ValueError(f"states must satisfy 1 <= lo <= hi <= {n}, got {states}")
+    return lo, hi
 
 
 def _eigh_rows(diag, offdiag, **select):
@@ -303,8 +312,8 @@ def _bulk_modes(diag_bytes: bytes, offdiag_bytes: bytes):
     """Modes mu_k, squared first components z_k^2 and checked residual of a bulk.
 
     Keyed on the bytes of the bulk's diag and offdiag: two entries hold one
-    mirror chain's two parity bulks, or the one bulk H[2:, 2:] of a bond-1
-    chain for bordered_c12, which every alpha of a sweep shares.
+    mirror chain's two parity bulks, or the one uniform bulk H[2:, 2:] that
+    first_bond_c12 reads at every alpha of a sweep.
     """
     diag, offdiag = np.frombuffer(diag_bytes), np.frombuffer(offdiag_bytes)
     modes, vectors = _eigh_rows(diag, offdiag)
@@ -357,19 +366,19 @@ def _bordered_block(diag, offdiag):
     The dsterf energies are refined by _refine, and S_1 = sum_k
     z_k^2 / (E - mu_k) at the refined energies.  A one-site block is its own
     mode (E = d_1, phi_1^2 = 1, S_1 = 0, bound 0) and calls no solver.  None
-    means the border is 0, the refinement gave up or a check failed (module
-    docstring); the bulk is not solved for a zero border.  Raises
-    ConvergenceFailure if a solver fails.
+    means the border is 0, the bulk or the eigenvalue solve failed, the
+    refinement gave up or a check failed (module docstring); the bulk is not
+    solved for a zero border.
     """
     if not offdiag.size:
         return diag, np.ones(1), np.zeros(1), 0.0
     if offdiag[0] == 0.0:
         return None
-    modes, first, bulk_bound = _bulk_modes(diag[1:].tobytes(), offdiag[1:].tobytes())
     try:
+        modes, first, bulk_bound = _bulk_modes(diag[1:].tobytes(), offdiag[1:].tobytes())
         energies = eigvalsh_tridiagonal(diag, offdiag, lapack_driver="sterf")
-    except LinAlgError as exc:
-        raise ConvergenceFailure(f"tridiagonal eigenvalue solver failed: {exc}") from exc
+    except (ConvergenceFailure, LinAlgError):
+        return None
     with np.errstate(all="ignore"):  # a level on a mode fails the checks below
         refined = _refine(energies, diag[0], offdiag[0], modes, first)
         if refined is None:
@@ -386,23 +395,26 @@ def _bordered_block(diag, offdiag):
     return None
 
 
-def bordered_c12(hamiltonian: TridiagonalHamiltonian) -> np.ndarray | None:
-    """First-bond concurrence 2 |psi_1 psi_2| of every state, without eigenvectors.
+def first_bond_c12(hamiltonian: TridiagonalHamiltonian, states: tuple[int, int]) -> np.ndarray:
+    """First-bond concurrence 2 |psi_1 psi_2| of the 1-based states lo..hi.
 
-    Site 1 borders the bulk H[2:, 2:], whose modes come from the cache of
-    _bulk_modes, and C_12 = 2 psi_1^2 |b S_1| with S_1 = sum_k
-    z_k^2 / (E - mu_k) (module docstring).  Returns None, for the caller to
-    take eigendecompose, when the border is 0, the refinement does
-    not converge, a check fails or a solver fails.
+    A wide range on a uniform bulk H[2:, 2:] reads C_12 = 2 psi_1^2 |b S_1|
+    of every state from the bordered block, without eigenvectors; a narrow
+    range, any other bulk and a refused block take eigendecompose(H, (lo, hi))
+    (module docstring).  Raises ValueError for a range outside 1..N and
+    ConvergenceFailure if eigendecompose fails.
     """
-    try:
-        block = _bordered_block(hamiltonian.diag, hamiltonian.offdiag)
-    except ConvergenceFailure:
-        return None
-    if block is None:
-        return None
-    _, weights, sums, _ = block
-    return 2.0 * weights * np.abs(hamiltonian.offdiag[0] * sums)
+    lo, hi = _state_range(hamiltonian.n_sites, states)
+    diag, offdiag = hamiltonian.diag, hamiltonian.offdiag
+    if (hi - lo + 1) * SELECT_SITES_PER_STATE > diag.size and not (
+        np.any(diag[2:] != diag[1:-1]) or np.any(offdiag[2:] != offdiag[1:-1])
+    ):
+        block = _bordered_block(diag, offdiag)
+        if block is not None:
+            _, weights, sums, _ = block
+            return (2.0 * weights * np.abs(offdiag[0] * sums))[lo - 1 : hi]
+    vectors = eigendecompose(hamiltonian, (lo, hi)).vectors
+    return 2.0 * np.abs(vectors[:, 0] * vectors[:, 1])
 
 
 def transfer_spectrum(hamiltonian: TridiagonalHamiltonian) -> TransferSpectrum:
@@ -410,8 +422,8 @@ def transfer_spectrum(hamiltonian: TridiagonalHamiltonian) -> TransferSpectrum:
 
     A palindromic matrix whose two reflection-parity blocks both pass the
     bordered solve (module docstring) is assembled from those blocks; every
-    other matrix takes eigendecompose.  Raises ConvergenceFailure if a solver
-    fails or eigendecompose misses its residual bound.
+    other matrix takes eigendecompose.  Raises ConvergenceFailure if
+    eigendecompose fails or misses its residual bound.
     """
     diag, offdiag = hamiltonian.diag, hamiltonian.offdiag
     if np.array_equal(diag, diag[::-1]) and np.array_equal(offdiag, offdiag[::-1]):

@@ -1,14 +1,15 @@
-"""The eigenvector-free C_12 route of measures.c12_sweep.
+"""The eigenvector-free route of spectral.first_bond_c12.
 
-On a template whose only impurity bond is bond 1, site 1 borders the
-alpha-independent bulk H[2:, 2:], and a wide state range reads C_12 of every
-state from spectral.bordered_c12: dsterf energies refined in offset form
+Site 1 borders the bulk H[2:, 2:].  When that bulk is uniform (every bond-1
+chain at every alpha, the mirror chain at alpha = 1), a wide state range
+reads C_12 of every state from dsterf energies refined in offset form
 against the cached bulk modes.  These tests pin that route against
 eigendecompose and against a 40-digit mpmath root of the edge-bond secular
-equation, and check which states take which route: alpha = 0, a failed
-check, a refinement that does not converge and a solver failure fall back to
-eigendecompose(H, (lo, hi)); narrow ranges and other layouts never leave it.
-Tests that mock a solver clear the bulk cache first (fresh_bulk_cache).
+equation, and check which matrices and states take which route: alpha = 0,
+a failed check, a refinement that does not converge and a solver failure
+fall back to eigendecompose(H, (lo, hi)); narrow ranges and bulks that are
+not uniform never leave it.  Tests that mock a solver clear the bulk cache
+first (fresh_bulk_cache, in conftest.py).
 """
 
 import warnings
@@ -21,11 +22,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import LinAlgError
 
-from xxchain import measures, spectral
-from xxchain.chain import ChainSpec, build_hamiltonian, mirror_impurities, single_impurity
+from xxchain import spectral
+from xxchain.chain import (
+    ChainSpec,
+    TridiagonalHamiltonian,
+    build_hamiltonian,
+    mirror_impurities,
+    single_impurity,
+)
 from xxchain.errors import ConvergenceFailure
 from xxchain.measures import c12_sweep
-from xxchain.spectral import bordered_c12, eigendecompose
+from xxchain.spectral import eigendecompose, first_bond_c12
 
 # Pairs of values both at or above TINY agree within a relative REL_TOL,
 # others within an absolute ABS_TOL: an exact zero, such as C_12 of the
@@ -33,13 +40,6 @@ from xxchain.spectral import bordered_c12, eigendecompose
 TINY = 1e-14
 REL_TOL = 1e-10
 ABS_TOL = 1e-13
-
-
-@pytest.fixture
-def fresh_bulk_cache():
-    spectral._bulk_modes.cache_clear()
-    yield
-    spectral._bulk_modes.cache_clear()
 
 
 def hamiltonian_of(spec):
@@ -51,6 +51,22 @@ def hamiltonian_of(spec):
 def eigenvector_c12(hamiltonian, states=None):
     vectors = eigendecompose(hamiltonian, states).vectors
     return 2.0 * np.abs(vectors[:, 0] * vectors[:, 1])
+
+
+def selection_spy():
+    return mock.patch.object(spectral, "eigendecompose", wraps=eigendecompose)
+
+
+def bordered_block_spy():
+    return mock.patch.object(spectral, "_bordered_block", wraps=spectral._bordered_block)
+
+
+def bordered_c12(hamiltonian):
+    """first_bond_c12 of every state, asserting that it took the bordered route."""
+    with selection_spy() as selected:
+        values = first_bond_c12(hamiltonian, (1, hamiltonian.n_sites))
+    assert not selected.called
+    return values
 
 
 def assert_close(values, reference):
@@ -73,9 +89,7 @@ def bond1_chains(draw):
 @given(spec=bond1_chains())
 def test_bordered_c12_matches_the_eigenvectors(spec):
     hamiltonian = hamiltonian_of(spec)
-    values = bordered_c12(hamiltonian)
-    assert values is not None
-    assert_close(values, eigenvector_c12(hamiltonian))
+    assert_close(bordered_c12(hamiltonian), eigenvector_c12(hamiltonian))
 
 
 def secular_c12(n, alpha, exchange_j, field_h, states):
@@ -119,15 +133,9 @@ def test_both_routes_match_the_secular_roots(n, alpha):
     states = [1, 2, n - 1, n]
     reference = secular_c12(n, alpha, -1.0, 0.0, states)
     hamiltonian = build_hamiltonian(single_impurity(n, alpha))
-    bordered = bordered_c12(hamiltonian)
-    assert bordered is not None
-    for values in (bordered, eigenvector_c12(hamiltonian)):
+    for values in (bordered_c12(hamiltonian), eigenvector_c12(hamiltonian)):
         got = values[np.array(states) - 1]
         assert np.all(np.abs(got - reference) <= 1e-11 * reference)
-
-
-def selection_spy():
-    return mock.patch.object(measures, "eigendecompose", wraps=eigendecompose)
 
 
 def test_wide_bond1_sweep_solves_the_bulk_once(fresh_bulk_cache):
@@ -156,15 +164,42 @@ def test_wide_bond1_sweep_solves_the_bulk_once(fresh_bulk_cache):
 )
 def test_narrow_ranges_and_moving_bulks_take_eigendecompose(template, states):
     alphas = [0.0, 0.5, 1.5]
-    with mock.patch.object(measures, "bordered_c12", wraps=bordered_c12) as bordered, \
-            selection_spy() as selected:
+    with bordered_block_spy() as bordered, selection_spy() as selected:
         c12_sweep(template, alphas, range(states[0], states[1] + 1))
     assert not bordered.called
     assert [call.args[1] for call in selected.call_args_list] == [states] * len(alphas)
 
 
+def test_mirror_chain_at_alpha_1_takes_the_bordered_route(fresh_bulk_cache):
+    # at alpha = 1 the mirror chain is uniform, so its bulk is too; at any
+    # other alpha the last bond moves the bulk
+    template = mirror_impurities(200, 1.0, exchange_j=-0.8, field_h=0.3)
+    alphas = [0.5, 1.0, 1.5]
+    with bordered_block_spy() as bordered, selection_spy() as selected:
+        rows = c12_sweep(template, alphas, range(2, 101))
+    assert bordered.call_count == 1
+    assert [call.args[0].offdiag[-1] for call in selected.call_args_list] == pytest.approx([-0.4, -1.2])
+    reference = eigenvector_c12(build_hamiltonian(template), (2, 100))
+    assert_close([value for alpha, _, value in rows if alpha == 1.0], reference)
+
+
+@pytest.mark.parametrize("site, bordered", [(1, True), (2, False), (120, False)])
+def test_a_moved_bulk_diagonal_takes_eigendecompose(site, bordered, fresh_bulk_cache):
+    # site 1 is the border; a moved diagonal entry on sites 2..N moves the bulk
+    diag = np.full(120, 0.3)
+    diag[site - 1] += 1e-3
+    offdiag = np.full(119, -0.8)
+    offdiag[0] *= 0.6
+    hamiltonian = TridiagonalHamiltonian(diag, offdiag)
+    with bordered_block_spy() as block, selection_spy() as selected:
+        values = first_bond_c12(hamiltonian, (1, 120))
+    assert block.called == bordered
+    assert [call.args[1] for call in selected.call_args_list] == ([] if bordered else [(1, 120)])
+    assert_close(values, eigenvector_c12(hamiltonian))
+
+
 def refused(name):
-    """A patch under which bordered_c12 refuses every chain."""
+    """A patch under which _bordered_block refuses every chain."""
     return {
         "failed_check": mock.patch.object(spectral, "COMPLETENESS_TOL", -1.0),
         "no_convergence": mock.patch.object(spectral, "OFFSET_STEP_TOL", -1.0),
@@ -179,7 +214,8 @@ def test_refused_alphas_fall_back_to_eigendecompose(failure, fresh_bulk_cache):
     template = single_impurity(120, 1.0, exchange_j=-0.8, field_h=0.3)
     alphas = [0.2, 0.9]
     with refused(failure):
-        assert bordered_c12(build_hamiltonian(template)) is None
+        hamiltonian = build_hamiltonian(template)
+        assert spectral._bordered_block(hamiltonian.diag, hamiltonian.offdiag) is None
         with selection_spy() as selected:
             rows = c12_sweep(template, alphas, range(1, 121))
     assert [call.args[1] for call in selected.call_args_list] == [(1, 120)] * len(alphas)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from xxchain import measures
 from xxchain.chain import ChainSpec, build_hamiltonian, single_impurity
@@ -15,6 +17,7 @@ from xxchain.measures import (
     c12_sweep,
     ipr,
     ipr_of_rows,
+    ipr_sweep,
     nn_concurrence_closed_form,
     reduced_density_two_sites,
     wootters_concurrence,
@@ -222,6 +225,14 @@ def test_c12_symmetric_between_mirror_states():
         ) <= 1e-9
 
 
+@pytest.mark.parametrize("sweep_rows", [c12_sweep, ipr_sweep])
+@pytest.mark.parametrize("states", [range(0, 100), range(150, 202)])
+def test_out_of_range_states_are_a_value_error(sweep_rows, states):
+    # wide ranges: the eigenvector-free C_12 route checks them like eigendecompose
+    with pytest.raises(ValueError):
+        sweep_rows(single_impurity(200, 0.5), [0.5], states)
+
+
 def test_eigenstate_c12_matches_full_decomposition():
     spec = single_impurity(60, 0.8)
     dec = eigendecompose(build_hamiltonian(spec))
@@ -237,6 +248,16 @@ def test_c12_peaks_are_single_and_ordered():
     assert all(peak.dominant for peak in peaks)
     assert peaks[0].alpha > peaks[1].alpha > peaks[2].alpha
     assert peaks[0].height < peaks[1].height < peaks[2].height
+
+
+@given(st.lists(st.integers(0, 3), max_size=12))
+def test_local_maxima_match_the_neighbour_loop(values):
+    # small integers make ties and plateaus common
+    values = np.array(values, dtype=float)
+    expected = [k for k in range(1, values.size - 1)
+                if values[k] >= max(values[k - 1], values[k + 1])
+                and values[k] > min(values[k - 1], values[k + 1])]
+    assert measures._local_maxima(values) == expected
 
 
 def test_reduced_density_passes_the_density_check():

@@ -3,9 +3,10 @@
 A palindromic chain is solved as two half-size blocks and yields only the
 energies and the transfer weights psi_1 psi_N.  Each block is solved from
 the cached modes of its bulk and its own eigenvalues, and a one-site block
-is exact.  If either block has border 0 or fails the bordered checks, the
-whole chain takes eigendecompose instead.  Tests that mock a solver clear
-the bulk cache first (fresh_bulk_cache), so that the mock is reached.  The checks compare f_N(t)
+is exact.  If either block has border 0, a failed bulk or eigenvalue solve
+or fails the bordered checks, the whole chain takes eigendecompose instead.
+Tests that mock a solver clear the bulk cache first (fresh_bulk_cache, in
+conftest.py), so that the mock is reached.  The checks compare f_N(t)
 against the full eigendecomposition rather than per-state weights: above
 alpha = sqrt(2) the two bound-state pairs are degenerate to 1e-10 or better,
 and the full solve returns an arbitrary mix of each pair, whose weights
@@ -39,13 +40,6 @@ from xxchain.spectral import TransferSpectrum, eigendecompose, sweep, transfer_s
 from routes import full_route
 
 TOL = 1e-12
-
-
-@pytest.fixture
-def fresh_bulk_cache():
-    spectral._bulk_modes.cache_clear()
-    yield
-    spectral._bulk_modes.cache_clear()
 
 
 def hamiltonian_of(spec):
@@ -212,6 +206,7 @@ def test_failed_bordered_check_falls_back_to_eigenvectors(failure, fresh_bulk_ca
 
 
 def test_block_residual_over_the_bound_is_a_convergence_failure(fresh_bulk_cache):
+    # the noisy bulk refuses the block, and the fallback full solve fails too
     hamiltonian = build_hamiltonian(mirror_impurities(200, 0.4))
 
     def noisy(*args, **kwargs):
@@ -224,17 +219,21 @@ def test_block_residual_over_the_bound_is_a_convergence_failure(fresh_bulk_cache
 
 
 def test_block_solver_error_is_a_convergence_failure(fresh_bulk_cache):
+    # the failed bulk solve refuses the block, and the fallback fails too
     hamiltonian = build_hamiltonian(mirror_impurities(200, 0.4))
     with mock.patch.object(spectral, "eigh_tridiagonal", side_effect=LinAlgError("no convergence")):
         with pytest.raises(ConvergenceFailure):
             transfer_spectrum(hamiltonian)
 
 
-def test_eigenvalue_solver_error_is_a_convergence_failure(fresh_bulk_cache):
+def test_eigenvalue_solver_error_falls_back_to_one_full_solve(fresh_bulk_cache):
+    # a failed dsterf refuses the block like a failed check does
     hamiltonian = build_hamiltonian(mirror_impurities(200, 0.4))
-    with mock.patch.object(spectral, "eigvalsh_tridiagonal", side_effect=LinAlgError("no convergence")):
-        with pytest.raises(ConvergenceFailure):
-            transfer_spectrum(hamiltonian)
+    with mock.patch.object(spectral, "eigvalsh_tridiagonal", side_effect=LinAlgError("no convergence")), \
+            full_solve_spy() as full:
+        result = transfer_spectrum(hamiltonian)
+    full.assert_called_once_with(hamiltonian)
+    assert_full_route_amplitude(result, hamiltonian, np.arange(0.0, 150.0, 0.05))
 
 
 @pytest.mark.parametrize("n", [31, 200])
