@@ -112,7 +112,10 @@ def _parse_range(text: str, flag: str) -> np.ndarray:
         raise UsageError(f"{flag} step must be positive, got {step}")
     if hi < lo:
         raise UsageError(f"{flag} needs hi >= lo, got {text!r}")
-    return inclusive_grid(lo, hi, step)
+    grid = inclusive_grid(lo, hi, step)
+    if np.any(np.diff(grid) <= 0.0):
+        raise UsageError(f"{flag} points are not strictly ascending after rounding, got {text!r}")
+    return grid
 
 
 def _parse_states(text: str, n_sites: int) -> tuple[int, int]:

@@ -31,6 +31,56 @@ grids whose len(t) N falls below FACTORED_MIN_PHASES take the per-sample
 exponentials exp(-i E_j t_k) directly: there the two factor tables cost more
 than they save.
 
+Every chain the package builds has the constant diagonal h, so H - h is a
+bipartite hopping matrix and its spectrum is chiral (Inui, Trugman and
+Abrahams, PRB 49, 3190 (1994)): with D = diag((-1)^n), D (H - h) D = -(H - h),
+so E_{N+1-j} - h = -(E_j - h) and psi^(N+1-j)_n = +-(-1)^n psi^(j)_n.  The
+weights w_j = psi_n^(j) psi_s^(j) of a pair then differ by the sign
+(-1)^(n - s), and from site s
+
+    psi_n(t) = exp(-iht) Re Z_n(t)     on site s's sublattice,
+    psi_n(t) = exp(-iht) i Im Z_n(t)   on the other one,
+    Z_n(t) = sum over the upper half of c_j exp(-i (E_j - h) t) w_j,
+
+where the upper half is the levels floor(N/2) + 1 .. N, c_j = 2, and odd N
+adds its zero mode (E = h, its own partner) with c = 1.  In particular
+f_N = exp(-iht) Re Z_N for odd N and exp(-iht) i Im Z_N for even N.  The
+kernels above run unchanged on the upper half: half the exponentials of
+transfer_amplitude (and so of fidelity, concurrence_AN, the landscape and
+the optimizer).  The running IPR of time_series needs only |psi_n|^2, so it
+reads the real rows Re Z and Im Z, two real (T x N/2)(N/2 x N/2) GEMMs
+(Propagator._sublattice_rows), and builds no complex T x N array;
+amplitude_matrix multiplies the same rows by their phases.  Timings are in
+CHANGES.md.
+
+The pairing is checked on the computed spectrum, not assumed.  Each kernel
+rounds every phase E_j t to about eps |E_j t|, so its own round-off is
+R = eps max|E| max|t| W, with W = max_n sum_j |w_j| (one column n per site
+amplitude, or the single column of f_N).  Replacing E_{N+1-j} by 2h - E_j
+and w_{N+1-j} by (-1)^(n - s) w_j moves every amplitude by at most
+
+    B = max|t| W dE + dw,   dE = max_j |E_j + E_{N+1-j} - 2h|,
+                            dw = max_n 1/2 sum_j |w_{N+1-j} - (-1)^(n - s) w_j|
+
+(h is the midrange of the pair sums; the zero mode's terms are in both
+sums).  A grid takes the upper half only when B <= PAIRING_ROUNDOFF R.  The
+share of dE in B / R is dE / (eps max|E|) at every t.  dE adds the errors
+of two computed levels, and the level errors of a backward-stable
+tridiagonal solve accumulate like sqrt(N) eps max|E| over its O(N) steps, so
+dE is about 2 sqrt(N) eps max|E|; the multiple 64 = 2 sqrt(1024) admits it
+for every chain up to 1,024 sites, as COMPLETENESS_TOL does for the bordered
+blocks (measured: dE is at most 4 eps max|E| on single-impurity and mirror
+chains up to N = 400).  The share of dw does not grow with t and falls as
+1 / max|t|; it is what refuses degenerate levels, whose eigenvectors LAPACK
+returns in a basis that need not pair (the even-N alpha = 0 pair at E = h).
+Under the guard the upper-half sum is within (1 + PAIRING_ROUNDOFF) R of the
+exact sum over the computed spectrum, where the full sum is within R.  dE,
+dw and W are measured once, when a Propagator or TransferSpectrum is built
+(spectral._chiral_half); a call only compares its max|t| with the smallest
+max|t| they allow.  A spectrum whose dE alone exceeds the multiple (a
+generic non-constant diagonal), and a grid whose max|t| is too short, take
+the full sum above, with its bytes.
+
 transfer_amplitude, fidelity and concurrence_AN read only the energies E_j
 and the weights w_j, so they take the TransferSpectrum of
 spectral.transfer_spectrum, which solves a mirror chain as two parity blocks.
@@ -51,7 +101,13 @@ import numpy as np
 from .chain import TridiagonalHamiltonian
 from .errors import BadSite, IncompleteBasis
 from .measures import ipr_of_rows
-from .spectral import SpectralDecomposition, TransferSpectrum, eigendecompose, transfer_spectrum
+from .spectral import (
+    SpectralDecomposition,
+    TransferSpectrum,
+    _chiral_half,
+    eigendecompose,
+    transfer_spectrum,
+)
 
 # Smallest len(t) * N for which transfer_amplitude (and amplitude_matrix)
 # factors an even grid.
@@ -114,14 +170,31 @@ class Propagator:
         self.dec = dec
         # weight of eigenstate j in the initial delta state
         self._weights = dec.vectors[:, init_site - 1].copy()
+        # the paired route keeps the sites of init_site's sublattice first
+        self._own = slice((init_site - 1) % 2, None, 2)
+        self._other = slice(init_site % 2, None, 2)
+        self._n_own = len(range(dec.n_sites)[self._own])
+        products = dec.vectors * self._weights[:, None]
+        products = np.hstack((products[:, self._own], products[:, self._other]))
+        signs = np.where(np.arange(dec.n_sites) < self._n_own, 1.0, -1.0)
+        self._half = _chiral_half(dec.energies, products, signs)
 
     def amplitude_matrix(self, times) -> np.ndarray:
         """Site amplitudes for every time: shape (len(times), N).
 
         On an even grid the phase table is the product of the coarse-anchor
         and fine-offset tables of transfer_amplitude, one multiply per entry.
+        A paired spectrum sums over its upper half (_sublattice_rows).
         """
         times = np.asarray(times, dtype=float)
+        if _paired(self._half, times):
+            times = times.ravel()
+            rows = self._sublattice_rows(times)
+            phase = np.exp(-1j * self._half.centre * times)[:, None]
+            amplitudes = np.empty(rows.shape, dtype=complex)
+            amplitudes[:, self._own] = rows[:, : self._n_own] * phase
+            amplitudes[:, self._other] = rows[:, self._n_own :] * (1j * phase)
+            return amplitudes
         energies = self.dec.energies
         step = _factored_step(times, energies.size)
         if step is None:
@@ -132,6 +205,33 @@ class Propagator:
             phases = (coarse[:, None, :] * fine[None, :, :]).reshape(-1, energies.size)
             phases = phases[: times.size]
         return phases @ self.dec.vectors
+
+    def _sublattice_rows(self, times) -> np.ndarray:
+        """Real r_n(t) with psi_n(t) = exp(-iht) r_n on init_site's sublattice, exp(-iht) i r_n off it.
+
+        Columns are init_site's sublattice first, then the other one; r is
+        Re Z and Im Z of Z_n = sum over the upper half of exp(-i (E_j - h) t)
+        times the pair weights, as two real GEMMs.
+        """
+        half = self._half
+        step = _factored_step(times, self.dec.n_sites)
+        if step is None:
+            phases = np.exp(-1j * np.outer(times, half.offsets))
+        else:
+            coarse, fine = _phase_tables(half.offsets, times, step)
+            phases = (coarse[:, None, :] * fine[None, :, :]).reshape(-1, half.offsets.size)
+            phases = phases[: times.size]
+        cosines, sines = np.ascontiguousarray(phases.real), np.ascontiguousarray(phases.imag)
+        del phases
+        rows = np.empty((times.size, self.dec.n_sites))
+        np.matmul(cosines, half.weights[:, : self._n_own], out=rows[:, : self._n_own])
+        np.matmul(sines, half.weights[:, self._n_own :], out=rows[:, self._n_own :])
+        return rows
+
+
+def _paired(half, times: np.ndarray) -> bool:
+    """Whether a grid takes the upper half of a paired spectrum (module docstring)."""
+    return half is not None and float(np.abs(times).max(initial=0.0)) >= half.min_time
 
 
 def _even_step(times: np.ndarray):
@@ -168,12 +268,22 @@ def _factored_amplitude(energies, weights, times, step) -> np.ndarray:
 
 def transfer_amplitude(spectrum: TransferSpectrum, t):
     """End-to-end amplitude f_N(t) = <N| exp(-i H t) |1>; scalar or array t."""
-    energies, weights = spectrum.energies, spectrum.transfer_weights
     times = np.asarray(t, dtype=float)
-    step = _factored_step(times, energies.size)
+    half = spectrum._half
+    paired = _paired(half, times)
+    if paired:
+        energies, weights = half.offsets, half.weights
+    else:
+        energies, weights = spectrum.energies, spectrum.transfer_weights
+    step = _factored_step(times, spectrum.n_sites)
     if step is not None:
-        return _factored_amplitude(energies, weights, times, step)
-    flat = np.exp(-1j * np.outer(times.ravel(), energies)) @ weights
+        flat = _factored_amplitude(energies, weights, times, step)
+    else:
+        flat = np.exp(-1j * np.outer(times.ravel(), energies)) @ weights
+    if paired:
+        # site N sits on site 1's sublattice for odd N only
+        part = flat.real if spectrum.n_sites % 2 else 1j * flat.imag
+        flat = np.exp(-1j * half.centre * times.ravel()) * part
     if times.ndim == 0:
         return complex(flat[0])
     return flat.reshape(times.shape)
@@ -223,7 +333,12 @@ def time_series(hamiltonian: TridiagonalHamiltonian, kind: SeriesKind, t_grid) -
     times = np.asarray(t_grid, dtype=float)
     kind = SeriesKind(kind)
     if kind is SeriesKind.IPR:
-        values = ipr_of_rows(Propagator(eigendecompose(hamiltonian), 1).amplitude_matrix(times))
+        propagator = Propagator(eigendecompose(hamiltonian), 1)
+        if _paired(propagator._half, times):
+            rows = propagator._sublattice_rows(times)  # real, |r_n| = |psi_n|
+        else:
+            rows = propagator.amplitude_matrix(times)
+        values = ipr_of_rows(rows)
     elif kind is SeriesKind.FIDELITY:
         values = fidelity(transfer_spectrum(hamiltonian), times)
     elif kind is SeriesKind.TRANSFER_AMPLITUDE:

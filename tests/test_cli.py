@@ -406,6 +406,26 @@ def test_non_finite_ranges_exit_two(argv, flag, capsys):
     assert flag in err and "finite" in err
 
 
+COLLAPSING = "1e16:1.00000000000001e16:1"  # 101 points that round onto fewer values
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["evolve", "--n", "8", "--t-range", COLLAPSING], "--t-range"),
+        (["landscape", "--n", "8", "--alpha-range", "0.4:0.4:0.1", "--t-range", COLLAPSING],
+         "--t-range"),
+        (["ipr-sweep", "--n", "8", "--alpha-range", COLLAPSING, "--states", "1:1"],
+         "--alpha-range"),
+    ],
+)
+def test_grids_that_collapse_under_rounding_exit_two(argv, flag, capsys):
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: UsageError: ") and flag in err and "ascending" in err
+
+
 @pytest.mark.parametrize(
     "argv, needle",
     [

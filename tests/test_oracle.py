@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from xxchain import oracle, spectral
+from xxchain import dynamics, oracle, spectral
 from xxchain.chain import (
     ChainSpec,
     bond_couplings,
@@ -312,3 +312,25 @@ def test_oracle_check_covers_the_parity_route():
     assert [result.n_sites for result in results] == [6]
     assert results[0].passed
     assert max(results[0].block_dev, results[0].amplitude_dev, results[0].concurrence_dev) <= 1e-13
+
+
+def test_oracle_check_covers_the_paired_kernels(monkeypatch):
+    # pairing and grid factoring are separate choices: the scalar times of
+    # oracle-check reach the upper-half kernels of amplitude_matrix and
+    # concurrence_AN, so the full-space verifier checks them on every chain
+    decisions = []
+    guard = dynamics._paired
+
+    def recording(half, times):
+        decisions.append(guard(half, times))
+        return decisions[-1]
+
+    monkeypatch.setattr(dynamics, "_paired", recording)
+    with mock.patch.object(
+        Propagator, "_sublattice_rows", autospec=True, side_effect=Propagator._sublattice_rows
+    ) as rows:
+        results = oracle_check([single_impurity(n, 1.0) for n in range(2, 11)])
+    # per chain: 3 alphas x 3 times, one amplitude_matrix and one concurrence_AN each
+    assert len(decisions) == 9 * 18 and all(decisions)
+    assert rows.call_count == 9 * 9
+    assert all(result.passed for result in results)

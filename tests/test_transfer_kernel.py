@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from xxchain import dynamics
-from xxchain.chain import ChainSpec, build_hamiltonian, mirror_impurities
+from xxchain.chain import ChainSpec, TridiagonalHamiltonian, build_hamiltonian, mirror_impurities
 from xxchain.cli import _parse_range
 from xxchain.dynamics import FACTORED_MIN_PHASES, Propagator, transfer_amplitude
 from xxchain.protocols import REFOCUS_T_STEP, default_alpha_grid, optimize_alpha, refocus_window
@@ -38,6 +38,27 @@ def per_sample_site_amplitudes(dec, times, init_site=1):
     """Reference: amplitudes from a delta on init_site, one exponential per (time, level)."""
     phases = np.exp(-1j * np.outer(np.ravel(times), dec.energies))
     return (phases * dec.vectors[:, init_site - 1]) @ dec.vectors
+
+
+def per_sample_route(spectrum, times):
+    """Reference for the route transfer_amplitude takes, one exponential per (time, level).
+
+    An unpaired spectrum takes the full sum; a paired one the upper half of
+    its levels, exp(-iht) Re Z for odd N and exp(-iht) i Im Z for even N.
+    """
+    half = spectrum._half
+    if not dynamics._paired(half, np.asarray(times)):
+        return per_sample_amplitude(spectrum, times)
+    flat = np.ravel(times)
+    upper = np.exp(-1j * np.outer(flat, half.offsets)) @ half.weights
+    part = upper.real if spectrum.n_sites % 2 else 1j * upper.imag
+    return np.exp(-1j * half.centre * flat) * part
+
+
+def uneven_field(spec):
+    """The chain's matrix with a site-dependent field: its levels do not pair."""
+    ham = hamiltonian_of(spec)
+    return TridiagonalHamiltonian(ham.diag + 0.05 * np.sin(np.arange(spec.n_sites)), ham.offdiag)
 
 
 def spy_factored():
@@ -126,13 +147,22 @@ def test_amplitude_matrix_matches_per_sample_reference(spec, lo, step, count, si
 
 
 def test_amplitude_matrix_uneven_grid_takes_the_per_sample_path():
-    dec = decompose(mirror_impurities(64, 0.4, field_h=-1.2))
+    # a paired spectrum sums its upper half, so it matches the reference to
+    # round-off; an unpaired one (uneven field) reproduces it bit for bit
     nudged = 0.1 * np.arange(500)
     nudged[250] += 1e-9
-    with mock.patch.object(dynamics, "_phase_tables", wraps=dynamics._phase_tables) as spy:
-        values = Propagator(dec, 1).amplitude_matrix(nudged)
-    assert not spy.called
-    assert np.array_equal(values, per_sample_site_amplitudes(dec, nudged))
+    for ham, paired in ((hamiltonian_of(mirror_impurities(64, 0.4, field_h=-1.2)), True),
+                        (uneven_field(mirror_impurities(64, 0.4, field_h=-1.2)), False)):
+        dec = eigendecompose(ham)
+        assert (Propagator(dec)._half is not None) == paired
+        with mock.patch.object(dynamics, "_phase_tables", wraps=dynamics._phase_tables) as spy:
+            values = Propagator(dec, 1).amplitude_matrix(nudged)
+        assert not spy.called
+        reference = per_sample_site_amplitudes(dec, nudged)
+        if paired:
+            assert np.max(np.abs(values - reference)) <= TOL
+        else:
+            assert np.array_equal(values, reference)
 
 
 def test_both_sides_of_the_crossover_are_exercised():
@@ -143,26 +173,34 @@ def test_both_sides_of_the_crossover_are_exercised():
 
 
 def test_scalar_time_takes_the_per_sample_path():
-    spectrum = transfer(ChainSpec(48, 1.0, -0.7, ((1, 0.3), (47, 0.3))))
-    with spy_factored() as spy:
-        value = transfer_amplitude(spectrum, 37.25)
-    assert isinstance(value, complex)
-    assert value == per_sample_amplitude(spectrum, [37.25])[0]
-    assert not spy.called
+    spec = ChainSpec(48, 1.0, -0.7, ((1, 0.3), (47, 0.3)))
+    spectra = (transfer(spec), transfer_spectrum(uneven_field(spec)))
+    assert [spectrum._half is None for spectrum in spectra] == [False, True]
+    for spectrum in spectra:
+        with spy_factored() as spy:
+            value = transfer_amplitude(spectrum, 37.25)
+        assert isinstance(value, complex)
+        assert value == per_sample_route(spectrum, [37.25])[0]
+        assert abs(value - per_sample_amplitude(spectrum, [37.25])[0]) <= TOL
+        assert not spy.called
 
 
 def test_uneven_and_multidimensional_grids_take_the_per_sample_path():
-    spectrum = transfer(mirror_impurities(64, 0.4, field_h=-1.2))
+    spec = mirror_impurities(64, 0.4, field_h=-1.2)
     rng = np.random.default_rng(11)
     uneven = np.sort(rng.uniform(0.0, 80.0, size=500))
     nudged = 0.1 * np.arange(500)
     nudged[250] += 1e-9
-    for times in (uneven, nudged, (0.1 * np.arange(600)).reshape(20, 30)):
-        with spy_factored() as spy:
-            values = transfer_amplitude(spectrum, times)
-        assert not spy.called
-        assert values.shape == times.shape
-        assert np.array_equal(values.ravel(), per_sample_amplitude(spectrum, times))
+    spectra = (transfer(spec), transfer_spectrum(uneven_field(spec)))
+    assert [spectrum._half is None for spectrum in spectra] == [False, True]
+    for spectrum in spectra:
+        for times in (uneven, nudged, (0.1 * np.arange(600)).reshape(20, 30)):
+            with spy_factored() as spy:
+                values = transfer_amplitude(spectrum, times)
+            assert not spy.called
+            assert values.shape == times.shape
+            assert np.array_equal(values.ravel(), per_sample_route(spectrum, times))
+            assert np.max(np.abs(values.ravel() - per_sample_amplitude(spectrum, times))) <= TOL
 
 
 def reference_optimize(n_sites):
