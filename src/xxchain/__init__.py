@@ -20,9 +20,9 @@ from .chain import (
     with_alpha,
 )
 from .dynamics import (
-    Propagator,
     SeriesKind,
     TimeSeries,
+    amplitude_matrix,
     concurrence_AN,
     fidelity,
     time_series,
@@ -69,13 +69,13 @@ __all__ = [
     "ChainSpec",
     "FullState",
     "Landscape",
-    "Propagator",
     "SeriesKind",
     "SpectralDecomposition",
     "TimeSeries",
     "TransferReport",
     "TransferSpectrum",
     "TridiagonalHamiltonian",
+    "amplitude_matrix",
     "build_hamiltonian",
     "c12_from_energy_derivative",
     "classify_band",

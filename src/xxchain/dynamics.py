@@ -22,8 +22,8 @@ about 2 sqrt(len(t)) N complex exponentials instead of len(t) N, and leaves
 the O(len(t) N) remainder to BLAS.  The split is exact algebra for any
 spectrum (no field, parity or chirality assumption); in floating point the
 phases E_j T_a and E_j tau_b carry the same rounding as E_j t_k, so the two
-evaluations agree to a few 1e-15.  Propagator.amplitude_matrix, which needs
-every site and not only f_N, builds its (len(t) x N) phase table from the
+evaluations agree to a few 1e-15.  amplitude_matrix, which needs every
+site and not only f_N, builds its (len(t) x N) phase table from the
 same two tables, exp(-i E_j t_k) = exp(-i E_j T_a) exp(-i E_j tau_b): one
 complex multiply per entry in place of one exponential.  Scalar,
 multi-dimensional and unevenly spaced t, grids with fewer than 6 samples and
@@ -49,7 +49,7 @@ kernels above run unchanged on the upper half: half the exponentials of
 transfer_amplitude (and so of fidelity, concurrence_AN, the landscape and
 the optimizer).  The running IPR of time_series needs only |psi_n|^2, so it
 reads the real rows Re Z and Im Z, two real (T x N/2)(N/2 x N/2) GEMMs
-(Propagator._sublattice_rows), and builds no complex T x N array;
+(_site_rows), and builds no complex T x N array;
 amplitude_matrix multiplies the same rows by their phases.  Timings are in
 CHANGES.md.
 
@@ -74,19 +74,18 @@ chains up to N = 400).  The share of dw does not grow with t and falls as
 1 / max|t|; it is what refuses degenerate levels, whose eigenvectors LAPACK
 returns in a basis that need not pair (the even-N alpha = 0 pair at E = h).
 Under the guard the upper-half sum is within (1 + PAIRING_ROUNDOFF) R of the
-exact sum over the computed spectrum, where the full sum is within R.  dE,
-dw and W are measured once, when a Propagator or TransferSpectrum is built
-(spectral._chiral_half); a call only compares its max|t| with the smallest
-max|t| they allow.  A spectrum whose dE alone exceeds the multiple (a
-generic non-constant diagonal), and a grid whose max|t| is too short, take
-the full sum above, with its bytes.
+exact sum over the computed spectrum, where the full sum is within R.  Each
+kernel call measures dE, dw and W and checks its own max|t| (_upper_half).
+A spectrum whose dE alone exceeds the multiple (a generic non-constant
+diagonal), and a grid whose max|t| is too short, take the full sum above,
+with its bytes.
 
 transfer_amplitude, fidelity and concurrence_AN read only the energies E_j
 and the weights w_j, so they take the TransferSpectrum of
 spectral.transfer_spectrum, which solves a mirror chain as two parity blocks.
 time_series picks the solve per observable: transfer_spectrum for the three
 f_N kinds, so a given matrix has one f_N(t) whoever asks, and eigendecompose
-for the running IPR, whose Propagator needs every site and every eigenpair
+for the running IPR, whose site rows need every site and every eigenpair
 (a decomposition of a range of states is refused with IncompleteBasis).
 """
 
@@ -101,13 +100,7 @@ import numpy as np
 from .chain import TridiagonalHamiltonian
 from .errors import BadSite, IncompleteBasis
 from .measures import ipr_of_rows
-from .spectral import (
-    SpectralDecomposition,
-    TransferSpectrum,
-    _chiral_half,
-    eigendecompose,
-    transfer_spectrum,
-)
+from .spectral import SpectralDecomposition, TransferSpectrum, eigendecompose, transfer_spectrum
 
 # Smallest len(t) * N for which transfer_amplitude (and amplitude_matrix)
 # factors an even grid.
@@ -119,6 +112,10 @@ from .spectral import (
 FACTORED_MIN_PHASES = 2048
 # An even grid may differ from t_0 + k dt by this many ulps of max|t|.
 _EVEN_GRID_ULPS = 8
+# The time kernels sum over the upper half of a chirally paired spectrum when
+# the pairing's error bound is within this many units of their own round-off;
+# the bound and the derivation of the multiple are in the module docstring.
+PAIRING_ROUNDOFF = 64
 
 
 # The values are the names `evolve --kind` accepts.
@@ -152,103 +149,100 @@ class TimeSeries:
         object.__setattr__(self, "values", values)
 
 
-class Propagator:
-    """Evolves a single-site initial excitation under a fixed decomposition.
+def amplitude_matrix(dec: SpectralDecomposition, times, init_site: int = 1) -> np.ndarray:
+    """Site amplitudes from a delta on init_site for every time: shape (len(times), N).
 
-    amplitude_matrix is the one route to site amplitudes: the state at a
-    single time t is the plain array amplitude_matrix([t])[0].
+    This is the one route to site amplitudes: the state at a single time t is
+    the plain array amplitude_matrix(dec, [t])[0].  dec must hold every
+    eigenpair (IncompleteBasis) and init_site lie in 1..N (BadSite).
     """
-
-    def __init__(self, dec: SpectralDecomposition, init_site: int = 1):
-        if dec.first_state != 1 or dec.energies.size != dec.n_sites:
-            raise IncompleteBasis(
-                f"time evolution needs all {dec.n_sites} eigenstates, the decomposition holds "
-                f"states {dec.first_state}..{dec.first_state + dec.energies.size - 1}"
-            )
-        if not 1 <= init_site <= dec.n_sites:
-            raise BadSite(f"init_site must be in 1..{dec.n_sites}, got {init_site}")
-        self.dec = dec
-        # weight of eigenstate j in the initial delta state
-        self._weights = dec.vectors[:, init_site - 1].copy()
-        # the paired route keeps the sites of init_site's sublattice first
-        self._own = slice((init_site - 1) % 2, None, 2)
-        self._other = slice(init_site % 2, None, 2)
-        self._n_own = len(range(dec.n_sites)[self._own])
-        products = dec.vectors * self._weights[:, None]
-        products = np.hstack((products[:, self._own], products[:, self._other]))
-        signs = np.where(np.arange(dec.n_sites) < self._n_own, 1.0, -1.0)
-        self._half = _chiral_half(dec.energies, products, signs)
-
-    def amplitude_matrix(self, times) -> np.ndarray:
-        """Site amplitudes for every time: shape (len(times), N).
-
-        On an even grid the phase table is the product of the coarse-anchor
-        and fine-offset tables of transfer_amplitude, one multiply per entry.
-        A paired spectrum sums over its upper half (_sublattice_rows).
-        """
-        times = np.asarray(times, dtype=float)
-        if _paired(self._half, times):
-            times = times.ravel()
-            rows = self._sublattice_rows(times)
-            phase = np.exp(-1j * self._half.centre * times)[:, None]
-            amplitudes = np.empty(rows.shape, dtype=complex)
-            amplitudes[:, self._own] = rows[:, : self._n_own] * phase
-            amplitudes[:, self._other] = rows[:, self._n_own :] * (1j * phase)
-            return amplitudes
-        energies = self.dec.energies
-        step = _factored_step(times, energies.size)
-        if step is None:
-            phases = np.exp(-1j * np.outer(times, energies)) * self._weights
-        else:
-            coarse, fine = _phase_tables(energies, times, step)
-            coarse *= self._weights
-            phases = (coarse[:, None, :] * fine[None, :, :]).reshape(-1, energies.size)
-            phases = phases[: times.size]
-        return phases @ self.dec.vectors
-
-    def _sublattice_rows(self, times) -> np.ndarray:
-        """Real r_n(t) with psi_n(t) = exp(-iht) r_n on init_site's sublattice, exp(-iht) i r_n off it.
-
-        Columns are init_site's sublattice first, then the other one; r is
-        Re Z and Im Z of Z_n = sum over the upper half of exp(-i (E_j - h) t)
-        times the pair weights, as two real GEMMs.
-        """
-        half = self._half
-        step = _factored_step(times, self.dec.n_sites)
-        if step is None:
-            phases = np.exp(-1j * np.outer(times, half.offsets))
-        else:
-            coarse, fine = _phase_tables(half.offsets, times, step)
-            phases = (coarse[:, None, :] * fine[None, :, :]).reshape(-1, half.offsets.size)
-            phases = phases[: times.size]
-        cosines, sines = np.ascontiguousarray(phases.real), np.ascontiguousarray(phases.imag)
-        del phases
-        rows = np.empty((times.size, self.dec.n_sites))
-        np.matmul(cosines, half.weights[:, : self._n_own], out=rows[:, : self._n_own])
-        np.matmul(sines, half.weights[:, self._n_own :], out=rows[:, self._n_own :])
+    times = np.asarray(times, dtype=float)
+    rows, centre = _site_rows(dec, times, init_site)
+    if centre is None:
         return rows
+    phase = np.exp(-1j * centre * times.ravel())[:, None]
+    amplitudes = np.empty(rows.shape, dtype=complex)
+    own = amplitudes[:, (init_site - 1) % 2 :: 2]  # views of the two sublattices
+    other = amplitudes[:, init_site % 2 :: 2]
+    own[...] = rows[:, : own.shape[1]] * phase
+    other[...] = rows[:, own.shape[1] :] * (1j * phase)
+    return amplitudes
 
 
-def _paired(half, times: np.ndarray) -> bool:
-    """Whether a grid takes the upper half of a paired spectrum (module docstring)."""
-    return half is not None and float(np.abs(times).max(initial=0.0)) >= half.min_time
+def _site_rows(dec: SpectralDecomposition, times: np.ndarray, init_site: int):
+    """Amplitude rows from init_site for every time, and h where the grid pairs (else None).
+
+    A grid that takes the upper half (_upper_half) gets real rows r_n, with
+    psi_n(t) = exp(-iht) r_n on init_site's sublattice and exp(-iht) i r_n
+    off it, init_site's sublattice in the first columns: Re Z_n and Im Z_n as
+    two real GEMMs.  Any other grid gets the complex psi_n(t) in site order.
+    """
+    n_sites = dec.n_sites
+    if dec.first_state != 1 or dec.energies.size != n_sites:
+        raise IncompleteBasis(
+            f"time evolution needs all {n_sites} eigenstates, the decomposition holds "
+            f"states {dec.first_state}..{dec.first_state + dec.energies.size - 1}"
+        )
+    if not 1 <= init_site <= n_sites:
+        raise BadSite(f"init_site must be in 1..{n_sites}, got {init_site}")
+    # weight of eigenstate j in the initial delta state
+    weights = dec.vectors[:, init_site - 1]
+    n_own = (n_sites + init_site % 2) // 2
+    products = dec.vectors * weights[:, None]
+    products = np.hstack((products[:, (init_site - 1) % 2 :: 2], products[:, init_site % 2 :: 2]))
+    signs = np.where(np.arange(n_sites) < n_own, 1.0, -1.0)
+    half = _upper_half(dec.energies, products, signs, times)
+    if half is None:
+        return _phase_matrix(dec.energies, times, n_sites, weights) @ dec.vectors, None
+    centre, offsets, pair_weights = half
+    phases = _phase_matrix(offsets, times.ravel(), n_sites)
+    cosines, sines = np.ascontiguousarray(phases.real), np.ascontiguousarray(phases.imag)
+    del phases
+    rows = np.empty((times.size, n_sites))
+    np.matmul(cosines, pair_weights[:, :n_own], out=rows[:, :n_own])
+    np.matmul(sines, pair_weights[:, n_own:], out=rows[:, n_own:])
+    return rows, centre
 
 
-def _even_step(times: np.ndarray):
-    """Step dt of a 1-d grid equal to t_0 + k dt to rounding, else None."""
+def _upper_half(energies, products, signs, times):
+    """(h, E_j - h, pair weights) of the upper half, or None where the grid takes the full sum.
+
+    products[j] holds the weights w_j of level j (one column per amplitude),
+    signs the sign (-1)^(n - s) each column takes under the pairing.  The
+    grid pairs when B <= PAIRING_ROUNDOFF R (module docstring), that is when
+    max|t| >= dw / (W slack) with slack = PAIRING_ROUNDOFF eps max|E| - dE.
+    """
+    sums = energies + energies[::-1]
+    low, high = float(sums.min()), float(sums.max())
+    slack = PAIRING_ROUNDOFF * np.finfo(float).eps * float(np.abs(energies).max()) - 0.5 * (high - low)
+    if not slack > 0.0:
+        return None
+    defect = 0.5 * float(np.abs(products[::-1] - signs * products).sum(axis=0).max())
+    norm = float(np.abs(products).sum(axis=0).max())
+    if defect and float(np.abs(times).max(initial=0.0)) < defect / (norm * slack):
+        return None
+    centre = 0.25 * (low + high)
+    upper = energies.size // 2
+    weights = 2.0 * products[upper:]
+    if energies.size % 2:
+        weights[0] *= 0.5  # the zero mode of odd N is its own partner
+    return centre, energies[upper:] - centre, weights
+
+
+def _factored_step(times: np.ndarray, n_levels: int):
+    """Step dt of a grid worth factoring over n_levels energies, else None.
+
+    That is a 1-d grid of at least 6 samples and FACTORED_MIN_PHASES phases
+    that equals t_0 + k dt to rounding.
+    """
     count = times.size
+    if times.ndim != 1 or count < 6 or count * n_levels < FACTORED_MIN_PHASES:
+        return None
     step = (times[-1] - times[0]) / (count - 1)
     ideal = times[0] + step * np.arange(count)
     tol = _EVEN_GRID_ULPS * np.finfo(float).eps * max(abs(times[0]), abs(times[-1]))
     if np.all(np.abs(times - ideal) <= tol):
         return step
-    return None
-
-
-def _factored_step(times: np.ndarray, n_levels: int):
-    """Step of a grid worth factoring over n_levels energies, else None."""
-    if times.ndim == 1 and times.size >= 6 and times.size * n_levels >= FACTORED_MIN_PHASES:
-        return _even_step(times)
     return None
 
 
@@ -260,30 +254,44 @@ def _phase_tables(energies, times, step):
     return coarse, fine
 
 
-def _factored_amplitude(energies, weights, times, step) -> np.ndarray:
-    """f_N on an even grid as (coarse anchors * weights) @ fine offsets."""
+def _phase_matrix(energies, times, n_sites, weights=None):
+    """The (len(t) x L) table exp(-i E_j t_k), times w_j if weights are given.
+
+    A grid worth factoring over n_sites levels is the product of the two
+    factor tables, with the weights on the coarse one.
+    """
+    step = _factored_step(times, n_sites)
+    if step is None:
+        phases = np.exp(-1j * np.outer(times, energies))
+        if weights is not None:
+            phases *= weights
+        return phases
     coarse, fine = _phase_tables(energies, times, step)
-    return ((coarse * weights) @ fine.T).ravel()[: times.size]
+    if weights is not None:
+        coarse *= weights
+    return (coarse[:, None, :] * fine[None, :, :]).reshape(-1, energies.size)[: times.size]
 
 
 def transfer_amplitude(spectrum: TransferSpectrum, t):
     """End-to-end amplitude f_N(t) = <N| exp(-i H t) |1>; scalar or array t."""
     times = np.asarray(t, dtype=float)
-    half = spectrum._half
-    paired = _paired(half, times)
-    if paired:
-        energies, weights = half.offsets, half.weights
-    else:
+    sign = 1.0 if spectrum.n_sites % 2 else -1.0  # (-1)^(N - 1)
+    half = _upper_half(spectrum.energies, spectrum.transfer_weights, sign, times)
+    if half is None:
         energies, weights = spectrum.energies, spectrum.transfer_weights
-    step = _factored_step(times, spectrum.n_sites)
-    if step is not None:
-        flat = _factored_amplitude(energies, weights, times, step)
     else:
+        centre, energies, weights = half
+    step = _factored_step(times, spectrum.n_sites)
+    if step is None:
         flat = np.exp(-1j * np.outer(times.ravel(), energies)) @ weights
-    if paired:
+    else:
+        # (coarse anchors * weights) @ fine offsets: no len(t) x N table
+        coarse, fine = _phase_tables(energies, times, step)
+        flat = ((coarse * weights) @ fine.T).ravel()[: times.size]
+    if half is not None:
         # site N sits on site 1's sublattice for odd N only
         part = flat.real if spectrum.n_sites % 2 else 1j * flat.imag
-        flat = np.exp(-1j * half.centre * times.ravel()) * part
+        flat = np.exp(-1j * centre * times.ravel()) * part
     if times.ndim == 0:
         return complex(flat[0])
     return flat.reshape(times.shape)
@@ -333,11 +341,7 @@ def time_series(hamiltonian: TridiagonalHamiltonian, kind: SeriesKind, t_grid) -
     times = np.asarray(t_grid, dtype=float)
     kind = SeriesKind(kind)
     if kind is SeriesKind.IPR:
-        propagator = Propagator(eigendecompose(hamiltonian), 1)
-        if _paired(propagator._half, times):
-            rows = propagator._sublattice_rows(times)  # real, |r_n| = |psi_n|
-        else:
-            rows = propagator.amplitude_matrix(times)
+        rows, _ = _site_rows(eigendecompose(hamiltonian), times, 1)  # |rows| = |psi_n|
         values = ipr_of_rows(rows)
     elif kind is SeriesKind.FIDELITY:
         values = fidelity(transfer_spectrum(hamiltonian), times)

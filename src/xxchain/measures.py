@@ -147,9 +147,11 @@ def c12_from_energy_derivative(spec: ChainSpec, state_index: int) -> float:
 
 def ipr_of_rows(states: np.ndarray) -> np.ndarray:
     """IPR of every row of an array of normalized amplitude vectors."""
-    probabilities = np.abs(states) ** 2
+    probabilities = np.abs(states)
+    probabilities *= probabilities  # squared in place, here and below
     totals = probabilities.sum(axis=1)
-    return totals * totals / np.sum(probabilities * probabilities, axis=1)
+    probabilities *= probabilities
+    return totals * totals / probabilities.sum(axis=1)
 
 
 def _state_sweep(template, alphas, state_indices, values_of):

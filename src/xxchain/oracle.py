@@ -263,7 +263,7 @@ def oracle_check(
     palindromic chains exercise.  One result per template.
     """
     from .chain import build_hamiltonian, with_alpha
-    from .dynamics import Propagator, concurrence_AN
+    from .dynamics import amplitude_matrix, concurrence_AN
     from .spectral import eigendecompose, transfer_spectrum
 
     results = []
@@ -277,13 +277,13 @@ def oracle_check(
             block = _full_eigh(spec).sector
             block_dev = max(block_dev, float(np.max(np.abs(block - sector.to_dense()))))
 
-            propagator = Propagator(eigendecompose(sector))
+            dec = eigendecompose(sector)
             spectrum = transfer_spectrum(sector)
             indices = one_excitation_indices(spec.n_sites)
             start = site_state(spec, 1)
             for t in times:
                 full = full_evolve(spec, start, float(t))
-                sector_amps = propagator.amplitude_matrix([float(t)])[0]
+                sector_amps = amplitude_matrix(dec, [float(t)])[0]
                 amplitude_dev = max(
                     amplitude_dev, float(np.max(np.abs(full.amps[indices] - sector_amps)))
                 )

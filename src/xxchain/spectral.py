@@ -138,7 +138,6 @@ from __future__ import annotations
 import enum
 import functools
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import LinAlgError, eigh_tridiagonal, eigvalsh_tridiagonal
@@ -169,10 +168,6 @@ SELECT_SITES_PER_STATE = 16
 # refuses the block.
 OFFSET_STEP_TOL = 4.0
 OFFSET_STEPS_MAX = 12
-# The time kernels sum over the upper half of a chirally paired spectrum when
-# the pairing's error bound is within this many units of their own round-off;
-# the bound and the derivation of the multiple are in the dynamics docstring.
-PAIRING_ROUNDOFF = 64
 
 
 class BandLabel(enum.Enum):
@@ -216,8 +211,6 @@ class TransferSpectrum:
 
     This is all that f_N(t) = sum_j exp(-i E_j t) psi_1^(j) psi_N^(j) needs;
     transfer_spectrum computes it, for a mirror chain without eigenvectors of H.
-    Building one also measures its chiral pairing (_chiral_half) once for
-    every later call of the time kernels.
     """
 
     energies: np.ndarray
@@ -229,52 +222,10 @@ class TransferSpectrum:
             array = np.asarray(getattr(self, name), dtype=float)
             array.setflags(write=False)
             object.__setattr__(self, name, array)
-        sign = 1.0 if self.energies.size % 2 else -1.0  # (-1)^(N - 1)
-        object.__setattr__(self, "_half", _chiral_half(self.energies, self.transfer_weights, sign))
 
     @property
     def n_sites(self) -> int:
         return self.energies.size
-
-
-class _ChiralHalf(NamedTuple):
-    """Upper half of a spectrum paired as E_j + E_{N+1-j} = 2h (dynamics docstring)."""
-
-    centre: float  # h
-    offsets: np.ndarray  # E_j - h of the 1-based levels floor(N/2) + 1 .. N
-    weights: np.ndarray  # 2 w_j, and w_j for the zero mode of odd N
-    min_time: float  # the pairing bound is within PAIRING_ROUNDOFF round-off once max|t| >= this
-
-
-def _chiral_half(energies, products, signs):
-    """The paired upper half of a spectrum, or None where its levels do not pair.
-
-    products[j] holds the weights w_j of level j (one column per amplitude),
-    and signs the sign (-1)^(n - s) each column takes under the pairing.  h is
-    the midrange of the pair sums s_j = E_j + E_{N+1-j}.  With the pair
-    defect dE = max_j |s_j - 2h|, the weight defect
-    dw = max_n 1/2 sum_j |w_{N+1-j} - sign_n w_j| and the norm
-    W = max_n sum_j |w_j|, the upper half is returned when
-
-        max|t| W dE + dw <= PAIRING_ROUNDOFF eps max|E| max|t| W
-
-    can hold at all (dE below PAIRING_ROUNDOFF eps max|E|); min_time is the
-    smallest max|t| for which it does.
-    """
-    sums = energies + energies[::-1]
-    low, high = float(sums.min()), float(sums.max())
-    centre = 0.25 * (low + high)
-    slack = PAIRING_ROUNDOFF * _EPS * float(np.abs(energies).max()) - 0.5 * (high - low)
-    if not slack > 0.0:
-        return None
-    defect = 0.5 * float(np.abs(products[::-1] - signs * products).sum(axis=0).max())
-    norm = float(np.abs(products).sum(axis=0).max())
-    upper = energies.size // 2
-    weights = 2.0 * products[upper:]
-    if energies.size % 2:
-        weights[0] *= 0.5  # the zero mode of odd N is its own partner
-    min_time = defect / (norm * slack) if defect else 0.0
-    return _ChiralHalf(centre, energies[upper:] - centre, weights, min_time)
 
 
 def eigendecompose(

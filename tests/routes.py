@@ -4,11 +4,32 @@ Production f_N(t) reads spectral.transfer_spectrum, which solves a
 palindromic chain as two reflection-parity blocks.  Tests that pin that
 route against the full eigendecomposition build the same TransferSpectrum
 from the first and last components of every eigenvector.
+
+pairings records which route the time kernels take: the upper half of a
+chirally paired spectrum or the full sum (dynamics docstring).
 """
 
+import contextlib
+from unittest import mock
+
+from xxchain import dynamics
 from xxchain.spectral import SpectralDecomposition, TransferSpectrum
 
 
 def full_route(dec: SpectralDecomposition) -> TransferSpectrum:
     """Energies and weights psi_1 psi_N of a complete decomposition."""
     return TransferSpectrum(dec.energies, dec.vectors[:, 0] * dec.vectors[:, -1], dec.residual_bound)
+
+
+@contextlib.contextmanager
+def pairings():
+    """Every dynamics._upper_half result in call order: None where a call takes the full sum."""
+    results = []
+    helper = dynamics._upper_half
+
+    def recording(*args):
+        results.append(helper(*args))
+        return results[-1]
+
+    with mock.patch.object(dynamics, "_upper_half", recording):
+        yield results

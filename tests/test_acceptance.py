@@ -20,7 +20,7 @@ from scipy.linalg import eigvalsh_tridiagonal, expm
 from scipy.optimize import brentq
 
 from xxchain.chain import ChainSpec, build_hamiltonian, mirror_impurities, single_impurity
-from xxchain.dynamics import Propagator, concurrence_AN
+from xxchain.dynamics import amplitude_matrix, concurrence_AN
 from xxchain.measures import (
     c12_from_energy_derivative,
     c12_peak,
@@ -406,7 +406,7 @@ def test_criterion_11_universal_invariants(landscape_31):
         for spec in (ChainSpec(200), single_impurity(200, 0.4),
                      single_impurity(200, 3.0), mirror_impurities(200, 0.7)):
             dec = eigendecompose(build_hamiltonian(spec))
-            states = Propagator(dec, 1).amplitude_matrix(np.arange(0.0, 150.0, 2.3))
+            states = amplitude_matrix(dec, np.arange(0.0, 150.0, 2.3), 1)
             norms = np.sum(np.abs(states) ** 2, axis=1)
             assert np.max(np.abs(norms - 1.0)) <= 1e-9
         rng = np.random.default_rng(7)

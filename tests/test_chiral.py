@@ -26,18 +26,25 @@ from xxchain.chain import (
     mirror_impurities,
     single_impurity,
 )
-from xxchain.dynamics import Propagator, SeriesKind, time_series, transfer_amplitude
+from xxchain.dynamics import (
+    PAIRING_ROUNDOFF,
+    SeriesKind,
+    amplitude_matrix,
+    time_series,
+    transfer_amplitude,
+)
 from xxchain.measures import ipr_of_rows
-from xxchain.spectral import PAIRING_ROUNDOFF, eigendecompose, transfer_spectrum
+from xxchain.spectral import eigendecompose, transfer_spectrum
+
+from routes import pairings
 
 EPS = float(np.finfo(float).eps)
 
 
 @contextlib.contextmanager
 def unpaired():
-    """The full-spectrum route: no spectrum built inside pairs."""
-    with mock.patch.object(dynamics, "_chiral_half", return_value=None), \
-            mock.patch.object(spectral, "_chiral_half", return_value=None):
+    """The full-spectrum route: no kernel call inside pairs."""
+    with mock.patch.object(dynamics, "_upper_half", return_value=None):
         yield
 
 
@@ -45,12 +52,6 @@ def hamiltonian_of(spec):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # J > 0 sign warning; same physics
         return build_hamiltonian(spec)
-
-
-def spy_rows():
-    return mock.patch.object(
-        Propagator, "_sublattice_rows", autospec=True, side_effect=Propagator._sublattice_rows
-    )
 
 
 def tolerance(energies, weights, times, n_sites):
@@ -97,18 +98,18 @@ def test_paired_route_matches_the_full_route(spec, times):
     dec = eigendecompose(ham)
     grid = np.atleast_1d(times)
     with unpaired():
-        full_amplitudes = Propagator(dec).amplitude_matrix(grid)
+        full_amplitudes = amplitude_matrix(dec, grid)
         full_spectrum = transfer_spectrum(ham)
         full_f = transfer_amplitude(full_spectrum, times)
-    propagator = Propagator(dec)
-    amplitudes = propagator.amplitude_matrix(grid)
     spectrum = transfer_spectrum(ham)
-    f_n = transfer_amplitude(spectrum, times)
+    with pairings() as halves:
+        amplitudes = amplitude_matrix(dec, grid)
+        f_n = transfer_amplitude(spectrum, times)
     assert np.shape(f_n) == np.shape(full_f) and type(f_n) is type(full_f)
 
     products = dec.vectors * dec.vectors[:, :1]
     bound = tolerance(dec.energies, products, grid, spec.n_sites)
-    if propagator._half is None:
+    if halves[0] is None:
         assert np.array_equal(amplitudes, full_amplitudes)
     assert np.max(np.abs(amplitudes - full_amplitudes)) <= bound
 
@@ -118,7 +119,7 @@ def test_paired_route_matches_the_full_route(spec, times):
     assert np.max(np.abs(ipr / full_ipr - 1.0)) <= 8.0 * spec.n_sites ** 0.5 * bound
 
     weights = spectrum.transfer_weights
-    if spectrum._half is None:
+    if halves[1] is None:
         assert np.array_equal(f_n, full_f)
     assert np.max(np.abs(f_n - full_f)) <= tolerance(spectrum.energies, weights, grid, spec.n_sites)
 
@@ -139,20 +140,20 @@ def test_uniform_chain_closed_form(n_sites, exchange_j, field_h):
         return np.exp(-1j * np.outer(grid, energies)) @ products.T
 
     bound = tolerance(energies, products.T, times, n_sites)
-    propagator = Propagator(eigendecompose(ham))
-    assert propagator._half is not None
-    with spy_rows() as rows:
-        amplitudes = propagator.amplitude_matrix(times)
+    dec = eigendecompose(ham)
+    with pairings() as halves:
+        amplitudes = amplitude_matrix(dec, times)
         ipr = time_series(ham, SeriesKind.IPR, times).values
-    assert rows.call_count == 2
+    assert len(halves) == 2 and all(half is not None for half in halves)
     reference = exact(times)
     assert np.max(np.abs(amplitudes - reference)) <= bound
     assert np.max(np.abs(ipr / ipr_of_rows(reference) - 1.0)) <= 8.0 * n_sites ** 0.5 * bound
 
     spectrum = transfer_spectrum(ham)
-    assert spectrum._half is not None
-    assert np.max(np.abs(transfer_amplitude(spectrum, times) - reference[:, -1])) <= bound
-    assert abs(transfer_amplitude(spectrum, 37.3) - exact([37.3])[0, -1]) <= bound
+    with pairings() as halves:
+        assert np.max(np.abs(transfer_amplitude(spectrum, times) - reference[:, -1])) <= bound
+        assert abs(transfer_amplitude(spectrum, 37.3) - exact([37.3])[0, -1]) <= bound
+    assert len(halves) == 2 and all(half is not None for half in halves)
 
 
 @pytest.mark.parametrize("n_sites, paired", [(200, False), (201, True)])
@@ -161,9 +162,9 @@ def test_decoupled_site_one_keeps_the_excitation(n_sites, paired):
     # For even N the decoupled level and the zero mode of sites 2..N share
     # E = h in a basis LAPACK picks, so they need not pair.
     ham = build_hamiltonian(single_impurity(n_sites, 0.0))
-    with spy_rows() as rows:
+    with pairings() as halves:
         series = time_series(ham, SeriesKind.IPR, 0.05 * np.arange(10001))
-    assert rows.called == paired
+    assert (halves[0] is not None) == paired
     assert np.max(np.abs(series.values - 1.0)) <= 1e-12
 
 
@@ -171,11 +172,10 @@ def test_non_constant_diagonal_takes_the_full_route():
     ham = hamiltonian_of(mirror_impurities(40, 0.5, field_h=0.3))
     ham = TridiagonalHamiltonian(ham.diag + 0.05 * np.sin(np.arange(40)), ham.offdiag)
     times = 0.1 * np.arange(400)
-    with spy_rows() as rows:
+    with pairings() as halves:
         ipr = time_series(ham, SeriesKind.IPR, times).values
         fidelity = time_series(ham, SeriesKind.FIDELITY, times).values
-    assert not rows.called
-    assert Propagator(eigendecompose(ham))._half is None and transfer_spectrum(ham)._half is None
+    assert len(halves) == 2 and all(half is None for half in halves)
     with unpaired():
         assert np.array_equal(ipr, time_series(ham, SeriesKind.IPR, times).values)
         assert np.array_equal(fidelity, time_series(ham, SeriesKind.FIDELITY, times).values)
@@ -186,10 +186,10 @@ def test_even_chain_pair_at_the_field_takes_the_full_route():
     dec = eigendecompose(ham)
     assert np.sum(np.abs(dec.energies - 0.4) < 1e-12) == 2
     times = 0.1 * np.arange(400)
-    assert not dynamics._paired(Propagator(dec)._half, times)
-    with spy_rows() as rows:
+    with pairings() as halves:
+        amplitude_matrix(dec, times)
         ipr = time_series(ham, SeriesKind.IPR, times).values
-    assert not rows.called
+    assert halves == [None, None]
     with unpaired():
         assert np.array_equal(ipr, time_series(ham, SeriesKind.IPR, times).values)
 
@@ -198,7 +198,11 @@ def test_a_pairing_defect_takes_the_full_route(monkeypatch):
     ham = build_hamiltonian(mirror_impurities(41, 0.4, field_h=-0.2))
     dec = eigendecompose(ham)
     spectrum = transfer_spectrum(ham)
-    assert Propagator(dec)._half is not None and spectrum._half is not None
+    times = 0.05 * np.arange(1001)
+    with pairings() as halves:
+        amplitude_matrix(dec, times)
+        transfer_amplitude(spectrum, times)
+    assert len(halves) == 2 and all(half is not None for half in halves)
     # one level moved by 1e-9, one weight by 1e-9: far beyond 64 eps max|E| and the round-off
     moved = dec.energies.copy()
     moved[-1] += 1e-9
@@ -208,18 +212,36 @@ def test_a_pairing_defect_takes_the_full_route(monkeypatch):
     skewed = spectral.TransferSpectrum(spectrum.energies, weights, spectrum.residual_bound)
     monkeypatch.setattr(dynamics, "eigendecompose", lambda h: nudged)
     monkeypatch.setattr(dynamics, "transfer_spectrum", lambda h: skewed)
-    times = 0.05 * np.arange(1001)
-    decisions = []
-    guard = dynamics._paired
-
-    def recording(half, grid):
-        decisions.append(guard(half, grid))
-        return decisions[-1]
-
-    with spy_rows() as rows, mock.patch.object(dynamics, "_paired", recording):
+    with pairings() as halves:
         series = {kind: time_series(ham, kind, times).values for kind in SeriesKind}
-    assert not rows.called
-    assert len(decisions) >= len(SeriesKind) and not any(decisions)
+    assert len(halves) >= len(SeriesKind) and all(half is None for half in halves)
     with unpaired():
         for kind in SeriesKind:
             assert np.array_equal(series[kind], time_series(ham, kind, times).values)
+
+
+@pytest.mark.parametrize("times, paired", [(0.01 * np.arange(11), False), (0.1 * np.arange(401), True)])
+def test_the_guard_follows_the_grid(times, paired):
+    # the weight defect dw does not grow with t, so on this chain the upper
+    # half is admitted from max|t| of about 0.17 on for f_N and 0.24 for the
+    # site amplitudes: 0:0.1:0.01 takes the full sum, 0:40:0.1 the upper half
+    ham = build_hamiltonian(mirror_impurities(200, 0.4, field_h=-0.2))
+    dec = eigendecompose(ham)
+    spectrum = transfer_spectrum(ham)
+    with pairings() as halves:
+        f_n = transfer_amplitude(spectrum, times)
+        amplitudes = amplitude_matrix(dec, times)
+        ipr = time_series(ham, SeriesKind.IPR, times).values
+    assert [half is not None for half in halves] == [paired] * 3
+    with unpaired():
+        full_f = transfer_amplitude(spectrum, times)
+        full_amplitudes = amplitude_matrix(dec, times)
+        full_ipr = time_series(ham, SeriesKind.IPR, times).values
+    if not paired:
+        assert np.array_equal(f_n, full_f) and np.array_equal(amplitudes, full_amplitudes)
+        assert np.array_equal(ipr, full_ipr)
+    weights = spectrum.transfer_weights
+    assert np.max(np.abs(f_n - full_f)) <= tolerance(spectrum.energies, weights, times, 200)
+    bound = tolerance(dec.energies, dec.vectors * dec.vectors[:, :1], times, 200)
+    assert np.max(np.abs(amplitudes - full_amplitudes)) <= bound
+    assert np.max(np.abs(ipr / full_ipr - 1.0)) <= 8.0 * 200 ** 0.5 * bound

@@ -6,9 +6,9 @@ import pytest
 from xxchain import dynamics
 from xxchain.chain import ChainSpec, build_hamiltonian, mirror_impurities, single_impurity
 from xxchain.dynamics import (
-    Propagator,
     SeriesKind,
     TimeSeries,
+    amplitude_matrix,
     concurrence_AN,
     fidelity,
     receiver_pair_density,
@@ -39,7 +39,7 @@ def _rk4_evolve(hamiltonian, t_final, dt=1e-3):
 
 
 def _state_at(dec, t, init_site=1):
-    return Propagator(dec, init_site).amplitude_matrix([t])[0]
+    return amplitude_matrix(dec, [t], init_site)[0]
 
 
 def test_zero_time_is_identity():
@@ -72,7 +72,7 @@ def test_unitarity_over_random_times():
 )
 def test_every_amplitude_row_has_unit_norm(times):
     dec = eigendecompose(build_hamiltonian(single_impurity(50, 0.4)))
-    rows = Propagator(dec).amplitude_matrix(times)
+    rows = amplitude_matrix(dec, times)
     assert np.max(np.abs(np.sum(np.abs(rows) ** 2, axis=1) - 1.0)) <= NORM_TOL
 
 
@@ -238,6 +238,6 @@ def test_time_series_rejects_bad_grids():
 def test_propagator_rejects_bad_site():
     dec = eigendecompose(build_hamiltonian(ChainSpec(5)))
     with pytest.raises(BadSite):
-        Propagator(dec, 0)
+        amplitude_matrix(dec, [0.0], 0)
     with pytest.raises(BadSite):
-        Propagator(dec, 6)
+        amplitude_matrix(dec, [0.0], 6)

@@ -17,7 +17,7 @@ from xxchain.chain import (
     with_alpha,
 )
 from xxchain.cli import main
-from xxchain.dynamics import Propagator, transfer_amplitude
+from xxchain.dynamics import amplitude_matrix, transfer_amplitude
 from xxchain.errors import ExcitationLeak, NotNormalized, TooLarge
 from xxchain.measures import nn_concurrence_closed_form
 from xxchain.oracle import (
@@ -34,6 +34,8 @@ from xxchain.oracle import (
     sz_sector_probabilities,
 )
 from xxchain.spectral import eigendecompose, transfer_spectrum
+
+from routes import pairings
 
 
 def test_two_site_full_hamiltonian_explicit():
@@ -91,7 +93,7 @@ def test_sector_propagation_matches_full_space():
     indices = one_excitation_indices(8)
     for t in (1.0, 5.0, 20.0):
         full = full_evolve(spec, site_state(spec, 1), t)
-        assert np.max(np.abs(full.amps[indices] - Propagator(dec).amplitude_matrix([t])[0])) <= 1e-8
+        assert np.max(np.abs(full.amps[indices] - amplitude_matrix(dec, [t])[0])) <= 1e-8
 
 
 def test_ancilla_protocol_concurrence_equals_transfer_amplitude():
@@ -220,7 +222,7 @@ def test_full_space_agrees_with_the_sector_on_random_chains(spec, t):
     dec = eigendecompose(sector)
     indices = one_excitation_indices(n)
     assert np.max(np.abs(block - sector.to_dense())) <= 1e-12
-    assert np.max(np.abs(forward.amps[indices] - Propagator(dec).amplitude_matrix([t])[0])) <= 1e-12
+    assert np.max(np.abs(forward.amps[indices] - amplitude_matrix(dec, [t])[0])) <= 1e-12
     f_n = forward.amps[indices[-1]]
     assert abs(oracle_concurrence(ancilla, 1, n + 1) - abs(f_n)) <= 1e-12
     assert abs(transfer_amplitude(transfer_spectrum(sector), t) - f_n) <= 1e-12
@@ -314,23 +316,15 @@ def test_oracle_check_covers_the_parity_route():
     assert max(results[0].block_dev, results[0].amplitude_dev, results[0].concurrence_dev) <= 1e-13
 
 
-def test_oracle_check_covers_the_paired_kernels(monkeypatch):
+def test_oracle_check_covers_the_paired_kernels():
     # pairing and grid factoring are separate choices: the scalar times of
     # oracle-check reach the upper-half kernels of amplitude_matrix and
     # concurrence_AN, so the full-space verifier checks them on every chain
-    decisions = []
-    guard = dynamics._paired
-
-    def recording(half, times):
-        decisions.append(guard(half, times))
-        return decisions[-1]
-
-    monkeypatch.setattr(dynamics, "_paired", recording)
-    with mock.patch.object(
-        Propagator, "_sublattice_rows", autospec=True, side_effect=Propagator._sublattice_rows
+    with pairings() as halves, mock.patch.object(
+        dynamics, "_site_rows", wraps=dynamics._site_rows
     ) as rows:
         results = oracle_check([single_impurity(n, 1.0) for n in range(2, 11)])
     # per chain: 3 alphas x 3 times, one amplitude_matrix and one concurrence_AN each
-    assert len(decisions) == 9 * 18 and all(decisions)
+    assert len(halves) == 9 * 18 and all(half is not None for half in halves)
     assert rows.call_count == 9 * 9
     assert all(result.passed for result in results)

@@ -64,9 +64,7 @@ def palindromic_chains(draw):
 
 def amplitude(spectrum, times):
     """f_N(times) and whether the factored kernel evaluated it."""
-    with mock.patch.object(
-        dynamics, "_factored_amplitude", wraps=dynamics._factored_amplitude
-    ) as spy:
+    with mock.patch.object(dynamics, "_phase_tables", wraps=dynamics._phase_tables) as spy:
         values = transfer_amplitude(spectrum, times)
     return values, spy.called
 

@@ -22,7 +22,7 @@ from scipy.linalg import LinAlgError, eigh_tridiagonal
 from xxchain import spectral
 from xxchain.chain import ChainSpec, build_hamiltonian, mirror_impurities, single_impurity
 from xxchain.cli import main
-from xxchain.dynamics import Propagator
+from xxchain.dynamics import amplitude_matrix
 from xxchain.errors import ConvergenceFailure, IncompleteBasis
 from xxchain.measures import c12_peak, c12_sweep, ipr_of_rows, ipr_sweep
 from xxchain.spectral import (
@@ -237,4 +237,4 @@ def test_explicit_decomposition_defaults_to_a_complete_basis():
 def test_propagator_needs_a_complete_basis(states):
     dec = eigendecompose(build_hamiltonian(mirror_impurities(40, 0.5)), states)
     with pytest.raises(IncompleteBasis):
-        Propagator(dec, 1)
+        amplitude_matrix(dec, [0.0], 1)

@@ -1,8 +1,7 @@
 """The factored phase kernels against the per-sample reference.
 
 transfer_amplitude evaluates evenly spaced grids as one matrix product of
-coarse-anchor and fine-offset phase tables, and Propagator.amplitude_matrix
-builds its phase table as the product of the same two tables.  Every check
+coarse-anchor and fine-offset phase tables, and amplitude_matrix builds its phase table as the product of the same two tables.  Every check
 here recomputes f_N(t_k) = sum_j exp(-i E_j t_k) psi_1^(j) psi_N^(j), or the
 site amplitudes sum_j exp(-i E_j t_k) psi_1^(j) psi_n^(j), one sample at a
 time and requires agreement to 1e-12, far above the ~1e-15 roundoff of
@@ -20,11 +19,11 @@ from hypothesis import strategies as st
 from xxchain import dynamics
 from xxchain.chain import ChainSpec, TridiagonalHamiltonian, build_hamiltonian, mirror_impurities
 from xxchain.cli import _parse_range
-from xxchain.dynamics import FACTORED_MIN_PHASES, Propagator, transfer_amplitude
+from xxchain.dynamics import FACTORED_MIN_PHASES, amplitude_matrix, transfer_amplitude
 from xxchain.protocols import REFOCUS_T_STEP, default_alpha_grid, optimize_alpha, refocus_window
 from xxchain.spectral import eigendecompose, transfer_spectrum
 
-from routes import full_route
+from routes import full_route, pairings
 
 TOL = 1e-12
 
@@ -46,13 +45,20 @@ def per_sample_route(spectrum, times):
     An unpaired spectrum takes the full sum; a paired one the upper half of
     its levels, exp(-iht) Re Z for odd N and exp(-iht) i Im Z for even N.
     """
-    half = spectrum._half
-    if not dynamics._paired(half, np.asarray(times)):
+    half = transfer_half(spectrum, times)
+    if half is None:
         return per_sample_amplitude(spectrum, times)
+    centre, offsets, weights = half
     flat = np.ravel(times)
-    upper = np.exp(-1j * np.outer(flat, half.offsets)) @ half.weights
+    upper = np.exp(-1j * np.outer(flat, offsets)) @ weights
     part = upper.real if spectrum.n_sites % 2 else 1j * upper.imag
-    return np.exp(-1j * half.centre * flat) * part
+    return np.exp(-1j * centre * flat) * part
+
+
+def transfer_half(spectrum, times):
+    """The upper half transfer_amplitude sums on this grid, or None for the full sum."""
+    sign = 1.0 if spectrum.n_sites % 2 else -1.0  # (-1)^(N - 1)
+    return dynamics._upper_half(spectrum.energies, spectrum.transfer_weights, sign, np.asarray(times))
 
 
 def uneven_field(spec):
@@ -62,7 +68,7 @@ def uneven_field(spec):
 
 
 def spy_factored():
-    return mock.patch.object(dynamics, "_factored_amplitude", wraps=dynamics._factored_amplitude)
+    return mock.patch.object(dynamics, "_phase_tables", wraps=dynamics._phase_tables)
 
 
 def hamiltonian_of(spec):
@@ -140,7 +146,7 @@ def test_amplitude_matrix_matches_per_sample_reference(spec, lo, step, count, si
     times = lo + step * np.arange(count)
     init_site = 1 + int(site * (spec.n_sites - 1))
     with mock.patch.object(dynamics, "_phase_tables", wraps=dynamics._phase_tables) as spy:
-        values = Propagator(dec, init_site).amplitude_matrix(times)
+        values = amplitude_matrix(dec, times, init_site)
     assert values.shape == (count, spec.n_sites)
     assert np.max(np.abs(values - per_sample_site_amplitudes(dec, times, init_site))) <= TOL
     assert spy.called == (count >= 6 and count * spec.n_sites >= FACTORED_MIN_PHASES)
@@ -154,9 +160,10 @@ def test_amplitude_matrix_uneven_grid_takes_the_per_sample_path():
     for ham, paired in ((hamiltonian_of(mirror_impurities(64, 0.4, field_h=-1.2)), True),
                         (uneven_field(mirror_impurities(64, 0.4, field_h=-1.2)), False)):
         dec = eigendecompose(ham)
-        assert (Propagator(dec)._half is not None) == paired
-        with mock.patch.object(dynamics, "_phase_tables", wraps=dynamics._phase_tables) as spy:
-            values = Propagator(dec, 1).amplitude_matrix(nudged)
+        with mock.patch.object(dynamics, "_phase_tables", wraps=dynamics._phase_tables) as spy, \
+                pairings() as halves:
+            values = amplitude_matrix(dec, nudged, 1)
+        assert (halves[0] is not None) == paired
         assert not spy.called
         reference = per_sample_site_amplitudes(dec, nudged)
         if paired:
@@ -175,7 +182,7 @@ def test_both_sides_of_the_crossover_are_exercised():
 def test_scalar_time_takes_the_per_sample_path():
     spec = ChainSpec(48, 1.0, -0.7, ((1, 0.3), (47, 0.3)))
     spectra = (transfer(spec), transfer_spectrum(uneven_field(spec)))
-    assert [spectrum._half is None for spectrum in spectra] == [False, True]
+    assert [transfer_half(spectrum, 37.25) is None for spectrum in spectra] == [False, True]
     for spectrum in spectra:
         with spy_factored() as spy:
             value = transfer_amplitude(spectrum, 37.25)
@@ -192,7 +199,7 @@ def test_uneven_and_multidimensional_grids_take_the_per_sample_path():
     nudged = 0.1 * np.arange(500)
     nudged[250] += 1e-9
     spectra = (transfer(spec), transfer_spectrum(uneven_field(spec)))
-    assert [spectrum._half is None for spectrum in spectra] == [False, True]
+    assert [transfer_half(spectrum, nudged) is None for spectrum in spectra] == [False, True]
     for spectrum in spectra:
         for times in (uneven, nudged, (0.1 * np.arange(600)).reshape(20, 30)):
             with spy_factored() as spy:
