@@ -10,9 +10,10 @@ population of the receiving spin, and the entanglement protocol that shares a
 Bell pair between an uncoupled ancilla A and site 1 delivers concurrence
 C_{A,N}(t) = |f_N(t)| between A and site N.
 
-Every production time grid is evenly spaced, t_k = t_0 + k dt.  On such a
-grid transfer_amplitude writes k = a n_b + b with about sqrt(len(t)) coarse
-anchors T_a = t_{a n_b} and fine offsets tau_b = b dt, so that
+Every time grid is read as anchors T_a plus offsets tau_b (_phase_tables).
+An evenly spaced 1-d grid t_k = t_0 + k dt of at least two samples writes
+k = a n_b + b with about sqrt(len(t)) coarse anchors T_a = t_{a n_b} and
+fine offsets tau_b = b dt, so that
 
     f_N(T_a + tau_b) = sum_j [exp(-i E_j T_a) w_j] exp(-i E_j tau_b),
     w_j = psi_1^(j) psi_N^(j),
@@ -22,14 +23,13 @@ about 2 sqrt(len(t)) N complex exponentials instead of len(t) N, and leaves
 the O(len(t) N) remainder to BLAS.  The split is exact algebra for any
 spectrum (no field, parity or chirality assumption); in floating point the
 phases E_j T_a and E_j tau_b carry the same rounding as E_j t_k, so the two
-evaluations agree to a few 1e-15.  amplitude_matrix, which needs every
-site and not only f_N, builds its (len(t) x N) phase table from the
-same two tables, exp(-i E_j t_k) = exp(-i E_j T_a) exp(-i E_j tau_b): one
-complex multiply per entry in place of one exponential.  Scalar,
-multi-dimensional and unevenly spaced t, grids with fewer than 6 samples and
-grids whose len(t) N falls below FACTORED_MIN_PHASES take the per-sample
-exponentials exp(-i E_j t_k) directly: there the two factor tables cost more
-than they save.
+evaluations agree to a few 1e-15.  Any other t (a scalar, one sample, an
+uneven or a multi-dimensional grid) has the single anchor 0, a row of ones,
+and every sample as an offset: the same product then computes the
+per-sample exponentials exp(-i E_j t_k), bit for bit.  The grid alone picks
+the tables, whatever the number of levels.  amplitude_matrix, which needs
+every site and not only f_N, builds its (len(t) x N) phase table from the
+same two tables, exp(-i E_j t_k) = exp(-i E_j T_a) exp(-i E_j tau_b).
 
 Every chain the package builds has the constant diagonal h, so H - h is a
 bipartite hopping matrix and its spectrum is chiral (Inui, Trugman and
@@ -102,14 +102,6 @@ from .errors import BadSite, IncompleteBasis
 from .measures import ipr_of_rows
 from .spectral import SpectralDecomposition, TransferSpectrum, eigendecompose, transfer_spectrum
 
-# Smallest len(t) * N for which transfer_amplitude (and amplitude_matrix)
-# factors an even grid.
-# Measured with one BLAS thread on a 2-vCPU x86-64 VM, the factored kernel
-# breaks even at about 0.8-1k phase evaluations for N <= 8, 1.2-2k for
-# N = 16-200 and 2.4-3.2k for N = 400-1000.  Grids of fewer than 6 samples
-# are never factored: their two factor tables hold as many exponentials as
-# the grid itself.
-FACTORED_MIN_PHASES = 2048
 # An even grid may differ from t_0 + k dt by this many ulps of max|t|.
 _EVEN_GRID_ULPS = 8
 # The time kernels sum over the upper half of a chirally paired spectrum when
@@ -135,18 +127,24 @@ class TimeSeries:
     kind: SeriesKind
 
     def __post_init__(self):
-        times = np.array(self.times, dtype=float)
+        times = _series_grid(self.times)
         values = np.array(self.values)
-        if times.ndim != 1 or times.size == 0:
-            raise ValueError("time grid must be a nonempty 1-d array")
         if values.shape != times.shape:
             raise ValueError("times and values must have matching lengths")
-        if times.size > 1 and np.any(np.diff(times) <= 0.0):
-            raise ValueError("time grid must be strictly ascending")
         times.setflags(write=False)
         values.setflags(write=False)
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "values", values)
+
+
+def _series_grid(t_grid) -> np.ndarray:
+    """t_grid as a float array; ValueError unless it is nonempty, 1-d and strictly ascending."""
+    times = np.array(t_grid, dtype=float)
+    if times.ndim != 1 or times.size == 0:
+        raise ValueError("time grid must be a nonempty 1-d array")
+    if np.any(np.diff(times) <= 0.0):
+        raise ValueError("time grid must be strictly ascending")
+    return times
 
 
 def amplitude_matrix(dec: SpectralDecomposition, times, init_site: int = 1) -> np.ndarray:
@@ -193,9 +191,9 @@ def _site_rows(dec: SpectralDecomposition, times: np.ndarray, init_site: int):
     signs = np.where(np.arange(n_sites) < n_own, 1.0, -1.0)
     half = _upper_half(dec.energies, products, signs, times)
     if half is None:
-        return _phase_matrix(dec.energies, times, n_sites, weights) @ dec.vectors, None
+        return _phase_matrix(dec.energies, times, weights) @ dec.vectors, None
     centre, offsets, pair_weights = half
-    phases = _phase_matrix(offsets, times.ravel(), n_sites)
+    phases = _phase_matrix(offsets, times)
     cosines, sines = np.ascontiguousarray(phases.real), np.ascontiguousarray(phases.imag)
     del phases
     rows = np.empty((times.size, n_sites))
@@ -229,47 +227,34 @@ def _upper_half(energies, products, signs, times):
     return centre, energies[upper:] - centre, weights
 
 
-def _factored_step(times: np.ndarray, n_levels: int):
-    """Step dt of a grid worth factoring over n_levels energies, else None.
+def _phase_tables(energies, times):
+    """Anchor and offset tables exp(-i E T_a), exp(-i E tau_b) whose products cover t.
 
-    That is a 1-d grid of at least 6 samples and FACTORED_MIN_PHASES phases
-    that equals t_0 + k dt to rounding.
+    An even 1-d grid of at least 2 samples, t_0 + k dt to rounding, gets
+    about sqrt(len(t)) complex anchors and offsets b dt; any other t the
+    single real anchor row of ones and every sample as an offset.
     """
     count = times.size
-    if times.ndim != 1 or count < 6 or count * n_levels < FACTORED_MIN_PHASES:
-        return None
-    step = (times[-1] - times[0]) / (count - 1)
-    ideal = times[0] + step * np.arange(count)
-    tol = _EVEN_GRID_ULPS * np.finfo(float).eps * max(abs(times[0]), abs(times[-1]))
-    if np.all(np.abs(times - ideal) <= tol):
-        return step
-    return None
+    if times.ndim == 1 and count >= 2:
+        step = (times[-1] - times[0]) / (count - 1)
+        ideal = times[0] + step * np.arange(count)
+        tol = _EVEN_GRID_ULPS * np.finfo(float).eps * max(abs(times[0]), abs(times[-1]))
+        if np.all(np.abs(times - ideal) <= tol):
+            n_fine = math.isqrt(count - 1) + 1
+            coarse = np.exp(-1j * np.outer(times[::n_fine], energies))
+            return coarse, np.exp(-1j * np.outer(step * np.arange(n_fine), energies))
+    return np.ones((1, energies.size)), np.exp(-1j * np.outer(times, energies))
 
 
-def _phase_tables(energies, times, step):
-    """Coarse-anchor and fine-offset tables exp(-i E T_a), exp(-i E tau_b)."""
-    n_fine = math.isqrt(times.size - 1) + 1
-    coarse = np.exp(-1j * np.outer(times[::n_fine], energies))
-    fine = np.exp(-1j * np.outer(step * np.arange(n_fine), energies))
-    return coarse, fine
-
-
-def _phase_matrix(energies, times, n_sites, weights=None):
+def _phase_matrix(energies, times, weights=None):
     """The (len(t) x L) table exp(-i E_j t_k), times w_j if weights are given.
 
-    A grid worth factoring over n_sites levels is the product of the two
-    factor tables, with the weights on the coarse one.
+    It is the product of the two phase tables, with the weights on the anchors.
     """
-    step = _factored_step(times, n_sites)
-    if step is None:
-        phases = np.exp(-1j * np.outer(times, energies))
-        if weights is not None:
-            phases *= weights
-        return phases
-    coarse, fine = _phase_tables(energies, times, step)
+    coarse, fine = _phase_tables(energies, times)
     if weights is not None:
-        coarse *= weights
-    return (coarse[:, None, :] * fine[None, :, :]).reshape(-1, energies.size)[: times.size]
+        coarse = coarse * weights
+    return (coarse[:, None] * fine[None]).reshape(-1, energies.size)[: times.size]
 
 
 def transfer_amplitude(spectrum: TransferSpectrum, t):
@@ -281,13 +266,9 @@ def transfer_amplitude(spectrum: TransferSpectrum, t):
         energies, weights = spectrum.energies, spectrum.transfer_weights
     else:
         centre, energies, weights = half
-    step = _factored_step(times, spectrum.n_sites)
-    if step is None:
-        flat = np.exp(-1j * np.outer(times.ravel(), energies)) @ weights
-    else:
-        # (coarse anchors * weights) @ fine offsets: no len(t) x N table
-        coarse, fine = _phase_tables(energies, times, step)
-        flat = ((coarse * weights) @ fine.T).ravel()[: times.size]
+    # (anchors * weights) @ offsets: no len(t) x N table on an even grid
+    coarse, fine = _phase_tables(energies, times)
+    flat = ((coarse * weights) @ fine.T).ravel()[: times.size]
     if half is not None:
         # site N sits on site 1's sublattice for odd N only
         part = flat.real if spectrum.n_sites % 2 else 1j * flat.imag
@@ -338,7 +319,7 @@ def concurrence_AN(spectrum: TransferSpectrum, t):
 
 def time_series(hamiltonian: TridiagonalHamiltonian, kind: SeriesKind, t_grid) -> TimeSeries:
     """Evaluate one observable from site 1 on a whole time grid; the solve follows the kind."""
-    times = np.asarray(t_grid, dtype=float)
+    times = _series_grid(t_grid)
     kind = SeriesKind(kind)
     if kind is SeriesKind.IPR:
         rows, _ = _site_rows(eigendecompose(hamiltonian), times, 1)  # |rows| = |psi_n|

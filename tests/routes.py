@@ -6,11 +6,15 @@ route against the full eigendecomposition build the same TransferSpectrum
 from the first and last components of every eigenvector.
 
 pairings records which route the time kernels take: the upper half of a
-chirally paired spectrum or the full sum (dynamics docstring).
+chirally paired spectrum or the full sum (dynamics docstring).  factorings
+records how the kernels read the time grid: factored into anchors and
+offsets, or one anchor at 0 with every sample as an offset.
 """
 
 import contextlib
 from unittest import mock
+
+import numpy as np
 
 from xxchain import dynamics
 from xxchain.spectral import SpectralDecomposition, TransferSpectrum
@@ -32,4 +36,23 @@ def pairings():
         return results[-1]
 
     with mock.patch.object(dynamics, "_upper_half", recording):
+        yield results
+
+
+@contextlib.contextmanager
+def factorings():
+    """For every dynamics._phase_tables call in order, whether it factored the grid.
+
+    A factored grid has more than one anchor row or a complex anchor table;
+    any other grid has the single real anchor row of ones.
+    """
+    results = []
+    helper = dynamics._phase_tables
+
+    def recording(energies, times):
+        coarse, fine = helper(energies, times)
+        results.append(coarse.shape[0] > 1 or np.iscomplexobj(coarse))
+        return coarse, fine
+
+    with mock.patch.object(dynamics, "_phase_tables", recording):
         yield results

@@ -235,7 +235,18 @@ def test_time_series_rejects_bad_grids():
         TimeSeries(times=np.array([0.0, 1.0]), values=np.array([0.0]), kind=SeriesKind.IPR)
 
 
-def test_propagator_rejects_bad_site():
+@pytest.mark.parametrize("grid", [[3.0, 2.0, 1.0], [[0.0, 1.0], [2.0, 3.0]], []])
+def test_time_series_checks_the_grid_before_any_solve(grid):
+    ham = build_hamiltonian(mirror_impurities(40, 0.5))
+    with mock.patch.object(dynamics, "eigendecompose", wraps=eigendecompose) as full, \
+            mock.patch.object(dynamics, "transfer_spectrum", wraps=transfer_spectrum) as parity:
+        for kind in SeriesKind:
+            with pytest.raises(ValueError):
+                time_series(ham, kind, grid)
+    assert not full.called and not parity.called
+
+
+def test_amplitude_matrix_rejects_bad_site():
     dec = eigendecompose(build_hamiltonian(ChainSpec(5)))
     with pytest.raises(BadSite):
         amplitude_matrix(dec, [0.0], 0)

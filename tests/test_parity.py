@@ -24,7 +24,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import LinAlgError, eigh_tridiagonal, eigvalsh_tridiagonal
 
-from xxchain import dynamics, spectral
+from xxchain import spectral
 from xxchain.chain import (
     ChainSpec,
     TridiagonalHamiltonian,
@@ -32,12 +32,12 @@ from xxchain.chain import (
     mirror_impurities,
     single_impurity,
 )
-from xxchain.dynamics import FACTORED_MIN_PHASES, transfer_amplitude
+from xxchain.dynamics import transfer_amplitude
 from xxchain.errors import ConvergenceFailure
 from xxchain.protocols import fidelity_landscape, inclusive_grid
 from xxchain.spectral import TransferSpectrum, eigendecompose, sweep, transfer_spectrum
 
-from routes import full_route
+from routes import factorings, full_route
 
 TOL = 1e-12
 
@@ -63,10 +63,10 @@ def palindromic_chains(draw):
 
 
 def amplitude(spectrum, times):
-    """f_N(times) and whether the factored kernel evaluated it."""
-    with mock.patch.object(dynamics, "_phase_tables", wraps=dynamics._phase_tables) as spy:
+    """f_N(times) and whether the kernel factored the grid."""
+    with factorings() as factored:
         values = transfer_amplitude(spectrum, times)
-    return values, spy.called
+    return values, factored == [True]
 
 
 @settings(max_examples=150, deadline=None)
@@ -83,11 +83,10 @@ def test_parity_amplitude_matches_the_full_solve(spec, lo, step):
     scale = np.max(np.abs(full.energies)) + 1.0
     assert np.max(np.abs(parity.energies - full.energies)) <= TOL * scale
 
-    # one grid just below the factoring threshold, one at or above it
-    below = max(1, (FACTORED_MIN_PHASES - 1) // spec.n_sites)
-    above = max(6, -(-FACTORED_MIN_PHASES // spec.n_sites))
-    for count, factored in ((below, False), (above, True)):
-        times = lo + step * np.arange(count)
+    # one sample and an uneven grid have the single anchor 0; even grids are factored
+    even = lo + step * np.arange(400)
+    uneven = lo + step * np.arange(40) ** 1.5
+    for times, factored in ((even[:1], False), (uneven, False), (even[:2], True), (even, True)):
         values, used_factored = amplitude(parity, times)
         reference, _ = amplitude(full_route(full), times)
         assert used_factored == factored

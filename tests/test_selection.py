@@ -234,7 +234,7 @@ def test_explicit_decomposition_defaults_to_a_complete_basis():
 
 
 @pytest.mark.parametrize("states", [(2, 40), (1, 39), (1, 1)])
-def test_propagator_needs_a_complete_basis(states):
+def test_amplitude_matrix_needs_a_complete_basis(states):
     dec = eigendecompose(build_hamiltonian(mirror_impurities(40, 0.5)), states)
     with pytest.raises(IncompleteBasis):
         amplitude_matrix(dec, [0.0], 1)

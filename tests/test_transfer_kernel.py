@@ -1,7 +1,10 @@
 """The factored phase kernels against the per-sample reference.
 
-transfer_amplitude evaluates evenly spaced grids as one matrix product of
-coarse-anchor and fine-offset phase tables, and amplitude_matrix builds its phase table as the product of the same two tables.  Every check
+transfer_amplitude evaluates every grid as one matrix product of anchor and
+offset phase tables, and amplitude_matrix builds its phase table as the
+product of the same two tables.  An even grid of two or more samples has
+about sqrt(len(t)) anchors; any other grid the single anchor 0, which
+reproduces the per-sample exponentials bit for bit.  Every check
 here recomputes f_N(t_k) = sum_j exp(-i E_j t_k) psi_1^(j) psi_N^(j), or the
 site amplitudes sum_j exp(-i E_j t_k) psi_1^(j) psi_n^(j), one sample at a
 time and requires agreement to 1e-12, far above the ~1e-15 roundoff of
@@ -10,7 +13,6 @@ either form.
 
 import math
 import warnings
-from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings
@@ -19,11 +21,11 @@ from hypothesis import strategies as st
 from xxchain import dynamics
 from xxchain.chain import ChainSpec, TridiagonalHamiltonian, build_hamiltonian, mirror_impurities
 from xxchain.cli import _parse_range
-from xxchain.dynamics import FACTORED_MIN_PHASES, amplitude_matrix, transfer_amplitude
+from xxchain.dynamics import amplitude_matrix, transfer_amplitude
 from xxchain.protocols import REFOCUS_T_STEP, default_alpha_grid, optimize_alpha, refocus_window
 from xxchain.spectral import eigendecompose, transfer_spectrum
 
-from routes import full_route, pairings
+from routes import factorings, full_route, pairings
 
 TOL = 1e-12
 
@@ -67,10 +69,6 @@ def uneven_field(spec):
     return TridiagonalHamiltonian(ham.diag + 0.05 * np.sin(np.arange(spec.n_sites)), ham.offdiag)
 
 
-def spy_factored():
-    return mock.patch.object(dynamics, "_phase_tables", wraps=dynamics._phase_tables)
-
-
 def hamiltonian_of(spec):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # J > 0 sign warning; same physics
@@ -96,12 +94,13 @@ def chains(draw):
 
 
 def check_grid(spectrum, times):
-    """Compare with the reference; report whether the factored path ran."""
-    with spy_factored() as spy:
+    """Compare with the reference; report whether the grid was factored."""
+    with factorings() as factored:
         values = transfer_amplitude(spectrum, times)
     assert values.shape == times.shape
     assert np.max(np.abs(values - per_sample_amplitude(spectrum, times))) <= TOL
-    return spy.called
+    assert len(factored) == 1
+    return factored[0]
 
 
 @settings(max_examples=150, deadline=None)
@@ -114,8 +113,7 @@ def check_grid(spectrum, times):
 def test_factored_grid_matches_per_sample_reference(spec, lo, step, count):
     spectrum = transfer(spec)
     times = lo + step * np.arange(count)
-    factored = check_grid(spectrum, times)
-    assert factored == (count >= 6 and count * spec.n_sites >= FACTORED_MIN_PHASES)
+    assert check_grid(spectrum, times) == (count >= 2)
 
 
 @settings(max_examples=100, deadline=None)
@@ -129,8 +127,7 @@ def test_cli_grids_match_per_sample_reference(spec, lo, step, count):
     hi = lo + step * (count - 1)
     times = _parse_range(f"{lo}:{hi}:{step}", "--t-range")
     assert times.size == count
-    factored = check_grid(transfer(spec), times)
-    assert factored == (count >= 6 and count * spec.n_sites >= FACTORED_MIN_PHASES)
+    assert check_grid(transfer(spec), times) == (count >= 2)
 
 
 @settings(max_examples=100, deadline=None)
@@ -145,11 +142,11 @@ def test_amplitude_matrix_matches_per_sample_reference(spec, lo, step, count, si
     dec = decompose(spec)
     times = lo + step * np.arange(count)
     init_site = 1 + int(site * (spec.n_sites - 1))
-    with mock.patch.object(dynamics, "_phase_tables", wraps=dynamics._phase_tables) as spy:
+    with factorings() as factored:
         values = amplitude_matrix(dec, times, init_site)
     assert values.shape == (count, spec.n_sites)
     assert np.max(np.abs(values - per_sample_site_amplitudes(dec, times, init_site))) <= TOL
-    assert spy.called == (count >= 6 and count * spec.n_sites >= FACTORED_MIN_PHASES)
+    assert factored == [count >= 2]
 
 
 def test_amplitude_matrix_uneven_grid_takes_the_per_sample_path():
@@ -160,11 +157,10 @@ def test_amplitude_matrix_uneven_grid_takes_the_per_sample_path():
     for ham, paired in ((hamiltonian_of(mirror_impurities(64, 0.4, field_h=-1.2)), True),
                         (uneven_field(mirror_impurities(64, 0.4, field_h=-1.2)), False)):
         dec = eigendecompose(ham)
-        with mock.patch.object(dynamics, "_phase_tables", wraps=dynamics._phase_tables) as spy, \
-                pairings() as halves:
+        with factorings() as factored, pairings() as halves:
             values = amplitude_matrix(dec, nudged, 1)
         assert (halves[0] is not None) == paired
-        assert not spy.called
+        assert factored == [False]
         reference = per_sample_site_amplitudes(dec, nudged)
         if paired:
             assert np.max(np.abs(values - reference)) <= TOL
@@ -172,11 +168,31 @@ def test_amplitude_matrix_uneven_grid_takes_the_per_sample_path():
             assert np.array_equal(values, reference)
 
 
-def test_both_sides_of_the_crossover_are_exercised():
-    spectrum = transfer(mirror_impurities(40, 0.5, field_h=0.3))
-    below = math.ceil(FACTORED_MIN_PHASES / 40) - 1
-    assert not check_grid(spectrum, 2.0 + 0.1 * np.arange(below))
-    assert check_grid(spectrum, 2.0 + 0.1 * np.arange(below + 1))
+def test_two_sample_even_grid_is_factored():
+    spec = mirror_impurities(40, 0.5, field_h=0.3)
+    times = np.array([2.0, 2.1])
+    assert check_grid(transfer(spec), times)
+    dec = decompose(spec)
+    with factorings() as factored:
+        values = amplitude_matrix(dec, times, 1)
+    assert factored == [True]
+    assert np.max(np.abs(values - per_sample_site_amplitudes(dec, times))) <= TOL
+
+
+def test_the_grid_alone_picks_the_tables():
+    # (grid, anchor rows, offset rows, anchor dtype), the same for N = 2 and N = 400
+    cases = (
+        (0.1 * np.arange(5), 2, 3, complex),
+        (3.0 + 0.05 * np.arange(2001), 45, 45, complex),
+        (np.array([0.0, 0.1, 0.3]), 1, 3, float),
+        (np.array([7.5]), 1, 1, float),
+    )
+    for n_sites in (2, 400):
+        energies = transfer(ChainSpec(n_sites, -1.0, 0.0, ((1, 0.5),))).energies
+        for times, anchors, offsets, dtype in cases:
+            coarse, fine = dynamics._phase_tables(energies, times)
+            assert coarse.shape == (anchors, n_sites) and coarse.dtype == dtype
+            assert fine.shape == (offsets, n_sites)
 
 
 def test_scalar_time_takes_the_per_sample_path():
@@ -184,12 +200,12 @@ def test_scalar_time_takes_the_per_sample_path():
     spectra = (transfer(spec), transfer_spectrum(uneven_field(spec)))
     assert [transfer_half(spectrum, 37.25) is None for spectrum in spectra] == [False, True]
     for spectrum in spectra:
-        with spy_factored() as spy:
+        with factorings() as factored:
             value = transfer_amplitude(spectrum, 37.25)
         assert isinstance(value, complex)
         assert value == per_sample_route(spectrum, [37.25])[0]
         assert abs(value - per_sample_amplitude(spectrum, [37.25])[0]) <= TOL
-        assert not spy.called
+        assert factored == [False]
 
 
 def test_uneven_and_multidimensional_grids_take_the_per_sample_path():
@@ -202,9 +218,9 @@ def test_uneven_and_multidimensional_grids_take_the_per_sample_path():
     assert [transfer_half(spectrum, nudged) is None for spectrum in spectra] == [False, True]
     for spectrum in spectra:
         for times in (uneven, nudged, (0.1 * np.arange(600)).reshape(20, 30)):
-            with spy_factored() as spy:
+            with factorings() as factored:
                 values = transfer_amplitude(spectrum, times)
-            assert not spy.called
+            assert factored == [False]
             assert values.shape == times.shape
             assert np.array_equal(values.ravel(), per_sample_route(spectrum, times))
             assert np.max(np.abs(values.ravel() - per_sample_amplitude(spectrum, times))) <= TOL
