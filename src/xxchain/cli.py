@@ -263,11 +263,12 @@ def _cmd_evolve(args) -> int:
         raise UsageError("--t-range or --t-max is required")
     kind = SeriesKind(args.kind)
     series = time_series(build_hamiltonian(template), kind, times)
+    times, values = series.times.tolist(), series.values
     if kind is SeriesKind.TRANSFER_AMPLITUDE:
-        rows = [(t, float(v.real), float(v.imag)) for t, v in zip(series.times, series.values)]
+        rows = list(zip(times, values.real.tolist(), values.imag.tolist()))
         _emit_rows(rows, ["t", "re", "im"], args)
     else:
-        rows = list(zip(series.times, series.values))
+        rows = list(zip(times, values.tolist()))
         _emit_rows(rows, ["t", "value"], args)
     return 0
 
@@ -279,10 +280,10 @@ def _cmd_landscape(args) -> int:
     alphas = _parse_range(args.alpha_range, "--alpha-range")
     times = _parse_range(args.t_range, "--t-range")
     grid = fidelity_landscape(template, _nonnegative(alphas), times)
+    times = grid.times.tolist()
     rows = []
-    for row, alpha in enumerate(grid.alphas):
-        for col, t in enumerate(grid.times):
-            rows.append((float(alpha), float(t), float(grid.fidelities[row, col])))
+    for alpha, fidelities in zip(grid.alphas.tolist(), grid.fidelities.tolist()):
+        rows.extend(zip([alpha] * len(times), times, fidelities))
     _emit_rows(rows, ["alpha", "t", "fidelity"], args)
     return 0
 

@@ -10,11 +10,11 @@ their reduced density matrix; for a one-excitation state the nearest-neighbor
 reduced matrix has the closed form C = 2 |psi_{i+1} psi_i|, and for the first
 bond it also equals |(1/J) dE_j/dalpha| via the Hellmann-Feynman theorem.
 
-c12_sweep reads the first-bond concurrence from spectral.first_bond_c12,
-which picks the route from the matrix and the state range: a wide range on
-a uniform bulk H[2:, 2:] (every bond-1 chain) needs no eigenvectors, any
-other input reads the eigenvectors of the requested states (spectral module
-docstring).
+c12_sweep and ipr_sweep read spectral.first_bond_c12 and
+spectral.eigenstate_ipr, which pick the route from the matrix: a chain
+whose only impurity is bond 1 is solved from its phase equation without
+eigenvectors, any other input reads the eigenvectors of the requested
+states (spectral module docstring).
 
 States are plain arrays: a one-excitation state is its 1-d vector of N site
 amplitudes, whose unit norm ipr, reduced_density_two_sites and
@@ -36,7 +36,7 @@ from .errors import (
     NotDensityMatrix,
     NotNormalized,
 )
-from .spectral import denergy_dalpha, eigendecompose, first_bond_c12, sweep
+from .spectral import denergy_dalpha, eigenstate_ipr, first_bond_c12, sweep
 
 NORM_TOL = 1e-9
 DENSITY_TOL = 1e-10
@@ -165,20 +165,22 @@ def _state_sweep(template, alphas, state_indices, values_of):
     if not indices:
         return rows
     lo, hi = min(indices), max(indices)
+    offsets = [j - lo for j in indices]
     for alpha, values in sweep(template, alphas, lambda ham: values_of(ham, (lo, hi))):
-        for j in indices:
-            rows.append((alpha, j, float(values[j - lo])))
+        rows.extend(zip([alpha] * len(indices), indices, values[offsets].tolist()))
     return rows
 
 
 def ipr_sweep(
     template: ChainSpec, alphas, state_indices
 ) -> list[tuple[float, int, float]]:
-    """Rows (alpha, j, L_IPR) for the requested 1-based eigenstate indices."""
-    return _state_sweep(
-        template, alphas, state_indices,
-        lambda ham, states: ipr_of_rows(eigendecompose(ham, states).vectors),
-    )
+    """Rows (alpha, j, L_IPR) for the requested 1-based eigenstate indices.
+
+    spectral.eigenstate_ipr picks the route per alpha: the phase equation
+    for a bond-1 chain, the eigenvectors lo..hi otherwise (alpha = 0,
+    another layout, a refused chain).
+    """
+    return _state_sweep(template, alphas, state_indices, eigenstate_ipr)
 
 
 def c12_sweep(
@@ -186,12 +188,10 @@ def c12_sweep(
 ) -> list[tuple[float, int, float]]:
     """Rows (alpha, j, C_12) for the requested 1-based eigenstate indices.
 
-    spectral.first_bond_c12 picks the route per alpha from the matrix and
-    the states lo..hi: a wide range on a uniform bulk H[2:, 2:], which a
-    bond-1 template keeps at every alpha, reads C_12 without eigenvectors
-    from bulk modes solved once for the sweep; a narrow range, a bulk that
-    is not uniform and an alpha the bordered solve refuses (alpha = 0, a
-    failed check or solve) take the eigenvectors lo..hi.
+    spectral.first_bond_c12 picks the route per alpha: a bond-1 chain reads
+    C_12 of any state range from the phase equation, without a solver;
+    alpha = 0, any other layout and a refused chain take the eigenvectors
+    lo..hi.
     """
     return _state_sweep(template, alphas, state_indices, first_bond_c12)
 

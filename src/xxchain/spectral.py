@@ -61,14 +61,14 @@ and the first component of its unit eigenvector is
 Each bulk is solved once with eigenvectors (eigh_tridiagonal and the
 residual check of eigendecompose), and mu_k, z_k^2 and the bulk residual
 are kept in a two-entry cache keyed on the bulk's bytes, which holds one
-mirror chain's two parity bulks, or the one uniform bulk that
-first_bond_c12 reads, for all the alphas of a sweep.  Per alpha a block takes its eigenvalues only (LAPACK
-dsterf) and refines them.  g' and S_1 are ruled by the mode nearest E, and
-E - mu_k formed from a stepped E keeps only the absolute accuracy eps |E|,
-all of the difference for a level within ~1e-12 of its mode (small alpha,
-band edges, tiny inner bonds): one plain Newton step missed f_N by 4e-11 on
-an N = 3 mirror chain at alpha = 1e-6, and C_12 of band-edge states by
-2.1e-3 relative at N = 400, alpha = 0.00069.  The refinement therefore
+mirror chain's two parity bulks for all the alphas of a sweep.  Per alpha a
+block takes its eigenvalues only (LAPACK dsterf) and refines them.  g' and
+S_1 are ruled by the mode nearest E, and E - mu_k formed from a stepped E
+keeps only the absolute accuracy eps |E|, all of the difference for a level
+within ~1e-12 of its mode (small alpha, band edges, tiny inner bonds): one
+plain Newton step missed f_N by 4e-11 on an N = 3 mirror chain at
+alpha = 1e-6, and C_12 of band-edge states by 2.1e-3 relative at N = 400,
+alpha = 0.00069.  The refinement therefore
 works in offset form (R.-C. Li, LAPACK Working Note 89, as in dlaed4): the
 differences E - mu_k are formed once from the dsterf energies, exact
 (Sterbenz) wherever a level is close to a mode, tau = E - p with p the
@@ -110,33 +110,103 @@ chain with N = 3-800, alpha = 0.001-10 and three (J, h) is refused.  f_N(t)
 agrees with the full eigendecomposition to 2e-13 for N = 31-400,
 alpha = 0.005-3 and three (J, h).
 
-The same refinement gives the first-bond concurrence C_12 of every state
-(first_bond_c12): site 1 borders the bulk H[2:, 2:].  Row 1 of
-H psi = E psi gives psi_2 = (E - d_1) psi_1 / b = b S_1 psi_1, so
+A chain whose only impurity is bond 1 needs no solver at all
+(first_bond_c12, eigenstate_ipr).  With a constant diagonal h, bulk bonds
+J = offdiag[1:] and b = alpha J = offdiag[0] (the edge-bond secular
+equation of Wojcik et al.; the closed forms of W.-C. Yueh, Appl. Math.
+E-Notes 5, 66 (2005)), put E = h + 2J cos theta.  Rows 2..N of
+H psi = E psi then give
 
-    C_12 = 2 |psi_1 psi_2| = 2 psi_1^2 |b S_1|.
+    psi_n = sin((N + 1 - n) theta),  n >= 2,   psi_1 = sin(N theta) / alpha,
 
-Like transfer_spectrum, first_bond_c12 picks its route from its inputs: a
-wide range of states lo..hi, (hi - lo + 1) * SELECT_SITES_PER_STATE > N,
-on a matrix whose bulk is uniform (one diagonal value, one coupling) takes
-this route; a uniform bulk is one a sweep does not move, which holds for
-every bond-1 chain at every alpha and for the mirror chain at alpha = 1.  A
-narrow range, a bulk that is not uniform (whose cache entry would miss at
-every alpha of a sweep) and a refused block take eigendecompose(H, (lo, hi))
-and 2 |psi_1 psi_2|.  Measured per alpha at alpha = 0.7, bulk cached
-(timeit best of 5, five runs, 1 BLAS thread, 2-vCPU x86-64 VM), the
-bordered route against eigendecompose: 0.46-0.64 against 1.1-1.2 ms at
-N = 100, 1.3-1.8 against 3.9-4.4 ms at N = 200, 7.0-8.3 against 15-16 ms
-at N = 400, 26-30 against 60-71 ms at N = 800.  On 40-digit roots of the
-secular equation (band-edge states, N = 40-800, alpha = 5e-4-1.41) the
-bordered route is within 4e-12 relative for N <= 400 and 1.4e-11 at
-N = 800, eigendecompose within 2.4e-11.
+and row 1 quantizes theta:
+
+    F(theta) = alpha^2 sin((N - 1) theta) - 2 cos theta sin(N theta) = 0,
+    i.e. G(theta) = N theta + beta - k pi = 0,  beta = atan2(q, p),
+    p = (2 - alpha^2) cos theta,  q = alpha^2 sin theta,  R^2 = p^2 + q^2.
+
+At a root sin(N theta) = +-q / R and sin((N - 1) theta) = +-sin(2 theta) / R,
+so |psi_1| = alpha sin theta / R, |psi_2| = |sin 2 theta| / R, and the
+Dirichlet sums over n >= 2 close without any large argument N theta:
+
+    S_2 = (N - 1) / 2 + p cos theta / R^2,
+    S_4 = 3 (N - 1) / 8 + p cos theta / R^2
+          - (p cos theta - q sin theta) (p^2 - q^2) / (4 R^4),
+    IPR = (S_2 + psi_1^2)^2 / (S_4 + psi_1^4),
+    C_12 = 2 |psi_1 psi_2| / (S_2 + psi_1^2),
+
+O(1) per state.  The roots interlace strictly with the bulk modes k pi / N:
+beta lies in (0, pi/2] for alpha^2 <= 2 and in [pi/2, pi) above, so root k
+lies in [(k - 1/2) pi / N, k pi / N) or ((k - 1) pi / N, (k - 1/2) pi / N].
+G is convex on (0, pi/2] for alpha^2 < 1 and alpha^2 > 2 and concave for
+1 < alpha^2 < 2, so Newton started at the right (convex) or left (concave)
+end of the bracket moves monotonically onto the root; a step that would
+leave the bracket bisects it instead.  For alpha^2 > 2 state 1 solves
+tan(N theta) = kappa tan theta, kappa = alpha^2 / (alpha^2 - 2): it lies in
+(0, pi / (2N)) while alpha^2 < alpha_c^2 = 2N / (N - 1) (kappa > N) and on
+theta = i eta above, below the band with e^(2 eta) -> alpha^2 - 1.  Its
+trivial root theta = 0 is divided out:
+
+    U(t) = atan(tan(N theta) / kappa) / theta - 1,   t = theta^2 > 0,
+    U(t) = atanh(tanh(N eta) / kappa) / eta - 1,     t = -eta^2 < 0,
+
+is one increasing function of t through the band edge t = 0; Newton in t
+starts from the better of a line through U(0) and the far-side limit.
+Newton in theta from pi / (2N) took 16-21 steps at N = 200,
+alpha_c - 1e-7 and - 1e-9.  Roots above pi/4 are solved for
+d = pi/2 - theta, so cos theta = sin d keeps its digits next to the band
+centre (in theta the centre pair of even N lost 2e-11 of its IPR at
+alpha = 5e-4).  Newton stops once |G| (or |U|) is within PHASE_STEP_TOL eps
+of the magnitudes it sums, which took at most 6 evaluations for N = 2-800
+and alpha = 1e-6-1000, alpha_c +- 1e-13 and sqrt2 +- 1e-12 included; a
+root still outside after PHASE_STEPS_MAX evaluations refuses the chain.
+
+The chain is bipartite with a constant diagonal, so state N + 1 - j has the
+same |psi_n| as state j and E - h negated.  Only theta <= pi/2 is solved:
+the roots min(j, N + 1 - j) of the states lo..hi, at most ceil(N/2).  J < 0
+makes ascending E ascending theta and J > 0 reverses it; with the pairing
+both give E_j = h - 2|J| cos theta_j for j <= N/2 and
+h + 2|J| cos theta_(N+1-j) above.  For odd N state (N + 1)/2 is
+theta = pi/2 exactly, where the closed form of S_4 is 0/0.
+
+The closed forms lose about cond = sum |terms| / S units of round-off,
+and a direct sum of the N positive terms sin^2, sin^4 at most about N.
+S_2 can cancel only if p cos theta / R^2 >= -1 / (alpha^2 - 2) reaches
+-(N - 1)/2, which needs 2 < alpha^2 <= alpha_c^2 and q << p, theta << 1/N:
+state 1 near alpha_c, where the terms, of size N, cancel to
+S ~ N^3 theta^2 without bound (2e-8 relative at N = 200, alpha_c - 1e-7).
+For every other root cond stayed below 1.5, S_4 included (N = 2-800,
+alpha = 0.001-5).  State 1 beyond alpha^2 = 2 is therefore always summed
+directly, O(N) for one state, in the band and below it, where its terms
+sinh(m eta) are scaled by exp(-N eta); so is the theta = pi/2 state of
+odd N.
+
+Every returned state passes two checks, or the chain is refused: its root
+lies strictly inside ((k - 1) pi / N, k pi / N) (state 1: 0 < theta < pi/N,
+or eta > 0), and the row-1 residual |J| |alpha psi_2 - 2 cos theta psi_1| /
+||psi|| of psi_1 = sin(N theta) / alpha and psi_2 = sin((N - 1) theta),
+evaluated directly, is within RESIDUAL_TOL (max|E| + 1).  Rows 2..N hold by
+construction, so that is ||H v - E v|| of the unit vector the root implies;
+round-off in N theta makes it about eps N / alpha, which refuses
+alpha <= 1e-5 at N = 200 and <= 3e-5 at N = 400-800.  alpha = 0, N = 1,
+any other matrix and a refused chain take eigendecompose(H, (lo, hi)).
+
+Against 40-digit roots of F (N = 40, 41, 200; alpha = 5e-5-3 with
+alpha_c +- 1e-7, +- 1e-9 and sqrt2 +- 1e-3; three (J, h)) the phase route
+is within 6.4e-15 relative on IPR and 1.6e-14 on C_12, eigendecompose
+within 2.4e-11 and 5.7e-10.  Per alpha (timeit best of 5, 1 BLAS thread,
+2-vCPU x86-64 VM, alpha = 0.005-3) all states take 0.20-0.25 ms at
+N = 100-200 and 0.27-0.41 ms at N = 400-800, against 0.8, 3.0, 13 and
+55 ms for eigendecompose and IPR; one state takes 0.11-0.24 ms at
+N = 200 against 0.17-0.21 ms for a selected eigendecompose (0.11-0.32 and
+0.30-0.64 ms at N = 400-800).
 """
 
 from __future__ import annotations
 
 import enum
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -168,6 +238,12 @@ SELECT_SITES_PER_STATE = 16
 # refuses the block.
 OFFSET_STEP_TOL = 4.0
 OFFSET_STEPS_MAX = 12
+# The Newton steps of the bond-1 phase route stop once |G| is at most
+# PHASE_STEP_TOL eps times the magnitudes that G sums, a few units of
+# round-off in theta; a root still outside that after PHASE_STEPS_MAX
+# evaluations refuses the chain.
+PHASE_STEP_TOL = 4.0
+PHASE_STEPS_MAX = 12
 
 
 class BandLabel(enum.Enum):
@@ -312,8 +388,7 @@ def _bulk_modes(diag_bytes: bytes, offdiag_bytes: bytes):
     """Modes mu_k, squared first components z_k^2 and checked residual of a bulk.
 
     Keyed on the bytes of the bulk's diag and offdiag: two entries hold one
-    mirror chain's two parity bulks, or the one uniform bulk H[2:, 2:] that
-    first_bond_c12 reads at every alpha of a sweep.
+    mirror chain's two parity bulks at every alpha of a sweep.
     """
     diag, offdiag = np.frombuffer(diag_bytes), np.frombuffer(offdiag_bytes)
     modes, vectors = _eigh_rows(diag, offdiag)
@@ -395,26 +470,233 @@ def _bordered_block(diag, offdiag):
     return None
 
 
+def _newton(evaluate, x, lo, hi):
+    """Roots in [lo, hi] of an increasing function by Newton steps kept in the bracket.
+
+    evaluate(x) returns the values, the slopes and the magnitudes each value
+    is rounded against.  An entry whose |value| is within PHASE_STEP_TOL eps
+    of its magnitude stays where it is; the others narrow their bracket to
+    the sign of the value and take a Newton step, or bisect the bracket if
+    the step would leave it.  x is returned once every entry has settled,
+    None if some has not after PHASE_STEPS_MAX evaluations.
+    """
+    for _ in range(PHASE_STEPS_MAX):
+        value, slope, scale = evaluate(x)
+        settled = np.abs(value) <= PHASE_STEP_TOL * _EPS * scale
+        if settled.all():
+            return x
+        lo = np.where(value < 0.0, x, lo)
+        hi = np.where(value > 0.0, x, hi)
+        step = x - value / slope
+        x = np.where(settled, x, np.where((lo < step) & (step < hi), step, 0.5 * (lo + hi)))
+    return None
+
+
+def _phase(x, upper, sign, offset, n, a2):
+    """G of each root as an increasing function of its offset x, its slope and magnitude.
+
+    x is theta, or d = pi/2 - theta where upper.  G = N theta + beta - k pi
+    is then N x + beta - k pi, or -(N x - beta - (N - 2k) pi/2) where upper:
+    N x + sign beta + offset with sign = +-1 and offset = -k pi or
+    -(N - 2k) pi/2.
+    """
+    sin, cos = np.sin(x), np.cos(x)
+    p, q = (2.0 - a2) * np.where(upper, sin, cos), a2 * np.where(upper, cos, sin)
+    beta = np.arctan2(q, p)
+    turn = n * x
+    return turn + sign * beta + offset, n + a2 * (2.0 - a2) / (p * p + q * q), turn + beta - offset
+
+
+def _edge_phase(t, n, kappa):
+    """U(t) of state 1 for alpha^2 > 2, dU/dt and the magnitude of U's terms (module docstring)."""
+    t = float(t[0])
+    if t == 0.0:
+        ratio = drive = n / kappa
+        slope = n**3 * (kappa * kappa - 1.0) / (3.0 * kappa**3)
+    else:
+        root = math.sqrt(abs(t))
+        x = n * root
+        if t > 0.0:
+            sin, cos = math.sin(x), math.cos(x)
+            ratio = math.atan2(sin, kappa * cos) / root
+            drive = n * kappa / ((kappa * cos) ** 2 + sin * sin)
+        else:
+            tanh = math.tanh(x)
+            ratio = math.atanh(tanh / kappa) / root
+            drive = n * kappa * (1.0 - tanh) * (1.0 + tanh) / ((kappa - tanh) * (kappa + tanh))
+        slope = (drive - ratio) / (2.0 * t)
+    return np.array([ratio - 1.0]), np.array([slope]), np.array([ratio + 1.0 + drive])
+
+
+def _edge_root(n, a2):
+    """t = theta^2 (or -eta^2) of state 1 for alpha^2 > 2, or None (module docstring).
+
+    Newton starts from the better of two models: the line through U(0)
+    with slope U'(0), right near alpha_c, and the far-side limit, right
+    where the root is far from t = 0: theta = atan(kappa tan(pi/2N)) / N
+    in the band, eta = atanh(1 / kappa) (e^(2 eta) = alpha^2 - 1) below it.
+    """
+    kappa = a2 / (a2 - 2.0)
+    offset = n / kappa - 1.0  # U(0): above 0 state 1 has left the band
+    if offset > 0.0:
+        lo, hi = -math.atanh(1.0 / kappa) ** 2, 0.0
+        far = lo
+    elif offset < 0.0:
+        lo, hi = 0.0, (0.5 * np.pi / n) ** 2
+        far = (math.atan(kappa * math.tan(0.5 * np.pi / n)) / n) ** 2
+    else:
+        return None
+    near = min(max(-offset * 3.0 * kappa**3 / (n**3 * (kappa * kappa - 1.0)), lo), hi)
+    fits = []
+    for t in (far, near):
+        value = _edge_phase([t], n, kappa)[0][0]
+        if value < 0.0:
+            lo = max(lo, t)
+        else:
+            hi = min(hi, t)
+        fits.append((abs(value), t))
+    solved = _newton(lambda t: _edge_phase(t, n, kappa), np.array([min(fits)[1]]), lo, hi)
+    return None if solved is None else float(solved[0])
+
+
+def _phase_roots(roots, n, a2):
+    """sin theta, cos theta and theta of the roots k <= ceil(N/2), and eta, or None.
+
+    Roots above pi/4 are solved for d = pi/2 - theta, so cos theta = sin d
+    keeps its digits next to the band centre.  theta is NaN at an exterior
+    root 1, and eta is None if there is none.  None if a root is refused:
+    Newton did not settle or the root is not strictly inside its
+    interlacing interval ((k - 1) pi / N, k pi / N).
+    """
+    edge = roots[0] == 1 and a2 > 2.0
+    upper = 4 * roots > n
+    upper[0] &= not edge
+    x, eta = np.zeros(roots.size), None  # odd N: state (N+1)/2 is theta = pi/2, d = 0
+    solve = np.flatnonzero(2 * roots != n + 1)[int(edge):]
+    if solve.size:
+        k, up = roots[solve], upper[solve]
+        unit = 0.5 * np.pi / n
+        # the interlacing interval and the half of it that holds the root
+        # (beta <= pi/2 for alpha^2 <= 2, beta >= pi/2 above), in units of x
+        left = np.where(up, n - 2 * k, 2 * k - 2)
+        lo = (left + (up == (a2 > 2.0))) * unit
+        hi = lo + unit
+        # G is convex in theta for alpha^2 < 1 and alpha^2 > 2, concave
+        # between: start on the side from which Newton moves monotonically
+        start = np.where(up == (not 1.0 <= a2 <= 2.0), lo, hi)
+        if a2 < 1.0:
+            # G rises by about pi/2 within kappa' = alpha^2 / (2 - alpha^2) of
+            # pi/2, so the centre root of even N, d = sqrt(kappa' / (N d tan d))
+            # at most, starts at d = sqrt(kappa' / N)
+            start[2 * k == n] = min(unit, math.sqrt(a2 / ((2.0 - a2) * n)))
+        sign = np.where(up, -1.0, 1.0)
+        offset = np.where(up, n - 2 * k, 2 * k) * (-0.5 * np.pi)
+        solved = _newton(lambda at: _phase(at, up, sign, offset, n, a2), start, lo, hi)
+        if solved is None or not ((left * unit < solved) & (solved < (left + 2) * unit)).all():
+            return None
+        x[solve] = solved
+    if edge:
+        t = _edge_root(n, a2)
+        if t is None or t == 0.0 or not -np.inf < t < (np.pi / n) ** 2:
+            return None
+        if t > 0.0:
+            x[0] = math.sqrt(t)
+        else:
+            x[0], eta = np.nan, math.sqrt(-t)
+    sin, cos = np.sin(x), np.cos(x)
+    return np.where(upper, cos, sin), np.where(upper, sin, cos), np.where(upper, 0.5 * np.pi - x, x), eta
+
+
+def _phase_states(hamiltonian: TridiagonalHamiltonian, lo: int, hi: int):
+    """(E, IPR, C_12) of the states lo..hi of a bond-1 chain from its phase equation, or None.
+
+    The matrix must have a constant diagonal, a uniform nonzero bulk
+    offdiag[1:] and a nonzero offdiag[0]; None for any other matrix and for
+    a chain whose roots fail the checks of the module docstring.
+    """
+    diag, offdiag = hamiltonian.diag, hamiltonian.offdiag
+    n = diag.size
+    if (n < 2 or offdiag[0] == 0.0 or offdiag[-1] == 0.0 or (diag != diag[0]).any()
+            or (offdiag[2:] != offdiag[1:-1]).any()):
+        return None
+    coupling = abs(float(offdiag[-1]))  # offdiag[0] itself for N = 2
+    alpha = abs(float(offdiag[0])) / coupling
+    a2 = alpha * alpha
+    roots = np.arange(min(lo, n + 1 - hi), min(hi, n + 1 - lo, (n + 1) // 2) + 1)
+    with np.errstate(all="ignore"):  # a NaN or a lost root fails the checks below
+        solved = _phase_roots(roots, n, a2)
+        if solved is None:
+            return None
+        sin, cos, theta, eta = solved
+        p, q = (2.0 - a2) * cos, a2 * sin
+        r2 = p * p + q * q
+        first = alpha * sin / np.sqrt(r2)
+        second = 2.0 * sin * cos / np.sqrt(r2)
+        edge = p * cos / r2
+        half = 0.5 * (n - 1)
+        norm = half + edge + first * first
+        quartic = 0.75 * half + edge - (p * cos - q * sin) * (p * p - q * q) / (4.0 * r2 * r2) + first**4
+        residual = np.abs(alpha * np.sin((n - 1) * theta) - 2.0 * cos * np.sin(n * theta) / alpha)
+        # state 1 beyond alpha^2 = 2 and the theta = pi/2 state of odd N
+        # are summed directly (module docstring)
+        direct = [0] if roots[0] == 1 and a2 > 2.0 else []
+        if 2 * roots[-1] == n + 1:
+            direct.append(roots.size - 1)
+        sites = np.arange(1, n)
+        for i in direct:
+            if eta is not None and i == 0:  # below the band: sinh(m eta) exp(-N eta), psi_1 alike
+                profile = -0.5 * np.exp((sites - n) * eta) * np.expm1(-2.0 * sites * eta)
+                first[0] = -np.expm1(-2.0 * n * eta) / (2.0 * alpha)
+                cos[0] = math.cosh(eta)
+                residual[0] = abs(alpha * profile[-1] - 2.0 * cos[0] * first[0])
+            else:
+                profile = np.sin(sites * theta[i])
+            second[i] = profile[-1]
+            squares = profile * profile
+            norm[i] = first[i] ** 2 + squares.sum()
+            quartic[i] = first[i] ** 4 + squares @ squares
+        ipr = norm * norm / quartic
+        c12 = 2.0 * first * np.abs(second) / norm
+        residual *= coupling / np.sqrt(norm)
+    states = np.arange(lo, hi + 1)
+    index = np.minimum(states, n + 1 - states) - roots[0]
+    energies = diag[0] + np.where(2 * states <= n, -2.0, 2.0) * coupling * cos[index]
+    if (residual <= RESIDUAL_TOL * (np.abs(energies).max() + 1.0)).all() and np.isfinite(ipr * c12).all():
+        return energies, ipr[index], c12[index]
+    return None
+
+
 def first_bond_c12(hamiltonian: TridiagonalHamiltonian, states: tuple[int, int]) -> np.ndarray:
     """First-bond concurrence 2 |psi_1 psi_2| of the 1-based states lo..hi.
 
-    A wide range on a uniform bulk H[2:, 2:] reads C_12 = 2 psi_1^2 |b S_1|
-    of every state from the bordered block, without eigenvectors; a narrow
-    range, any other bulk and a refused block take eigendecompose(H, (lo, hi))
+    A bond-1 chain reads it from the phase equation, without a solver; any
+    other matrix and a refused chain take eigendecompose(H, (lo, hi))
     (module docstring).  Raises ValueError for a range outside 1..N and
     ConvergenceFailure if eigendecompose fails.
     """
     lo, hi = _state_range(hamiltonian.n_sites, states)
-    diag, offdiag = hamiltonian.diag, hamiltonian.offdiag
-    if (hi - lo + 1) * SELECT_SITES_PER_STATE > diag.size and not (
-        np.any(diag[2:] != diag[1:-1]) or np.any(offdiag[2:] != offdiag[1:-1])
-    ):
-        block = _bordered_block(diag, offdiag)
-        if block is not None:
-            _, weights, sums, _ = block
-            return (2.0 * weights * np.abs(offdiag[0] * sums))[lo - 1 : hi]
+    phases = _phase_states(hamiltonian, lo, hi)
+    if phases is not None:
+        return phases[2]
     vectors = eigendecompose(hamiltonian, (lo, hi)).vectors
     return 2.0 * np.abs(vectors[:, 0] * vectors[:, 1])
+
+
+def eigenstate_ipr(hamiltonian: TridiagonalHamiltonian, states: tuple[int, int]) -> np.ndarray:
+    """Inverse participation ratio of the 1-based states lo..hi.
+
+    Routed like first_bond_c12: the phase equation for a bond-1 chain,
+    measures.ipr_of_rows of eigendecompose(H, (lo, hi)) otherwise.  Raises
+    ValueError for a range outside 1..N and ConvergenceFailure if
+    eigendecompose fails.
+    """
+    lo, hi = _state_range(hamiltonian.n_sites, states)
+    phases = _phase_states(hamiltonian, lo, hi)
+    if phases is not None:
+        return phases[1]
+    from .measures import ipr_of_rows  # measures imports this module
+
+    return ipr_of_rows(eigendecompose(hamiltonian, (lo, hi)).vectors)
 
 
 def transfer_spectrum(hamiltonian: TridiagonalHamiltonian) -> TransferSpectrum:

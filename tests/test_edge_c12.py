@@ -1,17 +1,16 @@
-"""The eigenvector-free route of spectral.first_bond_c12.
+"""The phase route of spectral.first_bond_c12 and spectral.eigenstate_ipr.
 
-Site 1 borders the bulk H[2:, 2:].  When that bulk is uniform (every bond-1
-chain at every alpha, the mirror chain at alpha = 1), a wide state range
-reads C_12 of every state from dsterf energies refined in offset form
-against the cached bulk modes.  These tests pin that route against
-eigendecompose and against a 40-digit mpmath root of the edge-bond secular
-equation, and check which matrices and states take which route: alpha = 0,
-a failed check, a refinement that does not converge and a solver failure
-fall back to eigendecompose(H, (lo, hi)); narrow ranges and bulks that are
-not uniform never leave it.  Tests that mock a solver clear the bulk cache
-first (fresh_bulk_cache, in conftest.py).
+A chain whose only impurity is bond 1 (constant diagonal, uniform bulk
+offdiag[1:], nonzero offdiag[0]) is solved from its phase equation
+F(theta) = alpha^2 sin((N-1) theta) - 2 cos theta sin(N theta) = 0, without
+any solver.  These tests pin that route against eigendecompose, against the
+edge-bond secular equation and against 40-digit mpmath roots of F, and check
+which matrices and alphas take which route: alpha = 0, a refused root and
+any other layout take eigendecompose(H, (lo, hi)), and the bordered block
+of transfer_spectrum is never reached.
 """
 
+import math
 import warnings
 from unittest import mock
 
@@ -29,10 +28,11 @@ from xxchain.chain import (
     build_hamiltonian,
     mirror_impurities,
     single_impurity,
+    with_alpha,
 )
 from xxchain.errors import ConvergenceFailure
-from xxchain.measures import c12_sweep
-from xxchain.spectral import eigendecompose, first_bond_c12
+from xxchain.measures import c12_sweep, ipr_of_rows, ipr_sweep
+from xxchain.spectral import eigendecompose, eigenstate_ipr, first_bond_c12
 
 # Pairs of values both at or above TINY agree within a relative REL_TOL,
 # others within an absolute ABS_TOL: an exact zero, such as C_12 of the
@@ -40,6 +40,8 @@ from xxchain.spectral import eigendecompose, first_bond_c12
 TINY = 1e-14
 REL_TOL = 1e-10
 ABS_TOL = 1e-13
+# Against 40-digit roots of F both observables hold this relative bar.
+ROOT_TOL = 1e-11
 
 
 def hamiltonian_of(spec):
@@ -61,12 +63,16 @@ def bordered_block_spy():
     return mock.patch.object(spectral, "_bordered_block", wraps=spectral._bordered_block)
 
 
-def bordered_c12(hamiltonian):
-    """first_bond_c12 of every state, asserting that it took the bordered route."""
-    with selection_spy() as selected:
-        values = first_bond_c12(hamiltonian, (1, hamiltonian.n_sites))
-    assert not selected.called
-    return values
+def phase_route(hamiltonian, states=None):
+    """(E, IPR, C_12) of the states (all by default), asserting that no solver ran."""
+    lo, hi = states or (1, hamiltonian.n_sites)
+    with selection_spy() as selected, bordered_block_spy() as bordered:
+        c12 = first_bond_c12(hamiltonian, (lo, hi))
+        ipr = eigenstate_ipr(hamiltonian, (lo, hi))
+    assert not selected.called and not bordered.called
+    phases = spectral._phase_states(hamiltonian, lo, hi)
+    assert np.array_equal(phases[1], ipr) and np.array_equal(phases[2], c12)
+    return phases
 
 
 def assert_close(values, reference):
@@ -88,8 +94,15 @@ def bond1_chains(draw):
 @settings(max_examples=80, deadline=None)
 @given(spec=bond1_chains())
 def test_bordered_c12_matches_the_eigenvectors(spec):
+    # the chain is site 1 bordering a uniform bulk; its phase route gives the
+    # energies, IPR and C_12 of the full eigendecomposition
     hamiltonian = hamiltonian_of(spec)
-    assert_close(bordered_c12(hamiltonian), eigenvector_c12(hamiltonian))
+    energies, ipr, c12 = phase_route(hamiltonian)
+    dec = eigendecompose(hamiltonian)
+    scale = float(np.max(np.abs(dec.energies))) + 1.0
+    assert np.max(np.abs(energies - dec.energies)) <= 1e-12 * scale
+    assert_close(c12, eigenvector_c12(hamiltonian))
+    assert_close(ipr, ipr_of_rows(dec.vectors))
 
 
 def secular_c12(n, alpha, exchange_j, field_h, states):
@@ -133,36 +146,150 @@ def test_both_routes_match_the_secular_roots(n, alpha):
     states = [1, 2, n - 1, n]
     reference = secular_c12(n, alpha, -1.0, 0.0, states)
     hamiltonian = build_hamiltonian(single_impurity(n, alpha))
-    for values in (bordered_c12(hamiltonian), eigenvector_c12(hamiltonian)):
+    for values in (phase_route(hamiltonian)[2], eigenvector_c12(hamiltonian)):
         got = values[np.array(states) - 1]
         assert np.all(np.abs(got - reference) <= 1e-11 * reference)
 
 
-def test_wide_bond1_sweep_solves_the_bulk_once(fresh_bulk_cache):
+def phase_roots_reference(hamiltonian, states):
+    """(IPR, C_12) of the states from 40-digit roots of F(theta) = 0.
+
+    alpha^2 is the matrix's own (offdiag[0] / offdiag[1])^2.  State j and
+    state N + 1 - j share |psi_n|, so root k = min(j, N + 1 - j) with
+    theta_k <= pi/2 serves both: the root of
+    G = N theta + atan2(alpha^2 sin theta, (2 - alpha^2) cos theta) - k pi
+    in ((k - 1) pi / N, k pi / N), theta = pi/2 for k = (N + 1)/2, and for
+    k = 1 beyond alpha^2 = 2 the root of tan(N theta) = kappa tan theta,
+    kappa = alpha^2 / (alpha^2 - 2), in (0, pi / 2N), or of
+    tanh(N eta) = kappa tanh eta (theta = i eta) above alpha_c.  The
+    observables are summed over psi_1 = sin(N theta) / alpha and
+    psi_n = sin((N + 1 - n) theta), sinh for theta = i eta.
+    """
+    n = hamiltonian.n_sites
+    with mpmath.workdps(40):
+        a2 = (mpmath.mpf(hamiltonian.offdiag[0]) / mpmath.mpf(hamiltonian.offdiag[-1])) ** 2
+        tiny = mpmath.mpf(10) ** -30
+        values = []
+        for j in states:
+            k = min(j, n + 1 - j)
+            if k == 1 and (n - 1) * a2 > 2 * n:
+                kappa = a2 / (a2 - 2)
+                eta = mpmath.findroot(lambda e: mpmath.atanh(mpmath.tanh(n * e) / kappa) / e - 1,
+                                      (tiny, mpmath.atanh(1 / kappa)), solver="illinois")
+                sine = mpmath.sinh
+                angle = eta
+            else:
+                if 2 * k == n + 1:
+                    angle = mpmath.pi / 2
+                elif k == 1 and a2 > 2:
+                    kappa = a2 / (a2 - 2)
+                    angle = mpmath.findroot(lambda t: mpmath.atan(mpmath.tan(n * t) / kappa) / t - 1,
+                                            (tiny, mpmath.pi / (2 * n) * (1 - tiny)), solver="illinois")
+                else:
+                    lo = (k - 1) * mpmath.pi / n if k > 1 else tiny
+                    angle = mpmath.findroot(
+                        lambda t: n * t - k * mpmath.pi
+                        + mpmath.atan2(a2 * mpmath.sin(t), (2 - a2) * mpmath.cos(t)),
+                        (lo, k * mpmath.pi / n), solver="illinois")
+                sine = mpmath.sin
+            psi = [sine(n * angle) / mpmath.sqrt(a2)] + [sine(m * angle) for m in range(n - 1, 0, -1)]
+            norm = mpmath.fsum(x * x for x in psi)
+            ipr = norm * norm / mpmath.fsum(x**4 for x in psi)
+            values.append((float(ipr), float(2 * abs(psi[0] * psi[1]) / norm)))
+    return np.array(values)
+
+
+ALPHAS = {
+    "5e-4": lambda n: 5e-4,
+    "0.7": lambda n: 0.7,
+    "1.3": lambda n: 1.3,
+    "sqrt2-1e-3": lambda n: math.sqrt(2.0) - 1e-3,
+    "sqrt2+1e-3": lambda n: math.sqrt(2.0) + 1e-3,
+    "alpha_c-1e-7": lambda n: math.sqrt(2.0 * n / (n - 1)) - 1e-7,
+    "alpha_c+1e-7": lambda n: math.sqrt(2.0 * n / (n - 1)) + 1e-7,
+    "alpha_c-1e-9": lambda n: math.sqrt(2.0 * n / (n - 1)) - 1e-9,
+    "alpha_c+1e-9": lambda n: math.sqrt(2.0 * n / (n - 1)) + 1e-9,
+    "2": lambda n: 2.0,
+    "3": lambda n: 3.0,
+}
+
+
+@pytest.mark.parametrize("n", [40, 41, 200])
+@pytest.mark.parametrize("alpha_of_n", ALPHAS.values(), ids=ALPHAS.keys())
+def test_phase_route_matches_40_digit_roots(n, alpha_of_n):
+    # all three regimes: the band, the dip of G below pi near theta = 0 for
+    # sqrt2 < alpha < alpha_c, and state 1 below the band; at alpha_c -+ 1e-7
+    # and 1e-9 the closed-form sums of state 1 cancel (module docstring)
+    alpha = alpha_of_n(n)
+    states = sorted({1, 2, 3, n // 2, n // 2 + 1, (n + 1) // 2, n - 1, n})
+    for exchange_j, field_h in [(-1.0, 0.0), (-0.8, 0.3), (0.8, 0.3)]:
+        hamiltonian = hamiltonian_of(single_impurity(n, alpha, exchange_j=exchange_j, field_h=field_h))
+        _, ipr, c12 = phase_route(hamiltonian)
+        reference = phase_roots_reference(hamiltonian, states)
+        got = np.c_[ipr, c12][np.array(states) - 1]
+        small = reference < TINY  # C_12 of the theta = pi/2 state of odd N is 0
+        assert np.all(np.abs(got - reference)[~small] <= ROOT_TOL * reference[~small])
+        assert np.all(np.abs(got - reference)[small] <= ABS_TOL)
+
+
+def alpha_of(hamiltonian):
+    return abs(hamiltonian.offdiag[0] / hamiltonian.offdiag[-1])
+
+
+def assert_phase_route(template, states, observable, refused=()):
+    """A bond-1 sweep over alpha = 0..3 solves only alpha = 0 and the refused alphas.
+
+    Those take eigendecompose(H, states) and read the rows of its vectors;
+    every other alpha reads the phase route.  _bordered_block is never
+    reached.
+    """
+    alphas = 0.005 * np.arange(601)
+    phase_roots = spectral._phase_roots
+
+    def refusing(roots, n, a2):
+        return None if any(abs(a2 - alpha**2) <= 1e-12 for alpha in refused) else phase_roots(roots, n, a2)
+
+    with selection_spy() as selected, bordered_block_spy() as bordered, \
+            mock.patch.object(spectral, "_phase_roots", refusing):
+        rows = observable(template, alphas, range(states[0], states[1] + 1))
+    assert not bordered.called
+    assert [call.args[1] for call in selected.call_args_list] == [states] * (1 + len(refused))
+    assert [alpha_of(call.args[0]) for call in selected.call_args_list] == pytest.approx([0.0, *refused])
+    width = states[1] - states[0] + 1
+    assert len(rows) == alphas.size * width
+    reads = {c12_sweep: lambda dec: 2.0 * np.abs(dec.vectors[:, 0] * dec.vectors[:, 1]),
+             ipr_sweep: lambda dec: ipr_of_rows(dec.vectors)}[observable]
+    fallbacks = [0, *(round(alpha / 0.005) for alpha in refused)]
+    for step in [1, 150, 283, 284, 600, *fallbacks]:
+        expected = reads(eigendecompose(hamiltonian_of(with_alpha(template, alphas[step])), states))
+        values = [value for _, _, value in rows[step * width:(step + 1) * width]]
+        if step in fallbacks:
+            assert values == expected.tolist()
+        else:
+            assert_close(values, expected)
+
+
+def test_bond1_sweeps_take_the_phase_route():
+    # wide and narrow ranges alike: only alpha = 0 (site 1 decoupled) needs
+    # the eigenvectors, and a refused alpha falls back on its own
     template = single_impurity(200, 1.0)
-    alphas = 0.005 * np.arange(401)
-    with mock.patch.object(spectral, "_eigh_rows", wraps=spectral._eigh_rows) as solve, \
-            selection_spy() as selected:
-        rows = c12_sweep(template, alphas, range(2, 101))
-    # alpha = 0 solves the whole chain; every other alpha reuses the one bulk
-    assert [call.args[0].size for call in solve.call_args_list] == [200, 199]
-    assert selected.call_count == 1
-    hamiltonian, states = selected.call_args.args
-    assert np.array_equal(hamiltonian.offdiag, build_hamiltonian(single_impurity(200, 0.0)).offdiag)
-    assert states == (2, 100)
-    assert len(rows) == 401 * 99
+    for states in [(2, 100), (2, 13), (1, 1), (1, 200), (150, 200)]:
+        assert_phase_route(template, states, c12_sweep, refused=(1.5,))
+    assert_phase_route(single_impurity(200, 1.0, exchange_j=-0.8, field_h=0.3), (1, 100), ipr_sweep,
+                       refused=(0.5, 2.25))
 
 
 @pytest.mark.parametrize(
     "template, states",
     [
-        (single_impurity(200, 1.0), (2, 13)),
-        (single_impurity(200, 1.0), (1, 1)),
+        (ChainSpec(200, -1.0, 0.0, ((2, 1.0),)), (2, 13)),
+        (ChainSpec(200, -1.0, 0.0, ((2, 1.0),)), (1, 1)),
         (mirror_impurities(200, 1.0), (2, 100)),
         (ChainSpec(60, -1.0, 0.0, ((1, 1.0), (30, 1.0))), (1, 60)),
     ],
 )
 def test_narrow_ranges_and_moving_bulks_take_eigendecompose(template, states):
+    # an impurity anywhere but bond 1 moves the bulk H[2:, 2:] with alpha
     alphas = [0.0, 0.5, 1.5]
     with bordered_block_spy() as bordered, selection_spy() as selected:
         c12_sweep(template, alphas, range(states[0], states[1] + 1))
@@ -170,65 +297,83 @@ def test_narrow_ranges_and_moving_bulks_take_eigendecompose(template, states):
     assert [call.args[1] for call in selected.call_args_list] == [states] * len(alphas)
 
 
-def test_mirror_chain_at_alpha_1_takes_the_bordered_route(fresh_bulk_cache):
-    # at alpha = 1 the mirror chain is uniform, so its bulk is too; at any
-    # other alpha the last bond moves the bulk
+def test_mirror_chain_at_alpha_1_takes_the_phase_route():
+    # at alpha = 1 the mirror chain is uniform, a bond-1 chain with alpha = 1;
+    # at any other alpha the last bond moves the bulk
     template = mirror_impurities(200, 1.0, exchange_j=-0.8, field_h=0.3)
     alphas = [0.5, 1.0, 1.5]
     with bordered_block_spy() as bordered, selection_spy() as selected:
         rows = c12_sweep(template, alphas, range(2, 101))
-    assert bordered.call_count == 1
+    assert not bordered.called
     assert [call.args[0].offdiag[-1] for call in selected.call_args_list] == pytest.approx([-0.4, -1.2])
     reference = eigenvector_c12(build_hamiltonian(template), (2, 100))
     assert_close([value for alpha, _, value in rows if alpha == 1.0], reference)
 
 
-@pytest.mark.parametrize("site, bordered", [(1, True), (2, False), (120, False)])
-def test_a_moved_bulk_diagonal_takes_eigendecompose(site, bordered, fresh_bulk_cache):
-    # site 1 is the border; a moved diagonal entry on sites 2..N moves the bulk
+@pytest.mark.parametrize("site, border", [(1, True), (2, False), (120, False)])
+def test_a_moved_bulk_diagonal_takes_eigendecompose(site, border):
+    # the phase route needs one field on every site: a moved entry takes
+    # eigendecompose, also on site 1 (the border), where H[2:, 2:] stays uniform
     diag = np.full(120, 0.3)
     diag[site - 1] += 1e-3
     offdiag = np.full(119, -0.8)
     offdiag[0] *= 0.6
     hamiltonian = TridiagonalHamiltonian(diag, offdiag)
+    assert (np.ptp(diag[1:]) == 0.0) == border
     with bordered_block_spy() as block, selection_spy() as selected:
         values = first_bond_c12(hamiltonian, (1, 120))
-    assert block.called == bordered
-    assert [call.args[1] for call in selected.call_args_list] == ([] if bordered else [(1, 120)])
+    assert not block.called
+    assert [call.args[1] for call in selected.call_args_list] == [(1, 120)]
+    assert spectral._phase_states(hamiltonian, 1, 120) is None
     assert_close(values, eigenvector_c12(hamiltonian))
 
 
 def refused(name):
-    """A patch under which _bordered_block refuses every chain."""
+    """A patch under which the phase route refuses a bond-1 chain's states 1..20."""
+    phase_roots, newton = spectral._phase_roots, spectral._newton
+
+    def moved(roots, n, a2):
+        sin, cos, theta, eta = phase_roots(roots, n, a2)
+        theta = theta + 1e-9  # inside the bracket, off the root: the residual check
+        return np.sin(theta), np.cos(theta), theta, eta
+
+    def shifted(evaluate, x, lo, hi):
+        # each root handed to its neighbour's bracket: every residual stays
+        # small, only the bracket check sees it
+        solved = newton(evaluate, x, lo, hi)
+        return None if solved is None else np.roll(solved, -1)
+
     return {
-        "failed_check": mock.patch.object(spectral, "COMPLETENESS_TOL", -1.0),
-        "no_convergence": mock.patch.object(spectral, "OFFSET_STEP_TOL", -1.0),
-        "dsterf_error": mock.patch.object(
-            spectral, "eigvalsh_tridiagonal", side_effect=LinAlgError("no convergence")
-        ),
+        "failed_check": mock.patch.object(spectral, "_phase_roots", moved),
+        "no_convergence": mock.patch.object(spectral, "PHASE_STEP_TOL", -1.0),
+        "failed_bracket": mock.patch.object(spectral, "_newton", shifted),
     }[name]
 
 
-@pytest.mark.parametrize("failure", ["failed_check", "no_convergence", "dsterf_error"])
-def test_refused_alphas_fall_back_to_eigendecompose(failure, fresh_bulk_cache):
+@pytest.mark.parametrize("failure", ["failed_check", "no_convergence", "failed_bracket"])
+def test_refused_alphas_fall_back_to_eigendecompose(failure):
+    # states 1..20 of N = 120 are all solved for theta itself (below pi/4)
     template = single_impurity(120, 1.0, exchange_j=-0.8, field_h=0.3)
-    alphas = [0.2, 0.9]
+    alphas = [0.2, 0.9, 2.0]
     with refused(failure):
         hamiltonian = build_hamiltonian(template)
-        assert spectral._bordered_block(hamiltonian.diag, hamiltonian.offdiag) is None
-        with selection_spy() as selected:
-            rows = c12_sweep(template, alphas, range(1, 121))
-    assert [call.args[1] for call in selected.call_args_list] == [(1, 120)] * len(alphas)
+        assert spectral._phase_states(hamiltonian, 1, 20) is None
+        with selection_spy() as selected, bordered_block_spy() as bordered:
+            rows = c12_sweep(template, alphas, range(1, 21))
+    assert not bordered.called
+    assert [call.args[1] for call in selected.call_args_list] == [(1, 20)] * len(alphas)
     expected = [value for alpha in alphas
                 for value in eigenvector_c12(build_hamiltonian(single_impurity(
-                    120, alpha, exchange_j=-0.8, field_h=0.3)), (1, 120))]
+                    120, alpha, exchange_j=-0.8, field_h=0.3)), (1, 20))]
     assert [row[2] for row in rows] == expected
 
 
-def test_failed_solvers_are_a_convergence_failure(fresh_bulk_cache):
+def test_failed_solvers_are_a_convergence_failure():
     template = single_impurity(120, 1.0)
-    with refused("dsterf_error"), mock.patch.object(
+    with refused("no_convergence"), mock.patch.object(
         spectral, "eigh_tridiagonal", side_effect=LinAlgError("no convergence")
     ):
         with pytest.raises(ConvergenceFailure):
             c12_sweep(template, [0.5], range(1, 121))
+        with pytest.raises(ConvergenceFailure):
+            ipr_sweep(template, [0.5], range(1, 121))

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from scipy.linalg import LinAlgError, eigh_tridiagonal
 
 from xxchain import spectral
-from xxchain.chain import ChainSpec, build_hamiltonian, mirror_impurities, single_impurity
+from xxchain.chain import ChainSpec, build_hamiltonian, mirror_impurities, single_impurity, with_alpha
 from xxchain.cli import main
 from xxchain.dynamics import amplitude_matrix
 from xxchain.errors import ConvergenceFailure, IncompleteBasis
@@ -175,34 +175,46 @@ def test_selected_residual_is_checked():
 
 
 def test_c12_sweep_reads_only_its_range():
-    template = single_impurity(60, 1.0)
+    # a bond-2 impurity: bond-1 chains take the phase route (test_edge_c12.py)
+    template = ChainSpec(60, -1.0, 0.0, ((2, 1.0),))
     alphas = np.linspace(0.1, 2.9, 15)
     with spy_solver() as spy:
         rows = c12_sweep(template, alphas, [2, 3])
     assert [call.kwargs.get("select_range") for call in spy.call_args_list] == [(1, 2)] * 15
     assert [row[1] for row in rows] == [2, 3] * 15
     for alpha, j, value in rows:
-        full = eigendecompose(build_hamiltonian(single_impurity(60, alpha)))
+        full = eigendecompose(build_hamiltonian(with_alpha(template, alpha)))
         assert abs(value - 2.0 * abs(full.vectors[j - 1, 0] * full.vectors[j - 1, 1])) <= 1e-12
 
 
 def test_ipr_sweep_matches_full_solve():
-    template = single_impurity(40, 1.0)
+    # a bond-2 chain reads the selected eigenvectors, bit for bit; a bond-1
+    # chain reads the phase route, within round-off of them
     alphas = (0.3, 1.7)
-    assert ipr_sweep(template, alphas, []) == []
-    rows = ipr_sweep(template, alphas, [3, 4, 5])
-    for alpha, j, value in rows:
-        full = eigendecompose(build_hamiltonian(single_impurity(40, alpha)))
-        assert value == ipr_of_rows(full.vectors)[j - 1]
+    cases = [(ChainSpec(40, -1.0, 0.0, ((2, 1.0),)), 0.0), (single_impurity(40, 1.0), 1e-12)]
+    for template, tolerance in cases:
+        assert ipr_sweep(template, alphas, []) == []
+        rows = ipr_sweep(template, alphas, [3, 4, 5])
+        for alpha, j, value in rows:
+            full = eigendecompose(build_hamiltonian(with_alpha(template, alpha)))
+            assert abs(value - ipr_of_rows(full.vectors)[j - 1]) <= tolerance * value
 
 
 def test_c12_peak_refine_solves_one_state():
-    template = single_impurity(60, 0.8)
+    # bond 1: the phase route solves root 17 alone; bond 2: LAPACK selects it
     alphas = np.linspace(0.1, 2.0, 20)
-    with spy_solver() as spy:
+    template = single_impurity(60, 0.8)
+    with spy_solver() as spy, mock.patch.object(
+        spectral, "_phase_states", wraps=spectral._phase_states
+    ) as phases:
         c12_peak(template, 17, alphas)
+    assert not spy.called
+    assert len(phases.call_args_list) > alphas.size  # the refine step ran after the grid
+    assert {call.args[1:] for call in phases.call_args_list} == {(17, 17)}
+    with spy_solver() as spy:
+        c12_peak(ChainSpec(60, -1.0, 0.0, ((2, 0.8),)), 17, alphas)
     calls = spy.call_args_list
-    assert len(calls) > alphas.size  # the refine step ran after the grid
+    assert len(calls) > alphas.size
     assert {(call.kwargs.get("select"), call.kwargs.get("select_range")) for call in calls} == {
         ("i", (16, 16))
     }
