@@ -40,10 +40,11 @@ weights w_j = psi_n^(j) psi_s^(j) of a pair then differ by the sign
 
     psi_n(t) = exp(-iht) Re Z_n(t)     on site s's sublattice,
     psi_n(t) = exp(-iht) i Im Z_n(t)   on the other one,
-    Z_n(t) = sum over the upper half of c_j exp(-i (E_j - h) t) w_j,
+    Z_n(t) = sum over the upper half of exp(-i (E_j - h) t) (w_j + (-1)^(n - s) w_{N+1-j}),
 
-where the upper half is the levels floor(N/2) + 1 .. N, c_j = 2, and odd N
-adds its zero mode (E = h, its own partner) with c = 1.  In particular
+where the upper half is the levels floor(N/2) + 1 .. N, each with the
+weight of its pair (2 w_j on a paired spectrum), and odd N adds its zero
+mode (E = h, its own partner) with w alone.  In particular
 f_N = exp(-iht) Re Z_N for odd N and exp(-iht) i Im Z_N for even N.  The
 kernels above run unchanged on the upper half: half the exponentials of
 transfer_amplitude (and so of fidelity, concurrence_AN, the landscape and
@@ -57,7 +58,9 @@ The pairing is checked on the computed spectrum, not assumed.  Each kernel
 rounds every phase E_j t to about eps |E_j t|, so its own round-off is
 R = eps max|E| max|t| W, with W = max_n sum_j |w_j| (one column n per site
 amplitude, or the single column of f_N).  Replacing E_{N+1-j} by 2h - E_j
-and w_{N+1-j} by (-1)^(n - s) w_j moves every amplitude by at most
+and dropping the part of each pair that the sublattice projection drops,
+(w_{N+1-j} - (-1)^(n - s) w_j) i sin((E_j - h) t), moves every amplitude by
+at most
 
     B = max|t| W dE + dw,   dE = max_j |E_j + E_{N+1-j} - 2h|,
                             dw = max_n 1/2 sum_j |w_{N+1-j} - (-1)^(n - s) w_j|
@@ -68,11 +71,14 @@ share of dE in B / R is dE / (eps max|E|) at every t.  dE adds the errors
 of two computed levels, and the level errors of a backward-stable
 tridiagonal solve accumulate like sqrt(N) eps max|E| over its O(N) steps, so
 dE is about 2 sqrt(N) eps max|E|; the multiple 64 = 2 sqrt(1024) admits it
-for every chain up to 1,024 sites, as COMPLETENESS_TOL does for the bordered
-blocks (measured: dE is at most 4 eps max|E| on single-impurity and mirror
-chains up to N = 400).  The share of dw does not grow with t and falls as
-1 / max|t|; it is what refuses degenerate levels, whose eigenvectors LAPACK
-returns in a basis that need not pair (the even-N alpha = 0 pair at E = h).
+for every chain up to 1,024 sites (measured: dE is at most 4 eps max|E| on
+single-impurity and mirror chains up to N = 400).  The share of dw does not
+grow with t and falls as 1 / max|t|; it is what refuses degenerate levels,
+whose eigenvectors LAPACK returns in a basis that need not pair (the even-N
+alpha = 0 pair at E = h).  The pair weights keep the cancellation of a
+near-degenerate pair's eigenvector rotation (with 2 w_j instead, f_N of an
+N = 47 chain with bonds 7 and 40 at 1e-4 missed the full sum by 4.3e-12).
+A mirror chain read from its phase equation has dw = 0.
 Under the guard the upper-half sum is within (1 + PAIRING_ROUNDOFF) R of the
 exact sum over the computed spectrum, where the full sum is within R.  Each
 kernel call measures dE, dw and W and checks its own max|t| (_upper_half).
@@ -82,7 +88,7 @@ with its bytes.
 
 transfer_amplitude, fidelity and concurrence_AN read only the energies E_j
 and the weights w_j, so they take the TransferSpectrum of
-spectral.transfer_spectrum, which solves a mirror chain as two parity blocks.
+spectral.transfer_spectrum, which reads a mirror chain from its phase equation.
 time_series picks the solve per observable: transfer_spectrum for the three
 f_N kinds, so a given matrix has one f_N(t) whoever asks, and eigendecompose
 for the running IPR, whose site rows need every site and every eigenpair
@@ -221,7 +227,7 @@ def _upper_half(energies, products, signs, times):
         return None
     centre = 0.25 * (low + high)
     upper = energies.size // 2
-    weights = 2.0 * products[upper:]
+    weights = products[upper:] + signs * products[: energies.size - upper][::-1]
     if energies.size % 2:
         weights[0] *= 0.5  # the zero mode of odd N is its own partner
     return centre, energies[upper:] - centre, weights

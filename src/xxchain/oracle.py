@@ -259,8 +259,8 @@ def oracle_check(
     alpha: the one-excitation block of the full Hamiltonian is compared with
     the sector matrix, sector propagation from |1> is compared per amplitude
     with full-space evolution, and the traced (ancilla, N) concurrence is
-    compared with concurrence_AN of transfer_spectrum, whose parity solve the
-    palindromic chains exercise.  One result per template.
+    compared with concurrence_AN of transfer_spectrum, whose mirror route the
+    uniform and mirror chains exercise.  One result per template.
     """
     from .chain import build_hamiltonian, with_alpha
     from .dynamics import amplitude_matrix, concurrence_AN

@@ -112,8 +112,8 @@ class ScalingResult:
 def fidelity_landscape(template: ChainSpec, alphas, times) -> Landscape:
     """Tabulate F(alpha, t) with every impurity bond of the template at alpha.
 
-    Each alpha is solved by spectral.transfer_spectrum, as two parity blocks
-    when the chain is a mirror chain.
+    Each alpha is solved by spectral.transfer_spectrum, from the phase
+    equation when the chain is a mirror chain.
     """
     alphas = np.asarray(alphas, dtype=float)
     times = np.asarray(times, dtype=float)

@@ -26,108 +26,29 @@ to 17%, at N/6 by up to 2.2x.
 
 Every f_N(t) = sum_j exp(-i E_j t) psi_1^(j) psi_N^(j) in the package
 (evolve, the landscape, the optimizer, the oracle check) reads the energies
-and weights of transfer_spectrum, and every mirror chain is palindromic: diag and offdiag equal their own
-reverses, so H commutes with the reflection n -> N+1-n.  transfer_spectrum
-tests for that (exact array equality) and then solves the two parity blocks
-in the basis (|n> +- |N+1-n>)/sqrt(2), n = 1..floor(N/2):
+and weights of transfer_spectrum.  Mirror chains (transfer_spectrum) and
+chains whose only impurity is bond 1 (first_bond_c12, eigenstate_ipr) need
+no solver: both are a uniform bulk bordered by impurity bonds, and one phase
+equation gives their states.  Any other matrix takes eigendecompose, and its
+weights are psi_1 psi_N read off the first and last eigenvector components.
 
-    even N: two blocks of size N/2, the same as H[1..N/2] except that the
-            last diagonal entry is h +- J_{N/2} (J_{N/2} couples the two
-            middle sites);
-    odd N:  the even block has size (N+1)/2 and joins the middle site to
-            site (N-1)/2 through sqrt(2) J_{(N-1)/2}; the odd block is
-            H[1..(N-1)/2], since the middle site carries no odd amplitude.
+With a constant diagonal h, bulk bonds J and end bonds b = alpha J (the
+edge-bond secular equation of Wojcik et al., PRA 72, 034303 (2005); the
+closed forms of W.-C. Yueh, Appl. Math. E-Notes 5, 66 (2005)), put
+E = h + 2J cos theta, p = (2 - alpha^2) cos theta, q = alpha^2 sin theta,
+R^2 = p^2 + q^2 and beta = atan2(q, p).  The bulk rows of H psi = E psi hold
+for a sine wave, and each impurity end turns its phase by beta.  With e
+impurity ends (e = 1: bond 1 only, offdiag[1:] = J; e = 2: a mirror chain,
+offdiag[0] = offdiag[-1] = b, offdiag[1:-1] = J) the states are the roots
+k = 1..N, ascending in theta, of
 
-An even block eigenvector phi has psi_1 = psi_N = phi_1/sqrt(2), an odd one
-psi_1 = -psi_N = phi_1/sqrt(2), so the transfer weight is +phi_1^2/2 for
-even and -phi_1^2/2 for odd states.  The change of basis is orthogonal, so
-each block's residual equals the full one.  Any other matrix takes
-eigendecompose, and its weights are psi_1 psi_N read off the first and last
-eigenvector components.
+    G(theta) = M theta + e beta - k pi = 0,   M = N + 1 - e,
 
-The impurity strength enters each block only through its border
-b = offdiag[0], so a block is site 1 (diagonal d_1) bordering the
-alpha-independent bulk block[1:, 1:] (the edge-bond secular equation of
-Wojcik et al., PRA 72, 034303 (2005); the bordered eigenproblem of Gu and
-Eisenstat, SIAM J. Matrix Anal. Appl. 16, 172 (1995)).  With the bulk modes
-mu_k and their first components z_k, every block energy E is a root of
-
-    g(E) = E - d_1 - b^2 S_1,   S_1 = sum_k z_k^2 / (E - mu_k),
-
-and the first component of its unit eigenvector is
-
-    phi_1^2 = 1 / (1 + b^2 sum_k z_k^2 / (E - mu_k)^2) = 1 / g'(E).
-
-Each bulk is solved once with eigenvectors (eigh_tridiagonal and the
-residual check of eigendecompose), and mu_k, z_k^2 and the bulk residual
-are kept in a two-entry cache keyed on the bulk's bytes, which holds one
-mirror chain's two parity bulks for all the alphas of a sweep.  Per alpha a
-block takes its eigenvalues only (LAPACK dsterf) and refines them.  g' and
-S_1 are ruled by the mode nearest E, and E - mu_k formed from a stepped E
-keeps only the absolute accuracy eps |E|, all of the difference for a level
-within ~1e-12 of its mode (small alpha, band edges, tiny inner bonds): one
-plain Newton step missed f_N by 4e-11 on an N = 3 mirror chain at
-alpha = 1e-6, and C_12 of band-edge states by 2.1e-3 relative at N = 400,
-alpha = 0.00069.  The refinement therefore
-works in offset form (R.-C. Li, LAPACK Working Note 89, as in dlaed4): the
-differences E - mu_k are formed once from the dsterf energies, exact
-(Sterbenz) wherever a level is close to a mode, tau = E - p with p the
-nearer of the two modes that bracket E is carried beside them, and each
-Newton step on
-
-    g(tau) = (p - d_1) + tau - b^2 sum_k z_k^2 / (E - mu_k)
-
-is subtracted from tau and from every difference, until every step is
-within OFFSET_STEP_TOL units of round-off.  That takes two evaluations for
-most alphas and up to 6 at N = 400-800, alpha < 1e-3, where dsterf leaves a
-level next to its mode with little of tau right; the cap is
-OFFSET_STEPS_MAX.  phi_1^2, g and S_1 are read at the last tau, and the
-block is kept only if
-
-    the E_j and the mu_k interlace strictly,
-    |sum_j phi_1^2 - 1| <= COMPLETENESS_TOL, and
-    max_j phi_1 |g(E_j)| + sqrt(m) (bulk residual) <= RESIDUAL_TOL (max|E| + 1),
-
-where the left side of the last line bounds ||H v_j - E_j v_j|| for the unit
-vectors v_j that the bulk modes imply (m bulk sites); it is the block's
-residual_bound.  That bound does not see a level that has lost digits next
-to a mode which barely touches site 1: on chains with a mirror pair of
-impurity bonds at alpha = 1e-3 to 3e-9 (N = 3-60), every chain whose f_N
-missed by more than 1e-12 (up to 1.3e-8; all with inner bonds) had a
-residual bound below 2.2e-14, but missed completeness by at least 838 eps,
-where the blocks of the canonical studies and of mirror and bond-1 chains up
-to N = 800 stay within 6 eps.  A one-site block (N = 2, the odd block of
-N = 3) is exact: E = d_1, phi_1^2 = 1, S_1 = 0, bound 0.  A zero border
-(alpha = 0, site 1 decoupled), a failed bulk or eigenvalue solve, a
-refinement that does not converge or a failed check refuses the block, and
-its caller takes eigendecompose, which raises ConvergenceFailure if it
-fails too.
-
-transfer_spectrum reads the weights +-phi_1^2/2 of the two parity blocks.
-A chain that is not palindromic or has a refused block takes
-eigendecompose instead, so transfer_spectrum has two routes; no mirror
-chain with N = 3-800, alpha = 0.001-10 and three (J, h) is refused.  f_N(t)
-agrees with the full eigendecomposition to 2e-13 for N = 31-400,
-alpha = 0.005-3 and three (J, h).
-
-A chain whose only impurity is bond 1 needs no solver at all
-(first_bond_c12, eigenstate_ipr).  With a constant diagonal h, bulk bonds
-J = offdiag[1:] and b = alpha J = offdiag[0] (the edge-bond secular
-equation of Wojcik et al.; the closed forms of W.-C. Yueh, Appl. Math.
-E-Notes 5, 66 (2005)), put E = h + 2J cos theta.  Rows 2..N of
-H psi = E psi then give
-
-    psi_n = sin((N + 1 - n) theta),  n >= 2,   psi_1 = sin(N theta) / alpha,
-
-and row 1 quantizes theta:
-
-    F(theta) = alpha^2 sin((N - 1) theta) - 2 cos theta sin(N theta) = 0,
-    i.e. G(theta) = N theta + beta - k pi = 0,  beta = atan2(q, p),
-    p = (2 - alpha^2) cos theta,  q = alpha^2 sin theta,  R^2 = p^2 + q^2.
-
-At a root sin(N theta) = +-q / R and sin((N - 1) theta) = +-sin(2 theta) / R,
-so |psi_1| = alpha sin theta / R, |psi_2| = |sin 2 theta| / R, and the
-Dirichlet sums over n >= 2 close without any large argument N theta:
+and each impurity end has |psi_1| = alpha sin theta / R.  For a bond-1
+chain psi_n = sin((N + 1 - n) theta) for n >= 2 and psi_1 = sin(N theta) /
+alpha; at a root sin(N theta) = +-q / R and sin((N - 1) theta) =
++-sin(2 theta) / R, so |psi_2| = |sin 2 theta| / R, and the Dirichlet sums
+over n >= 2 close without any large argument N theta:
 
     S_2 = (N - 1) / 2 + p cos theta / R^2,
     S_4 = 3 (N - 1) / 8 + p cos theta / R^2
@@ -135,82 +56,126 @@ Dirichlet sums over n >= 2 close without any large argument N theta:
     IPR = (S_2 + psi_1^2)^2 / (S_4 + psi_1^4),
     C_12 = 2 |psi_1 psi_2| / (S_2 + psi_1^2),
 
-O(1) per state.  The roots interlace strictly with the bulk modes k pi / N:
-beta lies in (0, pi/2] for alpha^2 <= 2 and in [pi/2, pi) above, so root k
-lies in [(k - 1/2) pi / N, k pi / N) or ((k - 1) pi / N, (k - 1/2) pi / N].
-G is convex on (0, pi/2] for alpha^2 < 1 and alpha^2 > 2 and concave for
-1 < alpha^2 < 2, so Newton started at the right (convex) or left (concave)
-end of the bracket moves monotonically onto the root; a step that would
-leave the bracket bisects it instead.  For alpha^2 > 2 state 1 solves
-tan(N theta) = kappa tan theta, kappa = alpha^2 / (alpha^2 - 2): it lies in
-(0, pi / (2N)) while alpha^2 < alpha_c^2 = 2N / (N - 1) (kappa > N) and on
-theta = i eta above, below the band with e^(2 eta) -> alpha^2 - 1.  Its
-trivial root theta = 0 is divided out:
+O(1) per state.  A mirror chain commutes with the reflection
+n -> N + 1 - n: root k has even parity for odd k and odd parity for even
+k, its bulk wave is cos((c - n) theta) or sin((c - n) theta), c = (N + 1)/2,
+and psi_1 is that wave continued to site 1, over alpha.  Its transfer
+weight is w = +-psi_1^2 / norm, + for odd k, with
+
+    norm = 2 psi_1^2 + (N - 2)/2 +- sin((N - 2) theta) / (2 sin theta)
+         = 2 psi_1^2 + (N - 2)/2 + (2 alpha^2 p cos theta + p^2 - q^2) / (2 R^2),
+
+since sin((N - 2) theta) = (-1)^(k+1) sin(2 beta + theta) at a root.
+N = 2 and 3 are uniform chains, alpha = 1 against the middle bond.
+
+The roots interlace strictly with k pi / M.  beta lies in (0, pi/2] for
+alpha^2 <= 2 and in [pi/2, pi) above, so bond-1 root k lies in
+[(k - 1/2) pi / N, k pi / N) or ((k - 1) pi / N, (k - 1/2) pi / N], and
+mirror root k in [(k - 1) pi / M, k pi / M) or ((k - 2) pi / M,
+(k - 1) pi / M].  G'' has the sign of beta'': G is convex on (0, pi/2] for
+alpha^2 < 1 and alpha^2 > 2 and concave for 1 < alpha^2 < 2, so Newton
+started at the right (convex) or left (concave) end of the bracket moves
+monotonically onto the root; a step that would leave the bracket bisects
+it instead.  Where G bends sharply, three roots start inside: for
+alpha^2 < 1 the root next to the centre (2k = M) at sqrt(e kappa' / M)
+from pi/2, kappa' = alpha^2 / (2 - alpha^2), and the centre root of a
+mirror chain of even N at kappa' / (1 + 2 M kappa' / pi) from pi/2; below
+alpha^2 = 2 mirror root 1, where 2 beta rises to pi within
+c = (2 - alpha^2) / alpha^2 of theta = 0, at sqrt(2c / M).
+
+For alpha^2 > 2 the edge states are solved apart, kappa = alpha^2 /
+(alpha^2 - 2).  Bond-1 state 1 solves tan(N theta) = kappa tan theta: it
+lies in (0, pi / (2N)) while alpha^2 < alpha_c^2 = 2N / (N - 1)
+(kappa > N) and on theta = i eta above, below the band with
+e^(2 eta) -> alpha^2 - 1.  Its trivial root theta = 0 is divided out:
 
     U(t) = atan(tan(N theta) / kappa) / theta - 1,   t = theta^2 > 0,
     U(t) = atanh(tanh(N eta) / kappa) / eta - 1,     t = -eta^2 < 0,
 
-is one increasing function of t through the band edge t = 0; Newton in t
-starts from the better of a line through U(0) and the far-side limit.
-Newton in theta from pi / (2N) took 16-21 steps at N = 200,
-alpha_c - 1e-7 and - 1e-9.  Roots above pi/4 are solved for
-d = pi/2 - theta, so cos theta = sin d keeps its digits next to the band
-centre (in theta the centre pair of even N lost 2e-11 of its IPR at
-alpha = 5e-4).  Newton stops once |G| (or |U|) is within PHASE_STEP_TOL eps
-of the magnitudes it sums, which took at most 6 evaluations for N = 2-800
-and alpha = 1e-6-1000, alpha_c +- 1e-13 and sqrt2 +- 1e-12 included; a
-root still outside after PHASE_STEPS_MAX evaluations refuses the chain.
+is one increasing function of t through the band edge t = 0 (Newton in
+theta took 16-21 steps at N = 200, alpha_c - 1e-7); Newton in t starts from
+the better of a line through U(0) and the far-side limit.  A mirror chain
+has two, m = (N - 1)/2: the odd one (k = 2) solves
+tan(m theta) = kappa tan theta, U(t) with N -> m, and leaves the band at
+alpha^2 = 2 (N - 1) / (N - 3); the even one (k = 1) solves
+cot(m theta) = -kappa tan theta, which has no root in the band for
+alpha^2 > 2, and below it coth(m eta) = kappa tanh eta.
+
+Roots above pi/4 are solved for d = pi/2 - theta, so cos theta = sin d
+keeps its digits next to the band centre (in theta the centre pair of even
+N lost 2e-11 of its IPR at alpha = 5e-4).  Newton stops once |G| (or |U|)
+is within PHASE_STEP_TOL eps of the magnitudes it sums: at most 6
+evaluations for bond-1 chains (N = 2-800, alpha = 1e-6-1000, alpha_c
++- 1e-13 and sqrt2 +- 1e-12), at most 7 for mirror chains (N = 4-800,
+alpha = 1e-6-10, the exits +- 1e-12) and 5 on the scaling and landscape
+grids.  A root still outside after PHASE_STEPS_MAX evaluations refuses the
+chain.
 
 The chain is bipartite with a constant diagonal, so state N + 1 - j has the
-same |psi_n| as state j and E - h negated.  Only theta <= pi/2 is solved:
-the roots min(j, N + 1 - j) of the states lo..hi, at most ceil(N/2).  J < 0
-makes ascending E ascending theta and J > 0 reverses it; with the pairing
-both give E_j = h - 2|J| cos theta_j for j <= N/2 and
-h + 2|J| cos theta_(N+1-j) above.  For odd N state (N + 1)/2 is
-theta = pi/2 exactly, where the closed form of S_4 is 0/0.
+same |psi_n| as state j, E - h negated and psi_1 psi_N times (-1)^(N - 1).
+Only theta <= pi/2 is solved: the roots min(j, N + 1 - j) of the states
+lo..hi.  J < 0 makes ascending E ascending theta and J > 0 reverses it; with
+the pairing both give E_j = h - 2|J| cos theta_j for j <= N/2 and
+h + 2|J| cos theta_(N+1-j) above.  transfer_spectrum builds each partner as
+E = 2h - E_j and w = (-1)^(N - 1) w_j, an exactly paired spectrum for the
+time kernels (dynamics docstring).
 
 The closed forms lose about cond = sum |terms| / S units of round-off,
 and a direct sum of the N positive terms sin^2, sin^4 at most about N.
 S_2 can cancel only if p cos theta / R^2 >= -1 / (alpha^2 - 2) reaches
 -(N - 1)/2, which needs 2 < alpha^2 <= alpha_c^2 and q << p, theta << 1/N:
-state 1 near alpha_c, where the terms, of size N, cancel to
+bond-1 state 1 near alpha_c, where the terms, of size N, cancel to
 S ~ N^3 theta^2 without bound (2e-8 relative at N = 200, alpha_c - 1e-7).
-For every other root cond stayed below 1.5, S_4 included (N = 2-800,
-alpha = 0.001-5).  State 1 beyond alpha^2 = 2 is therefore always summed
-directly, O(N) for one state, in the band and below it, where its terms
-sinh(m eta) are scaled by exp(-N eta); so is the theta = pi/2 state of
-odd N.
+The mirror norm cancels alike for the odd edge state near its exit.  For
+every other root cond stayed below 1.5 (bond-1, S_4 included) and 1.93
+(mirror), N up to 800, alpha = 0.001-5.  The edge states beyond
+alpha^2 = 2 are therefore summed directly, O(N) for one state, below the
+band scaled by exp(-N eta) or exp(-m eta); so is the theta = pi/2 state of
+odd N, where the closed form of S_4 is 0/0.
 
 Every returned state passes two checks, or the chain is refused: its root
-lies strictly inside ((k - 1) pi / N, k pi / N) (state 1: 0 < theta < pi/N,
-or eta > 0), and the row-1 residual |J| |alpha psi_2 - 2 cos theta psi_1| /
-||psi|| of psi_1 = sin(N theta) / alpha and psi_2 = sin((N - 1) theta),
-evaluated directly, is within RESIDUAL_TOL (max|E| + 1).  Rows 2..N hold by
-construction, so that is ||H v - E v|| of the unit vector the root implies;
-round-off in N theta makes it about eps N / alpha, which refuses
-alpha <= 1e-5 at N = 200 and <= 3e-5 at N = 400-800.  alpha = 0, N = 1,
-any other matrix and a refused chain take eigendecompose(H, (lo, hi)).
+lies strictly inside its interlacing interval (bond-1 state 1 beyond
+alpha^2 = 2: 0 < theta < pi/N, or eta > 0), and ||H v - E v|| of the vector
+the route reads is within RESIDUAL_TOL (max|E| + 1).  That vector has
+psi_1 = s alpha sin theta / R and the bulk wave from site 2 on, which
+continues to psi~_1 at site 1, so only two rows per impurity end are not
+zero by construction:
 
-Against 40-digit roots of F (N = 40, 41, 200; alpha = 5e-5-3 with
-alpha_c +- 1e-7, +- 1e-9 and sqrt2 +- 1e-3; three (J, h)) the phase route
-is within 6.4e-15 relative on IPR and 1.6e-14 on C_12, eigendecompose
-within 2.4e-11 and 5.7e-10.  Per alpha (timeit best of 5, 1 BLAS thread,
-2-vCPU x86-64 VM, alpha = 0.005-3) all states take 0.20-0.25 ms at
+    row 1 = |J| alpha |psi_2 - s sin(2 theta) / R|,
+    row 2 = |J| |s alpha psi_1 - psi~_1|,
+
+with s the sign a root puts on psi~_1, (-1)^(k+1) for bond-1 roots and
+(-1)^floor((k-1)/2) for mirror roots (below the band psi_1 = psi~_1 /
+alpha).  Round-off makes them about eps N, with no 1/alpha: the row-1 check
+of psi_1 = sin(N theta) / alpha refused alpha <= 1e-5 at N = 200, and roots
+moved off by 1e-10 relative are still refused.  A root that rounds onto the
+end of its interval is refused too (mirror chains at N = 800,
+alpha = 1e-6).  alpha = 0, N = 1, any other matrix and a refused chain take
+eigendecompose.
+
+Against 40-digit roots (N = 40, 41, 200, three (J, h)) the bond-1 route is
+within 6.4e-15 relative on IPR and 1.6e-14 on C_12 (alpha = 5e-5-3 with
+alpha_c +- 1e-7, +- 1e-9 and sqrt2 +- 1e-3), eigendecompose within 2.4e-11
+and 5.7e-10; the mirror route is within 5.9e-16 relative on the energies
+and 1.1e-14 on f_N(t <= 1.5 N) (alpha = 5e-5-3 with both exits +- 1e-9),
+the full sum over eigendecompose within 1.9e-14.  Per alpha (timeit best of
+5, 1 BLAS thread, 2-vCPU x86-64 VM) all bond-1 states take 0.20-0.25 ms at
 N = 100-200 and 0.27-0.41 ms at N = 400-800, against 0.8, 3.0, 13 and
-55 ms for eigendecompose and IPR; one state takes 0.11-0.24 ms at
-N = 200 against 0.17-0.21 ms for a selected eigendecompose (0.11-0.32 and
-0.30-0.64 ms at N = 400-800).
+55 ms for eigendecompose and IPR; one state takes 0.11-0.24 ms at N = 200
+against 0.17-0.21 ms for a selected eigendecompose.  transfer_spectrum of a
+mirror chain takes 0.25-0.30 ms at N = 31-400, against 0.25, 0.42, 0.81 and
+2.7 ms at N = 31, 100, 200 and 400 for the two reflection-parity blocks
+that LAPACK eigenvalues and an offset-form refinement solved before.
 """
 
 from __future__ import annotations
 
 import enum
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgError, eigh_tridiagonal, eigvalsh_tridiagonal
+from scipy.linalg import LinAlgError, eigh_tridiagonal
 
 from .chain import ChainSpec, TridiagonalHamiltonian, _tridiagonal_matvec, build_hamiltonian, with_alpha
 from .errors import ConvergenceFailure, NoBracket, TooSmallN, WrongConfiguration
@@ -220,25 +185,12 @@ SIGN_EPS = 1e-12
 # Residual contract: max_j ||H v_j - E_j v_j|| <= RESIDUAL_TOL * (max|E| + 1).
 RESIDUAL_TOL = 1e-10
 _EPS = float(np.finfo(float).eps)
-# A bordered block is kept only if its weights phi_1^2 sum to 1 within this.
-# The weights are positive and each is 1 / g' with g' a sum of m positive
-# terms, so rounding moves their sum by about sqrt(m) eps (at most 6 eps
-# measured up to N = 800); 64 eps = 2 sqrt(1024) eps allows blocks of up to
-# 1,024 sites.  A level that has lost digits next to a mode misses by
-# hundreds of eps (module docstring).
-COMPLETENESS_TOL = 64 * _EPS
 # Band boundary tolerance: energies this close to h +- 2|J| count as in-band.
 BAND_EDGE_TOL = 1e-9
 # eigendecompose selects a range of k states when k * SELECT_SITES_PER_STATE
 # <= N and solves fully otherwise; measured crossover in the module docstring.
 SELECT_SITES_PER_STATE = 16
-# The offset-form Newton steps of a bordered block stop once every step is at
-# most OFFSET_STEP_TOL eps (|tau| + (|p - d_1| + |tau|) / g'), a few units of
-# round-off in tau; a level still moving after OFFSET_STEPS_MAX evaluations
-# refuses the block.
-OFFSET_STEP_TOL = 4.0
-OFFSET_STEPS_MAX = 12
-# The Newton steps of the bond-1 phase route stop once |G| is at most
+# The Newton steps of the phase route stop once |G| is at most
 # PHASE_STEP_TOL eps times the magnitudes that G sums, a few units of
 # round-off in theta; a root still outside that after PHASE_STEPS_MAX
 # evaluations refuses the chain.
@@ -369,107 +321,6 @@ def _checked_residual(diag, offdiag, energies, vectors) -> float:
     return residual_bound
 
 
-def _parity_blocks(hamiltonian: TridiagonalHamiltonian):
-    """(diag, offdiag, weight sign) of the even and the odd reflection block."""
-    diag, offdiag = hamiltonian.diag, hamiltonian.offdiag
-    half = hamiltonian.n_sites // 2
-    inner = offdiag[: half - 1]
-    if hamiltonian.n_sites % 2:
-        joined = np.append(inner, np.sqrt(2.0) * offdiag[half - 1])
-        return (diag[: half + 1], joined, 1.0), (diag[:half], inner, -1.0)
-    even, odd = diag[:half].copy(), diag[:half].copy()
-    even[-1] += offdiag[half - 1]
-    odd[-1] -= offdiag[half - 1]
-    return (even, inner, 1.0), (odd, inner, -1.0)
-
-
-@functools.lru_cache(maxsize=2)
-def _bulk_modes(diag_bytes: bytes, offdiag_bytes: bytes):
-    """Modes mu_k, squared first components z_k^2 and checked residual of a bulk.
-
-    Keyed on the bytes of the bulk's diag and offdiag: two entries hold one
-    mirror chain's two parity bulks at every alpha of a sweep.
-    """
-    diag, offdiag = np.frombuffer(diag_bytes), np.frombuffer(offdiag_bytes)
-    modes, vectors = _eigh_rows(diag, offdiag)
-    bound = _checked_residual(diag, offdiag, modes, vectors)
-    first = vectors[:, 0] ** 2
-    modes.setflags(write=False)
-    first.setflags(write=False)
-    return modes, first, bound
-
-
-def _refine(energies, site, border, modes, first):
-    """(E, phi_1^2, g(E), S_1) from Newton steps in offset form, or None.
-
-    p is the nearer of the two modes that bracket E in interlacing order.
-    The differences E - mu_k are formed once and every step is subtracted
-    from them and from tau = E - p, so a level next to its mode keeps the
-    digits of tau (module docstring).  Everything is evaluated at the last
-    tau, where the next step would stay within the round-off bound of
-    OFFSET_STEP_TOL; None if some step is still larger after
-    OFFSET_STEPS_MAX evaluations.
-    """
-    lower = np.concatenate(([-np.inf], modes))
-    upper = np.concatenate((modes, [np.inf]))
-    poles = np.where(energies - lower < upper - energies, lower, upper)
-    offsets = poles - site
-    spread = np.abs(offsets)
-    tau = energies - poles
-    gaps = energies[:, None] - modes
-    border2 = border * border
-    weighted = border2 * first
-    inverse = np.empty_like(gaps)
-    for _ in range(OFFSET_STEPS_MAX):
-        np.reciprocal(gaps, out=inverse)
-        total = inverse @ weighted
-        inverse *= inverse
-        slope = 1.0 + inverse @ weighted
-        secular = offsets + tau - total
-        step = secular / slope
-        size = np.abs(tau)
-        if (np.abs(step) <= OFFSET_STEP_TOL * _EPS * (size + (spread + size) / slope)).all():
-            return poles + tau, 1.0 / slope, secular, total / border2
-        tau -= step
-        gaps -= step[:, None]
-    return None
-
-
-def _bordered_block(diag, offdiag):
-    """(E, phi_1^2, S_1, residual bound) of a block from its bulk modes, or None.
-
-    The dsterf energies are refined by _refine, and S_1 = sum_k
-    z_k^2 / (E - mu_k) at the refined energies.  A one-site block is its own
-    mode (E = d_1, phi_1^2 = 1, S_1 = 0, bound 0) and calls no solver.  None
-    means the border is 0, the bulk or the eigenvalue solve failed, the
-    refinement gave up or a check failed (module docstring); the bulk is not
-    solved for a zero border.
-    """
-    if not offdiag.size:
-        return diag, np.ones(1), np.zeros(1), 0.0
-    if offdiag[0] == 0.0:
-        return None
-    try:
-        modes, first, bulk_bound = _bulk_modes(diag[1:].tobytes(), offdiag[1:].tobytes())
-        energies = eigvalsh_tridiagonal(diag, offdiag, lapack_driver="sterf")
-    except (ConvergenceFailure, LinAlgError):
-        return None
-    with np.errstate(all="ignore"):  # a level on a mode fails the checks below
-        refined = _refine(energies, diag[0], offdiag[0], modes, first)
-        if refined is None:
-            return None
-        energies, weights, secular, sums = refined
-        bound = float(np.max(np.sqrt(weights) * np.abs(secular))) + modes.size ** 0.5 * bulk_bound
-    if (
-        np.all(energies[:-1] < modes)
-        and np.all(modes < energies[1:])
-        and abs(float(np.sum(weights)) - 1.0) <= COMPLETENESS_TOL
-        and bound <= RESIDUAL_TOL * (float(np.max(np.abs(energies))) + 1.0)
-    ):
-        return energies, weights, sums, bound
-    return None
-
-
 def _newton(evaluate, x, lo, hi):
     """Roots in [lo, hi] of an increasing function by Newton steps kept in the bracket.
 
@@ -492,23 +343,31 @@ def _newton(evaluate, x, lo, hi):
     return None
 
 
-def _phase(x, upper, sign, offset, n, a2):
+def _phase(x, upper, sign, offset, turns, a2, ends):
     """G of each root as an increasing function of its offset x, its slope and magnitude.
 
-    x is theta, or d = pi/2 - theta where upper.  G = N theta + beta - k pi
-    is then N x + beta - k pi, or -(N x - beta - (N - 2k) pi/2) where upper:
-    N x + sign beta + offset with sign = +-1 and offset = -k pi or
-    -(N - 2k) pi/2.
+    x is theta, or d = pi/2 - theta where upper.  G = M theta + e beta - k pi
+    (M = turns = N + 1 - e, e = ends) is then M x + e beta - k pi, or
+    -(M x - e beta - (M - 2k) pi/2) where upper: M x + sign e beta + offset
+    with sign = +-1 and offset = -k pi or -(M - 2k) pi/2.
     """
     sin, cos = np.sin(x), np.cos(x)
     p, q = (2.0 - a2) * np.where(upper, sin, cos), a2 * np.where(upper, cos, sin)
     beta = np.arctan2(q, p)
-    turn = n * x
-    return turn + sign * beta + offset, n + a2 * (2.0 - a2) / (p * p + q * q), turn + beta - offset
+    if ends == 2:
+        beta *= 2.0
+    turn = turns * x
+    return turn + sign * beta + offset, turns + ends * a2 * (2.0 - a2) / (p * p + q * q), turn + beta - offset
 
 
-def _edge_phase(t, n, kappa):
-    """U(t) of state 1 for alpha^2 > 2, dU/dt and the magnitude of U's terms (module docstring)."""
+def _edge_phase(t, n, kappa, excess):
+    """U(t) of the odd edge state for alpha^2 > 2, dU/dt and the magnitude of U's terms (module docstring).
+
+    excess = kappa - 1 = 2 / (alpha^2 - 2), from alpha itself: below the band
+    atanh(y), y = tanh(n eta) / kappa, reads 1 - y above y = 1/2 as
+    (excess + 1 - tanh(n eta)) / kappa, which keeps its digits as y nears 1
+    for large alpha.
+    """
     t = float(t[0])
     if t == 0.0:
         ratio = drive = n / kappa
@@ -522,22 +381,29 @@ def _edge_phase(t, n, kappa):
             drive = n * kappa / ((kappa * cos) ** 2 + sin * sin)
         else:
             tanh = math.tanh(x)
-            ratio = math.atanh(tanh / kappa) / root
+            if tanh < 0.5 * kappa:
+                ratio = math.atanh(tanh / kappa) / root
+            else:
+                decay = math.exp(-2.0 * x)
+                gap = (excess + 2.0 * decay / (1.0 + decay)) / kappa
+                ratio = 0.5 * (math.log1p(tanh / kappa) - math.log(gap)) / root
             drive = n * kappa * (1.0 - tanh) * (1.0 + tanh) / ((kappa - tanh) * (kappa + tanh))
         slope = (drive - ratio) / (2.0 * t)
     return np.array([ratio - 1.0]), np.array([slope]), np.array([ratio + 1.0 + drive])
 
 
 def _edge_root(n, a2):
-    """t = theta^2 (or -eta^2) of state 1 for alpha^2 > 2, or None (module docstring).
+    """t = theta^2 (or -eta^2) of the odd edge state for alpha^2 > 2, or None (module docstring).
 
-    Newton starts from the better of two models: the line through U(0)
-    with slope U'(0), right near alpha_c, and the far-side limit, right
-    where the root is far from t = 0: theta = atan(kappa tan(pi/2N)) / N
-    in the band, eta = atanh(1 / kappa) (e^(2 eta) = alpha^2 - 1) below it.
+    It solves tan(n theta) = kappa tan theta: n = N for a bond-1 chain,
+    n = (N - 1)/2 for a mirror chain.  Newton starts from the better of two
+    models: the line through U(0) with slope U'(0), right near the exit,
+    and the far-side limit, right where the root is far from t = 0:
+    theta = atan(kappa tan(pi/2n)) / n in the band, eta = atanh(1 / kappa)
+    (e^(2 eta) = alpha^2 - 1) below it.
     """
-    kappa = a2 / (a2 - 2.0)
-    offset = n / kappa - 1.0  # U(0): above 0 state 1 has left the band
+    kappa, excess = a2 / (a2 - 2.0), 2.0 / (a2 - 2.0)
+    offset = n / kappa - 1.0  # U(0): above 0 the state has left the band
     if offset > 0.0:
         lo, hi = -math.atanh(1.0 / kappa) ** 2, 0.0
         far = lo
@@ -549,62 +415,124 @@ def _edge_root(n, a2):
     near = min(max(-offset * 3.0 * kappa**3 / (n**3 * (kappa * kappa - 1.0)), lo), hi)
     fits = []
     for t in (far, near):
-        value = _edge_phase([t], n, kappa)[0][0]
+        value = _edge_phase([t], n, kappa, excess)[0][0]
         if value < 0.0:
             lo = max(lo, t)
         else:
             hi = min(hi, t)
         fits.append((abs(value), t))
-    solved = _newton(lambda t: _edge_phase(t, n, kappa), np.array([min(fits)[1]]), lo, hi)
+    solved = _newton(lambda t: _edge_phase(t, n, kappa, excess), np.array([min(fits)[1]]), lo, hi)
     return None if solved is None else float(solved[0])
 
 
-def _phase_roots(roots, n, a2):
-    """sin theta, cos theta and theta of the roots k <= ceil(N/2), and eta, or None.
+def _even_edge_root(m, a2):
+    """eta of the even edge state of a mirror chain for alpha^2 > 2, or None (module docstring).
 
-    Roots above pi/4 are solved for d = pi/2 - theta, so cos theta = sin d
-    keeps its digits next to the band centre.  theta is NaN at an exterior
-    root 1, and eta is None if there is none.  None if a root is refused:
-    Newton did not settle or the root is not strictly inside its
-    interlacing interval ((k - 1) pi / N, k pi / N).
+    coth(m eta) = kappa tanh eta is solved as log tanh(m eta) + log tanh eta
+    + log kappa = 0, concave and increasing in eta, by Newton from the lower
+    bound max(atanh(1 / kappa), 1 / sqrt(m kappa)), which is the root far
+    below and right next to the band.  log tanh x is read as
+    log1p(-2 / (e^(2x) + 1)) above x = 1/2, so it keeps its digits where
+    tanh x is close to 1.
     """
-    edge = roots[0] == 1 and a2 > 2.0
-    upper = 4 * roots > n
-    upper[0] &= not edge
-    x, eta = np.zeros(roots.size), None  # odd N: state (N+1)/2 is theta = pi/2, d = 0
-    solve = np.flatnonzero(2 * roots != n + 1)[int(edge):]
+    kappa = a2 / (a2 - 2.0)
+    start = max(math.atanh(1.0 / kappa), 1.0 / math.sqrt(m * kappa))
+    shift = -math.log1p(-2.0 / a2)  # log kappa
+
+    def evaluate(eta):
+        logs = [np.where(x > 0.5, np.log1p(-2.0 / (np.exp(2.0 * x) + 1.0)), np.log(np.tanh(x)))
+                for x in (m * eta, eta)]
+        slope = 2.0 * m / np.sinh(2.0 * m * eta) + 2.0 / np.sinh(2.0 * eta)
+        return logs[0] + logs[1] + shift, slope, shift - logs[0] - logs[1]
+
+    # the start is the root to rounding far below the band: bracket from 0
+    solved = _newton(evaluate, np.array([start]), 0.0, math.atanh(1.0 / math.sqrt(kappa)))
+    return None if solved is None else float(solved[0])
+
+
+def _phase_roots(roots, n, a2, ends):
+    """sin theta, cos theta, theta and eta of the roots k <= ceil(N/2), or None.
+
+    ends is e of the phase equation: 1 for a bond-1 chain, 2 for a mirror
+    chain.  Roots above pi/4 are solved for d = pi/2 - theta, so
+    cos theta = sin d keeps its digits next to the band centre.  theta is
+    NaN at a root below the band, and eta is its decay rate there (0 at
+    every other root).  None if a root is refused: Newton did not settle or
+    the root is not strictly inside its interlacing interval; and for
+    alpha^2 >= 1 / eps, where the edge states' kappa rounds to 1.
+    """
+    if a2 * _EPS >= 1.0:  # kappa = alpha^2 / (alpha^2 - 2) rounds to 1
+        return None
+    turns = n + 1 - ends
+    big = a2 > 2.0
+    # beyond alpha^2 = 2 the leading roots k <= e are edge states, solved apart
+    edges = max(0, min(ends + 1 - roots[0], roots.size)) if big else 0
+    upper = 4 * roots > turns
+    upper[: max(edges, ends - 1)] = False  # and mirror root 1 stays next to theta = 0
+    x, eta = np.zeros(roots.size), np.zeros(roots.size)  # odd N: theta = pi/2, d = 0
+    solve = np.flatnonzero(2 * roots != n + 1)[edges:]
     if solve.size:
         k, up = roots[solve], upper[solve]
-        unit = 0.5 * np.pi / n
-        # the interlacing interval and the half of it that holds the root
-        # (beta <= pi/2 for alpha^2 <= 2, beta >= pi/2 above), in units of x
-        left = np.where(up, n - 2 * k, 2 * k - 2)
-        lo = (left + (up == (a2 > 2.0))) * unit
-        hi = lo + unit
+        unit = 0.5 * np.pi / turns
+        # the interlacing interval ((k - 1) pi / M, k pi / M) in units of x,
+        # one interval lower for a mirror chain with alpha^2 > 2, cut at
+        # theta = pi/2; for a bond-1 chain the root lies in its lower half
+        # for alpha^2 <= 2 (beta <= pi/2) and in its upper half above
+        shift = 2 * (ends - 1) * big
+        left = np.where(up, turns - 2 * k + shift, 2 * k - 2 - shift)
+        if ends == 2:
+            left = np.maximum(left, 0)
+        lo = (left + (ends == 1) * (up == big)) * unit
+        hi = lo + ends * unit
         # G is convex in theta for alpha^2 < 1 and alpha^2 > 2, concave
         # between: start on the side from which Newton moves monotonically
         start = np.where(up == (not 1.0 <= a2 <= 2.0), lo, hi)
         if a2 < 1.0:
-            # G rises by about pi/2 within kappa' = alpha^2 / (2 - alpha^2) of
-            # pi/2, so the centre root of even N, d = sqrt(kappa' / (N d tan d))
-            # at most, starts at d = sqrt(kappa' / N)
-            start[2 * k == n] = min(unit, math.sqrt(a2 / ((2.0 - a2) * n)))
+            # e beta rises by about e pi/2 within kappa' = alpha^2 / (2 - alpha^2)
+            # of pi/2, so the root next to the centre (2k = M), at
+            # d = sqrt(e kappa' / (M d tan d)) at most, starts at sqrt(e kappa' / M),
+            # and the centre root of a mirror chain of even N (2k = N), at
+            # M d + 2 atan(tan d / kappa') = pi/2, at kappa' / (1 + 2 M kappa' / pi)
+            start[2 * k == turns] = min(ends * unit, math.sqrt(ends * a2 / ((2.0 - a2) * turns)))
+            if ends == 2:
+                start[2 * k == n] = min(ends * unit, a2 / (2.0 - a2 + 2.0 * turns * a2 / np.pi))
+        elif ends == 2 and a2 < 2.0:
+            # 2 beta rises to pi within c = (2 - alpha^2) / alpha^2 of theta = 0,
+            # so root 1 of a mirror chain, M theta = 2c / theta for c << 1/M,
+            # starts at theta = sqrt(2c / M)
+            start[(k == 1) & ~up] = min(ends * unit, math.sqrt(2.0 * (2.0 - a2) / (a2 * turns)))
         sign = np.where(up, -1.0, 1.0)
-        offset = np.where(up, n - 2 * k, 2 * k) * (-0.5 * np.pi)
-        solved = _newton(lambda at: _phase(at, up, sign, offset, n, a2), start, lo, hi)
+        offset = np.where(up, turns - 2 * k, 2 * k) * (-0.5 * np.pi)
+        solved = _newton(lambda at: _phase(at, up, sign, offset, turns, a2, ends), start, lo, hi)
         if solved is None or not ((left * unit < solved) & (solved < (left + 2) * unit)).all():
             return None
         x[solve] = solved
-    if edge:
-        t = _edge_root(n, a2)
-        if t is None or t == 0.0 or not -np.inf < t < (np.pi / n) ** 2:
+    for i in range(edges):
+        if roots[i] < ends:  # the even edge state of a mirror chain
+            decay = _even_edge_root(0.5 * turns, a2)
+            if decay is None or not 0.0 < decay < np.inf:
+                return None
+            x[i], eta[i] = np.nan, decay
+            continue
+        t = _edge_root(turns / ends, a2)
+        if t is None or t == 0.0 or not -np.inf < t < (np.pi / turns) ** 2:
             return None
         if t > 0.0:
-            x[0] = math.sqrt(t)
+            x[i] = math.sqrt(t)
         else:
-            x[0], eta = np.nan, math.sqrt(-t)
+            x[i], eta[i] = np.nan, math.sqrt(-t)
     sin, cos = np.sin(x), np.cos(x)
     return np.where(upper, cos, sin), np.where(upper, sin, cos), np.where(upper, 0.5 * np.pi - x, x), eta
+
+
+def _edge_rows(alpha, sign, first, second, tilde, inner):
+    """Rows 1 and 2 of H v - E v at an impurity end, in units of |J| (module docstring).
+
+    v has psi_1 = sign first and, from site 2 on, the bulk wave, which
+    continues to tilde at site 1 and reads inner at site 2; at a root
+    tilde = sign alpha first and inner = sign second.
+    """
+    return np.hypot(alpha * (inner - sign * second), sign * alpha * first - tilde)
 
 
 def _phase_states(hamiltonian: TridiagonalHamiltonian, lo: int, hi: int):
@@ -624,7 +552,7 @@ def _phase_states(hamiltonian: TridiagonalHamiltonian, lo: int, hi: int):
     a2 = alpha * alpha
     roots = np.arange(min(lo, n + 1 - hi), min(hi, n + 1 - lo, (n + 1) // 2) + 1)
     with np.errstate(all="ignore"):  # a NaN or a lost root fails the checks below
-        solved = _phase_roots(roots, n, a2)
+        solved = _phase_roots(roots, n, a2, 1)
         if solved is None:
             return None
         sin, cos, theta, eta = solved
@@ -636,7 +564,9 @@ def _phase_states(hamiltonian: TridiagonalHamiltonian, lo: int, hi: int):
         half = 0.5 * (n - 1)
         norm = half + edge + first * first
         quartic = 0.75 * half + edge - (p * cos - q * sin) * (p * p - q * q) / (4.0 * r2 * r2) + first**4
-        residual = np.abs(alpha * np.sin((n - 1) * theta) - 2.0 * cos * np.sin(n * theta) / alpha)
+        # psi_n = sin((N + 1 - n) theta) continues to sin(N theta) at site 1
+        rows = _edge_rows(alpha, np.where(roots % 2, 1.0, -1.0), first, second,
+                          np.sin(n * theta), np.sin((n - 1) * theta))
         # state 1 beyond alpha^2 = 2 and the theta = pi/2 state of odd N
         # are summed directly (module docstring)
         direct = [0] if roots[0] == 1 and a2 > 2.0 else []
@@ -644,11 +574,11 @@ def _phase_states(hamiltonian: TridiagonalHamiltonian, lo: int, hi: int):
             direct.append(roots.size - 1)
         sites = np.arange(1, n)
         for i in direct:
-            if eta is not None and i == 0:  # below the band: sinh(m eta) exp(-N eta), psi_1 alike
-                profile = -0.5 * np.exp((sites - n) * eta) * np.expm1(-2.0 * sites * eta)
-                first[0] = -np.expm1(-2.0 * n * eta) / (2.0 * alpha)
-                cos[0] = math.cosh(eta)
-                residual[0] = abs(alpha * profile[-1] - 2.0 * cos[0] * first[0])
+            if eta[i] > 0.0:  # below the band: sinh(m eta) exp(-N eta), psi_1 alike
+                profile = -0.5 * np.exp((sites - n) * eta[i]) * np.expm1(-2.0 * sites * eta[i])
+                first[i] = -np.expm1(-2.0 * n * eta[i]) / (2.0 * alpha)
+                cos[i] = math.cosh(eta[i])
+                rows[i] = abs(alpha * profile[-1] - 2.0 * cos[i] * first[i])
             else:
                 profile = np.sin(sites * theta[i])
             second[i] = profile[-1]
@@ -657,12 +587,76 @@ def _phase_states(hamiltonian: TridiagonalHamiltonian, lo: int, hi: int):
             quartic[i] = first[i] ** 4 + squares @ squares
         ipr = norm * norm / quartic
         c12 = 2.0 * first * np.abs(second) / norm
-        residual *= coupling / np.sqrt(norm)
+        residual = coupling * rows / np.sqrt(norm)
     states = np.arange(lo, hi + 1)
     index = np.minimum(states, n + 1 - states) - roots[0]
     energies = diag[0] + np.where(2 * states <= n, -2.0, 2.0) * coupling * cos[index]
     if (residual <= RESIDUAL_TOL * (np.abs(energies).max() + 1.0)).all() and np.isfinite(ipr * c12).all():
         return energies, ipr[index], c12[index]
+    return None
+
+
+def _mirror_spectrum(hamiltonian: TridiagonalHamiltonian) -> TransferSpectrum | None:
+    """Energies and transfer weights of a mirror chain from its phase equation, or None.
+
+    The matrix must have a constant diagonal, equal nonzero end bonds
+    offdiag[0] = offdiag[-1] and a uniform nonzero bulk offdiag[1:-1];
+    None for any other matrix and for a chain whose roots fail the checks of
+    the module docstring.
+    """
+    diag, offdiag = hamiltonian.diag, hamiltonian.offdiag
+    n = diag.size
+    if n < 2:
+        return None
+    bulk = float(offdiag[(n - 1) // 2])  # the end bond itself for N = 2, 3: a uniform chain
+    if (bulk == 0.0 or offdiag[0] == 0.0 or offdiag[0] != offdiag[-1] or (diag != diag[0]).any()
+            or (offdiag[2:-1] != offdiag[1:-2]).any()):
+        return None
+    coupling = abs(bulk)
+    alpha = abs(float(offdiag[0])) / coupling
+    a2 = alpha * alpha
+    roots = np.arange(1, (n + 1) // 2 + 1)
+    even = roots % 2 == 1  # reflection parity of root k
+    with np.errstate(all="ignore"):  # a NaN or a lost root fails the checks below
+        solved = _phase_roots(roots, n, a2, 2)
+        if solved is None:
+            return None
+        sin, cos, theta, eta = solved
+        p, q = (2.0 - a2) * cos, a2 * sin
+        r2 = p * p + q * q
+        first = alpha * sin / np.sqrt(r2)
+        norm = 2.0 * first * first + 0.5 * (n - 2) + (2.0 * a2 * p * cos + p * p - q * q) / (2.0 * r2)
+        # the bulk wave cos((n - c) theta) or sin((c - n) theta), c = (N + 1)/2,
+        # continues to site 1 as the same wave at m theta = (c - 1) theta
+        turn = 0.5 * (n - 1) * theta
+        rows = _edge_rows(alpha, np.where((roots - 1) // 2 % 2, -1.0, 1.0), first, 2.0 * sin * cos / np.sqrt(r2),
+                          np.where(even, np.cos(turn), np.sin(turn)),
+                          np.where(even, np.cos(turn - theta), np.sin(turn - theta)))
+        # the two edge states beyond alpha^2 = 2 are summed directly (module docstring)
+        sites = np.arange(1, n)
+        for i in np.flatnonzero(roots <= 2) if a2 > 2.0 else ():
+            if eta[i] > 0.0:  # below the band: cosh or sinh((c - n) eta) exp(-m eta)
+                near, far = np.exp((1 - sites) * eta[i]), np.exp((sites - n) * eta[i])
+                profile = near + far if even[i] else near - far
+                first[i] = profile[0] / alpha
+                cos[i] = math.cosh(eta[i])
+                rows[i] = abs(alpha * profile[1] - 2.0 * cos[i] * first[i])
+            else:
+                profile = np.sin((0.5 * (n + 1) - sites) * theta[i])
+            norm[i] = 2.0 * first[i] ** 2 + profile[1:] @ profile[1:]
+        weights = np.where(even, 1.0, -1.0) * first * first / norm
+        residual = float(np.max(coupling * rows * np.sqrt(2.0 / norm)))
+    # state N + 1 - j pairs with state j: E - h negated, weight times (-1)^(N - 1);
+    # J > 0 reverses the order of the roots
+    pair = 1.0 if n % 2 else -1.0
+    if bulk > 0.0:
+        weights *= pair
+    half = n // 2
+    low = diag[0] - 2.0 * coupling * cos[:half]
+    energies = np.concatenate((low, diag[: n % 2], 2.0 * diag[0] - low[::-1]))
+    weights = np.concatenate((weights, pair * weights[:half][::-1]))
+    if residual <= RESIDUAL_TOL * (float(np.abs(energies).max()) + 1.0) and np.isfinite(weights).all():
+        return TransferSpectrum(energies, weights, residual)
     return None
 
 
@@ -702,24 +696,14 @@ def eigenstate_ipr(hamiltonian: TridiagonalHamiltonian, states: tuple[int, int])
 def transfer_spectrum(hamiltonian: TridiagonalHamiltonian) -> TransferSpectrum:
     """Energies and transfer weights psi_1 psi_N of every state.
 
-    A palindromic matrix whose two reflection-parity blocks both pass the
-    bordered solve (module docstring) is assembled from those blocks; every
-    other matrix takes eigendecompose.  Raises ConvergenceFailure if
-    eigendecompose fails or misses its residual bound.
+    A mirror chain reads them from its phase equation, without a solver;
+    any other matrix and a refused chain take eigendecompose (module
+    docstring).  Raises ConvergenceFailure if eigendecompose fails or misses
+    its residual bound.
     """
-    diag, offdiag = hamiltonian.diag, hamiltonian.offdiag
-    if np.array_equal(diag, diag[::-1]) and np.array_equal(offdiag, offdiag[::-1]):
-        blocks = []
-        for block_diag, block_offdiag, sign in _parity_blocks(hamiltonian):
-            block = _bordered_block(block_diag, block_offdiag)
-            if block is None:
-                break
-            blocks.append((block[0], 0.5 * sign * block[1], block[3]))
-        else:
-            energies, weights, bounds = zip(*blocks)
-            energies = np.concatenate(energies)
-            order = np.argsort(energies, kind="stable")
-            return TransferSpectrum(energies[order], np.concatenate(weights)[order], max(bounds))
+    mirror = _mirror_spectrum(hamiltonian)
+    if mirror is not None:
+        return mirror
     dec = eigendecompose(hamiltonian)
     return TransferSpectrum(dec.energies, dec.vectors[:, 0] * dec.vectors[:, -1], dec.residual_bound)
 

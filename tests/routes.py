@@ -1,14 +1,15 @@
 """The full-eigenvector route to f_N(t), kept as a test reference.
 
-Production f_N(t) reads spectral.transfer_spectrum, which solves a
-palindromic chain as two reflection-parity blocks.  Tests that pin that
-route against the full eigendecomposition build the same TransferSpectrum
-from the first and last components of every eigenvector.
+Production f_N(t) reads spectral.transfer_spectrum, which reads a mirror
+chain from its phase equation.  Tests that pin that route against the full
+eigendecomposition build the same TransferSpectrum from the first and last
+components of every eigenvector.
 
 pairings records which route the time kernels take: the upper half of a
-chirally paired spectrum or the full sum (dynamics docstring).  factorings
-records how the kernels read the time grid: factored into anchors and
-offsets, or one anchor at 0 with every sample as an offset.
+chirally paired spectrum or the full sum (dynamics docstring), and unpaired
+makes every kernel call take the full sum.  factorings records how the
+kernels read the time grid: factored into anchors and offsets, or one
+anchor at 0 with every sample as an offset.
 """
 
 import contextlib
@@ -37,6 +38,13 @@ def pairings():
 
     with mock.patch.object(dynamics, "_upper_half", recording):
         yield results
+
+
+@contextlib.contextmanager
+def unpaired():
+    """The full-spectrum route: no kernel call inside pairs."""
+    with mock.patch.object(dynamics, "_upper_half", return_value=None):
+        yield
 
 
 @contextlib.contextmanager

@@ -9,9 +9,7 @@ with the decoupled site 1 of alpha = 0; the spectra that do not pair must take
 the full route and give its bytes.
 """
 
-import contextlib
 import warnings
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -36,16 +34,9 @@ from xxchain.dynamics import (
 from xxchain.measures import ipr_of_rows
 from xxchain.spectral import eigendecompose, transfer_spectrum
 
-from routes import pairings
+from routes import full_route, pairings, unpaired
 
 EPS = float(np.finfo(float).eps)
-
-
-@contextlib.contextmanager
-def unpaired():
-    """The full-spectrum route: no kernel call inside pairs."""
-    with mock.patch.object(dynamics, "_upper_half", return_value=None):
-        yield
 
 
 def hamiltonian_of(spec):
@@ -220,14 +211,15 @@ def test_a_pairing_defect_takes_the_full_route(monkeypatch):
             assert np.array_equal(series[kind], time_series(ham, kind, times).values)
 
 
-@pytest.mark.parametrize("times, paired", [(0.01 * np.arange(11), False), (0.1 * np.arange(401), True)])
+@pytest.mark.parametrize("times, paired", [(0.005 * np.arange(11), False), (0.1 * np.arange(401), True)])
 def test_the_guard_follows_the_grid(times, paired):
-    # the weight defect dw does not grow with t, so on this chain the upper
-    # half is admitted from max|t| of about 0.17 on for f_N and 0.24 for the
-    # site amplitudes: 0:0.1:0.01 takes the full sum, 0:40:0.1 the upper half
+    # the weight defect dw of the eigenvectors does not grow with t, so on
+    # this chain the upper half is admitted from max|t| of about 0.07 on for
+    # f_N and 0.24 for the site amplitudes: 0:0.05:0.005 takes the full sum,
+    # 0:40:0.1 the upper half (the phase route's own weights pair exactly)
     ham = build_hamiltonian(mirror_impurities(200, 0.4, field_h=-0.2))
     dec = eigendecompose(ham)
-    spectrum = transfer_spectrum(ham)
+    spectrum = full_route(dec)
     with pairings() as halves:
         f_n = transfer_amplitude(spectrum, times)
         amplitudes = amplitude_matrix(dec, times)

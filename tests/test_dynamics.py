@@ -205,7 +205,7 @@ def test_time_series_kinds_and_shapes():
 
 @pytest.mark.parametrize("kind", list(SeriesKind))
 def test_time_series_picks_the_solve_by_observable(kind):
-    # the f_N observables read the parity blocks of a palindromic chain; only
+    # the f_N observables read the phase equation of a mirror chain; only
     # the running IPR, which needs every site, takes the full eigenvectors
     ham = build_hamiltonian(mirror_impurities(40, 0.5))
     with mock.patch.object(dynamics, "eigendecompose", wraps=eigendecompose) as full, \

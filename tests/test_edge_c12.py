@@ -6,8 +6,8 @@ F(theta) = alpha^2 sin((N-1) theta) - 2 cos theta sin(N theta) = 0, without
 any solver.  These tests pin that route against eigendecompose, against the
 edge-bond secular equation and against 40-digit mpmath roots of F, and check
 which matrices and alphas take which route: alpha = 0, a refused root and
-any other layout take eigendecompose(H, (lo, hi)), and the bordered block
-of transfer_spectrum is never reached.
+any other layout take eigendecompose(H, (lo, hi)), and the mirror route of
+transfer_spectrum is never reached.
 """
 
 import math
@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.linalg import LinAlgError
+from scipy.linalg import LinAlgError, eigh_tridiagonal
 
 from xxchain import spectral
 from xxchain.chain import (
@@ -59,17 +59,18 @@ def selection_spy():
     return mock.patch.object(spectral, "eigendecompose", wraps=eigendecompose)
 
 
-def bordered_block_spy():
-    return mock.patch.object(spectral, "_bordered_block", wraps=spectral._bordered_block)
+def mirror_route_spy():
+    return mock.patch.object(spectral, "_mirror_spectrum", wraps=spectral._mirror_spectrum)
 
 
 def phase_route(hamiltonian, states=None):
-    """(E, IPR, C_12) of the states (all by default), asserting that no solver ran."""
+    """(E, IPR, C_12) of the states (all by default), asserting that no LAPACK routine ran."""
     lo, hi = states or (1, hamiltonian.n_sites)
-    with selection_spy() as selected, bordered_block_spy() as bordered:
+    with selection_spy() as selected, mirror_route_spy() as mirror, \
+            mock.patch.object(spectral, "eigh_tridiagonal", wraps=eigh_tridiagonal) as lapack:
         c12 = first_bond_c12(hamiltonian, (lo, hi))
         ipr = eigenstate_ipr(hamiltonian, (lo, hi))
-    assert not selected.called and not bordered.called
+    assert not selected.called and not mirror.called and not lapack.called
     phases = spectral._phase_states(hamiltonian, lo, hi)
     assert np.array_equal(phases[1], ipr) and np.array_equal(phases[2], c12)
     return phases
@@ -200,6 +201,10 @@ def phase_roots_reference(hamiltonian, states):
 
 
 ALPHAS = {
+    # the residual check reads the returned vector, psi_1 = alpha sin theta / R,
+    # so round-off no longer refuses these (it did up to alpha = 1e-5 at N = 200)
+    "1e-6": lambda n: 1e-6,
+    "1e-5": lambda n: 1e-5,
     "5e-4": lambda n: 5e-4,
     "0.7": lambda n: 0.7,
     "1.3": lambda n: 1.3,
@@ -240,19 +245,19 @@ def assert_phase_route(template, states, observable, refused=()):
     """A bond-1 sweep over alpha = 0..3 solves only alpha = 0 and the refused alphas.
 
     Those take eigendecompose(H, states) and read the rows of its vectors;
-    every other alpha reads the phase route.  _bordered_block is never
+    every other alpha reads the phase route.  The mirror route is never
     reached.
     """
     alphas = 0.005 * np.arange(601)
     phase_roots = spectral._phase_roots
 
-    def refusing(roots, n, a2):
-        return None if any(abs(a2 - alpha**2) <= 1e-12 for alpha in refused) else phase_roots(roots, n, a2)
+    def refusing(roots, n, a2, ends):
+        return None if any(abs(a2 - alpha**2) <= 1e-12 for alpha in refused) else phase_roots(roots, n, a2, ends)
 
-    with selection_spy() as selected, bordered_block_spy() as bordered, \
+    with selection_spy() as selected, mirror_route_spy() as mirror, \
             mock.patch.object(spectral, "_phase_roots", refusing):
         rows = observable(template, alphas, range(states[0], states[1] + 1))
-    assert not bordered.called
+    assert not mirror.called
     assert [call.args[1] for call in selected.call_args_list] == [states] * (1 + len(refused))
     assert [alpha_of(call.args[0]) for call in selected.call_args_list] == pytest.approx([0.0, *refused])
     width = states[1] - states[0] + 1
@@ -291,9 +296,9 @@ def test_bond1_sweeps_take_the_phase_route():
 def test_narrow_ranges_and_moving_bulks_take_eigendecompose(template, states):
     # an impurity anywhere but bond 1 moves the bulk H[2:, 2:] with alpha
     alphas = [0.0, 0.5, 1.5]
-    with bordered_block_spy() as bordered, selection_spy() as selected:
+    with mirror_route_spy() as mirror, selection_spy() as selected:
         c12_sweep(template, alphas, range(states[0], states[1] + 1))
-    assert not bordered.called
+    assert not mirror.called
     assert [call.args[1] for call in selected.call_args_list] == [states] * len(alphas)
 
 
@@ -302,9 +307,9 @@ def test_mirror_chain_at_alpha_1_takes_the_phase_route():
     # at any other alpha the last bond moves the bulk
     template = mirror_impurities(200, 1.0, exchange_j=-0.8, field_h=0.3)
     alphas = [0.5, 1.0, 1.5]
-    with bordered_block_spy() as bordered, selection_spy() as selected:
+    with mirror_route_spy() as mirror, selection_spy() as selected:
         rows = c12_sweep(template, alphas, range(2, 101))
-    assert not bordered.called
+    assert not mirror.called
     assert [call.args[0].offdiag[-1] for call in selected.call_args_list] == pytest.approx([-0.4, -1.2])
     reference = eigenvector_c12(build_hamiltonian(template), (2, 100))
     assert_close([value for alpha, _, value in rows if alpha == 1.0], reference)
@@ -320,9 +325,9 @@ def test_a_moved_bulk_diagonal_takes_eigendecompose(site, border):
     offdiag[0] *= 0.6
     hamiltonian = TridiagonalHamiltonian(diag, offdiag)
     assert (np.ptp(diag[1:]) == 0.0) == border
-    with bordered_block_spy() as block, selection_spy() as selected:
+    with mirror_route_spy() as mirror, selection_spy() as selected:
         values = first_bond_c12(hamiltonian, (1, 120))
-    assert not block.called
+    assert not mirror.called
     assert [call.args[1] for call in selected.call_args_list] == [(1, 120)]
     assert spectral._phase_states(hamiltonian, 1, 120) is None
     assert_close(values, eigenvector_c12(hamiltonian))
@@ -332,10 +337,14 @@ def refused(name):
     """A patch under which the phase route refuses a bond-1 chain's states 1..20."""
     phase_roots, newton = spectral._phase_roots, spectral._newton
 
-    def moved(roots, n, a2):
-        sin, cos, theta, eta = phase_roots(roots, n, a2)
-        theta = theta + 1e-9  # inside the bracket, off the root: the residual check
+    def moved(roots, n, a2, ends, by=lambda theta: theta + 1e-9):
+        # inside the bracket, off the root: the residual check
+        sin, cos, theta, eta = phase_roots(roots, n, a2, ends)
+        theta = by(theta)
         return np.sin(theta), np.cos(theta), theta, eta
+
+    def relative(roots, n, a2, ends):
+        return moved(roots, n, a2, ends, lambda theta: theta * (1.0 + 1e-10))
 
     def shifted(evaluate, x, lo, hi):
         # each root handed to its neighbour's bracket: every residual stays
@@ -345,12 +354,13 @@ def refused(name):
 
     return {
         "failed_check": mock.patch.object(spectral, "_phase_roots", moved),
+        "moved_1e-10": mock.patch.object(spectral, "_phase_roots", relative),
         "no_convergence": mock.patch.object(spectral, "PHASE_STEP_TOL", -1.0),
         "failed_bracket": mock.patch.object(spectral, "_newton", shifted),
     }[name]
 
 
-@pytest.mark.parametrize("failure", ["failed_check", "no_convergence", "failed_bracket"])
+@pytest.mark.parametrize("failure", ["failed_check", "no_convergence", "failed_bracket", "moved_1e-10"])
 def test_refused_alphas_fall_back_to_eigendecompose(failure):
     # states 1..20 of N = 120 are all solved for theta itself (below pi/4)
     template = single_impurity(120, 1.0, exchange_j=-0.8, field_h=0.3)
@@ -358,9 +368,9 @@ def test_refused_alphas_fall_back_to_eigendecompose(failure):
     with refused(failure):
         hamiltonian = build_hamiltonian(template)
         assert spectral._phase_states(hamiltonian, 1, 20) is None
-        with selection_spy() as selected, bordered_block_spy() as bordered:
+        with selection_spy() as selected, mirror_route_spy() as mirror:
             rows = c12_sweep(template, alphas, range(1, 21))
-    assert not bordered.called
+    assert not mirror.called
     assert [call.args[1] for call in selected.call_args_list] == [(1, 20)] * len(alphas)
     expected = [value for alpha in alphas
                 for value in eigenvector_c12(build_hamiltonian(single_impurity(

@@ -306,11 +306,17 @@ def test_oracle_check_runs_on_any_layout(template):
 
 
 def test_oracle_check_covers_the_parity_route():
-    # alpha = 1 makes the single-impurity chain uniform, hence palindromic,
-    # so its C_A,N reference comes from the two reflection-parity blocks
-    with mock.patch.object(spectral, "_parity_blocks", wraps=spectral._parity_blocks) as spy:
+    # alpha = 1 makes the single-impurity chain uniform, hence a mirror chain,
+    # so its C_A,N reference comes from the phase equation of the mirror route
+    mirror, solved = spectral._mirror_spectrum, []
+
+    def recorded(hamiltonian):
+        solved.append(mirror(hamiltonian))
+        return solved[-1]
+
+    with mock.patch.object(spectral, "_mirror_spectrum", side_effect=recorded):
         results = oracle_check([single_impurity(6, 1.0)])
-    assert spy.called
+    assert any(spectrum is not None for spectrum in solved)
     assert [result.n_sites for result in results] == [6]
     assert results[0].passed
     assert max(results[0].block_dev, results[0].amplitude_dev, results[0].concurrence_dev) <= 1e-13

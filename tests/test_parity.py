@@ -1,28 +1,31 @@
-"""The reflection-parity route of spectral.transfer_spectrum.
+"""The mirror route of spectral.transfer_spectrum.
 
-A palindromic chain is solved as two half-size blocks and yields only the
-energies and the transfer weights psi_1 psi_N.  Each block is solved from
-the cached modes of its bulk and its own eigenvalues, and a one-site block
-is exact.  If either block has border 0, a failed bulk or eigenvalue solve
-or fails the bordered checks, the whole chain takes eigendecompose instead.
-Tests that mock a solver clear the bulk cache first (fresh_bulk_cache, in
-conftest.py), so that the mock is reached.  The checks compare f_N(t)
-against the full eigendecomposition rather than per-state weights: above
-alpha = sqrt(2) the two bound-state pairs are degenerate to 1e-10 or better,
-and the full solve returns an arbitrary mix of each pair, whose weights
-differ from the parity weights while the sum over the pair does not.
+A mirror chain (constant diagonal, uniform nonzero bulk bonds, equal nonzero
+end bonds alpha J) is read from its phase equation
+(N - 1) theta + 2 beta = k pi without any solver and yields only the
+energies and the transfer weights psi_1 psi_N.  The roots theta <= pi/2 are
+solved, odd k of even and even k of odd reflection parity, and each partner
+state is built by the chiral pairing.  A refused root or a residual over the
+bound sends the chain to eigendecompose, as do alpha = 0 and every other
+matrix.  The checks compare f_N(t) with the full sum over the
+eigendecomposition (the paired kernel bypassed) or with 40-digit roots
+rather than per-state weights against eigendecompose: above alpha = sqrt(2)
+the two bound-state pairs are degenerate to 1e-10 or better, and the full
+solve returns an arbitrary mix of each pair, whose weights differ from the
+parity weights while the sum over the pair does not.
 """
 
-import contextlib
+import functools
 import math
 import warnings
 from unittest import mock
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.linalg import LinAlgError, eigh_tridiagonal, eigvalsh_tridiagonal
+from scipy.linalg import LinAlgError, eigh_tridiagonal
 
 from xxchain import spectral
 from xxchain.chain import (
@@ -37,7 +40,7 @@ from xxchain.errors import ConvergenceFailure
 from xxchain.protocols import fidelity_landscape, inclusive_grid
 from xxchain.spectral import TransferSpectrum, eigendecompose, sweep, transfer_spectrum
 
-from routes import factorings, full_route
+from routes import factorings, full_route, unpaired
 
 TOL = 1e-12
 
@@ -69,11 +72,29 @@ def amplitude(spectrum, times):
     return values, factored == [True]
 
 
+def full_sum(hamiltonian, times):
+    """f_N(times) summed over every level of eigendecompose, without the pairing."""
+    with unpaired():
+        return transfer_amplitude(full_route(eigendecompose(hamiltonian)), times)
+
+
 @settings(max_examples=150, deadline=None)
 @given(spec=palindromic_chains(), lo=st.floats(0.0, 100.0), step=st.floats(1e-3, 0.5))
-# tiny inner bonds: block levels sit next to bulk modes that barely touch
-# site 1, and the completeness check must refuse those blocks
+# tiny inner bonds: not a mirror chain, so eigendecompose solves it
 @example(spec=ChainSpec(60, -1.0, 0.3, ((20, 1e-6), (40, 1e-6))), lo=0.0, step=0.5)
+# three levels within 2.9e-5 of h: eigenvector weights carry eps / gap
+# rotations that cancel only in the full sum, so the paired kernel missed
+# the full sum by 4.8e-12 on weights that were not paired exactly
+@example(spec=ChainSpec(49, -1.0, -1.0, ((1, 1e-4), (48, 1e-4))), lo=25.0, step=0.5)
+# the same near h on eigenvector weights (bonds 7 and 40 at 1e-4): with 2 w_j
+# for each pair the paired kernel missed the full sum by 4.3e-12
+@example(spec=ChainSpec(47, -1.0, -1.0, ((7, 1e-4), (40, 1e-4))), lo=0.0, step=0.5)
+# N = 4 with the middle bond as the bulk: zero (not a mirror chain), 1e-34
+# (alpha^2 beyond 1/eps, refused) and 1/32 (the odd edge state far below the
+# band, where 1 - tanh(m eta) / kappa must keep its digits)
+@example(spec=ChainSpec(4, -1.0, -1.0, ((1, 1.0), (2, 0.0), (3, 1.0))), lo=0.0, step=0.5)
+@example(spec=ChainSpec(4, -1.0, -1.0, ((1, 1.0), (2, 9.426825891337201e-35), (3, 1.0))), lo=0.0, step=0.5)
+@example(spec=ChainSpec(4, -1.0, -1.0, ((1, 1.0), (2, 0.03125), (3, 1.0))), lo=100.0, step=0.5)
 def test_parity_amplitude_matches_the_full_solve(spec, lo, step):
     hamiltonian = hamiltonian_of(spec)
     parity = transfer_spectrum(hamiltonian)
@@ -88,9 +109,8 @@ def test_parity_amplitude_matches_the_full_solve(spec, lo, step):
     uneven = lo + step * np.arange(40) ** 1.5
     for times, factored in ((even[:1], False), (uneven, False), (even[:2], True), (even, True)):
         values, used_factored = amplitude(parity, times)
-        reference, _ = amplitude(full_route(full), times)
         assert used_factored == factored
-        assert np.max(np.abs(values - reference)) <= TOL
+        assert np.max(np.abs(values - full_sum(hamiltonian, times))) <= TOL
 
 
 @pytest.mark.parametrize(
@@ -113,162 +133,188 @@ def test_non_palindromic_chains_take_eigendecompose(spec):
     assert result.residual_bound == full.residual_bound
 
 
-def solver_spies():
-    """Spies on the vector solve (bulks and eigendecompose) and the eigenvalue-only solve."""
-    return (mock.patch.object(spectral, "_eigh_rows", wraps=spectral._eigh_rows),
-            mock.patch.object(spectral, "eigvalsh_tridiagonal", wraps=eigvalsh_tridiagonal))
+@pytest.mark.parametrize(
+    "spec",
+    [
+        ChainSpec(60, -1.0, 0.3, ((20, 0.5), (40, 0.5))),
+        ChainSpec(31, -0.8, 0.0, ((1, 0.5), (2, 0.7), (29, 0.7), (30, 0.5))),
+    ],
+)
+def test_interior_impurities_take_eigendecompose(spec):
+    # palindromic, but the bulk is not uniform: no phase equation
+    hamiltonian = build_hamiltonian(spec)
+    with full_solve_spy() as spy:
+        result = transfer_spectrum(hamiltonian)
+    spy.assert_called_once_with(hamiltonian)
+    assert spectral._mirror_spectrum(hamiltonian) is None
+    assert np.array_equal(result.transfer_weights, full_route(eigendecompose(hamiltonian)).transfer_weights)
+
+
+def lapack_spy():
+    """A spy on the one LAPACK eigensolver that spectral calls."""
+    return mock.patch.object(spectral, "eigh_tridiagonal", wraps=eigh_tridiagonal)
 
 
 def full_solve_spy():
     return mock.patch.object(spectral, "eigendecompose", wraps=eigendecompose)
 
 
-def sizes(spy):
-    return [call.args[0].size for call in spy.call_args_list]
+def mirror_route(hamiltonian):
+    """transfer_spectrum of a mirror chain, asserting that no LAPACK routine ran."""
+    with lapack_spy() as lapack, full_solve_spy() as full:
+        spectrum = transfer_spectrum(hamiltonian)
+    assert not lapack.called and not full.called
+    return spectrum
 
 
 def assert_full_route_amplitude(result, hamiltonian, times):
-    reference = full_route(eigendecompose(hamiltonian))
-    assert np.max(np.abs(transfer_amplitude(result, times) - transfer_amplitude(reference, times))) <= TOL
+    assert np.max(np.abs(transfer_amplitude(result, times) - full_sum(hamiltonian, times))) <= TOL
 
 
 @pytest.mark.parametrize("n", [30, 31])
-def test_palindromic_chains_solve_two_half_blocks(n, fresh_bulk_cache):
+def test_palindromic_chains_solve_two_half_blocks(n):
+    # the roots theta <= pi/2 alternate between the even (odd k) and the odd
+    # (even k) reflection parity; the other half of the spectrum is their
+    # chiral partners, E - h negated and the weight times (-1)^(N - 1)
     hamiltonian = build_hamiltonian(mirror_impurities(n, 0.5, field_h=0.3))
-    vectors, values = solver_spies()
-    with full_solve_spy() as full, vectors as bulk, values as energies:
-        transfer_spectrum(hamiltonian)
-    assert not full.called
-    # one eigenvalue-only solve per block, eigenvectors of its bulk only
-    assert sizes(energies) == [(n + 1) // 2, n // 2]
-    assert sizes(bulk) == [(n + 1) // 2 - 1, n // 2 - 1]
+    with mock.patch.object(spectral, "_phase_roots", wraps=spectral._phase_roots) as roots:
+        result = mirror_route(hamiltonian)
+    (call,) = roots.call_args_list
+    assert call.args[0].tolist() == list(range(1, (n + 1) // 2 + 1)) and call.args[3] == 2
+    energies, weights = result.energies, result.transfer_weights
+    half = (n + 1) // 2
+    assert np.array_equal(energies[::-1][:half], 0.6 - energies[:half])
+    assert np.array_equal(weights[::-1], (-1.0) ** (n - 1) * weights)
+    assert np.array_equal(np.sign(weights[:half]), (-1.0) ** np.arange(half))
+    assert np.all(np.diff(energies) > 0.0)
 
 
 @pytest.mark.parametrize("n", [31, 200, 400])
 @pytest.mark.parametrize("exchange_j, field_h", [(-1.0, 0.0), (-0.7, 0.4), (1.3, -0.2)])
 def test_bordered_amplitude_matches_the_full_solve(n, exchange_j, field_h):
+    # the uniform bulk bordered by the two impurity bonds
     times = np.arange(0.0, 0.75 * n, 0.25)
     for alpha in (0.005, 0.05, 0.3, 0.7, 1.0, 1.5, 2.0, 3.0):
         hamiltonian = hamiltonian_of(mirror_impurities(n, alpha, exchange_j=exchange_j,
                                                        field_h=field_h))
-        assert_full_route_amplitude(transfer_spectrum(hamiltonian), hamiltonian, times)
+        assert_full_route_amplitude(mirror_route(hamiltonian), hamiltonian, times)
 
 
 @pytest.mark.parametrize("n", [30, 31])
-def test_zero_border_blocks_take_their_eigenvectors(n, fresh_bulk_cache):
+def test_zero_border_blocks_take_their_eigenvectors(n):
     # alpha = 0 decouples site 1: the whole chain takes eigendecompose, and
-    # no block or bulk is solved on its own
+    # no root is solved
     hamiltonian = build_hamiltonian(mirror_impurities(n, 0.0, field_h=0.3))
-    vectors, values = solver_spies()
-    with full_solve_spy() as full, vectors as solve, values as energies:
+    with full_solve_spy() as full, lapack_spy() as lapack, \
+            mock.patch.object(spectral, "_phase_roots", wraps=spectral._phase_roots) as roots:
         result = transfer_spectrum(hamiltonian)
     full.assert_called_once_with(hamiltonian)
-    assert not energies.called
-    assert sizes(solve) == [n]
+    assert not roots.called
+    assert [call.args[0].size for call in lapack.call_args_list] == [n]
     assert np.all(transfer_amplitude(result, np.arange(0.0, 40.0, 0.1)) == 0.0)
 
 
-def repeated_lowest_level(*args, **kwargs):
-    energies = eigvalsh_tridiagonal(*args, **kwargs)
-    energies[1] = energies[0]
-    return energies
+def refused(name):
+    """A patch under which the phase route refuses every chain (refusal rule in the spectral docstring)."""
+    phase_roots, newton = spectral._phase_roots, spectral._newton
+
+    def moved(roots, n, a2, ends):
+        # every root off by 1e-10 relative: only the residual check sees it
+        sin, cos, theta, eta = phase_roots(roots, n, a2, ends)
+        theta = theta * (1.0 + 1e-10)
+        return np.sin(theta), np.cos(theta), theta, eta
+
+    def shifted(evaluate, x, lo, hi):
+        # each root handed to its neighbour's bracket: only the interlacing check sees it
+        solved = newton(evaluate, x, lo, hi)
+        return None if solved is None else np.roll(solved, -1)
+
+    return {
+        "residual": mock.patch.object(spectral, "_phase_roots", moved),
+        "interlacing": mock.patch.object(spectral, "_newton", shifted),
+        "no_convergence": mock.patch.object(spectral, "PHASE_STEP_TOL", -1.0),
+    }[name]
 
 
-@pytest.mark.parametrize("failure", ["completeness", "interlacing"])
-def test_failed_bordered_check_falls_back_to_eigenvectors(failure, fresh_bulk_cache):
-    # a failed check on either block alone sends the whole chain to one
-    # eigendecompose call; a failed even block ends the block loop
-    hamiltonian = build_hamiltonian(mirror_impurities(200, 0.4))
-
-    def broken():
-        if failure == "completeness":
-            return mock.patch.object(spectral, "COMPLETENESS_TOL", -1.0)
-        return mock.patch.object(spectral, "eigvalsh_tridiagonal", side_effect=repeated_lowest_level)
-
-    bordered = spectral._bordered_block
-    for failing in (0, 1):
-        results = []
-
-        def block(diag, offdiag):
-            with broken() if len(results) == failing else contextlib.nullcontext():
-                results.append(bordered(diag, offdiag))
-            return results[-1]
-
-        with mock.patch.object(spectral, "_bordered_block", side_effect=block), \
-                full_solve_spy() as full:
+@pytest.mark.parametrize("n, alpha", [(200, 1e-4), (200, 0.4), (41, 1.3), (40, 3.0)])
+@pytest.mark.parametrize("failure", ["residual", "interlacing"])
+def test_failed_phase_check_falls_back_to_eigenvectors(failure, n, alpha):
+    # a failed check on any root sends the whole chain to one eigendecompose call
+    hamiltonian = build_hamiltonian(mirror_impurities(n, alpha))
+    with refused(failure):
+        assert spectral._mirror_spectrum(hamiltonian) is None
+        with full_solve_spy() as full:
             result = transfer_spectrum(hamiltonian)
-        full.assert_called_once_with(hamiltonian)
-        assert [solved is None for solved in results] == [False] * failing + [True]
-        assert_full_route_amplitude(result, hamiltonian, np.arange(0.0, 150.0, 0.05))
+    full.assert_called_once_with(hamiltonian)
+    assert_full_route_amplitude(result, hamiltonian, np.arange(0.0, 150.0, 0.05))
 
 
-def test_block_residual_over_the_bound_is_a_convergence_failure(fresh_bulk_cache):
-    # the noisy bulk refuses the block, and the fallback full solve fails too
+def test_block_residual_over_the_bound_is_a_convergence_failure():
+    # the moved roots refuse the chain, and the noisy fallback full solve fails too
     hamiltonian = build_hamiltonian(mirror_impurities(200, 0.4))
 
     def noisy(*args, **kwargs):
         energies, columns = eigh_tridiagonal(*args, **kwargs)
         return energies, columns + 1e-7
 
-    with mock.patch.object(spectral, "eigh_tridiagonal", side_effect=noisy):
+    with refused("residual"), mock.patch.object(spectral, "eigh_tridiagonal", side_effect=noisy):
         with pytest.raises(ConvergenceFailure):
             transfer_spectrum(hamiltonian)
 
 
-def test_block_solver_error_is_a_convergence_failure(fresh_bulk_cache):
-    # the failed bulk solve refuses the block, and the fallback fails too
+def test_block_solver_error_is_a_convergence_failure():
+    # the refused chain falls back to eigendecompose, which fails too
     hamiltonian = build_hamiltonian(mirror_impurities(200, 0.4))
-    with mock.patch.object(spectral, "eigh_tridiagonal", side_effect=LinAlgError("no convergence")):
+    with refused("no_convergence"), \
+            mock.patch.object(spectral, "eigh_tridiagonal", side_effect=LinAlgError("no convergence")):
         with pytest.raises(ConvergenceFailure):
             transfer_spectrum(hamiltonian)
 
 
-def test_eigenvalue_solver_error_falls_back_to_one_full_solve(fresh_bulk_cache):
-    # a failed dsterf refuses the block like a failed check does
+def test_eigenvalue_solver_error_falls_back_to_one_full_solve():
+    # roots that do not settle refuse the chain like a failed check does
     hamiltonian = build_hamiltonian(mirror_impurities(200, 0.4))
-    with mock.patch.object(spectral, "eigvalsh_tridiagonal", side_effect=LinAlgError("no convergence")), \
-            full_solve_spy() as full:
+    with refused("no_convergence"), full_solve_spy() as full:
         result = transfer_spectrum(hamiltonian)
     full.assert_called_once_with(hamiltonian)
     assert_full_route_amplitude(result, hamiltonian, np.arange(0.0, 150.0, 0.05))
 
 
 @pytest.mark.parametrize("n", [31, 200])
-def test_landscape_solves_each_parity_bulk_once(n, fresh_bulk_cache):
+def test_landscape_runs_no_solver(n):
     alphas = inclusive_grid(0.3, 1.0, 0.01)
     assert alphas.size == 71
-    vectors, values = solver_spies()
-    with vectors as solve, values as energies:
+    with lapack_spy() as lapack, \
+            mock.patch.object(spectral, "_mirror_spectrum", wraps=spectral._mirror_spectrum) as mirror:
         fidelity_landscape(mirror_impurities(n, 1.0), alphas, np.arange(0.0, 10.0, 0.5))
-    assert sizes(solve) == [(n + 1) // 2 - 1, n // 2 - 1]
-    assert energies.call_count == 2 * alphas.size
+    assert not lapack.called
+    assert mirror.call_count == alphas.size
 
 
-def test_canonical_transfer_grid_takes_no_fallback(fresh_bulk_cache):
-    alphas = inclusive_grid(0.3, 1.0, 0.01)
-    bordered, results = spectral._bordered_block, []
-
-    def recorded(diag, offdiag):
-        results.append(bordered(diag, offdiag))
-        return results[-1]
-
-    with mock.patch.object(spectral, "_bordered_block", side_effect=recorded):
-        for n in (50, 100, 200, 400):
-            for _ in sweep(mirror_impurities(n, 1.0), alphas, transfer_spectrum):
+def test_canonical_transfer_grid_takes_no_fallback():
+    # every mirror chain of the benchmark grids, their seed shifts included:
+    # scaling (N = 50-400, alpha = 0.3-1.01), the N = 31 landscape
+    # (alpha = 0.1-1.52), the N = 200 mirror panels (alpha = 0.4-0.42) and
+    # the uniform chains of oracle-check (alpha = 1, N = 2-12)
+    chains = [mirror_impurities(n, 1.0) for n in (50, 100, 200, 400)]
+    grids = [inclusive_grid(0.3, 1.01, 0.001)] * 4
+    chains += [mirror_impurities(31, 1.0), mirror_impurities(200, 0.4)]
+    grids += [inclusive_grid(0.1, 1.52, 0.002), inclusive_grid(0.4, 0.42, 0.001)]
+    with full_solve_spy() as full:
+        for template, alphas in zip(chains, grids):
+            for _ in sweep(template, alphas, transfer_spectrum):
                 pass
-    assert len(results) == 2 * 4 * alphas.size
-    assert all(result is not None for result in results)
+        for n in range(2, 13):
+            transfer_spectrum(build_hamiltonian(single_impurity(n, 1.0)))
+    assert not full.called
 
 
 @pytest.mark.parametrize("exchange_j, field_h", [(-1.0, 0.0), (-0.6, 0.4), (0.7, -1.1)])
-def test_two_sites_are_two_one_by_one_blocks(exchange_j, field_h, fresh_bulk_cache):
-    # H = [[h, c], [c, h]]: E = h + c (even, w = +1/2) and h - c (odd, w = -1/2)
+def test_two_sites_are_two_one_by_one_blocks(exchange_j, field_h):
+    # H = [[h, c], [c, h]]: E = h + c (even, w = +1/2) and h - c (odd, w = -1/2),
+    # a uniform chain, read from the phase equation
     coupling = 0.8 * exchange_j
-    vectors, values = solver_spies()
-    with full_solve_spy() as full, vectors as solve, values as energies:
-        result = transfer_spectrum(TridiagonalHamiltonian([field_h, field_h], [coupling]))
-    # both blocks are one site: no solver runs
-    assert not (full.called or solve.called or energies.called)
+    result = mirror_route(TridiagonalHamiltonian([field_h, field_h], [coupling]))
     order = np.argsort([field_h + coupling, field_h - coupling])
     assert np.allclose(result.energies, np.array([field_h + coupling, field_h - coupling])[order],
                        rtol=0.0, atol=1e-15)
@@ -279,21 +325,15 @@ def test_two_sites_are_two_one_by_one_blocks(exchange_j, field_h, fresh_bulk_cac
 
 
 @pytest.mark.parametrize("exchange_j, field_h", [(-1.0, 0.0), (-0.6, 0.4), (0.7, -1.1)])
-def test_three_sites_join_the_middle_by_sqrt2(exchange_j, field_h, fresh_bulk_cache):
-    # E = h -+ sqrt(2)|c| (even, w = +1/4 each) and h (odd, w = -1/2); at
-    # alpha = 1e-6 the even levels sit next to the bulk mode h, and the
-    # refinement must still give their weights to round-off
+def test_three_sites_join_the_middle_by_sqrt2(exchange_j, field_h):
+    # E = h -+ sqrt(2)|c| (even, w = +1/4 each) and h (odd, w = -1/2): both
+    # bonds are c = alpha J, a uniform chain, read from the phase equation;
+    # at alpha = 1e-6 the levels are 1.4e-6 apart next to h, where
+    # eigendecompose misses the weights by up to 1.9e-12
     for alpha in (1.3, 1e-6):
-        spectral._bulk_modes.cache_clear()
         coupling = alpha * exchange_j
-        hamiltonian = hamiltonian_of(mirror_impurities(3, alpha, exchange_j=exchange_j,
-                                                       field_h=field_h))
-        vectors, values = solver_spies()
-        with full_solve_spy() as full, vectors as solve, values as energies:
-            result = transfer_spectrum(hamiltonian)
-        # the two-site even block solves its one-site bulk; the odd block is one site
-        assert not full.called
-        assert sizes(solve) == [1] and sizes(energies) == [2]
+        result = mirror_route(hamiltonian_of(mirror_impurities(3, alpha, exchange_j=exchange_j,
+                                                               field_h=field_h)))
         split = math.sqrt(2.0) * abs(coupling)
         assert np.allclose(result.energies, [field_h - split, field_h, field_h + split],
                            rtol=0.0, atol=1e-15)
@@ -301,3 +341,135 @@ def test_three_sites_join_the_middle_by_sqrt2(exchange_j, field_h, fresh_bulk_ca
         times = np.linspace(0.0, 20.0, 41)
         exact = 0.5 * np.exp(-1j * field_h * times) * (np.cos(split * times) - 1.0)
         assert np.max(np.abs(transfer_amplitude(result, times) - exact)) <= TOL
+
+
+@functools.lru_cache(maxsize=None)
+def mirror_levels(n, ratio):
+    """(lambda_k, w_k) of the roots k = 1..ceil(N/2) of a mirror chain at 40 digits.
+
+    ratio is alpha = end bond / bulk bond.  lambda_k = 2 cos theta_k
+    (2 cosh eta below the band) and w_k = psi_1 psi_N of the unit eigenvector
+    of the matrix with bulk bonds 1 and end bonds alpha.  In the band root k
+    solves G = (N - 1) theta + 2 atan2(alpha^2 sin theta, (2 - alpha^2) cos theta)
+    - k pi in ((k - 1) pi / M, k pi / M), one interval lower for
+    alpha^2 > 2, M = N - 1; for alpha^2 > 2 root 1 solves
+    tanh(m eta) tanh(eta) = 1 / kappa and root 2 tan(m theta) = kappa tan theta
+    (tanh(m eta) = kappa tanh eta below the band), m = (N - 1)/2,
+    kappa = alpha^2 / (alpha^2 - 2).  The weights are summed directly over
+    the bulk wave cos((c - n) theta) of odd k (even reflection parity) or
+    sin((c - n) theta) of even k (odd parity), c = (N + 1)/2, cosh and sinh
+    below the band, and its continuation to site 1 divided by alpha.
+    """
+    with mpmath.workdps(40):
+        alpha = mpmath.mpf(ratio)
+        a2 = alpha * alpha
+        pi, tiny = mpmath.pi, mpmath.mpf(10) ** -30
+        turns, m, c = n - 1, mpmath.mpf(n - 1) / 2, mpmath.mpf(n + 1) / 2
+        kappa = a2 / (a2 - 2) if a2 > 2 else None
+        levels = []
+        for k in range(1, (n + 1) // 2 + 1):
+            real = True
+            if 2 * k == n + 1:
+                angle = pi / 2
+            elif kappa is not None and k == 1:
+                angle, real = mpmath.findroot(
+                    lambda e: mpmath.tanh(m * e) * mpmath.tanh(e) - 1 / kappa,
+                    (mpmath.atanh(1 / kappa) * (1 - tiny), mpmath.atanh(1 / mpmath.sqrt(kappa))),
+                    solver="anderson"), False
+            elif kappa is not None and k == 2 and kappa > m:
+                angle = mpmath.findroot(
+                    lambda t: (mpmath.sin(m * t) * mpmath.cos(t) - kappa * mpmath.sin(t) * mpmath.cos(m * t)) / t,
+                    (tiny, pi / (2 * m)), solver="anderson")
+            elif kappa is not None and k == 2:
+                angle, real = mpmath.findroot(
+                    lambda e: mpmath.atanh(mpmath.tanh(m * e) / kappa) / e - 1,
+                    (tiny, mpmath.atanh(1 / kappa)), solver="illinois"), False
+            else:
+                low = k - 1 if kappa is None else k - 2
+                angle = mpmath.findroot(
+                    lambda t: turns * t + 2 * mpmath.atan2(a2 * mpmath.sin(t), (2 - a2) * mpmath.cos(t)) - k * pi,
+                    (low * pi / turns + tiny, (low + 1) * pi / turns - tiny), solver="illinois")
+            wave = (mpmath.cos if k % 2 else mpmath.sin) if real else (mpmath.cosh if k % 2 else mpmath.sinh)
+            bulk = [wave((c - j) * angle) for j in range(2, n)]
+            first = wave((c - 1) * angle) / alpha
+            norm = 2 * first**2 + mpmath.fsum(x * x for x in bulk)
+            levels.append((2 * (mpmath.cos if real else mpmath.cosh)(angle), (-1) ** (k + 1) * first**2 / norm))
+        return levels
+
+
+def mirror_reference(hamiltonian):
+    """Ascending energies and transfer weights of a mirror chain from mirror_levels, as floats."""
+    n = hamiltonian.n_sites
+    bulk = float(hamiltonian.offdiag[(n - 1) // 2])
+    levels = mirror_levels(n, abs(float(hamiltonian.offdiag[0])) / abs(bulk))
+    with mpmath.workdps(40):
+        h, coupling = mpmath.mpf(hamiltonian.diag[0]), abs(mpmath.mpf(bulk))
+        pair = (-1) ** (n - 1)
+        low = [(h - coupling * ratio, weight * (pair if bulk > 0 else 1)) for ratio, weight in levels]
+        high = [(2 * h - energy, pair * weight) for energy, weight in low[: n // 2]]
+        states = low + high[::-1]
+        return np.array([float(e) for e, _ in states]), np.array([float(w) for _, w in states])
+
+
+SQRT2 = math.sqrt(2.0)
+
+
+def odd_exit(n):
+    """alpha where the odd edge state of a mirror chain leaves the band."""
+    return math.sqrt(2.0 * (n - 1) / (n - 3))
+
+
+MIRROR_ALPHAS = {
+    "5e-5": lambda n: 5e-5,
+    "0.005": lambda n: 0.005,
+    "0.3": lambda n: 0.3,
+    "0.7": lambda n: 0.7,
+    "1.3": lambda n: 1.3,
+    "sqrt2-1e-9": lambda n: SQRT2 - 1e-9,
+    "sqrt2+1e-9": lambda n: SQRT2 + 1e-9,
+    "exit-1e-9": lambda n: odd_exit(n) - 1e-9,
+    "exit+1e-9": lambda n: odd_exit(n) + 1e-9,
+    "2": lambda n: 2.0,
+    "3": lambda n: 3.0,
+}
+
+
+@pytest.mark.parametrize("n", [40, 41, 200])
+@pytest.mark.parametrize("alpha_of_n", MIRROR_ALPHAS.values(), ids=MIRROR_ALPHAS.keys())
+def test_mirror_route_matches_40_digit_roots(n, alpha_of_n):
+    # the band, both edge states in and below it next to their exits, and
+    # deep below it; f_N goes through the paired kernel
+    alpha = alpha_of_n(n)
+    times = np.linspace(0.0, 1.5 * n, 301)
+    for exchange_j, field_h in [(-1.0, 0.0), (-0.8, 0.3), (0.8, 0.3)]:
+        hamiltonian = hamiltonian_of(mirror_impurities(n, alpha, exchange_j=exchange_j, field_h=field_h))
+        spectrum = mirror_route(hamiltonian)
+        energies, weights = mirror_reference(hamiltonian)
+        scale = float(np.max(np.abs(energies))) + 1.0
+        assert np.max(np.abs(spectrum.energies - energies)) <= TOL * scale
+        exact = np.exp(-1j * np.outer(times, energies)) @ weights
+        assert np.max(np.abs(transfer_amplitude(spectrum, times) - exact)) <= TOL
+
+
+@pytest.mark.parametrize("n", [31, 40, 41, 200])
+def test_mirror_band_exits(n):
+    # the even edge state (state 1) leaves the band at alpha^2 = 2 for every
+    # N, the odd one (state 2) at alpha^2 = 2 (N - 1) / (N - 3); the band
+    # edge of J = -1, h = 0 is -2
+    for alpha, outside in [(SQRT2 - 1e-9, 0), (SQRT2 + 1e-9, 1), (odd_exit(n) - 1e-9, 1),
+                           (odd_exit(n) + 1e-9, 2)]:
+        hamiltonian = build_hamiltonian(mirror_impurities(n, alpha))
+        energies = mirror_route(hamiltonian).energies
+        assert np.sum(energies < -2.0) == np.sum(energies > 2.0) == outside
+        assert np.array_equal(energies < -2.0, eigendecompose(hamiltonian).energies < -2.0)
+
+
+def test_near_degenerate_mirror_chain_meets_40_digit_amplitude():
+    # the pinned example above: exactly paired weights keep f_N through the
+    # paired kernel at the accuracy of the full sum
+    hamiltonian = build_hamiltonian(ChainSpec(49, -1.0, -1.0, ((1, 1e-4), (48, 1e-4))))
+    energies, weights = mirror_reference(hamiltonian)
+    times = 25.0 + 0.5 * np.arange(400)
+    exact = np.exp(-1j * np.outer(times, energies)) @ weights
+    assert np.max(np.abs(transfer_amplitude(mirror_route(hamiltonian), times) - exact)) <= 1e-14
+    assert np.max(np.abs(full_sum(hamiltonian, times) - exact)) <= 1e-13
