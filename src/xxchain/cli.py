@@ -212,11 +212,12 @@ def _require_json(args) -> None:
 
 def _cmd_spectrum(args) -> int:
     template = _chain_template(args, single_impurity)
+    alphas, states = _sweep_alphas(args), range(1, template.n_sites + 1)
     rows = []
-    for alpha, dec in sweep(template, _sweep_alphas(args), eigendecompose):
-        labels = classify_band(dec, template)
-        for j in range(dec.n_sites):
-            rows.append((alpha, j + 1, float(dec.energies[j]), labels[j].value))
+    for alpha, dec in sweep(template, alphas, lambda hamiltonians: map(eigendecompose, hamiltonians)):
+        # _value_ is the member's plain attribute; .value is a descriptor call per label
+        labels = [label._value_ for label in classify_band(dec, template)]
+        rows.extend(zip([alpha] * len(labels), states, dec.energies.tolist(), labels))
     _emit_rows(rows, ["alpha", "j", "energy", "label"], args)
     return 0
 

@@ -10,11 +10,11 @@ their reduced density matrix; for a one-excitation state the nearest-neighbor
 reduced matrix has the closed form C = 2 |psi_{i+1} psi_i|, and for the first
 bond it also equals |(1/J) dE_j/dalpha| via the Hellmann-Feynman theorem.
 
-c12_sweep and ipr_sweep read spectral.first_bond_c12 and
-spectral.eigenstate_ipr, which pick the route from the matrix: a chain
-whose only impurity is bond 1 is solved from its phase equation without
-eigenvectors, any other input reads the eigenvectors of the requested
-states (spectral module docstring).
+c12_sweep and ipr_sweep read spectral.first_bond_c12_batch and
+spectral.eigenstate_ipr_batch, which pick the route per matrix: every chain
+of the grid whose only impurity is bond 1 is solved in batches from its
+phase equation without eigenvectors, any other input reads the
+eigenvectors of the requested states (spectral module docstring).
 
 States are plain arrays: a one-excitation state is its 1-d vector of N site
 amplitudes, whose unit norm ipr, reduced_density_two_sites and
@@ -25,6 +25,7 @@ and d is the (excited) down spin.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,7 +37,7 @@ from .errors import (
     NotDensityMatrix,
     NotNormalized,
 )
-from .spectral import denergy_dalpha, eigenstate_ipr, first_bond_c12, sweep
+from .spectral import denergy_dalpha, eigenstate_ipr_batch, first_bond_c12_batch, sweep
 
 NORM_TOL = 1e-9
 DENSITY_TOL = 1e-10
@@ -154,21 +155,25 @@ def ipr_of_rows(states: np.ndarray) -> np.ndarray:
     return totals * totals / probabilities.sum(axis=1)
 
 
-def _state_sweep(template, alphas, state_indices, values_of):
+def _state_sweep(template, alphas, state_indices, batch):
     """Rows (alpha, j, value) of a per-eigenstate observable over an alpha grid.
 
-    values_of(H, (lo, hi)) returns the values of the states
-    lo = min(indices) .. hi = max(indices) in order.
+    batch(hamiltonians, (lo, hi)) returns the values of the states
+    lo = min(indices) .. hi = max(indices) in order, one row per matrix.
     """
-    rows = []
     indices = [int(j) for j in state_indices]
     if not indices:
-        return rows
+        return []
     lo, hi = min(indices), max(indices)
-    offsets = [j - lo for j in indices]
-    for alpha, values in sweep(template, alphas, lambda ham: values_of(ham, (lo, hi))):
-        rows.extend(zip([alpha] * len(indices), indices, values[offsets].tolist()))
-    return rows
+    steps = list(sweep(template, alphas, lambda hamiltonians: batch(hamiltonians, (lo, hi))))
+    if not steps:
+        return []
+    alphas, values = zip(*steps)
+    table = np.array(values)[:, [j - lo for j in indices]]
+    del steps, values  # frees the batch's table before the rows are built
+    # the alpha column repeats each float object rather than copying it
+    column = itertools.chain.from_iterable(itertools.repeat(alpha, len(indices)) for alpha in alphas)
+    return list(zip(column, itertools.cycle(indices), table.ravel().tolist()))
 
 
 def ipr_sweep(
@@ -176,11 +181,11 @@ def ipr_sweep(
 ) -> list[tuple[float, int, float]]:
     """Rows (alpha, j, L_IPR) for the requested 1-based eigenstate indices.
 
-    spectral.eigenstate_ipr picks the route per alpha: the phase equation
-    for a bond-1 chain, the eigenvectors lo..hi otherwise (alpha = 0,
-    another layout, a refused chain).
+    spectral.eigenstate_ipr_batch solves the grid in batches: the phase
+    equation for every bond-1 chain, the eigenvectors lo..hi for the other
+    alphas (alpha = 0, another layout, a refused chain).
     """
-    return _state_sweep(template, alphas, state_indices, eigenstate_ipr)
+    return _state_sweep(template, alphas, state_indices, eigenstate_ipr_batch)
 
 
 def c12_sweep(
@@ -188,12 +193,12 @@ def c12_sweep(
 ) -> list[tuple[float, int, float]]:
     """Rows (alpha, j, C_12) for the requested 1-based eigenstate indices.
 
-    spectral.first_bond_c12 picks the route per alpha: a bond-1 chain reads
-    C_12 of any state range from the phase equation, without a solver;
-    alpha = 0, any other layout and a refused chain take the eigenvectors
-    lo..hi.
+    spectral.first_bond_c12_batch solves the grid in batches: every
+    bond-1 chain reads C_12 of any state range from the phase equation,
+    without a solver; alpha = 0, any other layout and a refused chain take
+    the eigenvectors lo..hi.
     """
-    return _state_sweep(template, alphas, state_indices, first_bond_c12)
+    return _state_sweep(template, alphas, state_indices, first_bond_c12_batch)
 
 
 def sweep_alpha_grid() -> np.ndarray:

@@ -24,7 +24,7 @@ from .chain import ChainSpec
 from .dynamics import SeriesKind, TimeSeries, fidelity
 from .errors import NoMinimumInWindow
 from .measures import _local_maxima
-from .spectral import sweep, transfer_spectrum
+from .spectral import sweep, transfer_spectrum_batch
 
 REFOCUS_T_STEP = 0.1
 
@@ -112,19 +112,19 @@ class ScalingResult:
 def fidelity_landscape(template: ChainSpec, alphas, times) -> Landscape:
     """Tabulate F(alpha, t) with every impurity bond of the template at alpha.
 
-    Each alpha is solved by spectral.transfer_spectrum, from the phase
-    equation when the chain is a mirror chain.
+    The grid is solved by spectral.transfer_spectrum_batch: every mirror
+    chain from the phase equation in batches, any other chain by
+    eigendecompose.
     """
     alphas = np.asarray(alphas, dtype=float)
     times = np.asarray(times, dtype=float)
     if alphas.size == 0 or times.size == 0:
         raise ValueError("alpha and time grids must be nonempty")
     grid = np.empty((alphas.size, times.size))
-    # next() drops each spectrum before the next one is solved (an enumerate
-    # loop keeps it alive), which offsets the grid's peak memory.
-    steps = sweep(template, alphas, transfer_spectrum)
-    for row in range(alphas.size):
-        grid[row] = fidelity(next(steps)[1], times)
+    # the batches solve every spectrum of the grid before the first row;
+    # each row of F is then read from its own spectrum
+    for row, (_, spectrum) in enumerate(sweep(template, alphas, transfer_spectrum_batch)):
+        grid[row] = fidelity(spectrum, times)
     return Landscape(alphas=alphas, times=times, fidelities=grid)
 
 

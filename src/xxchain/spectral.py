@@ -134,12 +134,16 @@ band scaled by exp(-N eta) or exp(-m eta); so is the theta = pi/2 state of
 odd N, where the closed form of S_4 is 0/0.
 
 Every returned state passes two checks, or the chain is refused: its root
-lies strictly inside its interlacing interval (bond-1 state 1 beyond
-alpha^2 = 2: 0 < theta < pi/N, or eta > 0), and ||H v - E v|| of the vector
-the route reads is within RESIDUAL_TOL (max|E| + 1).  That vector has
-psi_1 = s alpha sin theta / R and the bulk wave from site 2 on, which
-continues to psi~_1 at site 1, so only two rows per impurity end are not
-zero by construction:
+lies inside its interlacing interval (bond-1 state 1 beyond alpha^2 = 2:
+0 < theta < pi/N, or eta > 0), and ||H v - E v|| of the vector the route
+reads is within RESIDUAL_TOL (max|E| + 1).  A root may equal the end of
+its bracket at the larger theta: once e beta falls below an ulp of theta
+the root rounds onto k pi / M (bond-1 chains at alpha <= 1e-7 for N = 200
+and alpha <= 1e-6 for N = 400-800, mirror chains at alpha <= 1e-7 for
+N = 200-400 and alpha = 1e-6 for N = 800, which a strict check refused).
+The vector has psi_1 = s alpha sin theta / R and the bulk wave from site 2
+on, which continues to psi~_1 at site 1, so only two rows per impurity end
+are not zero by construction:
 
     row 1 = |J| alpha |psi_2 - s sin(2 theta) / R|,
     row 2 = |J| |s alpha psi_1 - psi~_1|,
@@ -148,24 +152,35 @@ with s the sign a root puts on psi~_1, (-1)^(k+1) for bond-1 roots and
 (-1)^floor((k-1)/2) for mirror roots (below the band psi_1 = psi~_1 /
 alpha).  Round-off makes them about eps N, with no 1/alpha: the row-1 check
 of psi_1 = sin(N theta) / alpha refused alpha <= 1e-5 at N = 200, and roots
-moved off by 1e-10 relative are still refused.  A root that rounds onto the
-end of its interval is refused too (mirror chains at N = 800,
-alpha = 1e-6).  alpha = 0, N = 1, any other matrix and a refused chain take
-eigendecompose.
+moved off by 1e-10 relative are still refused.  alpha = 0, N = 1, any other
+matrix and a refused chain take eigendecompose.
+
+The kernels (_phase_roots, _phase_states, _mirror_spectrum) solve one
+chain per row and return arrays shaped (alpha, state) with a mask of the
+rows that passed.  Every entry is an elementwise function of its own row,
+and Newton moves each entry on its own, so a row gives the same bits in a
+batch as alone; the edge roots beyond alpha^2 = 2 and the direct O(N) sums
+run row by row, in scalar math and in the row's own reduction order.
+sweep hands the matrices of a whole alpha grid to first_bond_c12_batch,
+eigenstate_ipr_batch or transfer_spectrum_batch.  These solve the chains
+the phase route accepts in batches of up to PHASE_BATCH_ENTRIES
+(alpha, state) entries (20 alphas of an N = 200 sweep of every state, the
+whole grid for one state or for the N = 31 landscape) and send every other
+matrix and every failed row to eigendecompose on its own; first_bond_c12,
+eigenstate_ipr and transfer_spectrum are batches of one.
 
 Against 40-digit roots (N = 40, 41, 200, three (J, h)) the bond-1 route is
 within 6.4e-15 relative on IPR and 1.6e-14 on C_12 (alpha = 5e-5-3 with
 alpha_c +- 1e-7, +- 1e-9 and sqrt2 +- 1e-3), eigendecompose within 2.4e-11
 and 5.7e-10; the mirror route is within 5.9e-16 relative on the energies
 and 1.1e-14 on f_N(t <= 1.5 N) (alpha = 5e-5-3 with both exits +- 1e-9),
-the full sum over eigendecompose within 1.9e-14.  Per alpha (timeit best of
-5, 1 BLAS thread, 2-vCPU x86-64 VM) all bond-1 states take 0.20-0.25 ms at
-N = 100-200 and 0.27-0.41 ms at N = 400-800, against 0.8, 3.0, 13 and
-55 ms for eigendecompose and IPR; one state takes 0.11-0.24 ms at N = 200
-against 0.17-0.21 ms for a selected eigendecompose.  transfer_spectrum of a
-mirror chain takes 0.25-0.30 ms at N = 31-400, against 0.25, 0.42, 0.81 and
-2.7 ms at N = 31, 100, 200 and 400 for the two reflection-parity blocks
-that LAPACK eigenvalues and an offset-form refinement solved before.
+the full sum over eigendecompose within 1.9e-14.  Per study through
+cli.main, output included (best of 6, 1 BLAS thread, 2-vCPU x86-64 VM),
+the batches took ipr-sweep at N = 200 (401 alphas, states 1-100) from 145
+to 70 ms, concurrence-sweep of state 1 (601 alphas) from 106 to 27 ms and
+of states 2-100 (401 alphas) from 175 to 63 ms against one alpha at a
+time, scaling (N = 50-400, 71 alphas each) from 185 to 125 ms and the
+N = 31 landscape (71 alphas) from 60 to 43 ms.
 """
 
 from __future__ import annotations
@@ -196,6 +211,11 @@ SELECT_SITES_PER_STATE = 16
 # evaluations refuses the chain.
 PHASE_STEP_TOL = 4.0
 PHASE_STEPS_MAX = 12
+# A batch holds at most this many (alpha, state) entries, the states of a
+# range or the roots of a mirror chain: each kernel array then stays near
+# 32 kB, where whole-grid batches of 320 kB arrays left the heap fragmented
+# and grew the peak RSS of a sweeps pass by 9 MB.
+PHASE_BATCH_ENTRIES = 4096
 
 
 class BandLabel(enum.Enum):
@@ -322,25 +342,26 @@ def _checked_residual(diag, offdiag, energies, vectors) -> float:
 
 
 def _newton(evaluate, x, lo, hi):
-    """Roots in [lo, hi] of an increasing function by Newton steps kept in the bracket.
+    """Roots in [lo, hi] of increasing functions by Newton steps kept in the bracket.
 
     evaluate(x) returns the values, the slopes and the magnitudes each value
     is rounded against.  An entry whose |value| is within PHASE_STEP_TOL eps
-    of its magnitude stays where it is; the others narrow their bracket to
-    the sign of the value and take a Newton step, or bisect the bracket if
-    the step would leave it.  x is returned once every entry has settled,
-    None if some has not after PHASE_STEPS_MAX evaluations.
+    of its magnitude has settled and stays where it is; the others narrow
+    their bracket to the sign of the value and take a Newton step, or bisect
+    the bracket if the step would leave it.  Every entry moves on its own,
+    so it ends where it would end solved alone.  Returns x and the mask of
+    the entries that settled within PHASE_STEPS_MAX evaluations.
     """
     for _ in range(PHASE_STEPS_MAX):
         value, slope, scale = evaluate(x)
         settled = np.abs(value) <= PHASE_STEP_TOL * _EPS * scale
         if settled.all():
-            return x
+            break
         lo = np.where(value < 0.0, x, lo)
         hi = np.where(value > 0.0, x, hi)
         step = x - value / slope
         x = np.where(settled, x, np.where((lo < step) & (step < hi), step, 0.5 * (lo + hi)))
-    return None
+    return x, settled
 
 
 def _phase(x, upper, sign, offset, turns, a2, ends):
@@ -421,8 +442,8 @@ def _edge_root(n, a2):
         else:
             hi = min(hi, t)
         fits.append((abs(value), t))
-    solved = _newton(lambda t: _edge_phase(t, n, kappa, excess), np.array([min(fits)[1]]), lo, hi)
-    return None if solved is None else float(solved[0])
+    solved, settled = _newton(lambda t: _edge_phase(t, n, kappa, excess), np.array([min(fits)[1]]), lo, hi)
+    return float(solved[0]) if settled[0] else None
 
 
 def _even_edge_root(m, a2):
@@ -446,83 +467,95 @@ def _even_edge_root(m, a2):
         return logs[0] + logs[1] + shift, slope, shift - logs[0] - logs[1]
 
     # the start is the root to rounding far below the band: bracket from 0
-    solved = _newton(evaluate, np.array([start]), 0.0, math.atanh(1.0 / math.sqrt(kappa)))
-    return None if solved is None else float(solved[0])
+    solved, settled = _newton(evaluate, np.array([start]), 0.0, math.atanh(1.0 / math.sqrt(kappa)))
+    return float(solved[0]) if settled[0] else None
 
 
 def _phase_roots(roots, n, a2, ends):
-    """sin theta, cos theta, theta and eta of the roots k <= ceil(N/2), or None.
+    """sin theta, cos theta, theta and eta of the roots k <= ceil(N/2), and a mask of passed rows.
 
-    ends is e of the phase equation: 1 for a bond-1 chain, 2 for a mirror
-    chain.  Roots above pi/4 are solved for d = pi/2 - theta, so
-    cos theta = sin d keeps its digits next to the band centre.  theta is
+    a2 holds one alpha^2 per row, and every array has the shape
+    (alpha, root).  ends is e of the phase equation: 1 for a bond-1 chain,
+    2 for a mirror chain.  Roots above pi/4 are solved for d = pi/2 - theta,
+    so cos theta = sin d keeps its digits next to the band centre.  theta is
     NaN at a root below the band, and eta is its decay rate there (0 at
-    every other root).  None if a root is refused: Newton did not settle or
-    the root is not strictly inside its interlacing interval; and for
-    alpha^2 >= 1 / eps, where the edge states' kappa rounds to 1.
+    every other root).  A row fails if one of its roots is refused: Newton
+    did not settle or the root is not inside its interlacing interval; and
+    for alpha^2 >= 1 / eps, where the edge states' kappa rounds to 1.
     """
-    if a2 * _EPS >= 1.0:  # kappa = alpha^2 / (alpha^2 - 2) rounds to 1
-        return None
     turns = n + 1 - ends
+    ok = a2 * _EPS < 1.0  # beyond, kappa = alpha^2 / (alpha^2 - 2) rounds to 1
     big = a2 > 2.0
     # beyond alpha^2 = 2 the leading roots k <= e are edge states, solved apart
-    edges = max(0, min(ends + 1 - roots[0], roots.size)) if big else 0
-    upper = 4 * roots > turns
-    upper[: max(edges, ends - 1)] = False  # and mirror root 1 stays next to theta = 0
-    x, eta = np.zeros(roots.size), np.zeros(roots.size)  # odd N: theta = pi/2, d = 0
-    solve = np.flatnonzero(2 * roots != n + 1)[edges:]
-    if solve.size:
-        k, up = roots[solve], upper[solve]
+    edges = np.where(big, max(0, min(ends + 1 - roots[0], roots.size)), 0)
+    column = np.arange(roots.size)
+    # and mirror root 1 stays next to theta = 0
+    upper = (4 * roots > turns) & (column >= np.maximum(edges, ends - 1)[:, None])
+    x, eta = np.zeros(upper.shape), np.zeros(upper.shape)  # odd N: theta = pi/2, d = 0
+    row, col = np.nonzero((2 * roots != n + 1) & (column >= edges[:, None]) & ok[:, None])
+    if row.size:
+        k, up, a2k, bigk = roots[col], upper[row, col], a2[row], big[row]
         unit = 0.5 * np.pi / turns
         # the interlacing interval ((k - 1) pi / M, k pi / M) in units of x,
         # one interval lower for a mirror chain with alpha^2 > 2, cut at
         # theta = pi/2; for a bond-1 chain the root lies in its lower half
         # for alpha^2 <= 2 (beta <= pi/2) and in its upper half above
-        shift = 2 * (ends - 1) * big
+        shift = 2 * (ends - 1) * bigk
         left = np.where(up, turns - 2 * k + shift, 2 * k - 2 - shift)
         if ends == 2:
             left = np.maximum(left, 0)
-        lo = (left + (ends == 1) * (up == big)) * unit
+        lo = (left + (ends == 1) * (up == bigk)) * unit
         hi = lo + ends * unit
         # G is convex in theta for alpha^2 < 1 and alpha^2 > 2, concave
         # between: start on the side from which Newton moves monotonically
-        start = np.where(up == (not 1.0 <= a2 <= 2.0), lo, hi)
-        if a2 < 1.0:
-            # e beta rises by about e pi/2 within kappa' = alpha^2 / (2 - alpha^2)
-            # of pi/2, so the root next to the centre (2k = M), at
-            # d = sqrt(e kappa' / (M d tan d)) at most, starts at sqrt(e kappa' / M),
-            # and the centre root of a mirror chain of even N (2k = N), at
-            # M d + 2 atan(tan d / kappa') = pi/2, at kappa' / (1 + 2 M kappa' / pi)
-            start[2 * k == turns] = min(ends * unit, math.sqrt(ends * a2 / ((2.0 - a2) * turns)))
-            if ends == 2:
-                start[2 * k == n] = min(ends * unit, a2 / (2.0 - a2 + 2.0 * turns * a2 / np.pi))
-        elif ends == 2 and a2 < 2.0:
-            # 2 beta rises to pi within c = (2 - alpha^2) / alpha^2 of theta = 0,
-            # so root 1 of a mirror chain, M theta = 2c / theta for c << 1/M,
-            # starts at theta = sqrt(2c / M)
-            start[(k == 1) & ~up] = min(ends * unit, math.sqrt(2.0 * (2.0 - a2) / (a2 * turns)))
+        start = np.where(up == ((a2k < 1.0) | (a2k > 2.0)), lo, hi)
+        # e beta rises by about e pi/2 within kappa' = alpha^2 / (2 - alpha^2)
+        # of pi/2, so for alpha^2 < 1 the root next to the centre (2k = M),
+        # at d = sqrt(e kappa' / (M d tan d)) at most, starts at
+        # sqrt(e kappa' / M), and the centre root of a mirror chain of even N
+        # (2k = N), at M d + 2 atan(tan d / kappa') = pi/2, at
+        # kappa' / (1 + 2 M kappa' / pi)
+        near = (a2k < 1.0) & (2 * k == turns)
+        start[near] = np.minimum(ends * unit, np.sqrt(ends * a2k[near] / ((2.0 - a2k[near]) * turns)))
+        if ends == 2:
+            near = (a2k < 1.0) & (2 * k == n)
+            start[near] = np.minimum(ends * unit, a2k[near] / (2.0 - a2k[near] + 2.0 * turns * a2k[near] / np.pi))
+            # for 1 <= alpha^2 < 2, 2 beta rises to pi within
+            # c = (2 - alpha^2) / alpha^2 of theta = 0, so root 1 of a mirror
+            # chain, M theta = 2c / theta for c << 1/M, starts at sqrt(2c / M)
+            near = (1.0 <= a2k) & (a2k < 2.0) & (k == 1) & ~up
+            start[near] = np.minimum(ends * unit, np.sqrt(2.0 * (2.0 - a2k[near]) / (a2k[near] * turns)))
         sign = np.where(up, -1.0, 1.0)
         offset = np.where(up, turns - 2 * k, 2 * k) * (-0.5 * np.pi)
-        solved = _newton(lambda at: _phase(at, up, sign, offset, turns, a2, ends), start, lo, hi)
-        if solved is None or not ((left * unit < solved) & (solved < (left + 2) * unit)).all():
-            return None
-        x[solve] = solved
+        solved, settled = _newton(lambda at: _phase(at, up, sign, offset, turns, a2k, ends), start, lo, hi)
+        # a root within an ulp of k pi / M (e beta below an ulp of theta)
+        # rounds onto the end of its bracket at the larger theta
+        inside = (left * unit < solved) & (solved < (left + 2) * unit)
+        ok[row[~(settled & (inside | (solved == np.where(up, lo, hi))))]] = False
+        x[row, col] = solved
+    for i in np.flatnonzero(ok & (edges > 0)):
+        ok[i] = _edge_roots(edges[i], roots, turns, float(a2[i]), ends, x[i], eta[i])
+    sin, cos = np.sin(x), np.cos(x)
+    return np.where(upper, cos, sin), np.where(upper, sin, cos), np.where(upper, 0.5 * np.pi - x, x), eta, ok
+
+
+def _edge_roots(edges, roots, turns, a2, ends, x, eta):
+    """Write the edge roots k <= e of one alpha^2 > 2 row into its x and eta; False if one is refused."""
     for i in range(edges):
         if roots[i] < ends:  # the even edge state of a mirror chain
             decay = _even_edge_root(0.5 * turns, a2)
             if decay is None or not 0.0 < decay < np.inf:
-                return None
+                return False
             x[i], eta[i] = np.nan, decay
             continue
         t = _edge_root(turns / ends, a2)
         if t is None or t == 0.0 or not -np.inf < t < (np.pi / turns) ** 2:
-            return None
+            return False
         if t > 0.0:
             x[i] = math.sqrt(t)
         else:
             x[i], eta[i] = np.nan, math.sqrt(-t)
-    sin, cos = np.sin(x), np.cos(x)
-    return np.where(upper, cos, sin), np.where(upper, sin, cos), np.where(upper, 0.5 * np.pi - x, x), eta
+    return True
 
 
 def _edge_rows(alpha, sign, first, second, tilde, inner):
@@ -535,27 +568,19 @@ def _edge_rows(alpha, sign, first, second, tilde, inner):
     return np.hypot(alpha * (inner - sign * second), sign * alpha * first - tilde)
 
 
-def _phase_states(hamiltonian: TridiagonalHamiltonian, lo: int, hi: int):
-    """(E, IPR, C_12) of the states lo..hi of a bond-1 chain from its phase equation, or None.
+def _phase_states(n, lo, hi, alpha, field, coupling):
+    """(E, IPR, C_12) of the states lo..hi of bond-1 chains, and a mask of passed rows.
 
-    The matrix must have a constant diagonal, a uniform nonzero bulk
-    offdiag[1:] and a nonzero offdiag[0]; None for any other matrix and for
-    a chain whose roots fail the checks of the module docstring.
+    alpha, field and coupling hold one chain of N sites per row: its
+    impurity strength, its field h and its bulk |J| (_phase_chain).  The
+    observables have the shape (alpha, state); a row fails if its roots
+    fail the checks of the module docstring.
     """
-    diag, offdiag = hamiltonian.diag, hamiltonian.offdiag
-    n = diag.size
-    if (n < 2 or offdiag[0] == 0.0 or offdiag[-1] == 0.0 or (diag != diag[0]).any()
-            or (offdiag[2:] != offdiag[1:-1]).any()):
-        return None
-    coupling = abs(float(offdiag[-1]))  # offdiag[0] itself for N = 2
-    alpha = abs(float(offdiag[0])) / coupling
-    a2 = alpha * alpha
     roots = np.arange(min(lo, n + 1 - hi), min(hi, n + 1 - lo, (n + 1) // 2) + 1)
     with np.errstate(all="ignore"):  # a NaN or a lost root fails the checks below
-        solved = _phase_roots(roots, n, a2, 1)
-        if solved is None:
-            return None
-        sin, cos, theta, eta = solved
+        sin, cos, theta, eta, ok = _phase_roots(roots, n, alpha * alpha, 1)
+        alpha, field, coupling = alpha[:, None], field[:, None], coupling[:, None]
+        a2 = alpha * alpha
         p, q = (2.0 - a2) * cos, a2 * sin
         r2 = p * p + q * q
         first = alpha * sin / np.sqrt(r2)
@@ -569,59 +594,47 @@ def _phase_states(hamiltonian: TridiagonalHamiltonian, lo: int, hi: int):
                           np.sin(n * theta), np.sin((n - 1) * theta))
         # state 1 beyond alpha^2 = 2 and the theta = pi/2 state of odd N
         # are summed directly (module docstring)
-        direct = [0] if roots[0] == 1 and a2 > 2.0 else []
-        if 2 * roots[-1] == n + 1:
-            direct.append(roots.size - 1)
+        direct = np.zeros(theta.shape, bool)
+        direct[:, 0] = (roots[0] == 1) & (a2[:, 0] > 2.0)
+        direct[:, -1] |= 2 * roots[-1] == n + 1
         sites = np.arange(1, n)
-        for i in direct:
-            if eta[i] > 0.0:  # below the band: sinh(m eta) exp(-N eta), psi_1 alike
-                profile = -0.5 * np.exp((sites - n) * eta[i]) * np.expm1(-2.0 * sites * eta[i])
-                first[i] = -np.expm1(-2.0 * n * eta[i]) / (2.0 * alpha)
-                cos[i] = math.cosh(eta[i])
-                rows[i] = abs(alpha * profile[-1] - 2.0 * cos[i] * first[i])
+        for i, j in zip(*np.nonzero(direct & ok[:, None])):
+            if eta[i, j] > 0.0:  # below the band: sinh(m eta) exp(-N eta), psi_1 alike
+                profile = -0.5 * np.exp((sites - n) * eta[i, j]) * np.expm1(-2.0 * sites * eta[i, j])
+                first[i, j] = -np.expm1(-2.0 * n * eta[i, j]) / (2.0 * alpha[i, 0])
+                cos[i, j] = math.cosh(eta[i, j])
+                rows[i, j] = abs(alpha[i, 0] * profile[-1] - 2.0 * cos[i, j] * first[i, j])
             else:
-                profile = np.sin(sites * theta[i])
-            second[i] = profile[-1]
+                profile = np.sin(sites * theta[i, j])
+            second[i, j] = profile[-1]
             squares = profile * profile
-            norm[i] = first[i] ** 2 + squares.sum()
-            quartic[i] = first[i] ** 4 + squares @ squares
+            norm[i, j] = first[i, j] ** 2 + squares.sum()
+            quartic[i, j] = first[i, j] ** 4 + squares @ squares
         ipr = norm * norm / quartic
         c12 = 2.0 * first * np.abs(second) / norm
         residual = coupling * rows / np.sqrt(norm)
-    states = np.arange(lo, hi + 1)
-    index = np.minimum(states, n + 1 - states) - roots[0]
-    energies = diag[0] + np.where(2 * states <= n, -2.0, 2.0) * coupling * cos[index]
-    if (residual <= RESIDUAL_TOL * (np.abs(energies).max() + 1.0)).all() and np.isfinite(ipr * c12).all():
-        return energies, ipr[index], c12[index]
-    return None
+        states = np.arange(lo, hi + 1)
+        index = np.minimum(states, n + 1 - states) - roots[0]
+        energies = field + np.where(2 * states <= n, -2.0, 2.0) * coupling * cos[:, index]
+        ok &= (residual <= RESIDUAL_TOL * (np.abs(energies).max(axis=1) + 1.0)[:, None]).all(axis=1)
+        ok &= np.isfinite(ipr * c12).all(axis=1)
+    return energies, ipr[:, index], c12[:, index], ok
 
 
-def _mirror_spectrum(hamiltonian: TridiagonalHamiltonian) -> TransferSpectrum | None:
-    """Energies and transfer weights of a mirror chain from its phase equation, or None.
+def _mirror_spectrum(n, alpha, field, bulk):
+    """Energies, transfer weights and residual bounds of mirror chains, and a mask of passed rows.
 
-    The matrix must have a constant diagonal, equal nonzero end bonds
-    offdiag[0] = offdiag[-1] and a uniform nonzero bulk offdiag[1:-1];
-    None for any other matrix and for a chain whose roots fail the checks of
-    the module docstring.
+    alpha, field and bulk hold one chain of N sites per row: its impurity
+    strength, its field h and its bulk J (_phase_chain).  Energies and
+    weights have the shape (alpha, state); a row fails if its roots fail
+    the checks of the module docstring.
     """
-    diag, offdiag = hamiltonian.diag, hamiltonian.offdiag
-    n = diag.size
-    if n < 2:
-        return None
-    bulk = float(offdiag[(n - 1) // 2])  # the end bond itself for N = 2, 3: a uniform chain
-    if (bulk == 0.0 or offdiag[0] == 0.0 or offdiag[0] != offdiag[-1] or (diag != diag[0]).any()
-            or (offdiag[2:-1] != offdiag[1:-2]).any()):
-        return None
-    coupling = abs(bulk)
-    alpha = abs(float(offdiag[0])) / coupling
-    a2 = alpha * alpha
     roots = np.arange(1, (n + 1) // 2 + 1)
     even = roots % 2 == 1  # reflection parity of root k
     with np.errstate(all="ignore"):  # a NaN or a lost root fails the checks below
-        solved = _phase_roots(roots, n, a2, 2)
-        if solved is None:
-            return None
-        sin, cos, theta, eta = solved
+        sin, cos, theta, eta, ok = _phase_roots(roots, n, alpha * alpha, 2)
+        alpha, field, coupling = alpha[:, None], field[:, None], np.abs(bulk)[:, None]
+        a2 = alpha * alpha
         p, q = (2.0 - a2) * cos, a2 * sin
         r2 = p * p + q * q
         first = alpha * sin / np.sqrt(r2)
@@ -634,85 +647,148 @@ def _mirror_spectrum(hamiltonian: TridiagonalHamiltonian) -> TransferSpectrum | 
                           np.where(even, np.cos(turn - theta), np.sin(turn - theta)))
         # the two edge states beyond alpha^2 = 2 are summed directly (module docstring)
         sites = np.arange(1, n)
-        for i in np.flatnonzero(roots <= 2) if a2 > 2.0 else ():
-            if eta[i] > 0.0:  # below the band: cosh or sinh((c - n) eta) exp(-m eta)
-                near, far = np.exp((1 - sites) * eta[i]), np.exp((sites - n) * eta[i])
-                profile = near + far if even[i] else near - far
-                first[i] = profile[0] / alpha
-                cos[i] = math.cosh(eta[i])
-                rows[i] = abs(alpha * profile[1] - 2.0 * cos[i] * first[i])
+        for i, j in zip(*np.nonzero((roots <= 2) & (a2 > 2.0) & ok[:, None])):
+            if eta[i, j] > 0.0:  # below the band: cosh or sinh((c - n) eta) exp(-m eta)
+                near, far = np.exp((1 - sites) * eta[i, j]), np.exp((sites - n) * eta[i, j])
+                profile = near + far if even[j] else near - far
+                first[i, j] = profile[0] / alpha[i, 0]
+                cos[i, j] = math.cosh(eta[i, j])
+                rows[i, j] = abs(alpha[i, 0] * profile[1] - 2.0 * cos[i, j] * first[i, j])
             else:
-                profile = np.sin((0.5 * (n + 1) - sites) * theta[i])
-            norm[i] = 2.0 * first[i] ** 2 + profile[1:] @ profile[1:]
+                profile = np.sin((0.5 * (n + 1) - sites) * theta[i, j])
+            norm[i, j] = 2.0 * first[i, j] ** 2 + profile[1:] @ profile[1:]
         weights = np.where(even, 1.0, -1.0) * first * first / norm
-        residual = float(np.max(coupling * rows * np.sqrt(2.0 / norm)))
-    # state N + 1 - j pairs with state j: E - h negated, weight times (-1)^(N - 1);
-    # J > 0 reverses the order of the roots
-    pair = 1.0 if n % 2 else -1.0
-    if bulk > 0.0:
-        weights *= pair
-    half = n // 2
-    low = diag[0] - 2.0 * coupling * cos[:half]
-    energies = np.concatenate((low, diag[: n % 2], 2.0 * diag[0] - low[::-1]))
-    weights = np.concatenate((weights, pair * weights[:half][::-1]))
-    if residual <= RESIDUAL_TOL * (float(np.abs(energies).max()) + 1.0) and np.isfinite(weights).all():
-        return TransferSpectrum(energies, weights, residual)
-    return None
+        residual = (coupling * rows * np.sqrt(2.0 / norm)).max(axis=1)
+        # state N + 1 - j pairs with state j: E - h negated, weight times (-1)^(N - 1);
+        # J > 0 reverses the order of the roots
+        pair = 1.0 if n % 2 else -1.0
+        weights *= np.where(bulk > 0.0, pair, 1.0)[:, None]
+        half = n // 2
+        low = field - 2.0 * coupling * cos[:, :half]
+        energies = np.concatenate((low, np.repeat(field, n % 2, axis=1), 2.0 * field - low[:, ::-1]), axis=1)
+        weights = np.concatenate((weights, pair * weights[:, :half][:, ::-1]), axis=1)
+        ok &= (residual <= RESIDUAL_TOL * (np.abs(energies).max(axis=1) + 1.0)) & np.isfinite(weights).all(axis=1)
+    return energies, weights, residual, ok
 
 
-def first_bond_c12(hamiltonian: TridiagonalHamiltonian, states: tuple[int, int]) -> np.ndarray:
-    """First-bond concurrence 2 |psi_1 psi_2| of the 1-based states lo..hi.
+def _phase_chain(hamiltonian: TridiagonalHamiltonian, ends: int):
+    """(alpha, h, J) of a uniform bulk J bordered by e impurity bonds alpha J, or None.
 
-    A bond-1 chain reads it from the phase equation, without a solver; any
+    e = 1 is a bond-1 chain, offdiag[1:] = J; e = 2 a mirror chain,
+    offdiag[0] = offdiag[-1] and offdiag[1:-1] = J (N = 2 and 3 are uniform
+    chains against their middle bond).  The diagonal must be the constant
+    h, and the end bond alpha J and J must be nonzero.
+    """
+    diag, offdiag = hamiltonian.diag, hamiltonian.offdiag
+    n = diag.size
+    bulk = float(offdiag[(n - 1) // 2])
+    inner = offdiag[1 : n - ends]
+    if (bulk == 0.0 or offdiag[0] == 0.0 or (ends == 2 and offdiag[0] != offdiag[-1])
+            or (diag != diag[0]).any() or (inner[1:] != inner[:-1]).any()):
+        return None
+    return abs(float(offdiag[0])) / abs(bulk), diag[0], bulk
+
+
+def _phase_batches(hamiltonians, ends, width):
+    """Indices, alpha, h and J of the matrices _phase_chain accepts, in batches.
+
+    A batch holds at most PHASE_BATCH_ENTRIES // width rows (at least one),
+    width the number of states or roots per row; only matrices of the
+    first one's size are read.
+    """
+    n = hamiltonians[0].n_sites
+    chains = [(i, *chain) for i, hamiltonian in enumerate(hamiltonians)
+              if hamiltonian.n_sites == n and (chain := _phase_chain(hamiltonian, ends)) is not None]
+    table = np.array(chains, dtype=float).reshape(-1, 4)
+    step = max(1, PHASE_BATCH_ENTRIES // width)
+    for start in range(0, len(table), step):
+        rows = table[start : start + step]
+        yield rows[:, 0].astype(int), rows[:, 1], rows[:, 2], rows[:, 3]
+
+
+def _state_batch(hamiltonians, states, column, read):
+    """Column 1 (IPR) or 2 (C_12) of _phase_states for the states lo..hi, one row per matrix.
+
+    The bond-1 chains of the list are solved in batches; any other matrix
+    and a failed row take eigendecompose(H, (lo, hi)) and read its vectors.
+    """
+    n = hamiltonians[0].n_sites
+    lo, hi = _state_range(n, states)
+    table = np.empty((len(hamiltonians), hi - lo + 1))
+    solved = np.zeros(len(hamiltonians), bool)
+    for index, alpha, field, bulk in _phase_batches(hamiltonians, 1, hi - lo + 1):
+        phases = _phase_states(n, lo, hi, alpha, field, np.abs(bulk))
+        ok = phases[-1]
+        table[index[ok]] = phases[column][ok]
+        solved[index[ok]] = True
+    for i in np.flatnonzero(~solved):
+        table[i] = read(eigendecompose(hamiltonians[i], (lo, hi)).vectors)
+    return table
+
+
+def first_bond_c12_batch(hamiltonians, states: tuple[int, int]) -> np.ndarray:
+    """first_bond_c12 of each matrix of a nonempty list, one row per matrix.
+
+    The bond-1 chains are read from the phase equation in batches; any
     other matrix and a refused chain take eigendecompose(H, (lo, hi))
     (module docstring).  Raises ValueError for a range outside 1..N and
     ConvergenceFailure if eigendecompose fails.
     """
-    lo, hi = _state_range(hamiltonian.n_sites, states)
-    phases = _phase_states(hamiltonian, lo, hi)
-    if phases is not None:
-        return phases[2]
-    vectors = eigendecompose(hamiltonian, (lo, hi)).vectors
-    return 2.0 * np.abs(vectors[:, 0] * vectors[:, 1])
+    return _state_batch(hamiltonians, states, 2, lambda vectors: 2.0 * np.abs(vectors[:, 0] * vectors[:, 1]))
+
+
+def first_bond_c12(hamiltonian: TridiagonalHamiltonian, states: tuple[int, int]) -> np.ndarray:
+    """First-bond concurrence 2 |psi_1 psi_2| of the 1-based states lo..hi, a batch of one."""
+    return first_bond_c12_batch([hamiltonian], states)[0]
+
+
+def eigenstate_ipr_batch(hamiltonians, states: tuple[int, int]) -> np.ndarray:
+    """eigenstate_ipr of each matrix of a nonempty list, one row per matrix.
+
+    Routed like first_bond_c12_batch: the phase equation for the bond-1
+    chains, measures.ipr_of_rows of eigendecompose(H, (lo, hi)) otherwise.
+    """
+    from .measures import ipr_of_rows  # measures imports this module
+
+    return _state_batch(hamiltonians, states, 1, ipr_of_rows)
 
 
 def eigenstate_ipr(hamiltonian: TridiagonalHamiltonian, states: tuple[int, int]) -> np.ndarray:
-    """Inverse participation ratio of the 1-based states lo..hi.
-
-    Routed like first_bond_c12: the phase equation for a bond-1 chain,
-    measures.ipr_of_rows of eigendecompose(H, (lo, hi)) otherwise.  Raises
-    ValueError for a range outside 1..N and ConvergenceFailure if
-    eigendecompose fails.
-    """
-    lo, hi = _state_range(hamiltonian.n_sites, states)
-    phases = _phase_states(hamiltonian, lo, hi)
-    if phases is not None:
-        return phases[1]
-    from .measures import ipr_of_rows  # measures imports this module
-
-    return ipr_of_rows(eigendecompose(hamiltonian, (lo, hi)).vectors)
+    """Inverse participation ratio of the 1-based states lo..hi, a batch of one."""
+    return eigenstate_ipr_batch([hamiltonian], states)[0]
 
 
-def transfer_spectrum(hamiltonian: TridiagonalHamiltonian) -> TransferSpectrum:
-    """Energies and transfer weights psi_1 psi_N of every state.
+def transfer_spectrum_batch(hamiltonians) -> list[TransferSpectrum]:
+    """transfer_spectrum of each matrix of a nonempty list.
 
-    A mirror chain reads them from its phase equation, without a solver;
-    any other matrix and a refused chain take eigendecompose (module
+    The mirror chains are read from the phase equation in batches; any
+    other matrix and a refused chain take eigendecompose (module
     docstring).  Raises ConvergenceFailure if eigendecompose fails or misses
     its residual bound.
     """
-    mirror = _mirror_spectrum(hamiltonian)
-    if mirror is not None:
-        return mirror
-    dec = eigendecompose(hamiltonian)
-    return TransferSpectrum(dec.energies, dec.vectors[:, 0] * dec.vectors[:, -1], dec.residual_bound)
+    n = hamiltonians[0].n_sites
+    spectra = [None] * len(hamiltonians)
+    for index, alpha, field, bulk in _phase_batches(hamiltonians, 2, (n + 1) // 2):
+        energies, weights, residual, ok = _mirror_spectrum(n, alpha, field, bulk)
+        for row in np.flatnonzero(ok):
+            spectra[index[row]] = TransferSpectrum(energies[row], weights[row], float(residual[row]))
+    for i, spectrum in enumerate(spectra):
+        if spectrum is None:
+            dec = eigendecompose(hamiltonians[i])
+            spectra[i] = TransferSpectrum(dec.energies, dec.vectors[:, 0] * dec.vectors[:, -1], dec.residual_bound)
+    return spectra
+
+
+def transfer_spectrum(hamiltonian: TridiagonalHamiltonian) -> TransferSpectrum:
+    """Energies and transfer weights psi_1 psi_N of every state, a batch of one."""
+    return transfer_spectrum_batch([hamiltonian])[0]
 
 
 def classify_band(dec: SpectralDecomposition, spec: ChainSpec) -> tuple[BandLabel, ...]:
     """Label each state against the band h - 2|J| <= E <= h + 2|J| of the spec."""
     edge = 2.0 * abs(spec.exchange_j)
     labels = []
-    for energy in dec.energies - spec.field_h:
+    for energy in (dec.energies - spec.field_h).tolist():
         if energy < -edge - BAND_EDGE_TOL:
             labels.append(BandLabel.ISOLATED_BELOW)
         elif energy > edge + BAND_EDGE_TOL:
@@ -723,16 +799,18 @@ def classify_band(dec: SpectralDecomposition, spec: ChainSpec) -> tuple[BandLabe
 
 
 def sweep(template: ChainSpec, alphas, solve):
-    """Yield (alpha, solve(H)) for each impurity strength in turn.
+    """Yield (alpha, spectrum) for each impurity strength in order.
 
     Every impurity bond of the template takes the strength alpha, and
-    solve maps the Hamiltonian to a spectrum: eigendecompose, a state range
-    of it, or transfer_spectrum.  One spectrum is computed per step, so a
-    caller that keeps none holds one at a time.
+    solve maps the list of these Hamiltonians to their spectra, in order.
+    The batches (first_bond_c12_batch, eigenstate_ipr_batch,
+    transfer_spectrum_batch) solve every alpha the phase route accepts at
+    once; map(eigendecompose, ...) solves one alpha per step.  Nothing is
+    built or solved before the first step is taken.
     """
-    for alpha in alphas:
-        alpha = float(alpha)
-        yield alpha, solve(build_hamiltonian(with_alpha(template, alpha)))
+    alphas = [float(alpha) for alpha in alphas]
+    if alphas:
+        yield from zip(alphas, solve([build_hamiltonian(with_alpha(template, alpha)) for alpha in alphas]))
 
 
 def estimate_alpha_c(

@@ -1,0 +1,57 @@
+"""Rows of ipr-sweep, concurrence-sweep and landscape built one matrix at a time.
+
+    python tests/per_matrix_rows.py OUT_DIR [--j J] [--h H]
+
+writes ipr_single.csv, c12_single.csv and landscape_single.csv into OUT_DIR:
+the rows of `ipr-sweep` and `concurrence-sweep --states 1:200` at --n 200
+--alpha-range 0:3:0.005, and of `landscape --n 31 --alpha-range
+0.1:1.5:0.02 --t-range 0:40:0.1`.  Each alpha is solved on its own by the
+per-matrix entry points (eigenstate_ipr, first_bond_c12, transfer_spectrum
+and fidelity) where the commands solve the grid in one batch, so the files
+must equal the command output byte for byte.
+"""
+
+import argparse
+import warnings
+
+from xxchain.chain import build_hamiltonian, mirror_impurities, single_impurity, with_alpha
+from xxchain.cli import _parse_range, emit_csv
+from xxchain.dynamics import fidelity
+from xxchain.spectral import eigenstate_ipr, first_bond_c12, transfer_spectrum
+
+
+def state_rows(template, alphas, observable):
+    n = template.n_sites
+    rows = []
+    for alpha in alphas.tolist():
+        values = observable(build_hamiltonian(with_alpha(template, alpha)), (1, n))
+        rows.extend(zip([alpha] * n, range(1, n + 1), values.tolist()))
+    return rows
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("out_dir")
+    parser.add_argument("--j", type=float, default=-1.0)
+    parser.add_argument("--h", type=float, default=0.0)
+    args = parser.parse_args()
+    chain = {"exchange_j": args.j, "field_h": args.h}
+    warnings.simplefilter("ignore")  # the J > 0 sign warning
+
+    alphas = _parse_range("0:3:0.005", "--alpha-range")
+    bond1 = single_impurity(200, 1.0, **chain)
+    for name, observable in (("ipr", eigenstate_ipr), ("c12", first_bond_c12)):
+        emit_csv(state_rows(bond1, alphas, observable), ["alpha", "j", "value"],
+                 f"{args.out_dir}/{name}_single.csv")
+
+    mirror = mirror_impurities(31, 1.0, **chain)
+    times = _parse_range("0:40:0.1", "--t-range")
+    rows = []
+    for alpha in _parse_range("0.1:1.5:0.02", "--alpha-range").tolist():
+        values = fidelity(transfer_spectrum(build_hamiltonian(with_alpha(mirror, alpha))), times)
+        rows.extend(zip([alpha] * times.size, times.tolist(), values.tolist()))
+    emit_csv(rows, ["alpha", "t", "fidelity"], f"{args.out_dir}/landscape_single.csv")
+
+
+if __name__ == "__main__":
+    main()

@@ -1,0 +1,204 @@
+"""The phase route solves a whole alpha grid in one batch.
+
+spectral.sweep hands the matrices of every grid alpha to one batch
+(first_bond_c12_batch, eigenstate_ipr_batch, transfer_spectrum_batch), and
+the per-matrix entry points are batches of one over the same kernels.  These
+tests pin that a grid gives, alpha by alpha, the bits, the route and the
+typed error of the per-matrix call, that a refused row leaves the other rows
+alone, and that the benchmark grids run no LAPACK routine at alpha > 0.
+"""
+
+import math
+import warnings
+from unittest import mock
+
+import numpy as np
+import pytest
+from scipy.linalg import LinAlgError, eigh_tridiagonal
+
+from xxchain import spectral
+from xxchain.chain import (
+    ChainSpec,
+    build_hamiltonian,
+    mirror_impurities,
+    parse_chain_config,
+    single_impurity,
+    with_alpha,
+)
+from xxchain.dynamics import fidelity
+from xxchain.errors import ConvergenceFailure, NegativeAlpha
+from xxchain.measures import c12_sweep, ipr_sweep
+from xxchain.protocols import fidelity_landscape, inclusive_grid
+from xxchain.spectral import eigenstate_ipr, first_bond_c12, transfer_spectrum
+
+SQRT2 = math.sqrt(2.0)
+TIMES = np.arange(0.0, 30.0, 0.25)
+
+
+def grid(n):
+    """alpha = 0, 1e-7, sqrt2 -+ 1e-12, both band exits -+ 1e-9, 1, 3, 1e6 and 1e8.
+
+    The phase route refuses alpha = 1e8, where alpha^2 is beyond 1 / eps.
+    """
+    exits = [math.sqrt(2.0 * n / (n - 1))] + ([math.sqrt(2.0 * (n - 1) / (n - 3))] if n > 3 else [])
+    alphas = [0.0, 1e-7, SQRT2 - 1e-12, SQRT2 + 1e-12, 1.0, 3.0, 1e6, 1e8]
+    alphas += [exit + step for exit in exits for step in (-1e-9, 1e-9)]
+    return sorted(alphas)
+
+
+CONFIG = parse_chain_config("n_sites = 12\nexchange_j = -0.8\nfield_h = 0.3\nimpurities = 1:1, 5:1\n")
+
+TEMPLATES = {
+    "bond1-2": single_impurity(2, 1.0),
+    "bond1-3": single_impurity(3, 1.0, exchange_j=0.7, field_h=-0.4),
+    "bond1-40": single_impurity(40, 1.0, exchange_j=-0.8, field_h=0.3),
+    "bond1-41-J>0": single_impurity(41, 1.0, exchange_j=0.8, field_h=0.3),
+    "mirror-3": mirror_impurities(3, 1.0, field_h=0.5),
+    "mirror-40-J>0": mirror_impurities(40, 1.0, exchange_j=1.1, field_h=-0.2),
+    "mirror-41": mirror_impurities(41, 1.0, exchange_j=-0.8, field_h=0.3),
+    "uniform-41": ChainSpec(41, -1.0, 0.3),
+    "config-bonds-1-5": CONFIG,
+}
+
+
+def hamiltonian_of(spec):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # J > 0 sign warning; same physics
+        return build_hamiltonian(spec)
+
+
+def solved_bonds():
+    """A spy on eigendecompose; the list it fills holds bond 1 of every matrix it solved."""
+    solved = []
+    direct = spectral.eigendecompose
+
+    def recording(hamiltonian, states=None):
+        solved.append(float(hamiltonian.offdiag[0]))
+        return direct(hamiltonian, states)
+
+    return mock.patch.object(spectral, "eigendecompose", recording), solved
+
+
+def per_matrix(template, alphas, solve):
+    """solve of every grid alpha, one matrix at a time, and bond 1 of the matrices eigendecompose solved."""
+    patch, solved = solved_bonds()
+    with patch, warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        values = [solve(hamiltonian_of(with_alpha(template, alpha))) for alpha in alphas]
+    return values, solved
+
+
+def batched(run):
+    """run() under the eigendecompose spy, and bond 1 of the matrices eigendecompose solved."""
+    patch, solved = solved_bonds()
+    with patch, warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return run(), solved
+
+
+@pytest.mark.parametrize("template", TEMPLATES.values(), ids=TEMPLATES.keys())
+def test_the_batch_matches_a_batch_of_one(template):
+    # bit for bit, with the same alphas sent to eigendecompose
+    alphas = grid(template.n_sites)
+    n = template.n_sites
+    for states in {(1, n), (1, 1), (n // 2 + 1, n)}:
+        js = range(states[0], states[1] + 1)
+        for sweep_of, solve in ((c12_sweep, first_bond_c12), (ipr_sweep, eigenstate_ipr)):
+            rows, batch_route = batched(lambda: sweep_of(template, alphas, js))
+            values, single_route = per_matrix(template, alphas, lambda ham: solve(ham, states))
+            assert rows == [(alpha, j, value) for alpha, row in zip(alphas, values)
+                            for j, value in zip(js, row.tolist())]
+            assert batch_route == single_route
+    grid_f, batch_route = batched(lambda: fidelity_landscape(template, alphas, TIMES).fidelities)
+    spectra, single_route = per_matrix(template, alphas, transfer_spectrum)
+    assert batch_route == single_route
+    for row, spectrum in zip(grid_f, spectra):
+        assert np.array_equal(row, fidelity(spectrum, TIMES))
+    hamiltonians = [hamiltonian_of(with_alpha(template, alpha)) for alpha in alphas]
+    for spectrum, single in zip(spectral.transfer_spectrum_batch(hamiltonians), spectra):
+        assert np.array_equal(spectrum.energies, single.energies)
+        assert np.array_equal(spectrum.transfer_weights, single.transfer_weights)
+        assert spectrum.residual_bound == single.residual_bound
+
+
+def test_the_routes_follow_the_matrix():
+    # bond-1 and mirror chains take the phase route at every alpha of the
+    # grid but 0 and 1e8; the uniform chain at every alpha; the config chain
+    # with impurities on bonds 1 and 5 only at alpha = 1, where it is uniform
+    alphas = grid(41)
+    solved = per_matrix(TEMPLATES["bond1-41-J>0"], alphas, lambda ham: first_bond_c12(ham, (1, 41)))[1]
+    assert solved == [0.0, 0.8e8]
+    assert per_matrix(TEMPLATES["mirror-41"], alphas, transfer_spectrum)[1] == [0.0, -0.8e8]
+    assert per_matrix(TEMPLATES["uniform-41"], alphas, transfer_spectrum)[1] == []
+    alphas = grid(12)
+    solved = per_matrix(CONFIG, alphas, lambda ham: first_bond_c12(ham, (1, 12)))[1]
+    assert solved == [alpha * -0.8 for alpha in alphas if alpha != 1.0]
+
+
+@pytest.mark.parametrize("sweep_of", [c12_sweep, ipr_sweep])
+def test_typed_errors_match_a_batch_of_one(sweep_of):
+    template = single_impurity(40, 1.0)
+    alphas = grid(40)
+    # a range outside 1..N is a ValueError for the grid as for one matrix
+    with pytest.raises(ValueError):
+        first_bond_c12(build_hamiltonian(template), (1, 41))
+    with pytest.raises(ValueError):
+        sweep_of(template, alphas, range(1, 42))
+    # a negative strength fails to build, in the grid as on its own
+    with pytest.raises(NegativeAlpha):
+        build_hamiltonian(with_alpha(template, -0.5))
+    with pytest.raises(NegativeAlpha):
+        sweep_of(template, [*alphas, -0.5], range(1, 41))
+    # with LAPACK failing, exactly the alphas that eigendecompose solves
+    # fail on their own, and a grid holding one of them fails alike
+    with mock.patch.object(spectral, "eigh_tridiagonal", side_effect=LinAlgError("no convergence")):
+        failed = []
+        for alpha in alphas:
+            try:
+                first_bond_c12(build_hamiltonian(with_alpha(template, alpha)), (1, 40))
+            except ConvergenceFailure:
+                failed.append(alpha)
+        assert failed == [0.0, 1e8]
+        with pytest.raises(ConvergenceFailure):
+            sweep_of(template, alphas, range(1, 41))
+        kept = [alpha for alpha in alphas if alpha not in failed]
+        assert len(sweep_of(template, kept, range(1, 41))) == 40 * len(kept)
+
+
+@pytest.mark.parametrize("ends", [1, 2])
+def test_a_refused_row_sends_only_its_alpha_to_eigendecompose(ends):
+    alphas = inclusive_grid(0.1, 2.5, 0.1)
+    refused = alphas[7]
+    phase_roots = spectral._phase_roots
+
+    def refusing(roots, n, a2, ends):
+        *solved, ok = phase_roots(roots, n, a2, ends)
+        return (*solved, ok & (np.abs(a2 - refused * refused) > 1e-12))
+
+    template = (single_impurity if ends == 1 else mirror_impurities)(60, 1.0, exchange_j=-0.8, field_h=0.3)
+    if ends == 1:
+        run = lambda: c12_sweep(template, alphas, range(1, 61))  # noqa: E731
+    else:
+        run = lambda: fidelity_landscape(template, alphas, TIMES).fidelities  # noqa: E731
+    with mock.patch.object(spectral, "_phase_roots", refusing):
+        values, solved = batched(run)
+    assert solved == [pytest.approx(-0.8 * refused)]
+    expected, _ = batched(run)
+    if ends == 1:
+        values, expected = np.reshape([row[2] for row in values], (alphas.size, -1)), \
+            np.reshape([row[2] for row in expected], (alphas.size, -1))
+    kept = np.arange(alphas.size) != 7
+    assert np.array_equal(values[kept], expected[kept])
+    assert np.allclose(values[7], expected[7], rtol=1e-10, atol=1e-13)
+
+
+def test_benchmark_sweep_grids_run_no_lapack_at_positive_alpha():
+    # the ipr-sweep and concurrence-sweep grids of N = 200 without alpha = 0,
+    # for J = -1 and for J = -0.8, h = 0.3
+    alphas = 0.005 * np.arange(1, 601)
+    for template in (single_impurity(200, 1.0), single_impurity(200, 1.0, exchange_j=-0.8, field_h=0.3)):
+        with mock.patch.object(spectral, "eigh_tridiagonal", wraps=eigh_tridiagonal) as lapack:
+            assert len(ipr_sweep(template, alphas, range(1, 201))) == 600 * 200
+            assert len(c12_sweep(template, alphas, range(1, 2))) == 600
+            assert len(c12_sweep(template, alphas, range(2, 101))) == 600 * 99
+        assert not lapack.called

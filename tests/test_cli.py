@@ -281,7 +281,7 @@ def test_computation_error_exits_one(monkeypatch, capsys):
         raise ConvergenceFailure("eigensolver did not converge")
 
     monkeypatch.setattr(spectral, "_eigh_rows", diverge)
-    monkeypatch.setattr(spectral, "_mirror_spectrum", lambda hamiltonian: None)  # no solver-free route
+    monkeypatch.setattr(spectral, "_phase_chain", lambda hamiltonian, ends: None)  # no solver-free route
     code, _, err = run_cli(["optimize", "--n", "20", "--alpha-range", "0.4:0.5:0.1"], capsys)
     assert code == 1
     assert "ConvergenceFailure" in err

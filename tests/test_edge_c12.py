@@ -63,6 +63,17 @@ def mirror_route_spy():
     return mock.patch.object(spectral, "_mirror_spectrum", wraps=spectral._mirror_spectrum)
 
 
+def phase_states(hamiltonian, lo, hi):
+    """(E, IPR, C_12) of the states lo..hi from the phase route's kernel, None if it refuses the chain."""
+    chain = spectral._phase_chain(hamiltonian, 1)
+    if chain is None:
+        return None
+    alpha, field, bulk = chain
+    *phases, ok = spectral._phase_states(hamiltonian.n_sites, lo, hi, np.array([alpha]), np.array([field]),
+                                         np.array([abs(bulk)]))
+    return tuple(values[0] for values in phases) if ok[0] else None
+
+
 def phase_route(hamiltonian, states=None):
     """(E, IPR, C_12) of the states (all by default), asserting that no LAPACK routine ran."""
     lo, hi = states or (1, hamiltonian.n_sites)
@@ -71,7 +82,7 @@ def phase_route(hamiltonian, states=None):
         c12 = first_bond_c12(hamiltonian, (lo, hi))
         ipr = eigenstate_ipr(hamiltonian, (lo, hi))
     assert not selected.called and not mirror.called and not lapack.called
-    phases = spectral._phase_states(hamiltonian, lo, hi)
+    phases = phase_states(hamiltonian, lo, hi)
     assert np.array_equal(phases[1], ipr) and np.array_equal(phases[2], c12)
     return phases
 
@@ -237,6 +248,21 @@ def test_phase_route_matches_40_digit_roots(n, alpha_of_n):
         assert np.all(np.abs(got - reference)[small] <= ABS_TOL)
 
 
+@pytest.mark.parametrize("n, alpha", [(200, 1e-7), (400, 1e-6), (800, 1e-6)])
+def test_roots_on_their_interval_end_take_the_phase_route(n, alpha):
+    # beta is below an ulp of theta here, so roots round onto k pi / N, the
+    # end of their interlacing interval: they are accepted there (the strict
+    # interval check sent these chains to eigendecompose) and meet the
+    # 40-digit roots
+    states = sorted({1, 2, 3, n // 2, n // 2 + 1, n - 1, n})
+    for exchange_j, field_h in [(-1.0, 0.0), (-0.8, 0.3), (0.8, 0.3)]:
+        hamiltonian = hamiltonian_of(single_impurity(n, alpha, exchange_j=exchange_j, field_h=field_h))
+        _, ipr, c12 = phase_route(hamiltonian)
+        reference = phase_roots_reference(hamiltonian, states)
+        got = np.c_[ipr, c12][np.array(states) - 1]
+        assert np.all(np.abs(got - reference) <= ROOT_TOL * reference)
+
+
 def alpha_of(hamiltonian):
     return abs(hamiltonian.offdiag[0] / hamiltonian.offdiag[-1])
 
@@ -252,7 +278,8 @@ def assert_phase_route(template, states, observable, refused=()):
     phase_roots = spectral._phase_roots
 
     def refusing(roots, n, a2, ends):
-        return None if any(abs(a2 - alpha**2) <= 1e-12 for alpha in refused) else phase_roots(roots, n, a2, ends)
+        *solved, ok = phase_roots(roots, n, a2, ends)
+        return (*solved, ok & ~np.any(np.abs(a2[:, None] - np.square(refused)) <= 1e-12, axis=1))
 
     with selection_spy() as selected, mirror_route_spy() as mirror, \
             mock.patch.object(spectral, "_phase_roots", refusing):
@@ -329,7 +356,7 @@ def test_a_moved_bulk_diagonal_takes_eigendecompose(site, border):
         values = first_bond_c12(hamiltonian, (1, 120))
     assert not mirror.called
     assert [call.args[1] for call in selected.call_args_list] == [(1, 120)]
-    assert spectral._phase_states(hamiltonian, 1, 120) is None
+    assert phase_states(hamiltonian, 1, 120) is None
     assert_close(values, eigenvector_c12(hamiltonian))
 
 
@@ -339,9 +366,9 @@ def refused(name):
 
     def moved(roots, n, a2, ends, by=lambda theta: theta + 1e-9):
         # inside the bracket, off the root: the residual check
-        sin, cos, theta, eta = phase_roots(roots, n, a2, ends)
+        sin, cos, theta, eta, ok = phase_roots(roots, n, a2, ends)
         theta = by(theta)
-        return np.sin(theta), np.cos(theta), theta, eta
+        return np.sin(theta), np.cos(theta), theta, eta, ok
 
     def relative(roots, n, a2, ends):
         return moved(roots, n, a2, ends, lambda theta: theta * (1.0 + 1e-10))
@@ -349,8 +376,8 @@ def refused(name):
     def shifted(evaluate, x, lo, hi):
         # each root handed to its neighbour's bracket: every residual stays
         # small, only the bracket check sees it
-        solved = newton(evaluate, x, lo, hi)
-        return None if solved is None else np.roll(solved, -1)
+        solved, settled = newton(evaluate, x, lo, hi)
+        return np.roll(solved, -1), settled
 
     return {
         "failed_check": mock.patch.object(spectral, "_phase_roots", moved),
@@ -367,7 +394,7 @@ def test_refused_alphas_fall_back_to_eigendecompose(failure):
     alphas = [0.2, 0.9, 2.0]
     with refused(failure):
         hamiltonian = build_hamiltonian(template)
-        assert spectral._phase_states(hamiltonian, 1, 20) is None
+        assert phase_states(hamiltonian, 1, 20) is None
         with selection_spy() as selected, mirror_route_spy() as mirror:
             rows = c12_sweep(template, alphas, range(1, 21))
     assert not mirror.called

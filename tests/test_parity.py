@@ -38,7 +38,7 @@ from xxchain.chain import (
 from xxchain.dynamics import transfer_amplitude
 from xxchain.errors import ConvergenceFailure
 from xxchain.protocols import fidelity_landscape, inclusive_grid
-from xxchain.spectral import TransferSpectrum, eigendecompose, sweep, transfer_spectrum
+from xxchain.spectral import TransferSpectrum, eigendecompose, sweep, transfer_spectrum, transfer_spectrum_batch
 
 from routes import factorings, full_route, unpaired
 
@@ -146,8 +146,16 @@ def test_interior_impurities_take_eigendecompose(spec):
     with full_solve_spy() as spy:
         result = transfer_spectrum(hamiltonian)
     spy.assert_called_once_with(hamiltonian)
-    assert spectral._mirror_spectrum(hamiltonian) is None
+    assert spectral._phase_chain(hamiltonian, 2) is None
     assert np.array_equal(result.transfer_weights, full_route(eigendecompose(hamiltonian)).transfer_weights)
+
+
+def mirror_spectrum(hamiltonian):
+    """The mirror route's kernel on one matrix: its TransferSpectrum, None if it refuses the chain."""
+    alpha, field, bulk = spectral._phase_chain(hamiltonian, 2)
+    energies, weights, residual, ok = spectral._mirror_spectrum(
+        hamiltonian.n_sites, np.array([alpha]), np.array([field]), np.array([bulk]))
+    return TransferSpectrum(energies[0], weights[0], float(residual[0])) if ok[0] else None
 
 
 def lapack_spy():
@@ -220,14 +228,14 @@ def refused(name):
 
     def moved(roots, n, a2, ends):
         # every root off by 1e-10 relative: only the residual check sees it
-        sin, cos, theta, eta = phase_roots(roots, n, a2, ends)
+        sin, cos, theta, eta, ok = phase_roots(roots, n, a2, ends)
         theta = theta * (1.0 + 1e-10)
-        return np.sin(theta), np.cos(theta), theta, eta
+        return np.sin(theta), np.cos(theta), theta, eta, ok
 
     def shifted(evaluate, x, lo, hi):
         # each root handed to its neighbour's bracket: only the interlacing check sees it
-        solved = newton(evaluate, x, lo, hi)
-        return None if solved is None else np.roll(solved, -1)
+        solved, settled = newton(evaluate, x, lo, hi)
+        return np.roll(solved, -1), settled
 
     return {
         "residual": mock.patch.object(spectral, "_phase_roots", moved),
@@ -242,7 +250,7 @@ def test_failed_phase_check_falls_back_to_eigenvectors(failure, n, alpha):
     # a failed check on any root sends the whole chain to one eigendecompose call
     hamiltonian = build_hamiltonian(mirror_impurities(n, alpha))
     with refused(failure):
-        assert spectral._mirror_spectrum(hamiltonian) is None
+        assert mirror_spectrum(hamiltonian) is None
         with full_solve_spy() as full:
             result = transfer_spectrum(hamiltonian)
     full.assert_called_once_with(hamiltonian)
@@ -288,7 +296,9 @@ def test_landscape_runs_no_solver(n):
             mock.patch.object(spectral, "_mirror_spectrum", wraps=spectral._mirror_spectrum) as mirror:
         fidelity_landscape(mirror_impurities(n, 1.0), alphas, np.arange(0.0, 10.0, 0.5))
     assert not lapack.called
-    assert mirror.call_count == alphas.size
+    # batches of at most PHASE_BATCH_ENTRIES roots, every alpha in one of them
+    sizes = [call.args[1].size for call in mirror.call_args_list]
+    assert sum(sizes) == alphas.size and max(sizes) * ((n + 1) // 2) <= spectral.PHASE_BATCH_ENTRIES
 
 
 def test_canonical_transfer_grid_takes_no_fallback():
@@ -302,7 +312,7 @@ def test_canonical_transfer_grid_takes_no_fallback():
     grids += [inclusive_grid(0.1, 1.52, 0.002), inclusive_grid(0.4, 0.42, 0.001)]
     with full_solve_spy() as full:
         for template, alphas in zip(chains, grids):
-            for _ in sweep(template, alphas, transfer_spectrum):
+            for _ in sweep(template, alphas, transfer_spectrum_batch):
                 pass
         for n in range(2, 13):
             transfer_spectrum(build_hamiltonian(single_impurity(n, 1.0)))
@@ -449,6 +459,21 @@ def test_mirror_route_matches_40_digit_roots(n, alpha_of_n):
         assert np.max(np.abs(spectrum.energies - energies)) <= TOL * scale
         exact = np.exp(-1j * np.outer(times, energies)) @ weights
         assert np.max(np.abs(transfer_amplitude(spectrum, times) - exact)) <= TOL
+
+
+@pytest.mark.parametrize("n, alpha", [(200, 1e-7), (400, 1e-7), (800, 1e-6)])
+def test_mirror_roots_on_their_interval_end_take_the_phase_route(n, alpha):
+    # 2 beta is below an ulp of theta here, so roots round onto k pi / M,
+    # the end of their interlacing interval: they are accepted there (the
+    # strict interval check sent these chains to eigendecompose) and meet
+    # the 40-digit roots, weight by weight
+    for exchange_j, field_h in [(-1.0, 0.0), (-0.8, 0.3), (0.8, 0.3)]:
+        hamiltonian = hamiltonian_of(mirror_impurities(n, alpha, exchange_j=exchange_j, field_h=field_h))
+        spectrum = mirror_route(hamiltonian)
+        energies, weights = mirror_reference(hamiltonian)
+        scale = float(np.max(np.abs(energies))) + 1.0
+        assert np.max(np.abs(spectrum.energies - energies)) <= TOL * scale
+        assert np.all(np.abs(spectrum.transfer_weights - weights) <= 1e-11 * np.abs(weights))
 
 
 @pytest.mark.parametrize("n", [31, 40, 41, 200])

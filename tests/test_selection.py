@@ -209,8 +209,9 @@ def test_c12_peak_refine_solves_one_state():
     ) as phases:
         c12_peak(template, 17, alphas)
     assert not spy.called
-    assert len(phases.call_args_list) > alphas.size  # the refine step ran after the grid
-    assert {call.args[1:] for call in phases.call_args_list} == {(17, 17)}
+    grid, *refine = phases.call_args_list
+    assert grid.args[3].size == alphas.size and refine  # the refine step ran after the grid
+    assert {call.args[1:3] for call in phases.call_args_list} == {(17, 17)}
     with spy_solver() as spy:
         c12_peak(ChainSpec(60, -1.0, 0.0, ((2, 0.8),)), 17, alphas)
     calls = spy.call_args_list

@@ -229,7 +229,7 @@ def test_sweep_is_lazy_and_matches_direct_solves(states, monkeypatch):
         return direct(hamiltonian, states)
 
     monkeypatch.setattr(spectral, "eigendecompose", counted)
-    steps = sweep(template, alphas, lambda ham: spectral.eigendecompose(ham, states))
+    steps = sweep(template, alphas, lambda hams: (spectral.eigendecompose(ham, states) for ham in hams))
     assert inspect.isgenerator(steps)
     assert requested == []
     for count, (alpha, dec) in enumerate(steps, start=1):
