@@ -27,9 +27,9 @@ evaluations agree to a few 1e-15.  Any other t (a scalar, one sample, an
 uneven or a multi-dimensional grid) has the single anchor 0, a row of ones,
 and every sample as an offset: the same product then computes the
 per-sample exponentials exp(-i E_j t_k), bit for bit.  The grid alone picks
-the tables, whatever the number of levels.  amplitude_matrix, which needs
-every site and not only f_N, builds its (len(t) x N) phase table from the
-same two tables, exp(-i E_j t_k) = exp(-i E_j T_a) exp(-i E_j tau_b).
+the tables, whatever the number of levels.  The site amplitudes, which need
+every site and not only f_N, read the same two tables block by block,
+exp(-i E_j t_k) = exp(-i E_j T_a) exp(-i E_j tau_b) (_site_row_blocks).
 
 Every chain the package builds has the constant diagonal h, so H - h is a
 bipartite hopping matrix and its spectrum is chiral (Inui, Trugman and
@@ -49,10 +49,10 @@ f_N = exp(-iht) Re Z_N for odd N and exp(-iht) i Im Z_N for even N.  The
 kernels above run unchanged on the upper half: half the exponentials of
 transfer_amplitude (and so of fidelity, concurrence_AN, the landscape and
 the optimizer).  The running IPR of time_series needs only |psi_n|^2, so it
-reads the real rows Re Z and Im Z, two real (T x N/2)(N/2 x N/2) GEMMs
-(_site_rows), and builds no complex T x N array;
-amplitude_matrix multiplies the same rows by their phases.  Timings are in
-CHANGES.md.
+reads the real rows Re Z and Im Z, two real (block x N/2)(N/2 x N/2) GEMMs
+per block of whole anchors of at most BLOCK_ROWS times (_site_row_blocks),
+and builds no len(t) x N table; amplitude_matrix fills its output from the
+same blocks, times their phases.  Timings are in CHANGES.md.
 
 The pairing is checked on the computed spectrum, not assumed.  Each kernel
 rounds every phase E_j t to about eps |E_j t|, so its own round-off is
@@ -114,6 +114,9 @@ _EVEN_GRID_ULPS = 8
 # the pairing's error bound is within this many units of their own round-off;
 # the bound and the derivation of the multiple are in the module docstring.
 PAIRING_ROUNDOFF = 64
+# Times per block of the site-amplitude kernel, a cache budget: at N = 200 a
+# block's phase, cosine, sine and row arrays take about 1 MiB of a 4 MiB L2.
+BLOCK_ROWS = 256
 
 
 # The values are the names `evolve --kind` accepts.
@@ -161,25 +164,30 @@ def amplitude_matrix(dec: SpectralDecomposition, times, init_site: int = 1) -> n
     eigenpair (IncompleteBasis) and init_site lie in 1..N (BadSite).
     """
     times = np.asarray(times, dtype=float)
-    rows, centre = _site_rows(dec, times, init_site)
-    if centre is None:
-        return rows
-    phase = np.exp(-1j * centre * times.ravel())[:, None]
-    amplitudes = np.empty(rows.shape, dtype=complex)
-    own = amplitudes[:, (init_site - 1) % 2 :: 2]  # views of the two sublattices
-    other = amplitudes[:, init_site % 2 :: 2]
-    own[...] = rows[:, : own.shape[1]] * phase
-    other[...] = rows[:, own.shape[1] :] * (1j * phase)
+    flat = times.ravel()
+    amplitudes = np.empty((flat.size, dec.n_sites), dtype=complex)
+    for start, rows, centre in _site_row_blocks(dec, times, init_site):
+        block = amplitudes[start : start + len(rows)]
+        if centre is None:
+            block[...] = rows
+            continue
+        phase = np.exp(-1j * centre * flat[start : start + len(rows)])[:, None]
+        own = block[:, (init_site - 1) % 2 :: 2]  # views of the two sublattices
+        own[...] = rows[:, : own.shape[1]] * phase
+        block[:, init_site % 2 :: 2] = rows[:, own.shape[1] :] * (1j * phase)
     return amplitudes
 
 
-def _site_rows(dec: SpectralDecomposition, times: np.ndarray, init_site: int):
-    """Amplitude rows from init_site for every time, and h where the grid pairs (else None).
+def _site_row_blocks(dec: SpectralDecomposition, times: np.ndarray, init_site: int):
+    """(start, rows, h or None) per block: amplitudes from init_site at t.flat[start:][:len(rows)].
 
-    A grid that takes the upper half (_upper_half) gets real rows r_n, with
+    A block is whole anchors of _phase_tables times every offset, at most
+    BLOCK_ROWS times; a longer anchor is cut into runs of offsets.  A grid
+    that takes the upper half (_upper_half) gets real rows r_n, with
     psi_n(t) = exp(-iht) r_n on init_site's sublattice and exp(-iht) i r_n
     off it, init_site's sublattice in the first columns: Re Z_n and Im Z_n as
-    two real GEMMs.  Any other grid gets the complex psi_n(t) in site order.
+    two real GEMMs into reused buffers, valid until the next block is read.
+    Any other grid gets the complex psi_n(t) in site order.
     """
     n_sites = dec.n_sites
     if dec.first_state != 1 or dec.energies.size != n_sites:
@@ -196,16 +204,29 @@ def _site_rows(dec: SpectralDecomposition, times: np.ndarray, init_site: int):
     products = np.hstack((products[:, (init_site - 1) % 2 :: 2], products[:, init_site % 2 :: 2]))
     signs = np.where(np.arange(n_sites) < n_own, 1.0, -1.0)
     half = _upper_half(dec.energies, products, signs, times)
+    centre, energies, pair_weights = half or (None, dec.energies, None)
+    coarse, fine = _phase_tables(energies, times)
     if half is None:
-        return _phase_matrix(dec.energies, times, weights) @ dec.vectors, None
-    centre, offsets, pair_weights = half
-    phases = _phase_matrix(offsets, times)
-    cosines, sines = np.ascontiguousarray(phases.real), np.ascontiguousarray(phases.imag)
-    del phases
-    rows = np.empty((times.size, n_sites))
-    np.matmul(cosines, pair_weights[:, :n_own], out=rows[:, :n_own])
-    np.matmul(sines, pair_weights[:, n_own:], out=rows[:, n_own:])
-    return rows, centre
+        coarse = coarse * weights  # the full sum carries the weights on the anchors
+    else:  # buffers for the longest block
+        cosines, sines = np.empty((2, min(times.size, BLOCK_ROWS), energies.size))
+        rows = np.empty((len(cosines), n_sites))
+    n_fine = fine.shape[0]
+    anchors, span = max(1, BLOCK_ROWS // n_fine), min(n_fine, BLOCK_ROWS)
+    for a in range(0, coarse.shape[0], anchors):
+        for b in range(0, min(n_fine, times.size - a * n_fine), span):
+            start = a * n_fine + b
+            phases = (coarse[a : a + anchors, None] * fine[None, b : b + span]).reshape(-1, energies.size)
+            phases = phases[: times.size - start]
+            if half is None:
+                yield start, phases @ dec.vectors, None
+                continue
+            count = len(phases)
+            np.copyto(cosines[:count], phases.real)
+            np.copyto(sines[:count], phases.imag)
+            np.matmul(cosines[:count], pair_weights[:, :n_own], out=rows[:count, :n_own])
+            np.matmul(sines[:count], pair_weights[:, n_own:], out=rows[:count, n_own:])
+            yield start, rows[:count], centre
 
 
 def _upper_half(energies, products, signs, times):
@@ -250,17 +271,6 @@ def _phase_tables(energies, times):
             coarse = np.exp(-1j * np.outer(times[::n_fine], energies))
             return coarse, np.exp(-1j * np.outer(step * np.arange(n_fine), energies))
     return np.ones((1, energies.size)), np.exp(-1j * np.outer(times, energies))
-
-
-def _phase_matrix(energies, times, weights=None):
-    """The (len(t) x L) table exp(-i E_j t_k), times w_j if weights are given.
-
-    It is the product of the two phase tables, with the weights on the anchors.
-    """
-    coarse, fine = _phase_tables(energies, times)
-    if weights is not None:
-        coarse = coarse * weights
-    return (coarse[:, None] * fine[None]).reshape(-1, energies.size)[: times.size]
 
 
 def transfer_amplitude(spectrum: TransferSpectrum, t):
@@ -328,8 +338,9 @@ def time_series(hamiltonian: TridiagonalHamiltonian, kind: SeriesKind, t_grid) -
     times = _series_grid(t_grid)
     kind = SeriesKind(kind)
     if kind is SeriesKind.IPR:
-        rows, _ = _site_rows(eigendecompose(hamiltonian), times, 1)  # |rows| = |psi_n|
-        values = ipr_of_rows(rows)
+        values = np.empty(times.size)
+        for start, rows, _ in _site_row_blocks(eigendecompose(hamiltonian), times, 1):
+            values[start : start + len(rows)] = ipr_of_rows(rows)  # |rows| = |psi_n|
     elif kind is SeriesKind.FIDELITY:
         values = fidelity(transfer_spectrum(hamiltonian), times)
     elif kind is SeriesKind.TRANSFER_AMPLITUDE:

@@ -9,7 +9,8 @@ pairings records which route the time kernels take: the upper half of a
 chirally paired spectrum or the full sum (dynamics docstring), and unpaired
 makes every kernel call take the full sum.  factorings records how the
 kernels read the time grid: factored into anchors and offsets, or one
-anchor at 0 with every sample as an offset.
+anchor at 0 with every sample as an offset.  blockings records the time
+blocks the site-amplitude kernel streams the grid in.
 """
 
 import contextlib
@@ -63,4 +64,19 @@ def factorings():
         return coarse, fine
 
     with mock.patch.object(dynamics, "_phase_tables", recording):
+        yield results
+
+
+@contextlib.contextmanager
+def blockings():
+    """(start, rows) of every block dynamics._site_row_blocks yields, in order."""
+    results = []
+    kernel = dynamics._site_row_blocks
+
+    def recording(*args):
+        for start, rows, centre in kernel(*args):
+            results.append((start, len(rows)))
+            yield start, rows, centre
+
+    with mock.patch.object(dynamics, "_site_row_blocks", recording):
         yield results

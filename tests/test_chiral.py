@@ -6,7 +6,8 @@ spectrum only (dynamics docstring).  Here the paired route is compared with
 the full-spectrum route it replaces (the same kernels with the pairing
 switched off), with the closed-form uniform chain, which needs no LAPACK, and
 with the decoupled site 1 of alpha = 0; the spectra that do not pair must take
-the full route and give its bytes.
+the full route and give its bytes.  Both routes stream the grid in blocks,
+which are checked at their boundaries against the per-sample sum.
 """
 
 import warnings
@@ -34,7 +35,7 @@ from xxchain.dynamics import (
 from xxchain.measures import ipr_of_rows
 from xxchain.spectral import eigendecompose, transfer_spectrum
 
-from routes import full_route, pairings, unpaired
+from routes import blockings, full_route, pairings, unpaired
 
 EPS = float(np.finfo(float).eps)
 
@@ -237,3 +238,54 @@ def test_the_guard_follows_the_grid(times, paired):
     bound = tolerance(dec.energies, dec.vectors * dec.vectors[:, :1], times, 200)
     assert np.max(np.abs(amplitudes - full_amplitudes)) <= bound
     assert np.max(np.abs(ipr / full_ipr - 1.0)) <= 8.0 * 200 ** 0.5 * bound
+
+
+# Even grids 0.05 k of count samples read in blocks of whole anchors
+# (BLOCK_ROWS = 256): 100 is below one block of 250, 506 two blocks of 253,
+# 507 one sample past them, 2001 nine blocks of 225 with 201 rows in the last;
+# the uneven grid of 600 is one anchor cut into runs of 256, 256 and 88.
+BLOCK_LAYOUTS = {100: [100], 506: [253, 253], 507: [253, 253, 1], 2001: [225] * 8 + [201],
+                 "uneven": [256, 256, 88]}
+
+
+@pytest.mark.parametrize("count", list(BLOCK_LAYOUTS))
+@pytest.mark.parametrize("n_sites, alpha, paired", [(50, 0.4, True), (51, 0.4, True), (200, 0.4, True),
+                                                    (50, 0.0, False)])
+def test_blocks_match_the_per_sample_sum(n_sites, alpha, paired, count):
+    # even N at alpha = 0 holds a pair at E = h in a basis LAPACK picks, so it takes the full sum
+    times = 0.05 * np.arange(600 if count == "uneven" else count)
+    if count == "uneven":
+        times[1::2] += 0.01
+    ham = build_hamiltonian(single_impurity(n_sites, alpha, field_h=0.3))  # h != 0 tests the phases
+    dec = eigendecompose(ham)
+    for site in (1, n_sites // 3):
+        weights = dec.vectors[:, site - 1]
+        reference = np.exp(-1j * np.outer(times, dec.energies)) * weights @ dec.vectors
+        with pairings() as halves, blockings() as blocks:
+            amplitudes = amplitude_matrix(dec, times, site)
+            ipr = time_series(ham, SeriesKind.IPR, times).values if site == 1 else None
+        assert [half is not None for half in halves] == [paired] * len(halves)
+        layout = BLOCK_LAYOUTS[count]
+        starts = np.cumsum([0] + layout[:-1]).tolist()
+        assert blocks == list(zip(starts, layout)) * len(halves)
+        bound = tolerance(dec.energies, dec.vectors * weights[:, None], times, n_sites)
+        assert np.max(np.abs(amplitudes - reference)) <= bound
+        if ipr is not None:
+            assert np.max(np.abs(ipr / ipr_of_rows(reference) - 1.0)) <= 8.0 * n_sites ** 0.5 * bound
+
+
+def test_anchors_longer_than_a_block_are_cut_into_runs():
+    # 70,001 samples factor into 265 anchors of 265 offsets, more than a block:
+    # every anchor is cut into runs of 256 and 9, and the last holds 41 samples
+    times = 0.05 * np.arange(70001)
+    ham = build_hamiltonian(single_impurity(9, 0.4, field_h=0.3))
+    dec = eigendecompose(ham)
+    with blockings() as blocks:
+        amplitudes = amplitude_matrix(dec, times)
+        ipr = time_series(ham, SeriesKind.IPR, times).values
+    layout = [(265 * a + b, rows) for a in range(264) for b, rows in ((0, 256), (256, 9))] + [(264 * 265, 41)]
+    assert blocks == layout * 2
+    reference = np.exp(-1j * np.outer(times, dec.energies)) * dec.vectors[:, 0] @ dec.vectors
+    bound = tolerance(dec.energies, dec.vectors * dec.vectors[:, :1], times, 9)
+    assert np.max(np.abs(amplitudes - reference)) <= bound
+    assert np.max(np.abs(ipr / ipr_of_rows(reference) - 1.0)) <= 8.0 * 9 ** 0.5 * bound

@@ -1,3 +1,4 @@
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -190,6 +191,20 @@ def test_refocus_time_grows_as_coupling_weakens():
     t_02 = first_deep_minimum(0.2)
     t_03 = first_deep_minimum(0.3)
     assert t_01 > t_02 > t_03
+
+
+def test_running_ipr_builds_no_table_of_all_times():
+    # an N = 200 panel of 10,001 times streams its site rows in blocks: a
+    # (len(t) x N) table of complex amplitudes alone would take 32 MB
+    hamiltonian = build_hamiltonian(single_impurity(200, 0.4))
+    times = 0.05 * np.arange(10001)
+    tracemalloc.start()
+    try:
+        time_series(hamiltonian, SeriesKind.IPR, times)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6
 
 
 def test_time_series_kinds_and_shapes():

@@ -173,9 +173,14 @@ def phase_roots_reference(hamiltonian, states):
     in ((k - 1) pi / N, k pi / N), theta = pi/2 for k = (N + 1)/2, and for
     k = 1 beyond alpha^2 = 2 the root of tan(N theta) = kappa tan theta,
     kappa = alpha^2 / (alpha^2 - 2), in (0, pi / 2N), or of
-    tanh(N eta) = kappa tanh eta (theta = i eta) above alpha_c.  The
-    observables are summed over psi_1 = sin(N theta) / alpha and
-    psi_n = sin((N + 1 - n) theta), sinh for theta = i eta.
+    tanh(N eta) = kappa tanh eta (theta = i eta) above alpha_c.  The centre
+    root k = N/2 of even N lies about alpha / sqrt(2N) below its bracket end
+    pi/2, where G steps by pi/2 over a width of order alpha^2 that stalls
+    illinois; it is bisected in delta = pi/2 - theta, as the phase route
+    carries it, on G = atan2(alpha^2 cos delta, (2 - alpha^2) sin delta)
+    - N delta over (0, pi / N).  The observables are summed over
+    psi_1 = sin(N theta) / alpha and psi_n = sin((N + 1 - n) theta), sinh
+    for theta = i eta.
     """
     n = hamiltonian.n_sites
     with mpmath.workdps(40):
@@ -197,6 +202,11 @@ def phase_roots_reference(hamiltonian, states):
                     kappa = a2 / (a2 - 2)
                     angle = mpmath.findroot(lambda t: mpmath.atan(mpmath.tan(n * t) / kappa) / t - 1,
                                             (tiny, mpmath.pi / (2 * n) * (1 - tiny)), solver="illinois")
+                elif 2 * k == n:
+                    delta = mpmath.findroot(
+                        lambda d: mpmath.atan2(a2 * mpmath.cos(d), (2 - a2) * mpmath.sin(d)) - n * d,
+                        (0, mpmath.pi / n), solver="bisect")
+                    angle = mpmath.pi / 2 - delta
                 else:
                     lo = (k - 1) * mpmath.pi / n if k > 1 else tiny
                     angle = mpmath.findroot(
@@ -261,6 +271,15 @@ def test_roots_on_their_interval_end_take_the_phase_route(n, alpha):
         reference = phase_roots_reference(hamiltonian, states)
         got = np.c_[ipr, c12][np.array(states) - 1]
         assert np.all(np.abs(got - reference) <= ROOT_TOL * reference)
+
+
+def test_every_state_at_alpha_1e9_meets_the_40_digit_roots():
+    # the centre root k = N/2 lies 5e-11 below pi/2 here, and states 1 and N
+    # have C_12 of about 2.5e-15: all still hold the relative bar
+    hamiltonian = hamiltonian_of(single_impurity(200, 1e-9, exchange_j=-0.8, field_h=0.3))
+    _, ipr, c12 = phase_route(hamiltonian)
+    reference = phase_roots_reference(hamiltonian, range(1, 201))
+    assert np.all(np.abs(np.c_[ipr, c12] - reference) <= ROOT_TOL * reference)
 
 
 def alpha_of(hamiltonian):

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from xxchain import dynamics, oracle, spectral
+from xxchain import oracle, spectral
 from xxchain.chain import (
     ChainSpec,
     bond_couplings,
@@ -35,7 +35,7 @@ from xxchain.oracle import (
 )
 from xxchain.spectral import eigendecompose, transfer_spectrum
 
-from routes import pairings
+from routes import blockings, pairings
 
 
 def test_two_site_full_hamiltonian_explicit():
@@ -326,11 +326,9 @@ def test_oracle_check_covers_the_paired_kernels():
     # pairing and grid factoring are separate choices: the scalar times of
     # oracle-check reach the upper-half kernels of amplitude_matrix and
     # concurrence_AN, so the full-space verifier checks them on every chain
-    with pairings() as halves, mock.patch.object(
-        dynamics, "_site_rows", wraps=dynamics._site_rows
-    ) as rows:
+    with pairings() as halves, blockings() as blocks:
         results = oracle_check([single_impurity(n, 1.0) for n in range(2, 11)])
-    # per chain: 3 alphas x 3 times, one amplitude_matrix and one concurrence_AN each
+    # per chain: 3 alphas x 3 times, one amplitude_matrix of one block and one concurrence_AN each
     assert len(halves) == 9 * 18 and all(half is not None for half in halves)
-    assert rows.call_count == 9 * 9
+    assert blocks == [(0, 1)] * (9 * 9)
     assert all(result.passed for result in results)
