@@ -102,7 +102,8 @@ def _tridiagonal_matvec(diag: np.ndarray, offdiag: np.ndarray, v: np.ndarray) ->
 def validate_spec(spec: ChainSpec) -> ChainSpec:
     """Check all ChainSpec invariants and return the spec unchanged.
 
-    Raises InvalidN, NonFiniteParameter, BadBond, NegativeAlpha or
+    Raises InvalidN, NonFiniteParameter (also where |h| + 2 max|coupling|,
+    the bound on every |E|, overflows), BadBond, NegativeAlpha or
     ZeroCoupling.  J > 0 is accepted but flagged with a CouplingSignWarning.
     """
     if spec.n_sites < 2:
@@ -125,6 +126,11 @@ def validate_spec(spec: ChainSpec) -> ChainSpec:
             raise NonFiniteParameter(f"impurity strength must be finite, got {alpha} on bond {bond}")
         if alpha < 0.0:
             raise NegativeAlpha(f"impurity strength must be >= 0, got {alpha} on bond {bond}")
+    # |h| + 2 max|coupling| bounds every |E|; bonds without an impurity couple 1.0 * J
+    strengths = [alpha for _, alpha in spec.impurities] + [1.0] * (len(seen) < spec.n_sites - 1)
+    top = max(abs(alpha * spec.exchange_j) for alpha in strengths)
+    if not math.isfinite(abs(spec.field_h) + 2.0 * top):
+        raise NonFiniteParameter(f"|h| + 2 max|coupling| = |{spec.field_h}| + 2 * {top} overflows")
     if spec.exchange_j > 0.0:
         warnings.warn(
             "exchange_j > 0: spectrum maps onto the J < 0 convention under "

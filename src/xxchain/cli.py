@@ -25,9 +25,10 @@ from .chain import (
     mirror_impurities,
     single_impurity,
     validate_spec,
+    with_alpha,
 )
 from .dynamics import SeriesKind, time_series
-from .errors import XXChainError
+from .errors import BadBond, InvalidN, NegativeAlpha, NonFiniteParameter, XXChainError, ZeroCoupling
 from .measures import c12_sweep, ipr_sweep
 from .oracle import MAX_SITES, oracle_check
 from .protocols import (
@@ -37,7 +38,7 @@ from .protocols import (
     optimize_alpha,
     scaling_sweep,
 )
-from .spectral import classify_band, eigendecompose, sweep
+from .spectral import classify_band, eigendecompose
 
 
 class UsageError(Exception):
@@ -212,9 +213,11 @@ def _require_json(args) -> None:
 
 def _cmd_spectrum(args) -> int:
     template = _chain_template(args, single_impurity)
-    alphas, states = _sweep_alphas(args), range(1, template.n_sites + 1)
+    alphas, states = _sweep_alphas(args).tolist(), range(1, template.n_sites + 1)
+    hamiltonians = [build_hamiltonian(with_alpha(template, alpha)) for alpha in alphas]  # every alpha checked first
     rows = []
-    for alpha, dec in sweep(template, alphas, lambda hamiltonians: map(eigendecompose, hamiltonians)):
+    for alpha, hamiltonian in zip(alphas, hamiltonians):
+        dec = eigendecompose(hamiltonian)
         # _value_ is the member's plain attribute; .value is a descriptor call per label
         labels = [label._value_ for label in classify_band(dec, template)]
         rows.extend(zip([alpha] * len(labels), states, dec.energies.tolist(), labels))
@@ -432,8 +435,8 @@ def main(argv=None) -> int:
         return int(exit_info.code or 0)
     try:
         return _HANDLERS[args.command](args)
-    except UsageError as error:
-        print(f"error: {type(error).__name__}: {error}", file=sys.stderr)
+    except (UsageError, BadBond, InvalidN, NegativeAlpha, NonFiniteParameter, ZeroCoupling) as error:
+        print(f"error: {type(error).__name__}: {error}", file=sys.stderr)  # the batches check each grid alpha's chain
         return 2
     except (XXChainError, ValueError, OSError, MemoryError) as error:
         # numpy raises a private MemoryError subclass; print the public name

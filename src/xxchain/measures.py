@@ -10,11 +10,11 @@ their reduced density matrix; for a one-excitation state the nearest-neighbor
 reduced matrix has the closed form C = 2 |psi_{i+1} psi_i|, and for the first
 bond it also equals |(1/J) dE_j/dalpha| via the Hellmann-Feynman theorem.
 
-c12_sweep and ipr_sweep read spectral.first_bond_c12_batch and
-spectral.eigenstate_ipr_batch, which pick the route per matrix: every chain
-of the grid whose only impurity is bond 1 is solved in batches from its
-phase equation without eigenvectors, any other input reads the
-eigenvectors of the requested states (spectral module docstring).
+c12_sweep and ipr_sweep hand the template and the alpha array to
+spectral.first_bond_c12_batch and spectral.eigenstate_ipr_batch, which pick
+the route once per grid: a bond-1 template is solved in batches from its
+phase equation, without a matrix; any other row builds its matrix and reads
+the eigenvectors of the requested states (spectral module docstring).
 
 States are plain arrays: a one-excitation state is its 1-d vector of N site
 amplitudes, whose unit norm ipr, reduced_density_two_sites and
@@ -37,7 +37,7 @@ from .errors import (
     NotDensityMatrix,
     NotNormalized,
 )
-from .spectral import denergy_dalpha, eigenstate_ipr_batch, first_bond_c12_batch, sweep
+from .spectral import denergy_dalpha, eigenstate_ipr_batch, first_bond_c12_batch
 
 NORM_TOL = 1e-9
 DENSITY_TOL = 1e-10
@@ -158,46 +158,31 @@ def ipr_of_rows(states: np.ndarray) -> np.ndarray:
 def _state_sweep(template, alphas, state_indices, batch):
     """Rows (alpha, j, value) of a per-eigenstate observable over an alpha grid.
 
-    batch(hamiltonians, (lo, hi)) returns the values of the states
-    lo = min(indices) .. hi = max(indices) in order, one row per matrix.
+    batch(template, alphas, (lo, hi)) returns the values of the states
+    lo = min(indices) .. hi = max(indices) in order, one row per alpha.
     """
     indices = [int(j) for j in state_indices]
-    if not indices:
+    alphas = np.asarray(alphas, dtype=float)
+    if not indices or not alphas.size:
         return []
     lo, hi = min(indices), max(indices)
-    steps = list(sweep(template, alphas, lambda hamiltonians: batch(hamiltonians, (lo, hi))))
-    if not steps:
-        return []
-    alphas, values = zip(*steps)
-    table = np.array(values)[:, [j - lo for j in indices]]
-    del steps, values  # frees the batch's table before the rows are built
+    table = batch(template, alphas, (lo, hi))[:, [j - lo for j in indices]]
     # the alpha column repeats each float object rather than copying it
-    column = itertools.chain.from_iterable(itertools.repeat(alpha, len(indices)) for alpha in alphas)
+    column = itertools.chain.from_iterable(itertools.repeat(alpha, len(indices)) for alpha in alphas.tolist())
     return list(zip(column, itertools.cycle(indices), table.ravel().tolist()))
 
 
 def ipr_sweep(
     template: ChainSpec, alphas, state_indices
 ) -> list[tuple[float, int, float]]:
-    """Rows (alpha, j, L_IPR) for the requested 1-based eigenstate indices.
-
-    spectral.eigenstate_ipr_batch solves the grid in batches: the phase
-    equation for every bond-1 chain, the eigenvectors lo..hi for the other
-    alphas (alpha = 0, another layout, a refused chain).
-    """
+    """Rows (alpha, j, L_IPR) for the requested 1-based eigenstate indices, from spectral.eigenstate_ipr_batch."""
     return _state_sweep(template, alphas, state_indices, eigenstate_ipr_batch)
 
 
 def c12_sweep(
     template: ChainSpec, alphas, state_indices
 ) -> list[tuple[float, int, float]]:
-    """Rows (alpha, j, C_12) for the requested 1-based eigenstate indices.
-
-    spectral.first_bond_c12_batch solves the grid in batches: every
-    bond-1 chain reads C_12 of any state range from the phase equation,
-    without a solver; alpha = 0, any other layout and a refused chain take
-    the eigenvectors lo..hi.
-    """
+    """Rows (alpha, j, C_12) for the requested 1-based eigenstate indices, from spectral.first_bond_c12_batch."""
     return _state_sweep(template, alphas, state_indices, first_bond_c12_batch)
 
 

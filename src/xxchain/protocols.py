@@ -24,7 +24,7 @@ from .chain import ChainSpec
 from .dynamics import SeriesKind, TimeSeries, fidelity
 from .errors import NoMinimumInWindow
 from .measures import _local_maxima
-from .spectral import sweep, transfer_spectrum_batch
+from .spectral import transfer_spectrum_batch
 
 REFOCUS_T_STEP = 0.1
 
@@ -112,18 +112,16 @@ class ScalingResult:
 def fidelity_landscape(template: ChainSpec, alphas, times) -> Landscape:
     """Tabulate F(alpha, t) with every impurity bond of the template at alpha.
 
-    The grid is solved by spectral.transfer_spectrum_batch: every mirror
-    chain from the phase equation in batches, any other chain by
-    eigendecompose.
+    The grid is solved by spectral.transfer_spectrum_batch: a mirror
+    template from the phase equation in batches, without a matrix; any
+    other layout, alpha = 0 and a refused row by eigendecompose.
     """
     alphas = np.asarray(alphas, dtype=float)
     times = np.asarray(times, dtype=float)
     if alphas.size == 0 or times.size == 0:
         raise ValueError("alpha and time grids must be nonempty")
     grid = np.empty((alphas.size, times.size))
-    # the batches solve every spectrum of the grid before the first row;
-    # each row of F is then read from its own spectrum
-    for row, (_, spectrum) in enumerate(sweep(template, alphas, transfer_spectrum_batch)):
+    for row, spectrum in enumerate(transfer_spectrum_batch(template, alphas)):
         grid[row] = fidelity(spectrum, times)
     return Landscape(alphas=alphas, times=times, fidelities=grid)
 

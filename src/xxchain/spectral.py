@@ -136,14 +136,14 @@ odd N, where the closed form of S_4 is 0/0.
 Every returned state passes two checks, or the chain is refused: its root
 lies inside its interlacing interval (bond-1 state 1 beyond alpha^2 = 2:
 0 < theta < pi/N, or eta > 0), and ||H v - E v|| of the vector the route
-reads is within RESIDUAL_TOL (max|E| + 1).  A root may equal the end of
-its bracket at the larger theta: once e beta falls below an ulp of theta
-the root rounds onto k pi / M (bond-1 chains at alpha <= 1e-7 for N = 200
-and alpha <= 1e-6 for N = 400-800, mirror chains at alpha <= 1e-7 for
-N = 200-400 and alpha = 1e-6 for N = 800, which a strict check refused).
-The vector has psi_1 = s alpha sin theta / R and the bulk wave from site 2
-on, which continues to psi~_1 at site 1, so only two rows per impurity end
-are not zero by construction:
+reads is within RESIDUAL_TOL (max|E| + 1), a finite bound.  A root may
+equal the end of its bracket at the larger theta: once e beta falls below
+an ulp of theta the root rounds onto k pi / M (bond-1 chains at
+alpha <= 1e-7 for N = 200 and alpha <= 1e-6 for N = 400-800, mirror chains
+at alpha <= 1e-7 for N = 200-400 and alpha = 1e-6 for N = 800, which a
+strict check refused).  The vector has psi_1 = s alpha sin theta / R and
+the bulk wave from site 2 on, which continues to psi~_1 at site 1, so only
+two rows per impurity end are not zero by construction:
 
     row 1 = |J| alpha |psi_2 - s sin(2 theta) / R|,
     row 2 = |J| |s alpha psi_1 - psi~_1|,
@@ -161,26 +161,23 @@ rows that passed.  Every entry is an elementwise function of its own row,
 and Newton moves each entry on its own, so a row gives the same bits in a
 batch as alone; the edge roots beyond alpha^2 = 2 and the direct O(N) sums
 run row by row, in scalar math and in the row's own reduction order.
-sweep hands the matrices of a whole alpha grid to first_bond_c12_batch,
-eigenstate_ipr_batch or transfer_spectrum_batch.  These solve the chains
-the phase route accepts in batches of up to PHASE_BATCH_ENTRIES
-(alpha, state) entries (20 alphas of an N = 200 sweep of every state, the
-whole grid for one state or for the N = 31 landscape) and send every other
-matrix and every failed row to eigendecompose on its own; first_bond_c12,
-eigenstate_ipr and transfer_spectrum are batches of one.
+first_bond_c12_batch, eigenstate_ipr_batch and transfer_spectrum_batch take
+a template and an alpha array, and the route is decided once per grid
+(_grid): bonds 1, N - 1 and (N + 1) / 2 are alpha J on an impurity bond and
+J elsewhere, the product bond_couplings forms, and they go to _phase_rule,
+the rule _phase_chain applies to a bare matrix.  The rows it accepts are
+solved in batches of up to PHASE_BATCH_ENTRIES (alpha, state) entries (20
+alphas of an N = 200 sweep of every state, the whole grid for one state or
+for the N = 31 landscape); only alpha = 0, another layout and a failed row
+build a matrix, for eigendecompose.  first_bond_c12, eigenstate_ipr and
+transfer_spectrum are grids of one row.
 
 Against 40-digit roots (N = 40, 41, 200, three (J, h)) the bond-1 route is
 within 6.4e-15 relative on IPR and 1.6e-14 on C_12 (alpha = 5e-5-3 with
 alpha_c +- 1e-7, +- 1e-9 and sqrt2 +- 1e-3), eigendecompose within 2.4e-11
 and 5.7e-10; the mirror route is within 5.9e-16 relative on the energies
 and 1.1e-14 on f_N(t <= 1.5 N) (alpha = 5e-5-3 with both exits +- 1e-9),
-the full sum over eigendecompose within 1.9e-14.  Per study through
-cli.main, output included (best of 6, 1 BLAS thread, 2-vCPU x86-64 VM),
-the batches took ipr-sweep at N = 200 (401 alphas, states 1-100) from 145
-to 70 ms, concurrence-sweep of state 1 (601 alphas) from 106 to 27 ms and
-of states 2-100 (401 alphas) from 175 to 63 ms against one alpha at a
-time, scaling (N = 50-400, 71 alphas each) from 185 to 125 ms and the
-N = 31 landscape (71 alphas) from 60 to 43 ms.
+the full sum over eigendecompose within 1.9e-14.
 """
 
 from __future__ import annotations
@@ -192,7 +189,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import LinAlgError, eigh_tridiagonal
 
-from .chain import ChainSpec, TridiagonalHamiltonian, _tridiagonal_matvec, build_hamiltonian, with_alpha
+from .chain import ChainSpec, TridiagonalHamiltonian, _tridiagonal_matvec, build_hamiltonian, validate_spec, with_alpha
 from .errors import ConvergenceFailure, NoBracket, TooSmallN, WrongConfiguration
 
 # Leading coefficients smaller than this are skipped by the sign convention.
@@ -285,7 +282,7 @@ def eigendecompose(
     None returns all of them.  Ranges of at most N / SELECT_SITES_PER_STATE
     states are solved by bisection and inverse iteration, wider ones by a
     full solve that is then sliced.  Raises ConvergenceFailure if the solver
-    fails or a returned pair misses the residual bound
+    fails or a returned pair misses the finite residual bound
     RESIDUAL_TOL * (max|E| + 1), max over the returned energies.
     """
     n = hamiltonian.n_sites
@@ -329,16 +326,24 @@ def _eigh_rows(diag, offdiag, **select):
 
 
 def _checked_residual(diag, offdiag, energies, vectors) -> float:
-    """max_j ||H v_j - E_j v_j||; ConvergenceFailure above RESIDUAL_TOL * (max|E| + 1)."""
-    residual = _tridiagonal_matvec(diag, offdiag, vectors)
-    residual -= energies[:, None] * vectors
-    residual_bound = float(np.sqrt(np.max(np.sum(residual * residual, axis=1))))
-    scale = float(np.max(np.abs(energies))) + 1.0
-    if residual_bound > RESIDUAL_TOL * scale:
-        raise ConvergenceFailure(
-            f"residual {residual_bound:.3e} exceeds {RESIDUAL_TOL:.0e} * {scale:.3e}"
-        )
+    """max_j ||H v_j - E_j v_j||; ConvergenceFailure unless finite and within RESIDUAL_TOL * (max|E| + 1)."""
+    with np.errstate(all="ignore"):  # a NaN or an infinity fails the check below
+        scale = float(np.max(np.abs(energies))) + 1.0
+        # squared in units of a power of two near max|E| + 1: exact, and no square overflows
+        unit = math.ldexp(1.0, 1 - max(math.frexp(scale)[1], 1))
+        residual = _tridiagonal_matvec(diag, offdiag, vectors)
+        residual -= energies[:, None] * vectors
+        residual *= unit
+        residual_bound = float(np.sqrt(np.max(np.sum(residual * residual, axis=1)))) / unit
+    if not residual_bound <= RESIDUAL_TOL * scale < np.inf:
+        raise ConvergenceFailure(f"residual {residual_bound:.3e} exceeds {RESIDUAL_TOL:.0e} * {scale:.3e}")
     return residual_bound
+
+
+def _healthy(residual, energies):
+    """Rows whose energies are finite and whose residuals are all within RESIDUAL_TOL * (max|E| + 1)."""
+    bound = RESIDUAL_TOL * (np.abs(energies).max(axis=1) + 1.0)
+    return (residual <= bound[:, None]).all(axis=1) & (bound < np.inf)
 
 
 def _newton(evaluate, x, lo, hi):
@@ -572,7 +577,7 @@ def _phase_states(n, lo, hi, alpha, field, coupling):
     """(E, IPR, C_12) of the states lo..hi of bond-1 chains, and a mask of passed rows.
 
     alpha, field and coupling hold one chain of N sites per row: its
-    impurity strength, its field h and its bulk |J| (_phase_chain).  The
+    impurity strength, its field h and its bulk |J| (_phase_rule).  The
     observables have the shape (alpha, state); a row fails if its roots
     fail the checks of the module docstring.
     """
@@ -616,8 +621,7 @@ def _phase_states(n, lo, hi, alpha, field, coupling):
         states = np.arange(lo, hi + 1)
         index = np.minimum(states, n + 1 - states) - roots[0]
         energies = field + np.where(2 * states <= n, -2.0, 2.0) * coupling * cos[:, index]
-        ok &= (residual <= RESIDUAL_TOL * (np.abs(energies).max(axis=1) + 1.0)[:, None]).all(axis=1)
-        ok &= np.isfinite(ipr * c12).all(axis=1)
+        ok &= _healthy(residual, energies) & np.isfinite(ipr * c12).all(axis=1)
     return energies, ipr[:, index], c12[:, index], ok
 
 
@@ -625,7 +629,7 @@ def _mirror_spectrum(n, alpha, field, bulk):
     """Energies, transfer weights and residual bounds of mirror chains, and a mask of passed rows.
 
     alpha, field and bulk hold one chain of N sites per row: its impurity
-    strength, its field h and its bulk J (_phase_chain).  Energies and
+    strength, its field h and its bulk J (_phase_rule).  Energies and
     weights have the shape (alpha, state); a row fails if its roots fail
     the checks of the module docstring.
     """
@@ -667,121 +671,140 @@ def _mirror_spectrum(n, alpha, field, bulk):
         low = field - 2.0 * coupling * cos[:, :half]
         energies = np.concatenate((low, np.repeat(field, n % 2, axis=1), 2.0 * field - low[:, ::-1]), axis=1)
         weights = np.concatenate((weights, pair * weights[:, :half][:, ::-1]), axis=1)
-        ok &= (residual <= RESIDUAL_TOL * (np.abs(energies).max(axis=1) + 1.0)) & np.isfinite(weights).all(axis=1)
+        ok &= _healthy(residual[:, None], energies) & np.isfinite(weights).all(axis=1)
     return energies, weights, residual, ok
 
 
-def _phase_chain(hamiltonian: TridiagonalHamiltonian, ends: int):
-    """(alpha, h, J) of a uniform bulk J bordered by e impurity bonds alpha J, or None.
+def _phase_rule(end, far, bulk, uniform, field, ends):
+    """(ok, alpha, h, J) of one chain per row from its bonds 1, N - 1 and (N + 1) // 2.
 
-    e = 1 is a bond-1 chain, offdiag[1:] = J; e = 2 a mirror chain,
-    offdiag[0] = offdiag[-1] and offdiag[1:-1] = J (N = 2 and 3 are uniform
-    chains against their middle bond).  The diagonal must be the constant
-    h, and the end bond alpha J and J must be nonzero.
+    uniform marks a constant diagonal h and equal bonds 2..N - e.  The phase
+    route takes a uniform bulk J bordered by e impurity bonds alpha J with
+    alpha J and J nonzero: e = 1 a bond-1 chain, e = 2 a mirror chain
+    (end = far; N = 2 and 3 are uniform chains against their middle bond).
     """
+    with np.errstate(all="ignore"):  # a refused row may divide by 0 or overflow
+        alpha = np.abs(end) / np.abs(bulk)
+    ok = uniform & (bulk != 0.0) & (end != 0.0) & ((ends == 1) | (end == far))
+    return ok, alpha, field, bulk
+
+
+def _phase_chain(hamiltonian: TridiagonalHamiltonian, ends: int):
+    """_phase_rule of a bare matrix: arrays of one row."""
     diag, offdiag = hamiltonian.diag, hamiltonian.offdiag
     n = diag.size
-    bulk = float(offdiag[(n - 1) // 2])
     inner = offdiag[1 : n - ends]
-    if (bulk == 0.0 or offdiag[0] == 0.0 or (ends == 2 and offdiag[0] != offdiag[-1])
-            or (diag != diag[0]).any() or (inner[1:] != inner[:-1]).any()):
-        return None
-    return abs(float(offdiag[0])) / abs(bulk), diag[0], bulk
+    uniform = not ((diag != diag[0]).any() or (inner[1:] != inner[:-1]).any())
+    return _phase_rule(offdiag[:1], offdiag[-1:], offdiag[(n - 1) // 2 :][:1], np.array([uniform]), diag[:1], ends)
 
 
-def _phase_batches(hamiltonians, ends, width):
-    """Indices, alpha, h and J of the matrices _phase_chain accepts, in batches.
+def _grid(template, alphas, ends):
+    """(N, the _phase_rule rows, the matrix of row i) of the template at every alpha of a grid.
 
-    A batch holds at most PHASE_BATCH_ENTRIES // width rows (at least one),
-    width the number of states or roots per row; only matrices of the
-    first one's size are read.
+    A bond couples alpha J or J (bond_couplings); bonds 2..N - e are equal
+    if all or none are impurity bonds, else only where alpha J == J.  The
+    template is validated once, at the first alpha (a J > 0 template warns
+    there); the first alpha validate_spec refuses (NaN, infinite, negative,
+    |h| + 2 max|coupling| overflowing) raises its error before any solve.
+    With alphas None the template is a bare matrix: one row.
     """
-    n = hamiltonians[0].n_sites
-    chains = [(i, *chain) for i, hamiltonian in enumerate(hamiltonians)
-              if hamiltonian.n_sites == n and (chain := _phase_chain(hamiltonian, ends)) is not None]
-    table = np.array(chains, dtype=float).reshape(-1, 4)
+    if alphas is None:
+        return template.n_sites, _phase_chain(template, ends), lambda i: template
+    n, coupling, alphas = template.n_sites, template.exchange_j, np.asarray(alphas, dtype=float)
+    bonds = {bond for bond, _ in template.impurities}
+    if alphas.size:
+        validate_spec(with_alpha(template, alphas[0]))
+    with np.errstate(all="ignore"):
+        scaled, plain = alphas * coupling, np.full(alphas.size, coupling)
+        top = np.abs(scaled) if len(bonds) == n - 1 else np.maximum(np.abs(scaled), abs(coupling))
+        failed = ~(alphas >= 0.0) | ~np.isfinite(abs(template.field_h) + 2.0 * top)
+    for alpha in alphas[failed][:1] if bonds else ():
+        validate_spec(with_alpha(template, alpha))
+    end, far, bulk = (scaled if bond in bonds else plain for bond in (1, n - 1, (n + 1) // 2))
+    inside = sum(2 <= bond <= n - ends for bond in bonds)
+    uniform = (scaled == coupling) | (not 0 < inside < n - 1 - ends)
+    chains = _phase_rule(end, far, bulk, uniform, np.full(alphas.size, template.field_h), ends)
+    return n, chains, lambda i: build_hamiltonian(with_alpha(template, alphas[i]))
+
+
+def _batches(ok, width):
+    """Indices of the rows ok marks, at most PHASE_BATCH_ENTRIES // width (at least one) per batch."""
+    rows = np.flatnonzero(ok)
     step = max(1, PHASE_BATCH_ENTRIES // width)
-    for start in range(0, len(table), step):
-        rows = table[start : start + step]
-        yield rows[:, 0].astype(int), rows[:, 1], rows[:, 2], rows[:, 3]
+    return (rows[start : start + step] for start in range(0, rows.size, step))
 
 
-def _state_batch(hamiltonians, states, column, read):
-    """Column 1 (IPR) or 2 (C_12) of _phase_states for the states lo..hi, one row per matrix.
+def _state_table(grid, states, column):
+    """Column 1 (IPR) or 2 (C_12) of _phase_states for the states lo..hi, one row per grid row.
 
-    The bond-1 chains of the list are solved in batches; any other matrix
-    and a failed row take eigendecompose(H, (lo, hi)) and read its vectors.
-    """
-    n = hamiltonians[0].n_sites
-    lo, hi = _state_range(n, states)
-    table = np.empty((len(hamiltonians), hi - lo + 1))
-    solved = np.zeros(len(hamiltonians), bool)
-    for index, alpha, field, bulk in _phase_batches(hamiltonians, 1, hi - lo + 1):
-        phases = _phase_states(n, lo, hi, alpha, field, np.abs(bulk))
-        ok = phases[-1]
-        table[index[ok]] = phases[column][ok]
-        solved[index[ok]] = True
-    for i in np.flatnonzero(~solved):
-        table[i] = read(eigendecompose(hamiltonians[i], (lo, hi)).vectors)
-    return table
-
-
-def first_bond_c12_batch(hamiltonians, states: tuple[int, int]) -> np.ndarray:
-    """first_bond_c12 of each matrix of a nonempty list, one row per matrix.
-
-    The bond-1 chains are read from the phase equation in batches; any
-    other matrix and a refused chain take eigendecompose(H, (lo, hi))
-    (module docstring).  Raises ValueError for a range outside 1..N and
-    ConvergenceFailure if eigendecompose fails.
-    """
-    return _state_batch(hamiltonians, states, 2, lambda vectors: 2.0 * np.abs(vectors[:, 0] * vectors[:, 1]))
-
-
-def first_bond_c12(hamiltonian: TridiagonalHamiltonian, states: tuple[int, int]) -> np.ndarray:
-    """First-bond concurrence 2 |psi_1 psi_2| of the 1-based states lo..hi, a batch of one."""
-    return first_bond_c12_batch([hamiltonian], states)[0]
-
-
-def eigenstate_ipr_batch(hamiltonians, states: tuple[int, int]) -> np.ndarray:
-    """eigenstate_ipr of each matrix of a nonempty list, one row per matrix.
-
-    Routed like first_bond_c12_batch: the phase equation for the bond-1
-    chains, measures.ipr_of_rows of eigendecompose(H, (lo, hi)) otherwise.
+    The rows the phase route takes are solved in batches; any other row
+    reads it off the vectors of eigendecompose(H, (lo, hi)) of its matrix.
     """
     from .measures import ipr_of_rows  # measures imports this module
 
-    return _state_batch(hamiltonians, states, 1, ipr_of_rows)
+    read = ipr_of_rows if column == 1 else lambda vectors: 2.0 * np.abs(vectors[:, 0] * vectors[:, 1])
+    n, (ok, alpha, field, bulk), matrix = grid
+    lo, hi = _state_range(n, states)
+    table = np.empty((ok.size, hi - lo + 1))
+    solved = np.zeros(ok.size, bool)
+    for index in _batches(ok, hi - lo + 1):
+        *phases, passed = _phase_states(n, lo, hi, alpha[index], field[index], np.abs(bulk[index]))
+        table[index[passed]] = phases[column][passed]
+        solved[index[passed]] = True
+    for i in np.flatnonzero(~solved):
+        table[i] = read(eigendecompose(matrix(i), (lo, hi)).vectors)
+    return table
+
+
+def first_bond_c12_batch(template: ChainSpec, alphas, states: tuple[int, int]) -> np.ndarray:
+    """first_bond_c12 of the template at every alpha of the grid, one row per alpha.
+
+    A bond-1 template reads the phase equation in batches, any other row
+    eigendecompose(H, (lo, hi)) (_grid, module docstring).  Raises the typed
+    error of the first alpha validate_spec refuses, ValueError for a range
+    outside 1..N and ConvergenceFailure if eigendecompose fails.
+    """
+    return _state_table(_grid(template, alphas, 1), states, 2)
+
+
+def first_bond_c12(hamiltonian: TridiagonalHamiltonian, states: tuple[int, int]) -> np.ndarray:
+    """First-bond concurrence 2 |psi_1 psi_2| of the 1-based states lo..hi, a grid of one row."""
+    return _state_table(_grid(hamiltonian, None, 1), states, 2)[0]
+
+
+def eigenstate_ipr_batch(template: ChainSpec, alphas, states: tuple[int, int]) -> np.ndarray:
+    """eigenstate_ipr of the template at every alpha of the grid, routed like first_bond_c12_batch."""
+    return _state_table(_grid(template, alphas, 1), states, 1)
 
 
 def eigenstate_ipr(hamiltonian: TridiagonalHamiltonian, states: tuple[int, int]) -> np.ndarray:
-    """Inverse participation ratio of the 1-based states lo..hi, a batch of one."""
-    return eigenstate_ipr_batch([hamiltonian], states)[0]
+    """Inverse participation ratio of the 1-based states lo..hi, a grid of one row."""
+    return _state_table(_grid(hamiltonian, None, 1), states, 1)[0]
 
 
-def transfer_spectrum_batch(hamiltonians) -> list[TransferSpectrum]:
-    """transfer_spectrum of each matrix of a nonempty list.
-
-    The mirror chains are read from the phase equation in batches; any
-    other matrix and a refused chain take eigendecompose (module
-    docstring).  Raises ConvergenceFailure if eigendecompose fails or misses
-    its residual bound.
-    """
-    n = hamiltonians[0].n_sites
-    spectra = [None] * len(hamiltonians)
-    for index, alpha, field, bulk in _phase_batches(hamiltonians, 2, (n + 1) // 2):
-        energies, weights, residual, ok = _mirror_spectrum(n, alpha, field, bulk)
-        for row in np.flatnonzero(ok):
+def _transfer_spectra(grid) -> list[TransferSpectrum]:
+    """transfer_spectrum of every grid row: mirror chains in batches, eigendecompose otherwise."""
+    n, (ok, alpha, field, bulk), matrix = grid
+    spectra = [None] * ok.size
+    for index in _batches(ok, (n + 1) // 2):
+        energies, weights, residual, passed = _mirror_spectrum(n, alpha[index], field[index], bulk[index])
+        for row in np.flatnonzero(passed):
             spectra[index[row]] = TransferSpectrum(energies[row], weights[row], float(residual[row]))
     for i, spectrum in enumerate(spectra):
         if spectrum is None:
-            dec = eigendecompose(hamiltonians[i])
+            dec = eigendecompose(matrix(i))
             spectra[i] = TransferSpectrum(dec.energies, dec.vectors[:, 0] * dec.vectors[:, -1], dec.residual_bound)
     return spectra
 
 
+def transfer_spectrum_batch(template: ChainSpec, alphas) -> list[TransferSpectrum]:
+    """transfer_spectrum of the template at every alpha of the grid, routed like first_bond_c12_batch."""
+    return _transfer_spectra(_grid(template, alphas, 2))
+
+
 def transfer_spectrum(hamiltonian: TridiagonalHamiltonian) -> TransferSpectrum:
-    """Energies and transfer weights psi_1 psi_N of every state, a batch of one."""
-    return transfer_spectrum_batch([hamiltonian])[0]
+    """Energies and transfer weights psi_1 psi_N of every state, a grid of one row."""
+    return _transfer_spectra(_grid(hamiltonian, None, 2))[0]
 
 
 def classify_band(dec: SpectralDecomposition, spec: ChainSpec) -> tuple[BandLabel, ...]:
@@ -796,21 +819,6 @@ def classify_band(dec: SpectralDecomposition, spec: ChainSpec) -> tuple[BandLabe
         else:
             labels.append(BandLabel.IN_BAND)
     return tuple(labels)
-
-
-def sweep(template: ChainSpec, alphas, solve):
-    """Yield (alpha, spectrum) for each impurity strength in order.
-
-    Every impurity bond of the template takes the strength alpha, and
-    solve maps the list of these Hamiltonians to their spectra, in order.
-    The batches (first_bond_c12_batch, eigenstate_ipr_batch,
-    transfer_spectrum_batch) solve every alpha the phase route accepts at
-    once; map(eigendecompose, ...) solves one alpha per step.  Nothing is
-    built or solved before the first step is taken.
-    """
-    alphas = [float(alpha) for alpha in alphas]
-    if alphas:
-        yield from zip(alphas, solve([build_hamiltonian(with_alpha(template, alpha)) for alpha in alphas]))
 
 
 def estimate_alpha_c(

@@ -1,11 +1,14 @@
 """The phase route solves a whole alpha grid in one batch.
 
-spectral.sweep hands the matrices of every grid alpha to one batch
-(first_bond_c12_batch, eigenstate_ipr_batch, transfer_spectrum_batch), and
-the per-matrix entry points are batches of one over the same kernels.  These
-tests pin that a grid gives, alpha by alpha, the bits, the route and the
-typed error of the per-matrix call, that a refused row leaves the other rows
-alone, and that the benchmark grids run no LAPACK routine at alpha > 0.
+The batches (first_bond_c12_batch, eigenstate_ipr_batch,
+transfer_spectrum_batch) take a template and an alpha array, decide the
+route once from the template's impurity bonds and build a matrix only for
+the rows that reach eigendecompose; the per-matrix entry points are grids of
+one row over the same driver.  These tests pin that a grid gives, alpha by
+alpha, the bits, the route and the typed error of the per-matrix call, that
+the template rule accepts exactly the chains the matrix rule accepts, that a
+refused row leaves the other rows alone, and that the benchmark grids run no
+LAPACK routine at alpha > 0.
 """
 
 import math
@@ -26,7 +29,7 @@ from xxchain.chain import (
     with_alpha,
 )
 from xxchain.dynamics import fidelity
-from xxchain.errors import ConvergenceFailure, NegativeAlpha
+from xxchain.errors import ConvergenceFailure, CouplingSignWarning, NegativeAlpha, NonFiniteParameter
 from xxchain.measures import c12_sweep, ipr_sweep
 from xxchain.protocols import fidelity_landscape, inclusive_grid
 from xxchain.spectral import eigenstate_ipr, first_bond_c12, transfer_spectrum
@@ -114,11 +117,26 @@ def test_the_batch_matches_a_batch_of_one(template):
     assert batch_route == single_route
     for row, spectrum in zip(grid_f, spectra):
         assert np.array_equal(row, fidelity(spectrum, TIMES))
-    hamiltonians = [hamiltonian_of(with_alpha(template, alpha)) for alpha in alphas]
-    for spectrum, single in zip(spectral.transfer_spectrum_batch(hamiltonians), spectra):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        batch = spectral.transfer_spectrum_batch(template, alphas)
+    for spectrum, single in zip(batch, spectra):
         assert np.array_equal(spectrum.energies, single.energies)
         assert np.array_equal(spectrum.transfer_weights, single.transfer_weights)
         assert spectrum.residual_bound == single.residual_bound
+
+
+@pytest.mark.parametrize("ends", [1, 2])
+@pytest.mark.parametrize("template", TEMPLATES.values(), ids=TEMPLATES.keys())
+def test_the_template_rule_matches_the_matrix_rule(template, ends):
+    # (ok, alpha, h, J) bit for bit, from the template's bonds as from each matrix
+    alphas = np.array(grid(template.n_sites))
+    rows = [spectral._phase_chain(hamiltonian_of(with_alpha(template, alpha)), ends) for alpha in alphas]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        chains = spectral._grid(template, alphas, ends)[1]
+    for got, expected in zip(chains, zip(*rows)):
+        assert np.concatenate(expected).tobytes() == got.tobytes()
 
 
 def test_the_routes_follow_the_matrix():
@@ -144,11 +162,16 @@ def test_typed_errors_match_a_batch_of_one(sweep_of):
         first_bond_c12(build_hamiltonian(template), (1, 41))
     with pytest.raises(ValueError):
         sweep_of(template, alphas, range(1, 42))
-    # a negative strength fails to build, in the grid as on its own
-    with pytest.raises(NegativeAlpha):
-        build_hamiltonian(with_alpha(template, -0.5))
-    with pytest.raises(NegativeAlpha):
-        sweep_of(template, [*alphas, -0.5], range(1, 41))
+    # a negative strength, or one whose energy bound |h| + 2 max|coupling|
+    # overflows, fails to build, in the grid as on its own: the first such
+    # alpha raises, with the same message, before any solve
+    for bad, error in (([-0.5, 1e308], NegativeAlpha), ([1e308, -0.5], NonFiniteParameter)):
+        with pytest.raises(error) as single:
+            build_hamiltonian(with_alpha(template, bad[0]))
+        with mock.patch.object(spectral, "_phase_states", side_effect=AssertionError), \
+                pytest.raises(error) as batch:
+            sweep_of(template, [*alphas, *bad], range(1, 41))
+        assert str(batch.value) == str(single.value)
     # with LAPACK failing, exactly the alphas that eigendecompose solves
     # fail on their own, and a grid holding one of them fails alike
     with mock.patch.object(spectral, "eigh_tridiagonal", side_effect=LinAlgError("no convergence")):
@@ -163,6 +186,17 @@ def test_typed_errors_match_a_batch_of_one(sweep_of):
             sweep_of(template, alphas, range(1, 41))
         kept = [alpha for alpha in alphas if alpha not in failed]
         assert len(sweep_of(template, kept, range(1, 41))) == 40 * len(kept)
+
+
+def test_a_grid_validates_its_template_once():
+    # a J > 0 template warns once, though no alpha builds a matrix, and a
+    # template without impurities ignores alpha
+    with mock.patch.object(spectral, "build_hamiltonian", side_effect=AssertionError), \
+            warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert len(c12_sweep(TEMPLATES["bond1-41-J>0"], [0.5, 1.0, 2.0], range(1, 42))) == 3 * 41
+    assert [warning.category for warning in caught] == [CouplingSignWarning]
+    assert len(ipr_sweep(ChainSpec(12), [-1.0, math.inf], range(1, 13))) == 2 * 12
 
 
 @pytest.mark.parametrize("ends", [1, 2])

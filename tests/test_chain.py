@@ -60,11 +60,21 @@ def test_validate_rejects_zero_coupling():
         ChainSpec(4, field_h=float("nan")),
         ChainSpec(4, impurities=((1, float("nan")),)),
         ChainSpec(4, impurities=((1, 0.4), (3, float("inf")))),
+        # |h| + 2 max|coupling|, the bound on every |E|, overflows
+        ChainSpec(4, exchange_j=-1e308),
+        ChainSpec(4, exchange_j=-2.0, impurities=((1, 1e308),)),
+        ChainSpec(4, exchange_j=-1e308, impurities=((1, 0.5), (2, 0.5))),
+        ChainSpec(4, exchange_j=-0.6e308, field_h=1e308),
     ],
 )
 def test_validate_rejects_non_finite_parameters(spec):
     with pytest.raises(NonFiniteParameter):
         validate_spec(spec)
+
+
+def test_the_energy_bound_reads_the_couplings_only():
+    # J = -1e308 sits on no bond once every bond is an impurity bond
+    validate_spec(ChainSpec(3, exchange_j=-1e308, impurities=((1, 0.5), (2, 0.25))))
 
 
 def test_positive_j_warns_but_passes():

@@ -281,7 +281,9 @@ def test_computation_error_exits_one(monkeypatch, capsys):
         raise ConvergenceFailure("eigensolver did not converge")
 
     monkeypatch.setattr(spectral, "_eigh_rows", diverge)
-    monkeypatch.setattr(spectral, "_phase_chain", lambda hamiltonian, ends: None)  # no solver-free route
+    # no solver-free route: the phase rule refuses every chain
+    monkeypatch.setattr(spectral, "_phase_rule",
+                        lambda end, far, bulk, uniform, field, ends: (np.zeros(bulk.shape, bool), end, field, bulk))
     code, _, err = run_cli(["optimize", "--n", "20", "--alpha-range", "0.4:0.5:0.1"], capsys)
     assert code == 1
     assert "ConvergenceFailure" in err
@@ -375,6 +377,13 @@ def test_json_rows_keep_the_csv_digits(argv, capsys):
         ["spectrum", "--n", "20", "--h=-inf", "--alpha", "0.5"],
         ["optimize", "--n", "20", "--j", "nan"],
         ["scaling", "--n-list", "8", "--h", "nan"],
+        # finite flags whose energy bound |h| + 2 max|coupling| overflows
+        ["evolve", "--n", "8", "--j=-1e308", "--t-range", "0:1:0.5"],
+        ["landscape", "--n", "8", "--j=-1e308", "--alpha-range", "0.2:0.4:0.2", "--t-range", "0:1:0.5"],
+        ["concurrence-sweep", "--n", "8", "--alpha", "1e308", "--j", "-2", "--states", "1:1"],
+        ["ipr-sweep", "--n", "8", "--alpha-range", "0:1e308:1e307", "--j", "-2"],
+        ["spectrum", "--n", "8", "--alpha-range", "0:1e308:1e307", "--j", "-2"],
+        ["optimize", "--n", "8", "--alpha-range", "1:1e308:1e307", "--j", "-2"],
     ],
 )
 def test_non_finite_chain_parameters_exit_two(argv, capsys):
@@ -457,7 +466,7 @@ def no_solve(monkeypatch):
     def never(*args, **kwargs):
         raise AssertionError("flag validation should have failed before this call")
 
-    for name in ("sweep", "ipr_sweep", "c12_sweep", "fidelity_landscape", "optimize_alpha",
+    for name in ("eigendecompose", "ipr_sweep", "c12_sweep", "fidelity_landscape", "optimize_alpha",
                  "scaling_sweep", "oracle_check"):
         monkeypatch.setattr(cli, name, never)
 

@@ -65,12 +65,10 @@ def mirror_route_spy():
 
 def phase_states(hamiltonian, lo, hi):
     """(E, IPR, C_12) of the states lo..hi from the phase route's kernel, None if it refuses the chain."""
-    chain = spectral._phase_chain(hamiltonian, 1)
-    if chain is None:
+    accepted, alpha, field, bulk = spectral._phase_chain(hamiltonian, 1)
+    if not accepted[0]:
         return None
-    alpha, field, bulk = chain
-    *phases, ok = spectral._phase_states(hamiltonian.n_sites, lo, hi, np.array([alpha]), np.array([field]),
-                                         np.array([abs(bulk)]))
+    *phases, ok = spectral._phase_states(hamiltonian.n_sites, lo, hi, alpha, field, np.abs(bulk))
     return tuple(values[0] for values in phases) if ok[0] else None
 
 

@@ -38,7 +38,7 @@ from xxchain.chain import (
 from xxchain.dynamics import transfer_amplitude
 from xxchain.errors import ConvergenceFailure
 from xxchain.protocols import fidelity_landscape, inclusive_grid
-from xxchain.spectral import TransferSpectrum, eigendecompose, sweep, transfer_spectrum, transfer_spectrum_batch
+from xxchain.spectral import TransferSpectrum, eigendecompose, transfer_spectrum, transfer_spectrum_batch
 
 from routes import factorings, full_route, unpaired
 
@@ -146,15 +146,14 @@ def test_interior_impurities_take_eigendecompose(spec):
     with full_solve_spy() as spy:
         result = transfer_spectrum(hamiltonian)
     spy.assert_called_once_with(hamiltonian)
-    assert spectral._phase_chain(hamiltonian, 2) is None
+    assert not spectral._phase_chain(hamiltonian, 2)[0][0]
     assert np.array_equal(result.transfer_weights, full_route(eigendecompose(hamiltonian)).transfer_weights)
 
 
 def mirror_spectrum(hamiltonian):
     """The mirror route's kernel on one matrix: its TransferSpectrum, None if it refuses the chain."""
-    alpha, field, bulk = spectral._phase_chain(hamiltonian, 2)
-    energies, weights, residual, ok = spectral._mirror_spectrum(
-        hamiltonian.n_sites, np.array([alpha]), np.array([field]), np.array([bulk]))
+    _, alpha, field, bulk = spectral._phase_chain(hamiltonian, 2)
+    energies, weights, residual, ok = spectral._mirror_spectrum(hamiltonian.n_sites, alpha, field, bulk)
     return TransferSpectrum(energies[0], weights[0], float(residual[0])) if ok[0] else None
 
 
@@ -312,8 +311,7 @@ def test_canonical_transfer_grid_takes_no_fallback():
     grids += [inclusive_grid(0.1, 1.52, 0.002), inclusive_grid(0.4, 0.42, 0.001)]
     with full_solve_spy() as full:
         for template, alphas in zip(chains, grids):
-            for _ in sweep(template, alphas, transfer_spectrum_batch):
-                pass
+            transfer_spectrum_batch(template, alphas)
         for n in range(2, 13):
             transfer_spectrum(build_hamiltonian(single_impurity(n, 1.0)))
     assert not full.called

@@ -1,4 +1,3 @@
-import inspect
 import warnings
 from dataclasses import replace
 
@@ -11,20 +10,22 @@ from scipy.linalg import eigvalsh_tridiagonal
 from xxchain import spectral
 from xxchain.chain import (
     ChainSpec,
+    TridiagonalHamiltonian,
     build_hamiltonian,
     mirror_impurities,
     single_impurity,
-    with_alpha,
 )
-from xxchain.errors import NoBracket, TooSmallN, WrongConfiguration
+from xxchain.errors import ConvergenceFailure, NoBracket, TooSmallN, WrongConfiguration
 from xxchain.spectral import (
+    RESIDUAL_TOL,
     BandLabel,
     SpectralDecomposition,
     classify_band,
     denergy_dalpha,
     eigendecompose,
     estimate_alpha_c,
-    sweep,
+    first_bond_c12,
+    transfer_spectrum,
 )
 
 SQRT2 = np.sqrt(2.0)
@@ -217,26 +218,27 @@ def test_denergy_requires_single_bond_one_impurity():
         denergy_dalpha(ChainSpec(40, impurities=((2, 0.5),)), 1)
 
 
-@pytest.mark.parametrize("states", [None, (2, 3)])
-def test_sweep_is_lazy_and_matches_direct_solves(states, monkeypatch):
-    template = mirror_impurities(40, 1.0, exchange_j=-0.8, field_h=0.3)
-    alphas = np.array([0.0, 0.7, 1.6])
-    direct = spectral.eigendecompose
-    requested = []
+def test_overflowing_energies_are_refused():
+    # |h| + 2 max|coupling| overflows: both routes raise rather than return +-inf
+    hamiltonian = TridiagonalHamiltonian(np.zeros(8), np.full(7, -1e308))
+    with pytest.raises(ConvergenceFailure):
+        eigendecompose(hamiltonian)
+    with pytest.raises(ConvergenceFailure):
+        transfer_spectrum(hamiltonian)
+    with pytest.raises(ConvergenceFailure):
+        first_bond_c12(hamiltonian, (1, 8))
 
-    def counted(hamiltonian, states=None):
-        requested.append(states)
-        return direct(hamiltonian, states)
 
-    monkeypatch.setattr(spectral, "eigendecompose", counted)
-    steps = sweep(template, alphas, lambda hams: (spectral.eigendecompose(ham, states) for ham in hams))
-    assert inspect.isgenerator(steps)
-    assert requested == []
-    for count, (alpha, dec) in enumerate(steps, start=1):
-        assert requested == [states] * count
-        assert type(alpha) is float and alpha == alphas[count - 1]
-        expected = direct(build_hamiltonian(with_alpha(template, alpha)), states)
-        assert np.array_equal(dec.energies, expected.energies)
-        assert np.array_equal(dec.vectors, expected.vectors)
-        assert dec.first_state == expected.first_state
-    assert len(requested) == alphas.size
+def test_the_residual_check_scales_before_it_squares():
+    # J = -1e200 is J = -1 scaled: accepted, with no overflow warning
+    unit = eigendecompose(build_hamiltonian(single_impurity(4, 0.5)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        dec = eigendecompose(build_hamiltonian(single_impurity(4, 0.5, exchange_j=-1e200)))
+    assert np.allclose(dec.energies * 1e-200, unit.energies, rtol=1e-14, atol=0.0)
+    assert dec.residual_bound <= RESIDUAL_TOL * (np.max(np.abs(dec.energies)) + 1.0)
+    # a NaN residual fails the check
+    vectors = np.array(unit.vectors)
+    vectors[0, 0] = np.nan
+    with pytest.raises(ConvergenceFailure):
+        spectral._checked_residual(np.zeros(4), np.array([-0.5, -1.0, -1.0]), unit.energies, vectors)
