@@ -113,6 +113,8 @@ def _parse_range(text: str, flag: str) -> np.ndarray:
         raise UsageError(f"{flag} step must be positive, got {step}")
     if hi < lo:
         raise UsageError(f"{flag} needs hi >= lo, got {text!r}")
+    if not (hi - lo) / step < np.iinfo(np.intp).max:  # an infinite or uncountable point count
+        raise UsageError(f"{flag} has more points than an array can index, got {text!r}")
     grid = inclusive_grid(lo, hi, step)
     if np.any(np.diff(grid) <= 0.0):
         raise UsageError(f"{flag} points are not strictly ascending after rounding, got {text!r}")

@@ -235,8 +235,7 @@ def c12_peak(template: ChainSpec, state_index: int, alphas=None) -> ConcurrenceP
     lo = alphas[max(best - 1, 0)]
     hi = alphas[min(best + 1, alphas.size - 1)]
     if hi > lo:
-        # imported here, the only user: loading scipy.optimize is about a
-        # third of the time `import xxchain.cli` takes
+        # imported here, its only user, so no other code path loads scipy.optimize
         from scipy.optimize import minimize_scalar
 
         result = minimize_scalar(

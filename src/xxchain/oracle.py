@@ -2,16 +2,17 @@
 
 Everything here works on the full 2^N space (2^(N+1) with the ancilla) and is
 written to be obviously correct rather than fast.  Each chain's Hamiltonian is
-assembled once, from sparse Kronecker products of Pauli matrices, into a dense
-2^N x 2^N matrix.  Before it is diagonalized, every nonzero element is checked
-to join two basis states with the same number of excitations; an element
-between different excitation numbers raises ExcitationLeak, so conservation
-is checked rather than assumed.  The matrix is then diagonalized one
-excitation-number block at a time (the largest block at N = 10 is
-C(10, 5) = 252) and states are evolved block by block.  It exists to validate
-the one-excitation-sector machinery end to end, so nothing in this module
-reuses the sector code paths.  oracle_check runs on the given chains, any
-layout, J and h; the CLI passes single-impurity chains.
+assembled once, with numpy, into a dense 2^N x 2^N matrix: each Pauli term is
+added into the elements its Kronecker product with identities touches.  Before
+it is diagonalized, every nonzero element is checked to join two basis states
+with the same number of excitations; an element between different excitation
+numbers raises ExcitationLeak, so conservation is checked rather than assumed.
+The matrix is then diagonalized one excitation-number block at a time (the
+largest block at N = 10 is C(10, 5) = 252) and states are evolved block by
+block.  It exists to validate the one-excitation-sector machinery end to
+end, so nothing in this module reuses the sector code paths.  oracle_check
+runs on the given chains, any layout, J and h; the CLI passes single-impurity
+chains.
 
 Basis conventions (fixed so dumps are comparable):
   * qubit 1 is the most significant bit of the basis index; the ancilla,
@@ -70,32 +71,28 @@ class FullState:
         object.__setattr__(self, "amps", amps)
 
 
-def _embed(op: np.ndarray, qubit: int, n_qubits: int):
-    """Sparse embedding of a one- or two-qubit operator whose first qubit is qubit (0-based)."""
-    from scipy import sparse
-
-    left = sparse.identity(2 ** qubit, format="csr")
-    right = sparse.identity(2 ** n_qubits // (2 ** qubit * op.shape[0]), format="csr")
-    return sparse.kron(sparse.kron(left, op, format="csr"), right, format="csr")
+def _add_term(matrix: np.ndarray, scale: float, op: np.ndarray, qubit: int, n_qubits: int) -> None:
+    """matrix += scale * (1 x op x 1) for a one- or two-qubit op whose first qubit is qubit (0-based)."""
+    left, k = 2 ** qubit, op.shape[0]
+    right = 2 ** n_qubits // (left * k)
+    # the Kronecker product touches the elements whose left and right digits agree
+    np.einsum("lirljr->lijr", matrix.reshape(left, k, right, left, k, right))[...] += scale * op[:, :, None]
 
 
 def full_hamiltonian(spec: ChainSpec) -> np.ndarray:
     """Dense 2^N x 2^N Hamiltonian assembled from Pauli two-site terms."""
-    from scipy import sparse
-
     validate_spec(spec)
     n = spec.n_sites
     if n > MAX_SITES:
         raise TooLarge(f"full Hamiltonian limited to {MAX_SITES} sites, got {n}")
-    dim = 2 ** n
-    matrix = sparse.csr_matrix((dim, dim))
+    matrix = np.zeros((2 ** n, 2 ** n))
     for bond, coupling in enumerate(bond_couplings(spec)):
-        matrix = matrix + 0.5 * coupling * _embed(_FLIP_FLOP, bond, n)
+        _add_term(matrix, 0.5 * coupling, _FLIP_FLOP, bond, n)
     if spec.field_h != 0.0:
         for qubit in range(n):
-            matrix = matrix - spec.field_h * _embed(_SZ, qubit, n)
-        matrix = matrix + spec.field_h * (n - 1) * sparse.identity(dim, format="csr")
-    return matrix.toarray()
+            _add_term(matrix, -spec.field_h, _SZ, qubit, n)
+        np.einsum("ii->i", matrix)[...] += spec.field_h * (n - 1)
+    return matrix
 
 
 def one_excitation_indices(n_sites: int) -> np.ndarray:

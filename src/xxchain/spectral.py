@@ -31,6 +31,7 @@ chains whose only impurity is bond 1 (first_bond_c12, eigenstate_ipr) need
 no solver: both are a uniform bulk bordered by impurity bonds, and one phase
 equation gives their states.  Any other matrix takes eigendecompose, and its
 weights are psi_1 psi_N read off the first and last eigenvector components.
+_eigh_rows is the one LAPACK call, and it imports scipy at the solve.
 
 With a constant diagonal h, bulk bonds J and end bonds b = alpha J (the
 edge-bond secular equation of Wojcik et al., PRA 72, 034303 (2005); the
@@ -187,7 +188,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgError, eigh_tridiagonal
 
 from .chain import ChainSpec, TridiagonalHamiltonian, _tridiagonal_matvec, build_hamiltonian, validate_spec, with_alpha
 from .errors import ConvergenceFailure, NoBracket, TooSmallN, WrongConfiguration
@@ -318,6 +318,8 @@ def _state_range(n: int, states: tuple[int, int] | None) -> tuple[int, int]:
 
 def _eigh_rows(diag, offdiag, **select):
     """eigh_tridiagonal with the eigenvectors as contiguous rows."""
+    from scipy.linalg import LinAlgError, eigh_tridiagonal
+
     try:
         energies, columns = eigh_tridiagonal(diag, offdiag, **select)
     except LinAlgError as exc:

@@ -174,7 +174,7 @@ def test_typed_errors_match_a_batch_of_one(sweep_of):
         assert str(batch.value) == str(single.value)
     # with LAPACK failing, exactly the alphas that eigendecompose solves
     # fail on their own, and a grid holding one of them fails alike
-    with mock.patch.object(spectral, "eigh_tridiagonal", side_effect=LinAlgError("no convergence")):
+    with mock.patch("scipy.linalg.eigh_tridiagonal", side_effect=LinAlgError("no convergence")):
         failed = []
         for alpha in alphas:
             try:
@@ -231,7 +231,7 @@ def test_benchmark_sweep_grids_run_no_lapack_at_positive_alpha():
     # for J = -1 and for J = -0.8, h = 0.3
     alphas = 0.005 * np.arange(1, 601)
     for template in (single_impurity(200, 1.0), single_impurity(200, 1.0, exchange_j=-0.8, field_h=0.3)):
-        with mock.patch.object(spectral, "eigh_tridiagonal", wraps=eigh_tridiagonal) as lapack:
+        with mock.patch("scipy.linalg.eigh_tridiagonal", wraps=eigh_tridiagonal) as lapack:
             assert len(ipr_sweep(template, alphas, range(1, 201))) == 600 * 200
             assert len(c12_sweep(template, alphas, range(1, 2))) == 600
             assert len(c12_sweep(template, alphas, range(2, 101))) == 600 * 99

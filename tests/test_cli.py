@@ -437,6 +437,25 @@ def test_grids_that_collapse_under_rounding_exit_two(argv, flag, capsys):
 
 
 @pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["ipr-sweep", "--n", "8", "--alpha-range", "0:1e308:1e-10"], "--alpha-range"),
+        (["evolve", "--n", "8", "--t-range", "0:1e308:1e-300"], "--t-range"),
+        (["ipr-sweep", "--n", "8", "--alpha-range", "0:1:1e-300"], "--alpha-range"),
+    ],
+)
+def test_grids_too_long_to_count_exit_two_before_allocating(argv, flag, monkeypatch, capsys):
+    def never(*args, **kwargs):
+        raise AssertionError("the point count should have been refused before the grid is built")
+
+    monkeypatch.setattr(cli, "inclusive_grid", never)
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: UsageError: ") and flag in err and "points" in err
+
+
+@pytest.mark.parametrize(
     "argv, needle",
     [
         (["ipr-sweep", "--n", "8", "--alpha", "0.5", "--states", "0:3"], "--states"),
@@ -512,30 +531,61 @@ def test_every_scaling_length_is_checked_before_solving(n_list, no_solve, capsys
     assert out == ""
 
 
-def test_importing_the_cli_loads_no_optimizer():
+def source_env():
+    """The environment with this checkout's src/ first on PYTHONPATH."""
     src = str(Path(xxchain.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    probe = (
-        "import sys, xxchain.cli; "
-        "print(sorted(m for m in ('scipy.optimize', 'scipy.sparse', 'scipy.sparse.linalg') "
-        "if m in sys.modules))"
-    )
+    return env
+
+
+def scipy_modules_after(code):
+    """The scipy modules a fresh interpreter has loaded after running code."""
+    probe = f"{code}; import json, sys; print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))"
     proc = subprocess.run(
-        [sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=120
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=source_env(), timeout=120
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_importing_the_cli_loads_no_optimizer():
+    # nor any other scipy module: LAPACK is imported at the solve
+    for module in ("xxchain.cli", "xxchain"):
+        assert scipy_modules_after(f"import {module}") == []
+
+
+def run_main(argv):
+    """Code that runs the CLI on argv in process and fails unless it exits 0."""
+    return f"from xxchain.cli import main; assert main({argv!r}) == 0"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["scaling", "--n-list", "8,10", "--alpha-range", "0.3:0.5:0.1"],
+        ["landscape", "--n", "31", "--alpha-range", "0.4:0.4:0.1", "--t-range", "0:40:0.1"],
+        ["evolve", "--n", "31", "--alpha", "0.4", "--mirror", "--kind", "fidelity", "--t-range", "0:40:0.1"],
+    ],
+)
+def test_phase_route_commands_load_no_scipy(argv):
+    assert scipy_modules_after(run_main(argv)) == []
+
+
+def test_the_oracle_builds_without_scipy_sparse():
+    loaded = scipy_modules_after(run_main(["oracle-check", "--n-max", "4"]))
+    assert not [m for m in loaded if m.startswith("scipy.sparse")]
+
+
+def test_a_lapack_solve_loads_scipy_linalg():
+    assert "scipy.linalg" in scipy_modules_after(run_main(["spectrum", "--n", "6", "--alpha", "0.5"]))
 
 
 def test_module_entry_point_matches_main(capsys):
     argv = ["spectrum", "--n", "6", "--alpha", "0.5"]
-    src = str(Path(xxchain.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "xxchain", *argv],
-        capture_output=True, text=True, env=env, timeout=120,
+        capture_output=True, text=True, env=source_env(), timeout=120,
     )
     code, out, _ = run_cli(argv, capsys)
     assert proc.returncode == code == 0

@@ -76,7 +76,7 @@ def phase_route(hamiltonian, states=None):
     """(E, IPR, C_12) of the states (all by default), asserting that no LAPACK routine ran."""
     lo, hi = states or (1, hamiltonian.n_sites)
     with selection_spy() as selected, mirror_route_spy() as mirror, \
-            mock.patch.object(spectral, "eigh_tridiagonal", wraps=eigh_tridiagonal) as lapack:
+            mock.patch("scipy.linalg.eigh_tridiagonal", wraps=eigh_tridiagonal) as lapack:
         c12 = first_bond_c12(hamiltonian, (lo, hi))
         ipr = eigenstate_ipr(hamiltonian, (lo, hi))
     assert not selected.called and not mirror.called and not lapack.called
@@ -424,8 +424,8 @@ def test_refused_alphas_fall_back_to_eigendecompose(failure):
 
 def test_failed_solvers_are_a_convergence_failure():
     template = single_impurity(120, 1.0)
-    with refused("no_convergence"), mock.patch.object(
-        spectral, "eigh_tridiagonal", side_effect=LinAlgError("no convergence")
+    with refused("no_convergence"), mock.patch(
+        "scipy.linalg.eigh_tridiagonal", side_effect=LinAlgError("no convergence")
     ):
         with pytest.raises(ConvergenceFailure):
             c12_sweep(template, [0.5], range(1, 121))

@@ -159,7 +159,7 @@ def mirror_spectrum(hamiltonian):
 
 def lapack_spy():
     """A spy on the one LAPACK eigensolver that spectral calls."""
-    return mock.patch.object(spectral, "eigh_tridiagonal", wraps=eigh_tridiagonal)
+    return mock.patch("scipy.linalg.eigh_tridiagonal", wraps=eigh_tridiagonal)
 
 
 def full_solve_spy():
@@ -264,7 +264,7 @@ def test_block_residual_over_the_bound_is_a_convergence_failure():
         energies, columns = eigh_tridiagonal(*args, **kwargs)
         return energies, columns + 1e-7
 
-    with refused("residual"), mock.patch.object(spectral, "eigh_tridiagonal", side_effect=noisy):
+    with refused("residual"), mock.patch("scipy.linalg.eigh_tridiagonal", side_effect=noisy):
         with pytest.raises(ConvergenceFailure):
             transfer_spectrum(hamiltonian)
 
@@ -273,7 +273,7 @@ def test_block_solver_error_is_a_convergence_failure():
     # the refused chain falls back to eigendecompose, which fails too
     hamiltonian = build_hamiltonian(mirror_impurities(200, 0.4))
     with refused("no_convergence"), \
-            mock.patch.object(spectral, "eigh_tridiagonal", side_effect=LinAlgError("no convergence")):
+            mock.patch("scipy.linalg.eigh_tridiagonal", side_effect=LinAlgError("no convergence")):
         with pytest.raises(ConvergenceFailure):
             transfer_spectrum(hamiltonian)
 

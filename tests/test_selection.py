@@ -36,7 +36,7 @@ GAP_MIN = 1e-4
 
 
 def spy_solver():
-    return mock.patch.object(spectral, "eigh_tridiagonal", wraps=eigh_tridiagonal)
+    return mock.patch("scipy.linalg.eigh_tridiagonal", wraps=eigh_tridiagonal)
 
 
 def selected(spy) -> bool:
@@ -156,7 +156,7 @@ def test_out_of_range_states_are_rejected(states):
 @pytest.mark.parametrize("states", [(1, 1), None])
 def test_solver_error_is_a_convergence_failure(states):
     hamiltonian = build_hamiltonian(single_impurity(200, 1.0))
-    with mock.patch.object(spectral, "eigh_tridiagonal", side_effect=LinAlgError("no convergence")):
+    with mock.patch("scipy.linalg.eigh_tridiagonal", side_effect=LinAlgError("no convergence")):
         with pytest.raises(ConvergenceFailure):
             eigendecompose(hamiltonian, states)
 
@@ -168,7 +168,7 @@ def test_selected_residual_is_checked():
         energies, columns = eigh_tridiagonal(*args, **kwargs)
         return energies, columns + 1e-7
 
-    with mock.patch.object(spectral, "eigh_tridiagonal", side_effect=noisy) as spy:
+    with mock.patch("scipy.linalg.eigh_tridiagonal", side_effect=noisy) as spy:
         with pytest.raises(ConvergenceFailure):
             eigendecompose(hamiltonian, (5, 5))
     assert selected(spy)
