@@ -11,27 +11,19 @@ components:
 
     dE_j / dalpha = 2 J psi_1 psi_2
 
-eigendecompose can return a contiguous range of states lo..hi instead of
-all N.  A range of k states with k * SELECT_SITES_PER_STATE <= N is solved
-by LAPACK bisection and inverse iteration (scipy's eigh_tridiagonal with
-select="i"), at about O(k N) cost for separated levels; a wider range takes
-the full O(N^2) solve and is sliced, because selection then costs more than
-it saves.  Either way each returned vector gets the same sign convention and
-residual check, with max|E| taken over the returned energies.  Measured with timeit (best of 9, 1 BLAS
-thread, 2-vCPU x86-64 VM) on single-impurity and mirror chains for ranges at
-the band edge and at the band centre, selection is faster for every k up to
-N/16 at N = 24-800 (one state: 0.18 ms against 2.2 ms at N = 200, 0.49 ms
-against 43 ms at N = 800); at N/12 mid-band mirror ranges already lose by up
-to 17%, at N/6 by up to 2.2x.
+eigendecompose solves all N states in one LAPACK call and checks the
+residual of every pair against max|E| over the whole spectrum; a range of
+states lo..hi is a slice of that solve.
 
 Every f_N(t) = sum_j exp(-i E_j t) psi_1^(j) psi_N^(j) in the package
 (evolve, the landscape, the optimizer, the oracle check) reads the energies
-and weights of transfer_spectrum.  Mirror chains (transfer_spectrum) and
-chains whose only impurity is bond 1 (first_bond_c12, eigenstate_ipr) need
-no solver: both are a uniform bulk bordered by impurity bonds, and one phase
-equation gives their states.  Any other matrix takes eigendecompose, and its
-weights are psi_1 psi_N read off the first and last eigenvector components.
-_eigh_rows is the one LAPACK call, and it imports scipy at the solve.
+and weights of transfer_spectrum.  Chains whose only impurity is bond 1 and
+mirror chains need no solver: both are a uniform bulk bordered by impurity
+bonds, and one phase equation gives their states, to first_bond_c12 and
+eigenstate_ipr for both layouts and to transfer_spectrum for mirror chains.
+Any other matrix takes eigendecompose, and its weights are psi_1 psi_N read
+off the first and last eigenvector components.  _eigh_rows is the one
+LAPACK call, and it imports scipy at the solve.
 
 With a constant diagonal h, bulk bonds J and end bonds b = alpha J (the
 edge-bond secular equation of Wojcik et al., PRA 72, 034303 (2005); the
@@ -43,31 +35,41 @@ impurity ends (e = 1: bond 1 only, offdiag[1:] = J; e = 2: a mirror chain,
 offdiag[0] = offdiag[-1] = b, offdiag[1:-1] = J) the states are the roots
 k = 1..N, ascending in theta, of
 
-    G(theta) = M theta + e beta - k pi = 0,   M = N + 1 - e,
+    G(theta) = M theta + e beta - k pi = 0,   M = N + 1 - e.
 
-and each impurity end has |psi_1| = alpha sin theta / R.  For a bond-1
-chain psi_n = sin((N + 1 - n) theta) for n >= 2 and psi_1 = sin(N theta) /
-alpha; at a root sin(N theta) = +-q / R and sin((N - 1) theta) =
-+-sin(2 theta) / R, so |psi_2| = |sin 2 theta| / R, and the Dirichlet sums
-over n >= 2 close without any large argument N theta:
+Against a bulk wave of amplitude 1, each impurity end has |psi_1| =
+alpha sin theta / R and its neighbour |psi_2| = |sin 2 theta| / R, so with
+the bulk sums S_2 and S_4 of psi_n^2 and psi_n^4 over the N - e bulk sites
+
+    norm = e psi_1^2 + S_2,   IPR = norm^2 / (e psi_1^4 + S_4),
+    C_12 = 2 |psi_1 psi_2| / norm,
+
+O(1) per state once S_2 and S_4 close.  For a bond-1 chain
+psi_n = sin((N + 1 - n) theta) for n >= 2 and psi_1 = sin(N theta) / alpha;
+at a root sin(N theta) = +-q / R and sin((N - 1) theta) = +-sin(2 theta) / R,
+and the Dirichlet sums over n >= 2 close without any large argument N theta:
 
     S_2 = (N - 1) / 2 + p cos theta / R^2,
     S_4 = 3 (N - 1) / 8 + p cos theta / R^2
-          - (p cos theta - q sin theta) (p^2 - q^2) / (4 R^4),
-    IPR = (S_2 + psi_1^2)^2 / (S_4 + psi_1^4),
-    C_12 = 2 |psi_1 psi_2| / (S_2 + psi_1^2),
+          - (p cos theta - q sin theta) (p^2 - q^2) / (4 R^4).
 
-O(1) per state.  A mirror chain commutes with the reflection
-n -> N + 1 - n: root k has even parity for odd k and odd parity for even
-k, its bulk wave is cos((c - n) theta) or sin((c - n) theta), c = (N + 1)/2,
-and psi_1 is that wave continued to site 1, over alpha.  Its transfer
-weight is w = +-psi_1^2 / norm, + for odd k, with
+A mirror chain commutes with the reflection n -> N + 1 - n: root k has
+even parity for odd k and odd parity for even k, its bulk wave is
+cos((c - n) theta) or sin((c - n) theta), c = (N + 1)/2, and psi_1 = +-psi_N
+is that wave continued to site 1, over alpha.  Since sin((N - 2) theta) =
+(-1)^(k+1) sin(2 beta + theta) at a root,
 
-    norm = 2 psi_1^2 + (N - 2)/2 +- sin((N - 2) theta) / (2 sin theta)
-         = 2 psi_1^2 + (N - 2)/2 + (2 alpha^2 p cos theta + p^2 - q^2) / (2 R^2),
+    S_2 = (N - 2)/2 + (2 alpha^2 p cos theta + p^2 - q^2) / (2 R^2),
+    S_4 = 3 (N - 2)/8 + (2 alpha^2 p cos theta + p^2 - q^2) / (2 R^2)
+          - [2 alpha^2 (2 - alpha^2) (p^2 - q^2) cos 2 theta
+             + (p^2 - q^2)^2 - 4 p^2 q^2] / (8 R^4),
 
-since sin((N - 2) theta) = (-1)^(k+1) sin(2 beta + theta) at a root.
-N = 2 and 3 are uniform chains, alpha = 1 against the middle bond.
+and the transfer weight is w = +-psi_1^2 / norm, + for odd k.  Both S_4
+sum cos 4 (c - n) theta, a Dirichlet kernel that is 0/0 at theta = pi/2,
+the centre state of odd N: there every bulk amplitude is 0 or +-1 and
+S_4 = S_2.  N = 2 and 3 are uniform chains, alpha = 1 against the middle
+bond.  A uniform chain is both: its IPR and C_12 read e = 1, its transfer
+weights e = 2.
 
 The roots interlace strictly with k pi / M.  beta lies in (0, pi/2] for
 alpha^2 <= 2 and in [pi/2, pi) above, so bond-1 root k lies in
@@ -105,7 +107,8 @@ alpha^2 > 2, and below it coth(m eta) = kappa tanh eta.
 Roots above pi/4 are solved for d = pi/2 - theta, so cos theta = sin d
 keeps its digits next to the band centre (in theta the centre pair of even
 N lost 2e-11 of its IPR at alpha = 5e-4).  Newton stops once |G| (or |U|)
-is within PHASE_STEP_TOL eps of the magnitudes it sums: at most 6
+is within PHASE_STEP_TOL eps of the magnitudes it sums (|offset| too: the
+offset of the centre root k = N/2 of an even mirror chain is +pi/2): at most 6
 evaluations for bond-1 chains (N = 2-800, alpha = 1e-6-1000, alpha_c
 +- 1e-13 and sqrt2 +- 1e-12), at most 7 for mirror chains (N = 4-800,
 alpha = 1e-6-10, the exits +- 1e-12) and 5 on the scaling and landscape
@@ -129,10 +132,10 @@ bond-1 state 1 near alpha_c, where the terms, of size N, cancel to
 S ~ N^3 theta^2 without bound (2e-8 relative at N = 200, alpha_c - 1e-7).
 The mirror norm cancels alike for the odd edge state near its exit.  For
 every other root cond stayed below 1.5 (bond-1, S_4 included) and 1.93
-(mirror), N up to 800, alpha = 0.001-5.  The edge states beyond
-alpha^2 = 2 are therefore summed directly, O(N) for one state, below the
-band scaled by exp(-N eta) or exp(-m eta); so is the theta = pi/2 state of
-odd N, where the closed form of S_4 is 0/0.
+(mirror S_2), N up to 800, alpha = 0.001-5; the mirror S_4 below 2.2 for
+N >= 10 (10.5 at N = 4).  The edge states beyond alpha^2 = 2 are therefore
+summed directly, O(N) for one state, below the band scaled by exp(-N eta)
+or exp(-m eta).
 
 Every returned state passes two checks, or the chain is refused: its root
 lies inside its interlacing interval (bond-1 state 1 beyond alpha^2 = 2:
@@ -156,21 +159,21 @@ of psi_1 = sin(N theta) / alpha refused alpha <= 1e-5 at N = 200, and roots
 moved off by 1e-10 relative are still refused.  alpha = 0, N = 1, any other
 matrix and a refused chain take eigendecompose.
 
-The kernels (_phase_roots, _phase_states, _mirror_spectrum) solve one
-chain per row and return arrays shaped (alpha, state) with a mask of the
-rows that passed.  Every entry is an elementwise function of its own row,
-and Newton moves each entry on its own, so a row gives the same bits in a
-batch as alone; the edge roots beyond alpha^2 = 2 and the direct O(N) sums
-run row by row, in scalar math and in the row's own reduction order.
+The kernels (_phase_roots, _phase_states) solve one chain per row and
+return arrays shaped (alpha, root) with a mask of the rows that passed.
+Every entry is an elementwise function of its own row, and Newton moves
+each entry on its own, so a row gives the same bits in a batch as alone;
+the edge roots beyond alpha^2 = 2 and the direct O(N) sums run row by row,
+in scalar math and in the row's own reduction order.
 first_bond_c12_batch, eigenstate_ipr_batch and transfer_spectrum_batch take
 a template and an alpha array, and the route is decided once per grid
 (_grid): bonds 1, N - 1 and (N + 1) / 2 are alpha J on an impurity bond and
 J elsewhere, the product bond_couplings forms, and they go to _phase_rule,
-the rule _phase_chain applies to a bare matrix.  The rows it accepts are
-solved in batches of up to PHASE_BATCH_ENTRIES (alpha, state) entries (20
-alphas of an N = 200 sweep of every state, the whole grid for one state or
-for the N = 31 landscape); only alpha = 0, another layout and a failed row
-build a matrix, for eigendecompose.  first_bond_c12, eigenstate_ipr and
+the rule _phase_chain applies to a bare matrix, for e = 1 and e = 2.  The
+rows it accepts are solved in batches of up to PHASE_BATCH_ENTRIES
+(alpha, root) entries (40 alphas of an N = 200 sweep of every state, the
+whole grid for one state or for the N = 31 landscape); only alpha = 0,
+another layout and a failed row build a matrix, for eigendecompose.  first_bond_c12, eigenstate_ipr and
 transfer_spectrum are grids of one row.
 
 Against 40-digit roots (N = 40, 41, 200, three (J, h)) the bond-1 route is
@@ -178,7 +181,11 @@ within 6.4e-15 relative on IPR and 1.6e-14 on C_12 (alpha = 5e-5-3 with
 alpha_c +- 1e-7, +- 1e-9 and sqrt2 +- 1e-3), eigendecompose within 2.4e-11
 and 5.7e-10; the mirror route is within 5.9e-16 relative on the energies
 and 1.1e-14 on f_N(t <= 1.5 N) (alpha = 5e-5-3 with both exits +- 1e-9),
-the full sum over eigendecompose within 1.9e-14.
+the full sum over eigendecompose within 1.9e-14, and within 2.1e-14 on IPR
+and 2.9e-14 on C_12 (alpha = 5e-4-3 with sqrt2 +- 1e-3, 1.6, 1.75 and the
+odd exit +- 1e-9), eigendecompose within 2.5e-13 and 1.9e-12 on the states
+1e-4 (max|E| + 1) or farther from their neighbours; closer, the bound pair
+of each end, it returns an arbitrary mix of the parity states.
 """
 
 from __future__ import annotations
@@ -199,9 +206,6 @@ RESIDUAL_TOL = 1e-10
 _EPS = float(np.finfo(float).eps)
 # Band boundary tolerance: energies this close to h +- 2|J| count as in-band.
 BAND_EDGE_TOL = 1e-9
-# eigendecompose selects a range of k states when k * SELECT_SITES_PER_STATE
-# <= N and solves fully otherwise; measured crossover in the module docstring.
-SELECT_SITES_PER_STATE = 16
 # The Newton steps of the phase route stop once |G| is at most
 # PHASE_STEP_TOL eps times the magnitudes that G sums, a few units of
 # round-off in theta; a root still outside that after PHASE_STEPS_MAX
@@ -278,21 +282,16 @@ def eigendecompose(
 ) -> SpectralDecomposition:
     """Eigendecomposition with a fixed sign convention.
 
-    states=(lo, hi) returns only the 1-based eigenpairs lo..hi (inclusive);
-    None returns all of them.  Ranges of at most N / SELECT_SITES_PER_STATE
-    states are solved by bisection and inverse iteration, wider ones by a
-    full solve that is then sliced.  Raises ConvergenceFailure if the solver
-    fails or a returned pair misses the finite residual bound
-    RESIDUAL_TOL * (max|E| + 1), max over the returned energies.
+    states=(lo, hi) returns only the 1-based eigenpairs lo..hi (inclusive)
+    of the full solve; None returns all of them.  Raises ConvergenceFailure
+    if the solver fails or any of the N pairs misses the finite residual
+    bound RESIDUAL_TOL * (max|E| + 1), max over all N energies.
     """
     n = hamiltonian.n_sites
     lo, hi = _state_range(n, states)
-    diag, offdiag = hamiltonian.diag, hamiltonian.offdiag
-    if (hi - lo + 1) * SELECT_SITES_PER_STATE <= n:
-        energies, vectors = _eigh_rows(diag, offdiag, select="i", select_range=(lo - 1, hi - 1))
-    else:
-        energies, vectors = _eigh_rows(diag, offdiag)
-        energies, vectors = energies[lo - 1 : hi], vectors[lo - 1 : hi]
+    energies, vectors = _eigh_rows(hamiltonian.diag, hamiltonian.offdiag)
+    residual_bound = _checked_residual(hamiltonian.diag, hamiltonian.offdiag, energies, vectors)
+    energies, vectors = energies[lo - 1 : hi], vectors[lo - 1 : hi]
 
     count = vectors.shape[0]
     lead = np.argmax(np.abs(vectors) > SIGN_EPS, axis=1)
@@ -300,12 +299,7 @@ def eigendecompose(
     signs[signs == 0.0] = 1.0
     vectors *= signs[:, None]
 
-    return SpectralDecomposition(
-        energies=energies,
-        vectors=vectors,
-        residual_bound=_checked_residual(diag, offdiag, energies, vectors),
-        first_state=lo,
-    )
+    return SpectralDecomposition(energies=energies, vectors=vectors, residual_bound=residual_bound, first_state=lo)
 
 
 def _state_range(n: int, states: tuple[int, int] | None) -> tuple[int, int]:
@@ -316,12 +310,12 @@ def _state_range(n: int, states: tuple[int, int] | None) -> tuple[int, int]:
     return lo, hi
 
 
-def _eigh_rows(diag, offdiag, **select):
+def _eigh_rows(diag, offdiag):
     """eigh_tridiagonal with the eigenvectors as contiguous rows."""
     from scipy.linalg import LinAlgError, eigh_tridiagonal
 
     try:
-        energies, columns = eigh_tridiagonal(diag, offdiag, **select)
+        energies, columns = eigh_tridiagonal(diag, offdiag)
     except LinAlgError as exc:
         raise ConvergenceFailure(f"tridiagonal eigensolver failed: {exc}") from exc
     return energies, np.ascontiguousarray(columns.T)
@@ -385,7 +379,7 @@ def _phase(x, upper, sign, offset, turns, a2, ends):
     if ends == 2:
         beta *= 2.0
     turn = turns * x
-    return turn + sign * beta + offset, turns + ends * a2 * (2.0 - a2) / (p * p + q * q), turn + beta - offset
+    return turn + sign * beta + offset, turns + ends * a2 * (2.0 - a2) / (p * p + q * q), turn + beta + np.abs(offset)
 
 
 def _edge_phase(t, n, kappa, excess):
@@ -497,7 +491,7 @@ def _phase_roots(roots, n, a2, ends):
     edges = np.where(big, max(0, min(ends + 1 - roots[0], roots.size)), 0)
     column = np.arange(roots.size)
     # and mirror root 1 stays next to theta = 0
-    upper = (4 * roots > turns) & (column >= np.maximum(edges, ends - 1)[:, None])
+    upper = (4 * roots > turns) & (column >= edges[:, None]) & (roots >= ends)
     x, eta = np.zeros(upper.shape), np.zeros(upper.shape)  # odd N: theta = pi/2, d = 0
     row, col = np.nonzero((2 * roots != n + 1) & (column >= edges[:, None]) & ok[:, None])
     if row.size:
@@ -565,142 +559,110 @@ def _edge_roots(edges, roots, turns, a2, ends, x, eta):
     return True
 
 
-def _edge_rows(alpha, sign, first, second, tilde, inner):
-    """Rows 1 and 2 of H v - E v at an impurity end, in units of |J| (module docstring).
+def _wave(n, ends, k, theta, eta):
+    """The bulk wave of root k from the far end down to its continuation at site 1 (module docstring).
 
-    v has psi_1 = sign first and, from site 2 on, the bulk wave, which
-    continues to tilde at site 1 and reads inner at site 2; at a root
-    tilde = sign alpha first and inner = sign second.
+    Below the band (eta > 0) it is scaled by exp(-N eta) or exp(-m eta).
     """
-    return np.hypot(alpha * (inner - sign * second), sign * alpha * first - tilde)
+    if ends == 1:
+        back = np.arange(1, n + 1)  # N + 1 - n
+        if eta > 0.0:
+            return -0.5 * np.exp((back - n) * eta) * np.expm1(-2.0 * back * eta)
+        return np.sin(back * theta)
+    sites = np.arange(n - 1, 0, -1)
+    if eta > 0.0:
+        near, far = np.exp((1 - sites) * eta), np.exp((sites - n) * eta)
+        return near + far if k % 2 else near - far
+    return (np.cos if k % 2 else np.sin)((0.5 * (n + 1) - sites) * theta)
 
 
-def _phase_states(n, lo, hi, alpha, field, coupling):
-    """(E, IPR, C_12) of the states lo..hi of bond-1 chains, and a mask of passed rows.
+def _phase_states(n, roots, alpha, field, coupling, ends):
+    """E, |psi_1|, |psi_2|, norm, sum psi^4 and residual of the roots k of chains with e impurity ends.
 
     alpha, field and coupling hold one chain of N sites per row: its
-    impurity strength, its field h and its bulk |J| (_phase_rule).  The
-    observables have the shape (alpha, state); a row fails if its roots
-    fail the checks of the module docstring.
+    impurity strength, its field h and its bulk |J| (_phase_rule).  Every
+    array has the shape (alpha, root), E = h - 2|J| cos theta is state k's
+    (module docstring); the mask of the rows whose roots pass comes last.
     """
-    roots = np.arange(min(lo, n + 1 - hi), min(hi, n + 1 - lo, (n + 1) // 2) + 1)
     with np.errstate(all="ignore"):  # a NaN or a lost root fails the checks below
-        sin, cos, theta, eta, ok = _phase_roots(roots, n, alpha * alpha, 1)
+        sin, cos, theta, eta, ok = _phase_roots(roots, n, alpha * alpha, ends)
         alpha, field, coupling = alpha[:, None], field[:, None], coupling[:, None]
         a2 = alpha * alpha
         p, q = (2.0 - a2) * cos, a2 * sin
-        r2 = p * p + q * q
+        pp, qq = p * p, q * q
+        r2 = pp + qq
         first = alpha * sin / np.sqrt(r2)
         second = 2.0 * sin * cos / np.sqrt(r2)
-        edge = p * cos / r2
-        half = 0.5 * (n - 1)
-        norm = half + edge + first * first
-        quartic = 0.75 * half + edge - (p * cos - q * sin) * (p * p - q * q) / (4.0 * r2 * r2) + first**4
-        # psi_n = sin((N + 1 - n) theta) continues to sin(N theta) at site 1
-        rows = _edge_rows(alpha, np.where(roots % 2, 1.0, -1.0), first, second,
-                          np.sin(n * theta), np.sin((n - 1) * theta))
-        # state 1 beyond alpha^2 = 2 and the theta = pi/2 state of odd N
-        # are summed directly (module docstring)
-        direct = np.zeros(theta.shape, bool)
-        direct[:, 0] = (roots[0] == 1) & (a2[:, 0] > 2.0)
-        direct[:, -1] |= 2 * roots[-1] == n + 1
-        sites = np.arange(1, n)
-        for i, j in zip(*np.nonzero(direct & ok[:, None])):
-            if eta[i, j] > 0.0:  # below the band: sinh(m eta) exp(-N eta), psi_1 alike
-                profile = -0.5 * np.exp((sites - n) * eta[i, j]) * np.expm1(-2.0 * sites * eta[i, j])
-                first[i, j] = -np.expm1(-2.0 * n * eta[i, j]) / (2.0 * alpha[i, 0])
+        half = 0.5 * (n - ends)
+        # each layout keeps its own order of summation, and with it its bits
+        if ends == 1:
+            span = p * cos / r2
+            fold = (p * cos - q * sin) * (pp - qq) / (4.0 * r2 * r2)
+            norm = half + span + first * first
+            # psi_n = sin((N + 1 - n) theta) continues to sin(N theta) at site 1
+            sign, tilde, inner = np.where(roots % 2, 1.0, -1.0), np.sin(n * theta), np.sin((n - 1) * theta)
+        else:
+            span = (2.0 * a2 * p * cos + pp - qq) / (2.0 * r2)
+            fold = (2.0 * a2 * (2.0 - a2) * (pp - qq) * (cos - sin) * (cos + sin) + (pp - qq) ** 2
+                    - 4.0 * pp * qq) / (8.0 * r2 * r2)
+            norm = 2.0 * first * first + half + span
+            # the bulk wave cos((n - c) theta) or sin((c - n) theta), c = (N + 1)/2,
+            # continues to site 1 as the same wave at m theta = (c - 1) theta
+            even, turn = roots % 2 == 1, 0.5 * (n - 1) * theta
+            sign = np.where((roots - 1) // 2 % 2, -1.0, 1.0)
+            tilde = np.where(even, np.cos(turn), np.sin(turn))
+            inner = np.where(even, np.cos(turn - theta), np.sin(turn - theta))
+        # at theta = pi/2 every bulk amplitude is 0 or +-1: S_4 = S_2
+        quartic = np.where(2 * roots == n + 1, half + span, 0.75 * half + span - fold) + ends * first**4
+        # rows 1 and 2 of H v - E v at an impurity end, in units of |J| (module docstring):
+        # v has psi_1 = sign first, and the bulk wave continues to tilde at site 1
+        rows = np.hypot(alpha * (inner - sign * second), sign * alpha * first - tilde)
+        # the edge states beyond alpha^2 = 2 are summed directly (module docstring)
+        for i, j in zip(*np.nonzero((roots[:ends] <= ends) & (a2 > 2.0) & ok[:, None])):
+            wave = _wave(n, ends, roots[j], theta[i, j], eta[i, j])
+            if eta[i, j] > 0.0:  # below the band psi_1 is the wave's continuation over alpha
+                first[i, j] = wave[-1] / alpha[i, 0]
                 cos[i, j] = math.cosh(eta[i, j])
-                rows[i, j] = abs(alpha[i, 0] * profile[-1] - 2.0 * cos[i, j] * first[i, j])
-            else:
-                profile = np.sin(sites * theta[i, j])
-            second[i, j] = profile[-1]
-            squares = profile * profile
-            norm[i, j] = first[i, j] ** 2 + squares.sum()
-            quartic[i, j] = first[i, j] ** 4 + squares @ squares
-        ipr = norm * norm / quartic
-        c12 = 2.0 * first * np.abs(second) / norm
-        residual = coupling * rows / np.sqrt(norm)
-        states = np.arange(lo, hi + 1)
-        index = np.minimum(states, n + 1 - states) - roots[0]
-        energies = field + np.where(2 * states <= n, -2.0, 2.0) * coupling * cos[:, index]
-        ok &= _healthy(residual, energies) & np.isfinite(ipr * c12).all(axis=1)
-    return energies, ipr[:, index], c12[:, index], ok
+                rows[i, j] = abs(alpha[i, 0] * wave[-2] - 2.0 * cos[i, j] * first[i, j])
+            bulk = wave[:-1]
+            squares = bulk * bulk
+            second[i, j] = bulk[-1]
+            norm[i, j] = ends * first[i, j] ** 2 + bulk @ bulk
+            quartic[i, j] = ends * first[i, j] ** 4 + squares @ squares
+        energies = field - 2.0 * coupling * cos
+        residual = coupling * rows * np.sqrt(ends / norm)
+        # cos theta is largest at the first root: max|E| = |h| + 2|J| cos theta there
+        ok &= _healthy(residual, np.abs(field) + 2.0 * coupling * cos[:, :1])
+        ok &= np.isfinite(first * second / norm / quartic).all(axis=1)
+    return energies, first, second, norm, quartic, residual, ok
 
 
-def _mirror_spectrum(n, alpha, field, bulk):
-    """Energies, transfer weights and residual bounds of mirror chains, and a mask of passed rows.
-
-    alpha, field and bulk hold one chain of N sites per row: its impurity
-    strength, its field h and its bulk J (_phase_rule).  Energies and
-    weights have the shape (alpha, state); a row fails if its roots fail
-    the checks of the module docstring.
-    """
-    roots = np.arange(1, (n + 1) // 2 + 1)
-    even = roots % 2 == 1  # reflection parity of root k
-    with np.errstate(all="ignore"):  # a NaN or a lost root fails the checks below
-        sin, cos, theta, eta, ok = _phase_roots(roots, n, alpha * alpha, 2)
-        alpha, field, coupling = alpha[:, None], field[:, None], np.abs(bulk)[:, None]
-        a2 = alpha * alpha
-        p, q = (2.0 - a2) * cos, a2 * sin
-        r2 = p * p + q * q
-        first = alpha * sin / np.sqrt(r2)
-        norm = 2.0 * first * first + 0.5 * (n - 2) + (2.0 * a2 * p * cos + p * p - q * q) / (2.0 * r2)
-        # the bulk wave cos((n - c) theta) or sin((c - n) theta), c = (N + 1)/2,
-        # continues to site 1 as the same wave at m theta = (c - 1) theta
-        turn = 0.5 * (n - 1) * theta
-        rows = _edge_rows(alpha, np.where((roots - 1) // 2 % 2, -1.0, 1.0), first, 2.0 * sin * cos / np.sqrt(r2),
-                          np.where(even, np.cos(turn), np.sin(turn)),
-                          np.where(even, np.cos(turn - theta), np.sin(turn - theta)))
-        # the two edge states beyond alpha^2 = 2 are summed directly (module docstring)
-        sites = np.arange(1, n)
-        for i, j in zip(*np.nonzero((roots <= 2) & (a2 > 2.0) & ok[:, None])):
-            if eta[i, j] > 0.0:  # below the band: cosh or sinh((c - n) eta) exp(-m eta)
-                near, far = np.exp((1 - sites) * eta[i, j]), np.exp((sites - n) * eta[i, j])
-                profile = near + far if even[j] else near - far
-                first[i, j] = profile[0] / alpha[i, 0]
-                cos[i, j] = math.cosh(eta[i, j])
-                rows[i, j] = abs(alpha[i, 0] * profile[1] - 2.0 * cos[i, j] * first[i, j])
-            else:
-                profile = np.sin((0.5 * (n + 1) - sites) * theta[i, j])
-            norm[i, j] = 2.0 * first[i, j] ** 2 + profile[1:] @ profile[1:]
-        weights = np.where(even, 1.0, -1.0) * first * first / norm
-        residual = (coupling * rows * np.sqrt(2.0 / norm)).max(axis=1)
-        # state N + 1 - j pairs with state j: E - h negated, weight times (-1)^(N - 1);
-        # J > 0 reverses the order of the roots
-        pair = 1.0 if n % 2 else -1.0
-        weights *= np.where(bulk > 0.0, pair, 1.0)[:, None]
-        half = n // 2
-        low = field - 2.0 * coupling * cos[:, :half]
-        energies = np.concatenate((low, np.repeat(field, n % 2, axis=1), 2.0 * field - low[:, ::-1]), axis=1)
-        weights = np.concatenate((weights, pair * weights[:, :half][:, ::-1]), axis=1)
-        ok &= _healthy(residual[:, None], energies) & np.isfinite(weights).all(axis=1)
-    return energies, weights, residual, ok
-
-
-def _phase_rule(end, far, bulk, uniform, field, ends):
+def _phase_rule(end, far, bulk, uniform, field):
     """(ok, alpha, h, J) of one chain per row from its bonds 1, N - 1 and (N + 1) // 2.
 
-    uniform marks a constant diagonal h and equal bonds 2..N - e.  The phase
-    route takes a uniform bulk J bordered by e impurity bonds alpha J with
-    alpha J and J nonzero: e = 1 a bond-1 chain, e = 2 a mirror chain
-    (end = far; N = 2 and 3 are uniform chains against their middle bond).
+    uniform[e - 1] marks a constant diagonal h and equal bonds 2..N - e.
+    The phase route takes a uniform bulk J bordered by e impurity bonds
+    alpha J with alpha J and J nonzero; ok[e - 1] marks those rows: e = 1 a
+    bond-1 chain, e = 2 a mirror chain (end = far; N = 2 and 3 are uniform
+    chains against their middle bond).
     """
     with np.errstate(all="ignore"):  # a refused row may divide by 0 or overflow
         alpha = np.abs(end) / np.abs(bulk)
-    ok = uniform & (bulk != 0.0) & (end != 0.0) & ((ends == 1) | (end == far))
+    ok = uniform & (bulk != 0.0) & (end != 0.0)
+    ok[1] &= end == far
     return ok, alpha, field, bulk
 
 
-def _phase_chain(hamiltonian: TridiagonalHamiltonian, ends: int):
+def _phase_chain(hamiltonian: TridiagonalHamiltonian):
     """_phase_rule of a bare matrix: arrays of one row."""
     diag, offdiag = hamiltonian.diag, hamiltonian.offdiag
     n = diag.size
-    inner = offdiag[1 : n - ends]
-    uniform = not ((diag != diag[0]).any() or (inner[1:] != inner[:-1]).any())
-    return _phase_rule(offdiag[:1], offdiag[-1:], offdiag[(n - 1) // 2 :][:1], np.array([uniform]), diag[:1], ends)
+    flat = not (diag != diag[0]).any()
+    uniform = [[flat and not (inner[1:] != inner[:-1]).any()] for inner in (offdiag[1 : n - e] for e in (1, 2))]
+    return _phase_rule(offdiag[:1], offdiag[-1:], offdiag[(n - 1) // 2 :][:1], np.array(uniform), diag[:1])
 
 
-def _grid(template, alphas, ends):
+def _grid(template, alphas):
     """(N, the _phase_rule rows, the matrix of row i) of the template at every alpha of a grid.
 
     A bond couples alpha J or J (bond_couplings); bonds 2..N - e are equal
@@ -711,7 +673,7 @@ def _grid(template, alphas, ends):
     With alphas None the template is a bare matrix: one row.
     """
     if alphas is None:
-        return template.n_sites, _phase_chain(template, ends), lambda i: template
+        return template.n_sites, _phase_chain(template), lambda i: template
     n, coupling, alphas = template.n_sites, template.exchange_j, np.asarray(alphas, dtype=float)
     bonds = {bond for bond, _ in template.impurities}
     if alphas.size:
@@ -723,9 +685,9 @@ def _grid(template, alphas, ends):
     for alpha in alphas[failed][:1] if bonds else ():
         validate_spec(with_alpha(template, alpha))
     end, far, bulk = (scaled if bond in bonds else plain for bond in (1, n - 1, (n + 1) // 2))
-    inside = sum(2 <= bond <= n - ends for bond in bonds)
-    uniform = (scaled == coupling) | (not 0 < inside < n - 1 - ends)
-    chains = _phase_rule(end, far, bulk, uniform, np.full(alphas.size, template.field_h), ends)
+    inside = [sum(2 <= bond <= n - ends for bond in bonds) for ends in (1, 2)]
+    uniform = np.array([(scaled == coupling) | (not 0 < inside[e - 1] < n - 1 - e) for e in (1, 2)])
+    chains = _phase_rule(end, far, bulk, uniform, np.full(alphas.size, template.field_h))
     return n, chains, lambda i: build_hamiltonian(with_alpha(template, alphas[i]))
 
 
@@ -736,62 +698,79 @@ def _batches(ok, width):
     return (rows[start : start + step] for start in range(0, rows.size, step))
 
 
-def _state_table(grid, states, column):
-    """Column 1 (IPR) or 2 (C_12) of _phase_states for the states lo..hi, one row per grid row.
+def _state_table(grid, states, read):
+    """IPR (read "ipr") or C_12 (read "c12") of the states lo..hi, one row per grid row.
 
-    The rows the phase route takes are solved in batches; any other row
-    reads it off the vectors of eigendecompose(H, (lo, hi)) of its matrix.
+    Bond-1 rows (e = 1, the uniform chain too) and mirror rows (e = 2) read
+    root min(j, N + 1 - j) of state j in batches; any other row the vectors
+    of eigendecompose(H, (lo, hi)) of its matrix.
     """
     from .measures import ipr_of_rows  # measures imports this module
 
-    read = ipr_of_rows if column == 1 else lambda vectors: 2.0 * np.abs(vectors[:, 0] * vectors[:, 1])
     n, (ok, alpha, field, bulk), matrix = grid
     lo, hi = _state_range(n, states)
-    table = np.empty((ok.size, hi - lo + 1))
-    solved = np.zeros(ok.size, bool)
-    for index in _batches(ok, hi - lo + 1):
-        *phases, passed = _phase_states(n, lo, hi, alpha[index], field[index], np.abs(bulk[index]))
-        table[index[passed]] = phases[column][passed]
-        solved[index[passed]] = True
+    states = np.arange(lo, hi + 1)
+    roots = np.arange(min(lo, n + 1 - hi), min(hi, n + 1 - lo, (n + 1) // 2) + 1)
+    index = np.minimum(states, n + 1 - states) - roots[0]
+    table = np.empty((alpha.size, states.size))
+    solved = np.zeros(alpha.size, bool)
+    for ends, rows in ((1, ok[0]), (2, ok[1] & ~ok[0])):
+        for batch in _batches(rows, roots.size):
+            _, first, second, norm, quartic, _, passed = _phase_states(
+                n, roots, alpha[batch], field[batch], np.abs(bulk[batch]), ends)
+            values = norm * norm / quartic if read == "ipr" else 2.0 * first * np.abs(second) / norm
+            table[batch[passed]] = values[passed][:, index]
+            solved[batch[passed]] = True
     for i in np.flatnonzero(~solved):
-        table[i] = read(eigendecompose(matrix(i), (lo, hi)).vectors)
+        vectors = eigendecompose(matrix(i), (lo, hi)).vectors
+        table[i] = ipr_of_rows(vectors) if read == "ipr" else 2.0 * np.abs(vectors[:, 0] * vectors[:, 1])
     return table
 
 
 def first_bond_c12_batch(template: ChainSpec, alphas, states: tuple[int, int]) -> np.ndarray:
     """first_bond_c12 of the template at every alpha of the grid, one row per alpha.
 
-    A bond-1 template reads the phase equation in batches, any other row
-    eigendecompose(H, (lo, hi)) (_grid, module docstring).  Raises the typed
-    error of the first alpha validate_spec refuses, ValueError for a range
-    outside 1..N and ConvergenceFailure if eigendecompose fails.
+    Bond-1 and mirror templates read the phase equation in batches, any
+    other row eigendecompose(H, (lo, hi)) (_grid, module docstring).  Raises
+    the typed error of the first alpha validate_spec refuses, ValueError for
+    a range outside 1..N and ConvergenceFailure if eigendecompose fails.
     """
-    return _state_table(_grid(template, alphas, 1), states, 2)
+    return _state_table(_grid(template, alphas), states, "c12")
 
 
 def first_bond_c12(hamiltonian: TridiagonalHamiltonian, states: tuple[int, int]) -> np.ndarray:
     """First-bond concurrence 2 |psi_1 psi_2| of the 1-based states lo..hi, a grid of one row."""
-    return _state_table(_grid(hamiltonian, None, 1), states, 2)[0]
+    return _state_table(_grid(hamiltonian, None), states, "c12")[0]
 
 
 def eigenstate_ipr_batch(template: ChainSpec, alphas, states: tuple[int, int]) -> np.ndarray:
     """eigenstate_ipr of the template at every alpha of the grid, routed like first_bond_c12_batch."""
-    return _state_table(_grid(template, alphas, 1), states, 1)
+    return _state_table(_grid(template, alphas), states, "ipr")
 
 
 def eigenstate_ipr(hamiltonian: TridiagonalHamiltonian, states: tuple[int, int]) -> np.ndarray:
     """Inverse participation ratio of the 1-based states lo..hi, a grid of one row."""
-    return _state_table(_grid(hamiltonian, None, 1), states, 1)[0]
+    return _state_table(_grid(hamiltonian, None), states, "ipr")[0]
 
 
 def _transfer_spectra(grid) -> list[TransferSpectrum]:
-    """transfer_spectrum of every grid row: mirror chains in batches, eigendecompose otherwise."""
+    """transfer_spectrum of every grid row: mirror chains (e = 2) in batches, eigendecompose otherwise."""
     n, (ok, alpha, field, bulk), matrix = grid
-    spectra = [None] * ok.size
-    for index in _batches(ok, (n + 1) // 2):
-        energies, weights, residual, passed = _mirror_spectrum(n, alpha[index], field[index], bulk[index])
+    roots = np.arange(1, (n + 1) // 2 + 1)
+    half, pair = n // 2, 1.0 if n % 2 else -1.0
+    spectra = [None] * alpha.size
+    for batch in _batches(ok[1], roots.size):
+        low, first, _, norm, _, residual, passed = _phase_states(
+            n, roots, alpha[batch], field[batch], np.abs(bulk[batch]), 2)
+        weights = np.where(roots % 2, 1.0, -1.0) * first * first / norm
+        weights *= np.where(bulk[batch] > 0.0, pair, 1.0)[:, None]
+        centre = field[batch, None]
+        low = low[:, :half]
+        energies = np.concatenate((low, np.repeat(centre, n % 2, axis=1), 2.0 * centre - low[:, ::-1]), axis=1)
+        weights = np.concatenate((weights, pair * weights[:, :half][:, ::-1]), axis=1)
+        residual = residual.max(axis=1)
         for row in np.flatnonzero(passed):
-            spectra[index[row]] = TransferSpectrum(energies[row], weights[row], float(residual[row]))
+            spectra[batch[row]] = TransferSpectrum(energies[row], weights[row], float(residual[row]))
     for i, spectrum in enumerate(spectra):
         if spectrum is None:
             dec = eigendecompose(matrix(i))
@@ -801,12 +780,12 @@ def _transfer_spectra(grid) -> list[TransferSpectrum]:
 
 def transfer_spectrum_batch(template: ChainSpec, alphas) -> list[TransferSpectrum]:
     """transfer_spectrum of the template at every alpha of the grid, routed like first_bond_c12_batch."""
-    return _transfer_spectra(_grid(template, alphas, 2))
+    return _transfer_spectra(_grid(template, alphas))
 
 
 def transfer_spectrum(hamiltonian: TridiagonalHamiltonian) -> TransferSpectrum:
     """Energies and transfer weights psi_1 psi_N of every state, a grid of one row."""
-    return _transfer_spectra(_grid(hamiltonian, None, 2))[0]
+    return _transfer_spectra(_grid(hamiltonian, None))[0]
 
 
 def classify_band(dec: SpectralDecomposition, spec: ChainSpec) -> tuple[BandLabel, ...]:

@@ -283,10 +283,26 @@ def test_computation_error_exits_one(monkeypatch, capsys):
     monkeypatch.setattr(spectral, "_eigh_rows", diverge)
     # no solver-free route: the phase rule refuses every chain
     monkeypatch.setattr(spectral, "_phase_rule",
-                        lambda end, far, bulk, uniform, field, ends: (np.zeros(bulk.shape, bool), end, field, bulk))
+                        lambda end, far, bulk, uniform, field: (np.zeros(uniform.shape, bool), end, field, bulk))
     code, _, err = run_cli(["optimize", "--n", "20", "--alpha-range", "0.4:0.5:0.1"], capsys)
     assert code == 1
     assert "ConvergenceFailure" in err
+
+
+def test_ranges_beside_a_far_bound_state_exit_zero(tmp_path):
+    # alpha = 1e10 puts two bound states at about +-1e10, outside the ranges;
+    # the phase route refuses alpha^2 beyond 1 / eps, so eigendecompose reads them
+    paths = {}
+    for name, argv in {
+        "c12": ["concurrence-sweep", "--n", "200", "--alpha", "1e10"],
+        "ipr_2_3": ["ipr-sweep", "--n", "200", "--alpha", "1e10", "--states", "2:3"],
+        "ipr": ["ipr-sweep", "--n", "200", "--alpha", "1e10", "--states", "1:200"],
+    }.items():
+        paths[name] = tmp_path / f"{name}.csv"
+        assert main([*argv, "--out", str(paths[name])]) == 0
+    rows = {name: path.read_text().splitlines()[1:] for name, path in paths.items()}
+    assert len(rows["c12"]) == 99
+    assert rows["ipr_2_3"] == rows["ipr"][1:3]
 
 
 def test_memory_error_is_one_line_and_exits_one(monkeypatch, capsys):
@@ -566,6 +582,8 @@ def run_main(argv):
         ["scaling", "--n-list", "8,10", "--alpha-range", "0.3:0.5:0.1"],
         ["landscape", "--n", "31", "--alpha-range", "0.4:0.4:0.1", "--t-range", "0:40:0.1"],
         ["evolve", "--n", "31", "--alpha", "0.4", "--mirror", "--kind", "fidelity", "--t-range", "0:40:0.1"],
+        ["concurrence-sweep", "--mirror", "--n", "200", "--alpha-range", "0.005:2:0.005", "--out", os.devnull],
+        ["ipr-sweep", "--mirror", "--n", "201", "--alpha-range", "0.005:3:0.005", "--out", os.devnull],
     ],
 )
 def test_phase_route_commands_load_no_scipy(argv):

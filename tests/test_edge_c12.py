@@ -6,8 +6,9 @@ F(theta) = alpha^2 sin((N-1) theta) - 2 cos theta sin(N theta) = 0, without
 any solver.  These tests pin that route against eigendecompose, against the
 edge-bond secular equation and against 40-digit mpmath roots of F, and check
 which matrices and alphas take which route: alpha = 0, a refused root and
-any other layout take eigendecompose(H, (lo, hi)), and the mirror route of
-transfer_spectrum is never reached.
+any layout but bond-1 and mirror chains take eigendecompose(H, (lo, hi)),
+and a bond-1 chain never reaches the kernel with e = 2 ends (mirror chains:
+test_parity.py).
 """
 
 import math
@@ -55,31 +56,44 @@ def eigenvector_c12(hamiltonian, states=None):
     return 2.0 * np.abs(vectors[:, 0] * vectors[:, 1])
 
 
-def selection_spy():
+def fallback_spy():
+    """A spy on eigendecompose, which solves every row the phase route does not take."""
     return mock.patch.object(spectral, "eigendecompose", wraps=eigendecompose)
 
 
 def mirror_route_spy():
-    return mock.patch.object(spectral, "_mirror_spectrum", wraps=spectral._mirror_spectrum)
+    """A spy on the phase kernel; mirror_calls lists its calls with e = 2 ends."""
+    return mock.patch.object(spectral, "_phase_states", wraps=spectral._phase_states)
 
 
-def phase_states(hamiltonian, lo, hi):
-    """(E, IPR, C_12) of the states lo..hi from the phase route's kernel, None if it refuses the chain."""
-    accepted, alpha, field, bulk = spectral._phase_chain(hamiltonian, 1)
-    if not accepted[0]:
+def mirror_calls(spy):
+    return [call for call in spy.call_args_list if call.args[-1] == 2]
+
+
+def phase_states(hamiltonian, lo, hi, ends=1):
+    """(E, IPR, C_12) of the states lo..hi from the phase kernel, None if it refuses the chain."""
+    accepted, alpha, field, bulk = spectral._phase_chain(hamiltonian)
+    if not accepted[ends - 1, 0]:
         return None
-    *phases, ok = spectral._phase_states(hamiltonian.n_sites, lo, hi, alpha, field, np.abs(bulk))
-    return tuple(values[0] for values in phases) if ok[0] else None
+    n = hamiltonian.n_sites
+    roots = np.arange(1, (n + 1) // 2 + 1)
+    low, first, second, norm, quartic, _, ok = spectral._phase_states(n, roots, alpha, field, np.abs(bulk), ends)
+    if not ok[0]:
+        return None
+    states = np.arange(lo, hi + 1)
+    index = np.minimum(states, n + 1 - states) - 1
+    energies = np.where(2 * states <= n, low[0, index], 2.0 * field[0] - low[0, index])
+    return energies, (norm * norm / quartic)[0, index], (2.0 * first * np.abs(second) / norm)[0, index]
 
 
 def phase_route(hamiltonian, states=None):
     """(E, IPR, C_12) of the states (all by default), asserting that no LAPACK routine ran."""
     lo, hi = states or (1, hamiltonian.n_sites)
-    with selection_spy() as selected, mirror_route_spy() as mirror, \
+    with fallback_spy() as fallback, mirror_route_spy() as mirror, \
             mock.patch("scipy.linalg.eigh_tridiagonal", wraps=eigh_tridiagonal) as lapack:
         c12 = first_bond_c12(hamiltonian, (lo, hi))
         ipr = eigenstate_ipr(hamiltonian, (lo, hi))
-    assert not selected.called and not mirror.called and not lapack.called
+    assert not fallback.called and not mirror_calls(mirror) and not lapack.called
     phases = phase_states(hamiltonian, lo, hi)
     assert np.array_equal(phases[1], ipr) and np.array_equal(phases[2], c12)
     return phases
@@ -288,8 +302,8 @@ def assert_phase_route(template, states, observable, refused=()):
     """A bond-1 sweep over alpha = 0..3 solves only alpha = 0 and the refused alphas.
 
     Those take eigendecompose(H, states) and read the rows of its vectors;
-    every other alpha reads the phase route.  The mirror route is never
-    reached.
+    every other alpha reads the phase route.  The kernel never runs with
+    e = 2 ends.
     """
     alphas = 0.005 * np.arange(601)
     phase_roots = spectral._phase_roots
@@ -298,12 +312,12 @@ def assert_phase_route(template, states, observable, refused=()):
         *solved, ok = phase_roots(roots, n, a2, ends)
         return (*solved, ok & ~np.any(np.abs(a2[:, None] - np.square(refused)) <= 1e-12, axis=1))
 
-    with selection_spy() as selected, mirror_route_spy() as mirror, \
+    with fallback_spy() as fallback, mirror_route_spy() as mirror, \
             mock.patch.object(spectral, "_phase_roots", refusing):
         rows = observable(template, alphas, range(states[0], states[1] + 1))
-    assert not mirror.called
-    assert [call.args[1] for call in selected.call_args_list] == [states] * (1 + len(refused))
-    assert [alpha_of(call.args[0]) for call in selected.call_args_list] == pytest.approx([0.0, *refused])
+    assert not mirror_calls(mirror)
+    assert [call.args[1] for call in fallback.call_args_list] == [states] * (1 + len(refused))
+    assert [alpha_of(call.args[0]) for call in fallback.call_args_list] == pytest.approx([0.0, *refused])
     width = states[1] - states[0] + 1
     assert len(rows) == alphas.size * width
     reads = {c12_sweep: lambda dec: 2.0 * np.abs(dec.vectors[:, 0] * dec.vectors[:, 1]),
@@ -333,30 +347,34 @@ def test_bond1_sweeps_take_the_phase_route():
     [
         (ChainSpec(200, -1.0, 0.0, ((2, 1.0),)), (2, 13)),
         (ChainSpec(200, -1.0, 0.0, ((2, 1.0),)), (1, 1)),
-        (mirror_impurities(200, 1.0), (2, 100)),
+        (ChainSpec(200, -1.0, 0.0, ((1, 1.0), (198, 1.0))), (2, 100)),
         (ChainSpec(60, -1.0, 0.0, ((1, 1.0), (30, 1.0))), (1, 60)),
     ],
 )
 def test_narrow_ranges_and_moving_bulks_take_eigendecompose(template, states):
-    # an impurity anywhere but bond 1 moves the bulk H[2:, 2:] with alpha
+    # an impurity anywhere but bond 1 (or bonds 1 and N - 1 at once) moves
+    # the bulk with alpha
     alphas = [0.0, 0.5, 1.5]
-    with mirror_route_spy() as mirror, selection_spy() as selected:
+    with mirror_route_spy() as mirror, fallback_spy() as fallback:
         c12_sweep(template, alphas, range(states[0], states[1] + 1))
-    assert not mirror.called
-    assert [call.args[1] for call in selected.call_args_list] == [states] * len(alphas)
+    assert not mirror_calls(mirror)
+    assert [call.args[1] for call in fallback.call_args_list] == [states] * len(alphas)
 
 
 def test_mirror_chain_at_alpha_1_takes_the_phase_route():
     # at alpha = 1 the mirror chain is uniform, a bond-1 chain with alpha = 1;
-    # at any other alpha the last bond moves the bulk
+    # at any other alpha it is a mirror chain, with e = 2 ends
     template = mirror_impurities(200, 1.0, exchange_j=-0.8, field_h=0.3)
     alphas = [0.5, 1.0, 1.5]
-    with mirror_route_spy() as mirror, selection_spy() as selected:
+    with mirror_route_spy() as kernel, fallback_spy() as fallback:
         rows = c12_sweep(template, alphas, range(2, 101))
-    assert not mirror.called
-    assert [call.args[0].offdiag[-1] for call in selected.call_args_list] == pytest.approx([-0.4, -1.2])
-    reference = eigenvector_c12(build_hamiltonian(template), (2, 100))
-    assert_close([value for alpha, _, value in rows if alpha == 1.0], reference)
+    assert not fallback.called
+    assert [(call.args[-1], call.args[2].tolist()) for call in kernel.call_args_list] == [
+        (1, [1.0]), (2, pytest.approx([0.5, 1.5]))]
+    # state 2 at alpha = 1.5 is half of a bound pair that LAPACK mixes (test_parity.py)
+    for alpha in alphas:
+        reference = eigenvector_c12(build_hamiltonian(with_alpha(template, alpha)), (3, 100))
+        assert_close([value for at, j, value in rows if at == alpha and j >= 3], reference)
 
 
 @pytest.mark.parametrize("site, border", [(1, True), (2, False), (120, False)])
@@ -369,10 +387,10 @@ def test_a_moved_bulk_diagonal_takes_eigendecompose(site, border):
     offdiag[0] *= 0.6
     hamiltonian = TridiagonalHamiltonian(diag, offdiag)
     assert (np.ptp(diag[1:]) == 0.0) == border
-    with mirror_route_spy() as mirror, selection_spy() as selected:
+    with mirror_route_spy() as mirror, fallback_spy() as fallback:
         values = first_bond_c12(hamiltonian, (1, 120))
-    assert not mirror.called
-    assert [call.args[1] for call in selected.call_args_list] == [(1, 120)]
+    assert not mirror_calls(mirror)
+    assert [call.args[1] for call in fallback.call_args_list] == [(1, 120)]
     assert phase_states(hamiltonian, 1, 120) is None
     assert_close(values, eigenvector_c12(hamiltonian))
 
@@ -412,10 +430,10 @@ def test_refused_alphas_fall_back_to_eigendecompose(failure):
     with refused(failure):
         hamiltonian = build_hamiltonian(template)
         assert phase_states(hamiltonian, 1, 20) is None
-        with selection_spy() as selected, mirror_route_spy() as mirror:
+        with fallback_spy() as fallback, mirror_route_spy() as mirror:
             rows = c12_sweep(template, alphas, range(1, 21))
-    assert not mirror.called
-    assert [call.args[1] for call in selected.call_args_list] == [(1, 20)] * len(alphas)
+    assert not mirror_calls(mirror)
+    assert [call.args[1] for call in fallback.call_args_list] == [(1, 20)] * len(alphas)
     expected = [value for alpha in alphas
                 for value in eigenvector_c12(build_hamiltonian(single_impurity(
                     120, alpha, exchange_j=-0.8, field_h=0.3)), (1, 20))]

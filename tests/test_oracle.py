@@ -307,16 +307,16 @@ def test_oracle_check_runs_on_any_layout(template):
 
 def test_oracle_check_covers_the_parity_route():
     # alpha = 1 makes the single-impurity chain uniform, hence a mirror chain,
-    # so its C_A,N reference comes from the phase equation of the mirror route
-    mirror, solved = spectral._mirror_spectrum, []
+    # so its C_A,N reference comes from the phase equation with e = 2 ends
+    kernel, solved = spectral._phase_states, []
 
     def recorded(*args):
-        solved.append(mirror(*args))
-        return solved[-1]
+        solved.append((args[-1], kernel(*args)))
+        return solved[-1][1]
 
-    with mock.patch.object(spectral, "_mirror_spectrum", side_effect=recorded):
+    with mock.patch.object(spectral, "_phase_states", side_effect=recorded):
         results = oracle_check([single_impurity(6, 1.0)])
-    assert any(ok.any() for *_, ok in solved)
+    assert any(ok.any() for ends, (*_, ok) in solved if ends == 2)
     assert [result.n_sites for result in results] == [6]
     assert results[0].passed
     assert max(results[0].block_dev, results[0].amplitude_dev, results[0].concurrence_dev) <= 1e-13

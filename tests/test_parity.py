@@ -38,7 +38,15 @@ from xxchain.chain import (
 from xxchain.dynamics import transfer_amplitude
 from xxchain.errors import ConvergenceFailure
 from xxchain.protocols import fidelity_landscape, inclusive_grid
-from xxchain.spectral import TransferSpectrum, eigendecompose, transfer_spectrum, transfer_spectrum_batch
+from xxchain.cli import main
+from xxchain.spectral import (
+    TransferSpectrum,
+    eigendecompose,
+    eigenstate_ipr,
+    first_bond_c12,
+    transfer_spectrum,
+    transfer_spectrum_batch,
+)
 
 from routes import factorings, full_route, unpaired
 
@@ -146,15 +154,16 @@ def test_interior_impurities_take_eigendecompose(spec):
     with full_solve_spy() as spy:
         result = transfer_spectrum(hamiltonian)
     spy.assert_called_once_with(hamiltonian)
-    assert not spectral._phase_chain(hamiltonian, 2)[0][0]
+    assert not spectral._phase_chain(hamiltonian)[0][1, 0]
     assert np.array_equal(result.transfer_weights, full_route(eigendecompose(hamiltonian)).transfer_weights)
 
 
-def mirror_spectrum(hamiltonian):
-    """The mirror route's kernel on one matrix: its TransferSpectrum, None if it refuses the chain."""
-    _, alpha, field, bulk = spectral._phase_chain(hamiltonian, 2)
-    energies, weights, residual, ok = spectral._mirror_spectrum(hamiltonian.n_sites, alpha, field, bulk)
-    return TransferSpectrum(energies[0], weights[0], float(residual[0])) if ok[0] else None
+def kernel_accepts(hamiltonian):
+    """Whether the phase kernel with e = 2 ends passes every root of one mirror matrix."""
+    _, alpha, field, bulk = spectral._phase_chain(hamiltonian)
+    n = hamiltonian.n_sites
+    *_, ok = spectral._phase_states(n, np.arange(1, (n + 1) // 2 + 1), alpha, field, np.abs(bulk), 2)
+    return bool(ok[0])
 
 
 def lapack_spy():
@@ -249,7 +258,7 @@ def test_failed_phase_check_falls_back_to_eigenvectors(failure, n, alpha):
     # a failed check on any root sends the whole chain to one eigendecompose call
     hamiltonian = build_hamiltonian(mirror_impurities(n, alpha))
     with refused(failure):
-        assert mirror_spectrum(hamiltonian) is None
+        assert not kernel_accepts(hamiltonian)
         with full_solve_spy() as full:
             result = transfer_spectrum(hamiltonian)
     full.assert_called_once_with(hamiltonian)
@@ -292,11 +301,12 @@ def test_landscape_runs_no_solver(n):
     alphas = inclusive_grid(0.3, 1.0, 0.01)
     assert alphas.size == 71
     with lapack_spy() as lapack, \
-            mock.patch.object(spectral, "_mirror_spectrum", wraps=spectral._mirror_spectrum) as mirror:
+            mock.patch.object(spectral, "_phase_states", wraps=spectral._phase_states) as kernel:
         fidelity_landscape(mirror_impurities(n, 1.0), alphas, np.arange(0.0, 10.0, 0.5))
     assert not lapack.called
     # batches of at most PHASE_BATCH_ENTRIES roots, every alpha in one of them
-    sizes = [call.args[1].size for call in mirror.call_args_list]
+    assert {call.args[-1] for call in kernel.call_args_list} == {2}
+    sizes = [call.args[2].size for call in kernel.call_args_list]
     assert sum(sizes) == alphas.size and max(sizes) * ((n + 1) // 2) <= spectral.PHASE_BATCH_ENTRIES
 
 
@@ -353,20 +363,22 @@ def test_three_sites_join_the_middle_by_sqrt2(exchange_j, field_h):
 
 @functools.lru_cache(maxsize=None)
 def mirror_levels(n, ratio):
-    """(lambda_k, w_k) of the roots k = 1..ceil(N/2) of a mirror chain at 40 digits.
+    """(lambda_k, w_k, IPR_k, C12_k) of the roots k = 1..ceil(N/2) of a mirror chain at 40 digits.
 
     ratio is alpha = end bond / bulk bond.  lambda_k = 2 cos theta_k
-    (2 cosh eta below the band) and w_k = psi_1 psi_N of the unit eigenvector
-    of the matrix with bulk bonds 1 and end bonds alpha.  In the band root k
+    (2 cosh eta below the band), w_k = psi_1 psi_N, IPR_k and
+    C12_k = 2 |psi_1 psi_2| of the unit eigenvector of the matrix with bulk
+    bonds 1 and end bonds alpha.  In the band root k
     solves G = (N - 1) theta + 2 atan2(alpha^2 sin theta, (2 - alpha^2) cos theta)
     - k pi in ((k - 1) pi / M, k pi / M), one interval lower for
     alpha^2 > 2, M = N - 1; for alpha^2 > 2 root 1 solves
     tanh(m eta) tanh(eta) = 1 / kappa and root 2 tan(m theta) = kappa tan theta
     (tanh(m eta) = kappa tanh eta below the band), m = (N - 1)/2,
-    kappa = alpha^2 / (alpha^2 - 2).  The weights are summed directly over
-    the bulk wave cos((c - n) theta) of odd k (even reflection parity) or
-    sin((c - n) theta) of even k (odd parity), c = (N + 1)/2, cosh and sinh
-    below the band, and its continuation to site 1 divided by alpha.
+    kappa = alpha^2 / (alpha^2 - 2).  The observables are summed directly
+    over the bulk wave cos((c - n) theta) of odd k (even reflection parity)
+    or sin((c - n) theta) of even k (odd parity), c = (N + 1)/2, cosh and
+    sinh below the band, on sites 2..N - 1, and psi_1 = +-psi_N, its
+    continuation to site 1 divided by alpha.
     """
     with mpmath.workdps(40):
         alpha = mpmath.mpf(ratio)
@@ -401,7 +413,9 @@ def mirror_levels(n, ratio):
             bulk = [wave((c - j) * angle) for j in range(2, n)]
             first = wave((c - 1) * angle) / alpha
             norm = 2 * first**2 + mpmath.fsum(x * x for x in bulk)
-            levels.append((2 * (mpmath.cos if real else mpmath.cosh)(angle), (-1) ** (k + 1) * first**2 / norm))
+            quartic = 2 * first**4 + mpmath.fsum(x**4 for x in bulk)
+            levels.append((2 * (mpmath.cos if real else mpmath.cosh)(angle), (-1) ** (k + 1) * first**2 / norm,
+                           norm * norm / quartic, 2 * abs(first * bulk[0]) / norm))
         return levels
 
 
@@ -413,7 +427,7 @@ def mirror_reference(hamiltonian):
     with mpmath.workdps(40):
         h, coupling = mpmath.mpf(hamiltonian.diag[0]), abs(mpmath.mpf(bulk))
         pair = (-1) ** (n - 1)
-        low = [(h - coupling * ratio, weight * (pair if bulk > 0 else 1)) for ratio, weight in levels]
+        low = [(h - coupling * ratio, weight * (pair if bulk > 0 else 1)) for ratio, weight, *_ in levels]
         high = [(2 * h - energy, pair * weight) for energy, weight in low[: n // 2]]
         states = low + high[::-1]
         return np.array([float(e) for e, _ in states]), np.array([float(w) for _, w in states])
@@ -474,6 +488,19 @@ def test_mirror_roots_on_their_interval_end_take_the_phase_route(n, alpha):
         assert np.all(np.abs(spectrum.transfer_weights - weights) <= 1e-11 * np.abs(weights))
 
 
+@pytest.mark.parametrize("n, alpha", [(40, 0.07250366003714179), (50, 0.025160037409261798),
+                                      (200, 0.034999999999999996), (400, 0.0043104122881937575)])
+def test_the_centre_root_of_even_n_settles(n, alpha):
+    # G of root k = N/2 carries the offset +pi/2 (M - 2k = -1); Newton stops
+    # within PHASE_STEP_TOL eps of |offset| + M d + 2 beta, where a bound
+    # with -offset refused these chains
+    hamiltonian = build_hamiltonian(mirror_impurities(n, alpha))
+    spectrum = mirror_route(hamiltonian)
+    energies, weights = mirror_reference(hamiltonian)
+    assert np.max(np.abs(spectrum.energies - energies)) <= TOL * (float(np.max(np.abs(energies))) + 1.0)
+    assert np.all(np.abs(spectrum.transfer_weights - weights) <= 1e-11 * np.abs(weights))
+
+
 @pytest.mark.parametrize("n", [31, 40, 41, 200])
 def test_mirror_band_exits(n):
     # the even edge state (state 1) leaves the band at alpha^2 = 2 for every
@@ -496,3 +523,77 @@ def test_near_degenerate_mirror_chain_meets_40_digit_amplitude():
     exact = np.exp(-1j * np.outer(times, energies)) @ weights
     assert np.max(np.abs(transfer_amplitude(mirror_route(hamiltonian), times) - exact)) <= 1e-14
     assert np.max(np.abs(full_sum(hamiltonian, times) - exact)) <= 1e-13
+
+
+def mirror_states_reference(hamiltonian):
+    """IPR and C_12 of every state of a mirror chain from mirror_levels: state j reads root min(j, N + 1 - j)."""
+    n = hamiltonian.n_sites
+    levels = mirror_levels(n, abs(float(hamiltonian.offdiag[0])) / abs(float(hamiltonian.offdiag[(n - 1) // 2])))
+    roots = [min(j, n + 1 - j) for j in range(1, n + 1)]
+    return (np.array([float(levels[k - 1][2]) for k in roots]),
+            np.array([float(levels[k - 1][3]) for k in roots]))
+
+
+MIRROR_STATE_ALPHAS = {
+    "5e-4": lambda n: 5e-4,
+    "0.7": lambda n: 0.7,
+    "1.3": lambda n: 1.3,
+    "sqrt2-1e-3": lambda n: SQRT2 - 1e-3,
+    "sqrt2+1e-3": lambda n: SQRT2 + 1e-3,
+    "1.6": lambda n: 1.6,
+    "1.75": lambda n: 1.75,
+    "exit-1e-9": lambda n: odd_exit(n) - 1e-9,
+    "exit+1e-9": lambda n: odd_exit(n) + 1e-9,
+    "3": lambda n: 3.0,
+}
+
+
+@pytest.mark.parametrize("n", [40, 41, 200])
+@pytest.mark.parametrize("alpha_of_n", MIRROR_STATE_ALPHAS.values(), ids=MIRROR_STATE_ALPHAS.keys())
+def test_mirror_ipr_and_c12_match_40_digit_roots(n, alpha_of_n):
+    # the phase kernel with e = 2 ends: both bound pairs have their parity
+    # states, equal IPR and C_12 within each pair; C_12 of the theta = pi/2
+    # state of odd N is 0
+    alpha = alpha_of_n(n)
+    for exchange_j, field_h in [(-1.0, 0.0), (-0.8, 0.3), (0.8, 0.3)]:
+        hamiltonian = hamiltonian_of(mirror_impurities(n, alpha, exchange_j=exchange_j, field_h=field_h))
+        with lapack_spy() as lapack, full_solve_spy() as full:
+            ipr, c12 = eigenstate_ipr(hamiltonian, (1, n)), first_bond_c12(hamiltonian, (1, n))
+        assert not lapack.called and not full.called
+        for got, reference in zip((ipr, c12), mirror_states_reference(hamiltonian)):
+            small = reference < 1e-14
+            assert np.all(np.abs(got - reference)[~small] <= 1e-11 * reference[~small])
+            assert np.all(np.abs(got - reference)[small] <= 1e-13)
+
+
+@pytest.mark.parametrize("n", [40, 201])
+def test_narrow_mirror_ranges_read_the_same_roots(n):
+    # a range solves only its roots min(j, N + 1 - j), bit for bit as the full range
+    hamiltonian = build_hamiltonian(mirror_impurities(n, 1.6, exchange_j=-0.8, field_h=0.3))
+    for read in (first_bond_c12, eigenstate_ipr):
+        every = read(hamiltonian, (1, n))
+        for lo, hi in ((1, 1), (1, 2), (2, 3), (n // 2, n // 2 + 2), (n - 1, n)):
+            assert np.array_equal(read(hamiltonian, (lo, hi)), every[lo - 1 : hi])
+
+
+@pytest.mark.parametrize("command", ["concurrence-sweep", "ipr-sweep"])
+def test_mirror_sweeps_run_no_lapack_at_positive_alpha(command, tmp_path):
+    # N = 200 over alpha = 0.005..2: states 1 and 2 form a bound pair above
+    # sqrt 2, whose parity states agree to all printed digits from alpha = 1.6
+    out = tmp_path / "rows.csv"
+    argv = [command, "--mirror", "--n", "200", "--alpha-range", "0.005:2:0.005", "--states", "1:4",
+            "--out", str(out)]
+    with mock.patch("scipy.linalg.eigh_tridiagonal", side_effect=AssertionError):
+        assert main(argv) == 0
+    values = np.loadtxt(out, delimiter=",", skiprows=1)[:, 2].reshape(400, 4)
+    assert np.array_equal(values[319:, 0], values[319:, 1])
+    # at alpha = 1.6 and 1.75 the rows meet the 40-digit parity roots
+    for step in (319, 349):
+        alpha = 0.005 * (step + 1)
+        ipr, c12 = mirror_states_reference(build_hamiltonian(mirror_impurities(200, alpha)))
+        reference = (ipr if command == "ipr-sweep" else c12)[:4]
+        assert np.all(np.abs(values[step] - reference) <= 1e-11 * reference)
+    if command == "concurrence-sweep":
+        assert values[349, 0] == pytest.approx(0.3139, abs=5e-5)
+    else:
+        assert values[349, 0] == pytest.approx(7.76, abs=5e-3)

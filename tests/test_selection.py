@@ -1,13 +1,12 @@
-"""Index-selected eigensolves against the full solve.
+"""State ranges of eigendecompose against the full solve.
 
-eigendecompose(h, states=(lo, hi)) solves a narrow range by bisection and
-inverse iteration and slices a full solve for a wide one.  Every check here
-compares the returned pairs with the same states of a full solve, and asserts
-which LAPACK call ran.  Vectors and C_12 are compared only for states whose
-level gap is at least GAP_MIN * (max|E| + 1): inside a near-degenerate pair
-(a decoupled site, or the two edge bound states of a long mirror chain) the
-basis is LAPACK's arbitrary choice, and eigenvector roundoff grows like
-eps ||H|| / gap.
+eigendecompose(h, states=(lo, hi)) slices one full solve, whose residuals
+are all checked against max|E| over the whole spectrum.  Every check here
+compares the returned pairs with the same states of a full solve.  Vectors
+and C_12 are compared only for states whose level gap is at least
+GAP_MIN * (max|E| + 1): inside a near-degenerate pair (a decoupled site, or
+the two edge bound states of a long mirror chain) the basis is LAPACK's
+arbitrary choice, and eigenvector roundoff grows like eps ||H|| / gap.
 """
 
 import warnings
@@ -25,24 +24,13 @@ from xxchain.cli import main
 from xxchain.dynamics import amplitude_matrix
 from xxchain.errors import ConvergenceFailure, IncompleteBasis
 from xxchain.measures import c12_peak, c12_sweep, ipr_of_rows, ipr_sweep
-from xxchain.spectral import (
-    RESIDUAL_TOL,
-    SELECT_SITES_PER_STATE,
-    SpectralDecomposition,
-    eigendecompose,
-)
+from xxchain.spectral import RESIDUAL_TOL, SpectralDecomposition, eigendecompose
 
 GAP_MIN = 1e-4
 
 
 def spy_solver():
     return mock.patch("scipy.linalg.eigh_tridiagonal", wraps=eigh_tridiagonal)
-
-
-def selected(spy) -> bool:
-    """Whether the (single) eigh_tridiagonal call used index selection."""
-    assert spy.call_count == 1
-    return spy.call_args.kwargs.get("select", "a") == "i"
 
 
 def decompose(hamiltonian, states=None):
@@ -69,12 +57,8 @@ def chains(draw):
 
 @st.composite
 def ranges(draw, n):
-    """A 1-based range lo..hi, narrow (selected) or wide (full solve) at random."""
-    limit = n // SELECT_SITES_PER_STATE
-    if limit >= 1 and draw(st.booleans()):
-        count = draw(st.integers(1, limit))
-    else:
-        count = draw(st.integers(limit + 1, n))
+    """A 1-based range lo..hi, narrow or wide at random."""
+    count = draw(st.integers(1, n) if draw(st.booleans()) else st.integers(1, max(1, n // 16)))
     lo = draw(st.integers(1, n - count + 1))
     return lo, lo + count - 1
 
@@ -101,9 +85,7 @@ def test_selected_range_matches_full_solve(data, spec):
     lo, hi = data.draw(ranges(spec.n_sites))
     hamiltonian = hamiltonian_of(spec)
     full = decompose(hamiltonian)
-    with spy_solver() as spy:
-        part = decompose(hamiltonian, (lo, hi))
-    assert selected(spy) == ((hi - lo + 1) * SELECT_SITES_PER_STATE <= spec.n_sites)
+    part = decompose(hamiltonian, (lo, hi))
 
     assert part.first_state == lo
     assert part.n_sites == spec.n_sites
@@ -111,10 +93,9 @@ def test_selected_range_matches_full_solve(data, spec):
     scale = float(np.max(np.abs(full.energies))) + 1.0
     assert np.max(np.abs(part.energies - full.energies[lo - 1 : hi])) <= 1e-12 * scale
 
-    own_scale = float(np.max(np.abs(part.energies))) + 1.0
-    norms = residual_norms(hamiltonian, part)
-    assert part.residual_bound == pytest.approx(np.max(norms), rel=1e-12, abs=1e-300)
-    assert part.residual_bound <= RESIDUAL_TOL * own_scale
+    # the bound covers every pair of the solve, the returned ones among them
+    assert part.residual_bound == full.residual_bound <= RESIDUAL_TOL * scale
+    assert np.max(residual_norms(hamiltonian, part)) <= part.residual_bound
 
     keep = separated(full.energies, scale)[lo - 1 : hi]
     reference = full.vectors[lo - 1 : hi][keep]
@@ -123,24 +104,13 @@ def test_selected_range_matches_full_solve(data, spec):
     assert np.max(np.abs(c12 - 2.0 * np.abs(reference[:, 0] * reference[:, 1])), initial=0.0) <= 1e-12
 
 
-@pytest.mark.parametrize("states", [(1, 1), (100, 111), (50, 52)])
-def test_narrow_ranges_are_selected(states):
-    hamiltonian = build_hamiltonian(single_impurity(200, 1.6))
-    full = eigendecompose(hamiltonian)
-    with spy_solver() as spy:
-        part = eigendecompose(hamiltonian, states)
-    assert selected(spy)
-    lo, hi = states
-    assert np.max(np.abs(part.vectors - full.vectors[lo - 1 : hi])) <= 1e-10
-
-
 def test_wide_and_full_ranges_slice_a_full_solve():
     hamiltonian = build_hamiltonian(single_impurity(200, 1.6))
     full = eigendecompose(hamiltonian)
-    for states in ((1, 13), (1, 100), (2, 100), (1, 200)):
+    for states in ((1, 1), (50, 52), (100, 111), (1, 13), (1, 100), (2, 100), (1, 200)):
         with spy_solver() as spy:
             part = eigendecompose(hamiltonian, states)
-        assert not selected(spy)
+        assert spy.call_count == 1 and not spy.call_args.kwargs
         lo, hi = states
         assert np.array_equal(part.energies, full.energies[lo - 1 : hi])
         assert np.array_equal(part.vectors, full.vectors[lo - 1 : hi])
@@ -168,19 +138,32 @@ def test_selected_residual_is_checked():
         energies, columns = eigh_tridiagonal(*args, **kwargs)
         return energies, columns + 1e-7
 
-    with mock.patch("scipy.linalg.eigh_tridiagonal", side_effect=noisy) as spy:
+    with mock.patch("scipy.linalg.eigh_tridiagonal", side_effect=noisy):
         with pytest.raises(ConvergenceFailure):
             eigendecompose(hamiltonian, (5, 5))
-    assert selected(spy)
+
+
+@pytest.mark.parametrize("n, alpha, states", [(8, 1e300, (2, 4)), (200, 1e10, (2, 3)), (200, 1e10, (2, 100))])
+def test_ranges_are_checked_against_every_energy(n, alpha, states):
+    # bond 1 at a huge alpha splits two states to about +-alpha |J|; a range
+    # without them is still one solve, held to RESIDUAL_TOL (max|E| + 1) over
+    # all N energies (a bound over the returned ones refused healthy solves)
+    hamiltonian = build_hamiltonian(single_impurity(n, alpha))
+    full = eigendecompose(hamiltonian)
+    part = eigendecompose(hamiltonian, states)
+    assert part.residual_bound == full.residual_bound <= RESIDUAL_TOL * (np.max(np.abs(full.energies)) + 1.0)
+    lo, hi = states
+    assert np.array_equal(part.vectors, full.vectors[lo - 1 : hi])
+    assert np.max(np.abs(part.energies)) < 1e-6 * np.max(np.abs(full.energies))
 
 
 def test_c12_sweep_reads_only_its_range():
     # a bond-2 impurity: bond-1 chains take the phase route (test_edge_c12.py)
     template = ChainSpec(60, -1.0, 0.0, ((2, 1.0),))
     alphas = np.linspace(0.1, 2.9, 15)
-    with spy_solver() as spy:
+    with mock.patch.object(spectral, "eigendecompose", wraps=eigendecompose) as spy:
         rows = c12_sweep(template, alphas, [2, 3])
-    assert [call.kwargs.get("select_range") for call in spy.call_args_list] == [(1, 2)] * 15
+    assert [call.args[1] for call in spy.call_args_list] == [(2, 3)] * 15
     assert [row[1] for row in rows] == [2, 3] * 15
     for alpha, j, value in rows:
         full = eigendecompose(build_hamiltonian(with_alpha(template, alpha)))
@@ -201,7 +184,7 @@ def test_ipr_sweep_matches_full_solve():
 
 
 def test_c12_peak_refine_solves_one_state():
-    # bond 1: the phase route solves root 17 alone; bond 2: LAPACK selects it
+    # bond 1: the phase route solves root 17 alone; bond 2: eigendecompose reads state 17
     alphas = np.linspace(0.1, 2.0, 20)
     template = single_impurity(60, 0.8)
     with spy_solver() as spy, mock.patch.object(
@@ -210,15 +193,13 @@ def test_c12_peak_refine_solves_one_state():
         c12_peak(template, 17, alphas)
     assert not spy.called
     grid, *refine = phases.call_args_list
-    assert grid.args[3].size == alphas.size and refine  # the refine step ran after the grid
-    assert {call.args[1:3] for call in phases.call_args_list} == {(17, 17)}
-    with spy_solver() as spy:
+    assert grid.args[2].size == alphas.size and refine  # the refine step ran after the grid
+    assert {tuple(call.args[1]) for call in phases.call_args_list} == {(17,)}
+    with mock.patch.object(spectral, "eigendecompose", wraps=eigendecompose) as spy:
         c12_peak(ChainSpec(60, -1.0, 0.0, ((2, 0.8),)), 17, alphas)
     calls = spy.call_args_list
     assert len(calls) > alphas.size
-    assert {(call.kwargs.get("select"), call.kwargs.get("select_range")) for call in calls} == {
-        ("i", (16, 16))
-    }
+    assert {call.args[1] for call in calls} == {(17, 17)}
     with pytest.raises(ValueError):
         c12_peak(template, 61, alphas)
 
