@@ -91,8 +91,7 @@ and the weights w_j, so they take the TransferSpectrum of
 spectral.transfer_spectrum, which reads a mirror chain from its phase equation.
 time_series picks the solve per observable: transfer_spectrum for the three
 f_N kinds, so a given matrix has one f_N(t) whoever asks, and eigendecompose
-for the running IPR, whose site rows need every site and every eigenpair
-(a decomposition of a range of states is refused with IncompleteBasis).
+for the running IPR, whose site rows need every site and every eigenpair.
 """
 
 from __future__ import annotations
@@ -104,7 +103,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chain import TridiagonalHamiltonian
-from .errors import BadSite, IncompleteBasis
+from .errors import BadSite
 from .measures import ipr_of_rows
 from .spectral import SpectralDecomposition, TransferSpectrum, eigendecompose, transfer_spectrum
 
@@ -129,7 +128,7 @@ class SeriesKind(enum.Enum):
 
 @dataclass(frozen=True)
 class TimeSeries:
-    """One value per time on a strictly ascending grid."""
+    """One value per time on a finite, strictly ascending grid."""
 
     times: np.ndarray
     values: np.ndarray
@@ -147,12 +146,12 @@ class TimeSeries:
 
 
 def _series_grid(t_grid) -> np.ndarray:
-    """t_grid as a float array; ValueError unless it is nonempty, 1-d and strictly ascending."""
+    """t_grid as a float array; ValueError unless it is nonempty, 1-d, finite and strictly ascending."""
     times = np.array(t_grid, dtype=float)
     if times.ndim != 1 or times.size == 0:
         raise ValueError("time grid must be a nonempty 1-d array")
-    if np.any(np.diff(times) <= 0.0):
-        raise ValueError("time grid must be strictly ascending")
+    if not np.isfinite(times).all() or np.any(np.diff(times) <= 0.0):
+        raise ValueError("time grid must be finite and strictly ascending")
     return times
 
 
@@ -160,8 +159,8 @@ def amplitude_matrix(dec: SpectralDecomposition, times, init_site: int = 1) -> n
     """Site amplitudes from a delta on init_site for every time: shape (len(times), N).
 
     This is the one route to site amplitudes: the state at a single time t is
-    the plain array amplitude_matrix(dec, [t])[0].  dec must hold every
-    eigenpair (IncompleteBasis) and init_site lie in 1..N (BadSite).
+    the plain array amplitude_matrix(dec, [t])[0].  init_site must lie in
+    1..N (BadSite).
     """
     times = np.asarray(times, dtype=float)
     flat = times.ravel()
@@ -190,11 +189,6 @@ def _site_row_blocks(dec: SpectralDecomposition, times: np.ndarray, init_site: i
     Any other grid gets the complex psi_n(t) in site order.
     """
     n_sites = dec.n_sites
-    if dec.first_state != 1 or dec.energies.size != n_sites:
-        raise IncompleteBasis(
-            f"time evolution needs all {n_sites} eigenstates, the decomposition holds "
-            f"states {dec.first_state}..{dec.first_state + dec.energies.size - 1}"
-        )
     if not 1 <= init_site <= n_sites:
         raise BadSite(f"init_site must be in 1..{n_sites}, got {init_site}")
     # weight of eigenstate j in the initial delta state

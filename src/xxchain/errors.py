@@ -29,10 +29,6 @@ class ConvergenceFailure(XXChainError):
     """Eigensolver did not meet the residual or orthonormality contract."""
 
 
-class IncompleteBasis(XXChainError):
-    """Time evolution needs every eigenstate; the decomposition holds a range."""
-
-
 class NoBracket(XXChainError):
     """The alpha interval does not bracket the band-exit point."""
 

@@ -12,8 +12,7 @@ components:
     dE_j / dalpha = 2 J psi_1 psi_2
 
 eigendecompose solves all N states in one LAPACK call and checks the
-residual of every pair against max|E| over the whole spectrum; a range of
-states lo..hi is a slice of that solve.
+residual of every pair against max|E| over the whole spectrum.
 
 Every f_N(t) = sum_j exp(-i E_j t) psi_1^(j) psi_N^(j) in the package
 (evolve, the landscape, the optimizer, the oracle check) reads the energies
@@ -225,33 +224,37 @@ class BandLabel(enum.Enum):
     ISOLATED_ABOVE = "isolated_above"
 
 
+def _freeze(instance, name, rank):
+    """Store energies and the named array read-only; ValueError unless their shapes are (N,) and (N,) * rank."""
+    energies = np.asarray(instance.energies, dtype=float)
+    array = np.asarray(getattr(instance, name), dtype=float)
+    if energies.ndim != 1 or array.shape != energies.shape * rank:
+        shape = " x ".join("N" * rank)
+        raise ValueError(f"need 1-d energies and {name} of shape {shape}, got {energies.shape} and {array.shape}")
+    for key, value in (("energies", energies), (name, array)):
+        value.setflags(write=False)
+        object.__setattr__(instance, key, value)
+
+
 @dataclass(frozen=True)
 class SpectralDecomposition:
-    """Ascending eigenvalues with orthonormal, sign-fixed eigenvectors.
+    """Ascending eigenvalues with orthonormal, sign-fixed eigenvectors of all N states.
 
     vectors[j] is the eigenvector belonging to energies[j]; its first
-    coefficient with modulus above SIGN_EPS is positive.  A decomposition may
-    hold a contiguous range of states only: energies[0] is then the 1-based
-    state first_state, so state j sits at index j - first_state.
+    coefficient with modulus above SIGN_EPS is positive.  Construction
+    refuses energies that are not 1-d and vectors that are not N x N.
     """
 
     energies: np.ndarray
     vectors: np.ndarray
     residual_bound: float
-    first_state: int = 1
 
     def __post_init__(self):
-        energies = np.asarray(self.energies, dtype=float)
-        vectors = np.asarray(self.vectors, dtype=float)
-        energies.setflags(write=False)
-        vectors.setflags(write=False)
-        object.__setattr__(self, "energies", energies)
-        object.__setattr__(self, "vectors", vectors)
+        _freeze(self, "vectors", 2)
 
     @property
     def n_sites(self) -> int:
-        """Chain length N, also when only some states are held."""
-        return self.vectors.shape[1]
+        return self.energies.size
 
 
 @dataclass(frozen=True)
@@ -260,6 +263,7 @@ class TransferSpectrum:
 
     This is all that f_N(t) = sum_j exp(-i E_j t) psi_1^(j) psi_N^(j) needs;
     transfer_spectrum computes it, for a mirror chain without eigenvectors of H.
+    Construction refuses energies that are not 1-d and weights of another length.
     """
 
     energies: np.ndarray
@@ -267,47 +271,28 @@ class TransferSpectrum:
     residual_bound: float
 
     def __post_init__(self):
-        for name in ("energies", "transfer_weights"):
-            array = np.asarray(getattr(self, name), dtype=float)
-            array.setflags(write=False)
-            object.__setattr__(self, name, array)
+        _freeze(self, "transfer_weights", 1)
 
     @property
     def n_sites(self) -> int:
         return self.energies.size
 
 
-def eigendecompose(
-    hamiltonian: TridiagonalHamiltonian, states: tuple[int, int] | None = None
-) -> SpectralDecomposition:
-    """Eigendecomposition with a fixed sign convention.
+def eigendecompose(hamiltonian: TridiagonalHamiltonian) -> SpectralDecomposition:
+    """Eigendecomposition of all N states with a fixed sign convention.
 
-    states=(lo, hi) returns only the 1-based eigenpairs lo..hi (inclusive)
-    of the full solve; None returns all of them.  Raises ConvergenceFailure
-    if the solver fails or any of the N pairs misses the finite residual
-    bound RESIDUAL_TOL * (max|E| + 1), max over all N energies.
+    Raises ConvergenceFailure if the solver fails or any pair misses the
+    finite residual bound RESIDUAL_TOL * (max|E| + 1).
     """
-    n = hamiltonian.n_sites
-    lo, hi = _state_range(n, states)
     energies, vectors = _eigh_rows(hamiltonian.diag, hamiltonian.offdiag)
     residual_bound = _checked_residual(hamiltonian.diag, hamiltonian.offdiag, energies, vectors)
-    energies, vectors = energies[lo - 1 : hi], vectors[lo - 1 : hi]
 
-    count = vectors.shape[0]
     lead = np.argmax(np.abs(vectors) > SIGN_EPS, axis=1)
-    signs = np.sign(vectors[np.arange(count), lead])
+    signs = np.sign(vectors[np.arange(energies.size), lead])
     signs[signs == 0.0] = 1.0
     vectors *= signs[:, None]
 
-    return SpectralDecomposition(energies=energies, vectors=vectors, residual_bound=residual_bound, first_state=lo)
-
-
-def _state_range(n: int, states: tuple[int, int] | None) -> tuple[int, int]:
-    """1-based (lo, hi) of a state range; None is all n states, ValueError outside 1..n."""
-    lo, hi = (1, n) if states is None else (int(states[0]), int(states[1]))
-    if not 1 <= lo <= hi <= n:
-        raise ValueError(f"states must satisfy 1 <= lo <= hi <= {n}, got {states}")
-    return lo, hi
+    return SpectralDecomposition(energies=energies, vectors=vectors, residual_bound=residual_bound)
 
 
 def _eigh_rows(diag, offdiag):
@@ -702,13 +687,16 @@ def _state_table(grid, states, read):
     """IPR (read "ipr") or C_12 (read "c12") of the states lo..hi, one row per grid row.
 
     Bond-1 rows (e = 1, the uniform chain too) and mirror rows (e = 2) read
-    root min(j, N + 1 - j) of state j in batches; any other row the vectors
-    of eigendecompose(H, (lo, hi)) of its matrix.
+    root min(j, N + 1 - j) of state j in batches; any other row reads the
+    vectors lo..hi of eigendecompose(H) of its matrix.  ValueError unless
+    1 <= lo <= hi <= N.
     """
     from .measures import ipr_of_rows  # measures imports this module
 
     n, (ok, alpha, field, bulk), matrix = grid
-    lo, hi = _state_range(n, states)
+    lo, hi = int(states[0]), int(states[1])
+    if not 1 <= lo <= hi <= n:
+        raise ValueError(f"states must satisfy 1 <= lo <= hi <= {n}, got {states}")
     states = np.arange(lo, hi + 1)
     roots = np.arange(min(lo, n + 1 - hi), min(hi, n + 1 - lo, (n + 1) // 2) + 1)
     index = np.minimum(states, n + 1 - states) - roots[0]
@@ -722,7 +710,7 @@ def _state_table(grid, states, read):
             table[batch[passed]] = values[passed][:, index]
             solved[batch[passed]] = True
     for i in np.flatnonzero(~solved):
-        vectors = eigendecompose(matrix(i), (lo, hi)).vectors
+        vectors = eigendecompose(matrix(i)).vectors[lo - 1 : hi]
         table[i] = ipr_of_rows(vectors) if read == "ipr" else 2.0 * np.abs(vectors[:, 0] * vectors[:, 1])
     return table
 
@@ -731,7 +719,7 @@ def first_bond_c12_batch(template: ChainSpec, alphas, states: tuple[int, int]) -
     """first_bond_c12 of the template at every alpha of the grid, one row per alpha.
 
     Bond-1 and mirror templates read the phase equation in batches, any
-    other row eigendecompose(H, (lo, hi)) (_grid, module docstring).  Raises
+    other row eigendecompose(H) (_grid, module docstring).  Raises
     the typed error of the first alpha validate_spec refuses, ValueError for
     a range outside 1..N and ConvergenceFailure if eigendecompose fails.
     """
@@ -824,7 +812,7 @@ def estimate_alpha_c(
     samples: list[tuple[float, float]] = []
 
     def exited(alpha: float) -> bool:
-        dec = eigendecompose(build_hamiltonian(with_alpha(template, alpha)), (1, 1))
+        dec = eigendecompose(build_hamiltonian(with_alpha(template, alpha)))
         samples.append((alpha, float(dec.energies[0])))
         return classify_band(dec, template)[0] is BandLabel.ISOLATED_BELOW
 

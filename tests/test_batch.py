@@ -75,9 +75,9 @@ def solved_bonds():
     solved = []
     direct = spectral.eigendecompose
 
-    def recording(hamiltonian, states=None):
+    def recording(hamiltonian):
         solved.append(float(hamiltonian.offdiag[0]))
-        return direct(hamiltonian, states)
+        return direct(hamiltonian)
 
     return mock.patch.object(spectral, "eigendecompose", recording), solved
 

@@ -248,9 +248,11 @@ def test_time_series_rejects_bad_grids():
         TimeSeries(times=np.array([1.0, 0.5]), values=np.array([0.0, 0.0]), kind=SeriesKind.IPR)
     with pytest.raises(ValueError):
         TimeSeries(times=np.array([0.0, 1.0]), values=np.array([0.0]), kind=SeriesKind.IPR)
+    with pytest.raises(ValueError):  # NaN passes an ascending check
+        TimeSeries(times=np.array([0.0, np.nan]), values=np.array([0.0, 0.0]), kind=SeriesKind.FIDELITY)
 
 
-@pytest.mark.parametrize("grid", [[3.0, 2.0, 1.0], [[0.0, 1.0], [2.0, 3.0]], []])
+@pytest.mark.parametrize("grid", [[3.0, 2.0, 1.0], [[0.0, 1.0], [2.0, 3.0]], [], [0.0, np.nan], [0.0, 1.0, np.inf]])
 def test_time_series_checks_the_grid_before_any_solve(grid):
     ham = build_hamiltonian(mirror_impurities(40, 0.5))
     with mock.patch.object(dynamics, "eigendecompose", wraps=eigendecompose) as full, \

@@ -6,9 +6,9 @@ F(theta) = alpha^2 sin((N-1) theta) - 2 cos theta sin(N theta) = 0, without
 any solver.  These tests pin that route against eigendecompose, against the
 edge-bond secular equation and against 40-digit mpmath roots of F, and check
 which matrices and alphas take which route: alpha = 0, a refused root and
-any layout but bond-1 and mirror chains take eigendecompose(H, (lo, hi)),
-and a bond-1 chain never reaches the kernel with e = 2 ends (mirror chains:
-test_parity.py).
+any layout but bond-1 and mirror chains read the states lo..hi off
+eigendecompose(H), and a bond-1 chain never reaches the kernel with e = 2
+ends (mirror chains: test_parity.py).
 """
 
 import math
@@ -52,7 +52,9 @@ def hamiltonian_of(spec):
 
 
 def eigenvector_c12(hamiltonian, states=None):
-    vectors = eigendecompose(hamiltonian, states).vectors
+    """C_12 of the states lo..hi (all by default) of the full solve."""
+    lo, hi = states or (1, hamiltonian.n_sites)
+    vectors = eigendecompose(hamiltonian).vectors[lo - 1 : hi]
     return 2.0 * np.abs(vectors[:, 0] * vectors[:, 1])
 
 
@@ -301,7 +303,7 @@ def alpha_of(hamiltonian):
 def assert_phase_route(template, states, observable, refused=()):
     """A bond-1 sweep over alpha = 0..3 solves only alpha = 0 and the refused alphas.
 
-    Those take eigendecompose(H, states) and read the rows of its vectors;
+    Those take eigendecompose(H) and read the rows lo..hi of its vectors;
     every other alpha reads the phase route.  The kernel never runs with
     e = 2 ends.
     """
@@ -316,15 +318,15 @@ def assert_phase_route(template, states, observable, refused=()):
             mock.patch.object(spectral, "_phase_roots", refusing):
         rows = observable(template, alphas, range(states[0], states[1] + 1))
     assert not mirror_calls(mirror)
-    assert [call.args[1] for call in fallback.call_args_list] == [states] * (1 + len(refused))
     assert [alpha_of(call.args[0]) for call in fallback.call_args_list] == pytest.approx([0.0, *refused])
     width = states[1] - states[0] + 1
     assert len(rows) == alphas.size * width
-    reads = {c12_sweep: lambda dec: 2.0 * np.abs(dec.vectors[:, 0] * dec.vectors[:, 1]),
-             ipr_sweep: lambda dec: ipr_of_rows(dec.vectors)}[observable]
+    reads = {c12_sweep: lambda vectors: 2.0 * np.abs(vectors[:, 0] * vectors[:, 1]),
+             ipr_sweep: ipr_of_rows}[observable]
     fallbacks = [0, *(round(alpha / 0.005) for alpha in refused)]
     for step in [1, 150, 283, 284, 600, *fallbacks]:
-        expected = reads(eigendecompose(hamiltonian_of(with_alpha(template, alphas[step])), states))
+        vectors = eigendecompose(hamiltonian_of(with_alpha(template, alphas[step]))).vectors
+        expected = reads(vectors[states[0] - 1 : states[1]])
         values = [value for _, _, value in rows[step * width:(step + 1) * width]]
         if step in fallbacks:
             assert values == expected.tolist()
@@ -358,7 +360,9 @@ def test_narrow_ranges_and_moving_bulks_take_eigendecompose(template, states):
     with mirror_route_spy() as mirror, fallback_spy() as fallback:
         c12_sweep(template, alphas, range(states[0], states[1] + 1))
     assert not mirror_calls(mirror)
-    assert [call.args[1] for call in fallback.call_args_list] == [states] * len(alphas)
+    bond = template.impurities[0][0]
+    solved = [call.args[0].offdiag[bond - 1] / template.exchange_j for call in fallback.call_args_list]
+    assert solved == pytest.approx(alphas)
 
 
 def test_mirror_chain_at_alpha_1_takes_the_phase_route():
@@ -390,7 +394,7 @@ def test_a_moved_bulk_diagonal_takes_eigendecompose(site, border):
     with mirror_route_spy() as mirror, fallback_spy() as fallback:
         values = first_bond_c12(hamiltonian, (1, 120))
     assert not mirror_calls(mirror)
-    assert [call.args[1] for call in fallback.call_args_list] == [(1, 120)]
+    assert [call.args[0] is hamiltonian for call in fallback.call_args_list] == [True]
     assert phase_states(hamiltonian, 1, 120) is None
     assert_close(values, eigenvector_c12(hamiltonian))
 
@@ -433,7 +437,7 @@ def test_refused_alphas_fall_back_to_eigendecompose(failure):
         with fallback_spy() as fallback, mirror_route_spy() as mirror:
             rows = c12_sweep(template, alphas, range(1, 21))
     assert not mirror_calls(mirror)
-    assert [call.args[1] for call in fallback.call_args_list] == [(1, 20)] * len(alphas)
+    assert [alpha_of(call.args[0]) for call in fallback.call_args_list] == pytest.approx(alphas)
     expected = [value for alpha in alphas
                 for value in eigenvector_c12(build_hamiltonian(single_impurity(
                     120, alpha, exchange_j=-0.8, field_h=0.3)), (1, 20))]

@@ -1,12 +1,14 @@
-"""State ranges of eigendecompose against the full solve.
+"""State ranges of the batches against the full solve.
 
-eigendecompose(h, states=(lo, hi)) slices one full solve, whose residuals
-are all checked against max|E| over the whole spectrum.  Every check here
-compares the returned pairs with the same states of a full solve.  Vectors
-and C_12 are compared only for states whose level gap is at least
-GAP_MIN * (max|E| + 1): inside a near-degenerate pair (a decoupled site, or
-the two edge bound states of a long mirror chain) the basis is LAPACK's
-arbitrary choice, and eigenvector roundoff grows like eps ||H|| / gap.
+first_bond_c12, eigenstate_ipr and their batches read the states lo..hi of
+each row.  A row the phase route does not take reads them off one full
+eigendecompose, whose residuals are all checked against max|E| over the
+whole spectrum; every such row here holds the bits of that solve.  A row
+the phase route takes is compared with the same states of a full solve only
+where the level gap is at least GAP_MIN * (max|E| + 1): inside a
+near-degenerate pair (a decoupled site, or the two edge bound states of a
+long mirror chain) the basis is LAPACK's arbitrary choice, and eigenvector
+roundoff grows like eps ||H|| / gap.
 """
 
 import warnings
@@ -19,30 +21,50 @@ from hypothesis import strategies as st
 from scipy.linalg import LinAlgError, eigh_tridiagonal
 
 from xxchain import spectral
-from xxchain.chain import ChainSpec, build_hamiltonian, mirror_impurities, single_impurity, with_alpha
+from xxchain.chain import ChainSpec, build_hamiltonian, single_impurity, with_alpha
 from xxchain.cli import main
-from xxchain.dynamics import amplitude_matrix
-from xxchain.errors import ConvergenceFailure, IncompleteBasis
+from xxchain.errors import ConvergenceFailure
 from xxchain.measures import c12_peak, c12_sweep, ipr_of_rows, ipr_sweep
-from xxchain.spectral import RESIDUAL_TOL, SpectralDecomposition, eigendecompose
+from xxchain.spectral import RESIDUAL_TOL, eigendecompose, eigenstate_ipr, first_bond_c12
 
 GAP_MIN = 1e-4
+# A bond-2 impurity moves the bulk with alpha: every row takes eigendecompose.
+BOND2 = ChainSpec(200, -1.0, 0.0, ((2, 1.6),))
 
 
 def spy_solver():
     return mock.patch("scipy.linalg.eigh_tridiagonal", wraps=eigh_tridiagonal)
 
 
-def decompose(hamiltonian, states=None):
+def fallback_spy():
+    return mock.patch.object(spectral, "eigendecompose", wraps=eigendecompose)
+
+
+def bond2_alphas(spy):
+    """alpha of every bond-2 matrix the spy saw solved."""
+    return [call.args[0].offdiag[1] / call.args[0].offdiag[0] for call in spy.call_args_list]
+
+
+def decompose(hamiltonian):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # J > 0 sign warning; same physics
-        return eigendecompose(hamiltonian, states)
+        return eigendecompose(hamiltonian)
 
 
 def hamiltonian_of(spec):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         return build_hamiltonian(spec)
+
+
+def observables(vectors):
+    """(C_12, IPR) of eigenvector rows."""
+    return 2.0 * np.abs(vectors[:, 0] * vectors[:, 1]), ipr_of_rows(vectors)
+
+
+def ranged(hamiltonian, states):
+    """(C_12, IPR) of the states lo..hi through the per-matrix batches."""
+    return first_bond_c12(hamiltonian, states), eigenstate_ipr(hamiltonian, states)
 
 
 @st.composite
@@ -85,54 +107,61 @@ def test_selected_range_matches_full_solve(data, spec):
     lo, hi = data.draw(ranges(spec.n_sites))
     hamiltonian = hamiltonian_of(spec)
     full = decompose(hamiltonian)
-    part = decompose(hamiltonian, (lo, hi))
+    assert full.vectors.shape == (spec.n_sites, spec.n_sites) and full.n_sites == spec.n_sites
 
-    assert part.first_state == lo
-    assert part.n_sites == spec.n_sites
-    assert part.vectors.shape == (hi - lo + 1, spec.n_sites)
+    # the bound covers every pair of the solve
     scale = float(np.max(np.abs(full.energies))) + 1.0
-    assert np.max(np.abs(part.energies - full.energies[lo - 1 : hi])) <= 1e-12 * scale
+    assert full.residual_bound <= RESIDUAL_TOL * scale
+    assert np.max(residual_norms(hamiltonian, full)) <= full.residual_bound
 
-    # the bound covers every pair of the solve, the returned ones among them
-    assert part.residual_bound == full.residual_bound <= RESIDUAL_TOL * scale
-    assert np.max(residual_norms(hamiltonian, part)) <= part.residual_bound
-
+    with fallback_spy() as fallback, warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        values = ranged(hamiltonian, (lo, hi))
+    references = observables(full.vectors[lo - 1 : hi])
+    if fallback.called:  # the states lo..hi of the same solve, bit for bit
+        assert all(np.array_equal(value, reference) for value, reference in zip(values, references))
+        return
     keep = separated(full.energies, scale)[lo - 1 : hi]
-    reference = full.vectors[lo - 1 : hi][keep]
-    assert np.max(np.abs(part.vectors[keep] - reference), initial=0.0) <= 1e-10
-    c12 = 2.0 * np.abs(part.vectors[:, 0] * part.vectors[:, 1])[keep]
-    assert np.max(np.abs(c12 - 2.0 * np.abs(reference[:, 0] * reference[:, 1])), initial=0.0) <= 1e-12
+    for value, reference in zip(values, references):
+        value, reference = value[keep], reference[keep]
+        large = np.minimum(value, reference) >= 1e-14
+        error = np.abs(value - reference)
+        assert np.all(error[large] <= 1e-10 * reference[large]) and np.all(error[~large] <= 1e-13)
 
 
 def test_wide_and_full_ranges_slice_a_full_solve():
-    hamiltonian = build_hamiltonian(single_impurity(200, 1.6))
+    hamiltonian = build_hamiltonian(BOND2)
     full = eigendecompose(hamiltonian)
     for states in ((1, 1), (50, 52), (100, 111), (1, 13), (1, 100), (2, 100), (1, 200)):
         with spy_solver() as spy:
-            part = eigendecompose(hamiltonian, states)
+            c12 = first_bond_c12(hamiltonian, states)
         assert spy.call_count == 1 and not spy.call_args.kwargs
         lo, hi = states
-        assert np.array_equal(part.energies, full.energies[lo - 1 : hi])
-        assert np.array_equal(part.vectors, full.vectors[lo - 1 : hi])
-    assert full.first_state == 1 and full.energies.size == full.n_sites == 200
+        assert np.array_equal(c12, observables(full.vectors[lo - 1 : hi])[0])
+        assert np.array_equal(eigenstate_ipr(hamiltonian, states), observables(full.vectors[lo - 1 : hi])[1])
+    assert full.vectors.shape == (200, 200) and full.energies.size == full.n_sites == 200
 
 
 @pytest.mark.parametrize("states", [(0, 1), (3, 2), (1, 41), (41, 41)])
 def test_out_of_range_states_are_rejected(states):
-    with pytest.raises(ValueError):
-        eigendecompose(build_hamiltonian(single_impurity(40, 1.0)), states)
+    # a uniform chain takes the phase route, a bond-2 chain eigendecompose
+    for spec in (single_impurity(40, 1.0), ChainSpec(40, -1.0, 0.0, ((2, 1.6),))):
+        for read in (first_bond_c12, eigenstate_ipr):
+            with pytest.raises(ValueError):
+                read(build_hamiltonian(spec), states)
 
 
 @pytest.mark.parametrize("states", [(1, 1), None])
 def test_solver_error_is_a_convergence_failure(states):
-    hamiltonian = build_hamiltonian(single_impurity(200, 1.0))
+    # None: the full solve itself; a range: a row that reads it
+    hamiltonian = build_hamiltonian(BOND2)
     with mock.patch("scipy.linalg.eigh_tridiagonal", side_effect=LinAlgError("no convergence")):
         with pytest.raises(ConvergenceFailure):
-            eigendecompose(hamiltonian, states)
+            eigendecompose(hamiltonian) if states is None else first_bond_c12(hamiltonian, states)
 
 
 def test_selected_residual_is_checked():
-    hamiltonian = build_hamiltonian(single_impurity(200, 1.0))
+    hamiltonian = build_hamiltonian(BOND2)
 
     def noisy(*args, **kwargs):
         energies, columns = eigh_tridiagonal(*args, **kwargs)
@@ -140,30 +169,34 @@ def test_selected_residual_is_checked():
 
     with mock.patch("scipy.linalg.eigh_tridiagonal", side_effect=noisy):
         with pytest.raises(ConvergenceFailure):
-            eigendecompose(hamiltonian, (5, 5))
+            first_bond_c12(hamiltonian, (5, 5))
 
 
 @pytest.mark.parametrize("n, alpha, states", [(8, 1e300, (2, 4)), (200, 1e10, (2, 3)), (200, 1e10, (2, 100))])
 def test_ranges_are_checked_against_every_energy(n, alpha, states):
-    # bond 1 at a huge alpha splits two states to about +-alpha |J|; a range
-    # without them is still one solve, held to RESIDUAL_TOL (max|E| + 1) over
-    # all N energies (a bound over the returned ones refused healthy solves)
+    # bond 1 at a huge alpha splits two states to about +-alpha |J|; alpha^2
+    # beyond 1 / eps is refused by the phase route, and a range without the
+    # split states reads the one full solve, held to RESIDUAL_TOL (max|E| + 1)
+    # over all N energies (a bound over the read ones refused healthy solves)
     hamiltonian = build_hamiltonian(single_impurity(n, alpha))
     full = eigendecompose(hamiltonian)
-    part = eigendecompose(hamiltonian, states)
-    assert part.residual_bound == full.residual_bound <= RESIDUAL_TOL * (np.max(np.abs(full.energies)) + 1.0)
+    assert full.residual_bound <= RESIDUAL_TOL * (np.max(np.abs(full.energies)) + 1.0)
+    with fallback_spy() as fallback:
+        values = ranged(hamiltonian, states)
+    assert fallback.call_count == 2
     lo, hi = states
-    assert np.array_equal(part.vectors, full.vectors[lo - 1 : hi])
-    assert np.max(np.abs(part.energies)) < 1e-6 * np.max(np.abs(full.energies))
+    assert all(np.array_equal(value, reference)
+               for value, reference in zip(values, observables(full.vectors[lo - 1 : hi])))
+    assert np.max(np.abs(full.energies[lo - 1 : hi])) < 1e-6 * np.max(np.abs(full.energies))
 
 
 def test_c12_sweep_reads_only_its_range():
     # a bond-2 impurity: bond-1 chains take the phase route (test_edge_c12.py)
     template = ChainSpec(60, -1.0, 0.0, ((2, 1.0),))
     alphas = np.linspace(0.1, 2.9, 15)
-    with mock.patch.object(spectral, "eigendecompose", wraps=eigendecompose) as spy:
+    with fallback_spy() as spy:
         rows = c12_sweep(template, alphas, [2, 3])
-    assert [call.args[1] for call in spy.call_args_list] == [(2, 3)] * 15
+    assert bond2_alphas(spy) == pytest.approx(alphas)
     assert [row[1] for row in rows] == [2, 3] * 15
     for alpha, j, value in rows:
         full = eigendecompose(build_hamiltonian(with_alpha(template, alpha)))
@@ -171,7 +204,7 @@ def test_c12_sweep_reads_only_its_range():
 
 
 def test_ipr_sweep_matches_full_solve():
-    # a bond-2 chain reads the selected eigenvectors, bit for bit; a bond-1
+    # a bond-2 chain reads the eigenvectors of its full solve, bit for bit; a bond-1
     # chain reads the phase route, within round-off of them
     alphas = (0.3, 1.7)
     cases = [(ChainSpec(40, -1.0, 0.0, ((2, 1.0),)), 0.0), (single_impurity(40, 1.0), 1e-12)]
@@ -195,11 +228,10 @@ def test_c12_peak_refine_solves_one_state():
     grid, *refine = phases.call_args_list
     assert grid.args[2].size == alphas.size and refine  # the refine step ran after the grid
     assert {tuple(call.args[1]) for call in phases.call_args_list} == {(17,)}
-    with mock.patch.object(spectral, "eigendecompose", wraps=eigendecompose) as spy:
+    with fallback_spy() as spy:
         c12_peak(ChainSpec(60, -1.0, 0.0, ((2, 0.8),)), 17, alphas)
-    calls = spy.call_args_list
-    assert len(calls) > alphas.size
-    assert {call.args[1] for call in calls} == {(17, 17)}
+    solved = bond2_alphas(spy)
+    assert solved[: alphas.size] == pytest.approx(alphas) and len(solved) > alphas.size
     with pytest.raises(ValueError):
         c12_peak(template, 61, alphas)
 
@@ -219,16 +251,3 @@ def test_concurrence_sweep_cli_matches_full_solve(tmp_path):
         assert j == "1"
         full = eigendecompose(build_hamiltonian(single_impurity(60, float(alpha))))
         assert abs(float(value) - 2.0 * abs(full.vectors[0, 0] * full.vectors[0, 1])) <= 1e-12
-
-
-def test_explicit_decomposition_defaults_to_a_complete_basis():
-    dec = SpectralDecomposition(energies=np.arange(4.0), vectors=np.eye(4), residual_bound=0.0)
-    assert dec.first_state == 1
-    assert dec.n_sites == 4
-
-
-@pytest.mark.parametrize("states", [(2, 40), (1, 39), (1, 1)])
-def test_amplitude_matrix_needs_a_complete_basis(states):
-    dec = eigendecompose(build_hamiltonian(mirror_impurities(40, 0.5)), states)
-    with pytest.raises(IncompleteBasis):
-        amplitude_matrix(dec, [0.0], 1)

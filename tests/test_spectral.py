@@ -20,6 +20,7 @@ from xxchain.spectral import (
     RESIDUAL_TOL,
     BandLabel,
     SpectralDecomposition,
+    TransferSpectrum,
     classify_band,
     denergy_dalpha,
     eigendecompose,
@@ -116,6 +117,23 @@ def test_classification_boundary_tolerance():
     assert labels[0] is BandLabel.IN_BAND
     assert labels[2] is BandLabel.IN_BAND
     assert labels[3] is BandLabel.ISOLATED_ABOVE
+
+
+SHAPES = {
+    "vectors-3x4": (SpectralDecomposition, np.arange(4.0), np.eye(4)[:3]),
+    "vectors-of-a-range": (SpectralDecomposition, np.arange(3.0), np.eye(4)[1:]),
+    "energies-2x2": (SpectralDecomposition, np.arange(4.0).reshape(2, 2), np.eye(4)),
+    "weights-3": (TransferSpectrum, np.arange(4.0), np.ones(3)),
+    "energies-2x2-weights-4": (TransferSpectrum, np.arange(4.0).reshape(2, 2), np.ones(4)),
+    "energies-and-weights-2x2": (TransferSpectrum, np.arange(4.0).reshape(2, 2), np.ones((2, 2))),
+}
+
+
+@pytest.mark.parametrize("kind, energies, array", SHAPES.values(), ids=SHAPES.keys())
+def test_mismatched_shapes_are_refused_at_construction(kind, energies, array):
+    # every state of the chain or none: 1-d energies, N x N vectors, N weights
+    with pytest.raises(ValueError):
+        kind(energies, array, 0.0)
 
 
 def test_alpha_c_estimates():
