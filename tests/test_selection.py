@@ -21,11 +21,12 @@ from hypothesis import strategies as st
 from scipy.linalg import LinAlgError, eigh_tridiagonal
 
 from xxchain import spectral
-from xxchain.chain import ChainSpec, build_hamiltonian, single_impurity, with_alpha
+from xxchain.chain import ChainSpec, build_hamiltonian, mirror_impurities, single_impurity, with_alpha
 from xxchain.cli import main
+from xxchain.dynamics import amplitude_matrix
 from xxchain.errors import ConvergenceFailure
 from xxchain.measures import c12_peak, c12_sweep, ipr_of_rows, ipr_sweep
-from xxchain.spectral import RESIDUAL_TOL, eigendecompose, eigenstate_ipr, first_bond_c12
+from xxchain.spectral import RESIDUAL_TOL, SpectralDecomposition, eigendecompose, eigenstate_ipr, first_bond_c12
 
 GAP_MIN = 1e-4
 # A bond-2 impurity moves the bulk with alpha: every row takes eigendecompose.
@@ -251,3 +252,13 @@ def test_concurrence_sweep_cli_matches_full_solve(tmp_path):
         assert j == "1"
         full = eigendecompose(build_hamiltonian(single_impurity(60, float(alpha))))
         assert abs(float(value) - 2.0 * abs(full.vectors[0, 0] * full.vectors[0, 1])) <= 1e-12
+
+
+@pytest.mark.parametrize("states", [(2, 40), (1, 39), (1, 1)])
+def test_amplitude_matrix_needs_a_complete_basis(states):
+    # a state range of the full solve is refused where it would be built
+    full = eigendecompose(build_hamiltonian(mirror_impurities(40, 0.5)))
+    lo, hi = states
+    with pytest.raises(ValueError):
+        SpectralDecomposition(full.energies[lo - 1 : hi], full.vectors[lo - 1 : hi], full.residual_bound)
+    assert amplitude_matrix(full, [0.0], 1)[0] == pytest.approx(np.eye(40)[0], abs=1e-12)
