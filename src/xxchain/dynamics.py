@@ -12,20 +12,23 @@ C_{A,N}(t) = |f_N(t)| between A and site N.
 
 Every time grid is read as anchors T_a plus offsets tau_b (_phase_tables).
 An evenly spaced 1-d grid t_k = t_0 + k dt of at least two samples writes
-k = a n_b + b with about sqrt(len(t)) coarse anchors T_a = t_{a n_b} and
-fine offsets tau_b = b dt, so that
+k = a n_b + b with about sqrt(len(t)) coarse anchors T_a = t_0 + a n_b dt
+and fine offsets tau_b = b dt, so that
 
     f_N(T_a + tau_b) = sum_j [exp(-i E_j T_a) w_j] exp(-i E_j tau_b),
     w_j = psi_1^(j) psi_N^(j),
 
-is one complex matrix product of shape (n_a x N) (N x n_b).  That needs
-about 2 sqrt(len(t)) N complex exponentials instead of len(t) N, and leaves
-the O(len(t) N) remainder to BLAS.  The split is exact algebra for any
-spectrum (no field, parity or chirality assumption); in floating point the
-phases E_j T_a and E_j tau_b carry the same rounding as E_j t_k, so the two
-evaluations agree to a few 1e-15.  Any other t (a scalar, one sample, an
-uneven or a multi-dimensional grid) has the single anchor 0, a row of ones,
-and every sample as an offset: the same product then computes the
+is one complex matrix product of shape (n_a x N) (N x n_b).  Both tables
+are geometric in their row: the offsets are z^b with z = exp(-i E dt), the
+anchors exp(-i E t_0) Z^a with Z = exp(-i E n_b dt).  Each is doubled from
+one exponential row (_powers): rows [k, 2k) are rows [0, k) times the k-th
+power, the square of the (k/2)-th.  That needs three rows of N complex
+exponentials instead of len(t) N, and about (n_a + n_b) N complex
+products; BLAS does the O(len(t) N) remainder.  The split is exact algebra
+for any spectrum (no field, parity or chirality assumption); its round-off
+is P below.  Any other t (a scalar, one sample, an uneven or a
+multi-dimensional grid) has the single anchor 0, a row of ones, and every
+sample as an offset: the same product then computes the
 per-sample exponentials exp(-i E_j t_k), bit for bit.  The grid alone picks
 the tables, whatever the number of levels.  The site amplitudes, which need
 every site and not only f_N, read the same two tables block by block,
@@ -46,21 +49,38 @@ where the upper half is the levels floor(N/2) + 1 .. N, each with the
 weight of its pair (2 w_j on a paired spectrum), and odd N adds its zero
 mode (E = h, its own partner) with w alone.  In particular
 f_N = exp(-iht) Re Z_N for odd N and exp(-iht) i Im Z_N for even N.  The
-kernels above run unchanged on the upper half: half the exponentials of
+kernels above run unchanged on the upper half: half the table rows of
 transfer_amplitude (and so of fidelity, concurrence_AN, the landscape and
-the optimizer).  The running IPR of time_series needs only |psi_n|^2, so it
-reads the real rows Re Z and Im Z, two real (block x N/2)(N/2 x N/2) GEMMs
-per block of whole anchors of at most BLOCK_ROWS times (_site_row_blocks),
-and builds no len(t) x N table; amplitude_matrix fills its output from the
-same blocks, times their phases.  Timings are in CHANGES.md.
+the optimizer).  fidelity and concurrence_AN read |f_N| as |Re Z_N| or
+|Im Z_N| (_transfer_sum) and never form exp(-iht): on the upper half h
+enters them only through the rounding of E_j - h.  The running IPR of time_series needs only
+|psi_n|^2, so it reads the real rows Re Z and Im Z, two real
+(block x N/2)(N/2 x N/2) GEMMs per block of whole anchors of at most
+BLOCK_ROWS times (_site_row_blocks), and builds no len(t) x N table;
+amplitude_matrix fills its output from the same blocks, times their
+phases.  Timings are in CHANGES.md.
 
 The pairing is checked on the computed spectrum, not assumed.  Each kernel
 rounds every phase E_j t to about eps |E_j t|, so its own round-off is
 R = eps max|E| max|t| W, with W = max_n sum_j |w_j| (one column n per site
-amplitude, or the single column of f_N).  Replacing E_{N+1-j} by 2h - E_j
-and dropping the part of each pair that the sublattice projection drops,
-(w_{N+1-j} - (-1)^(n - s) w_j) i sin((E_j - h) t), moves every amplitude by
-at most
+amplitude, or the single column of f_N).  The doubled tables of an even
+grid add
+
+    P = (n_a + n_b) (1 + sqrt 2) eps W:
+
+offset row b carries b times the rounding of z (an exponential, within
+eps) and of one complex product (within sqrt 2 eps; Higham, Accuracy and
+Stability of Numerical Algorithms, 2nd ed., section 3.6), anchor row a
+a times that of Z, and the start row and the final product once.  A
+product of rounded factors is no more accurate for being taken in log2 n
+steps (ibid., section 3.1): squaring doubles the error of its factor, so P
+grows with n_a + n_b, about 2 sqrt(len(t)), while R grows with max|t|.
+Both tables read t_0 + k dt, which the grid test admits within
+_EVEN_GRID_ULPS ulps of max|t| of t_k, that is within _EVEN_GRID_ULPS R.
+
+Replacing E_{N+1-j} by 2h - E_j and dropping the part of each pair that the
+sublattice projection drops, (w_{N+1-j} - (-1)^(n - s) w_j) i sin((E_j - h) t),
+moves every amplitude by at most
 
     B = max|t| W dE + dw,   dE = max_j |E_j + E_{N+1-j} - 2h|,
                             dw = max_n 1/2 sum_j |w_{N+1-j} - (-1)^(n - s) w_j|
@@ -80,8 +100,9 @@ near-degenerate pair's eigenvector rotation (with 2 w_j instead, f_N of an
 N = 47 chain with bonds 7 and 40 at 1e-4 missed the full sum by 4.3e-12).
 A mirror chain read from its phase equation has dw = 0.
 Under the guard the upper-half sum is within (1 + PAIRING_ROUNDOFF) R of the
-exact sum over the computed spectrum, where the full sum is within R.  Each
-kernel call measures dE, dw and W and checks its own max|t| (_upper_half).
+exact sum over the computed spectrum, where the full sum is within R (on an
+even grid both add P).  Each kernel call measures dE, dw and W and checks
+its own max|t| (_upper_half).
 A spectrum whose dE alone exceeds the multiple (a generic non-constant
 diagonal), and a grid whose max|t| is too short, take the full sum above,
 with its bytes.
@@ -252,8 +273,9 @@ def _phase_tables(energies, times):
     """Anchor and offset tables exp(-i E T_a), exp(-i E tau_b) whose products cover t.
 
     An even 1-d grid of at least 2 samples, t_0 + k dt to rounding, gets
-    about sqrt(len(t)) complex anchors and offsets b dt; any other t the
-    single real anchor row of ones and every sample as an offset.
+    about sqrt(len(t)) complex anchors t_0 + a n_b dt and offsets b dt, each
+    table doubled from one exponential row (_powers); any other t the single
+    real anchor row of ones and every sample as an offset.
     """
     count = times.size
     if times.ndim == 1 and count >= 2:
@@ -262,14 +284,32 @@ def _phase_tables(energies, times):
         tol = _EVEN_GRID_ULPS * np.finfo(float).eps * max(abs(times[0]), abs(times[-1]))
         if np.all(np.abs(times - ideal) <= tol):
             n_fine = math.isqrt(count - 1) + 1
-            coarse = np.exp(-1j * np.outer(times[::n_fine], energies))
-            return coarse, np.exp(-1j * np.outer(step * np.arange(n_fine), energies))
+            coarse = _powers(np.exp(-1j * times[0] * energies), np.exp(-1j * (n_fine * step) * energies),
+                             (count - 1) // n_fine + 1)
+            return coarse, _powers(1.0, np.exp(-1j * step * energies), n_fine)
     return np.ones((1, energies.size)), np.exp(-1j * np.outer(times, energies))
 
 
-def transfer_amplitude(spectrum: TransferSpectrum, t):
-    """End-to-end amplitude f_N(t) = <N| exp(-i H t) |1>; scalar or array t."""
-    times = np.asarray(t, dtype=float)
+def _powers(first, base, count):
+    """Rows first * base^k for k < count, by doubling: rows [k, 2k) are rows [0, k) times base^k."""
+    table = np.empty((count, base.size), dtype=complex)
+    table[0] = first
+    k = 1
+    while k < count:
+        rows = table[k : 2 * k]
+        np.multiply(table[: len(rows)], base, out=rows)
+        k *= 2
+        if k < count:
+            base = base * base
+    return table
+
+
+def _transfer_sum(spectrum: TransferSpectrum, times: np.ndarray):
+    """f_N over times.flat as (s, h), with f_N = s where the grid takes the full sum (h None).
+
+    On the upper half s is real, f_N = exp(-iht) s for odd N and exp(-iht) i s
+    for even N: site N sits on site 1's sublattice for odd N only.
+    """
     sign = 1.0 if spectrum.n_sites % 2 else -1.0  # (-1)^(N - 1)
     half = _upper_half(spectrum.energies, spectrum.transfer_weights, sign, times)
     if half is None:
@@ -279,9 +319,17 @@ def transfer_amplitude(spectrum: TransferSpectrum, t):
     # (anchors * weights) @ offsets: no len(t) x N table on an even grid
     coarse, fine = _phase_tables(energies, times)
     flat = ((coarse * weights) @ fine.T).ravel()[: times.size]
-    if half is not None:
-        # site N sits on site 1's sublattice for odd N only
-        part = flat.real if spectrum.n_sites % 2 else 1j * flat.imag
+    if half is None:
+        return flat, None
+    return (flat.real if spectrum.n_sites % 2 else flat.imag), centre
+
+
+def transfer_amplitude(spectrum: TransferSpectrum, t):
+    """End-to-end amplitude f_N(t) = <N| exp(-i H t) |1>; scalar or array t."""
+    times = np.asarray(t, dtype=float)
+    flat, centre = _transfer_sum(spectrum, times)
+    if centre is not None:
+        part = flat if spectrum.n_sites % 2 else 1j * flat
         flat = np.exp(-1j * centre * times.ravel()) * part
     if times.ndim == 0:
         return complex(flat[0])
@@ -290,9 +338,9 @@ def transfer_amplitude(spectrum: TransferSpectrum, t):
 
 def fidelity(spectrum: TransferSpectrum, t):
     """Transfer fidelity F(t) = |f_N(t)|^2, clipped into [0, 1]."""
-    amplitude = transfer_amplitude(spectrum, t)
-    value = np.minimum(np.abs(amplitude) ** 2, 1.0)
-    if np.ndim(t) == 0:
+    times = np.asarray(t, dtype=float)
+    value = np.minimum(np.abs(_transfer_sum(spectrum, times)[0]) ** 2, 1.0).reshape(times.shape)
+    if times.ndim == 0:
         return float(value)
     return value
 
@@ -321,8 +369,9 @@ def concurrence_AN(spectrum: TransferSpectrum, t):
     This is the closed form of the Wootters concurrence of
     receiver_pair_density(f_N(t)); the tests check the two against each other.
     """
-    value = np.minimum(np.abs(transfer_amplitude(spectrum, t)), 1.0)
-    if np.ndim(t) == 0:
+    times = np.asarray(t, dtype=float)
+    value = np.minimum(np.abs(_transfer_sum(spectrum, times)[0]), 1.0).reshape(times.shape)
+    if times.ndim == 0:
         return float(value)
     return value
 

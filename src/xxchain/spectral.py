@@ -225,14 +225,21 @@ class BandLabel(enum.Enum):
 
 
 def _freeze(instance, name, rank):
-    """Store energies and the named array read-only; ValueError unless their shapes are (N,) and (N,) * rank."""
+    """Store energies and the named array read-only; ValueError unless their shapes are (N,) and (N,) * rank.
+
+    A read-only array is kept as it is; a writable one is stored as a
+    read-only copy, so its owner can still write to it without changing the
+    instance.
+    """
     energies = np.asarray(instance.energies, dtype=float)
     array = np.asarray(getattr(instance, name), dtype=float)
     if energies.ndim != 1 or array.shape != energies.shape * rank:
         shape = " x ".join("N" * rank)
         raise ValueError(f"need 1-d energies and {name} of shape {shape}, got {energies.shape} and {array.shape}")
     for key, value in (("energies", energies), (name, array)):
-        value.setflags(write=False)
+        if value.flags.writeable:
+            value = value.copy()
+            value.setflags(write=False)
         object.__setattr__(instance, key, value)
 
 
@@ -757,6 +764,8 @@ def _transfer_spectra(grid) -> list[TransferSpectrum]:
         energies = np.concatenate((low, np.repeat(centre, n % 2, axis=1), 2.0 * centre - low[:, ::-1]), axis=1)
         weights = np.concatenate((weights, pair * weights[:, :half][:, ::-1]), axis=1)
         residual = residual.max(axis=1)
+        energies.setflags(write=False)  # read-only rows: TransferSpectrum keeps them without a copy
+        weights.setflags(write=False)
         for row in np.flatnonzero(passed):
             spectra[batch[row]] = TransferSpectrum(energies[row], weights[row], float(residual[row]))
     for i, spectrum in enumerate(spectra):

@@ -18,7 +18,7 @@ from xxchain.dynamics import (
 )
 from xxchain.errors import BadSite
 from xxchain.measures import NORM_TOL, wootters_concurrence
-from xxchain.spectral import eigendecompose, transfer_spectrum
+from xxchain.spectral import TransferSpectrum, eigendecompose, transfer_spectrum
 
 
 def _rk4_evolve(hamiltonian, t_final, dt=1e-3):
@@ -119,6 +119,20 @@ def test_fidelity_is_squared_amplitude_and_concurrence_root():
     c_values = concurrence_AN(spectrum, times)
     assert np.max(np.abs(c_values**2 - f_values)) <= 1e-9
     assert np.all((f_values >= 0.0) & (f_values <= 1.0))
+
+
+def test_fidelity_and_concurrence_leave_out_the_field_phase():
+    # paired levels h + k/4 (N = 6, 7) make E_j - h exact, so on the upper
+    # half F and C_A,N must not move with h by a single bit
+    times = np.arange(0.0, 40.0, 0.05)
+    for weights in ([0.05, -0.1, 0.15, -0.15, 0.1, -0.05], [0.05, -0.1, 0.15, 0.2, 0.15, -0.1, 0.05]):
+        offsets = np.arange(len(weights)) * 0.5 - 0.25 * (len(weights) - 1)
+        spectra = [TransferSpectrum(field_h + offsets, weights, 0.0) for field_h in (0.0, 0.5, -3.0)]
+        moduli = np.abs(transfer_amplitude(spectra[1], times))
+        for observable, power in ((fidelity, 2), (concurrence_AN, 1)):
+            values = [observable(spectrum, times) for spectrum in spectra]
+            assert np.array_equal(values[0], values[1]) and np.array_equal(values[0], values[2])
+            assert np.max(np.abs(values[1] - moduli**power)) <= 1e-15
 
 
 def test_concurrence_closed_form_matches_wootters():

@@ -136,6 +136,18 @@ def test_mismatched_shapes_are_refused_at_construction(kind, energies, array):
         kind(energies, array, 0.0)
 
 
+def test_construction_leaves_the_callers_arrays_writable():
+    energies, vectors, weights = np.arange(4.0), np.eye(4), np.ones(4)
+    dec = SpectralDecomposition(energies, vectors, 0.0)
+    spectrum = TransferSpectrum(energies, weights, 0.0)
+    for array in (energies, vectors, weights):
+        array[0] = 2.0
+    assert energies.flags.writeable and vectors.flags.writeable and weights.flags.writeable
+    assert dec.energies[0] == spectrum.energies[0] == 0.0
+    assert dec.vectors[0, 0] == 1.0 and spectrum.transfer_weights[0] == 1.0
+    assert not (dec.energies.flags.writeable or dec.vectors.flags.writeable or spectrum.transfer_weights.flags.writeable)
+
+
 def test_alpha_c_estimates():
     value_200 = estimate_alpha_c(single_impurity(200, 1.0), (1.0, 2.0), 1e-4)
     assert 1.40 <= value_200 <= 1.45

@@ -3,18 +3,20 @@
 transfer_amplitude evaluates every grid as one matrix product of anchor and
 offset phase tables, and amplitude_matrix builds its phase table as the
 product of the same two tables.  An even grid of two or more samples has
-about sqrt(len(t)) anchors; any other grid the single anchor 0, which
-reproduces the per-sample exponentials bit for bit.  Every check
-here recomputes f_N(t_k) = sum_j exp(-i E_j t_k) psi_1^(j) psi_N^(j), or the
-site amplitudes sum_j exp(-i E_j t_k) psi_1^(j) psi_n^(j), one sample at a
-time and requires agreement to 1e-12, far above the ~1e-15 roundoff of
-either form.
+about sqrt(len(t)) anchors and offsets, each table doubled from one
+exponential row; any other grid the single anchor 0, which reproduces the
+per-sample exponentials bit for bit.  Every check here recomputes
+f_N(t_k) = sum_j exp(-i E_j t_k) psi_1^(j) psi_N^(j), or the site amplitudes
+sum_j exp(-i E_j t_k) psi_1^(j) psi_n^(j), one sample at a time.  Short
+grids must agree to 1e-12, far above the roundoff of either form; long
+grids within the bound of the dynamics docstring (doubled_bound).
 """
 
 import math
 import warnings
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -22,7 +24,7 @@ from xxchain import dynamics
 from xxchain.chain import ChainSpec, TridiagonalHamiltonian, build_hamiltonian, mirror_impurities
 from xxchain.cli import _parse_range
 from xxchain.dynamics import amplitude_matrix, transfer_amplitude
-from xxchain.protocols import REFOCUS_T_STEP, default_alpha_grid, optimize_alpha, refocus_window
+from xxchain.protocols import REFOCUS_T_STEP, default_alpha_grid, inclusive_grid, optimize_alpha, refocus_window
 from xxchain.spectral import eigendecompose, transfer_spectrum
 
 from routes import factorings, full_route, pairings
@@ -193,6 +195,72 @@ def test_the_grid_alone_picks_the_tables():
             coarse, fine = dynamics._phase_tables(energies, times)
             assert coarse.shape == (anchors, n_sites) and coarse.dtype == dtype
             assert fine.shape == (offsets, n_sites)
+
+
+def doubled_bound(energies, times, weight_norm=1.0):
+    """The even-grid kernel against the per-sample one (dynamics docstring).
+
+    Each side rounds its phases by R = eps max|E| max|t| W, the tables read
+    t_0 + k dt, which the grid test admits within _EVEN_GRID_ULPS R of t_k,
+    and the doubling adds P = (n_a + n_b)(1 + sqrt 2) eps W.
+    """
+    eps = np.finfo(float).eps
+    n_fine = math.isqrt(times.size - 1) + 1
+    n_coarse = (times.size - 1) // n_fine + 1
+    roundoff = eps * np.abs(energies).max() * np.abs(times).max() * weight_norm
+    return (2 + dynamics._EVEN_GRID_ULPS) * roundoff + (n_coarse + n_fine) * (1 + math.sqrt(2)) * eps * weight_norm
+
+
+def chunks(times, size=4096):
+    """(start, times[start:][:size]) over the grid: references of at most size x N."""
+    for start in range(0, times.size, size):
+        yield start, times[start : start + size]
+
+
+# (mirror chain length, even grid): a long grid, the N = 400 refocus window
+# (t_0 != 0), two samples, and counts whose count - 1 is not a square, so
+# the last anchor row is partial
+DOUBLED_GRIDS = {
+    "long-1e4": (200, inclusive_grid(0.0, 1e4, 0.1)),
+    "refocus-400": (400, inclusive_grid(*refocus_window(400), REFOCUS_T_STEP)),
+    "two-samples": (40, np.array([2.0, 2.1])),
+    "three-samples": (31, inclusive_grid(-1.5, 1.5, 1.5)),
+    "partial-11": (64, inclusive_grid(0.3, 7.3, 0.7)),
+    "partial-1000": (101, inclusive_grid(5.0, 5.0 + 999 * 0.037, 0.037)),
+}
+
+
+@pytest.mark.parametrize("n_sites, times", DOUBLED_GRIDS.values(), ids=DOUBLED_GRIDS.keys())
+def test_doubled_tables_match_per_sample_exponentials(n_sites, times):
+    energies = transfer(mirror_impurities(n_sites, 0.44)).energies
+    coarse, fine = dynamics._phase_tables(energies, times)
+    n_fine = len(fine)
+    assert len(coarse) == (times.size - 1) // n_fine + 1
+    # rows 0 and 1 are exact: ones and exp(-iE step) for the offsets, and
+    # exp(-iE t_0) times the same for the anchors (ones and exp(-iE n_b dt) from t_0 = 0)
+    step = (times[-1] - times[0]) / (times.size - 1)
+    first = np.exp(-1j * np.outer(times[:1], energies))[0]
+    assert np.array_equal(fine[0], np.ones(n_sites))
+    assert np.array_equal(fine[1], np.exp(-1j * np.outer([step], energies))[0])
+    assert np.array_equal(coarse[0], first)
+    if len(coarse) > 1:  # two samples have one anchor
+        assert np.array_equal(coarse[1], first * np.exp(-1j * np.outer([n_fine * step], energies))[0])
+    bound = doubled_bound(energies, times)
+    for start, part in chunks(times):
+        k = np.arange(start, start + part.size)
+        phases = coarse[k // n_fine] * fine[k % n_fine]
+        assert np.max(np.abs(phases - np.exp(-1j * np.outer(part, energies)))) <= bound
+
+
+@pytest.mark.parametrize("n_sites, times", DOUBLED_GRIDS.values(), ids=DOUBLED_GRIDS.keys())
+def test_doubled_transfer_amplitude_matches_per_sample_route(n_sites, times):
+    spectrum = transfer(mirror_impurities(n_sites, 0.44))
+    half = transfer_half(spectrum, times)
+    assert half is not None
+    values = transfer_amplitude(spectrum, times)
+    bound = doubled_bound(half[1], times, np.abs(half[2]).sum())
+    for start, part in chunks(times):
+        assert np.max(np.abs(values[start : start + part.size] - per_sample_route(spectrum, part))) <= bound
 
 
 def test_scalar_time_takes_the_per_sample_path():
