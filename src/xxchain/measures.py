@@ -26,6 +26,7 @@ and d is the (excited) down spin.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -214,7 +215,7 @@ def c12_peak(template: ChainSpec, state_index: int, alphas=None) -> ConcurrenceP
     alpha=0 and the resulting degeneracy makes C_12 ill-defined there).  The
     maximum counts as dominant when it exceeds C12_DOMINANCE times the
     next-largest local maximum of the same curve.  The grid maximum is then
-    polished by bounded scalar minimization between its neighbors.
+    polished by a golden-section search between its neighbors.
     """
     if alphas is None:
         alphas = sweep_alpha_grid()
@@ -235,16 +236,31 @@ def c12_peak(template: ChainSpec, state_index: int, alphas=None) -> ConcurrenceP
     lo = alphas[max(best - 1, 0)]
     hi = alphas[min(best + 1, alphas.size - 1)]
     if hi > lo:
-        # imported here, its only user, so no other code path loads scipy.optimize
-        from scipy.optimize import minimize_scalar
-
-        result = minimize_scalar(
-            lambda a: -c12_sweep(template, [a], [state_index])[0][2],
-            bounds=(float(lo), float(hi)),
-            method="bounded",
-            options={"xatol": 1e-6},
+        alpha, value = _golden_max(
+            lambda a: c12_sweep(template, [a], [state_index])[0][2], float(lo), float(hi), xatol=1e-6
         )
-        if -result.fun >= height:
-            alpha_peak = float(result.x)
-            height = float(-result.fun)
+        if value >= height:
+            alpha_peak, height = alpha, float(value)
     return ConcurrencePeak(alpha=alpha_peak, height=height, dominant=dominant)
+
+
+def _golden_max(f, lo, hi, xatol):
+    """Golden-section search for the maximum of a unimodal f on [lo, hi]: the better probe (x, f(x)).
+
+    Each step keeps the part of the bracket on the side of the larger of its
+    two probes, so the bracket shrinks by 1/phi per evaluation and holds the
+    maximum, a bound included, until it is narrower than xatol.
+    """
+    shrink = (math.sqrt(5.0) - 1.0) / 2.0
+    x1, x2 = hi - shrink * (hi - lo), lo + shrink * (hi - lo)
+    f1, f2 = f(x1), f(x2)
+    while hi - lo > xatol:
+        if f1 >= f2:
+            hi, x2, f2 = x2, x1, f1
+            x1 = hi - shrink * (hi - lo)
+            f1 = f(x1)
+        else:
+            lo, x1, f1 = x1, x2, f2
+            x2 = lo + shrink * (hi - lo)
+            f2 = f(x2)
+    return (x1, f1) if f1 >= f2 else (x2, f2)

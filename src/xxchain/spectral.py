@@ -11,8 +11,8 @@ components:
 
     dE_j / dalpha = 2 J psi_1 psi_2
 
-eigendecompose solves all N states in one LAPACK call and checks the
-residual of every pair against max|E| over the whole spectrum.
+eigendecompose solves all N states in one dense numpy.linalg.eigh call and
+checks the residual of every pair against max|E| over the whole spectrum.
 
 Every f_N(t) = sum_j exp(-i E_j t) psi_1^(j) psi_N^(j) in the package
 (evolve, the landscape, the optimizer, the oracle check) reads the energies
@@ -22,7 +22,7 @@ bonds, and one phase equation gives their states, to first_bond_c12 and
 eigenstate_ipr for both layouts and to transfer_spectrum for mirror chains.
 Any other matrix takes eigendecompose, and its weights are psi_1 psi_N read
 off the first and last eigenvector components.  _eigh_rows is the one
-LAPACK call, and it imports scipy at the solve.
+solver call.
 
 With a constant diagonal h, bulk bonds J and end bonds b = alpha J (the
 edge-bond secular equation of Wojcik et al., PRA 72, 034303 (2005); the
@@ -291,7 +291,7 @@ def eigendecompose(hamiltonian: TridiagonalHamiltonian) -> SpectralDecomposition
     Raises ConvergenceFailure if the solver fails or any pair misses the
     finite residual bound RESIDUAL_TOL * (max|E| + 1).
     """
-    energies, vectors = _eigh_rows(hamiltonian.diag, hamiltonian.offdiag)
+    energies, vectors = _eigh_rows(hamiltonian)
     residual_bound = _checked_residual(hamiltonian.diag, hamiltonian.offdiag, energies, vectors)
 
     lead = np.argmax(np.abs(vectors) > SIGN_EPS, axis=1)
@@ -302,14 +302,12 @@ def eigendecompose(hamiltonian: TridiagonalHamiltonian) -> SpectralDecomposition
     return SpectralDecomposition(energies=energies, vectors=vectors, residual_bound=residual_bound)
 
 
-def _eigh_rows(diag, offdiag):
-    """eigh_tridiagonal with the eigenvectors as contiguous rows."""
-    from scipy.linalg import LinAlgError, eigh_tridiagonal
-
+def _eigh_rows(hamiltonian):
+    """numpy.linalg.eigh of the dense matrix, with the eigenvectors as contiguous rows."""
     try:
-        energies, columns = eigh_tridiagonal(diag, offdiag)
-    except LinAlgError as exc:
-        raise ConvergenceFailure(f"tridiagonal eigensolver failed: {exc}") from exc
+        energies, columns = np.linalg.eigh(hamiltonian.to_dense())
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceFailure(f"eigensolver failed: {exc}") from exc
     return energies, np.ascontiguousarray(columns.T)
 
 

@@ -11,6 +11,10 @@ makes every kernel call take the full sum.  factorings records how the
 kernels read the time grid: factored into anchors and offsets, or one
 anchor at 0 with every sample as an offset.  blockings records the time
 blocks the site-amplitude kernel streams the grid in.
+
+solver_spy, failed_solver and noisy_solver act on spectral._eigh_rows, the
+one eigensolver call: they count its solves, make numpy.linalg.eigh raise
+LinAlgError inside it, or add noise to the eigenvectors it returns.
 """
 
 import contextlib
@@ -18,7 +22,7 @@ from unittest import mock
 
 import numpy as np
 
-from xxchain import dynamics
+from xxchain import dynamics, spectral
 from xxchain.spectral import SpectralDecomposition, TransferSpectrum
 
 
@@ -80,3 +84,30 @@ def blockings():
 
     with mock.patch.object(dynamics, "_site_row_blocks", recording):
         yield results
+
+
+def solver_spy():
+    """A spy on spectral._eigh_rows: call_args[0] is each matrix it solved."""
+    return mock.patch.object(spectral, "_eigh_rows", wraps=spectral._eigh_rows)
+
+
+def failed_solver():
+    """Every solve meets a numpy.linalg.eigh that raises LinAlgError, as one that does not converge."""
+    solve = spectral._eigh_rows
+
+    def failing(hamiltonian):
+        with mock.patch("numpy.linalg.eigh", side_effect=np.linalg.LinAlgError("no convergence")):
+            return solve(hamiltonian)
+
+    return mock.patch.object(spectral, "_eigh_rows", failing)
+
+
+def noisy_solver():
+    """Every solve returns its eigenvectors plus 1e-7 in each component."""
+    solve = spectral._eigh_rows
+
+    def noisy(hamiltonian):
+        energies, vectors = solve(hamiltonian)
+        return energies, vectors + 1e-7
+
+    return mock.patch.object(spectral, "_eigh_rows", noisy)

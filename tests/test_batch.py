@@ -17,7 +17,6 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from scipy.linalg import LinAlgError, eigh_tridiagonal
 
 from xxchain import spectral
 from xxchain.chain import (
@@ -33,6 +32,8 @@ from xxchain.errors import ConvergenceFailure, CouplingSignWarning, NegativeAlph
 from xxchain.measures import c12_sweep, ipr_sweep
 from xxchain.protocols import fidelity_landscape, inclusive_grid
 from xxchain.spectral import eigenstate_ipr, first_bond_c12, transfer_spectrum
+
+from routes import failed_solver, solver_spy
 
 SQRT2 = math.sqrt(2.0)
 TIMES = np.arange(0.0, 30.0, 0.25)
@@ -174,9 +175,9 @@ def test_typed_errors_match_a_batch_of_one(sweep_of):
                 pytest.raises(error) as batch:
             sweep_of(template, [*alphas, *bad], range(1, 41))
         assert str(batch.value) == str(single.value)
-    # with LAPACK failing, exactly the alphas that eigendecompose solves
+    # with the solver failing, exactly the alphas that eigendecompose solves
     # fail on their own, and a grid holding one of them fails alike
-    with mock.patch("scipy.linalg.eigh_tridiagonal", side_effect=LinAlgError("no convergence")):
+    with failed_solver():
         failed = []
         for alpha in alphas:
             try:
@@ -233,7 +234,7 @@ def test_benchmark_sweep_grids_run_no_lapack_at_positive_alpha():
     # for J = -1 and for J = -0.8, h = 0.3
     alphas = 0.005 * np.arange(1, 601)
     for template in (single_impurity(200, 1.0), single_impurity(200, 1.0, exchange_j=-0.8, field_h=0.3)):
-        with mock.patch("scipy.linalg.eigh_tridiagonal", wraps=eigh_tridiagonal) as lapack:
+        with solver_spy() as lapack:
             assert len(ipr_sweep(template, alphas, range(1, 201))) == 600 * 200
             assert len(c12_sweep(template, alphas, range(1, 2))) == 600
             assert len(c12_sweep(template, alphas, range(2, 101))) == 600 * 99

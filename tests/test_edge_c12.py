@@ -20,7 +20,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.linalg import LinAlgError, eigh_tridiagonal
 
 from xxchain import spectral
 from xxchain.chain import (
@@ -34,6 +33,8 @@ from xxchain.chain import (
 from xxchain.errors import ConvergenceFailure
 from xxchain.measures import c12_sweep, ipr_of_rows, ipr_sweep
 from xxchain.spectral import eigendecompose, eigenstate_ipr, first_bond_c12
+
+from routes import failed_solver, solver_spy
 
 # Pairs of values both at or above TINY agree within a relative REL_TOL,
 # others within an absolute ABS_TOL: an exact zero, such as C_12 of the
@@ -92,7 +93,7 @@ def phase_route(hamiltonian, states=None):
     """(E, IPR, C_12) of the states (all by default), asserting that no LAPACK routine ran."""
     lo, hi = states or (1, hamiltonian.n_sites)
     with fallback_spy() as fallback, mirror_route_spy() as mirror, \
-            mock.patch("scipy.linalg.eigh_tridiagonal", wraps=eigh_tridiagonal) as lapack:
+            solver_spy() as lapack:
         c12 = first_bond_c12(hamiltonian, (lo, hi))
         ipr = eigenstate_ipr(hamiltonian, (lo, hi))
     assert not fallback.called and not mirror_calls(mirror) and not lapack.called
@@ -446,9 +447,7 @@ def test_refused_alphas_fall_back_to_eigendecompose(failure):
 
 def test_failed_solvers_are_a_convergence_failure():
     template = single_impurity(120, 1.0)
-    with refused("no_convergence"), mock.patch(
-        "scipy.linalg.eigh_tridiagonal", side_effect=LinAlgError("no convergence")
-    ):
+    with refused("no_convergence"), failed_solver():
         with pytest.raises(ConvergenceFailure):
             c12_sweep(template, [0.5], range(1, 121))
         with pytest.raises(ConvergenceFailure):

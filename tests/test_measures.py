@@ -1,7 +1,10 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.optimize import minimize_scalar
 
 from xxchain import measures
 from xxchain.chain import ChainSpec, build_hamiltonian, single_impurity
@@ -248,6 +251,34 @@ def test_c12_peaks_are_single_and_ordered():
     assert all(peak.dominant for peak in peaks)
     assert peaks[0].alpha > peaks[1].alpha > peaks[2].alpha
     assert peaks[0].height < peaks[1].height < peaks[2].height
+
+
+@pytest.mark.parametrize("lo, hi, peak", [(0.0, 3.0, 1.0), (0.2, 0.6, 0.6), (1.5, 4.0, 1.5)])
+def test_golden_max_finds_the_maximum_of_a_unimodal_function(lo, hi, peak):
+    # x exp(-x) rises to its maximum at x = 1 and falls after it: an interior
+    # peak, then a peak at the upper and at the lower bound
+    def f(x):
+        return x * np.exp(-x)
+
+    x, value = measures._golden_max(f, lo, hi, xatol=1e-6)
+    assert lo <= x <= hi and abs(x - peak) <= 1e-6
+    assert value == f(x)
+
+
+def test_c12_peak_matches_a_bounded_brent_reference():
+    # scipy's bounded Brent search at the same xatol, polishing the same grid bracket
+    def brent_max(f, lo, hi, xatol):
+        result = minimize_scalar(lambda x: -f(x), bounds=(lo, hi), method="bounded", options={"xatol": xatol})
+        return result.x, -result.fun
+
+    template = single_impurity(200, 1.0)
+    peaks = [c12_peak(template, j) for j in range(95, 101)]
+    with mock.patch.object(measures, "_golden_max", brent_max):
+        references = [c12_peak(template, j) for j in range(95, 101)]
+    for peak, reference in zip(peaks, references):
+        assert abs(peak.alpha - reference.alpha) <= 2e-6
+        assert peak.height == pytest.approx(reference.height, rel=1e-10)
+        assert peak.dominant == reference.dominant
 
 
 @given(st.lists(st.integers(0, 3), max_size=12))

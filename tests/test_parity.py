@@ -25,7 +25,6 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.linalg import LinAlgError, eigh_tridiagonal
 
 from xxchain import spectral
 from xxchain.chain import (
@@ -48,7 +47,7 @@ from xxchain.spectral import (
     transfer_spectrum_batch,
 )
 
-from routes import factorings, full_route, unpaired
+from routes import factorings, failed_solver, full_route, noisy_solver, solver_spy, unpaired
 
 TOL = 1e-12
 
@@ -166,18 +165,13 @@ def kernel_accepts(hamiltonian):
     return bool(ok[0])
 
 
-def lapack_spy():
-    """A spy on the one LAPACK eigensolver that spectral calls."""
-    return mock.patch("scipy.linalg.eigh_tridiagonal", wraps=eigh_tridiagonal)
-
-
 def full_solve_spy():
     return mock.patch.object(spectral, "eigendecompose", wraps=eigendecompose)
 
 
 def mirror_route(hamiltonian):
     """transfer_spectrum of a mirror chain, asserting that no LAPACK routine ran."""
-    with lapack_spy() as lapack, full_solve_spy() as full:
+    with solver_spy() as lapack, full_solve_spy() as full:
         spectrum = transfer_spectrum(hamiltonian)
     assert not lapack.called and not full.called
     return spectrum
@@ -221,12 +215,12 @@ def test_zero_border_blocks_take_their_eigenvectors(n):
     # alpha = 0 decouples site 1: the whole chain takes eigendecompose, and
     # no root is solved
     hamiltonian = build_hamiltonian(mirror_impurities(n, 0.0, field_h=0.3))
-    with full_solve_spy() as full, lapack_spy() as lapack, \
+    with full_solve_spy() as full, solver_spy() as lapack, \
             mock.patch.object(spectral, "_phase_roots", wraps=spectral._phase_roots) as roots:
         result = transfer_spectrum(hamiltonian)
     full.assert_called_once_with(hamiltonian)
     assert not roots.called
-    assert [call.args[0].size for call in lapack.call_args_list] == [n]
+    lapack.assert_called_once_with(hamiltonian)
     assert np.all(transfer_amplitude(result, np.arange(0.0, 40.0, 0.1)) == 0.0)
 
 
@@ -268,12 +262,7 @@ def test_failed_phase_check_falls_back_to_eigenvectors(failure, n, alpha):
 def test_block_residual_over_the_bound_is_a_convergence_failure():
     # the moved roots refuse the chain, and the noisy fallback full solve fails too
     hamiltonian = build_hamiltonian(mirror_impurities(200, 0.4))
-
-    def noisy(*args, **kwargs):
-        energies, columns = eigh_tridiagonal(*args, **kwargs)
-        return energies, columns + 1e-7
-
-    with refused("residual"), mock.patch("scipy.linalg.eigh_tridiagonal", side_effect=noisy):
+    with refused("residual"), noisy_solver():
         with pytest.raises(ConvergenceFailure):
             transfer_spectrum(hamiltonian)
 
@@ -281,8 +270,7 @@ def test_block_residual_over_the_bound_is_a_convergence_failure():
 def test_block_solver_error_is_a_convergence_failure():
     # the refused chain falls back to eigendecompose, which fails too
     hamiltonian = build_hamiltonian(mirror_impurities(200, 0.4))
-    with refused("no_convergence"), \
-            mock.patch("scipy.linalg.eigh_tridiagonal", side_effect=LinAlgError("no convergence")):
+    with refused("no_convergence"), failed_solver():
         with pytest.raises(ConvergenceFailure):
             transfer_spectrum(hamiltonian)
 
@@ -300,7 +288,7 @@ def test_eigenvalue_solver_error_falls_back_to_one_full_solve():
 def test_landscape_runs_no_solver(n):
     alphas = inclusive_grid(0.3, 1.0, 0.01)
     assert alphas.size == 71
-    with lapack_spy() as lapack, \
+    with solver_spy() as lapack, \
             mock.patch.object(spectral, "_phase_states", wraps=spectral._phase_states) as kernel:
         fidelity_landscape(mirror_impurities(n, 1.0), alphas, np.arange(0.0, 10.0, 0.5))
     assert not lapack.called
@@ -557,7 +545,7 @@ def test_mirror_ipr_and_c12_match_40_digit_roots(n, alpha_of_n):
     alpha = alpha_of_n(n)
     for exchange_j, field_h in [(-1.0, 0.0), (-0.8, 0.3), (0.8, 0.3)]:
         hamiltonian = hamiltonian_of(mirror_impurities(n, alpha, exchange_j=exchange_j, field_h=field_h))
-        with lapack_spy() as lapack, full_solve_spy() as full:
+        with solver_spy() as lapack, full_solve_spy() as full:
             ipr, c12 = eigenstate_ipr(hamiltonian, (1, n)), first_bond_c12(hamiltonian, (1, n))
         assert not lapack.called and not full.called
         for got, reference in zip((ipr, c12), mirror_states_reference(hamiltonian)):
@@ -583,7 +571,7 @@ def test_mirror_sweeps_run_no_lapack_at_positive_alpha(command, tmp_path):
     out = tmp_path / "rows.csv"
     argv = [command, "--mirror", "--n", "200", "--alpha-range", "0.005:2:0.005", "--states", "1:4",
             "--out", str(out)]
-    with mock.patch("scipy.linalg.eigh_tridiagonal", side_effect=AssertionError):
+    with mock.patch.object(spectral, "_eigh_rows", side_effect=AssertionError):
         assert main(argv) == 0
     values = np.loadtxt(out, delimiter=",", skiprows=1)[:, 2].reshape(400, 4)
     assert np.array_equal(values[319:, 0], values[319:, 1])

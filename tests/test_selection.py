@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.linalg import LinAlgError, eigh_tridiagonal
+from scipy.linalg import eigh_tridiagonal
 
 from xxchain import spectral
 from xxchain.chain import ChainSpec, build_hamiltonian, mirror_impurities, single_impurity, with_alpha
@@ -28,13 +28,11 @@ from xxchain.errors import ConvergenceFailure
 from xxchain.measures import c12_peak, c12_sweep, ipr_of_rows, ipr_sweep
 from xxchain.spectral import RESIDUAL_TOL, SpectralDecomposition, eigendecompose, eigenstate_ipr, first_bond_c12
 
+from routes import failed_solver, noisy_solver, solver_spy
+
 GAP_MIN = 1e-4
 # A bond-2 impurity moves the bulk with alpha: every row takes eigendecompose.
 BOND2 = ChainSpec(200, -1.0, 0.0, ((2, 1.6),))
-
-
-def spy_solver():
-    return mock.patch("scipy.linalg.eigh_tridiagonal", wraps=eigh_tridiagonal)
 
 
 def fallback_spy():
@@ -94,12 +92,15 @@ def residual_norms(hamiltonian, dec):
     return np.sqrt(np.sum(out * out, axis=1))
 
 
+def level_gaps(energies):
+    """Distance of each ascending level to its nearer neighbour."""
+    gaps = np.diff(energies)
+    return np.minimum(np.concatenate(([np.inf], gaps)), np.concatenate((gaps, [np.inf])))
+
+
 def separated(energies, scale):
     """Mask of levels farther than GAP_MIN * scale from both neighbours."""
-    gaps = np.diff(energies)
-    left = np.concatenate(([np.inf], gaps))
-    right = np.concatenate((gaps, [np.inf]))
-    return np.minimum(left, right) >= GAP_MIN * scale
+    return level_gaps(energies) >= GAP_MIN * scale
 
 
 @settings(max_examples=200, deadline=None)
@@ -130,13 +131,35 @@ def test_selected_range_matches_full_solve(data, spec):
         assert np.all(error[large] <= 1e-10 * reference[large]) and np.all(error[~large] <= 1e-13)
 
 
+@settings(max_examples=100, deadline=None)
+@given(spec=chains())
+def test_eigendecompose_matches_an_mrrr_reference(spec):
+    # scipy's eigh_tridiagonal with the stemr driver (MRRR) is another
+    # algorithm than the dense eigh of eigendecompose.  Energies agree within
+    # the residual tolerance; a separated vector agrees up to sign within the
+    # Davis-Kahan bound, twice the sum of both residuals over the gap, plus
+    # the norm roundoff
+    hamiltonian = hamiltonian_of(spec)
+    dec = decompose(hamiltonian)
+    energies, columns = eigh_tridiagonal(hamiltonian.diag, hamiltonian.offdiag, lapack_driver="stemr")
+    reference = SpectralDecomposition(energies, np.ascontiguousarray(columns.T), 0.0)
+    scale = float(np.max(np.abs(energies))) + 1.0
+    assert np.all(np.abs(dec.energies - energies) <= RESIDUAL_TOL * scale)
+    keep = separated(energies, scale)
+    signs = np.sign(np.sum(dec.vectors * reference.vectors, axis=1))
+    distance = np.linalg.norm(dec.vectors - signs[:, None] * reference.vectors, axis=1)
+    residual = dec.residual_bound + np.max(residual_norms(hamiltonian, reference))
+    bound = 2.0 * residual / level_gaps(energies) + 1e-14
+    assert np.all(distance[keep] <= bound[keep])
+
+
 def test_wide_and_full_ranges_slice_a_full_solve():
     hamiltonian = build_hamiltonian(BOND2)
     full = eigendecompose(hamiltonian)
     for states in ((1, 1), (50, 52), (100, 111), (1, 13), (1, 100), (2, 100), (1, 200)):
-        with spy_solver() as spy:
+        with solver_spy() as spy:
             c12 = first_bond_c12(hamiltonian, states)
-        assert spy.call_count == 1 and not spy.call_args.kwargs
+        spy.assert_called_once_with(hamiltonian)
         lo, hi = states
         assert np.array_equal(c12, observables(full.vectors[lo - 1 : hi])[0])
         assert np.array_equal(eigenstate_ipr(hamiltonian, states), observables(full.vectors[lo - 1 : hi])[1])
@@ -156,19 +179,14 @@ def test_out_of_range_states_are_rejected(states):
 def test_solver_error_is_a_convergence_failure(states):
     # None: the full solve itself; a range: a row that reads it
     hamiltonian = build_hamiltonian(BOND2)
-    with mock.patch("scipy.linalg.eigh_tridiagonal", side_effect=LinAlgError("no convergence")):
+    with failed_solver():
         with pytest.raises(ConvergenceFailure):
             eigendecompose(hamiltonian) if states is None else first_bond_c12(hamiltonian, states)
 
 
 def test_selected_residual_is_checked():
     hamiltonian = build_hamiltonian(BOND2)
-
-    def noisy(*args, **kwargs):
-        energies, columns = eigh_tridiagonal(*args, **kwargs)
-        return energies, columns + 1e-7
-
-    with mock.patch("scipy.linalg.eigh_tridiagonal", side_effect=noisy):
+    with noisy_solver():
         with pytest.raises(ConvergenceFailure):
             first_bond_c12(hamiltonian, (5, 5))
 
@@ -221,7 +239,7 @@ def test_c12_peak_refine_solves_one_state():
     # bond 1: the phase route solves root 17 alone; bond 2: eigendecompose reads state 17
     alphas = np.linspace(0.1, 2.0, 20)
     template = single_impurity(60, 0.8)
-    with spy_solver() as spy, mock.patch.object(
+    with solver_spy() as spy, mock.patch.object(
         spectral, "_phase_states", wraps=spectral._phase_states
     ) as phases:
         c12_peak(template, 17, alphas)
