@@ -569,6 +569,11 @@ def run_main(argv):
     return f"from xxchain.cli import main; assert main({argv!r}) == 0"
 
 
+def test_importing_the_cli_loads_no_optimizer():
+    # nor any other scipy module: numpy is the only runtime dependency
+    run_without_scipy("import xxchain.cli, xxchain")
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -583,6 +588,10 @@ def test_phase_route_commands_load_no_scipy(argv):
     run_without_scipy(run_main(argv))
 
 
+def test_the_oracle_builds_without_scipy_sparse():
+    run_without_scipy(run_main(["oracle-check", "--n-max", "4"]))
+
+
 def test_solving_commands_run_without_scipy():
     # numpy is the only runtime dependency: the commands that solve, an
     # alpha = 0 row among them, and the library's c12_peak run with scipy blocked
@@ -590,7 +599,6 @@ def test_solving_commands_run_without_scipy():
         ["spectrum", "--n", "6", "--alpha", "0.5"],
         ["eigenvector", "--n", "12", "--alpha", "1.6", "--state", "1"],
         ["evolve", "--n", "12", "--alpha", "0.4", "--kind", "ipr", "--t-range", "0:5:0.5"],
-        ["oracle-check", "--n-max", "4"],
         ["ipr-sweep", "--n", "12", "--alpha-range", "0:0.5:0.25"],
     ]
     peak = "from xxchain.chain import single_impurity; from xxchain.measures import c12_peak; " \
