@@ -3,13 +3,15 @@
 Everything here works on the full 2^N space (2^(N+1) with the ancilla) and is
 written to be obviously correct rather than fast.  Each chain's Hamiltonian is
 assembled once, with numpy, into a dense 2^N x 2^N matrix: each Pauli term is
-added into the elements its Kronecker product with identities touches.  Before
-it is diagonalized, every nonzero element is checked to join two basis states
-with the same number of excitations; an element between different excitation
-numbers raises ExcitationLeak, so conservation is checked rather than assumed.
-The matrix is then diagonalized one excitation-number block at a time (the
-largest block at N = 10 is C(10, 5) = 252) and states are evolved block by
-block.  It exists to validate the one-excitation-sector machinery end to
+added into the elements its Kronecker product with identities touches.  Every
+nonzero element is then checked to join two basis states with the same number
+of excitations; an element between different excitation numbers raises
+ExcitationLeak, so conservation is checked rather than assumed.  The matrix is
+split into excitation-number blocks and states are evolved block by block.  A
+block is diagonalized the first time a state has amplitude in it and kept
+with the cached blocks; a block without amplitude stays zero, so the 0- and
+1-excitation states of oracle_check diagonalize only the 1-wide and N-wide
+blocks.  It exists to validate the one-excitation-sector machinery end to
 end, so nothing in this module reuses the sector code paths.  oracle_check
 runs on the given chains, any layout, J and h; the CLI passes single-impurity
 chains.
@@ -64,6 +66,8 @@ class FullState:
                 f"expected {2 ** self.n_qubits} amplitudes for {self.n_qubits} qubits, "
                 f"got shape {amps.shape}"
             )
+        if not np.isfinite(amps).all():
+            raise NotNormalized("amplitudes must be finite")
         norm_sq = float(np.sum(np.abs(amps) ** 2))
         if abs(norm_sq - 1.0) > 1e-9:
             raise NotNormalized(f"|psi|^2 = {norm_sq!r}, expected 1 within 1e-9")
@@ -116,46 +120,69 @@ def _excitation_numbers(n_qubits: int) -> np.ndarray:
 
 
 class _BlockSpectrum(NamedTuple):
-    """A full-space Hamiltonian diagonalized one excitation number at a time."""
+    """A full-space Hamiltonian split into excitation-number blocks, each diagonalized on first use."""
 
     sector: np.ndarray  # the one-excitation block, ordered by site
-    blocks: tuple  # (basis indices, energies, vectors) for 0..N excitations
+    blocks: tuple  # (basis indices, block matrix) for 0..N excitations
+    eigen: dict  # excitation number -> (energies, vectors), filled by block_eigh
+
+    def block_eigh(self, number: int) -> tuple:
+        """Energies and real eigenvectors of one block, computed once."""
+        if number not in self.eigen:
+            energies, vectors = np.linalg.eigh(self.blocks[number][1])
+            energies.setflags(write=False)
+            vectors.setflags(write=False)
+            self.eigen[number] = (energies, vectors)
+        return self.eigen[number]
 
 
-@lru_cache(maxsize=8)
+@lru_cache(maxsize=1)
 def _full_eigh(spec: ChainSpec) -> _BlockSpectrum:
-    """Check that full_hamiltonian(spec) conserves excitations, then eigh each block."""
+    """Check that full_hamiltonian(spec) conserves excitations, then split it into blocks.
+
+    Every nonzero element lies in a block exactly when the nonzero counts of
+    the matrix and of its blocks agree, so counting checks every element;
+    only a leak pays for locating the elements.  One chain is cached:
+    oracle_check finishes each chain before the next, and a further entry
+    would only hold its blocks (C(24, 12) doubles, 21 MB, at N = 12).
+    """
     matrix = full_hamiltonian(spec)
     counts = _excitation_numbers(spec.n_sites)
-    rows, cols = np.nonzero(matrix)
-    leaks = np.flatnonzero(counts[rows] != counts[cols])
-    if leaks.size:
+    blocks = []
+    for number in range(spec.n_sites + 1):
+        indices = np.flatnonzero(counts == number)
+        block = matrix[np.ix_(indices, indices)]
+        indices.setflags(write=False)
+        block.setflags(write=False)
+        blocks.append((indices, block))
+    if np.count_nonzero(matrix) != sum(np.count_nonzero(block) for _, block in blocks):
+        rows, cols = np.nonzero(matrix)
+        leaks = np.flatnonzero(counts[rows] != counts[cols])
         row, col = rows[leaks[0]], cols[leaks[0]]
         raise ExcitationLeak(
             f"H[{row}, {col}] = {matrix[row, col]!r} joins {counts[row]} and "
             f"{counts[col]} excitations ({leaks.size} such elements)"
         )
-    blocks = []
-    for number in range(spec.n_sites + 1):
-        indices = np.flatnonzero(counts == number)
-        energies, vectors = np.linalg.eigh(matrix[np.ix_(indices, indices)])
-        for array in (indices, energies, vectors):
-            array.setflags(write=False)
-        blocks.append((indices, energies, vectors))
     sector = sector_block(matrix, spec.n_sites)
     sector.setflags(write=False)
-    return _BlockSpectrum(sector=sector, blocks=tuple(blocks))
+    return _BlockSpectrum(sector=sector, blocks=tuple(blocks), eigen={})
 
 
 def _evolve_columns(spec: ChainSpec, columns: np.ndarray, t: float) -> np.ndarray:
     """exp(-i H t) on each column of a complex (2^N, k) array, block by block.
 
+    A block whose amplitudes are all zero stays zero and is not diagonalized.
     The eigenvectors are real, so each product runs as one real GEMM on the
     interleaved real and imaginary parts (the complex array viewed as float).
     """
-    out = np.empty_like(columns)
-    for indices, energies, vectors in _full_eigh(spec).blocks:
-        coefficients = (vectors.T @ columns[indices].view(float)).view(complex)
+    spectrum = _full_eigh(spec)
+    out = np.zeros_like(columns)
+    for number, (indices, _) in enumerate(spectrum.blocks):
+        amps = columns[indices]
+        if not amps.any():
+            continue
+        energies, vectors = spectrum.block_eigh(number)
+        coefficients = (vectors.T @ amps.view(float)).view(complex)
         coefficients *= np.exp(-1j * energies * float(t))[:, None]
         out[indices] = (vectors @ coefficients.view(float)).view(complex)
     return out
@@ -263,6 +290,9 @@ def oracle_check(
     from .dynamics import amplitude_matrix, concurrence_AN
     from .spectral import eigendecompose, transfer_spectrum
 
+    alphas, times = tuple(alphas), tuple(times)
+    if not alphas or not times:
+        raise ValueError("alpha and time grids must be nonempty")
     results = []
     for template in templates:
         block_dev = 0.0

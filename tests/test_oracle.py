@@ -1,4 +1,6 @@
+import re
 import warnings
+from contextlib import contextmanager
 from unittest import mock
 
 import numpy as np
@@ -147,10 +149,24 @@ def test_full_state_validation():
         FullState(np.array([1.0, 0.0], dtype=complex), 2)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
+def test_full_state_refuses_non_finite_amplitudes(bad):
+    amps = np.array([1.0, 0.0, 0.0, 0.0], dtype=complex)
+    amps[2] = bad
+    with pytest.raises(NotNormalized, match="finite"):
+        FullState(amps, 2)
+
+
 def test_oracle_check_passes_for_small_chains():
     results = oracle_check([single_impurity(n, 1.0) for n in (2, 4, 6)], times=(1.0, 5.0))
     assert all(result.passed for result in results)
     assert all(result.block_dev <= 1e-12 for result in results)
+
+
+@pytest.mark.parametrize("grid", [{"alphas": ()}, {"times": ()}])
+def test_oracle_check_refuses_an_empty_grid(grid):
+    with pytest.raises(ValueError, match="nonempty"):
+        oracle_check([single_impurity(4, 1.0)], **grid)
 
 
 def kronecker_reference(spec):
@@ -231,7 +247,9 @@ def test_full_space_agrees_with_the_sector_on_random_chains(spec, t):
     assert abs(f_n) <= 1.0 + 1e-12
     assert abs(backward.amps[indices[-1]] - np.conj(f_n)) <= 1e-12
     # +-E pairing: each block's hopping part is bipartite; its diagonal is h (2k - 1)
-    for number, (_, energies, _) in enumerate(oracle._full_eigh(spec).blocks):
+    spectrum = oracle._full_eigh(spec)
+    for number in range(n + 1):
+        energies, _ = spectrum.block_eigh(number)
         hopping = energies - spec.field_h * (2 * number - 1)
         assert np.max(np.abs(hopping + hopping[::-1])) <= 1e-12
     if all(dict(spec.impurities).get(n - bond) == alpha for bond, alpha in spec.impurities):
@@ -251,6 +269,56 @@ def test_full_evolve_matches_dense_expm(n):
     for t in (0.7, 5.0, 13.0):
         reference = expm(-1j * matrix * t) @ initial.amps
         assert np.max(np.abs(full_evolve(spec, initial, t).amps - reference)) <= 1e-12
+
+
+@contextmanager
+def eigh_spy():
+    """Fresh oracle caches and the matrices numpy.linalg.eigh is called with."""
+    calls = []
+    eigh = np.linalg.eigh
+
+    def recorded(matrix, *args, **kwargs):
+        calls.append(np.array(matrix))
+        return eigh(matrix, *args, **kwargs)
+
+    oracle._full_eigh.cache_clear()
+    try:
+        with mock.patch.object(oracle.np.linalg, "eigh", side_effect=recorded):
+            yield calls
+    finally:
+        oracle._full_eigh.cache_clear()
+
+
+def test_only_the_occupied_blocks_are_diagonalized():
+    spec = single_impurity(7, 0.4, field_h=0.2)
+    block = sector_block(full_hamiltonian(spec), 7)[::-1, ::-1]  # ascending basis index
+    with eigh_spy() as calls:
+        full_evolve(spec, site_state(spec, 1), 3.0)
+        full_evolve(spec, site_state(spec, 4), -2.0)
+    assert len(calls) == 1 and np.array_equal(calls[0], block)
+    with eigh_spy() as calls:
+        ancilla_evolve(spec, 3.0)
+        ancilla_evolve(spec, 8.0)
+    assert [call.shape for call in calls] == [(1, 1), (7, 7)]
+    assert np.array_equal(calls[1], block)
+
+
+def test_blocks_zero_two_and_six_evolve_alone():
+    n = 6
+    spec = ChainSpec(n, -1.0, 0.3, ((1, 0.4), (n - 1, 1.7)))
+    rng = np.random.default_rng(6)
+    counts = np.array([bin(index).count("1") for index in range(2**n)])
+    occupied = np.isin(counts, (0, 2, 6))
+    amps = np.where(occupied, rng.normal(size=2**n) + 1j * rng.normal(size=2**n), 0.0)
+    initial = FullState(amps / np.linalg.norm(amps), n)
+    matrix = full_hamiltonian(spec)
+    with eigh_spy() as calls:
+        for t in (0.7, 5.0, 13.0):
+            evolved = full_evolve(spec, initial, t)
+            assert np.max(np.abs(evolved.amps - expm(-1j * matrix * t) @ initial.amps)) <= 1e-12
+            assert not evolved.amps[~occupied].any()
+        assert sorted(oracle._full_eigh(spec).eigen) == [0, 2, 6]
+    assert [call.shape for call in calls] == [(1, 1), (15, 15), (1, 1)]
 
 
 @pytest.fixture
@@ -277,8 +345,34 @@ def test_an_element_between_excitation_numbers_raises(leaky_hamiltonian, capsys)
     assert "ExcitationLeak" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "row, col, value, numbers",
+    [(0, 1, 1e-3, (0, 1)), (14, 15, -2e-3, (3, 4)), (1, 3, np.nan, (1, 2))],
+)
+def test_every_leak_is_counted_and_named(monkeypatch, row, col, value, numbers):
+    assembled = oracle.full_hamiltonian
+
+    def leaky(spec):
+        matrix = assembled(spec)
+        matrix[row, col] = matrix[col, row] = value
+        return matrix
+
+    spec = single_impurity(4, 0.4)
+    message = (
+        f"H[{row}, {col}] = {np.float64(value)!r} joins {numbers[0]} and {numbers[1]} "
+        "excitations (2 such elements)"
+    )
+    oracle._full_eigh.cache_clear()
+    monkeypatch.setattr(oracle, "full_hamiltonian", leaky)
+    try:
+        with pytest.raises(ExcitationLeak, match=re.escape(message)):
+            full_evolve(spec, site_state(spec, 1), 1.0)
+    finally:
+        oracle._full_eigh.cache_clear()
+
+
 def test_oracle_check_at_lengths_eleven_and_twelve():
-    results = oracle_check([single_impurity(n, 1.0) for n in (11, 12)], alphas=(0.4,), times=(5.0,))
+    results = oracle_check([single_impurity(n, 1.0) for n in (11, 12)])
     assert [result.n_sites for result in results] == [11, 12]
     for result in results:
         assert result.passed
