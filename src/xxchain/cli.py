@@ -2,9 +2,12 @@
 
 Each subcommand handler validates its own flags (plus an optional key=value
 config file) before any solve, then makes one library call and writes either
-CSV rows or a JSON report.  All numeric output uses 12 significant digits and
+CSV rows or a JSON report.  The alpha-grid commands write a grid: an outer
+axis (alpha), an inner axis (the state j or the time t) and one table per
+cell column, whose CSV formats each outer and inner value once and only the
+cells per row (_Grid).  All numeric output uses 12 significant digits and
 runs are byte-identical on rerun (there is no randomness anywhere in the
-package).
+package).  A J > 0 chain warns once per command (CouplingSignWarning).
 
 Exit codes: 0 success, 2 usage or chain-parameter error, 1 computation error.
 """
@@ -13,8 +16,10 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import itertools
 import json
 import sys
+import warnings
 
 import numpy as np
 
@@ -25,10 +30,17 @@ from .chain import (
     mirror_impurities,
     single_impurity,
     validate_spec,
-    with_alpha,
 )
 from .dynamics import SeriesKind, time_series
-from .errors import BadBond, InvalidN, NegativeAlpha, NonFiniteParameter, XXChainError, ZeroCoupling
+from .errors import (
+    BadBond,
+    CouplingSignWarning,
+    InvalidN,
+    NegativeAlpha,
+    NonFiniteParameter,
+    XXChainError,
+    ZeroCoupling,
+)
 from .measures import c12_sweep, ipr_sweep
 from .oracle import MAX_SITES, oracle_check
 from .protocols import (
@@ -38,11 +50,48 @@ from .protocols import (
     optimize_alpha,
     scaling_sweep,
 )
-from .spectral import classify_band, eigendecompose
+from .spectral import BandLabel, _band_codes, eigendecompose, energies_batch
+
+# the label column of spectrum: the three label strings, shared by every row
+_LABELS = np.array([label.value for label in BandLabel], dtype=object)
 
 
 class UsageError(Exception):
     """Bad flag combination or malformed flag value."""
+
+
+@dataclasses.dataclass(frozen=True)
+class _Grid:
+    """Rows (outer[i], inner[k], *cells) with cell c of the row tables[c][i, k], outer-major."""
+
+    outer: np.ndarray
+    inner: np.ndarray
+    tables: tuple
+
+    def text(self) -> str:
+        """The CSV rows, newline-terminated: each outer and inner value formatted once, the cells per row.
+
+        One line template per inner value holds its text and the cell
+        conversions, with \0 where the outer text goes; each outer value
+        fills the block of its rows with one str.replace and one % of its
+        cells.  Number texts hold neither \0 nor %.
+        """
+        if not self.outer.size or not self.inner.size:
+            return ""
+        cells = ",".join(_conversion(table.flat[0]) for table in self.tables)
+        inner = _conversion(self.inner.flat[0])
+        block = "".join(f"\0,{inner % value},{cells}\n" for value in self.inner.tolist())
+        # the cells of each outer value, row after row (an object array where the tables mix types)
+        rows = np.stack(self.tables, axis=-1).reshape(self.outer.size, -1).tolist()
+        outer = _conversion(self.outer.flat[0])
+        return "".join(block.replace("\0", outer % value) % tuple(row)
+                       for value, row in zip(self.outer.tolist(), rows))
+
+    def rows(self) -> list:
+        """The row tuples (outer, inner, *cells) in CSV order."""
+        cells = zip(*(table.ravel().tolist() for table in self.tables))
+        pairs = itertools.product(self.outer.tolist(), self.inner.tolist())
+        return [(*pair, *cell) for pair, cell in zip(pairs, cells)]
 
 
 def _conversion(value) -> str:
@@ -77,9 +126,12 @@ def _json_ready(obj):
 def emit_csv(rows, schema, out_path=None) -> None:
     """Write header + rows, newline-terminated, locale-independent.
 
-    rows are tuples whose column types are those of the first row: one row
-    format is built from them (_conversion).
+    rows are a _Grid or a list of tuples whose column types are those of
+    the first row: one row format is built from them (_conversion).
     """
+    if isinstance(rows, _Grid):
+        _write_text(",".join(schema) + "\n" + rows.text(), out_path)
+        return
     lines = [",".join(schema)]
     if rows:
         row_format = ",".join(_conversion(value) for value in rows[0])
@@ -178,9 +230,12 @@ def _chain_template(args, layout, n_sites=None) -> ChainSpec:
             spec = layout(n_sites, strength, exchange_j=exchange_j, field_h=field_h)
         else:
             spec = ChainSpec(n_sites, exchange_j, field_h, base.impurities if base else ())
-        return validate_spec(spec)
+        validate_spec(spec)
     except XXChainError as error:
         raise UsageError(f"{type(error).__name__}: {error}") from error
+    # the template has warned; main restores the filters after the command
+    warnings.simplefilter("ignore", CouplingSignWarning)
+    return spec
 
 
 def _sweep_alphas(args) -> np.ndarray:
@@ -215,15 +270,11 @@ def _require_json(args) -> None:
 
 def _cmd_spectrum(args) -> int:
     template = _chain_template(args, single_impurity)
-    alphas, states = _sweep_alphas(args).tolist(), range(1, template.n_sites + 1)
-    hamiltonians = [build_hamiltonian(with_alpha(template, alpha)) for alpha in alphas]  # every alpha checked first
-    rows = []
-    for alpha, hamiltonian in zip(alphas, hamiltonians):
-        dec = eigendecompose(hamiltonian)
-        # _value_ is the member's plain attribute; .value is a descriptor call per label
-        labels = [label._value_ for label in classify_band(dec, template)]
-        rows.extend(zip([alpha] * len(labels), states, dec.energies.tolist(), labels))
-    _emit_rows(rows, ["alpha", "j", "energy", "label"], args)
+    alphas = _sweep_alphas(args)
+    energies = energies_batch(template, alphas)  # every alpha checked first
+    labels = _LABELS[_band_codes(energies, template)]
+    grid = _Grid(alphas, np.arange(1, template.n_sites + 1), (energies, labels))
+    _emit_rows(grid, ["alpha", "j", "energy", "label"], args)
     return 0
 
 
@@ -231,8 +282,8 @@ def _per_state_sweep(args, observable, default_states) -> int:
     template = _chain_template(args, single_impurity)
     n = template.n_sites
     lo, hi = _parse_states(args.states, n) if args.states else default_states(n)
-    rows = observable(template, _sweep_alphas(args), range(lo, hi + 1))
-    _emit_rows(rows, ["alpha", "j", "value"], args)
+    sweep = observable(template, _sweep_alphas(args), range(lo, hi + 1))
+    _emit_rows(_Grid(sweep.alphas, sweep.states, (sweep.values,)), ["alpha", "j", "value"], args)
     return 0
 
 
@@ -285,12 +336,9 @@ def _cmd_landscape(args) -> int:
         raise UsageError("landscape requires --alpha-range and --t-range")
     alphas = _parse_range(args.alpha_range, "--alpha-range")
     times = _parse_range(args.t_range, "--t-range")
-    grid = fidelity_landscape(template, _nonnegative(alphas), times)
-    times = grid.times.tolist()
-    rows = []
-    for alpha, fidelities in zip(grid.alphas.tolist(), grid.fidelities.tolist()):
-        rows.extend(zip([alpha] * len(times), times, fidelities))
-    _emit_rows(rows, ["alpha", "t", "fidelity"], args)
+    landscape = fidelity_landscape(template, _nonnegative(alphas), times)
+    grid = _Grid(landscape.alphas, landscape.times, (landscape.fidelities,))
+    _emit_rows(grid, ["alpha", "t", "fidelity"], args)
     return 0
 
 
@@ -326,8 +374,9 @@ def _cmd_oracle_check(args) -> int:
 
 
 def _emit_rows(rows, schema, args) -> None:
+    """rows (a _Grid or a list of tuples) as CSV, or as JSON: one object per row."""
     if args.format == "json":
-        payload = [dict(zip(schema, row)) for row in rows]
+        payload = [dict(zip(schema, row)) for row in (rows.rows() if isinstance(rows, _Grid) else rows)]
         emit_json(payload, args.out)
     else:
         emit_csv(rows, schema, args.out)
@@ -436,7 +485,8 @@ def main(argv=None) -> int:
     except SystemExit as exit_info:
         return int(exit_info.code or 0)
     try:
-        return _HANDLERS[args.command](args)
+        with warnings.catch_warnings():
+            return _HANDLERS[args.command](args)
     except (UsageError, BadBond, InvalidN, NegativeAlpha, NonFiniteParameter, ZeroCoupling) as error:
         print(f"error: {type(error).__name__}: {error}", file=sys.stderr)  # the batches check each grid alpha's chain
         return 2

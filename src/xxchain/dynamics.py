@@ -269,25 +269,35 @@ def _upper_half(energies, products, signs, times):
     return centre, energies[upper:] - centre, weights
 
 
-def _phase_tables(energies, times):
+def _even_grid(times) -> bool:
+    """Whether t is an even 1-d grid of at least 2 samples: t_0 + k dt within _EVEN_GRID_ULPS ulps of max|t|."""
+    count = times.size
+    if times.ndim != 1 or count < 2:
+        return False
+    step = (times[-1] - times[0]) / (count - 1)
+    ideal = times[0] + step * np.arange(count)
+    tol = _EVEN_GRID_ULPS * np.finfo(float).eps * max(abs(times[0]), abs(times[-1]))
+    return bool(np.all(np.abs(times - ideal) <= tol))
+
+
+def _phase_tables(energies, times, even=None):
     """Anchor and offset tables exp(-i E T_a), exp(-i E tau_b) whose products cover t.
 
-    An even 1-d grid of at least 2 samples, t_0 + k dt to rounding, gets
-    about sqrt(len(t)) complex anchors t_0 + a n_b dt and offsets b dt, each
-    table doubled from one exponential row (_powers); any other t the single
-    real anchor row of ones and every sample as an offset.
+    An even grid (_even_grid; even passes its verdict when the caller has
+    it) gets about sqrt(len(t)) complex anchors t_0 + a n_b dt and offsets
+    b dt, each table doubled from one exponential row (_powers); any other
+    t the single real anchor row of ones and every sample as an offset.
     """
+    if even is None:
+        even = _even_grid(times)
+    if not even:
+        return np.ones((1, energies.size)), np.exp(-1j * np.outer(times, energies))
     count = times.size
-    if times.ndim == 1 and count >= 2:
-        step = (times[-1] - times[0]) / (count - 1)
-        ideal = times[0] + step * np.arange(count)
-        tol = _EVEN_GRID_ULPS * np.finfo(float).eps * max(abs(times[0]), abs(times[-1]))
-        if np.all(np.abs(times - ideal) <= tol):
-            n_fine = math.isqrt(count - 1) + 1
-            coarse = _powers(np.exp(-1j * times[0] * energies), np.exp(-1j * (n_fine * step) * energies),
-                             (count - 1) // n_fine + 1)
-            return coarse, _powers(1.0, np.exp(-1j * step * energies), n_fine)
-    return np.ones((1, energies.size)), np.exp(-1j * np.outer(times, energies))
+    step = (times[-1] - times[0]) / (count - 1)
+    n_fine = math.isqrt(count - 1) + 1
+    coarse = _powers(np.exp(-1j * times[0] * energies), np.exp(-1j * (n_fine * step) * energies),
+                     (count - 1) // n_fine + 1)
+    return coarse, _powers(1.0, np.exp(-1j * step * energies), n_fine)
 
 
 def _powers(first, base, count):
@@ -304,8 +314,10 @@ def _powers(first, base, count):
     return table
 
 
-def _transfer_sum(spectrum: TransferSpectrum, times: np.ndarray):
+def _transfer_sum(spectrum: TransferSpectrum, times: np.ndarray, even=None):
     """f_N over times.flat as (s, h), with f_N = s where the grid takes the full sum (h None).
+
+    even is _phase_tables' grid verdict, None to decide it here.
 
     On the upper half s is real, f_N = exp(-iht) s for odd N and exp(-iht) i s
     for even N: site N sits on site 1's sublattice for odd N only.
@@ -317,7 +329,7 @@ def _transfer_sum(spectrum: TransferSpectrum, times: np.ndarray):
     else:
         centre, energies, weights = half
     # (anchors * weights) @ offsets: no len(t) x N table on an even grid
-    coarse, fine = _phase_tables(energies, times)
+    coarse, fine = _phase_tables(energies, times, even)
     flat = ((coarse * weights) @ fine.T).ravel()[: times.size]
     if half is None:
         return flat, None
@@ -336,10 +348,13 @@ def transfer_amplitude(spectrum: TransferSpectrum, t):
     return flat.reshape(times.shape)
 
 
-def fidelity(spectrum: TransferSpectrum, t):
-    """Transfer fidelity F(t) = |f_N(t)|^2, clipped into [0, 1]."""
+def fidelity(spectrum: TransferSpectrum, t, *, _even=None):
+    """Transfer fidelity F(t) = |f_N(t)|^2, clipped into [0, 1].
+
+    _even is _even_grid(t) from a caller that reads one grid for many spectra.
+    """
     times = np.asarray(t, dtype=float)
-    value = np.minimum(np.abs(_transfer_sum(spectrum, times)[0]) ** 2, 1.0).reshape(times.shape)
+    value = np.minimum(np.abs(_transfer_sum(spectrum, times, _even)[0]) ** 2, 1.0).reshape(times.shape)
     if times.ndim == 0:
         return float(value)
     return value

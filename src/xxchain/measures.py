@@ -11,7 +11,8 @@ reduced matrix has the closed form C = 2 |psi_{i+1} psi_i|, and for the first
 bond it also equals |(1/J) dE_j/dalpha| via the Hellmann-Feynman theorem.
 
 c12_sweep and ipr_sweep hand the template and the alpha array to
-spectral.first_bond_c12_batch and spectral.eigenstate_ipr_batch, which pick
+spectral.first_bond_c12_batch and spectral.eigenstate_ipr_batch and return
+their table as a StateSweep (alpha x state); the batches pick
 the route once per grid: a bond-1 template is solved in batches from its
 phase equation, without a matrix; any other row builds its matrix and reads
 the eigenvectors of the requested states (spectral module docstring).
@@ -25,7 +26,6 @@ and d is the (excited) down spin.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -156,34 +156,36 @@ def ipr_of_rows(states: np.ndarray) -> np.ndarray:
     return totals * totals / probabilities.sum(axis=1)
 
 
-def _state_sweep(template, alphas, state_indices, batch):
-    """Rows (alpha, j, value) of a per-eigenstate observable over an alpha grid.
+@dataclass(frozen=True)
+class StateSweep:
+    """A per-eigenstate observable over an alpha grid: values[a, s] of state states[s] at alphas[a]."""
+
+    alphas: np.ndarray
+    states: np.ndarray
+    values: np.ndarray
+
+
+def _state_sweep(template, alphas, state_indices, batch) -> StateSweep:
+    """The table of a per-eigenstate observable over an alpha grid.
 
     batch(template, alphas, (lo, hi)) returns the values of the states
     lo = min(indices) .. hi = max(indices) in order, one row per alpha.
     """
-    indices = [int(j) for j in state_indices]
+    states = np.array([int(j) for j in state_indices], dtype=int)
     alphas = np.asarray(alphas, dtype=float)
-    if not indices or not alphas.size:
-        return []
-    lo, hi = min(indices), max(indices)
-    table = batch(template, alphas, (lo, hi))[:, [j - lo for j in indices]]
-    # the alpha column repeats each float object rather than copying it
-    column = itertools.chain.from_iterable(itertools.repeat(alpha, len(indices)) for alpha in alphas.tolist())
-    return list(zip(column, itertools.cycle(indices), table.ravel().tolist()))
+    if not states.size or not alphas.size:
+        return StateSweep(alphas, states, np.empty((alphas.size, states.size)))
+    lo, hi = int(states.min()), int(states.max())
+    return StateSweep(alphas, states, batch(template, alphas, (lo, hi))[:, states - lo])
 
 
-def ipr_sweep(
-    template: ChainSpec, alphas, state_indices
-) -> list[tuple[float, int, float]]:
-    """Rows (alpha, j, L_IPR) for the requested 1-based eigenstate indices, from spectral.eigenstate_ipr_batch."""
+def ipr_sweep(template: ChainSpec, alphas, state_indices) -> StateSweep:
+    """L_IPR of the requested 1-based eigenstate indices over the grid, from spectral.eigenstate_ipr_batch."""
     return _state_sweep(template, alphas, state_indices, eigenstate_ipr_batch)
 
 
-def c12_sweep(
-    template: ChainSpec, alphas, state_indices
-) -> list[tuple[float, int, float]]:
-    """Rows (alpha, j, C_12) for the requested 1-based eigenstate indices, from spectral.first_bond_c12_batch."""
+def c12_sweep(template: ChainSpec, alphas, state_indices) -> StateSweep:
+    """C_12 of the requested 1-based eigenstate indices over the grid, from spectral.first_bond_c12_batch."""
     return _state_sweep(template, alphas, state_indices, first_bond_c12_batch)
 
 
@@ -224,7 +226,7 @@ def c12_peak(template: ChainSpec, state_index: int, alphas=None) -> ConcurrenceP
     alphas = alphas[keep]
     if alphas.size < 3:
         raise ValueError("need at least three alpha samples above the exclusion cut")
-    curve = np.array([value for _, _, value in c12_sweep(template, alphas, [state_index])])
+    curve = c12_sweep(template, alphas, [state_index]).values[:, 0]
 
     best = int(np.argmax(curve))
     maxima = _local_maxima(curve)
@@ -237,7 +239,7 @@ def c12_peak(template: ChainSpec, state_index: int, alphas=None) -> ConcurrenceP
     hi = alphas[min(best + 1, alphas.size - 1)]
     if hi > lo:
         alpha, value = _golden_max(
-            lambda a: c12_sweep(template, [a], [state_index])[0][2], float(lo), float(hi), xatol=1e-6
+            lambda a: float(c12_sweep(template, [a], [state_index]).values[0, 0]), float(lo), float(hi), xatol=1e-6
         )
         if value >= height:
             alpha_peak, height = alpha, float(value)

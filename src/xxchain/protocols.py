@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chain import ChainSpec
-from .dynamics import SeriesKind, TimeSeries, fidelity
+from .dynamics import SeriesKind, TimeSeries, _even_grid, fidelity
 from .errors import NoMinimumInWindow
 from .measures import _local_maxima
 from .spectral import transfer_spectrum_batch
@@ -114,15 +114,17 @@ def fidelity_landscape(template: ChainSpec, alphas, times) -> Landscape:
 
     The grid is solved by spectral.transfer_spectrum_batch: a mirror
     template from the phase equation in batches, without a matrix; any
-    other layout, alpha = 0 and a refused row by eigendecompose.
+    other layout, alpha = 0 and a refused row by eigendecompose.  Whether
+    the time grid is even is decided once, for every spectrum.
     """
     alphas = np.asarray(alphas, dtype=float)
     times = np.asarray(times, dtype=float)
     if alphas.size == 0 or times.size == 0:
         raise ValueError("alpha and time grids must be nonempty")
     grid = np.empty((alphas.size, times.size))
+    even = _even_grid(times)
     for row, spectrum in enumerate(transfer_spectrum_batch(template, alphas)):
-        grid[row] = fidelity(spectrum, times)
+        grid[row] = fidelity(spectrum, times, _even=even)
     return Landscape(alphas=alphas, times=times, fidelities=grid)
 
 

@@ -11,8 +11,11 @@ components:
 
     dE_j / dalpha = 2 J psi_1 psi_2
 
-eigendecompose solves all N states in one dense numpy.linalg.eigh call and
-checks the residual of every pair against max|E| over the whole spectrum.
+_eigh_rows is the one solver call: one dense numpy.linalg.eigh call over a
+stack of matrices, which solves each matrix with the bits of a stack of one,
+checks the residual of every pair of a matrix against max|E| over that
+matrix's whole spectrum, and fixes the signs.  eigendecompose is its stack
+of one; energies_batch solves the alpha grid of a template in stacks.
 
 Every f_N(t) = sum_j exp(-i E_j t) psi_1^(j) psi_N^(j) in the package
 (evolve, the landscape, the optimizer, the oracle check) reads the energies
@@ -21,8 +24,7 @@ mirror chains need no solver: both are a uniform bulk bordered by impurity
 bonds, and one phase equation gives their states, to first_bond_c12 and
 eigenstate_ipr for both layouts and to transfer_spectrum for mirror chains.
 Any other matrix takes eigendecompose, and its weights are psi_1 psi_N read
-off the first and last eigenvector components.  _eigh_rows is the one
-solver call.
+off the first and last eigenvector components.
 
 With a constant diagonal h, bulk bonds J and end bonds b = alpha J (the
 edge-bond secular equation of Wojcik et al., PRA 72, 034303 (2005); the
@@ -173,7 +175,10 @@ rows it accepts are solved in batches of up to PHASE_BATCH_ENTRIES
 (alpha, root) entries (40 alphas of an N = 200 sweep of every state, the
 whole grid for one state or for the N = 31 landscape); only alpha = 0,
 another layout and a failed row build a matrix, for eigendecompose.  first_bond_c12, eigenstate_ipr and
-transfer_spectrum are grids of one row.
+transfer_spectrum are grids of one row.  energies_batch validates its grid
+by the same _grid and solves every row densely, in stacks of at most
+_EIGH_ENTRIES matrix entries, built from the template without a matrix per
+alpha: the phase-route energies differ from LAPACK's in the last bits.
 
 Against 40-digit roots (N = 40, 41, 200, three (J, h)) the bond-1 route is
 within 6.4e-15 relative on IPR and 1.6e-14 on C_12 (alpha = 5e-5-3 with
@@ -216,12 +221,20 @@ PHASE_STEPS_MAX = 12
 # 32 kB, where whole-grid batches of 320 kB arrays left the heap fragmented
 # and grew the peak RSS of a sweeps pass by 9 MB.
 PHASE_BATCH_ENTRIES = 4096
+# A stack of dense matrices for one eigh call holds at most this many matrix
+# entries: ten N = 40 matrices.  The N = 40 spectrum grid of 301 alphas took
+# 66, 56, 48, 46, 49, 52 and 67 ms in stacks of 1, 2, 5, 10, 20, 41 and 301
+# matrices (best of 7, one BLAS thread).
+_EIGH_ENTRIES = 16384
 
 
 class BandLabel(enum.Enum):
     IN_BAND = "in_band"
     ISOLATED_BELOW = "isolated_below"
     ISOLATED_ABOVE = "isolated_above"
+
+
+_BAND_LABELS = tuple(BandLabel)
 
 
 def _freeze(instance, name, rank):
@@ -286,44 +299,61 @@ class TransferSpectrum:
 
 
 def eigendecompose(hamiltonian: TridiagonalHamiltonian) -> SpectralDecomposition:
-    """Eigendecomposition of all N states with a fixed sign convention.
+    """Eigendecomposition of all N states with a fixed sign convention, a stack of one matrix.
 
     Raises ConvergenceFailure if the solver fails or any pair misses the
     finite residual bound RESIDUAL_TOL * (max|E| + 1).
     """
-    energies, vectors = _eigh_rows(hamiltonian)
-    residual_bound = _checked_residual(hamiltonian.diag, hamiltonian.offdiag, energies, vectors)
-
-    lead = np.argmax(np.abs(vectors) > SIGN_EPS, axis=1)
-    signs = np.sign(vectors[np.arange(energies.size), lead])
-    signs[signs == 0.0] = 1.0
-    vectors *= signs[:, None]
-
-    return SpectralDecomposition(energies=energies, vectors=vectors, residual_bound=residual_bound)
+    energies, vectors, bounds = _eigh_rows(hamiltonian.diag[None], hamiltonian.offdiag[None])
+    energies, vectors = energies[0], vectors[0]
+    energies.setflags(write=False)  # views of this call's own arrays: kept without a copy
+    vectors.setflags(write=False)
+    return SpectralDecomposition(energies=energies, vectors=vectors, residual_bound=float(bounds[0]))
 
 
-def _eigh_rows(hamiltonian):
-    """numpy.linalg.eigh of the dense matrix, with the eigenvectors as contiguous rows."""
+def _eigh_rows(diag, offdiag):
+    """Energies, sign-fixed eigenvector rows and residual bounds of a stack of tridiagonal matrices.
+
+    diag (m, N) and offdiag (m, N - 1) hold one matrix per row.  One
+    numpy.linalg.eigh call solves the dense stack, matrix by matrix, with
+    the bits of a stack of one.  Every matrix is held to its own residual
+    bound (_checked_residuals); each eigenvector's first coefficient with
+    modulus above SIGN_EPS is positive, and a zero coefficient is +0.
+    """
+    count, n = diag.shape
+    dense = np.zeros((count, n * n))
+    # + 0.0: the entries of TridiagonalHamiltonian.to_dense, a zero coupling as +0
+    dense[:, :: n + 1] = diag + 0.0
+    dense[:, 1 :: n + 1] = dense[:, n :: n + 1] = offdiag + 0.0
     try:
-        energies, columns = np.linalg.eigh(hamiltonian.to_dense())
+        energies, columns = np.linalg.eigh(dense.reshape(count, n, n))
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(f"eigensolver failed: {exc}") from exc
-    return energies, np.ascontiguousarray(columns.T)
+    vectors = np.ascontiguousarray(columns.swapaxes(1, 2))
+    bounds = _checked_residuals(diag, offdiag, energies, vectors)
+    lead = np.argmax(np.abs(vectors) > SIGN_EPS, axis=2)
+    signs = np.sign(np.take_along_axis(vectors, lead[:, :, None], axis=2))
+    signs[signs == 0.0] = 1.0
+    vectors *= signs
+    vectors += 0.0  # -0 becomes +0; every other bit stays
+    return energies, vectors, bounds
 
 
-def _checked_residual(diag, offdiag, energies, vectors) -> float:
-    """max_j ||H v_j - E_j v_j||; ConvergenceFailure unless finite and within RESIDUAL_TOL * (max|E| + 1)."""
+def _checked_residuals(diag, offdiag, energies, vectors):
+    """max_j ||H v_j - E_j v_j|| of every matrix; ConvergenceFailure unless each is finite and within RESIDUAL_TOL * (max|E| + 1)."""
     with np.errstate(all="ignore"):  # a NaN or an infinity fails the check below
-        scale = float(np.max(np.abs(energies))) + 1.0
+        scale = np.abs(energies).max(axis=1) + 1.0
         # squared in units of a power of two near max|E| + 1: exact, and no square overflows
-        unit = math.ldexp(1.0, 1 - max(math.frexp(scale)[1], 1))
-        residual = _tridiagonal_matvec(diag, offdiag, vectors)
-        residual -= energies[:, None] * vectors
-        residual *= unit
-        residual_bound = float(np.sqrt(np.max(np.sum(residual * residual, axis=1)))) / unit
-    if not residual_bound <= RESIDUAL_TOL * scale < np.inf:
-        raise ConvergenceFailure(f"residual {residual_bound:.3e} exceeds {RESIDUAL_TOL:.0e} * {scale:.3e}")
-    return residual_bound
+        unit = np.ldexp(1.0, 1 - np.maximum(np.frexp(scale)[1], 1))
+        residual = _tridiagonal_matvec(diag[:, None], offdiag[:, None], vectors)
+        residual -= energies[:, :, None] * vectors
+        residual *= unit[:, None, None]
+        bounds = np.sqrt(np.max(np.sum(residual * residual, axis=2), axis=1)) / unit
+    failed = ~((bounds <= RESIDUAL_TOL * scale) & (RESIDUAL_TOL * scale < np.inf))
+    if failed.any():
+        i = int(np.argmax(failed))
+        raise ConvergenceFailure(f"residual {bounds[i]:.3e} exceeds {RESIDUAL_TOL:.0e} * {scale[i]:.3e}")
+    return bounds
 
 
 def _healthy(residual, energies):
@@ -783,18 +813,38 @@ def transfer_spectrum(hamiltonian: TridiagonalHamiltonian) -> TransferSpectrum:
     return _transfer_spectra(_grid(hamiltonian, None))[0]
 
 
-def classify_band(dec: SpectralDecomposition, spec: ChainSpec) -> tuple[BandLabel, ...]:
-    """Label each state against the band h - 2|J| <= E <= h + 2|J| of the spec."""
+def energies_batch(template: ChainSpec, alphas) -> np.ndarray:
+    """Ascending energies of the template at every alpha of the grid, one row per alpha.
+
+    The grid is validated like the other batches (_grid).  Every row is a
+    dense solve: the matrices are built from the template, without a
+    ChainSpec per alpha, and solved in stacks of at most _EIGH_ENTRIES
+    matrix entries (_eigh_rows).  Raises ConvergenceFailure if a solve fails.
+    """
+    n = _grid(template, alphas)[0]
+    alphas = np.asarray(alphas, dtype=float)
+    offdiag = np.full((alphas.size, n - 1), template.exchange_j)
+    for bond, _ in template.impurities:
+        offdiag[:, bond - 1] = alphas * template.exchange_j  # bond_couplings, row by row
+    diag = np.full((alphas.size, n), template.field_h)
+    energies = np.empty((alphas.size, n))
+    step = max(1, _EIGH_ENTRIES // (n * n))
+    for start in range(0, alphas.size, step):
+        rows = slice(start, start + step)
+        energies[rows] = _eigh_rows(diag[rows], offdiag[rows])[0]
+    return energies
+
+
+def _band_codes(energies, spec: ChainSpec) -> np.ndarray:
+    """The band rule: index into tuple(BandLabel) of every energy against h - 2|J| <= E <= h + 2|J|."""
     edge = 2.0 * abs(spec.exchange_j)
-    labels = []
-    for energy in (dec.energies - spec.field_h).tolist():
-        if energy < -edge - BAND_EDGE_TOL:
-            labels.append(BandLabel.ISOLATED_BELOW)
-        elif energy > edge + BAND_EDGE_TOL:
-            labels.append(BandLabel.ISOLATED_ABOVE)
-        else:
-            labels.append(BandLabel.IN_BAND)
-    return tuple(labels)
+    shifted = energies - spec.field_h
+    return np.where(shifted < -edge - BAND_EDGE_TOL, 1, np.where(shifted > edge + BAND_EDGE_TOL, 2, 0))
+
+
+def classify_band(dec: SpectralDecomposition, spec: ChainSpec) -> tuple[BandLabel, ...]:
+    """Label each state against the band h - 2|J| <= E <= h + 2|J| of the spec (_band_codes)."""
+    return tuple(map(_BAND_LABELS.__getitem__, _band_codes(dec.energies, spec).tolist()))
 
 
 def estimate_alpha_c(

@@ -1,14 +1,17 @@
-"""Rows of ipr-sweep, concurrence-sweep and landscape built one matrix at a time.
+"""Rows of spectrum, ipr-sweep, concurrence-sweep and landscape built one matrix at a time.
 
     python tests/per_matrix_rows.py OUT_DIR [--j J] [--h H]
 
-writes ipr_single.csv, c12_single.csv and landscape_single.csv into OUT_DIR:
-the rows of `ipr-sweep` and `concurrence-sweep --states 1:200` at --n 200
---alpha-range 0:3:0.005, and of `landscape --n 31 --alpha-range
-0.1:1.5:0.02 --t-range 0:40:0.1`.  Each alpha is solved on its own by the
-per-matrix entry points (eigenstate_ipr, first_bond_c12, transfer_spectrum
-and fidelity) where the commands solve the grid in one batch, so the files
-must equal the command output byte for byte.
+writes spectrum_single.csv, ipr_single.csv, c12_single.csv and
+landscape_single.csv into OUT_DIR: the rows of `spectrum --n 40
+--alpha-range 0:3:0.01`, of `ipr-sweep` and `concurrence-sweep --states
+1:200` at --n 200 --alpha-range 0:3:0.005, and of `landscape --n 31
+--alpha-range 0.1:1.5:0.02 --t-range 0:40:0.1`.  Each alpha is solved on its
+own by the per-matrix entry points (eigendecompose and classify_band,
+eigenstate_ipr, first_bond_c12, transfer_spectrum and fidelity) and written
+through the row writer, where the commands solve the grid in batches and
+write it as a grid, so the files must equal the command output byte for
+byte.
 """
 
 import argparse
@@ -17,7 +20,7 @@ import warnings
 from xxchain.chain import build_hamiltonian, mirror_impurities, single_impurity, with_alpha
 from xxchain.cli import _parse_range, emit_csv
 from xxchain.dynamics import fidelity
-from xxchain.spectral import eigenstate_ipr, first_bond_c12, transfer_spectrum
+from xxchain.spectral import classify_band, eigendecompose, eigenstate_ipr, first_bond_c12, transfer_spectrum
 
 
 def state_rows(template, alphas, observable):
@@ -37,6 +40,14 @@ def main():
     args = parser.parse_args()
     chain = {"exchange_j": args.j, "field_h": args.h}
     warnings.simplefilter("ignore")  # the J > 0 sign warning
+
+    bond1 = single_impurity(40, 1.0, **chain)
+    rows = []
+    for alpha in _parse_range("0:3:0.01", "--alpha-range").tolist():
+        dec = eigendecompose(build_hamiltonian(with_alpha(bond1, alpha)))
+        labels = [label.value for label in classify_band(dec, bond1)]
+        rows.extend(zip([alpha] * 40, range(1, 41), dec.energies.tolist(), labels))
+    emit_csv(rows, ["alpha", "j", "energy", "label"], f"{args.out_dir}/spectrum_single.csv")
 
     alphas = _parse_range("0:3:0.005", "--alpha-range")
     bond1 = single_impurity(200, 1.0, **chain)

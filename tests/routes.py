@@ -13,8 +13,10 @@ anchor at 0 with every sample as an offset.  blockings records the time
 blocks the site-amplitude kernel streams the grid in.
 
 solver_spy, failed_solver and noisy_solver act on spectral._eigh_rows, the
-one eigensolver call: they count its solves, make numpy.linalg.eigh raise
-LinAlgError inside it, or add noise to the eigenvectors it returns.
+one eigensolver call, which solves a stack of matrices: they record every
+matrix it solves, make numpy.linalg.eigh raise LinAlgError inside it, or add
+noise to the eigenvectors numpy.linalg.eigh returns to it, ahead of its
+residual check.
 """
 
 import contextlib
@@ -23,6 +25,7 @@ from unittest import mock
 import numpy as np
 
 from xxchain import dynamics, spectral
+from xxchain.chain import TridiagonalHamiltonian
 from xxchain.spectral import SpectralDecomposition, TransferSpectrum
 
 
@@ -62,8 +65,8 @@ def factorings():
     results = []
     helper = dynamics._phase_tables
 
-    def recording(energies, times):
-        coarse, fine = helper(energies, times)
+    def recording(*args):
+        coarse, fine = helper(*args)
         results.append(coarse.shape[0] > 1 or np.iscomplexobj(coarse))
         return coarse, fine
 
@@ -86,28 +89,53 @@ def blockings():
         yield results
 
 
+@contextlib.contextmanager
 def solver_spy():
-    """A spy on spectral._eigh_rows: call_args[0] is each matrix it solved."""
-    return mock.patch.object(spectral, "_eigh_rows", wraps=spectral._eigh_rows)
+    """Every matrix spectral._eigh_rows solves, in order, as a TridiagonalHamiltonian (same_matrices)."""
+    solved = []
+    solve = spectral._eigh_rows
+
+    def recording(diag, offdiag):
+        solved.extend(map(TridiagonalHamiltonian, diag, offdiag))
+        return solve(diag, offdiag)
+
+    with mock.patch.object(spectral, "_eigh_rows", recording):
+        yield solved
+
+
+def same_matrices(solved, hamiltonians):
+    """Whether two lists hold the same matrices, entry for entry, in the same order."""
+    return len(solved) == len(hamiltonians) and all(
+        np.array_equal(a.diag, b.diag) and np.array_equal(a.offdiag, b.offdiag) for a, b in zip(solved, hamiltonians))
+
+
+def _inside_solves(patched_eigh):
+    """A patch of spectral._eigh_rows under which its numpy.linalg.eigh call is patched_eigh."""
+    solve = spectral._eigh_rows
+
+    def patched(*args):
+        with mock.patch("numpy.linalg.eigh", patched_eigh):
+            return solve(*args)
+
+    return mock.patch.object(spectral, "_eigh_rows", patched)
 
 
 def failed_solver():
     """Every solve meets a numpy.linalg.eigh that raises LinAlgError, as one that does not converge."""
-    solve = spectral._eigh_rows
-
-    def failing(hamiltonian):
-        with mock.patch("numpy.linalg.eigh", side_effect=np.linalg.LinAlgError("no convergence")):
-            return solve(hamiltonian)
-
-    return mock.patch.object(spectral, "_eigh_rows", failing)
+    return _inside_solves(mock.Mock(side_effect=np.linalg.LinAlgError("no convergence")))
 
 
-def noisy_solver():
-    """Every solve returns its eigenvectors plus 1e-7 in each component."""
-    solve = spectral._eigh_rows
+def noisy_solver(matrices=slice(None)):
+    """Every solve gets its eigenvectors plus 1e-7 in each component, before its checks.
 
-    def noisy(hamiltonian):
-        energies, vectors = solve(hamiltonian)
-        return energies, vectors + 1e-7
+    matrices picks the matrices of each stack that get the noise: all of
+    them by default.
+    """
+    eigh = np.linalg.eigh
 
-    return mock.patch.object(spectral, "_eigh_rows", noisy)
+    def noisy(dense):
+        energies, columns = eigh(dense)
+        columns[matrices] += 1e-7
+        return energies, columns
+
+    return _inside_solves(noisy)

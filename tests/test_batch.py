@@ -8,7 +8,9 @@ one row over the same driver.  These tests pin that a grid gives, alpha by
 alpha, the bits, the route and the typed error of the per-matrix call, that
 the template rule accepts exactly the chains the matrix rule accepts, that a
 refused row leaves the other rows alone, and that the benchmark grids run no
-LAPACK routine at alpha > 0.
+LAPACK routine at alpha > 0.  energies_batch solves every row densely, in
+stacks of at most _EIGH_ENTRIES entries; each matrix of a stack gets the bits
+of eigendecompose and is checked on its own.
 """
 
 import math
@@ -31,9 +33,9 @@ from xxchain.dynamics import fidelity
 from xxchain.errors import ConvergenceFailure, CouplingSignWarning, NegativeAlpha, NonFiniteParameter
 from xxchain.measures import c12_sweep, ipr_sweep
 from xxchain.protocols import fidelity_landscape, inclusive_grid
-from xxchain.spectral import eigenstate_ipr, first_bond_c12, transfer_spectrum
+from xxchain.spectral import eigendecompose, eigenstate_ipr, energies_batch, first_bond_c12, transfer_spectrum
 
-from routes import failed_solver, solver_spy
+from routes import failed_solver, noisy_solver, same_matrices, solver_spy
 
 SQRT2 = math.sqrt(2.0)
 TIMES = np.arange(0.0, 30.0, 0.25)
@@ -108,10 +110,10 @@ def test_the_batch_matches_a_batch_of_one(template):
     for states in {(1, n), (1, 1), (n // 2 + 1, n)}:
         js = range(states[0], states[1] + 1)
         for sweep_of, solve in ((c12_sweep, first_bond_c12), (ipr_sweep, eigenstate_ipr)):
-            rows, batch_route = batched(lambda: sweep_of(template, alphas, js))
+            sweep, batch_route = batched(lambda: sweep_of(template, alphas, js))
             values, single_route = per_matrix(template, alphas, lambda ham: solve(ham, states))
-            assert rows == [(alpha, j, value) for alpha, row in zip(alphas, values)
-                            for j, value in zip(js, row.tolist())]
+            assert sweep.alphas.tolist() == alphas and sweep.states.tolist() == list(js)
+            assert np.array_equal(sweep.values, values)
             assert batch_route == single_route
     grid_f, batch_route = batched(lambda: fidelity_landscape(template, alphas, TIMES).fidelities)
     spectra, single_route = per_matrix(template, alphas, transfer_spectrum)
@@ -188,7 +190,7 @@ def test_typed_errors_match_a_batch_of_one(sweep_of):
         with pytest.raises(ConvergenceFailure):
             sweep_of(template, alphas, range(1, 41))
         kept = [alpha for alpha in alphas if alpha not in failed]
-        assert len(sweep_of(template, kept, range(1, 41))) == 40 * len(kept)
+        assert sweep_of(template, kept, range(1, 41)).values.shape == (len(kept), 40)
 
 
 def test_a_grid_validates_its_template_once():
@@ -197,9 +199,9 @@ def test_a_grid_validates_its_template_once():
     with mock.patch.object(spectral, "build_hamiltonian", side_effect=AssertionError), \
             warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        assert len(c12_sweep(TEMPLATES["bond1-41-J>0"], [0.5, 1.0, 2.0], range(1, 42))) == 3 * 41
+        assert c12_sweep(TEMPLATES["bond1-41-J>0"], [0.5, 1.0, 2.0], range(1, 42)).values.shape == (3, 41)
     assert [warning.category for warning in caught] == [CouplingSignWarning]
-    assert len(ipr_sweep(ChainSpec(12), [-1.0, math.inf], range(1, 13))) == 2 * 12
+    assert ipr_sweep(ChainSpec(12), [-1.0, math.inf], range(1, 13)).values.shape == (2, 12)
 
 
 @pytest.mark.parametrize("ends", [1, 2])
@@ -222,8 +224,7 @@ def test_a_refused_row_sends_only_its_alpha_to_eigendecompose(ends):
     assert solved == [pytest.approx(-0.8 * refused)]
     expected, _ = batched(run)
     if ends == 1:
-        values, expected = np.reshape([row[2] for row in values], (alphas.size, -1)), \
-            np.reshape([row[2] for row in expected], (alphas.size, -1))
+        values, expected = values.values, expected.values
     kept = np.arange(alphas.size) != 7
     assert np.array_equal(values[kept], expected[kept])
     assert np.allclose(values[7], expected[7], rtol=1e-10, atol=1e-13)
@@ -235,7 +236,60 @@ def test_benchmark_sweep_grids_run_no_lapack_at_positive_alpha():
     alphas = 0.005 * np.arange(1, 601)
     for template in (single_impurity(200, 1.0), single_impurity(200, 1.0, exchange_j=-0.8, field_h=0.3)):
         with solver_spy() as lapack:
-            assert len(ipr_sweep(template, alphas, range(1, 201))) == 600 * 200
-            assert len(c12_sweep(template, alphas, range(1, 2))) == 600
-            assert len(c12_sweep(template, alphas, range(2, 101))) == 600 * 99
-        assert not lapack.called
+            assert ipr_sweep(template, alphas, range(1, 201)).values.shape == (600, 200)
+            assert c12_sweep(template, alphas, range(1, 2)).values.shape == (600, 1)
+            assert c12_sweep(template, alphas, range(2, 101)).values.shape == (600, 99)
+        assert not lapack
+
+
+def stack_length(n):
+    return max(1, spectral._EIGH_ENTRIES // (n * n))
+
+
+@pytest.mark.parametrize("template", TEMPLATES.values(), ids=TEMPLATES.keys())
+def test_the_stacked_solve_matches_a_stack_of_one(template):
+    # bit for bit, for a grid of one alpha, one whole stack and one stack + 1,
+    # with every matrix built from the template as build_hamiltonian builds it
+    n = template.n_sites
+    for length in sorted({1, stack_length(n), stack_length(n) + 1}):
+        alphas = np.round(np.linspace(0.0, 3.0, length), 12) if length > 1 else np.array([0.0])
+        single = [eigendecompose(hamiltonian_of(with_alpha(template, alpha))) for alpha in alphas]
+        with solver_spy() as solved, mock.patch.object(spectral, "_eigh_rows", wraps=spectral._eigh_rows) as stacks, \
+                warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            energies = energies_batch(template, alphas)
+        assert np.array_equal(energies, [dec.energies for dec in single])
+        assert same_matrices(solved, [hamiltonian_of(with_alpha(template, alpha)) for alpha in alphas])
+        assert [len(call.args[0]) for call in stacks.call_args_list] == \
+            [min(stack_length(n), length - start) for start in range(0, length, stack_length(n))]
+        diag = np.full((alphas.size, n), template.field_h)
+        offdiag = np.array([hamiltonian_of(with_alpha(template, alpha)).offdiag for alpha in alphas])
+        _, vectors, bounds = spectral._eigh_rows(diag, offdiag)
+        assert np.array_equal(vectors, [dec.vectors for dec in single])
+        assert bounds.tolist() == [dec.residual_bound for dec in single]
+
+
+def test_noise_in_one_matrix_of_a_stack_is_refused():
+    # each matrix is held to its own residual bound, wherever it sits in its stack
+    template = single_impurity(40, 1.0, exchange_j=-0.8, field_h=0.3)
+    alphas = 0.25 * np.arange(stack_length(40))
+    assert energies_batch(template, alphas).shape == (alphas.size, 40)
+    for matrix in (0, alphas.size // 2, alphas.size - 1):
+        with noisy_solver(matrix), pytest.raises(ConvergenceFailure):
+            energies_batch(template, alphas)
+
+
+def test_the_energy_batch_checks_its_grid_before_it_solves():
+    # like the other batches: the first alpha that fails to build raises its
+    # own error, and a J > 0 template warns once
+    template = single_impurity(40, 1.0)
+    for bad, error in (([-0.5, 1e308], NegativeAlpha), ([1e308, -0.5], NonFiniteParameter)):
+        with pytest.raises(error) as single:
+            build_hamiltonian(with_alpha(template, bad[0]))
+        with mock.patch.object(spectral, "_eigh_rows", side_effect=AssertionError), pytest.raises(error) as batch:
+            energies_batch(template, [0.5, *bad])
+        assert str(batch.value) == str(single.value)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        energies_batch(TEMPLATES["bond1-41-J>0"], 0.1 * np.arange(30))
+    assert [warning.category for warning in caught] == [CouplingSignWarning]

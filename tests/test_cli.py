@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -9,9 +10,20 @@ import pytest
 
 import xxchain
 from xxchain import cli, spectral
-from xxchain.cli import emit_csv, main
-from xxchain.dynamics import SeriesKind
-from xxchain.errors import ConvergenceFailure
+from xxchain.chain import (
+    ChainSpec,
+    build_hamiltonian,
+    mirror_impurities,
+    parse_chain_config,
+    single_impurity,
+    with_alpha,
+)
+from xxchain.cli import emit_csv, emit_json, main
+from xxchain.dynamics import SeriesKind, fidelity
+from xxchain.errors import ConvergenceFailure, CouplingSignWarning
+from xxchain.spectral import classify_band, eigendecompose, eigenstate_ipr, first_bond_c12, transfer_spectrum
+
+from routes import failed_solver, noisy_solver
 
 
 def run_cli(argv, capsys):
@@ -54,19 +66,125 @@ def test_spectrum_labels_are_relative_to_the_field(capsys):
     assert [line.split(",")[3] for line in out.splitlines()[1:]] == ["in_band"] * 10
 
 
-def test_spectrum_solves_through_the_cli_binding_once_per_alpha(monkeypatch, tmp_path):
-    # bench/spans.py times each solve by rebinding the module attribute
-    solve = cli.eigendecompose
+def test_spectrum_solves_through_the_cli_binding_once_per_grid(monkeypatch, tmp_path):
+    # bench/spans.py times each solve by rebinding the module attribute; the
+    # whole alpha grid is one energies_batch call
+    solve = cli.energies_batch
     calls = []
 
-    def spy(hamiltonian, *args):
-        calls.append(args)
-        return solve(hamiltonian, *args)
+    def spy(template, alphas):
+        calls.append(alphas.tolist())
+        return solve(template, alphas)
 
-    monkeypatch.setattr(cli, "eigendecompose", spy)
+    monkeypatch.setattr(cli, "energies_batch", spy)
     out = tmp_path / "spectrum.csv"
     assert main(["spectrum", "--n", "8", "--alpha-range", "0:1:0.25", "--out", str(out)]) == 0
-    assert calls == [()] * 5
+    assert calls == [[0.0, 0.25, 0.5, 0.75, 1.0]]
+
+
+@pytest.mark.parametrize("solver", [failed_solver, noisy_solver])
+def test_spectrum_refuses_a_failed_or_noisy_stacked_solve(solver, capsys):
+    with solver():
+        code, out, err = run_cli(["spectrum", "--n", "8", "--alpha-range", "0:3:0.25"], capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ConvergenceFailure: ")
+
+
+def per_alpha_rows(command, template, alphas, inner):
+    """The rows of a grid command built alpha by alpha, each from its own matrix, as the row writer takes them."""
+    rows = []
+    for alpha in alphas:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the J > 0 sign warning
+            hamiltonian = build_hamiltonian(with_alpha(template, alpha))
+        if command == "spectrum":
+            dec = eigendecompose(hamiltonian)
+            cells = zip(dec.energies.tolist(), [label.value for label in classify_band(dec, template)])
+        elif command == "landscape":
+            cells = zip(fidelity(transfer_spectrum(hamiltonian), np.array(inner)).tolist())
+        else:
+            read = eigenstate_ipr if command == "ipr-sweep" else first_bond_c12
+            cells = zip(read(hamiltonian, (inner[0], inner[-1])).tolist())
+        rows.extend((alpha, x, *cell) for x, cell in zip(inner, cells))
+    return rows
+
+
+CONFIG = "n_sites = 9\nexchange_j = -0.8\nfield_h = 0.3\nimpurities = 1:1, 5:1\n"
+SCHEMAS = {"spectrum": ["alpha", "j", "energy", "label"], "landscape": ["alpha", "t", "fidelity"]}
+
+
+@pytest.mark.parametrize(
+    "argv, template, alphas, inner",
+    [
+        (["spectrum", "--n", "9", "--alpha-range", "0:3:0.25", "--h", "2.5"],
+         single_impurity(9, 1.0, field_h=2.5), 0.25 * np.arange(13), range(1, 10)),
+        (["spectrum", "--n", "8", "--alpha", "1.7", "--j", "0.6"],
+         single_impurity(8, 1.0, exchange_j=0.6), [1.7], range(1, 9)),
+        (["spectrum", "--config", "CONFIG", "--alpha-range", "0:2:0.5"],
+         parse_chain_config(CONFIG), 0.5 * np.arange(5), range(1, 10)),
+        (["ipr-sweep", "--n", "12", "--alpha-range", "0:3:0.5", "--h", "-0.4"],
+         single_impurity(12, 1.0, field_h=-0.4), 0.5 * np.arange(7), range(1, 13)),
+        (["ipr-sweep", "--n", "12", "--alpha", "0.3", "--states", "4:4", "--mirror"],
+         mirror_impurities(12, 1.0), [0.3], [4]),
+        (["concurrence-sweep", "--n", "12", "--alpha-range", "0:3:0.5"],
+         single_impurity(12, 1.0), 0.5 * np.arange(7), range(2, 7)),
+        (["concurrence-sweep", "--n", "12", "--alpha", "2.5", "--states", "7:7", "--h", "0.3"],
+         single_impurity(12, 1.0, field_h=0.3), [2.5], [7]),
+        (["landscape", "--n", "7", "--alpha-range", "0:1.5:0.25", "--t-range", "0:4:0.5", "--h", "0.3"],
+         mirror_impurities(7, 1.0, field_h=0.3), 0.25 * np.arange(7), (0.5 * np.arange(9)).tolist()),
+        (["landscape", "--n", "6", "--alpha-range", "0.4:0.4:0.1", "--t-range", "0:2:0.25"],
+         mirror_impurities(6, 1.0), [0.4], (0.25 * np.arange(9)).tolist()),
+    ],
+)
+def test_the_grid_writer_matches_the_row_writer(argv, template, alphas, inner, tmp_path):
+    # byte for byte, in CSV and in JSON, against rows solved alpha by alpha
+    (tmp_path / "CONFIG").write_text(CONFIG)
+    argv = [str(tmp_path / "CONFIG") if arg == "CONFIG" else arg for arg in argv]
+    alphas = [float(alpha) for alpha in alphas]
+    rows = per_alpha_rows(argv[0], template, alphas, list(inner))
+    schema = SCHEMAS.get(argv[0], ["alpha", "j", "value"])
+    emit_csv(rows, schema, tmp_path / "rows.csv")
+    emit_json([dict(zip(schema, row)) for row in rows], tmp_path / "rows.json")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert main([*argv, "--out", str(tmp_path / "grid.csv")]) == 0
+        assert main([*argv, "--format", "json", "--out", str(tmp_path / "grid.json")]) == 0
+    assert (tmp_path / "grid.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+    assert (tmp_path / "grid.json").read_bytes() == (tmp_path / "rows.json").read_bytes()
+
+
+def test_a_zero_amplitude_prints_as_plus_zero(capsys):
+    # alpha = 0 decouples site 1, so state 3 of N = 6 has psi_1 = 0 exactly;
+    # the sign convention makes it +0, every other bit stays
+    code, out, _ = run_cli(["eigenvector", "--n", "6", "--alpha", "0", "--state", "3"], capsys)
+    assert code == 0
+    assert out.splitlines()[1] == "1,0"
+    vectors = eigendecompose(build_hamiltonian(single_impurity(6, 0.0))).vectors
+    assert not np.any(np.signbit(vectors) & (vectors == 0.0))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["ipr-sweep", "--n", "5", "--alpha-range", "0:1:0.5"],
+        ["concurrence-sweep", "--n", "5", "--alpha-range", "0:1:0.5"],
+        ["spectrum", "--n", "5", "--alpha-range", "0:1:0.5"],
+        ["landscape", "--n", "5", "--alpha-range", "0:1:0.5", "--t-range", "0:1:0.5"],
+        ["evolve", "--n", "5", "--alpha", "0.5", "--t-range", "0:1:0.5"],
+        ["evolve", "--n", "5", "--alpha", "0.5", "--t-range", "0:1:0.5", "--kind", "ipr"],
+        ["eigenvector", "--n", "5", "--alpha", "0", "--state", "1"],
+        ["optimize", "--n", "5", "--alpha-range", "0.3:0.5:0.1"],
+        ["scaling", "--n-list", "5,6", "--alpha-range", "0.3:0.5:0.1"],
+    ],
+)
+def test_a_positive_coupling_warns_once_per_command(argv, capsys):
+    filters = list(warnings.filters)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main([*argv, "--j", "1"]) == 0
+    assert [warning.category for warning in caught] == [CouplingSignWarning]
+    assert warnings.filters == filters  # the command leaves the filters as it found them
+    capsys.readouterr()
 
 
 def test_spectrum_rejects_short_chain(capsys):
@@ -501,8 +619,8 @@ def no_solve(monkeypatch):
     def never(*args, **kwargs):
         raise AssertionError("flag validation should have failed before this call")
 
-    for name in ("eigendecompose", "ipr_sweep", "c12_sweep", "fidelity_landscape", "optimize_alpha",
-                 "scaling_sweep", "oracle_check"):
+    for name in ("eigendecompose", "energies_batch", "ipr_sweep", "c12_sweep", "fidelity_landscape",
+                 "optimize_alpha", "scaling_sweep", "oracle_check"):
         monkeypatch.setattr(cli, name, never)
 
 

@@ -96,7 +96,7 @@ def phase_route(hamiltonian, states=None):
             solver_spy() as lapack:
         c12 = first_bond_c12(hamiltonian, (lo, hi))
         ipr = eigenstate_ipr(hamiltonian, (lo, hi))
-    assert not fallback.called and not mirror_calls(mirror) and not lapack.called
+    assert not fallback.called and not mirror_calls(mirror) and not lapack
     phases = phase_states(hamiltonian, lo, hi)
     assert np.array_equal(phases[1], ipr) and np.array_equal(phases[2], c12)
     return phases
@@ -321,14 +321,14 @@ def assert_phase_route(template, states, observable, refused=()):
     assert not mirror_calls(mirror)
     assert [alpha_of(call.args[0]) for call in fallback.call_args_list] == pytest.approx([0.0, *refused])
     width = states[1] - states[0] + 1
-    assert len(rows) == alphas.size * width
+    assert rows.values.shape == (alphas.size, width)
     reads = {c12_sweep: lambda vectors: 2.0 * np.abs(vectors[:, 0] * vectors[:, 1]),
              ipr_sweep: ipr_of_rows}[observable]
     fallbacks = [0, *(round(alpha / 0.005) for alpha in refused)]
     for step in [1, 150, 283, 284, 600, *fallbacks]:
         vectors = eigendecompose(hamiltonian_of(with_alpha(template, alphas[step]))).vectors
         expected = reads(vectors[states[0] - 1 : states[1]])
-        values = [value for _, _, value in rows[step * width:(step + 1) * width]]
+        values = rows.values[step].tolist()
         if step in fallbacks:
             assert values == expected.tolist()
         else:
@@ -379,7 +379,7 @@ def test_mirror_chain_at_alpha_1_takes_the_phase_route():
     # state 2 at alpha = 1.5 is half of a bound pair that LAPACK mixes (test_parity.py)
     for alpha in alphas:
         reference = eigenvector_c12(build_hamiltonian(with_alpha(template, alpha)), (3, 100))
-        assert_close([value for at, j, value in rows if at == alpha and j >= 3], reference)
+        assert_close(rows.values[rows.alphas == alpha][0, rows.states >= 3], reference)
 
 
 @pytest.mark.parametrize("site, border", [(1, True), (2, False), (120, False)])
@@ -442,7 +442,7 @@ def test_refused_alphas_fall_back_to_eigendecompose(failure):
     expected = [value for alpha in alphas
                 for value in eigenvector_c12(build_hamiltonian(single_impurity(
                     120, alpha, exchange_j=-0.8, field_h=0.3)), (1, 20))]
-    assert [row[2] for row in rows] == expected
+    assert rows.values.ravel().tolist() == expected
 
 
 def test_failed_solvers_are_a_convergence_failure():

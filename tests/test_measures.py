@@ -240,7 +240,7 @@ def test_eigenstate_c12_matches_full_decomposition():
     spec = single_impurity(60, 0.8)
     dec = eigendecompose(build_hamiltonian(spec))
     for j in (1, 17, 30):
-        assert c12_sweep(spec, [0.8], [j])[0][2] == pytest.approx(
+        assert c12_sweep(spec, [0.8], [j]).values[0, 0] == pytest.approx(
             nn_concurrence_closed_form(dec.vectors[j - 1], 1), abs=1e-12
         )
 
@@ -306,14 +306,14 @@ def test_c12_peak_grid_curve_is_the_per_state_solve(monkeypatch):
     curves = []
 
     def recorded(*args):
-        rows = sweep_rows(*args)
-        curves.append([value for _, _, value in rows])
-        return rows
+        sweep = sweep_rows(*args)
+        curves.append(sweep.values[:, 0].tolist())
+        return sweep
 
     monkeypatch.setattr(measures, "c12_sweep", recorded)
     peak = c12_peak(template, state, alphas)
     kept = alphas[alphas >= 0.02]
-    expected = [c12_sweep(template, [alpha], [state])[0][2] for alpha in kept]
+    expected = [c12_sweep(template, [alpha], [state]).values[0, 0] for alpha in kept]
     # the first call is the grid curve; the refinement calls follow it
     assert curves[0] == expected and len(curves) > 1
     assert peak.height >= max(expected)

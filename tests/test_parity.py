@@ -47,7 +47,7 @@ from xxchain.spectral import (
     transfer_spectrum_batch,
 )
 
-from routes import factorings, failed_solver, full_route, noisy_solver, solver_spy, unpaired
+from routes import factorings, failed_solver, full_route, noisy_solver, same_matrices, solver_spy, unpaired
 
 TOL = 1e-12
 
@@ -173,7 +173,7 @@ def mirror_route(hamiltonian):
     """transfer_spectrum of a mirror chain, asserting that no LAPACK routine ran."""
     with solver_spy() as lapack, full_solve_spy() as full:
         spectrum = transfer_spectrum(hamiltonian)
-    assert not lapack.called and not full.called
+    assert not lapack and not full.called
     return spectrum
 
 
@@ -220,7 +220,7 @@ def test_zero_border_blocks_take_their_eigenvectors(n):
         result = transfer_spectrum(hamiltonian)
     full.assert_called_once_with(hamiltonian)
     assert not roots.called
-    lapack.assert_called_once_with(hamiltonian)
+    assert same_matrices(lapack, [hamiltonian])
     assert np.all(transfer_amplitude(result, np.arange(0.0, 40.0, 0.1)) == 0.0)
 
 
@@ -291,7 +291,7 @@ def test_landscape_runs_no_solver(n):
     with solver_spy() as lapack, \
             mock.patch.object(spectral, "_phase_states", wraps=spectral._phase_states) as kernel:
         fidelity_landscape(mirror_impurities(n, 1.0), alphas, np.arange(0.0, 10.0, 0.5))
-    assert not lapack.called
+    assert not lapack
     # batches of at most PHASE_BATCH_ENTRIES roots, every alpha in one of them
     assert {call.args[-1] for call in kernel.call_args_list} == {2}
     sizes = [call.args[2].size for call in kernel.call_args_list]
@@ -547,7 +547,7 @@ def test_mirror_ipr_and_c12_match_40_digit_roots(n, alpha_of_n):
         hamiltonian = hamiltonian_of(mirror_impurities(n, alpha, exchange_j=exchange_j, field_h=field_h))
         with solver_spy() as lapack, full_solve_spy() as full:
             ipr, c12 = eigenstate_ipr(hamiltonian, (1, n)), first_bond_c12(hamiltonian, (1, n))
-        assert not lapack.called and not full.called
+        assert not lapack and not full.called
         for got, reference in zip((ipr, c12), mirror_states_reference(hamiltonian)):
             small = reference < 1e-14
             assert np.all(np.abs(got - reference)[~small] <= 1e-11 * reference[~small])

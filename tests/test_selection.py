@@ -28,7 +28,7 @@ from xxchain.errors import ConvergenceFailure
 from xxchain.measures import c12_peak, c12_sweep, ipr_of_rows, ipr_sweep
 from xxchain.spectral import RESIDUAL_TOL, SpectralDecomposition, eigendecompose, eigenstate_ipr, first_bond_c12
 
-from routes import failed_solver, noisy_solver, solver_spy
+from routes import failed_solver, noisy_solver, same_matrices, solver_spy
 
 GAP_MIN = 1e-4
 # A bond-2 impurity moves the bulk with alpha: every row takes eigendecompose.
@@ -42,6 +42,12 @@ def fallback_spy():
 def bond2_alphas(spy):
     """alpha of every bond-2 matrix the spy saw solved."""
     return [call.args[0].offdiag[1] / call.args[0].offdiag[0] for call in spy.call_args_list]
+
+
+def sweep_rows(sweep):
+    """(alpha, j, value) of every cell of a StateSweep, alpha by alpha."""
+    return [(alpha, j, value) for alpha, row in zip(sweep.alphas.tolist(), sweep.values.tolist())
+            for j, value in zip(sweep.states.tolist(), row)]
 
 
 def decompose(hamiltonian):
@@ -159,7 +165,7 @@ def test_wide_and_full_ranges_slice_a_full_solve():
     for states in ((1, 1), (50, 52), (100, 111), (1, 13), (1, 100), (2, 100), (1, 200)):
         with solver_spy() as spy:
             c12 = first_bond_c12(hamiltonian, states)
-        spy.assert_called_once_with(hamiltonian)
+        assert same_matrices(spy, [hamiltonian])
         lo, hi = states
         assert np.array_equal(c12, observables(full.vectors[lo - 1 : hi])[0])
         assert np.array_equal(eigenstate_ipr(hamiltonian, states), observables(full.vectors[lo - 1 : hi])[1])
@@ -214,10 +220,10 @@ def test_c12_sweep_reads_only_its_range():
     template = ChainSpec(60, -1.0, 0.0, ((2, 1.0),))
     alphas = np.linspace(0.1, 2.9, 15)
     with fallback_spy() as spy:
-        rows = c12_sweep(template, alphas, [2, 3])
+        sweep = c12_sweep(template, alphas, [2, 3])
     assert bond2_alphas(spy) == pytest.approx(alphas)
-    assert [row[1] for row in rows] == [2, 3] * 15
-    for alpha, j, value in rows:
+    assert sweep.states.tolist() == [2, 3] and sweep.values.shape == (15, 2)
+    for alpha, j, value in sweep_rows(sweep):
         full = eigendecompose(build_hamiltonian(with_alpha(template, alpha)))
         assert abs(value - 2.0 * abs(full.vectors[j - 1, 0] * full.vectors[j - 1, 1])) <= 1e-12
 
@@ -228,9 +234,8 @@ def test_ipr_sweep_matches_full_solve():
     alphas = (0.3, 1.7)
     cases = [(ChainSpec(40, -1.0, 0.0, ((2, 1.0),)), 0.0), (single_impurity(40, 1.0), 1e-12)]
     for template, tolerance in cases:
-        assert ipr_sweep(template, alphas, []) == []
-        rows = ipr_sweep(template, alphas, [3, 4, 5])
-        for alpha, j, value in rows:
+        assert ipr_sweep(template, alphas, []).values.shape == (2, 0)
+        for alpha, j, value in sweep_rows(ipr_sweep(template, alphas, [3, 4, 5])):
             full = eigendecompose(build_hamiltonian(with_alpha(template, alpha)))
             assert abs(value - ipr_of_rows(full.vectors)[j - 1]) <= tolerance * value
 
@@ -243,7 +248,7 @@ def test_c12_peak_refine_solves_one_state():
         spectral, "_phase_states", wraps=spectral._phase_states
     ) as phases:
         c12_peak(template, 17, alphas)
-    assert not spy.called
+    assert not spy
     grid, *refine = phases.call_args_list
     assert grid.args[2].size == alphas.size and refine  # the refine step ran after the grid
     assert {tuple(call.args[1]) for call in phases.call_args_list} == {(17,)}

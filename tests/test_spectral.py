@@ -271,4 +271,4 @@ def test_the_residual_check_scales_before_it_squares():
     vectors = np.array(unit.vectors)
     vectors[0, 0] = np.nan
     with pytest.raises(ConvergenceFailure):
-        spectral._checked_residual(np.zeros(4), np.array([-0.5, -1.0, -1.0]), unit.energies, vectors)
+        spectral._checked_residuals(np.zeros((1, 4)), np.array([[-0.5, -1.0, -1.0]]), unit.energies[None], vectors[None])

@@ -14,6 +14,7 @@ grids within the bound of the dynamics docstring (doubled_bound).
 
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -23,8 +24,16 @@ from hypothesis import strategies as st
 from xxchain import dynamics
 from xxchain.chain import ChainSpec, TridiagonalHamiltonian, build_hamiltonian, mirror_impurities
 from xxchain.cli import _parse_range
-from xxchain.dynamics import amplitude_matrix, transfer_amplitude
-from xxchain.protocols import REFOCUS_T_STEP, default_alpha_grid, inclusive_grid, optimize_alpha, refocus_window
+from xxchain import protocols
+from xxchain.dynamics import amplitude_matrix, fidelity, transfer_amplitude
+from xxchain.protocols import (
+    REFOCUS_T_STEP,
+    default_alpha_grid,
+    fidelity_landscape,
+    inclusive_grid,
+    optimize_alpha,
+    refocus_window,
+)
 from xxchain.spectral import eigendecompose, transfer_spectrum
 
 from routes import factorings, full_route, pairings
@@ -317,3 +326,19 @@ def test_optimize_alpha_keeps_its_answer():
         for trace, (alpha, t_peak, f_peak) in zip(report.per_alpha, peaks):
             assert (trace.alpha, trace.t_refocus) == (alpha, t_peak)
             assert abs(trace.f_peak - f_peak) <= TOL
+
+
+@pytest.mark.parametrize("times, even", [(inclusive_grid(10.0, 30.0, 0.1), True),
+                                         (np.array([0.0, 0.1, 0.3, 0.7]), False), (np.array([2.5]), False)])
+def test_the_landscape_decides_the_even_grid_once(times, even):
+    # one verdict for all alphas, and every F row with the bits of fidelity on its own
+    template = mirror_impurities(31, 1.0)
+    alphas = inclusive_grid(0.1, 1.5, 0.1)
+    spectra = [transfer_spectrum(build_hamiltonian(mirror_impurities(31, alpha))) for alpha in alphas]
+    with mock.patch.object(protocols, "_even_grid", wraps=dynamics._even_grid) as decided, \
+            mock.patch.object(dynamics, "_even_grid", side_effect=AssertionError), factorings() as factored:
+        landscape = fidelity_landscape(template, alphas, times)
+    assert decided.call_count == 1
+    assert factored == [even] * alphas.size
+    for row, spectrum in zip(landscape.fidelities, spectra):
+        assert np.array_equal(row, fidelity(spectrum, times))
