@@ -177,7 +177,7 @@ def _series_grid(t_grid) -> np.ndarray:
 
 
 def amplitude_matrix(dec: SpectralDecomposition, times, init_site: int = 1) -> np.ndarray:
-    """Site amplitudes from a delta on init_site for every time: shape (len(times), N).
+    """Site amplitudes from a delta on init_site for every time: shape (times.size, N).
 
     This is the one route to site amplitudes: the state at a single time t is
     the plain array amplitude_matrix(dec, [t])[0].  init_site must lie in
@@ -212,6 +212,8 @@ def _site_row_blocks(dec: SpectralDecomposition, times: np.ndarray, init_site: i
     n_sites = dec.n_sites
     if not 1 <= init_site <= n_sites:
         raise BadSite(f"init_site must be in 1..{n_sites}, got {init_site}")
+    if not times.size:
+        return
     # weight of eigenstate j in the initial delta state
     weights = dec.vectors[:, init_site - 1]
     n_own = (n_sites + init_site % 2) // 2

@@ -61,7 +61,7 @@ def _amplitudes(state) -> np.ndarray:
 
 def _require_normalized(amps: np.ndarray) -> np.ndarray:
     norm_sq = float(np.sum(np.abs(amps) ** 2))
-    if abs(norm_sq - 1.0) > NORM_TOL:
+    if not np.isfinite(amps).all() or abs(norm_sq - 1.0) > NORM_TOL:
         raise NotNormalized(f"|psi|^2 = {norm_sq!r}, expected 1 within {NORM_TOL}")
     return amps
 
@@ -69,6 +69,8 @@ def _require_normalized(amps: np.ndarray) -> np.ndarray:
 def _check_density(matrix: np.ndarray) -> None:
     if matrix.shape != (4, 4):
         raise NotDensityMatrix(f"expected a 4x4 matrix, got shape {matrix.shape}")
+    if not np.isfinite(matrix).all():
+        raise NotDensityMatrix("matrix entries must be finite")
     if np.max(np.abs(matrix - matrix.conj().T)) > DENSITY_TOL:
         raise NotDensityMatrix("matrix is not Hermitian")
     trace = complex(np.trace(matrix))

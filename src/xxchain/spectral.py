@@ -166,19 +166,19 @@ Every entry is an elementwise function of its own row, and Newton moves
 each entry on its own, so a row gives the same bits in a batch as alone;
 the edge roots beyond alpha^2 = 2 and the direct O(N) sums run row by row,
 in scalar math and in the row's own reduction order.
-first_bond_c12_batch, eigenstate_ipr_batch and transfer_spectrum_batch take
-a template and an alpha array, and the route is decided once per grid
-(_grid): bonds 1, N - 1 and (N + 1) / 2 are alpha J on an impurity bond and
-J elsewhere, the product bond_couplings forms, and they go to _phase_rule,
-the rule _phase_chain applies to a bare matrix, for e = 1 and e = 2.  The
-rows it accepts are solved in batches of up to PHASE_BATCH_ENTRIES
-(alpha, root) entries (40 alphas of an N = 200 sweep of every state, the
-whole grid for one state or for the N = 31 landscape); only alpha = 0,
-another layout and a failed row build a matrix, for eigendecompose.  first_bond_c12, eigenstate_ipr and
-transfer_spectrum are grids of one row.  energies_batch validates its grid
-by the same _grid and solves every row densely, in stacks of at most
-_EIGH_ENTRIES matrix entries, built from the template without a matrix per
-alpha: the phase-route energies differ from LAPACK's in the last bits.
+
+An alpha grid is one matrix stack (_grid): row i of diag (m, N) and
+offdiag (m, N - 1) is build_hamiltonian(with_alpha(template, alpha_i)), and
+a bare matrix is a stack of one.  _phase_rule routes every row from bonds
+1, N - 1 and (N + 1) // 2 and two uniformity tests.  first_bond_c12_batch,
+eigenstate_ipr_batch and transfer_spectrum_batch solve the rows it accepts
+in batches of up to PHASE_BATCH_ENTRIES (alpha, root) entries (40 alphas of
+an N = 200 sweep of every state, the whole grid for one state or for the
+N = 31 landscape); any other row (alpha = 0, another layout, a refused row)
+is one eigendecompose call on its row.  first_bond_c12, eigenstate_ipr and
+transfer_spectrum are grids of one row.  energies_batch solves every row
+densely, in stacks of at most _EIGH_ENTRIES matrix entries: the phase-route
+energies differ from LAPACK's in the last bits.
 
 Against 40-digit roots (N = 40, 41, 200, three (J, h)) the bond-1 route is
 within 6.4e-15 relative on IPR and 1.6e-14 on C_12 (alpha = 5e-5-3 with
@@ -657,64 +657,60 @@ def _phase_states(n, roots, alpha, field, coupling, ends):
     return energies, first, second, norm, quartic, residual, ok
 
 
-def _phase_rule(end, far, bulk, uniform, field):
-    """(ok, alpha, h, J) of one chain per row from its bonds 1, N - 1 and (N + 1) // 2.
+def _phase_rule(diag, offdiag):
+    """(ok, alpha, h, J) per row of a chain stack diag (m, N), offdiag (m, N - 1): the one route rule.
 
-    uniform[e - 1] marks a constant diagonal h and equal bonds 2..N - e.
-    The phase route takes a uniform bulk J bordered by e impurity bonds
-    alpha J with alpha J and J nonzero; ok[e - 1] marks those rows: e = 1 a
-    bond-1 chain, e = 2 a mirror chain (end = far; N = 2 and 3 are uniform
-    chains against their middle bond).
+    The phase route takes a constant diagonal h and equal bonds 2..N - e,
+    J read off bond (N + 1) // 2, bordered by e impurity bonds alpha J, read
+    off bond 1, with alpha J and J nonzero.  ok[e - 1] marks those rows: e = 1
+    a bond-1 chain, e = 2 a mirror chain (bond N - 1 equal to bond 1; N = 2
+    and 3 are uniform chains against their middle bond).
     """
+    n = diag.shape[1]
+    end, far, bulk = offdiag[:, 0], offdiag[:, -1], offdiag[:, (n - 1) // 2]
+    flat = (diag == diag[:, :1]).all(axis=1)
+    steps = offdiag[:, 2:] == offdiag[:, 1:-1]  # bond b + 1 against bond b, b = 2..N - 2
+    ok = np.array([flat & steps[:, : n - 2 - e].all(axis=1) for e in (1, 2)])
+    ok &= (bulk != 0.0) & (end != 0.0)
+    ok[1] &= end == far
     with np.errstate(all="ignore"):  # a refused row may divide by 0 or overflow
         alpha = np.abs(end) / np.abs(bulk)
-    ok = uniform & (bulk != 0.0) & (end != 0.0)
-    ok[1] &= end == far
-    return ok, alpha, field, bulk
-
-
-def _phase_chain(hamiltonian: TridiagonalHamiltonian):
-    """_phase_rule of a bare matrix: arrays of one row."""
-    diag, offdiag = hamiltonian.diag, hamiltonian.offdiag
-    n = diag.size
-    flat = not (diag != diag[0]).any()
-    uniform = [[flat and not (inner[1:] != inner[:-1]).any()] for inner in (offdiag[1 : n - e] for e in (1, 2))]
-    return _phase_rule(offdiag[:1], offdiag[-1:], offdiag[(n - 1) // 2 :][:1], np.array(uniform), diag[:1])
+    return ok, alpha, diag[:, 0], bulk
 
 
 def _grid(template, alphas):
-    """(N, the _phase_rule rows, the matrix of row i) of the template at every alpha of a grid.
+    """(diag, offdiag, _phase_rule(diag, offdiag)) of the template at every alpha of a grid.
 
-    A bond couples alpha J or J (bond_couplings); bonds 2..N - e are equal
-    if all or none are impurity bonds, else only where alpha J == J.  The
+    Row i of diag (m, N), a broadcast view of h, and offdiag (m, N - 1) is
+    build_hamiltonian(with_alpha(template, alpha_i)) entry for entry.  The
     template is validated once, at the first alpha (a J > 0 template warns
     there); the first alpha validate_spec refuses (NaN, infinite, negative,
     |h| + 2 max|coupling| overflowing) raises its error before any solve.
-    With alphas None the template is a bare matrix: one row.
+    With alphas None the template is a bare matrix: a stack of one.
     """
     if alphas is None:
-        return template.n_sites, _phase_chain(template), lambda i: template
+        diag, offdiag = template.diag[None], template.offdiag[None]
+        return diag, offdiag, _phase_rule(diag, offdiag)
     n, coupling, alphas = template.n_sites, template.exchange_j, np.asarray(alphas, dtype=float)
     bonds = {bond for bond, _ in template.impurities}
     if alphas.size:
         validate_spec(with_alpha(template, alphas[0]))
     with np.errstate(all="ignore"):
-        scaled, plain = alphas * coupling, np.full(alphas.size, coupling)
+        scaled = alphas * coupling
         top = np.abs(scaled) if len(bonds) == n - 1 else np.maximum(np.abs(scaled), abs(coupling))
         failed = ~(alphas >= 0.0) | ~np.isfinite(abs(template.field_h) + 2.0 * top)
     for alpha in alphas[failed][:1] if bonds else ():
         validate_spec(with_alpha(template, alpha))
-    end, far, bulk = (scaled if bond in bonds else plain for bond in (1, n - 1, (n + 1) // 2))
-    inside = [sum(2 <= bond <= n - ends for bond in bonds) for ends in (1, 2)]
-    uniform = np.array([(scaled == coupling) | (not 0 < inside[e - 1] < n - 1 - e) for e in (1, 2)])
-    chains = _phase_rule(end, far, bulk, uniform, np.full(alphas.size, template.field_h))
-    return n, chains, lambda i: build_hamiltonian(with_alpha(template, alphas[i]))
+    offdiag = np.full((alphas.size, n - 1), coupling)
+    offdiag[:, [bond - 1 for bond in bonds]] = scaled[:, None]
+    diag = np.broadcast_to(np.full(n, template.field_h), (alphas.size, n))
+    return diag, offdiag, _phase_rule(diag, offdiag)
 
 
-def _batches(ok, width):
-    """Indices of the rows ok marks, at most PHASE_BATCH_ENTRIES // width (at least one) per batch."""
+def _batches(ok, width, budget=PHASE_BATCH_ENTRIES):
+    """Indices of the rows ok marks, at most budget // width (at least one) per batch."""
     rows = np.flatnonzero(ok)
-    step = max(1, PHASE_BATCH_ENTRIES // width)
+    step = max(1, budget // width)
     return (rows[start : start + step] for start in range(0, rows.size, step))
 
 
@@ -723,12 +719,13 @@ def _state_table(grid, states, read):
 
     Bond-1 rows (e = 1, the uniform chain too) and mirror rows (e = 2) read
     root min(j, N + 1 - j) of state j in batches; any other row reads the
-    vectors lo..hi of eigendecompose(H) of its matrix.  ValueError unless
-    1 <= lo <= hi <= N.
+    vectors lo..hi of eigendecompose(H) of its row of the stack.  ValueError
+    unless 1 <= lo <= hi <= N.
     """
     from .measures import ipr_of_rows  # measures imports this module
 
-    n, (ok, alpha, field, bulk), matrix = grid
+    diag, offdiag, (ok, alpha, field, bulk) = grid
+    n = diag.shape[1]
     lo, hi = int(states[0]), int(states[1])
     if not 1 <= lo <= hi <= n:
         raise ValueError(f"states must satisfy 1 <= lo <= hi <= {n}, got {states}")
@@ -745,7 +742,7 @@ def _state_table(grid, states, read):
             table[batch[passed]] = values[passed][:, index]
             solved[batch[passed]] = True
     for i in np.flatnonzero(~solved):
-        vectors = eigendecompose(matrix(i)).vectors[lo - 1 : hi]
+        vectors = eigendecompose(TridiagonalHamiltonian(diag[i], offdiag[i])).vectors[lo - 1 : hi]
         table[i] = ipr_of_rows(vectors) if read == "ipr" else 2.0 * np.abs(vectors[:, 0] * vectors[:, 1])
     return table
 
@@ -778,7 +775,8 @@ def eigenstate_ipr(hamiltonian: TridiagonalHamiltonian, states: tuple[int, int])
 
 def _transfer_spectra(grid) -> list[TransferSpectrum]:
     """transfer_spectrum of every grid row: mirror chains (e = 2) in batches, eigendecompose otherwise."""
-    n, (ok, alpha, field, bulk), matrix = grid
+    diag, offdiag, (ok, alpha, field, bulk) = grid
+    n = diag.shape[1]
     roots = np.arange(1, (n + 1) // 2 + 1)
     half, pair = n // 2, 1.0 if n % 2 else -1.0
     spectra = [None] * alpha.size
@@ -798,7 +796,7 @@ def _transfer_spectra(grid) -> list[TransferSpectrum]:
             spectra[batch[row]] = TransferSpectrum(energies[row], weights[row], float(residual[row]))
     for i, spectrum in enumerate(spectra):
         if spectrum is None:
-            dec = eigendecompose(matrix(i))
+            dec = eigendecompose(TridiagonalHamiltonian(diag[i], offdiag[i]))
             spectra[i] = TransferSpectrum(dec.energies, dec.vectors[:, 0] * dec.vectors[:, -1], dec.residual_bound)
     return spectra
 
@@ -816,21 +814,13 @@ def transfer_spectrum(hamiltonian: TridiagonalHamiltonian) -> TransferSpectrum:
 def energies_batch(template: ChainSpec, alphas) -> np.ndarray:
     """Ascending energies of the template at every alpha of the grid, one row per alpha.
 
-    The grid is validated like the other batches (_grid).  Every row is a
-    dense solve: the matrices are built from the template, without a
-    ChainSpec per alpha, and solved in stacks of at most _EIGH_ENTRIES
-    matrix entries (_eigh_rows).  Raises ConvergenceFailure if a solve fails.
+    Every row of the _grid stack is a dense solve (_eigh_rows), in stacks of
+    at most _EIGH_ENTRIES matrix entries.  Raises the typed error of the
+    first alpha validate_spec refuses and ConvergenceFailure if a solve fails.
     """
-    n = _grid(template, alphas)[0]
-    alphas = np.asarray(alphas, dtype=float)
-    offdiag = np.full((alphas.size, n - 1), template.exchange_j)
-    for bond, _ in template.impurities:
-        offdiag[:, bond - 1] = alphas * template.exchange_j  # bond_couplings, row by row
-    diag = np.full((alphas.size, n), template.field_h)
-    energies = np.empty((alphas.size, n))
-    step = max(1, _EIGH_ENTRIES // (n * n))
-    for start in range(0, alphas.size, step):
-        rows = slice(start, start + step)
+    diag, offdiag, _ = _grid(template, alphas)
+    energies = np.empty(diag.shape)
+    for rows in _batches(np.ones(len(diag), bool), diag.shape[1] ** 2, budget=_EIGH_ENTRIES):
         energies[rows] = _eigh_rows(diag[rows], offdiag[rows])[0]
     return energies
 

@@ -1,16 +1,17 @@
 """The phase route solves a whole alpha grid in one batch.
 
 The batches (first_bond_c12_batch, eigenstate_ipr_batch,
-transfer_spectrum_batch) take a template and an alpha array, decide the
-route once from the template's impurity bonds and build a matrix only for
-the rows that reach eigendecompose; the per-matrix entry points are grids of
-one row over the same driver.  These tests pin that a grid gives, alpha by
-alpha, the bits, the route and the typed error of the per-matrix call, that
-the template rule accepts exactly the chains the matrix rule accepts, that a
-refused row leaves the other rows alone, and that the benchmark grids run no
-LAPACK routine at alpha > 0.  energies_batch solves every row densely, in
-stacks of at most _EIGH_ENTRIES entries; each matrix of a stack gets the bits
-of eigendecompose and is checked on its own.
+transfer_spectrum_batch) take a template and an alpha array, build the
+grid's matrices once as one stack and read every row's route off it; the
+per-matrix entry points are grids of one row, a stack of one matrix, through
+the same code.  These tests pin that each row of the stack is the matrix
+build_hamiltonian builds, bit for bit, and gets the route of that matrix as
+a stack of one, that a grid gives, alpha by alpha, the bits, the route and
+the typed error of the per-matrix call, that a refused row leaves the other
+rows alone, and that the benchmark grids run no LAPACK routine at
+alpha > 0.  energies_batch solves every row densely, in stacks of at most
+_EIGH_ENTRIES entries; each matrix of a stack gets the bits of
+eigendecompose and is checked on its own.
 """
 
 import math
@@ -132,16 +133,27 @@ def test_the_batch_matches_a_batch_of_one(template):
 @pytest.mark.parametrize("ends", [1, 2])
 @pytest.mark.parametrize("template", TEMPLATES.values(), ids=TEMPLATES.keys())
 def test_the_template_rule_matches_the_matrix_rule(template, ends):
-    # (ok, alpha, h, J) bit for bit, from the template's bonds as from each matrix
+    # row i of the grid's stack is build_hamiltonian(with_alpha(template, alpha_i))
+    # bit for bit (alpha = 0 with J < 0 puts -0.0 on the impurity bonds of
+    # both), and (ok, alpha, h, J) of the row is that of the matrix as a
+    # stack of one
     alphas = np.array(grid(template.n_sites))
-    rows = [spectral._phase_chain(hamiltonian_of(with_alpha(template, alpha))) for alpha in alphas]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        ok, *chains = spectral._grid(template, alphas)[1]
-    expected_ok, *expected = (np.concatenate(column, axis=-1) for column in zip(*rows))
-    assert expected_ok[ends - 1].tobytes() == ok[ends - 1].tobytes()
-    for got, want in zip(chains, expected):
-        assert want.tobytes() == got.tobytes()
+        diag, offdiag, (ok, *chains) = spectral._grid(template, alphas)
+    assert diag.shape == (alphas.size, template.n_sites) and offdiag.shape == (alphas.size, template.n_sites - 1)
+    for i, alpha in enumerate(alphas):
+        hamiltonian = hamiltonian_of(with_alpha(template, alpha))
+        assert diag[i].tobytes() == hamiltonian.diag.tobytes()
+        assert offdiag[i].tobytes() == hamiltonian.offdiag.tobytes()
+        if alpha == 0.0 and template.exchange_j < 0.0:
+            assert all(np.signbit(offdiag[i, bond - 1]) for bond, _ in template.impurities)
+        single_diag, single_offdiag, (single_ok, *single) = spectral._grid(hamiltonian, None)
+        assert single_diag.shape == (1, template.n_sites) and single_diag.tobytes() == hamiltonian.diag.tobytes()
+        assert single_offdiag.tobytes() == hamiltonian.offdiag.tobytes()
+        assert single_ok[ends - 1].tobytes() == ok[ends - 1, i : i + 1].tobytes()
+        for got, want in zip(single, chains):
+            assert got.tobytes() == want[i : i + 1].tobytes()
 
 
 def test_the_routes_follow_the_matrix():

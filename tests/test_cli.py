@@ -401,7 +401,7 @@ def test_computation_error_exits_one(monkeypatch, capsys):
     monkeypatch.setattr(spectral, "_eigh_rows", diverge)
     # no solver-free route: the phase rule refuses every chain
     monkeypatch.setattr(spectral, "_phase_rule",
-                        lambda end, far, bulk, uniform, field: (np.zeros(uniform.shape, bool), end, field, bulk))
+                        lambda diag, offdiag: (np.zeros((2, len(diag)), bool), offdiag[:, 0], diag[:, 0], offdiag[:, 0]))
     code, _, err = run_cli(["optimize", "--n", "20", "--alpha-range", "0.4:0.5:0.1"], capsys)
     assert code == 1
     assert "ConvergenceFailure" in err

@@ -283,3 +283,16 @@ def test_amplitude_matrix_rejects_bad_site():
         amplitude_matrix(dec, [0.0], 0)
     with pytest.raises(BadSite):
         amplitude_matrix(dec, [0.0], 6)
+
+
+@pytest.mark.parametrize("times", [[], np.empty((2, 0))])
+def test_an_empty_time_grid_has_no_amplitude_rows(times):
+    # like transfer_amplitude, fidelity and concurrence_AN of the same grid
+    dec = eigendecompose(build_hamiltonian(single_impurity(6, 0.5)))
+    rows = amplitude_matrix(dec, times)
+    assert rows.shape == (0, 6) and rows.dtype == complex
+    spectrum = transfer_spectrum(build_hamiltonian(single_impurity(6, 0.5)))
+    for kernel in (transfer_amplitude, fidelity, concurrence_AN):
+        assert kernel(spectrum, times).size == 0
+    with pytest.raises(BadSite):
+        amplitude_matrix(dec, times, 7)

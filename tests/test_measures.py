@@ -175,6 +175,21 @@ def test_wootters_rejects_invalid_matrices():
         wootters_concurrence(negative)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_inputs_are_refused(bad):
+    # a NaN fails no comparison with a tolerance: finiteness is checked first
+    with pytest.raises(NotNormalized):
+        ipr([bad, 1.0])
+    with pytest.raises(NotNormalized):
+        nn_concurrence_closed_form([bad, 1.0], 1)
+    with pytest.raises(NotNormalized):
+        reduced_density_two_sites([bad, 1.0], 1, 2)
+    with pytest.raises(NotDensityMatrix):
+        wootters_concurrence(np.diag([bad, 0.0, 0.0, 1.0]))
+    with pytest.raises(NotDensityMatrix):
+        wootters_concurrence(np.full((4, 4), bad))
+
+
 def test_closed_form_basics():
     state = np.zeros(8)
     state[2:4] = 1.0 / np.sqrt(2.0)

@@ -133,7 +133,7 @@ def test_non_palindromic_chains_take_eigendecompose(spec):
     hamiltonian = hamiltonian_of(spec)
     with full_solve_spy() as spy:
         result = transfer_spectrum(hamiltonian)
-    spy.assert_called_once_with(hamiltonian)
+    assert same_matrices([call.args[0] for call in spy.call_args_list], [hamiltonian])
     full = eigendecompose(hamiltonian)
     assert np.array_equal(result.energies, full.energies)
     assert np.array_equal(result.transfer_weights, full.vectors[:, 0] * full.vectors[:, -1])
@@ -152,14 +152,14 @@ def test_interior_impurities_take_eigendecompose(spec):
     hamiltonian = build_hamiltonian(spec)
     with full_solve_spy() as spy:
         result = transfer_spectrum(hamiltonian)
-    spy.assert_called_once_with(hamiltonian)
-    assert not spectral._phase_chain(hamiltonian)[0][1, 0]
+    assert same_matrices([call.args[0] for call in spy.call_args_list], [hamiltonian])
+    assert not spectral._phase_rule(hamiltonian.diag[None], hamiltonian.offdiag[None])[0][1, 0]
     assert np.array_equal(result.transfer_weights, full_route(eigendecompose(hamiltonian)).transfer_weights)
 
 
 def kernel_accepts(hamiltonian):
     """Whether the phase kernel with e = 2 ends passes every root of one mirror matrix."""
-    _, alpha, field, bulk = spectral._phase_chain(hamiltonian)
+    _, alpha, field, bulk = spectral._phase_rule(hamiltonian.diag[None], hamiltonian.offdiag[None])
     n = hamiltonian.n_sites
     *_, ok = spectral._phase_states(n, np.arange(1, (n + 1) // 2 + 1), alpha, field, np.abs(bulk), 2)
     return bool(ok[0])
@@ -218,7 +218,7 @@ def test_zero_border_blocks_take_their_eigenvectors(n):
     with full_solve_spy() as full, solver_spy() as lapack, \
             mock.patch.object(spectral, "_phase_roots", wraps=spectral._phase_roots) as roots:
         result = transfer_spectrum(hamiltonian)
-    full.assert_called_once_with(hamiltonian)
+    assert same_matrices([call.args[0] for call in full.call_args_list], [hamiltonian])
     assert not roots.called
     assert same_matrices(lapack, [hamiltonian])
     assert np.all(transfer_amplitude(result, np.arange(0.0, 40.0, 0.1)) == 0.0)
@@ -255,7 +255,7 @@ def test_failed_phase_check_falls_back_to_eigenvectors(failure, n, alpha):
         assert not kernel_accepts(hamiltonian)
         with full_solve_spy() as full:
             result = transfer_spectrum(hamiltonian)
-    full.assert_called_once_with(hamiltonian)
+    assert same_matrices([call.args[0] for call in full.call_args_list], [hamiltonian])
     assert_full_route_amplitude(result, hamiltonian, np.arange(0.0, 150.0, 0.05))
 
 
@@ -280,7 +280,7 @@ def test_eigenvalue_solver_error_falls_back_to_one_full_solve():
     hamiltonian = build_hamiltonian(mirror_impurities(200, 0.4))
     with refused("no_convergence"), full_solve_spy() as full:
         result = transfer_spectrum(hamiltonian)
-    full.assert_called_once_with(hamiltonian)
+    assert same_matrices([call.args[0] for call in full.call_args_list], [hamiltonian])
     assert_full_route_amplitude(result, hamiltonian, np.arange(0.0, 150.0, 0.05))
 
 
