@@ -56,6 +56,19 @@ class ChainSpec:
         object.__setattr__(self, "impurities", pairs)
 
 
+def _frozen(instance, **arrays) -> None:
+    """Store each named array on the frozen dataclass instance as a read-only copy.
+
+    This is how every result type holds its arrays: the copy shares no
+    memory with its argument, so writing to the argument, or to the base of
+    a view passed in, leaves the instance unchanged.
+    """
+    for name, value in arrays.items():
+        value = np.array(value)
+        value.setflags(write=False)
+        object.__setattr__(instance, name, value)
+
+
 @dataclass(frozen=True)
 class TridiagonalHamiltonian:
     """One-excitation Hamiltonian in compact diagonal/off-diagonal form."""
@@ -64,16 +77,13 @@ class TridiagonalHamiltonian:
     offdiag: np.ndarray
 
     def __post_init__(self):
-        diag = np.array(self.diag, dtype=float)
-        offdiag = np.array(self.offdiag, dtype=float)
+        diag = np.asarray(self.diag, dtype=float)
+        offdiag = np.asarray(self.offdiag, dtype=float)
         if diag.ndim != 1 or offdiag.ndim != 1 or offdiag.size != diag.size - 1:
             raise ValueError("need diag of length N and offdiag of length N-1")
         if diag.size < 2:
             raise ValueError("need at least two sites")
-        diag.setflags(write=False)
-        offdiag.setflags(write=False)
-        object.__setattr__(self, "diag", diag)
-        object.__setattr__(self, "offdiag", offdiag)
+        _frozen(self, diag=diag, offdiag=offdiag)
 
     @property
     def n_sites(self) -> int:

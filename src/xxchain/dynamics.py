@@ -30,7 +30,8 @@ is P below.  Any other t (a scalar, one sample, an uneven or a
 multi-dimensional grid) has the single anchor 0, a row of ones, and every
 sample as an offset: the same product then computes the
 per-sample exponentials exp(-i E_j t_k), bit for bit.  The grid alone picks
-the tables, whatever the number of levels.  The site amplitudes, which need
+the tables, whatever the number of levels; a NaN or infinite sample is a
+ValueError before any arithmetic on t.  The site amplitudes, which need
 every site and not only f_N, read the same two tables block by block,
 exp(-i E_j t_k) = exp(-i E_j T_a) exp(-i E_j tau_b) (_site_row_blocks).
 
@@ -123,7 +124,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import TridiagonalHamiltonian
+from .chain import TridiagonalHamiltonian, _frozen
 from .errors import BadSite
 from .measures import ipr_of_rows
 from .spectral import SpectralDecomposition, TransferSpectrum, eigendecompose, transfer_spectrum
@@ -157,18 +158,15 @@ class TimeSeries:
 
     def __post_init__(self):
         times = _series_grid(self.times)
-        values = np.array(self.values)
+        values = np.asarray(self.values)
         if values.shape != times.shape:
             raise ValueError("times and values must have matching lengths")
-        times.setflags(write=False)
-        values.setflags(write=False)
-        object.__setattr__(self, "times", times)
-        object.__setattr__(self, "values", values)
+        _frozen(self, times=times, values=values)
 
 
 def _series_grid(t_grid) -> np.ndarray:
     """t_grid as a float array; ValueError unless it is nonempty, 1-d, finite and strictly ascending."""
-    times = np.array(t_grid, dtype=float)
+    times = np.asarray(t_grid, dtype=float)
     if times.ndim != 1 or times.size == 0:
         raise ValueError("time grid must be a nonempty 1-d array")
     if not np.isfinite(times).all() or np.any(np.diff(times) <= 0.0):
@@ -214,6 +212,7 @@ def _site_row_blocks(dec: SpectralDecomposition, times: np.ndarray, init_site: i
         raise BadSite(f"init_site must be in 1..{n_sites}, got {init_site}")
     if not times.size:
         return
+    even = _even_grid(times)
     # weight of eigenstate j in the initial delta state
     weights = dec.vectors[:, init_site - 1]
     n_own = (n_sites + init_site % 2) // 2
@@ -222,7 +221,7 @@ def _site_row_blocks(dec: SpectralDecomposition, times: np.ndarray, init_site: i
     signs = np.where(np.arange(n_sites) < n_own, 1.0, -1.0)
     half = _upper_half(dec.energies, products, signs, times)
     centre, energies, pair_weights = half or (None, dec.energies, None)
-    coarse, fine = _phase_tables(energies, times)
+    coarse, fine = _phase_tables(energies, times, even)
     if half is None:
         coarse = coarse * weights  # the full sum carries the weights on the anchors
     else:  # buffers for the longest block
@@ -272,23 +271,32 @@ def _upper_half(energies, products, signs, times):
 
 
 def _even_grid(times) -> bool:
-    """Whether t is an even 1-d grid of at least 2 samples: t_0 + k dt within _EVEN_GRID_ULPS ulps of max|t|."""
+    """Whether t is an even 1-d grid of at least 2 samples: t_0 + k dt within _EVEN_GRID_ULPS ulps of max|t|.
+
+    ValueError if a sample is NaN or infinite.  Every sample of an even grid
+    lies within the tolerance of a finite t_0 + k dt, so only the samples of
+    an uneven t are checked one by one.
+    """
     count = times.size
-    if times.ndim != 1 or count < 2:
-        return False
-    step = (times[-1] - times[0]) / (count - 1)
-    ideal = times[0] + step * np.arange(count)
-    tol = _EVEN_GRID_ULPS * np.finfo(float).eps * max(abs(times[0]), abs(times[-1]))
-    return bool(np.all(np.abs(times - ideal) <= tol))
+    if times.ndim == 1 and count >= 2 and math.isfinite(times[0]) and math.isfinite(times[-1]):
+        step = (times[-1] - times[0]) / (count - 1)
+        ideal = times[0] + step * np.arange(count)
+        tol = _EVEN_GRID_ULPS * np.finfo(float).eps * max(abs(times[0]), abs(times[-1]))
+        if np.all(np.abs(times - ideal) <= tol):
+            return True
+    if not np.isfinite(times).all():
+        raise ValueError("times must be finite")
+    return False
 
 
 def _phase_tables(energies, times, even=None):
     """Anchor and offset tables exp(-i E T_a), exp(-i E tau_b) whose products cover t.
 
-    An even grid (_even_grid; even passes its verdict when the caller has
-    it) gets about sqrt(len(t)) complex anchors t_0 + a n_b dt and offsets
-    b dt, each table doubled from one exponential row (_powers); any other
-    t the single real anchor row of ones and every sample as an offset.
+    An even grid (_even_grid, which refuses a non-finite t; even passes its
+    verdict when the caller has it) gets about sqrt(len(t)) complex anchors
+    t_0 + a n_b dt and offsets b dt, each table doubled from one exponential
+    row (_powers); any other t the single real anchor row of ones and every
+    sample as an offset.
     """
     if even is None:
         even = _even_grid(times)
@@ -324,6 +332,8 @@ def _transfer_sum(spectrum: TransferSpectrum, times: np.ndarray, even=None):
     On the upper half s is real, f_N = exp(-iht) s for odd N and exp(-iht) i s
     for even N: site N sits on site 1's sublattice for odd N only.
     """
+    if even is None:
+        even = _even_grid(times)
     sign = 1.0 if spectrum.n_sites % 2 else -1.0  # (-1)^(N - 1)
     half = _upper_half(spectrum.energies, spectrum.transfer_weights, sign, times)
     if half is None:

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import ChainSpec
+from .chain import ChainSpec, _frozen
 from .errors import (
     BadSite,
     BadSitePair,
@@ -160,11 +160,17 @@ def ipr_of_rows(states: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class StateSweep:
-    """A per-eigenstate observable over an alpha grid: values[a, s] of state states[s] at alphas[a]."""
+    """A per-eigenstate observable over an alpha grid: values[a, s] of state states[s] at alphas[a].
+
+    Construction stores read-only copies of the three arrays.
+    """
 
     alphas: np.ndarray
     states: np.ndarray
     values: np.ndarray
+
+    def __post_init__(self):
+        _frozen(self, alphas=self.alphas, states=self.states, values=self.values)
 
 
 def _state_sweep(template, alphas, state_indices, batch) -> StateSweep:

@@ -38,7 +38,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .chain import ChainSpec, bond_couplings, validate_spec
+from .chain import ChainSpec, _frozen, bond_couplings, validate_spec
 from .errors import ExcitationLeak, NotNormalized, TooLarge
 from .measures import wootters_concurrence
 
@@ -60,7 +60,7 @@ class FullState:
     n_qubits: int
 
     def __post_init__(self):
-        amps = np.array(self.amps, dtype=complex)
+        amps = np.asarray(self.amps, dtype=complex)
         if amps.shape != (2 ** self.n_qubits,):
             raise ValueError(
                 f"expected {2 ** self.n_qubits} amplitudes for {self.n_qubits} qubits, "
@@ -71,8 +71,7 @@ class FullState:
         norm_sq = float(np.sum(np.abs(amps) ** 2))
         if abs(norm_sq - 1.0) > 1e-9:
             raise NotNormalized(f"|psi|^2 = {norm_sq!r}, expected 1 within 1e-9")
-        amps.setflags(write=False)
-        object.__setattr__(self, "amps", amps)
+        _frozen(self, amps=amps)
 
 
 def _add_term(matrix: np.ndarray, scale: float, op: np.ndarray, qubit: int, n_qubits: int) -> None:

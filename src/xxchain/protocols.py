@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import ChainSpec
+from .chain import ChainSpec, _frozen
 from .dynamics import SeriesKind, TimeSeries, _even_grid, fidelity
 from .errors import NoMinimumInWindow
 from .measures import _local_maxima
@@ -54,16 +54,12 @@ class Landscape:
     fidelities: np.ndarray
 
     def __post_init__(self):
-        alphas = np.array(self.alphas, dtype=float)
-        times = np.array(self.times, dtype=float)
-        values = np.array(self.fidelities, dtype=float)
+        alphas = np.asarray(self.alphas, dtype=float)
+        times = np.asarray(self.times, dtype=float)
+        values = np.asarray(self.fidelities, dtype=float)
         if values.shape != (alphas.size, times.size):
             raise ValueError("fidelity grid shape must be (len(alphas), len(times))")
-        for array in (alphas, times, values):
-            array.setflags(write=False)
-        object.__setattr__(self, "alphas", alphas)
-        object.__setattr__(self, "times", times)
-        object.__setattr__(self, "fidelities", values)
+        _frozen(self, alphas=alphas, times=times, fidelities=values)
 
     def peak(self) -> tuple[float, float, float]:
         """(alpha, t, F) of the global maximum; first grid point on ties."""
@@ -115,7 +111,8 @@ def fidelity_landscape(template: ChainSpec, alphas, times) -> Landscape:
     The grid is solved by spectral.transfer_spectrum_batch: a mirror
     template from the phase equation in batches, without a matrix; any
     other layout, alpha = 0 and a refused row by eigendecompose.  Whether
-    the time grid is even is decided once, for every spectrum.
+    the time grid is even is decided once, for every spectrum; a NaN or
+    infinite time is a ValueError there.
     """
     alphas = np.asarray(alphas, dtype=float)
     times = np.asarray(times, dtype=float)

@@ -200,7 +200,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import ChainSpec, TridiagonalHamiltonian, _tridiagonal_matvec, build_hamiltonian, validate_spec, with_alpha
+from .chain import ChainSpec, TridiagonalHamiltonian, _frozen, _tridiagonal_matvec, build_hamiltonian, validate_spec, with_alpha
 from .errors import ConvergenceFailure, NoBracket, TooSmallN, WrongConfiguration
 
 # Leading coefficients smaller than this are skipped by the sign convention.
@@ -238,22 +238,16 @@ _BAND_LABELS = tuple(BandLabel)
 
 
 def _freeze(instance, name, rank):
-    """Store energies and the named array read-only; ValueError unless their shapes are (N,) and (N,) * rank.
+    """Store read-only copies of energies and the named array; ValueError unless their shapes are (N,) and (N,) * rank.
 
-    A read-only array is kept as it is; a writable one is stored as a
-    read-only copy, so its owner can still write to it without changing the
-    instance.
+    chain._frozen makes the copies, as for every result type.
     """
     energies = np.asarray(instance.energies, dtype=float)
     array = np.asarray(getattr(instance, name), dtype=float)
     if energies.ndim != 1 or array.shape != energies.shape * rank:
         shape = " x ".join("N" * rank)
         raise ValueError(f"need 1-d energies and {name} of shape {shape}, got {energies.shape} and {array.shape}")
-    for key, value in (("energies", energies), (name, array)):
-        if value.flags.writeable:
-            value = value.copy()
-            value.setflags(write=False)
-        object.__setattr__(instance, key, value)
+    _frozen(instance, energies=energies, **{name: array})
 
 
 @dataclass(frozen=True)
@@ -262,7 +256,8 @@ class SpectralDecomposition:
 
     vectors[j] is the eigenvector belonging to energies[j]; its first
     coefficient with modulus above SIGN_EPS is positive.  Construction
-    refuses energies that are not 1-d and vectors that are not N x N.
+    refuses energies that are not 1-d and vectors that are not N x N, and
+    stores read-only copies of both.
     """
 
     energies: np.ndarray
@@ -305,10 +300,7 @@ def eigendecompose(hamiltonian: TridiagonalHamiltonian) -> SpectralDecomposition
     finite residual bound RESIDUAL_TOL * (max|E| + 1).
     """
     energies, vectors, bounds = _eigh_rows(hamiltonian.diag[None], hamiltonian.offdiag[None])
-    energies, vectors = energies[0], vectors[0]
-    energies.setflags(write=False)  # views of this call's own arrays: kept without a copy
-    vectors.setflags(write=False)
-    return SpectralDecomposition(energies=energies, vectors=vectors, residual_bound=float(bounds[0]))
+    return SpectralDecomposition(energies=energies[0], vectors=vectors[0], residual_bound=float(bounds[0]))
 
 
 def _eigh_rows(diag, offdiag):
@@ -738,9 +730,10 @@ def _state_table(grid, states, read):
         for batch in _batches(rows, roots.size):
             _, first, second, norm, quartic, _, passed = _phase_states(
                 n, roots, alpha[batch], field[batch], np.abs(bulk[batch]), ends)
+            batch, first, second, norm, quartic = batch[passed], first[passed], second[passed], norm[passed], quartic[passed]
             values = norm * norm / quartic if read == "ipr" else 2.0 * first * np.abs(second) / norm
-            table[batch[passed]] = values[passed][:, index]
-            solved[batch[passed]] = True
+            table[batch] = values[:, index]
+            solved[batch] = True
     for i in np.flatnonzero(~solved):
         vectors = eigendecompose(TridiagonalHamiltonian(diag[i], offdiag[i])).vectors[lo - 1 : hi]
         table[i] = ipr_of_rows(vectors) if read == "ipr" else 2.0 * np.abs(vectors[:, 0] * vectors[:, 1])
@@ -783,17 +776,15 @@ def _transfer_spectra(grid) -> list[TransferSpectrum]:
     for batch in _batches(ok[1], roots.size):
         low, first, _, norm, _, residual, passed = _phase_states(
             n, roots, alpha[batch], field[batch], np.abs(bulk[batch]), 2)
+        batch, low, first, norm, residual = batch[passed], low[passed], first[passed], norm[passed], residual[passed]
         weights = np.where(roots % 2, 1.0, -1.0) * first * first / norm
         weights *= np.where(bulk[batch] > 0.0, pair, 1.0)[:, None]
         centre = field[batch, None]
         low = low[:, :half]
         energies = np.concatenate((low, np.repeat(centre, n % 2, axis=1), 2.0 * centre - low[:, ::-1]), axis=1)
         weights = np.concatenate((weights, pair * weights[:, :half][:, ::-1]), axis=1)
-        residual = residual.max(axis=1)
-        energies.setflags(write=False)  # read-only rows: TransferSpectrum keeps them without a copy
-        weights.setflags(write=False)
-        for row in np.flatnonzero(passed):
-            spectra[batch[row]] = TransferSpectrum(energies[row], weights[row], float(residual[row]))
+        for i, energy_row, weight_row, bound in zip(batch, energies, weights, residual.max(axis=1)):
+            spectra[i] = TransferSpectrum(energy_row, weight_row, float(bound))
     for i, spectrum in enumerate(spectra):
         if spectrum is None:
             dec = eigendecompose(TridiagonalHamiltonian(diag[i], offdiag[i]))

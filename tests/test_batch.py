@@ -32,11 +32,11 @@ from xxchain.chain import (
 )
 from xxchain.dynamics import fidelity
 from xxchain.errors import ConvergenceFailure, CouplingSignWarning, NegativeAlpha, NonFiniteParameter
-from xxchain.measures import c12_sweep, ipr_sweep
+from xxchain.measures import c12_sweep, ipr_of_rows, ipr_sweep
 from xxchain.protocols import fidelity_landscape, inclusive_grid
 from xxchain.spectral import eigendecompose, eigenstate_ipr, energies_batch, first_bond_c12, transfer_spectrum
 
-from routes import failed_solver, noisy_solver, same_matrices, solver_spy
+from routes import failed_solver, full_route, noisy_solver, same_matrices, solver_spy
 
 SQRT2 = math.sqrt(2.0)
 TIMES = np.arange(0.0, 30.0, 0.25)
@@ -240,6 +240,37 @@ def test_a_refused_row_sends_only_its_alpha_to_eigendecompose(ends):
     kept = np.arange(alphas.size) != 7
     assert np.array_equal(values[kept], expected[kept])
     assert np.allclose(values[7], expected[7], rtol=1e-10, atol=1e-13)
+
+
+@pytest.mark.parametrize("read", ["transfer", "ipr", "c12"])
+def test_a_refused_row_is_dropped_before_its_arithmetic(read):
+    # first = norm = S_4 = 0 in a refused row would divide 0 by 0
+    alphas = inclusive_grid(0.1, 2.5, 0.1)
+    refused = alphas[7]
+    phase_states = spectral._phase_states
+
+    def zeroed(n, roots, alpha, *args):
+        energies, first, second, norm, quartic, residual, passed = phase_states(n, roots, alpha, *args)
+        row = np.abs(alpha - refused) < 1e-12
+        first[row] = norm[row] = quartic[row] = 0.0
+        return energies, first, second, norm, quartic, residual, passed & ~row
+
+    template = mirror_impurities(40, 1.0, exchange_j=-0.8, field_h=0.3)
+    solve = {"transfer": lambda: spectral.transfer_spectrum_batch(template, alphas),
+             "ipr": lambda: spectral.eigenstate_ipr_batch(template, alphas, (1, 40)),
+             "c12": lambda: spectral.first_bond_c12_batch(template, alphas, (1, 40))}[read]
+    with mock.patch.object(spectral, "_phase_states", zeroed), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        row = solve()[7]
+    dec = eigendecompose(build_hamiltonian(with_alpha(template, refused)))
+    if read == "transfer":
+        expected = full_route(dec)
+        assert np.array_equal(row.energies, expected.energies)
+        assert np.array_equal(row.transfer_weights, expected.transfer_weights)
+    else:
+        vectors = dec.vectors
+        expected = ipr_of_rows(vectors) if read == "ipr" else 2.0 * np.abs(vectors[:, 0] * vectors[:, 1])
+        assert np.array_equal(row, expected)
 
 
 def test_benchmark_sweep_grids_run_no_lapack_at_positive_alpha():

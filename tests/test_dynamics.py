@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -18,6 +19,7 @@ from xxchain.dynamics import (
 )
 from xxchain.errors import BadSite
 from xxchain.measures import NORM_TOL, wootters_concurrence
+from xxchain.protocols import fidelity_landscape
 from xxchain.spectral import TransferSpectrum, eigendecompose, transfer_spectrum
 
 
@@ -275,6 +277,21 @@ def test_time_series_checks_the_grid_before_any_solve(grid):
             with pytest.raises(ValueError):
                 time_series(ham, kind, grid)
     assert not full.called and not parity.called
+
+
+@pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf, [0.0, 1.0, np.inf], [0.0, np.nan, 2.0]],
+                         ids=["nan", "inf", "-inf", "inf-last", "nan-inside"])
+def test_the_time_kernels_refuse_non_finite_times(t):
+    # a ValueError before any arithmetic on t: no NaN result and no RuntimeWarning
+    ham = build_hamiltonian(mirror_impurities(12, 0.5))
+    spectrum, dec = transfer_spectrum(ham), eigendecompose(ham)
+    calls = [lambda kernel=kernel: kernel(spectrum, t) for kernel in (transfer_amplitude, fidelity, concurrence_AN)]
+    calls += [lambda: amplitude_matrix(dec, t), lambda: fidelity_landscape(mirror_impurities(12, 1.0), [0.5], t)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in calls:
+            with pytest.raises(ValueError):
+                call()
 
 
 def test_amplitude_matrix_rejects_bad_site():
