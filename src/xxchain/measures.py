@@ -12,10 +12,11 @@ bond it also equals |(1/J) dE_j/dalpha| via the Hellmann-Feynman theorem.
 
 c12_sweep and ipr_sweep hand the template and the alpha array to
 spectral.first_bond_c12_batch and spectral.eigenstate_ipr_batch and return
-their table as a StateSweep (alpha x state); the batches pick
-the route once per grid: a bond-1 template is solved in batches from its
-phase equation, without a matrix; any other row builds its matrix and reads
-the eigenvectors of the requested states (spectral module docstring).
+their table as a StateSweep (alpha x state); the batches route every row of
+the grid: a row of a bond-1 or mirror template is solved from its phase
+equation, without a matrix; any other row reads the eigenvectors of the
+requested states off the dense solve of its matrix, in stacks (spectral
+module docstring).
 
 States are plain arrays: a one-excitation state is its 1-d vector of N site
 amplitudes, whose unit norm ipr, reduced_density_two_sites and
@@ -84,7 +85,7 @@ def _check_density(matrix: np.ndarray) -> None:
 def ipr(state) -> float:
     """Inverse participation ratio of a normalized state; lies in [1, N]."""
     amps = _require_normalized(_amplitudes(state))
-    return float(ipr_of_rows(amps[None, :])[0])
+    return float(ipr_of_rows(amps))
 
 
 def reduced_density_two_sites(state, site_i: int, site_j: int) -> np.ndarray:
@@ -150,19 +151,20 @@ def c12_from_energy_derivative(spec: ChainSpec, state_index: int) -> float:
 
 
 def ipr_of_rows(states: np.ndarray) -> np.ndarray:
-    """IPR of every row of an array of normalized amplitude vectors."""
+    """IPR of every normalized amplitude vector along the last axis of an array."""
     probabilities = np.abs(states)
     probabilities *= probabilities  # squared in place, here and below
-    totals = probabilities.sum(axis=1)
+    totals = probabilities.sum(axis=-1)
     probabilities *= probabilities
-    return totals * totals / probabilities.sum(axis=1)
+    return totals * totals / probabilities.sum(axis=-1)
 
 
 @dataclass(frozen=True)
 class StateSweep:
     """A per-eigenstate observable over an alpha grid: values[a, s] of state states[s] at alphas[a].
 
-    Construction stores read-only copies of the three arrays.
+    Construction stores read-only copies of the three arrays and refuses
+    values of any shape but (len(alphas), len(states)).
     """
 
     alphas: np.ndarray
@@ -171,6 +173,8 @@ class StateSweep:
 
     def __post_init__(self):
         _frozen(self, alphas=self.alphas, states=self.states, values=self.values)
+        if self.values.shape != (self.alphas.size, self.states.size):
+            raise ValueError("values shape must be (len(alphas), len(states))")
 
 
 def _state_sweep(template, alphas, state_indices, batch) -> StateSweep:

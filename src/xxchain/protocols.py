@@ -110,9 +110,9 @@ def fidelity_landscape(template: ChainSpec, alphas, times) -> Landscape:
 
     The grid is solved by spectral.transfer_spectrum_batch: a mirror
     template from the phase equation in batches, without a matrix; any
-    other layout, alpha = 0 and a refused row by eigendecompose.  Whether
-    the time grid is even is decided once, for every spectrum; a NaN or
-    infinite time is a ValueError there.
+    other layout, alpha = 0 and a refused row by the dense solve of its
+    matrix, in stacks.  Whether the time grid is even is decided once, for
+    every spectrum; a NaN or infinite time is a ValueError there.
     """
     alphas = np.asarray(alphas, dtype=float)
     times = np.asarray(times, dtype=float)

@@ -15,7 +15,7 @@ _eigh_rows is the one solver call: one dense numpy.linalg.eigh call over a
 stack of matrices, which solves each matrix with the bits of a stack of one,
 checks the residual of every pair of a matrix against max|E| over that
 matrix's whole spectrum, and fixes the signs.  eigendecompose is its stack
-of one; energies_batch solves the alpha grid of a template in stacks.
+of one; _dense_rows solves the rows of an alpha grid in stacks.
 
 Every f_N(t) = sum_j exp(-i E_j t) psi_1^(j) psi_N^(j) in the package
 (evolve, the landscape, the optimizer, the oracle check) reads the energies
@@ -23,8 +23,8 @@ and weights of transfer_spectrum.  Chains whose only impurity is bond 1 and
 mirror chains need no solver: both are a uniform bulk bordered by impurity
 bonds, and one phase equation gives their states, to first_bond_c12 and
 eigenstate_ipr for both layouts and to transfer_spectrum for mirror chains.
-Any other matrix takes eigendecompose, and its weights are psi_1 psi_N read
-off the first and last eigenvector components.
+Any other matrix takes the dense solve, and its weights are psi_1 psi_N
+read off the first and last eigenvector components.
 
 With a constant diagonal h, bulk bonds J and end bonds b = alpha J (the
 edge-bond secular equation of Wojcik et al., PRA 72, 034303 (2005); the
@@ -158,7 +158,7 @@ with s the sign a root puts on psi~_1, (-1)^(k+1) for bond-1 roots and
 alpha).  Round-off makes them about eps N, with no 1/alpha: the row-1 check
 of psi_1 = sin(N theta) / alpha refused alpha <= 1e-5 at N = 200, and roots
 moved off by 1e-10 relative are still refused.  alpha = 0, N = 1, any other
-matrix and a refused chain take eigendecompose.
+matrix and a refused chain take the dense solve.
 
 The kernels (_phase_roots, _phase_states) solve one chain per row and
 return arrays shaped (alpha, root) with a mask of the rows that passed.
@@ -170,14 +170,16 @@ in scalar math and in the row's own reduction order.
 An alpha grid is one matrix stack (_grid): row i of diag (m, N) and
 offdiag (m, N - 1) is build_hamiltonian(with_alpha(template, alpha_i)), and
 a bare matrix is a stack of one.  _phase_rule routes every row from bonds
-1, N - 1 and (N + 1) // 2 and two uniformity tests.  first_bond_c12_batch,
-eigenstate_ipr_batch and transfer_spectrum_batch solve the rows it accepts
-in batches of up to PHASE_BATCH_ENTRIES (alpha, root) entries (40 alphas of
-an N = 200 sweep of every state, the whole grid for one state or for the
-N = 31 landscape); any other row (alpha = 0, another layout, a refused row)
-is one eigendecompose call on its row.  first_bond_c12, eigenstate_ipr and
-transfer_spectrum are grids of one row.  energies_batch solves every row
-densely, in stacks of at most _EIGH_ENTRIES matrix entries: the phase-route
+1, N - 1 and (N + 1) // 2 and two uniformity tests, and a row has two
+routes.  _phase_rows solves the rows it accepts in batches of up to
+PHASE_BATCH_ENTRIES (alpha, root) entries (40 alphas of an N = 200 sweep of
+every state, the whole grid for one state or for the N = 31 landscape) and
+drops the rows it refuses; _dense_rows solves any other row (alpha = 0,
+another layout, a refused row) with _eigh_rows, in stacks of at most
+_EIGH_ENTRIES matrix entries (ten N = 40 matrices, one N = 200 matrix).
+first_bond_c12_batch, eigenstate_ipr_batch and transfer_spectrum_batch read
+both; first_bond_c12, eigenstate_ipr and transfer_spectrum are grids of one
+row.  energies_batch reads every row from _dense_rows: the phase-route
 energies differ from LAPACK's in the last bits.
 
 Against 40-digit roots (N = 40, 41, 200, three (J, h)) the bond-1 route is
@@ -332,7 +334,7 @@ def _eigh_rows(diag, offdiag):
 
 
 def _checked_residuals(diag, offdiag, energies, vectors):
-    """max_j ||H v_j - E_j v_j|| of every matrix; ConvergenceFailure unless each is finite and within RESIDUAL_TOL * (max|E| + 1)."""
+    """max_j ||H v_j - E_j v_j|| of every matrix; ConvergenceFailure unless _healthy passes each (finite, within RESIDUAL_TOL * (max|E| + 1))."""
     with np.errstate(all="ignore"):  # a NaN or an infinity fails the check below
         scale = np.abs(energies).max(axis=1) + 1.0
         # squared in units of a power of two near max|E| + 1: exact, and no square overflows
@@ -341,10 +343,8 @@ def _checked_residuals(diag, offdiag, energies, vectors):
         residual -= energies[:, :, None] * vectors
         residual *= unit[:, None, None]
         bounds = np.sqrt(np.max(np.sum(residual * residual, axis=2), axis=1)) / unit
-    failed = ~((bounds <= RESIDUAL_TOL * scale) & (RESIDUAL_TOL * scale < np.inf))
-    if failed.any():
-        i = int(np.argmax(failed))
-        raise ConvergenceFailure(f"residual {bounds[i]:.3e} exceeds {RESIDUAL_TOL:.0e} * {scale[i]:.3e}")
+        for i in np.flatnonzero(~_healthy(bounds[:, None], energies))[:1]:
+            raise ConvergenceFailure(f"residual {bounds[i]:.3e} exceeds {RESIDUAL_TOL:.0e} * {scale[i]:.3e}")
     return bounds
 
 
@@ -706,17 +706,38 @@ def _batches(ok, width, budget=PHASE_BATCH_ENTRIES):
     return (rows[start : start + step] for start in range(0, rows.size, step))
 
 
+def _phase_rows(grid, roots, ends, rows):
+    """(rows, E, |psi_1|, |psi_2|, norm, sum psi^4, residual) of the roots of the marked grid rows that pass.
+
+    _phase_states solves the rows in _batches; a refused row is dropped
+    before the caller does any arithmetic on its states.
+    """
+    diag, _, (_, alpha, field, bulk) = grid
+    for batch in _batches(rows, roots.size):
+        *states, passed = _phase_states(diag.shape[1], roots, alpha[batch], field[batch], np.abs(bulk[batch]), ends)
+        yield batch[passed], *(state[passed] for state in states)
+
+
+def _dense_rows(diag, offdiag, rows):
+    """(rows, energies, vectors, bounds) of the marked rows of a matrix stack.
+
+    _eigh_rows solves them in stacks of at most _EIGH_ENTRIES matrix entries.
+    """
+    for batch in _batches(rows, diag.shape[1] ** 2, budget=_EIGH_ENTRIES):
+        yield batch, *_eigh_rows(diag[batch], offdiag[batch])
+
+
 def _state_table(grid, states, read):
     """IPR (read "ipr") or C_12 (read "c12") of the states lo..hi, one row per grid row.
 
     Bond-1 rows (e = 1, the uniform chain too) and mirror rows (e = 2) read
-    root min(j, N + 1 - j) of state j in batches; any other row reads the
-    vectors lo..hi of eigendecompose(H) of its row of the stack.  ValueError
-    unless 1 <= lo <= hi <= N.
+    root min(j, N + 1 - j) of state j (_phase_rows); any other row reads the
+    vectors lo..hi of the dense solve of its matrix (_dense_rows).
+    ValueError unless 1 <= lo <= hi <= N.
     """
     from .measures import ipr_of_rows  # measures imports this module
 
-    diag, offdiag, (ok, alpha, field, bulk) = grid
+    diag, offdiag, (ok, alpha, _, _) = grid
     n = diag.shape[1]
     lo, hi = int(states[0]), int(states[1])
     if not 1 <= lo <= hi <= n:
@@ -727,16 +748,13 @@ def _state_table(grid, states, read):
     table = np.empty((alpha.size, states.size))
     solved = np.zeros(alpha.size, bool)
     for ends, rows in ((1, ok[0]), (2, ok[1] & ~ok[0])):
-        for batch in _batches(rows, roots.size):
-            _, first, second, norm, quartic, _, passed = _phase_states(
-                n, roots, alpha[batch], field[batch], np.abs(bulk[batch]), ends)
-            batch, first, second, norm, quartic = batch[passed], first[passed], second[passed], norm[passed], quartic[passed]
+        for batch, _, first, second, norm, quartic, _ in _phase_rows(grid, roots, ends, rows):
             values = norm * norm / quartic if read == "ipr" else 2.0 * first * np.abs(second) / norm
             table[batch] = values[:, index]
             solved[batch] = True
-    for i in np.flatnonzero(~solved):
-        vectors = eigendecompose(TridiagonalHamiltonian(diag[i], offdiag[i])).vectors[lo - 1 : hi]
-        table[i] = ipr_of_rows(vectors) if read == "ipr" else 2.0 * np.abs(vectors[:, 0] * vectors[:, 1])
+    for batch, _, vectors, _ in _dense_rows(diag, offdiag, ~solved):
+        vectors = vectors[:, lo - 1 : hi]
+        table[batch] = ipr_of_rows(vectors) if read == "ipr" else 2.0 * np.abs(vectors[..., 0] * vectors[..., 1])
     return table
 
 
@@ -744,9 +762,10 @@ def first_bond_c12_batch(template: ChainSpec, alphas, states: tuple[int, int]) -
     """first_bond_c12 of the template at every alpha of the grid, one row per alpha.
 
     Bond-1 and mirror templates read the phase equation in batches, any
-    other row eigendecompose(H) (_grid, module docstring).  Raises
-    the typed error of the first alpha validate_spec refuses, ValueError for
-    a range outside 1..N and ConvergenceFailure if eigendecompose fails.
+    other row the dense solve of its matrix in stacks (_grid, module
+    docstring).  Raises the typed error of the first alpha validate_spec
+    refuses, ValueError for a range outside 1..N and ConvergenceFailure if a
+    dense solve fails.
     """
     return _state_table(_grid(template, alphas), states, "c12")
 
@@ -767,16 +786,13 @@ def eigenstate_ipr(hamiltonian: TridiagonalHamiltonian, states: tuple[int, int])
 
 
 def _transfer_spectra(grid) -> list[TransferSpectrum]:
-    """transfer_spectrum of every grid row: mirror chains (e = 2) in batches, eigendecompose otherwise."""
+    """transfer_spectrum of every grid row: mirror chains (e = 2) by _phase_rows, the others by _dense_rows."""
     diag, offdiag, (ok, alpha, field, bulk) = grid
     n = diag.shape[1]
     roots = np.arange(1, (n + 1) // 2 + 1)
     half, pair = n // 2, 1.0 if n % 2 else -1.0
     spectra = [None] * alpha.size
-    for batch in _batches(ok[1], roots.size):
-        low, first, _, norm, _, residual, passed = _phase_states(
-            n, roots, alpha[batch], field[batch], np.abs(bulk[batch]), 2)
-        batch, low, first, norm, residual = batch[passed], low[passed], first[passed], norm[passed], residual[passed]
+    for batch, low, first, _, norm, _, residual in _phase_rows(grid, roots, 2, ok[1]):
         weights = np.where(roots % 2, 1.0, -1.0) * first * first / norm
         weights *= np.where(bulk[batch] > 0.0, pair, 1.0)[:, None]
         centre = field[batch, None]
@@ -785,10 +801,9 @@ def _transfer_spectra(grid) -> list[TransferSpectrum]:
         weights = np.concatenate((weights, pair * weights[:, :half][:, ::-1]), axis=1)
         for i, energy_row, weight_row, bound in zip(batch, energies, weights, residual.max(axis=1)):
             spectra[i] = TransferSpectrum(energy_row, weight_row, float(bound))
-    for i, spectrum in enumerate(spectra):
-        if spectrum is None:
-            dec = eigendecompose(TridiagonalHamiltonian(diag[i], offdiag[i]))
-            spectra[i] = TransferSpectrum(dec.energies, dec.vectors[:, 0] * dec.vectors[:, -1], dec.residual_bound)
+    for batch, energies, vectors, bounds in _dense_rows(diag, offdiag, [spectrum is None for spectrum in spectra]):
+        for i, energy_row, weight_row, bound in zip(batch, energies, vectors[..., 0] * vectors[..., -1], bounds):
+            spectra[i] = TransferSpectrum(energy_row, weight_row, float(bound))
     return spectra
 
 
@@ -805,14 +820,14 @@ def transfer_spectrum(hamiltonian: TridiagonalHamiltonian) -> TransferSpectrum:
 def energies_batch(template: ChainSpec, alphas) -> np.ndarray:
     """Ascending energies of the template at every alpha of the grid, one row per alpha.
 
-    Every row of the _grid stack is a dense solve (_eigh_rows), in stacks of
-    at most _EIGH_ENTRIES matrix entries.  Raises the typed error of the
-    first alpha validate_spec refuses and ConvergenceFailure if a solve fails.
+    Every row of the _grid stack is a dense solve (_dense_rows).  Raises the
+    typed error of the first alpha validate_spec refuses and
+    ConvergenceFailure if a solve fails.
     """
     diag, offdiag, _ = _grid(template, alphas)
     energies = np.empty(diag.shape)
-    for rows in _batches(np.ones(len(diag), bool), diag.shape[1] ** 2, budget=_EIGH_ENTRIES):
-        energies[rows] = _eigh_rows(diag[rows], offdiag[rows])[0]
+    for rows, values, _, _ in _dense_rows(diag, offdiag, np.ones(len(diag), bool)):
+        energies[rows] = values
     return energies
 
 
@@ -885,6 +900,5 @@ def denergy_dalpha(spec: ChainSpec, state_index: int) -> float:
         )
     if not 1 <= state_index <= spec.n_sites:
         raise ValueError(f"state_index must be in 1..{spec.n_sites}, got {state_index}")
-    dec = eigendecompose(build_hamiltonian(spec))
-    vector = dec.vectors[state_index - 1]
+    vector = eigendecompose(build_hamiltonian(spec)).vectors[state_index - 1]
     return float(2.0 * spec.exchange_j * vector[0] * vector[1])

@@ -2,22 +2,26 @@
 
     python tests/per_matrix_rows.py OUT_DIR [--j J] [--h H]
 
-writes spectrum_single.csv, ipr_single.csv, c12_single.csv and
-landscape_single.csv into OUT_DIR: the rows of `spectrum --n 40
---alpha-range 0:3:0.01`, of `ipr-sweep` and `concurrence-sweep --states
-1:200` at --n 200 --alpha-range 0:3:0.005, and of `landscape --n 31
---alpha-range 0.1:1.5:0.02 --t-range 0:40:0.1`.  Each alpha is solved on its
-own by the per-matrix entry points (eigendecompose and classify_band,
-eigenstate_ipr, first_bond_c12, transfer_spectrum and fidelity) and written
-through the row writer, where the commands solve the grid in batches and
-write it as a grid, so the files must equal the command output byte for
-byte.
+writes spectrum_single.csv, ipr_single.csv, c12_single.csv,
+landscape_single.csv, config_ipr_single.csv and config_c12_single.csv into
+OUT_DIR: the rows of `spectrum --n 40 --alpha-range 0:3:0.01`, of
+`ipr-sweep` and `concurrence-sweep --states 1:200` at --n 200 --alpha-range
+0:3:0.005, of `landscape --n 31 --alpha-range 0.1:1.5:0.02 --t-range
+0:40:0.1`, and of `ipr-sweep` and `concurrence-sweep --states 1:40` at
+--alpha-range 0:3:0.01 on a `--config` chain of 40 sites with impurities
+on bonds 2 and 5.  That chain takes the dense route at every alpha but 1,
+where it is uniform, and the commands solve it ten matrices per eigh call.
+Each alpha is solved on its own by the per-matrix entry points
+(eigendecompose and classify_band, eigenstate_ipr, first_bond_c12,
+transfer_spectrum and fidelity) and written through the row writer, where
+the commands solve the grid in batches and write it as a grid, so the files
+must equal the command output byte for byte.
 """
 
 import argparse
 import warnings
 
-from xxchain.chain import build_hamiltonian, mirror_impurities, single_impurity, with_alpha
+from xxchain.chain import ChainSpec, build_hamiltonian, mirror_impurities, single_impurity, with_alpha
 from xxchain.cli import _parse_range, emit_csv
 from xxchain.dynamics import fidelity
 from xxchain.spectral import classify_band, eigendecompose, eigenstate_ipr, first_bond_c12, transfer_spectrum
@@ -53,6 +57,12 @@ def main():
     bond1 = single_impurity(200, 1.0, **chain)
     for name, observable in (("ipr", eigenstate_ipr), ("c12", first_bond_c12)):
         emit_csv(state_rows(bond1, alphas, observable), ["alpha", "j", "value"],
+                 f"{args.out_dir}/{name}_single.csv")
+
+    alphas = _parse_range("0:3:0.01", "--alpha-range")
+    config = ChainSpec(40, args.j, args.h, ((2, 1.0), (5, 1.0)))
+    for name, observable in (("config_ipr", eigenstate_ipr), ("config_c12", first_bond_c12)):
+        emit_csv(state_rows(config, alphas, observable), ["alpha", "j", "value"],
                  f"{args.out_dir}/{name}_single.csv")
 
     mirror = mirror_impurities(31, 1.0, **chain)

@@ -16,7 +16,10 @@ solver_spy, failed_solver and noisy_solver act on spectral._eigh_rows, the
 one eigensolver call, which solves a stack of matrices: they record every
 matrix it solves, make numpy.linalg.eigh raise LinAlgError inside it, or add
 noise to the eigenvectors numpy.linalg.eigh returns to it, ahead of its
-residual check.
+residual check.  Every row of an alpha grid that the phase route does not
+take is solved there, in stacks, as is eigendecompose, so solver_spy is the
+record of the dense route: an empty list means the phase route took every
+row.
 """
 
 import contextlib

@@ -9,9 +9,10 @@ build_hamiltonian builds, bit for bit, and gets the route of that matrix as
 a stack of one, that a grid gives, alpha by alpha, the bits, the route and
 the typed error of the per-matrix call, that a refused row leaves the other
 rows alone, and that the benchmark grids run no LAPACK routine at
-alpha > 0.  energies_batch solves every row densely, in stacks of at most
-_EIGH_ENTRIES entries; each matrix of a stack gets the bits of
-eigendecompose and is checked on its own.
+alpha > 0.  Every row the phase route does not take, and every row of
+energies_batch, is solved densely in stacks of at most _EIGH_ENTRIES
+entries (routes.solver_spy records each matrix); each matrix of a stack
+gets the bits of eigendecompose and is checked on its own.
 """
 
 import math
@@ -74,38 +75,22 @@ def hamiltonian_of(spec):
         return build_hamiltonian(spec)
 
 
-def solved_bonds():
-    """A spy on eigendecompose; the list it fills holds bond 1 of every matrix it solved."""
-    solved = []
-    direct = spectral.eigendecompose
-
-    def recording(hamiltonian):
-        solved.append(float(hamiltonian.offdiag[0]))
-        return direct(hamiltonian)
-
-    return mock.patch.object(spectral, "eigendecompose", recording), solved
-
-
 def per_matrix(template, alphas, solve):
-    """solve of every grid alpha, one matrix at a time, and bond 1 of the matrices eigendecompose solved."""
-    patch, solved = solved_bonds()
-    with patch, warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        values = [solve(hamiltonian_of(with_alpha(template, alpha))) for alpha in alphas]
-    return values, solved
+    """solve of every grid alpha, one matrix at a time, and bond 1 of every matrix solved densely."""
+    return batched(lambda: [solve(hamiltonian_of(with_alpha(template, alpha))) for alpha in alphas])
 
 
 def batched(run):
-    """run() under the eigendecompose spy, and bond 1 of the matrices eigendecompose solved."""
-    patch, solved = solved_bonds()
-    with patch, warnings.catch_warnings():
+    """run() under solver_spy, and bond 1 of every matrix solved densely."""
+    with solver_spy() as solved, warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        return run(), solved
+        values = run()
+    return values, [float(hamiltonian.offdiag[0]) for hamiltonian in solved]
 
 
 @pytest.mark.parametrize("template", TEMPLATES.values(), ids=TEMPLATES.keys())
 def test_the_batch_matches_a_batch_of_one(template):
-    # bit for bit, with the same alphas sent to eigendecompose
+    # bit for bit, with the same alphas sent to the dense solve
     alphas = grid(template.n_sites)
     n = template.n_sites
     for states in {(1, n), (1, 1), (n // 2 + 1, n)}:
@@ -189,7 +174,7 @@ def test_typed_errors_match_a_batch_of_one(sweep_of):
                 pytest.raises(error) as batch:
             sweep_of(template, [*alphas, *bad], range(1, 41))
         assert str(batch.value) == str(single.value)
-    # with the solver failing, exactly the alphas that eigendecompose solves
+    # with the solver failing, exactly the alphas that the dense solve takes
     # fail on their own, and a grid holding one of them fails alike
     with failed_solver():
         failed = []

@@ -6,9 +6,10 @@ F(theta) = alpha^2 sin((N-1) theta) - 2 cos theta sin(N theta) = 0, without
 any solver.  These tests pin that route against eigendecompose, against the
 edge-bond secular equation and against 40-digit mpmath roots of F, and check
 which matrices and alphas take which route: alpha = 0, a refused root and
-any layout but bond-1 and mirror chains read the states lo..hi off
-eigendecompose(H), and a bond-1 chain never reaches the kernel with e = 2
-ends (mirror chains: test_parity.py).
+any layout but bond-1 and mirror chains read the states lo..hi off the
+dense solve of their matrix (routes.solver_spy records it), and a bond-1
+chain never reaches the kernel with e = 2 ends (mirror chains:
+test_parity.py).
 """
 
 import math
@@ -59,11 +60,6 @@ def eigenvector_c12(hamiltonian, states=None):
     return 2.0 * np.abs(vectors[:, 0] * vectors[:, 1])
 
 
-def fallback_spy():
-    """A spy on eigendecompose, which solves every row the phase route does not take."""
-    return mock.patch.object(spectral, "eigendecompose", wraps=eigendecompose)
-
-
 def mirror_route_spy():
     """A spy on the phase kernel; mirror_calls lists its calls with e = 2 ends."""
     return mock.patch.object(spectral, "_phase_states", wraps=spectral._phase_states)
@@ -92,11 +88,10 @@ def phase_states(hamiltonian, lo, hi, ends=1):
 def phase_route(hamiltonian, states=None):
     """(E, IPR, C_12) of the states (all by default), asserting that no LAPACK routine ran."""
     lo, hi = states or (1, hamiltonian.n_sites)
-    with fallback_spy() as fallback, mirror_route_spy() as mirror, \
-            solver_spy() as lapack:
+    with mirror_route_spy() as mirror, solver_spy() as lapack:
         c12 = first_bond_c12(hamiltonian, (lo, hi))
         ipr = eigenstate_ipr(hamiltonian, (lo, hi))
-    assert not fallback.called and not mirror_calls(mirror) and not lapack
+    assert not mirror_calls(mirror) and not lapack
     phases = phase_states(hamiltonian, lo, hi)
     assert np.array_equal(phases[1], ipr) and np.array_equal(phases[2], c12)
     return phases
@@ -277,7 +272,7 @@ def test_phase_route_matches_40_digit_roots(n, alpha_of_n):
 def test_roots_on_their_interval_end_take_the_phase_route(n, alpha):
     # beta is below an ulp of theta here, so roots round onto k pi / N, the
     # end of their interlacing interval: they are accepted there (the strict
-    # interval check sent these chains to eigendecompose) and meet the
+    # interval check sent these chains to the dense solve) and meet the
     # 40-digit roots
     states = sorted({1, 2, 3, n // 2, n // 2 + 1, n - 1, n})
     for exchange_j, field_h in [(-1.0, 0.0), (-0.8, 0.3), (0.8, 0.3)]:
@@ -304,7 +299,7 @@ def alpha_of(hamiltonian):
 def assert_phase_route(template, states, observable, refused=()):
     """A bond-1 sweep over alpha = 0..3 solves only alpha = 0 and the refused alphas.
 
-    Those take eigendecompose(H) and read the rows lo..hi of its vectors;
+    Those take the dense solve of H and read the rows lo..hi of its vectors;
     every other alpha reads the phase route.  The kernel never runs with
     e = 2 ends.
     """
@@ -315,11 +310,11 @@ def assert_phase_route(template, states, observable, refused=()):
         *solved, ok = phase_roots(roots, n, a2, ends)
         return (*solved, ok & ~np.any(np.abs(a2[:, None] - np.square(refused)) <= 1e-12, axis=1))
 
-    with fallback_spy() as fallback, mirror_route_spy() as mirror, \
+    with solver_spy() as solved, mirror_route_spy() as mirror, \
             mock.patch.object(spectral, "_phase_roots", refusing):
         rows = observable(template, alphas, range(states[0], states[1] + 1))
     assert not mirror_calls(mirror)
-    assert [alpha_of(call.args[0]) for call in fallback.call_args_list] == pytest.approx([0.0, *refused])
+    assert [alpha_of(hamiltonian) for hamiltonian in solved] == pytest.approx([0.0, *refused])
     width = states[1] - states[0] + 1
     assert rows.values.shape == (alphas.size, width)
     reads = {c12_sweep: lambda vectors: 2.0 * np.abs(vectors[:, 0] * vectors[:, 1]),
@@ -358,12 +353,11 @@ def test_narrow_ranges_and_moving_bulks_take_eigendecompose(template, states):
     # an impurity anywhere but bond 1 (or bonds 1 and N - 1 at once) moves
     # the bulk with alpha
     alphas = [0.0, 0.5, 1.5]
-    with mirror_route_spy() as mirror, fallback_spy() as fallback:
+    with mirror_route_spy() as mirror, solver_spy() as solved:
         c12_sweep(template, alphas, range(states[0], states[1] + 1))
     assert not mirror_calls(mirror)
     bond = template.impurities[0][0]
-    solved = [call.args[0].offdiag[bond - 1] / template.exchange_j for call in fallback.call_args_list]
-    assert solved == pytest.approx(alphas)
+    assert [hamiltonian.offdiag[bond - 1] / template.exchange_j for hamiltonian in solved] == pytest.approx(alphas)
 
 
 def test_mirror_chain_at_alpha_1_takes_the_phase_route():
@@ -371,9 +365,9 @@ def test_mirror_chain_at_alpha_1_takes_the_phase_route():
     # at any other alpha it is a mirror chain, with e = 2 ends
     template = mirror_impurities(200, 1.0, exchange_j=-0.8, field_h=0.3)
     alphas = [0.5, 1.0, 1.5]
-    with mirror_route_spy() as kernel, fallback_spy() as fallback:
+    with mirror_route_spy() as kernel, solver_spy() as lapack:
         rows = c12_sweep(template, alphas, range(2, 101))
-    assert not fallback.called
+    assert not lapack
     assert [(call.args[-1], call.args[2].tolist()) for call in kernel.call_args_list] == [
         (1, [1.0]), (2, pytest.approx([0.5, 1.5]))]
     # state 2 at alpha = 1.5 is half of a bound pair that LAPACK mixes (test_parity.py)
@@ -385,17 +379,17 @@ def test_mirror_chain_at_alpha_1_takes_the_phase_route():
 @pytest.mark.parametrize("site, border", [(1, True), (2, False), (120, False)])
 def test_a_moved_bulk_diagonal_takes_eigendecompose(site, border):
     # the phase route needs one field on every site: a moved entry takes
-    # eigendecompose, also on site 1 (the border), where H[2:, 2:] stays uniform
+    # the dense solve, also on site 1 (the border), where H[2:, 2:] stays uniform
     diag = np.full(120, 0.3)
     diag[site - 1] += 1e-3
     offdiag = np.full(119, -0.8)
     offdiag[0] *= 0.6
     hamiltonian = TridiagonalHamiltonian(diag, offdiag)
     assert (np.ptp(diag[1:]) == 0.0) == border
-    with mirror_route_spy() as mirror, fallback_spy() as fallback:
+    with mirror_route_spy() as mirror, solver_spy() as solved:
         values = first_bond_c12(hamiltonian, (1, 120))
     assert not mirror_calls(mirror)
-    assert same_matrices([call.args[0] for call in fallback.call_args_list], [hamiltonian])
+    assert same_matrices(solved, [hamiltonian])
     assert phase_states(hamiltonian, 1, 120) is None
     assert_close(values, eigenvector_c12(hamiltonian))
 
@@ -435,10 +429,10 @@ def test_refused_alphas_fall_back_to_eigendecompose(failure):
     with refused(failure):
         hamiltonian = build_hamiltonian(template)
         assert phase_states(hamiltonian, 1, 20) is None
-        with fallback_spy() as fallback, mirror_route_spy() as mirror:
+        with solver_spy() as solved, mirror_route_spy() as mirror:
             rows = c12_sweep(template, alphas, range(1, 21))
     assert not mirror_calls(mirror)
-    assert [alpha_of(call.args[0]) for call in fallback.call_args_list] == pytest.approx(alphas)
+    assert [alpha_of(hamiltonian) for hamiltonian in solved] == pytest.approx(alphas)
     expected = [value for alpha in alphas
                 for value in eigenvector_c12(build_hamiltonian(single_impurity(
                     120, alpha, exchange_j=-0.8, field_h=0.3)), (1, 20))]

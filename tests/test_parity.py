@@ -6,8 +6,8 @@ end bonds alpha J) is read from its phase equation
 energies and the transfer weights psi_1 psi_N.  The roots theta <= pi/2 are
 solved, odd k of even and even k of odd reflection parity, and each partner
 state is built by the chiral pairing.  A refused root or a residual over the
-bound sends the chain to eigendecompose, as do alpha = 0 and every other
-matrix.  The checks compare f_N(t) with the full sum over the
+bound sends the chain to the dense solve (routes.solver_spy records it), as
+do alpha = 0 and every other matrix.  The checks compare f_N(t) with the full sum over the
 eigendecomposition (the paired kernel bypassed) or with 40-digit roots
 rather than per-state weights against eigendecompose: above alpha = sqrt(2)
 the two bound-state pairs are degenerate to 1e-10 or better, and the full
@@ -87,7 +87,7 @@ def full_sum(hamiltonian, times):
 
 @settings(max_examples=150, deadline=None)
 @given(spec=palindromic_chains(), lo=st.floats(0.0, 100.0), step=st.floats(1e-3, 0.5))
-# tiny inner bonds: not a mirror chain, so eigendecompose solves it
+# tiny inner bonds: not a mirror chain, so the dense solve takes it
 @example(spec=ChainSpec(60, -1.0, 0.3, ((20, 1e-6), (40, 1e-6))), lo=0.0, step=0.5)
 # three levels within 2.9e-5 of h: eigenvector weights carry eps / gap
 # rotations that cancel only in the full sum, so the paired kernel missed
@@ -131,9 +131,9 @@ def test_parity_amplitude_matches_the_full_solve(spec, lo, step):
 )
 def test_non_palindromic_chains_take_eigendecompose(spec):
     hamiltonian = hamiltonian_of(spec)
-    with full_solve_spy() as spy:
+    with solver_spy() as solved:
         result = transfer_spectrum(hamiltonian)
-    assert same_matrices([call.args[0] for call in spy.call_args_list], [hamiltonian])
+    assert same_matrices(solved, [hamiltonian])
     full = eigendecompose(hamiltonian)
     assert np.array_equal(result.energies, full.energies)
     assert np.array_equal(result.transfer_weights, full.vectors[:, 0] * full.vectors[:, -1])
@@ -150,9 +150,9 @@ def test_non_palindromic_chains_take_eigendecompose(spec):
 def test_interior_impurities_take_eigendecompose(spec):
     # palindromic, but the bulk is not uniform: no phase equation
     hamiltonian = build_hamiltonian(spec)
-    with full_solve_spy() as spy:
+    with solver_spy() as solved:
         result = transfer_spectrum(hamiltonian)
-    assert same_matrices([call.args[0] for call in spy.call_args_list], [hamiltonian])
+    assert same_matrices(solved, [hamiltonian])
     assert not spectral._phase_rule(hamiltonian.diag[None], hamiltonian.offdiag[None])[0][1, 0]
     assert np.array_equal(result.transfer_weights, full_route(eigendecompose(hamiltonian)).transfer_weights)
 
@@ -165,15 +165,11 @@ def kernel_accepts(hamiltonian):
     return bool(ok[0])
 
 
-def full_solve_spy():
-    return mock.patch.object(spectral, "eigendecompose", wraps=eigendecompose)
-
-
 def mirror_route(hamiltonian):
     """transfer_spectrum of a mirror chain, asserting that no LAPACK routine ran."""
-    with solver_spy() as lapack, full_solve_spy() as full:
+    with solver_spy() as lapack:
         spectrum = transfer_spectrum(hamiltonian)
-    assert not lapack and not full.called
+    assert not lapack
     return spectrum
 
 
@@ -212,13 +208,12 @@ def test_bordered_amplitude_matches_the_full_solve(n, exchange_j, field_h):
 
 @pytest.mark.parametrize("n", [30, 31])
 def test_zero_border_blocks_take_their_eigenvectors(n):
-    # alpha = 0 decouples site 1: the whole chain takes eigendecompose, and
+    # alpha = 0 decouples site 1: the whole chain takes the dense solve, and
     # no root is solved
     hamiltonian = build_hamiltonian(mirror_impurities(n, 0.0, field_h=0.3))
-    with full_solve_spy() as full, solver_spy() as lapack, \
+    with solver_spy() as lapack, \
             mock.patch.object(spectral, "_phase_roots", wraps=spectral._phase_roots) as roots:
         result = transfer_spectrum(hamiltonian)
-    assert same_matrices([call.args[0] for call in full.call_args_list], [hamiltonian])
     assert not roots.called
     assert same_matrices(lapack, [hamiltonian])
     assert np.all(transfer_amplitude(result, np.arange(0.0, 40.0, 0.1)) == 0.0)
@@ -249,13 +244,13 @@ def refused(name):
 @pytest.mark.parametrize("n, alpha", [(200, 1e-4), (200, 0.4), (41, 1.3), (40, 3.0)])
 @pytest.mark.parametrize("failure", ["residual", "interlacing"])
 def test_failed_phase_check_falls_back_to_eigenvectors(failure, n, alpha):
-    # a failed check on any root sends the whole chain to one eigendecompose call
+    # a failed check on any root sends the whole chain to the dense solve
     hamiltonian = build_hamiltonian(mirror_impurities(n, alpha))
     with refused(failure):
         assert not kernel_accepts(hamiltonian)
-        with full_solve_spy() as full:
+        with solver_spy() as solved:
             result = transfer_spectrum(hamiltonian)
-    assert same_matrices([call.args[0] for call in full.call_args_list], [hamiltonian])
+    assert same_matrices(solved, [hamiltonian])
     assert_full_route_amplitude(result, hamiltonian, np.arange(0.0, 150.0, 0.05))
 
 
@@ -268,7 +263,7 @@ def test_block_residual_over_the_bound_is_a_convergence_failure():
 
 
 def test_block_solver_error_is_a_convergence_failure():
-    # the refused chain falls back to eigendecompose, which fails too
+    # the refused chain falls back to the dense solve, which fails too
     hamiltonian = build_hamiltonian(mirror_impurities(200, 0.4))
     with refused("no_convergence"), failed_solver():
         with pytest.raises(ConvergenceFailure):
@@ -278,9 +273,9 @@ def test_block_solver_error_is_a_convergence_failure():
 def test_eigenvalue_solver_error_falls_back_to_one_full_solve():
     # roots that do not settle refuse the chain like a failed check does
     hamiltonian = build_hamiltonian(mirror_impurities(200, 0.4))
-    with refused("no_convergence"), full_solve_spy() as full:
+    with refused("no_convergence"), solver_spy() as solved:
         result = transfer_spectrum(hamiltonian)
-    assert same_matrices([call.args[0] for call in full.call_args_list], [hamiltonian])
+    assert same_matrices(solved, [hamiltonian])
     assert_full_route_amplitude(result, hamiltonian, np.arange(0.0, 150.0, 0.05))
 
 
@@ -307,12 +302,12 @@ def test_canonical_transfer_grid_takes_no_fallback():
     grids = [inclusive_grid(0.3, 1.01, 0.001)] * 4
     chains += [mirror_impurities(31, 1.0), mirror_impurities(200, 0.4)]
     grids += [inclusive_grid(0.1, 1.52, 0.002), inclusive_grid(0.4, 0.42, 0.001)]
-    with full_solve_spy() as full:
+    with solver_spy() as lapack:
         for template, alphas in zip(chains, grids):
             transfer_spectrum_batch(template, alphas)
         for n in range(2, 13):
             transfer_spectrum(build_hamiltonian(single_impurity(n, 1.0)))
-    assert not full.called
+    assert not lapack
 
 
 @pytest.mark.parametrize("exchange_j, field_h", [(-1.0, 0.0), (-0.6, 0.4), (0.7, -1.1)])
@@ -465,7 +460,7 @@ def test_mirror_route_matches_40_digit_roots(n, alpha_of_n):
 def test_mirror_roots_on_their_interval_end_take_the_phase_route(n, alpha):
     # 2 beta is below an ulp of theta here, so roots round onto k pi / M,
     # the end of their interlacing interval: they are accepted there (the
-    # strict interval check sent these chains to eigendecompose) and meet
+    # strict interval check sent these chains to the dense solve) and meet
     # the 40-digit roots, weight by weight
     for exchange_j, field_h in [(-1.0, 0.0), (-0.8, 0.3), (0.8, 0.3)]:
         hamiltonian = hamiltonian_of(mirror_impurities(n, alpha, exchange_j=exchange_j, field_h=field_h))
@@ -545,9 +540,9 @@ def test_mirror_ipr_and_c12_match_40_digit_roots(n, alpha_of_n):
     alpha = alpha_of_n(n)
     for exchange_j, field_h in [(-1.0, 0.0), (-0.8, 0.3), (0.8, 0.3)]:
         hamiltonian = hamiltonian_of(mirror_impurities(n, alpha, exchange_j=exchange_j, field_h=field_h))
-        with solver_spy() as lapack, full_solve_spy() as full:
+        with solver_spy() as lapack:
             ipr, c12 = eigenstate_ipr(hamiltonian, (1, n)), first_bond_c12(hamiltonian, (1, n))
-        assert not lapack and not full.called
+        assert not lapack
         for got, reference in zip((ipr, c12), mirror_states_reference(hamiltonian)):
             small = reference < 1e-14
             assert np.all(np.abs(got - reference)[~small] <= 1e-11 * reference[~small])

@@ -55,3 +55,12 @@ def test_every_result_holds_read_only_copies(build, arrays, through_view):
         base[...] = 7.0
     for name, array in kept.items():
         assert np.array_equal(stored[name], array), name
+
+
+@pytest.mark.parametrize("build", [StateSweep, Landscape], ids=["StateSweep", "Landscape"])
+def test_a_grid_result_refuses_values_of_another_shape(build):
+    # values must be (len(alphas), len(states)) or (len(alphas), len(times))
+    for values in (np.zeros(5), np.zeros((3, 2)), np.zeros((2, 3, 1))):
+        with pytest.raises(ValueError):
+            build(np.zeros(2), np.zeros(3), values)
+    assert build(np.zeros(2), np.zeros(3), np.zeros((2, 3))).alphas.size == 2

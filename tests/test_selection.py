@@ -1,9 +1,10 @@
 """State ranges of the batches against the full solve.
 
 first_bond_c12, eigenstate_ipr and their batches read the states lo..hi of
-each row.  A row the phase route does not take reads them off one full
-eigendecompose, whose residuals are all checked against max|E| over the
-whole spectrum; every such row here holds the bits of that solve.  A row
+each row.  A row the phase route does not take reads them off the dense
+solve of its whole matrix (routes.solver_spy records it), whose residuals
+are all checked against max|E| over the whole spectrum; every such row here
+holds the bits of eigendecompose.  A row
 the phase route takes is compared with the same states of a full solve only
 where the level gap is at least GAP_MIN * (max|E| + 1): inside a
 near-degenerate pair (a decoupled site, or the two edge bound states of a
@@ -31,17 +32,13 @@ from xxchain.spectral import RESIDUAL_TOL, SpectralDecomposition, eigendecompose
 from routes import failed_solver, noisy_solver, same_matrices, solver_spy
 
 GAP_MIN = 1e-4
-# A bond-2 impurity moves the bulk with alpha: every row takes eigendecompose.
+# A bond-2 impurity moves the bulk with alpha: every row takes the dense solve.
 BOND2 = ChainSpec(200, -1.0, 0.0, ((2, 1.6),))
 
 
-def fallback_spy():
-    return mock.patch.object(spectral, "eigendecompose", wraps=eigendecompose)
-
-
-def bond2_alphas(spy):
-    """alpha of every bond-2 matrix the spy saw solved."""
-    return [call.args[0].offdiag[1] / call.args[0].offdiag[0] for call in spy.call_args_list]
+def bond2_alphas(solved):
+    """alpha of every bond-2 matrix in a solver_spy list."""
+    return [hamiltonian.offdiag[1] / hamiltonian.offdiag[0] for hamiltonian in solved]
 
 
 def sweep_rows(sweep):
@@ -122,11 +119,11 @@ def test_selected_range_matches_full_solve(data, spec):
     assert full.residual_bound <= RESIDUAL_TOL * scale
     assert np.max(residual_norms(hamiltonian, full)) <= full.residual_bound
 
-    with fallback_spy() as fallback, warnings.catch_warnings():
+    with solver_spy() as solved, warnings.catch_warnings():
         warnings.simplefilter("ignore")
         values = ranged(hamiltonian, (lo, hi))
     references = observables(full.vectors[lo - 1 : hi])
-    if fallback.called:  # the states lo..hi of the same solve, bit for bit
+    if solved:  # the states lo..hi of the same solve, bit for bit
         assert all(np.array_equal(value, reference) for value, reference in zip(values, references))
         return
     keep = separated(full.energies, scale)[lo - 1 : hi]
@@ -174,7 +171,7 @@ def test_wide_and_full_ranges_slice_a_full_solve():
 
 @pytest.mark.parametrize("states", [(0, 1), (3, 2), (1, 41), (41, 41)])
 def test_out_of_range_states_are_rejected(states):
-    # a uniform chain takes the phase route, a bond-2 chain eigendecompose
+    # a uniform chain takes the phase route, a bond-2 chain the dense solve
     for spec in (single_impurity(40, 1.0), ChainSpec(40, -1.0, 0.0, ((2, 1.6),))):
         for read in (first_bond_c12, eigenstate_ipr):
             with pytest.raises(ValueError):
@@ -206,9 +203,9 @@ def test_ranges_are_checked_against_every_energy(n, alpha, states):
     hamiltonian = build_hamiltonian(single_impurity(n, alpha))
     full = eigendecompose(hamiltonian)
     assert full.residual_bound <= RESIDUAL_TOL * (np.max(np.abs(full.energies)) + 1.0)
-    with fallback_spy() as fallback:
+    with solver_spy() as solved:
         values = ranged(hamiltonian, states)
-    assert fallback.call_count == 2
+    assert same_matrices(solved, [hamiltonian, hamiltonian])
     lo, hi = states
     assert all(np.array_equal(value, reference)
                for value, reference in zip(values, observables(full.vectors[lo - 1 : hi])))
@@ -219,9 +216,9 @@ def test_c12_sweep_reads_only_its_range():
     # a bond-2 impurity: bond-1 chains take the phase route (test_edge_c12.py)
     template = ChainSpec(60, -1.0, 0.0, ((2, 1.0),))
     alphas = np.linspace(0.1, 2.9, 15)
-    with fallback_spy() as spy:
+    with solver_spy() as solved:
         sweep = c12_sweep(template, alphas, [2, 3])
-    assert bond2_alphas(spy) == pytest.approx(alphas)
+    assert bond2_alphas(solved) == pytest.approx(alphas)
     assert sweep.states.tolist() == [2, 3] and sweep.values.shape == (15, 2)
     for alpha, j, value in sweep_rows(sweep):
         full = eigendecompose(build_hamiltonian(with_alpha(template, alpha)))
@@ -241,7 +238,7 @@ def test_ipr_sweep_matches_full_solve():
 
 
 def test_c12_peak_refine_solves_one_state():
-    # bond 1: the phase route solves root 17 alone; bond 2: eigendecompose reads state 17
+    # bond 1: the phase route solves root 17 alone; bond 2: the dense solve reads state 17
     alphas = np.linspace(0.1, 2.0, 20)
     template = single_impurity(60, 0.8)
     with solver_spy() as spy, mock.patch.object(
@@ -252,7 +249,7 @@ def test_c12_peak_refine_solves_one_state():
     grid, *refine = phases.call_args_list
     assert grid.args[2].size == alphas.size and refine  # the refine step ran after the grid
     assert {tuple(call.args[1]) for call in phases.call_args_list} == {(17,)}
-    with fallback_spy() as spy:
+    with solver_spy() as spy:
         c12_peak(ChainSpec(60, -1.0, 0.0, ((2, 0.8),)), 17, alphas)
     solved = bond2_alphas(spy)
     assert solved[: alphas.size] == pytest.approx(alphas) and len(solved) > alphas.size
